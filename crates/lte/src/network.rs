@@ -883,31 +883,36 @@ impl LteNetwork {
         f(node.topology_mut());
     }
 
-    /// Attach UE `ue_idx`: runs the full attach procedure and returns the
-    /// assigned UE IP. Panics if attachment does not complete within 5 s of
-    /// simulated time (a protocol bug, not an environmental condition).
-    pub fn attach(&mut self, ue_idx: usize) -> Ipv4Addr {
-        let start = self.sim.now();
-        self.sim
-            .schedule_timer(self.ues[ue_idx], start, ue_token::ATTACH);
-        let imsi = self.imsi(ue_idx);
-        let deadline = start + Duration::from_secs(5);
+    /// Advance the engine in 10 ms steps until `done` holds. Panics, naming
+    /// `what`, if it still does not after 5 s of simulated time (a protocol
+    /// bug, not an environmental condition).
+    fn poll_until(&mut self, what: &str, done: impl Fn(&LteNetwork) -> bool) {
+        let deadline = self.sim.now() + Duration::from_secs(5);
         while self.sim.now() < deadline {
             self.sim
                 .run_until(self.sim.now() + Duration::from_millis(10));
-            let attached = self.sim.node_ref::<Mme>(self.mme).ue_state(imsi)
-                == MmeUeState::Attached
-                && self.sim.node_ref::<Ue>(self.ues[ue_idx]).state == UeState::Connected
-                && self.sim.node_ref::<Ue>(self.ues[ue_idx]).ip.is_some();
-            if attached {
-                return self
-                    .sim
-                    .node_ref::<Ue>(self.ues[ue_idx])
-                    .ip
-                    .expect("checked");
+            if done(self) {
+                return;
             }
         }
-        panic!("UE {ue_idx} failed to attach within 5s of simulated time");
+        panic!("{what} did not complete within 5s of simulated time");
+    }
+
+    /// Attach UE `ue_idx`: runs the full attach procedure and returns the
+    /// assigned UE IP. Panics if attachment does not complete within 5 s of
+    /// simulated time.
+    pub fn attach(&mut self, ue_idx: usize) -> Ipv4Addr {
+        let ue = self.ues[ue_idx];
+        self.sim
+            .schedule_timer(ue, self.sim.now(), ue_token::ATTACH);
+        let imsi = self.imsi(ue_idx);
+        self.poll_until(&format!("attach of UE {ue_idx}"), |net| {
+            let ue = net.sim.node_ref::<Ue>(ue);
+            net.sim.node_ref::<Mme>(net.mme).ue_state(imsi) == MmeUeState::Attached
+                && ue.state == UeState::Connected
+                && ue.ip.is_some()
+        });
+        self.sim.node_ref::<Ue>(ue).ip.expect("checked")
     }
 
     /// Request a dedicated bearer by injecting an Rx request at the PCRF
@@ -922,20 +927,11 @@ impl LteNetwork {
         self.log.record(now, &msg);
         let pkt = msg.into_packet(Ipv4Addr::UNSPECIFIED, addr::PCRF);
         self.sim.inject_packet(self.pcrf, pcrf_port::AF, now, pkt);
-        let deadline = now + Duration::from_secs(5);
-        while self.sim.now() < deadline {
-            self.sim
-                .run_until(self.sim.now() + Duration::from_millis(10));
-            let active = self.sim.node_ref::<GwControl>(self.gwc).dedicated_active > before
-                && self
-                    .sim
-                    .node_ref::<Ue>(self.ues[ue_idx])
-                    .has_dedicated_bearer();
-            if active {
-                return;
-            }
-        }
-        panic!("dedicated bearer activation did not complete within 5s");
+        let ue = self.ues[ue_idx];
+        self.poll_until("dedicated bearer activation", |net| {
+            net.sim.node_ref::<GwControl>(net.gwc).dedicated_active > before
+                && net.sim.node_ref::<Ue>(ue).has_dedicated_bearer()
+        });
     }
 
     /// Trigger the idle-timeout release for UE `ue_idx` (the paper's
@@ -948,34 +944,21 @@ impl LteNetwork {
         self.sim
             .schedule_timer(self.enb, now, enb_token::IDLE_BASE + local);
         let imsi = self.imsi(ue_idx);
-        let deadline = now + Duration::from_secs(5);
-        while self.sim.now() < deadline {
-            self.sim
-                .run_until(self.sim.now() + Duration::from_millis(10));
-            if self.sim.node_ref::<Mme>(self.mme).ue_state(imsi) == MmeUeState::Idle {
-                return;
-            }
-        }
-        panic!("idle release did not complete within 5s");
+        self.poll_until("idle release", |net| {
+            net.sim.node_ref::<Mme>(net.mme).ue_state(imsi) == MmeUeState::Idle
+        });
     }
 
     /// Issue a service request for an idle UE and wait for reconnection.
     pub fn service_request(&mut self, ue_idx: usize) {
-        let now = self.sim.now();
+        let ue = self.ues[ue_idx];
         self.sim
-            .schedule_timer(self.ues[ue_idx], now, ue_token::SERVICE_REQUEST);
+            .schedule_timer(ue, self.sim.now(), ue_token::SERVICE_REQUEST);
         let imsi = self.imsi(ue_idx);
-        let deadline = now + Duration::from_secs(5);
-        while self.sim.now() < deadline {
-            self.sim
-                .run_until(self.sim.now() + Duration::from_millis(10));
-            let done = self.sim.node_ref::<Mme>(self.mme).ue_state(imsi) == MmeUeState::Attached
-                && self.sim.node_ref::<Ue>(self.ues[ue_idx]).state == UeState::Connected;
-            if done {
-                return;
-            }
-        }
-        panic!("service request did not complete within 5s");
+        self.poll_until("service request", |net| {
+            net.sim.node_ref::<Mme>(net.mme).ue_state(imsi) == MmeUeState::Attached
+                && net.sim.node_ref::<Ue>(ue).state == UeState::Connected
+        });
     }
 
     /// Start a background traffic source pushing `rate_bps` of UDP through

@@ -1,5 +1,6 @@
 //! Sharded execution of the event loop: serial fast path and the
-//! conservative-lookahead thread-per-shard driver.
+//! conservative-lookahead windowed driver, serial first, threaded once a
+//! call has earned it.
 //!
 //! # Execution model
 //!
@@ -22,10 +23,19 @@
 //!    strictly after the destination's window) into the destination
 //!    wheels, then loops.
 //!
-//! The worker threads driving the lanes live in a persistent [`ShardPool`]
-//! owned by the simulator: spawned on the first threaded run, parked
-//! between `run_until` calls, joined on drop — so window overhead does not
-//! scale with the number of `run_until` calls a harness makes.
+//! Which thread drains which lane is invisible in the output (see
+//! *Determinism*), so every call starts its windows on the calling thread
+//! and only hands the remaining ones to a thread per lane — at a window
+//! boundary — once it has dispatched [`ESCALATE_AFTER_EVENTS`] events, and
+//! never when the lanes outnumber the cores. A harness that polls in
+//! thousands of small `run_until` steps therefore pays per call for the
+//! events in the call and nothing else: the placement, the lookahead
+//! matrix, the active-shard list and the outbox cells are simulator state
+//! kept current by the edits that change them, not recomputed here. The
+//! worker threads live in a persistent [`ShardPool`] owned by the
+//! simulator: spawned by the first call that escalates, parked between
+//! calls (waking them costs a few hundred events' worth of time, which is
+//! what the threshold is sized from), joined on drop.
 //!
 //! # Determinism
 //!
@@ -56,7 +66,7 @@ use crate::time::{Duration, Instant};
 use crate::wheel::TimerWheel;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// A raw view over a `&mut [T]` that can be shared across worker threads.
 /// `get_mut` hands out `&mut T` to disjoint elements; callers uphold the
@@ -166,8 +176,9 @@ struct PoolShared {
 /// The persistent shard worker pool: threads are spawned once per
 /// simulator (grown lazily if later runs activate more shards), parked on
 /// a condvar between `run_until` calls, and joined when the simulator is
-/// dropped. Replaces the per-call `std::thread::scope` spawn so window
-/// overhead no longer scales with the number of `run_until` calls.
+/// dropped. Cheaper than a `std::thread::scope` spawn per call, but not
+/// free: a wake-up and re-park measured 40–220 µs, which is why a call
+/// only comes here after [`ESCALATE_AFTER_EVENTS`].
 pub(crate) struct ShardPool {
     shared: std::sync::Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -305,7 +316,7 @@ fn worker_loop(shared: &PoolShared, idx: usize) {
 }
 
 /// A buffered cross-shard arrival awaiting the window exchange.
-struct OutEntry {
+pub(crate) struct OutEntry {
     at: Instant,
     key: EvKey,
     payload: EvPayload,
@@ -612,20 +623,13 @@ pub(crate) fn run_serial(sim: &mut Simulator, limit: Instant) -> u64 {
     sim.counters[0].events - before
 }
 
-/// Compute (and cache) the conservative lookahead: the global minimum
-/// propagation delay over links whose endpoints live on different shards,
-/// plus the per-shard-pair matrix `D⁺` of minimum ≥1-link cross-shard path
-/// delays (Floyd–Warshall closure over the per-pair direct minima; the
-/// diagonal holds the minimum cycle delay back to a shard). Panics on a
-/// zero-delay cross-shard link — the window would be empty and the run
-/// could never make progress.
-pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
-    if let (Some(l), Some(_)) = (sim.lookahead, &sim.pair_look) {
-        return l;
-    }
+/// Minimum delay of the links running directly from each shard to each
+/// other shard, counted from every link (row-major `nsh × nsh`,
+/// nanoseconds, `u64::MAX` = none). Panics on a zero-delay cross-shard
+/// link — the window would be empty and the run could never make progress.
+fn count_direct(sim: &Simulator) -> Vec<u64> {
     let nsh = sim.shards();
-    let mut pair = vec![u64::MAX; nsh * nsh];
-    let mut min = u64::MAX;
+    let mut direct = vec![u64::MAX; nsh * nsh];
     for (src, ports) in sim.links.iter().enumerate() {
         for link in ports.iter().flatten() {
             let dst = link.to().0;
@@ -638,16 +642,21 @@ pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
                      conservative lookahead would be zero (co-locate both endpoints \
                      in one region or give the link a positive delay)"
                 );
-                min = min.min(d.nanos());
-                let cell = &mut pair[su * nsh + sv];
+                let cell = &mut direct[su * nsh + sv];
                 *cell = (*cell).min(d.nanos());
             }
         }
     }
-    // Transitive closure: an event processed on shard `u` can only affect
-    // shard `s` through a chain of cross-shard hops (same-shard forwarding
-    // legs in between only add delay), so the tightest sound bound per
-    // pair is the shortest ≥1-hop path, not just the direct link minimum.
+    direct
+}
+
+/// Floyd–Warshall closure of the direct minima, in place: an event
+/// processed on shard `u` can only affect shard `s` through a chain of
+/// cross-shard hops (same-shard forwarding legs in between only add
+/// delay), so the tightest sound bound per pair is the shortest ≥1-hop
+/// path, not just the direct link minimum. The diagonal ends up holding
+/// the minimum cycle delay back to a shard.
+fn close_paths(pair: &mut [u64], nsh: usize) {
     for k in 0..nsh {
         for i in 0..nsh {
             let dik = pair[i * nsh + k];
@@ -667,47 +676,82 @@ pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
             }
         }
     }
+}
+
+/// The conservative lookahead — the global minimum propagation delay over
+/// links whose endpoints live on different shards — with the per-shard-pair
+/// matrix `D⁺` of minimum ≥1-link cross-shard path delays brought up to
+/// date beside it. The direct minima are simulator state that
+/// `connect_simplex` lowers in place, so the usual refresh is the `nsh³`
+/// closure alone; every link is recounted only after a region moved or a
+/// cross-shard link was reconfigured, and when a direct minimum reads zero,
+/// so that the panic names the offending link.
+pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
+    if let Some(l) = sim.lookahead {
+        return l;
+    }
+    if sim.look_rescan || sim.pair_direct.contains(&0) {
+        sim.pair_direct = count_direct(sim);
+        sim.look_rescan = false;
+    }
+    let nsh = sim.shards();
+    sim.pair_look.clone_from(&sim.pair_direct);
+    close_paths(&mut sim.pair_look, nsh);
+    let min = sim.pair_direct.iter().copied().min().unwrap_or(u64::MAX);
     let look = Duration::from_nanos(min);
     sim.lookahead = Some(look);
-    sim.pair_look = Some(pair);
     look
 }
 
-/// Inclusive window end for the lane of shard `s`, given every active
-/// lane's earliest pending instant (`m(j)`, `u64::MAX` = idle) and the
-/// round's global minimum `t`.
-///
-/// Adaptive (`pair = Some`): shard `s` may run until just before the
-/// earliest instant any other shard's pending work could reach it,
-/// `min_u(m_u + D⁺[u][s]) - 1`. Every term is `≥ t + min_delay`, so the
-/// bound never regresses below the classic global window and the shard
-/// holding `t` always makes progress. Non-adaptive (`pair = None`): the
-/// classic global bound `t + look - 1`. Both are capped at `limit_n`.
-#[allow(clippy::too_many_arguments)]
-fn window_until(
-    s: usize,
-    active: &[usize],
-    m: impl Fn(usize) -> u64,
+/// The pair matrix counted from every link, ignoring the incremental
+/// state: the oracle the cache property tests compare against.
+#[cfg(test)]
+pub(crate) fn recount_pair_lookahead(sim: &Simulator) -> Vec<u64> {
+    let mut pair = count_direct(sim);
+    close_paths(&mut pair, sim.shards());
+    pair
+}
+
+/// What bounds every window of one `run_until` call.
+#[derive(Clone, Copy)]
+struct Windows<'a> {
+    /// Global minimum cross-shard delay, nanoseconds.
     look: u64,
-    pair: Option<&[u64]>,
+    /// The per-pair matrix `D⁺` (row-major `nsh × nsh`) when adaptive
+    /// lookahead is on.
+    pair: Option<&'a [u64]>,
     nsh: usize,
-    t: u64,
+    /// The call's limit, nanoseconds.
     limit_n: u64,
-) -> Instant {
-    let until = match pair {
-        None => t.saturating_add(look.saturating_sub(1)),
-        Some(pair) => {
-            let mut bound = u64::MAX;
-            for (j, &u) in active.iter().enumerate() {
-                let (mj, d) = (m(j), pair[u * nsh + s]);
-                if mj != u64::MAX && d != u64::MAX {
-                    bound = bound.min(mj.saturating_add(d));
+}
+
+impl Windows<'_> {
+    /// Inclusive window end for the lane of shard `s`, given every active
+    /// lane's earliest pending instant (`m(j)`, `u64::MAX` = idle) and the
+    /// round's global minimum `t`.
+    ///
+    /// Adaptive (`pair = Some`): shard `s` may run until just before the
+    /// earliest instant any other shard's pending work could reach it,
+    /// `min_u(m_u + D⁺[u][s]) - 1`. Every term is `≥ t + min_delay`, so the
+    /// bound never regresses below the classic global window and the shard
+    /// holding `t` always makes progress. Non-adaptive (`pair = None`): the
+    /// classic global bound `t + look - 1`. Both are capped at the limit.
+    fn until(&self, s: usize, active: &[usize], m: impl Fn(usize) -> u64, t: u64) -> Instant {
+        let until = match self.pair {
+            None => t.saturating_add(self.look.saturating_sub(1)),
+            Some(pair) => {
+                let mut bound = u64::MAX;
+                for (j, &u) in active.iter().enumerate() {
+                    let (mj, d) = (m(j), pair[u * self.nsh + s]);
+                    if mj != u64::MAX && d != u64::MAX {
+                        bound = bound.min(mj.saturating_add(d));
+                    }
                 }
+                bound.saturating_sub(1)
             }
-            bound.saturating_sub(1)
-        }
-    };
-    Instant::from_nanos(until.min(limit_n))
+        };
+        Instant::from_nanos(until.min(self.limit_n))
+    }
 }
 
 /// Shared raw views over the simulator's partitioned state: everything a
@@ -755,6 +799,18 @@ impl<'a> Clone for LaneParts<'a> {
 }
 impl<'a> Copy for LaneParts<'a> {}
 
+/// Events one `run_until` call dispatches on the calling thread before its
+/// remaining windows are worth a pool wake-up: waking and re-parking the
+/// workers costs about as much as dispatching two hundred events, so a
+/// call with less work than that is faster without them.
+const ESCALATE_AFTER_EVENTS: u64 = 256;
+
+/// Cores of this host, read once (the query costs tens of microseconds).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Parallel driver: conservative-lookahead windows over the shards that
 /// own nodes. Runs every pending event with `at <= limit`; results are
 /// byte-identical to [`run_serial`] at any shard count. Returns the
@@ -763,65 +819,62 @@ impl<'a> Copy for LaneParts<'a> {}
 /// Only *active* shards (those owning at least one node) take part in
 /// the window protocol — a node-less shard can neither produce nor
 /// receive events, so `--shards 8` on a two-region topology pays for
-/// two lanes, not eight. When the machine has a single core (or a
-/// single shard is active) the same windowed algorithm runs on one
-/// thread with no barriers: the event order is fixed by `(at, key)`,
-/// not by which thread drains which lane, so the serial interleaving is
-/// byte-identical to the threaded one.
+/// two lanes, not eight. The windows start on the calling thread and move
+/// to a thread per lane after [`ESCALATE_AFTER_EVENTS`] events — never,
+/// when the lanes outnumber the cores and the OS would serialize them
+/// anyway: the event order is fixed by `(at, key)`, not by which thread
+/// drains which lane, so the serial interleaving is byte-identical to the
+/// threaded one.
 pub(crate) fn run_parallel(sim: &mut Simulator, limit: Instant) -> u64 {
     sim.ensure_placement();
+    let escalate_after = if sim.active.len() > cores() {
+        u64::MAX
+    } else {
+        ESCALATE_AFTER_EVENTS
+    };
+    run_parallel_with(sim, limit, escalate_after)
+}
+
+/// [`run_parallel`] with the hand-over point spelled out: `u64::MAX` keeps
+/// the whole call on the calling thread, `0` runs it on the pool from the
+/// first window. A seam for the tests that must reach each driver with
+/// small fixtures, not a knob.
+pub(crate) fn run_parallel_with(sim: &mut Simulator, limit: Instant, escalate_after: u64) -> u64 {
+    sim.ensure_placement();
     let look = ensure_lookahead(sim).nanos();
-    let nsh = sim.shards();
     let before: u64 = sim.counters.iter().map(|c| c.events).sum();
-    let limit_n = limit.nanos();
     let start_now = sim.now;
-    let adaptive = sim.adaptive;
 
-    let mut owned = vec![false; nsh];
-    for &s in &sim.shard_of {
-        owned[s as usize] = true;
-    }
-    let active: Vec<usize> = (0..nsh).filter(|&s| owned[s]).collect();
-
-    let pair_look: &[u64] = sim.pair_look.as_deref().expect("lookahead just computed");
-    let pair = adaptive.then_some(pair_look);
-    let shard_of: &[u32] = &sim.shard_of;
-    let faults: &[NodeOutageSet] = &sim.node_faults;
-    let nodes = SlicePtr::new(&mut sim.nodes);
-    let links = SlicePtr::new(&mut sim.links);
-    let meta = SlicePtr::new(&mut sim.meta);
-    let queues = SlicePtr::new(&mut sim.queues);
-    let counters = SlicePtr::new(&mut sim.counters);
-    let mut outcells: Vec<Vec<OutEntry>> = (0..nsh * nsh).map(|_| Vec::new()).collect();
-    let out = SlicePtr::new(&mut outcells);
+    let nsh = sim.shards();
+    let active: &[usize] = &sim.active;
+    let windows = Windows {
+        look,
+        pair: sim.adaptive.then_some(sim.pair_look.as_slice()),
+        nsh,
+        limit_n: limit.nanos(),
+    };
     let parts = LaneParts {
-        nodes,
-        links,
-        meta,
-        shard_of,
-        faults,
-        queues,
-        counters,
-        out,
+        nodes: SlicePtr::new(&mut sim.nodes),
+        links: SlicePtr::new(&mut sim.links),
+        meta: SlicePtr::new(&mut sim.meta),
+        shard_of: &sim.shard_of,
+        faults: &sim.node_faults,
+        queues: SlicePtr::new(&mut sim.queues),
+        counters: SlicePtr::new(&mut sim.counters),
+        out: SlicePtr::new(&mut sim.outcells),
         nsh,
     };
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    if active.len() == 1 {
+    if let [s] = *active {
         // All nodes on one shard: no cross-shard traffic is possible, so
         // the window machinery degenerates to a straight drain.
-        let s = active[0];
         // Safety: single-threaded, sole driver of shard `s`.
         let mut lane = unsafe { parts.lane(s, Vec::new(), start_now) };
         lane.drain_window(limit);
-    } else if !active.is_empty() && cores == 1 {
-        run_windows_serial(parts, &active, look, pair, limit_n, start_now);
-    } else if !active.is_empty() {
+    } else if let Some(nows) = run_windows_serial(parts, active, windows, start_now, escalate_after)
+    {
         let pool = sim.pool.get_or_insert_with(ShardPool::new);
-        run_windows_threaded(parts, &active, look, pair, limit_n, start_now, pool);
+        run_windows_threaded(parts, active, windows, &nows, pool);
     }
 
     let last = sim
@@ -837,22 +890,24 @@ pub(crate) fn run_parallel(sim: &mut Simulator, limit: Instant) -> u64 {
     after - before
 }
 
-/// The windowed algorithm on one thread: drain every active lane's
-/// window, exchange, repeat. Identical event order to the threaded
-/// driver (lanes share no state and the order is key-derived), none of
-/// the barrier or thread-spawn overhead — the right shape whenever the
-/// OS would serialize the lanes anyway.
+/// The windowed algorithm on the calling thread: drain every active
+/// lane's window, exchange, repeat. Identical event order and per-shard
+/// counters to the threaded driver (lanes share no state and the order is
+/// key-derived), none of the barrier or wake-up overhead. Returns `None`
+/// when the call is finished, or every lane's clock when more windows are
+/// pending after `escalate_after` events were dispatched — the point at
+/// which [`run_windows_threaded`] can take the rest.
 fn run_windows_serial(
     parts: LaneParts<'_>,
     active: &[usize],
-    look: u64,
-    pair: Option<&[u64]>,
-    limit_n: u64,
+    windows: Windows<'_>,
     start_now: Instant,
-) {
+    escalate_after: u64,
+) -> Option<Vec<Instant>> {
     let mut nows = vec![start_now; active.len()];
     let mut scratches: Vec<Vec<Action>> = (0..active.len()).map(|_| Vec::new()).collect();
     let mut mins = vec![u64::MAX; active.len()];
+    let mut dispatched = 0u64;
     loop {
         let mut t = u64::MAX;
         for (i, &s) in active.iter().enumerate() {
@@ -862,15 +917,21 @@ fn run_windows_serial(
                 .map_or(u64::MAX, |(at, _)| at.nanos());
             t = t.min(mins[i]);
         }
-        if t == u64::MAX || t > limit_n {
-            break;
+        if t == u64::MAX || t > windows.limit_n {
+            return None;
+        }
+        if dispatched >= escalate_after {
+            return Some(nows);
         }
         for (i, &s) in active.iter().enumerate() {
-            let until = window_until(s, active, |j| mins[j], look, pair, parts.nsh, t, limit_n);
+            let until = windows.until(s, active, |j| mins[j], t);
             // Safety: single-threaded, sole driver of shard `s`; the lane
             // is dropped before the next one is built.
             let mut lane = unsafe { parts.lane(s, std::mem::take(&mut scratches[i]), nows[i]) };
+            let before = lane.ctr.events;
             lane.drain_window(until);
+            lane.ctr.windows += 1;
+            dispatched += lane.ctr.events - before;
             nows[i] = lane.now;
             scratches[i] = std::mem::take(&mut lane.scratch);
         }
@@ -891,15 +952,14 @@ fn run_windows_serial(
 }
 
 /// Lane-per-active-shard windows on the persistent pool, synchronized
-/// with a spin barrier. The calling thread drives lane 0; pool workers
-/// drive the rest and park when the call completes.
+/// with a spin barrier, from wherever [`run_windows_serial`] left off
+/// (`nows` = its lanes' clocks). The calling thread drives lane 0; pool
+/// workers drive the rest and park when the call completes.
 fn run_windows_threaded(
     parts: LaneParts<'_>,
     active: &[usize],
-    look: u64,
-    pair: Option<&[u64]>,
-    limit_n: u64,
-    start_now: Instant,
+    windows: Windows<'_>,
+    nows: &[Instant],
     pool: &mut ShardPool,
 ) {
     let mins: Vec<AtomicU64> = (0..active.len())
@@ -913,7 +973,8 @@ fn run_windows_threaded(
         let s = active[i];
         // Safety: this worker is shard `s`'s sole driver; node/link/
         // meta access inside the lane follows the shard partition.
-        let mut lane = unsafe { parts.lane(s, Vec::new(), start_now) };
+        let mut lane = unsafe { parts.lane(s, Vec::new(), nows[i]) };
+        lane.ctr.pool_dispatches += 1;
         loop {
             let local = lane.queue.peek_key().map_or(u64::MAX, |(at, _)| at.nanos());
             mins[i].store(local, Ordering::Release);
@@ -925,20 +986,12 @@ fn run_windows_threaded(
                 .map(|m| m.load(Ordering::Acquire))
                 .min()
                 .expect("at least one shard");
-            if t == u64::MAX || t > limit_n {
+            if t == u64::MAX || t > windows.limit_n {
                 break;
             }
-            let until = window_until(
-                s,
-                active,
-                |j| mins[j].load(Ordering::Acquire),
-                look,
-                pair,
-                parts.nsh,
-                t,
-                limit_n,
-            );
+            let until = windows.until(s, active, |j| mins[j].load(Ordering::Acquire), t);
             lane.drain_window(until);
+            lane.ctr.windows += 1;
             barrier.wait();
             // Exchange: pull this shard's inbox column. Each window's
             // cross-shard arrivals land strictly after this shard's
@@ -958,4 +1011,176 @@ fn run_windows_threaded(
         }
     };
     pool.run(active.len(), &worker);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::link::LinkConfig;
+    use crate::sim::{Node, PortId};
+    use crate::traffic::Reflector;
+    use crate::transport::PingAgent;
+    use proptest::prelude::*;
+    use std::net::Ipv4Addr;
+
+    /// Logs every hook call before passing it on: the node's own dispatch
+    /// order, which no sharding may change.
+    struct Traced<N> {
+        inner: N,
+        log: Vec<(Instant, u64)>,
+    }
+
+    fn traced<N: Node>(inner: N) -> Box<Traced<N>> {
+        Box::new(Traced {
+            inner,
+            log: Vec::new(),
+        })
+    }
+
+    impl<N: Node> Node for Traced<N> {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+            self.log.push((ctx.now(), pkt.id));
+            self.inner.on_packet(ctx, port, pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.log.push((ctx.now(), token));
+            self.inner.on_timer(ctx, token);
+        }
+    }
+
+    /// What one run of the mesh leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        /// Per-node dispatch order, pings then reflectors.
+        logs: Vec<Vec<(Instant, u64)>>,
+        rtts: Vec<Vec<Duration>>,
+        /// Per shard: events, arrivals, cross-shard sent and received,
+        /// windows drained.
+        by_shard: Vec<[u64; 5]>,
+    }
+
+    /// The mesh of `tests/prop.rs::sharded_exchange_matches_merged_wheel`
+    /// (a ring of lossy, jittered cross-region ping pairs plus a
+    /// zero-delay same-region pair per region, every kickoff at the same
+    /// instant), run to idle by `drive`. Also returns how many lane runs
+    /// went to the pool.
+    fn mesh(
+        shards: usize,
+        drive: impl Fn(&mut Simulator),
+        (seed, regions): (u64, usize),
+        cross_delays_us: &[u64],
+        counts: &[u32],
+        intervals_us: &[u64],
+    ) -> (Outcome, u64) {
+        let mut sim = Simulator::with_shards(seed, shards);
+        let (mut pings, mut refls) = (Vec::new(), Vec::new());
+        for r in 0..regions {
+            let next = (r + 1) % regions;
+            for (local, peer) in [(false, next), (true, r)] {
+                let k = 2 * r + usize::from(local);
+                let ping = sim.add_node_in_region(
+                    traced(PingAgent::new(
+                        Ipv4Addr::new(10, u8::from(local), r as u8, 1),
+                        Ipv4Addr::new(10, u8::from(local), peer as u8, 2),
+                        Duration::from_micros(intervals_us[k % intervals_us.len()]),
+                        counts[k % counts.len()] as u64,
+                    )),
+                    r as u32,
+                );
+                let refl = sim.add_node_in_region(traced(Reflector::new()), peer as u32);
+                let cfg = if local {
+                    LinkConfig::delay_only(Duration::ZERO)
+                } else {
+                    let delay = cross_delays_us[r % cross_delays_us.len()];
+                    LinkConfig::delay_only(Duration::from_micros(delay))
+                        .with_jitter(Duration::from_micros(500))
+                        .with_loss(0.05)
+                };
+                sim.connect((ping, 0), (refl, 0), cfg);
+                pings.push(ping);
+                refls.push(refl);
+            }
+        }
+        for &p in &pings {
+            sim.schedule_timer(p, Instant::ZERO, PingAgent::KICKOFF);
+        }
+        drive(&mut sim);
+        let mut logs: Vec<_> = pings
+            .iter()
+            .map(|&p| sim.node_ref::<Traced<PingAgent>>(p).log.clone())
+            .collect();
+        logs.extend(
+            refls
+                .iter()
+                .map(|&n| sim.node_ref::<Traced<Reflector>>(n).log.clone()),
+        );
+        let outcome = Outcome {
+            logs,
+            rtts: pings
+                .iter()
+                .map(|&p| sim.node_ref::<Traced<PingAgent>>(p).inner.rtts().to_vec())
+                .collect(),
+            by_shard: sim
+                .counters
+                .iter()
+                .map(|c| [c.events, c.arrivals, c.xsent, c.xrecv, c.windows])
+                .collect(),
+        };
+        (outcome, sim.pool_dispatches())
+    }
+
+    proptest! {
+        /// The three shapes a multi-lane call can take — all windows on
+        /// the calling thread, all on the pool, hand-over in mid-call —
+        /// dispatch every node's events in the merged wheel's order, agree
+        /// on every per-shard counter, and lose nothing in the exchange.
+        /// (Outside this test small fixtures never leave the calling
+        /// thread, so this is what keeps the threaded driver covered.)
+        #[test]
+        fn every_driver_shape_matches_the_merged_wheel(
+            seed in any::<u64>(),
+            regions in 2usize..=4,
+            cross_delays_us in prop::collection::vec(1u64..100_000, 4),
+            counts in prop::collection::vec(1u32..12, 8),
+            intervals_us in prop::collection::vec(1u64..100_000, 8),
+        ) {
+            let run = |shards: usize, escalate_after: Option<u64>| {
+                mesh(
+                    shards,
+                    |sim| match escalate_after {
+                        None => drop(sim.run_until_idle()),
+                        Some(n) => drop(run_parallel_with(sim, Instant::MAX, n)),
+                    },
+                    (seed, regions),
+                    &cross_delays_us,
+                    &counts,
+                    &intervals_us,
+                )
+            };
+            let (merged, _) = run(1, None);
+            let events: u64 = merged.by_shard.iter().map(|c| c[0]).sum();
+            for shards in [2, regions, 8] {
+                let (serial, serial_pool) = run(shards, Some(u64::MAX));
+                prop_assert_eq!(&serial.logs, &merged.logs, "shards={}", shards);
+                prop_assert_eq!(&serial.rtts, &merged.rtts, "shards={}", shards);
+                prop_assert_eq!(serial.by_shard.iter().map(|c| c[0]).sum::<u64>(), events);
+                let (sent, received) = serial
+                    .by_shard
+                    .iter()
+                    .fold((0, 0), |(s, r), c| (s + c[2], r + c[3]));
+                prop_assert_eq!(sent, received, "shards={} exchange lost events", shards);
+                prop_assert!(sent > 0 && serial.by_shard.iter().all(|c| c[4] > 0 || c[0] == 0));
+                prop_assert_eq!(serial_pool, 0);
+
+                let lanes = serial.by_shard.iter().filter(|c| c[0] > 0).count() as u64;
+                let (threaded, threaded_pool) = run(shards, Some(0));
+                prop_assert_eq!(&threaded, &serial, "shards={} threaded", shards);
+                prop_assert_eq!(threaded_pool, lanes, "every lane ran on the pool");
+
+                let (handed_over, pool) = run(shards, Some(8));
+                prop_assert_eq!(&handed_over, &serial, "shards={} hand-over", shards);
+                prop_assert!(pool == 0 || pool == lanes);
+            }
+        }
+    }
 }

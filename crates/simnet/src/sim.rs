@@ -16,9 +16,10 @@
 //! bin-packing on per-region node + link weight; see [`PlacementMode`]),
 //! each shard with its own timing wheel. With
 //! `N == 1` the engine is exactly the classic single-threaded event loop;
-//! with `N > 1` the shards run on a persistent worker pool synchronized by
-//! conservative lookahead windows derived from the propagation
-//! delay of links that cross shards (see [`crate::shard`]). Because
+//! with `N > 1` the shards advance in conservative lookahead windows
+//! derived from the propagation delay of links that cross shards — on the
+//! calling thread while a `run_until` call is small, on a persistent
+//! worker pool once it has enough work (see [`crate::shard`]). Because
 //! every tie-breaking key, every RNG stream and every packet id is derived
 //! from content (node identity + per-node counters) rather than from
 //! global execution order, the observable results are byte-identical at
@@ -40,6 +41,7 @@ use rand::RngCore;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Identifier of a node within a simulator.
@@ -260,8 +262,20 @@ pub(crate) struct ShardCounters {
     pub(crate) node_restarts: u64,
     /// Sends discarded because the emitting node was partitioned.
     pub(crate) node_tx_dropped: u64,
+    /// Lookahead windows this shard's lane drained (windowed drivers only;
+    /// a single active shard drains straight through and counts none).
+    pub(crate) windows: u64,
+    /// Times this shard's lane was handed to the persistent pool.
+    pub(crate) pool_dispatches: u64,
     /// Instant of the last event dispatched on this shard.
     pub(crate) last_at: Instant,
+}
+
+/// Placement state of one region (see `Simulator::regions`).
+struct RegionSlot {
+    /// Node count plus outgoing link count, without any bias.
+    weight: u64,
+    shard: u32,
 }
 
 /// Handle given to nodes during event dispatch.
@@ -389,17 +403,25 @@ pub struct Simulator {
     pub(crate) meta: Vec<NodeMeta>,
     /// Per-node region label (assigned at add time).
     region: Vec<u32>,
-    /// Per-node shard, derived from the region assignment (see
-    /// [`PlacementMode`]); provisional `region % nshards` until the next
-    /// [`Simulator::ensure_placement`].
+    /// Per-node shard: always its region's current shard in `regions`.
     pub(crate) shard_of: Vec<u32>,
+    /// Every region that owns a node: its placement weight (node count +
+    /// outgoing link count, kept current by `add_node_in_region` and
+    /// `connect_simplex`) and the shard it currently sits on. A new region
+    /// starts on `region % nshards` until the next
+    /// [`Simulator::ensure_placement`].
+    regions: BTreeMap<u32, RegionSlot>,
+    /// Shards that own at least one node, ascending (rebuilt with the
+    /// placement); only these join the window protocol.
+    pub(crate) active: Vec<usize>,
     /// Region→shard policy.
     placement: PlacementMode,
-    /// Re-run placement before the next parallel run (topology changed).
+    /// Re-run placement before the next parallel run (a weight, a bias or
+    /// the policy changed).
     placement_dirty: bool,
     /// Extra placement weight per region (see
     /// [`Simulator::set_region_weight_bias`]).
-    weight_bias: std::collections::BTreeMap<u32, u64>,
+    weight_bias: BTreeMap<u32, u64>,
     /// Emission counter for harness-injected events.
     ext_ctr: u64,
     /// Packets injected by the harness (conservation accounting).
@@ -408,22 +430,67 @@ pub struct Simulator {
     /// Compiled node-lifecycle outage schedules, indexed by node; empty
     /// when no [`NodeFaultPlan`] is attached (the no-plan fast path).
     pub(crate) node_faults: Vec<NodeOutageSet>,
-    /// Cached conservative lookahead; `None` = recompute on next parallel
-    /// run (topology or link delay changed).
+    /// Minimum delay of the links running directly from shard `u` to
+    /// shard `s` under the current `shard_of` (row-major
+    /// `nshards × nshards`, nanoseconds, `u64::MAX` = none). A new
+    /// cross-shard link lowers its cell in place; anything that could
+    /// *raise* a cell sets `look_rescan` instead.
+    pub(crate) pair_direct: Vec<u64>,
+    /// `pair_direct` must be recounted from every link before its next
+    /// use (a region moved, or a cross-shard link was reconfigured).
+    pub(crate) look_rescan: bool,
+    /// Cached conservative lookahead (the minimum of `pair_direct`);
+    /// `None` = `pair_direct` changed since `pair_look` was closed over it.
     pub(crate) lookahead: Option<Duration>,
-    /// Cached per-shard-pair lookahead matrix (row-major
-    /// `nshards × nshards`, nanoseconds): the shortest cross-shard path
-    /// delay from shard `u` to shard `s` over one or more links
-    /// (`u64::MAX` = unreachable). Invalidated together with `lookahead`.
-    pub(crate) pair_look: Option<Vec<u64>>,
+    /// Per-shard-pair lookahead matrix (same layout as `pair_direct`): the
+    /// shortest cross-shard path delay from shard `u` to shard `s` over
+    /// one or more links (`u64::MAX` = unreachable). Valid while
+    /// `lookahead` is `Some`.
+    pub(crate) pair_look: Vec<u64>,
     /// Use the per-pair matrix for window bounds (default); `false` falls
     /// back to the global minimum (the differential-testing baseline).
     pub(crate) adaptive: bool,
     /// Persistent shard worker pool, created on the first threaded
     /// parallel run and parked between windows; torn down on drop.
     pub(crate) pool: Option<crate::shard::ShardPool>,
+    /// The flat `owner × destination` outbox cells of the window exchange
+    /// (`nshards × nshards`; empty between calls, capacity kept).
+    pub(crate) outcells: Vec<Vec<crate::shard::OutEntry>>,
     /// Reusable per-dispatch action buffer (serial path).
     pub(crate) scratch: Vec<Action>,
+}
+
+/// The shard of every region, in the order `weights` yields them (region
+/// order). Deterministic and seed-independent. Balanced: regions are
+/// weighed by node count plus outgoing link count plus any bias (the
+/// caller's sum), sorted by `(weight desc, region)`, and greedily packed
+/// onto the lightest shard (ties to the lowest shard index).
+fn place(
+    weights: impl Iterator<Item = (u32, u64)>,
+    mode: PlacementMode,
+    nshards: usize,
+) -> Vec<u32> {
+    match mode {
+        PlacementMode::Modulo => weights.map(|(r, _)| r % nshards as u32).collect(),
+        PlacementMode::Balanced => {
+            let mut order: Vec<(usize, u32, u64)> =
+                weights.enumerate().map(|(i, (r, w))| (i, r, w)).collect();
+            let mut shards = vec![0u32; order.len()];
+            order.sort_by(|a, b| b.2.cmp(&a.2).then(a.1.cmp(&b.1)));
+            let mut load = vec![0u64; nshards];
+            for (slot, _, w) in order {
+                let s = load
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(i, &l)| (l, i))
+                    .map(|(i, _)| i)
+                    .expect("at least one shard");
+                load[s] += w;
+                shards[slot] = s as u32;
+            }
+            shards
+        }
+    }
 }
 
 impl Simulator {
@@ -448,17 +515,22 @@ impl Simulator {
             meta: Vec::new(),
             region: Vec::new(),
             shard_of: Vec::new(),
+            regions: BTreeMap::new(),
+            active: Vec::new(),
             placement: PlacementMode::default(),
             placement_dirty: false,
-            weight_bias: std::collections::BTreeMap::new(),
+            weight_bias: BTreeMap::new(),
             ext_ctr: 0,
             injected: 0,
             counters: vec![ShardCounters::default(); shards],
             node_faults: Vec::new(),
+            pair_direct: vec![u64::MAX; shards * shards],
+            look_rescan: false,
             lookahead: None,
-            pair_look: None,
+            pair_look: Vec::new(),
             adaptive: true,
             pool: None,
+            outcells: (0..shards * shards).map(|_| Vec::new()).collect(),
             scratch: Vec::new(),
         }
     }
@@ -520,10 +592,26 @@ impl Simulator {
 
     /// The conservative lookahead (minimum cross-shard propagation delay)
     /// the parallel driver would use right now; `None` until first
-    /// computed or after a topology change. `Duration::ZERO` never occurs
-    /// — a zero-delay cross-shard link is rejected.
+    /// computed, and again after an edit that may have changed it (a new
+    /// or reconfigured cross-shard link, a region moving to another
+    /// shard). `Duration::ZERO` never occurs — a zero-delay cross-shard
+    /// link is rejected.
     pub fn lookahead(&self) -> Option<Duration> {
         self.lookahead
+    }
+
+    /// Lookahead windows drained by the windowed drivers, summed over
+    /// shards: one per active lane per synchronization round, the same on
+    /// the calling thread and on the pool.
+    pub fn windows(&self) -> u64 {
+        self.counters.iter().map(|c| c.windows).sum()
+    }
+
+    /// Lane runs handed to the persistent shard pool, summed over shards:
+    /// one per active lane per `run_until` call that outgrew the calling
+    /// thread. Zero means every call so far ran serially.
+    pub fn pool_dispatches(&self) -> u64 {
+        self.counters.iter().map(|c| c.pool_dispatches).sum()
     }
 
     /// Add a node in region 0, returning its id.
@@ -542,8 +630,12 @@ impl Simulator {
         self.links.push(Vec::new());
         self.meta.push(NodeMeta::new(self.seed, id));
         self.region.push(region);
-        self.shard_of.push(region % self.nshards as u32);
-        self.lookahead = None;
+        let slot = self.regions.entry(region).or_insert(RegionSlot {
+            weight: 0,
+            shard: region % self.nshards as u32,
+        });
+        slot.weight += 1;
+        self.shard_of.push(slot.shard);
         self.placement_dirty = true;
         id
     }
@@ -603,19 +695,23 @@ impl Simulator {
         self.adaptive
     }
 
-    /// Worker threads alive in the persistent shard pool (zero before the
-    /// first threaded parallel run; the caller's thread drives lane 0 and
-    /// is not counted). Threads are created once and parked between runs,
-    /// so this number never shrinks until the simulator is dropped.
+    /// Worker threads alive in the persistent shard pool (zero until a
+    /// `run_until` call has enough work to wake it; the caller's thread
+    /// drives lane 0 and is not counted). Threads are created once and
+    /// parked between runs, so this number never shrinks until the
+    /// simulator is dropped.
     pub fn pool_workers(&self) -> usize {
         self.pool
             .as_ref()
             .map_or(0, crate::shard::ShardPool::workers)
     }
 
-    /// Re-derive `shard_of` from the current topology if it changed since
-    /// the last run, migrating any queued events onto their new wheels.
-    /// Cheap no-op when nothing changed or with a single shard.
+    /// Re-pack the regions onto shards if a weight, a bias or the policy
+    /// changed since the last run: `O(regions)`, whatever the population.
+    /// Only when a region actually lands on another shard are its nodes
+    /// re-labelled, queued events migrated onto their new wheels and the
+    /// lookahead recounted. No-op when nothing changed or with a single
+    /// shard.
     pub(crate) fn ensure_placement(&mut self) {
         if !self.placement_dirty {
             return;
@@ -624,17 +720,24 @@ impl Simulator {
         if self.nshards == 1 {
             return;
         }
-        let assignment = self.compute_placement();
-        let mut changed = false;
-        for (node, &r) in self.region.iter().enumerate() {
-            let s = assignment[&r];
-            if self.shard_of[node] != s {
-                self.shard_of[node] = s;
-                changed = true;
-            }
+        let weights = self
+            .regions
+            .iter()
+            .map(|(&r, slot)| (r, slot.weight + self.bias(r)));
+        let target = place(weights, self.placement, self.nshards);
+        let mut moved = false;
+        for (slot, &shard) in self.regions.values_mut().zip(&target) {
+            moved |= slot.shard != shard;
+            slot.shard = shard;
         }
-        if !changed {
+        self.active = target.iter().map(|&s| s as usize).collect();
+        self.active.sort_unstable();
+        self.active.dedup();
+        if !moved {
             return;
+        }
+        for (shard, r) in self.shard_of.iter_mut().zip(&self.region) {
+            *shard = self.regions[r].shard;
         }
         // Events already queued (harness injections, timers from earlier
         // runs) may sit on wheels their node no longer owns: migrate them.
@@ -646,68 +749,43 @@ impl Simulator {
             self.queues[s].schedule(at, key, payload);
         }
         // The set of cross-shard links changed with the assignment.
+        self.look_rescan = true;
         self.lookahead = None;
-        self.pair_look = None;
     }
 
-    /// The balanced (or modulo) region→shard map for the current topology.
-    /// Deterministic and seed-independent: regions are weighed by node
-    /// count plus outgoing link count, sorted by `(weight desc, region)`,
-    /// and greedily packed onto the lightest shard (ties to the lowest
-    /// shard index).
-    fn compute_placement(&self) -> std::collections::BTreeMap<u32, u32> {
-        let mut weights = std::collections::BTreeMap::<u32, u64>::new();
-        for (node, &r) in self.region.iter().enumerate() {
-            let links = self.links[node].iter().flatten().count() as u64;
-            *weights.entry(r).or_insert(0) += 1 + links;
-        }
-        for (&r, &extra) in &self.weight_bias {
-            if let Some(w) = weights.get_mut(&r) {
-                *w += extra;
-            }
-        }
-        match self.placement {
-            PlacementMode::Modulo => weights
-                .keys()
-                .map(|&r| (r, r % self.nshards as u32))
-                .collect(),
-            PlacementMode::Balanced => {
-                let mut order: Vec<(u32, u64)> = weights.iter().map(|(&r, &w)| (r, w)).collect();
-                order.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                let mut load = vec![0u64; self.nshards];
-                let mut map = std::collections::BTreeMap::new();
-                for (r, w) in order {
-                    let s = load
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(i, &l)| (l, i))
-                        .map(|(i, _)| i)
-                        .expect("at least one shard");
-                    load[s] += w;
-                    map.insert(r, s as u32);
-                }
-                map
-            }
-        }
-    }
-
-    /// The current region→shard assignment with per-region weights, as
-    /// `(region, shard, weight)` triples in region order. Forces a
-    /// placement pass first.
+    /// The current region→shard assignment with per-region weights (bias
+    /// included), as `(region, shard, weight)` triples in region order.
+    /// Forces a placement pass first.
     pub fn region_assignments(&mut self) -> Vec<(u32, u32, u64)> {
         self.ensure_placement();
-        let mut weights = std::collections::BTreeMap::<u32, (u32, u64)>::new();
+        self.regions
+            .iter()
+            .map(|(&r, slot)| (r, slot.shard, slot.weight + self.bias(r)))
+            .collect()
+    }
+
+    /// The placement bias declared for `region` (zero if none).
+    fn bias(&self, region: u32) -> u64 {
+        self.weight_bias.get(&region).copied().unwrap_or(0)
+    }
+
+    /// [`Simulator::region_assignments`] recounted from every node and
+    /// link, ignoring the incremental state: the oracle the cache property
+    /// tests compare against.
+    #[cfg(test)]
+    fn recount_region_assignments(&self) -> Vec<(u32, u32, u64)> {
+        let mut weights = BTreeMap::<u32, u64>::new();
         for (node, &r) in self.region.iter().enumerate() {
             let links = self.links[node].iter().flatten().count() as u64;
-            let e = weights.entry(r).or_insert((self.shard_of[node], 0));
-            e.1 += 1 + links;
+            *weights.entry(r).or_insert(self.bias(r)) += 1 + links;
         }
-        for (&r, &extra) in &self.weight_bias {
-            if let Some(e) = weights.get_mut(&r) {
-                e.1 += extra;
-            }
-        }
-        weights.into_iter().map(|(r, (s, w))| (r, s, w)).collect()
+        let biased = weights.iter().map(|(&r, &w)| (r, w));
+        let shards = place(biased, self.placement, self.nshards);
+        weights
+            .iter()
+            .zip(shards)
+            .map(|((&r, &w), s)| (r, s, w))
+            .collect()
     }
 
     /// The per-shard-pair lookahead matrix the parallel driver would use
@@ -719,7 +797,7 @@ impl Simulator {
     pub fn pair_lookahead_matrix(&mut self) -> Vec<u64> {
         self.ensure_placement();
         crate::shard::ensure_lookahead(self);
-        self.pair_look.clone().expect("lookahead just computed")
+        self.pair_look.clone()
     }
 
     /// Connect `from`'s `from_port` to `to`'s `to_port` with a unidirectional
@@ -738,9 +816,23 @@ impl Simulator {
             ports.resize_with(from.1 + 1, || None);
         }
         assert!(ports[from.1].is_none(), "port {from:?} already connected");
+        let delay = cfg.delay.nanos();
         ports[from.1] = Some(Link::new(cfg, to, seed));
-        self.lookahead = None;
+        let owner = self.regions.get_mut(&self.region[from.0]);
+        owner.expect("every node's region has a slot").weight += 1;
         self.placement_dirty = true;
+        // A same-shard link leaves the lookahead as it is; a cross-shard
+        // one can only lower its pair's direct minimum. (A zero delay is
+        // judged at the next run, once placement has settled which regions
+        // share a shard.)
+        let (su, sv) = (self.shard_of[from.0], self.shard_of[to.0]);
+        if su != sv {
+            let cell = &mut self.pair_direct[su as usize * self.nshards + sv as usize];
+            if delay < *cell {
+                *cell = delay;
+                self.lookahead = None;
+            }
+        }
     }
 
     /// Connect two nodes with a symmetric pair of links.
@@ -912,7 +1004,13 @@ impl Simulator {
     pub fn reconfigure_link(&mut self, from: (NodeId, PortId), f: impl FnOnce(&mut LinkConfig)) {
         let link = self.link_mut(from).expect("reconfigure of unknown link");
         link.reconfigure(f);
-        self.lookahead = None;
+        let to = link.to().0;
+        // The new delay may be above its pair's direct minimum, which
+        // nothing short of a recount can raise.
+        if self.shard_of[from.0] != self.shard_of[to] {
+            self.look_rescan = true;
+            self.lookahead = None;
+        }
     }
 }
 
@@ -1379,18 +1477,20 @@ mod tests {
         assert_eq!(sim.node_ref::<Tally>(tally).seen, 10);
     }
 
-    /// Pool-reuse regression: N consecutive `run_until` calls on one
+    /// Call-reuse regression: N consecutive `run_until` calls on one
     /// engine must be byte-identical to fresh engines run straight to
-    /// each checkpoint — the persistent pool must leak no state between
-    /// windows.
+    /// each checkpoint — neither the state kept between calls nor the
+    /// persistent pool may leak anything from one call into the next.
+    /// Small calls stay on the calling thread; calls with enough work
+    /// wake the pool, and the counters say which happened.
     #[test]
     fn consecutive_run_until_calls_match_fresh_engine_runs() {
-        let build = |shards: usize| {
+        let build = |shards: usize, count: u32| {
             let mut sim = Simulator::with_shards(42, shards);
             let prober = sim.add_node_in_region(
                 Box::new(Prober {
                     dst: Ipv4Addr::new(10, 0, 0, 2),
-                    count: 40,
+                    count,
                     rtts: Vec::new(),
                 }),
                 0,
@@ -1405,27 +1505,39 @@ mod tests {
             sim.schedule_timer(prober, Instant::ZERO, 0);
             (sim, prober)
         };
-        for shards in [2, 4] {
-            let (mut windowed, prober) = build(shards);
-            for k in 1..=6u64 {
-                windowed.run_until(Instant::from_millis(k * 25));
-                let (mut fresh, fresh_prober) = build(shards);
-                fresh.run_until(Instant::from_millis(k * 25));
-                assert_eq!(
-                    windowed.node_ref::<Prober>(prober).rtts,
-                    fresh.node_ref::<Prober>(fresh_prober).rtts,
-                    "shards={shards}: window {k} diverged from a fresh run"
-                );
-                assert_eq!(windowed.events_processed(), fresh.events_processed());
-                assert_eq!(windowed.now(), fresh.now());
-            }
-            let threaded = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
-            if threaded {
-                assert_eq!(
-                    windowed.pool_workers(),
-                    1,
-                    "two active lanes share one pool worker plus the caller"
-                );
+        // 40 packets take 27 ms to serialize, 2 000 take 1.3 s: six steps
+        // of a few dozen events each, then six of about a thousand.
+        for (count, step_ms) in [(40, 25u64), (2_000, 250)] {
+            for shards in [2, 4] {
+                let (mut windowed, prober) = build(shards, count);
+                for k in 1..=6u64 {
+                    windowed.run_until(Instant::from_millis(k * step_ms));
+                    let (mut fresh, fresh_prober) = build(shards, count);
+                    fresh.run_until(Instant::from_millis(k * step_ms));
+                    assert_eq!(
+                        windowed.node_ref::<Prober>(prober).rtts,
+                        fresh.node_ref::<Prober>(fresh_prober).rtts,
+                        "shards={shards}: window {k} diverged from a fresh run"
+                    );
+                    assert_eq!(windowed.events_processed(), fresh.events_processed());
+                    assert_eq!(windowed.now(), fresh.now());
+                }
+                assert!(windowed.windows() > 0, "two lanes run the window protocol");
+                let threaded = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
+                if count == 40 || !threaded {
+                    assert_eq!(windowed.pool_dispatches(), 0, "no call was worth a wake-up");
+                    assert_eq!(windowed.pool_workers(), 0);
+                } else {
+                    assert!(
+                        windowed.pool_dispatches() >= 2,
+                        "a call with a thousand events hands both lanes to the pool"
+                    );
+                    assert_eq!(
+                        windowed.pool_workers(),
+                        1,
+                        "two active lanes share one pool worker plus the caller"
+                    );
+                }
             }
         }
     }
@@ -1582,6 +1694,143 @@ mod tests {
         assert_eq!(m[sc * 3 + sa], u64::MAX, "no reverse path");
         assert_eq!(m[sa * 3 + sa], u64::MAX, "no cycle back to shard");
         assert_eq!(sim.lookahead(), Some(Duration::from_millis(1)));
+    }
+
+    /// One step of an arbitrary build-and-run history (see
+    /// `incremental_caches_match_a_recount`): `(what, a, b, c)`.
+    type Edit = (u8, u32, u32, u32);
+
+    /// Apply `edits` to an engine on `shards` shards, comparing the
+    /// incremental placement and lookahead state against a recount at
+    /// every `check` step and at the end. Returns every prober's RTTs and
+    /// the event total. No cross-region link ever has zero delay, so the
+    /// history is legal whatever the placement.
+    fn edit_history(shards: usize, edits: &[Edit]) -> (Vec<Vec<Duration>>, u64) {
+        fn check(sim: &mut Simulator) {
+            assert_eq!(sim.region_assignments(), sim.recount_region_assignments());
+            for (node, &r) in sim.region.iter().enumerate() {
+                assert_eq!(sim.shard_of[node], sim.regions[&r].shard, "node {node}");
+            }
+            if sim.nshards > 1 {
+                let mut owned: Vec<usize> = sim.shard_of.iter().map(|&s| s as usize).collect();
+                owned.sort_unstable();
+                owned.dedup();
+                assert_eq!(sim.active, owned);
+            }
+            assert_eq!(
+                sim.pair_lookahead_matrix(),
+                crate::shard::recount_pair_lookahead(sim)
+            );
+            let direct = sim.pair_direct.iter().min().copied();
+            assert_eq!(sim.lookahead().map(|d| d.nanos()), direct);
+        }
+        let mut sim = Simulator::with_shards(7, shards);
+        let mut links: Vec<(NodeId, PortId)> = Vec::new();
+        let delay = |sim: &Simulator, a: NodeId, b: NodeId, c: u32| {
+            let floor = u64::from(sim.region[a] != sim.region[b]);
+            Duration::from_micros((u64::from(c) % 20_000).max(floor))
+        };
+        for &(what, a, b, c) in edits {
+            let n = sim.nodes.len();
+            match what % 10 {
+                0 | 1 => {
+                    sim.add_node_in_region(
+                        Box::new(Prober {
+                            dst: Ipv4Addr::new(10, 0, 0, 2),
+                            count: 1 + a % 3,
+                            rtts: Vec::new(),
+                        }),
+                        b % 6,
+                    );
+                }
+                2 | 3 if n > 0 => {
+                    let (from, to) = (a as usize % n, b as usize % n);
+                    let cfg = LinkConfig::delay_only(delay(&sim, from, to, c));
+                    let (pf, pt) = (sim.links[from].len(), sim.links[to].len() + 1);
+                    if what % 10 == 2 || from == to {
+                        sim.connect_simplex((from, pf), (to, pt), cfg);
+                    } else {
+                        sim.connect((from, pf), (to, pt), cfg);
+                        links.push((to, pt));
+                    }
+                    links.push((from, pf));
+                }
+                4 => sim.set_region_weight_bias(a % 6, u64::from(b % 64)),
+                5 => sim.set_placement_mode(if a % 2 == 0 {
+                    PlacementMode::Modulo
+                } else {
+                    PlacementMode::Balanced
+                }),
+                6 if !links.is_empty() => {
+                    let from = links[a as usize % links.len()];
+                    let to = sim.link_ref(from).expect("connected").to().0;
+                    let d = delay(&sim, from.0, to, c);
+                    sim.reconfigure_link(from, |cfg| cfg.delay = d);
+                }
+                7 if n > 0 => {
+                    let at = sim.now() + Duration::from_micros(u64::from(b % 5_000));
+                    sim.schedule_timer(a as usize % n, at, 0);
+                }
+                8 => {
+                    sim.run_until(sim.now() + Duration::from_micros(u64::from(a % 30_000)));
+                }
+                9 => check(&mut sim),
+                _ => {}
+            }
+        }
+        sim.run_until_idle();
+        check(&mut sim);
+        let rtts = (0..sim.nodes.len())
+            .map(|n| sim.node_ref::<Prober>(n).rtts.clone())
+            .collect();
+        (rtts, sim.events_processed())
+    }
+
+    proptest::proptest! {
+        /// Placement and lookahead are kept current by the edits that
+        /// change them; after any interleaving of node and link additions,
+        /// bias and policy changes, link reconfigurations, injected timers
+        /// and runs they equal a recount over every node and link — and
+        /// however often regions moved under queued events along the way,
+        /// the run is the single-shard run.
+        #[test]
+        fn incremental_caches_match_a_recount(
+            edits in proptest::collection::vec(
+                (0u8..10, proptest::any::<u32>(), proptest::any::<u32>(), proptest::any::<u32>()),
+                1..120,
+            ),
+        ) {
+            let merged = edit_history(1, &edits);
+            for shards in [2, 3, 8] {
+                assert_eq!(edit_history(shards, &edits), merged, "shards={shards}");
+            }
+        }
+    }
+
+    /// A zero-delay link is judged against the placement of the run, not
+    /// of the moment it was connected: legal while its regions share a
+    /// shard (even if they did not yet when it was connected), fatal once
+    /// a later placement separates them.
+    #[test]
+    fn zero_delay_link_is_judged_after_placement() {
+        let mut sim = Simulator::with_shards(1, 2);
+        // Regions 0 and 1 start on different provisional shards; the heavy
+        // region 2 then takes a shard for itself and the packer pairs them.
+        let a = sim.add_node_in_region(Box::new(Echo { seen: 0 }), 0);
+        let b = sim.add_node_in_region(Box::new(Echo { seen: 0 }), 1);
+        sim.connect((a, 0), (b, 0), LinkConfig::delay_only(Duration::ZERO));
+        for _ in 0..8 {
+            sim.add_node_in_region(Box::new(Echo { seen: 0 }), 2);
+        }
+        sim.schedule_timer(a, Instant::ZERO, 0);
+        sim.run_until(Instant::from_millis(1));
+        assert_eq!(sim.shard_of_node(a), sim.shard_of_node(b));
+        // Modulo separates regions 0 and 1 again.
+        sim.set_placement_mode(PlacementMode::Modulo);
+        let run = std::panic::AssertUnwindSafe(|| sim.run_until(Instant::from_millis(2)));
+        let panic = std::panic::catch_unwind(run).expect_err("must refuse to run");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("zero propagation delay"), "{msg}");
     }
 
     #[test]
