@@ -147,7 +147,9 @@ const TOKEN_HEARTBEAT: u64 = 2;
 pub struct ArServer {
     cfg: ArServerConfig,
     profile: DeviceProfile,
-    db: ObjectDb,
+    /// Shared: nothing mutates a database after generation, and a metro
+    /// runs hundreds of servers over the same one.
+    db: Arc<ObjectDb>,
     floor: FloorPlan,
     /// The localization manager co-located with the server (paper Fig. 7).
     pub locmgr: LocalizationManager,
@@ -170,10 +172,11 @@ pub struct ArServer {
 }
 
 impl ArServer {
-    /// New server over a database and floor plan.
+    /// New server over a database (owned, or shared with other servers)
+    /// and floor plan.
     pub fn new(
         cfg: ArServerConfig,
-        db: ObjectDb,
+        db: impl Into<Arc<ObjectDb>>,
         floor: FloorPlan,
         locmgr: LocalizationManager,
     ) -> ArServer {
@@ -181,7 +184,7 @@ impl ArServer {
         ArServer {
             cfg,
             profile,
-            db,
+            db: db.into(),
             floor,
             locmgr,
             assembling: HashMap::new(),

@@ -161,13 +161,15 @@ impl FlowSwitch {
     /// Install a rule directly (bypassing OpenFlow) — used by tests and
     /// static topologies.
     pub fn install(&mut self, priority: u16, mtch: FlowMatchSpec, actions: Vec<FlowActionSpec>) {
-        self.rules.push(FlowRule {
+        // Highest priority first, and among equals the order installed.
+        let at = self.rules.partition_point(|r| r.priority >= priority);
+        let rule = FlowRule {
             priority,
             mtch,
             actions,
             hits: 0,
-        });
-        self.rules.sort_by_key(|r| std::cmp::Reverse(r.priority));
+        };
+        self.rules.insert(at, rule);
         self.cache.clear();
     }
 
@@ -556,5 +558,35 @@ mod tests {
     #[test]
     fn gtpc_port_constant_sanity() {
         assert_ne!(ports::GTPC, ports::GTPU);
+    }
+
+    /// `install` keeps the table in the order a push followed by a stable
+    /// sort on descending priority would give, ties included.
+    #[test]
+    fn install_order_matches_push_and_stable_sort() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for _ in 0..50 {
+            let mut sw = FlowSwitch::new(ip(100), SwitchCosts::acacia_ovs());
+            let mut reference: Vec<(u16, Teid)> = Vec::new();
+            for n in 0..rng.gen_range(1..120u32) {
+                // Few distinct priorities, so most installs tie.
+                let priority = rng.gen_range(0..6u16) * 10;
+                let mtch = FlowMatchSpec {
+                    teid: Some(Teid(n)),
+                    dst: None,
+                    src: None,
+                };
+                sw.install(priority, mtch, vec![FlowActionSpec::Output { port: 1 }]);
+                reference.push((priority, Teid(n)));
+                reference.sort_by_key(|&(p, _)| std::cmp::Reverse(p));
+            }
+            let got: Vec<(u16, Teid)> = sw
+                .rules
+                .iter()
+                .map(|r| (r.priority, r.mtch.teid.expect("set above")))
+                .collect();
+            assert_eq!(got, reference);
+        }
     }
 }

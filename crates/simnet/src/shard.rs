@@ -342,7 +342,7 @@ impl Outbox<'_> {
 struct Lane<'a> {
     shard: u32,
     nodes: SlicePtr<'a, Option<Box<dyn crate::sim::Node>>>,
-    links: SlicePtr<'a, Vec<Option<crate::link::Link>>>,
+    links: SlicePtr<'a, Vec<crate::sim::PortSlot>>,
     meta: SlicePtr<'a, NodeMeta>,
     shard_of: &'a [u32],
     /// Compiled node outage schedules (read-only during a run; empty when
@@ -543,7 +543,7 @@ impl Lane<'_> {
                     // belongs to this shard (links are owned by their
                     // source endpoint).
                     let ports = unsafe { self.links.get_mut(node_id) };
-                    let Some(link) = ports.get_mut(port).and_then(Option::as_mut) else {
+                    let Some(link) = ports.get_mut(port).and_then(Option::as_deref_mut) else {
                         self.ctr.unrouted += 1;
                         continue;
                     };
@@ -758,7 +758,7 @@ impl Windows<'_> {
 /// shard driver needs to build its [`Lane`] on demand.
 struct LaneParts<'a> {
     nodes: SlicePtr<'a, Option<Box<dyn crate::sim::Node>>>,
-    links: SlicePtr<'a, Vec<Option<crate::link::Link>>>,
+    links: SlicePtr<'a, Vec<crate::sim::PortSlot>>,
     meta: SlicePtr<'a, NodeMeta>,
     shard_of: &'a [u32],
     faults: &'a [NodeOutageSet],

@@ -26,8 +26,10 @@
 //! every shard count.
 //!
 //! The run loop is built for throughput: events live in a timing wheel
-//! ([`crate::wheel`]) instead of a binary heap, links hang off a dense
-//! per-node port table so `send` is two array indexes, the per-dispatch
+//! ([`crate::wheel`]) instead of a binary heap, links hang off a per-node
+//! port table of pointer-sized slots (`Option<Box<Link>>`: `send` is two
+//! array indexes and one pointer hop, and an unused port number costs
+//! 8 bytes rather than a whole `Link`), the per-dispatch
 //! action buffer is reused across events, and guard timers can be
 //! cancelled ([`Ctx::cancel_timer`]) so dead expiries are dropped at the
 //! queue instead of round-tripping through a node.
@@ -390,6 +392,12 @@ impl EvPayload {
     }
 }
 
+/// One port of a node's row in the link table. Port numbers are sparse by
+/// convention (a UE's cell-facing ports start at 200), so an empty slot
+/// must cost a pointer, not a [`Link`] (two RNG streams, stats, config).
+pub(crate) type PortSlot = Option<Box<Link>>;
+const _: () = assert!(std::mem::size_of::<PortSlot>() <= 16);
+
 /// The discrete-event network simulator.
 pub struct Simulator {
     pub(crate) now: Instant,
@@ -398,8 +406,8 @@ pub struct Simulator {
     /// One event wheel per shard.
     pub(crate) queues: Vec<TimerWheel<EvPayload, EvKey>>,
     pub(crate) nodes: Vec<Option<Box<dyn Node>>>,
-    /// Dense link table: `links[node][port]`, grown on connect.
-    pub(crate) links: Vec<Vec<Option<Link>>>,
+    /// Link table: `links[node][port]`, grown on connect.
+    pub(crate) links: Vec<Vec<PortSlot>>,
     pub(crate) meta: Vec<NodeMeta>,
     /// Per-node region label (assigned at add time).
     region: Vec<u32>,
@@ -817,7 +825,7 @@ impl Simulator {
         }
         assert!(ports[from.1].is_none(), "port {from:?} already connected");
         let delay = cfg.delay.nanos();
-        ports[from.1] = Some(Link::new(cfg, to, seed));
+        ports[from.1] = Some(Box::new(Link::new(cfg, to, seed)));
         let owner = self.regions.get_mut(&self.region[from.0]);
         owner.expect("every node's region has a slot").weight += 1;
         self.placement_dirty = true;
@@ -855,11 +863,11 @@ impl Simulator {
     }
 
     fn link_mut(&mut self, from: (NodeId, PortId)) -> Option<&mut Link> {
-        self.links.get_mut(from.0)?.get_mut(from.1)?.as_mut()
+        self.links.get_mut(from.0)?.get_mut(from.1)?.as_deref_mut()
     }
 
     fn link_ref(&self, from: (NodeId, PortId)) -> Option<&Link> {
-        self.links.get(from.0)?.get(from.1)?.as_ref()
+        self.links.get(from.0)?.get(from.1)?.as_deref()
     }
 
     /// Next key for a harness-originated event.

@@ -9,15 +9,23 @@
 //!
 //! Structure:
 //!
+//! * one slab of cells shared by the whole wheel: a payload is written
+//!   into its cell by `schedule` and stays there until `pop` takes it out;
+//!   freed cells go on a free list and are reused before the slab grows,
+//!   so the slab never holds more cells than the peak number of *pending*
+//!   events — however many ring slots a burst has passed through and
+//!   however long the run;
 //! * a ring of [`SLOTS`] buckets, each [`SLOT_WIDTH`] of simulated time
-//!   wide (the ring horizon is `SLOTS * SLOT_WIDTH` ≈ 268 ms);
-//! * `cur`, a small binary heap holding every pending event at or before
-//!   the cursor bucket — the only place fine-grained `(at, seq)` ordering
-//!   is enforced;
+//!   wide (the ring horizon is `SLOTS * SLOT_WIDTH` ≈ 268 ms); a bucket is
+//!   the `u32` head of an unsorted list threaded through the slab;
+//! * `cur`, a small binary heap of `(at, key, cell)` handles for every
+//!   pending event at or before the cursor bucket — the only place
+//!   fine-grained `(at, seq)` ordering is enforced, and heap sifts move
+//!   handles, never payloads;
 //! * an occupancy bitmap so advancing the cursor over empty slots costs a
 //!   couple of word scans rather than a per-slot walk;
-//! * an overflow heap for events beyond the ring horizon, migrated into
-//!   the ring lazily as the cursor approaches them.
+//! * an overflow heap of handles for events beyond the ring horizon,
+//!   linked into the ring lazily as the cursor approaches them.
 //!
 //! Ordering is **exactly** the total order of a `BinaryHeap<Reverse<(at,
 //! seq)>>`: every event in `cur` is in a bucket ≤ cursor, every ring event
@@ -39,30 +47,42 @@ const SLOTS: usize = 4096;
 const WORDS: usize = SLOTS / 64;
 /// Width of one slot in simulated time.
 pub const SLOT_WIDTH: u64 = 1 << SLOT_SHIFT;
+/// End of a cell list (ring slot or free list).
+const NIL: u32 = u32::MAX;
 
-/// A scheduled entry: the `(at, key)` pair plus an arbitrary payload. The
-/// tie-break key `K` is `u64` for the classic global-sequence ordering, or
-/// any other totally ordered copyable key (the sharded engine uses a
-/// content-derived `(source, counter)` key so ordering is identical at
-/// every shard count).
-struct Entry<T, K> {
+/// One slab cell. Live: the scheduled `(at, key)` pair plus its payload,
+/// and the next cell of its ring slot while it waits in the ring. Free:
+/// `item` is `None` and `next` threads the free list.
+struct Cell<T, K> {
     at: Instant,
     seq: K,
-    item: T,
+    next: u32,
+    item: Option<T>,
 }
 
-impl<T, K: Ord + Copy> PartialEq for Entry<T, K> {
+/// What the heaps order: the key of a pending event and the cell that
+/// holds its payload. The tie-break key `K` is `u64` for the classic
+/// global-sequence ordering, or any other totally ordered copyable key
+/// (the sharded engine uses a content-derived `(source, counter)` key so
+/// ordering is identical at every shard count).
+struct Handle<K> {
+    at: Instant,
+    seq: K,
+    cell: u32,
+}
+
+impl<K: Ord + Copy> PartialEq for Handle<K> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<T, K: Ord + Copy> Eq for Entry<T, K> {}
-impl<T, K: Ord + Copy> PartialOrd for Entry<T, K> {
+impl<K: Ord + Copy> Eq for Handle<K> {}
+impl<K: Ord + Copy> PartialOrd for Handle<K> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T, K: Ord + Copy> Ord for Entry<T, K> {
+impl<K: Ord + Copy> Ord for Handle<K> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
     }
@@ -78,15 +98,19 @@ pub struct TimerWheel<T, K: Ord + Copy = u64> {
     /// Bucket index the cursor points at; all events in buckets ≤ cursor
     /// live in `cur`.
     cursor: u64,
-    /// Heap of events due in or before the cursor bucket.
-    cur: BinaryHeap<Reverse<Entry<T, K>>>,
-    /// The ring: unsorted per-slot event lists for buckets in
+    /// Every pending event's cell, plus the cells on the free list.
+    slab: Vec<Cell<T, K>>,
+    /// Head of the free-cell list.
+    free: u32,
+    /// Events due in or before the cursor bucket.
+    cur: BinaryHeap<Reverse<Handle<K>>>,
+    /// The ring: per-slot list heads for buckets in
     /// `(cursor, cursor + SLOTS)`.
-    slots: Box<[Vec<Entry<T, K>>]>,
+    heads: Box<[u32]>,
     /// One bit per slot: set iff the slot list is non-empty.
     occupied: [u64; WORDS],
     /// Events beyond the ring horizon.
-    overflow: BinaryHeap<Reverse<Entry<T, K>>>,
+    overflow: BinaryHeap<Reverse<Handle<K>>>,
     len: usize,
 }
 
@@ -101,8 +125,10 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
     pub fn new() -> TimerWheel<T, K> {
         TimerWheel {
             cursor: 0,
+            slab: Vec::new(),
+            free: NIL,
             cur: BinaryHeap::new(),
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![NIL; SLOTS].into_boxed_slice(),
             occupied: [0; WORDS],
             overflow: BinaryHeap::new(),
             len: 0,
@@ -129,23 +155,41 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
     /// keys guarantee this).
     pub fn schedule(&mut self, at: Instant, seq: K, item: T) {
         self.len += 1;
-        self.route(Entry { at, seq, item });
+        let live = Cell {
+            at,
+            seq,
+            next: NIL,
+            item: Some(item),
+        };
+        let mut cell = self.free;
+        if cell == NIL {
+            cell = u32::try_from(self.slab.len()).unwrap_or(NIL);
+            assert!(cell != NIL, "wheel holds under 2^32 - 1 events");
+            self.slab.push(live);
+        } else {
+            let slot = &mut self.slab[cell as usize];
+            self.free = slot.next;
+            *slot = live;
+        }
+        self.route(Handle { at, seq, cell });
     }
 
-    /// Place an entry in `cur`, the ring, or overflow based on its bucket.
+    /// Place a pending event in `cur`, the ring, or overflow based on its
+    /// bucket. Its payload stays where it is.
     #[inline]
-    fn route(&mut self, e: Entry<T, K>) {
-        let b = Self::bucket(e.at);
+    fn route(&mut self, h: Handle<K>) {
+        let b = Self::bucket(h.at);
         if b <= self.cursor {
-            self.cur.push(Reverse(e));
+            self.cur.push(Reverse(h));
         } else if b < self.cursor + SLOTS as u64 {
             let s = (b as usize) & (SLOTS - 1);
-            if self.slots[s].is_empty() {
+            if self.heads[s] == NIL {
                 self.occupied[s / 64] |= 1 << (s % 64);
             }
-            self.slots[s].push(e);
+            self.slab[h.cell as usize].next = self.heads[s];
+            self.heads[s] = h.cell;
         } else {
-            self.overflow.push(Reverse(e));
+            self.overflow.push(Reverse(h));
         }
     }
 
@@ -155,7 +199,7 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
             return None;
         }
         self.advance();
-        self.cur.peek().map(|Reverse(e)| (e.at, e.seq))
+        self.cur.peek().map(|Reverse(h)| (h.at, h.seq))
     }
 
     /// Remove and return the globally earliest `(at, seq, item)`.
@@ -164,9 +208,13 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
             return None;
         }
         self.advance();
-        let Reverse(e) = self.cur.pop().expect("advance left cur empty");
+        let Reverse(h) = self.cur.pop().expect("advance left cur empty");
         self.len -= 1;
-        Some((e.at, e.seq, e.item))
+        let slot = &mut self.slab[h.cell as usize];
+        let item = slot.item.take().expect("handle names a live cell");
+        slot.next = self.free;
+        self.free = h.cell;
+        Some((h.at, h.seq, item))
     }
 
     /// Move the cursor forward until `cur` holds the next pending event.
@@ -177,11 +225,23 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
                 self.cursor = b;
                 let s = (b as usize) & (SLOTS - 1);
                 self.occupied[s / 64] &= !(1 << (s % 64));
-                let mut v = std::mem::take(&mut self.slots[s]);
-                for e in v.drain(..) {
-                    self.cur.push(Reverse(e));
+                // `cur` is empty: refill its buffer from the slot's list
+                // and heapify once. The list is newest-first; reversed it
+                // is in schedule order, which for a burst re-armed in pop
+                // order is ascending — already a heap, so nothing moves.
+                let mut due = std::mem::take(&mut self.cur).into_vec();
+                let mut cell = std::mem::replace(&mut self.heads[s], NIL);
+                while cell != NIL {
+                    let c = &self.slab[cell as usize];
+                    due.push(Reverse(Handle {
+                        at: c.at,
+                        seq: c.seq,
+                        cell,
+                    }));
+                    cell = c.next;
                 }
-                self.slots[s] = v; // keep the allocation
+                due.reverse();
+                self.cur = BinaryHeap::from(due);
             } else {
                 // Ring empty: jump the cursor to the earliest overflow
                 // event's bucket.
@@ -199,8 +259,8 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
             if Self::bucket(head.at) >= horizon {
                 break;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry vanished");
-            self.route(e);
+            let Reverse(h) = self.overflow.pop().expect("peeked entry vanished");
+            self.route(h);
         }
     }
 
@@ -328,5 +388,51 @@ mod tests {
         for pair in out.windows(2) {
             assert!((pair[0].0, pair[0].1) < (pair[1].0, pair[1].1));
         }
+    }
+
+    /// A burst re-armed every time it fires (1 000 measurement timers in
+    /// one slot) walks round the whole ring and through the overflow heap.
+    /// The slab must follow what is pending, not where the burst has been.
+    #[test]
+    fn slab_is_bounded_by_peak_pending_not_by_slots_visited() {
+        const BURST: u64 = 1_000;
+        let mut w: TimerWheel<u64> = TimerWheel::new();
+        let mut seq = 0u64;
+        for i in 0..BURST {
+            w.schedule(Instant::from_nanos(i), seq, i);
+            seq += 1;
+        }
+        let mut peak = w.len();
+        let mut buckets = std::collections::BTreeSet::new();
+        // One slot width per lap while in the ring, then hops beyond the
+        // ring horizon so every entry passes through `overflow`.
+        let laps = std::iter::repeat_n(SLOT_WIDTH, SLOTS + 100)
+            .chain(std::iter::repeat_n(SLOTS as u64 * SLOT_WIDTH + 12_345, 50));
+        let mut last = None;
+        for period in laps {
+            for _ in 0..BURST {
+                let (at, key, item) = w.pop().expect("the burst stays pending");
+                assert!(Some((at, key)) > last, "pop order broke");
+                last = Some((at, key));
+                w.schedule(Instant::from_nanos(at.nanos() + period), seq, item);
+                seq += 1;
+                peak = peak.max(w.len());
+            }
+            // The burst spans 1 µs: one bucket per lap is enough to count.
+            buckets.insert(TimerWheel::<u64>::bucket(last.expect("popped").0));
+            assert!(
+                w.slab.len() <= 2 * peak,
+                "{} cells for a peak of {peak} pending",
+                w.slab.len()
+            );
+        }
+        assert_eq!(peak, BURST as usize);
+        assert!(buckets.len() >= SLOTS, "{} slots visited", buckets.len());
+        assert!(
+            w.slab.capacity() <= 4 * peak,
+            "slab buffer outgrew the burst"
+        );
+        assert!(w.cur.capacity() + w.overflow.capacity() <= 8 * peak);
+        assert_eq!(w.drain().len(), BURST as usize);
     }
 }

@@ -14,6 +14,7 @@ use crate::matcher::{match_pair, MatchOps, MatcherConfig, PairOutcome};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The resolution objects are photographed at for the database.
 pub const CAPTURE_RESOLUTION: Resolution = Resolution::new(480, 360);
@@ -114,11 +115,12 @@ impl ObjectDb {
     /// Database generation is a pure function of `(per_subsection, seed)`
     /// for a fixed floor, and experiment sweeps rebuild the identical
     /// database for every grid cell; this caches the generated database
-    /// process-wide and hands out clones, which is a plain memcpy instead
-    /// of thousands of seeded RNG draws and normalizations per object.
-    pub fn retail_cached(per_subsection: usize, seed: u64) -> ObjectDb {
+    /// process-wide and hands out the one shared copy (nothing mutates a
+    /// database after generation), instead of thousands of seeded RNG
+    /// draws and normalizations — or a heap descriptor clone — per object.
+    pub fn retail_cached(per_subsection: usize, seed: u64) -> Arc<ObjectDb> {
         use std::collections::HashMap;
-        use std::sync::{Arc, Mutex, OnceLock};
+        use std::sync::{Mutex, OnceLock};
         type DbCache = Mutex<HashMap<(usize, u64), Arc<ObjectDb>>>;
         static CACHE: OnceLock<DbCache> = OnceLock::new();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
@@ -127,7 +129,7 @@ impl ObjectDb {
             .expect("retail db cache poisoned")
             .get(&(per_subsection, seed))
             .cloned();
-        let db = match hit {
+        match hit {
             Some(db) => db,
             None => {
                 // Generate outside the lock; a racing duplicate insert is
@@ -143,8 +145,7 @@ impl ObjectDb {
                     .insert((per_subsection, seed), db.clone());
                 db
             }
-        };
-        (*db).clone()
+        }
     }
 
     /// Number of objects.

@@ -14,13 +14,14 @@ use acacia_simnet::traffic::Reflector;
 
 fn print_log(title: &str, log: &MsgLog) {
     println!("--- {title} ---");
-    for e in log.entries() {
+    for m in log.by_name() {
         println!(
-            "  t={:>10} {:>9}  {:<28} {:>4} B",
-            format!("{:.3}ms", e.at.nanos() as f64 / 1e6),
-            e.protocol.name(),
-            e.name,
-            e.bytes
+            "  t={:>10} {:>9}  {:<28} {:>2} x {:>3} B",
+            format!("{:.3}ms", m.first.nanos() as f64 / 1e6),
+            m.protocol.name(),
+            m.name,
+            m.count,
+            m.bytes / m.count
         );
     }
     print!("{}", log.summary());
