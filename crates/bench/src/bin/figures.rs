@@ -20,9 +20,9 @@
 //! simulation partitions its topology into N region shards running on N
 //! threads with conservative-lookahead synchronization. Stdout is
 //! byte-identical for every shard count — `--shards 1` is the serial
-//! engine, and any `--shards N` run must match it exactly. The `city`
-//! experiment sweeps shard counts itself and restores this flag's value
-//! afterwards.
+//! engine, and any `--shards N` run must match it exactly. The `city`,
+//! `metro` and `failover` experiments sweep shard counts themselves and
+//! restore this flag's value afterwards.
 
 use acacia_bench::{run, runner, set_seed, ALL_IDS, EXTRA_IDS, SLOW_IDS};
 

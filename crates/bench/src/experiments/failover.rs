@@ -8,8 +8,9 @@
 //! re-anchor (neighbor MEC over the default bearer, or the cloud
 //! fallback), and — when the site comes back — the restored lease must
 //! let later rechecks re-bind. Three crash shapes run over the smoke
-//! city (8 MEC regions, 32 sessions), the restarting ones sweeping the
-//! outage duration, and *each* configuration runs at `--shards`
+//! city (`MetroConfig::city_smoke`: 8 MEC regions, 32 sessions), the
+//! restarting ones sweeping the outage duration, and *each*
+//! configuration runs at `--shards`
 //! {1, 2, 4, 8}: every deterministic column must be identical across a
 //! configuration's four rows, so the table doubles as a live parity
 //! check of the node-fault engine under sharding.
@@ -58,7 +59,7 @@ pub struct FailoverCell {
 /// count.
 fn fingerprint(r: &FailoverReport) -> impl PartialEq + std::fmt::Debug {
     (
-        r.city
+        r.metro
             .ues
             .iter()
             .map(|u| (u.frames_done, u.handovers, u.retransmissions))
@@ -70,8 +71,8 @@ fn fingerprint(r: &FailoverReport) -> impl PartialEq + std::fmt::Debug {
         r.mrs_evictions,
         r.mrs_restores,
         r.gwu_flush_released,
-        r.city.events_processed,
-        r.city.sim_elapsed,
+        r.metro.events_processed,
+        r.metro.sim_elapsed,
     )
 }
 
@@ -98,8 +99,8 @@ fn sweep(seed: u64) -> Vec<FailoverCell> {
             cfg.fault_seed = seed;
             let t0 = std::time::Instant::now();
             let report = FailoverScenario::run(cfg);
-            runner::report_events(report.city.events_processed);
-            runner::report_shard_events(&report.city.events_by_shard);
+            runner::report_events(report.metro.events_processed);
+            runner::report_shard_events(&report.metro.events_by_shard);
             FailoverCell {
                 mode,
                 outage,
@@ -166,14 +167,14 @@ pub fn failover() -> Table {
     for c in &cells {
         let r = &c.report;
         assert_eq!(
-            r.city.wedged(),
+            r.metro.wedged(),
             0,
             "{} outage={} shards={}: wedged sessions",
             c.mode.label(),
             c.outage,
             c.shards
         );
-        assert_eq!(r.city.protocol_wedged(), 0);
+        assert_eq!(r.metro.protocol_wedged(), 0);
         assert!(
             r.conserved(),
             "{} outage={} shards={}: recovery counters not conserved",
@@ -181,7 +182,7 @@ pub fn failover() -> Table {
             c.outage,
             c.shards
         );
-        let frames_done: u64 = r.city.ues.iter().map(|u| u.frames_done).sum();
+        let frames_done: u64 = r.metro.ues.iter().map(|u| u.frames_done).sum();
         t.row(vec![
             c.mode.label().to_string(),
             format!("{}", c.outage),
@@ -189,7 +190,7 @@ pub fn failover() -> Table {
             format!(
                 "{}/{}",
                 frames_done,
-                r.city.frames_requested * r.city.ue_count as u64
+                r.metro.frames_requested * r.metro.ue_count as u64
             ),
             r.failovers.to_string(),
             r.outcomes.stayed.to_string(),
@@ -199,8 +200,8 @@ pub fn failover() -> Table {
             format!("{}/{}", r.mrs_evictions, r.mrs_restores),
             r.node_restarts.to_string(),
             format!("{:.3}s", r.interruption_percentile(95.0)),
-            r.city.wedged().to_string(),
-            r.city.events_processed.to_string(),
+            r.metro.wedged().to_string(),
+            r.metro.events_processed.to_string(),
         ]);
     }
     t.note("each crash configuration runs at --shards {1, 2, 4, 8}: its four rows must be");
@@ -214,7 +215,7 @@ pub fn failover() -> Table {
             c.mode.label(),
             c.outage,
             c.shards,
-            c.report.city.events_processed,
+            c.report.metro.events_processed,
             c.wall_s
         );
     }
@@ -228,7 +229,7 @@ fn render_json(cells: &[FailoverCell]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"failover\",\n  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let r = &c.report;
-        let frames_done: u64 = r.city.ues.iter().map(|u| u.frames_done).sum();
+        let frames_done: u64 = r.metro.ues.iter().map(|u| u.frames_done).sum();
         out.push_str(&format!(
             concat!(
                 "    {{\"mode\": \"{}\", \"outage_ms\": {}, \"shards\": {}, ",
@@ -244,7 +245,7 @@ fn render_json(cells: &[FailoverCell]) -> String {
             (c.outage.secs_f64() * 1000.0).round() as u64,
             c.shards,
             frames_done,
-            r.city.frames_requested * r.city.ue_count as u64,
+            r.metro.frames_requested * r.metro.ue_count as u64,
             r.failovers,
             r.outcomes.stayed,
             r.outcomes.neighbor_mec,
@@ -257,8 +258,8 @@ fn render_json(cells: &[FailoverCell]) -> String {
             r.interruption_percentile(50.0),
             r.interruption_percentile(95.0),
             r.interruption_percentile(100.0),
-            r.city.wedged(),
-            r.city.events_processed,
+            r.metro.wedged(),
+            r.metro.events_processed,
             c.wall_s,
             if i + 1 < cells.len() { "," } else { "" }
         ));
@@ -281,9 +282,8 @@ mod tests {
         for &shards in &SHARD_COUNTS {
             acacia_simnet::set_default_shards(Some(shards));
             let mut cfg = FailoverConfig::smoke(FailoverMode::CrashRestart, Duration::from_secs(1));
-            cfg.city.regions = 2;
-            cfg.city.ues_per_region = 2;
-            cfg.city.frame_count = 2;
+            cfg.metro.region_sizes = vec![2, 2];
+            cfg.metro.frame_count = 2;
             let report = FailoverScenario::run(cfg);
             cells.push(FailoverCell {
                 mode: FailoverMode::CrashRestart,
@@ -305,7 +305,7 @@ mod tests {
             );
         }
         for c in &cells {
-            assert_eq!(c.report.city.wedged(), 0);
+            assert_eq!(c.report.metro.wedged(), 0);
             assert!(c.report.conserved(), "shards={}: {:?}", c.shards, c.report);
         }
         assert_eq!(cells[0].report.node_restarts, 1);

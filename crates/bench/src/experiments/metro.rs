@@ -1,21 +1,24 @@
-//! The metro-scale sharding benchmark: one 16-region / 10240-UE
-//! scenario with heterogeneous region sizes, run at every shard count.
+//! The regional sharding benchmarks: one scenario run at every shard
+//! count, proving parity and measuring scaling — `city` (8 equal regions,
+//! 16 cells, 2048 UEs) and `metro` (16 heterogeneous regions, 10240 UEs),
+//! two presets of [`MetroConfig`].
 //!
-//! Not a figure of the original paper — it measures the harness at the
-//! population the city benchmark's ROADMAP entry called for. The
-//! `metro` scenario's regions span a 10:1 population skew (1280-UE
-//! downtown to 128-UE suburb), so this sweep exercises everything the
-//! persistent-pool engine added at once: balanced region→shard
-//! placement (the table's imbalance column is the claim), adaptive
-//! per-pair lookahead windows, and pool reuse across the run's many
-//! thousand `run_until` calls. Every deterministic column must be
-//! identical across the rows — the table is a live parity check.
+//! Not figures of the original paper — they measure the harness. Each
+//! runs the *same* configuration at `--shards` {1, 2, 4, 8} and prints
+//! one table row per shard count. Every deterministic column must be
+//! identical across the rows — the table itself is a parity check: a
+//! sharded run that diverged from the single-threaded engine shows up as
+//! a row that doesn't match. The metro's regions span a 10:1 population
+//! skew (1280-UE downtown to 128-UE suburb), so its sweep also exercises
+//! balanced region→shard placement (the JSON's imbalance field is the
+//! claim), adaptive per-pair lookahead windows, and pool reuse across
+//! the run's many thousand `run_until` calls.
 //!
 //! Stdout carries only deterministic columns (byte-identical across
 //! `--jobs` and `--shards` values, like every other experiment).
 //! Wall-clock throughput, per-shard speedup, and the event imbalance go
-//! to stderr and to `BENCH_metro.json` at the workspace root, which CI
-//! parses for the imbalance ceiling and the events/s floor.
+//! to stderr and to `BENCH_<id>.json` at the workspace root, which CI
+//! parses for its imbalance ceiling and events/s floor.
 
 use crate::runner;
 use crate::table::{fmt_secs, Table};
@@ -42,17 +45,17 @@ impl MetroCell {
     }
 }
 
-/// Run one metro configuration at every shard count, serially (the
-/// shard count is a process-wide engine knob, so cells must not
-/// overlap). The knob in effect before the sweep — the `--shards` flag
-/// — is restored afterwards so later experiments honour it.
-fn sweep(cfg: &MetroConfig) -> Vec<MetroCell> {
+/// Run one configuration at every shard count, serially (the shard count
+/// is a process-wide engine knob, so cells must not overlap). The knob
+/// in effect before the sweep — the `--shards` flag — is restored
+/// afterwards so later experiments honour it.
+fn sweep(id: &str, cfg: &MetroConfig) -> Vec<MetroCell> {
     let prev = acacia_simnet::default_shards();
     let mut cells = Vec::with_capacity(SHARD_COUNTS.len());
     for &shards in &SHARD_COUNTS {
         acacia_simnet::set_default_shards(Some(shards));
         let cfg = cfg.clone();
-        let mut ran = runner::pmap("metro", vec![(format!("shards={shards}"), cfg)], |cfg| {
+        let mut ran = runner::pmap(id, vec![(format!("shards={shards}"), cfg)], |cfg| {
             let t0 = std::time::Instant::now();
             let report = MetroScenario::build(cfg).run();
             runner::report_events(report.events_processed);
@@ -69,16 +72,32 @@ fn sweep(cfg: &MetroConfig) -> Vec<MetroCell> {
     cells
 }
 
-/// Metro sweep data at the benchmark configuration.
-pub fn metro_reports() -> Vec<MetroCell> {
-    sweep(&MetroConfig::figure())
+/// City: shard-parity table and events/s scaling for the 2048-UE city.
+pub fn city() -> Table {
+    parity_table(
+        "city",
+        "City — sharded engine parity and scaling (8 regions, 16 cells, 2048 UEs)",
+        &MetroConfig::city(),
+        "throughput and speedup",
+    )
 }
 
 /// Metro: shard-parity table and scaling for the 10240-UE metro.
 pub fn metro() -> Table {
-    let cells = metro_reports();
-    let mut t = Table::new(
+    parity_table(
+        "metro",
         "Metro — balanced placement at scale (16 heterogeneous regions, 10240 UEs)",
+        &MetroConfig::figure(),
+        "speedup and imbalance",
+    )
+}
+
+/// Sweep `cfg`, render its parity table, and write `BENCH_<id>.json`.
+/// `to_json` names what the last note says goes to stderr and the JSON.
+fn parity_table(id: &str, title: &str, cfg: &MetroConfig, to_json: &str) -> Table {
+    let cells = sweep(id, cfg);
+    let mut t = Table::new(
+        title,
         &[
             "shards",
             "frames",
@@ -117,21 +136,22 @@ pub fn metro() -> Table {
             fmt_secs(r.sim_elapsed.secs_f64()),
         ]);
     }
-    t.note("the same 10240-UE metro runs once per shard count; every column except 'shards'");
+    t.note(&format!(
+        "the same {}-UE {id} runs once per shard count; every column except 'shards'",
+        cfg.ue_count()
+    ));
     t.note("and 'xshard' must be identical across rows (the table is a live parity check)");
-    t.note("and 'wedged' must be 0; speedup and imbalance go to stderr + BENCH_metro.json");
+    t.note(&format!(
+        "and 'wedged' must be 0; {to_json} go to stderr + BENCH_{id}.json"
+    ));
 
     // Wall-clock scaling and placement balance are machine/shard-count
     // dependent: stderr + JSON only, so stdout stays byte-identical
     // across runs, --jobs, and --shards.
-    let base = cells
-        .iter()
-        .find(|c| c.shards == 1)
-        .map(|c| c.events_per_sec())
-        .unwrap_or(0.0);
+    let base = single_shard_rate(&cells);
     for c in &cells {
         eprintln!(
-            "metro shards={}: {} events in {:.2}s wall ({:.0} events/s, {:.2}x single-thread, imbalance {:.1}%)",
+            "{id} shards={}: {} events in {:.2}s wall ({:.0} events/s, {:.2}x single-thread, imbalance {:.1}%)",
             c.shards,
             c.report.events_processed,
             c.wall_s,
@@ -140,20 +160,26 @@ pub fn metro() -> Table {
             c.report.shard_imbalance() * 100.0
         );
     }
-    runner::write_bench_json("BENCH_metro.json", &render_json(&cells));
+    runner::write_bench_json(&format!("BENCH_{id}.json"), &render_json(id, &cells));
     t
 }
 
-/// Hand-rolled JSON (the bench crate deliberately has no serde): every
-/// value is an integer, a float formatted with `{:.N}`, or an integer
-/// array, so no string escaping is needed.
-fn render_json(cells: &[MetroCell]) -> String {
-    let base = cells
+/// Events/s of the one-shard cell, the speedup baseline.
+fn single_shard_rate(cells: &[MetroCell]) -> f64 {
+    cells
         .iter()
         .find(|c| c.shards == 1)
         .map(|c| c.events_per_sec())
-        .unwrap_or(0.0);
-    let mut out = String::from("{\n  \"experiment\": \"metro\",\n  \"cells\": [\n");
+        .unwrap_or(0.0)
+}
+
+/// Hand-rolled JSON (the bench crate deliberately has no serde): the
+/// experiment id is a fixed identifier and every value is an integer, a
+/// float formatted with `{:.N}`, or an integer array, so no string
+/// escaping is needed.
+fn render_json(id: &str, cells: &[MetroCell]) -> String {
+    let base = single_shard_rate(cells);
+    let mut out = format!("{{\n  \"experiment\": \"{id}\",\n  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let r = &c.report;
         let frames_done: u64 = r.ues.iter().map(|u| u.frames_done).sum();
@@ -187,7 +213,7 @@ fn render_json(cells: &[MetroCell]) -> String {
             r.events_processed,
             by_shard.join(", "),
             placement.join(", "),
-            c.report.shard_imbalance(),
+            r.shard_imbalance(),
             r.cross_shard_sent,
             r.cross_shard_received,
             r.sim_elapsed.secs_f64(),
@@ -202,17 +228,14 @@ fn render_json(cells: &[MetroCell]) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
-    /// The smoke-size sweep: the deterministic report must be identical
-    /// at every shard count, and the JSON must be structurally sound.
-    #[test]
-    fn smoke_sweep_is_shard_invariant_and_json_is_well_formed() {
-        let mut cfg = MetroConfig::smoke();
-        cfg.region_sizes = vec![3, 2, 2, 1];
-        cfg.frame_count = 2;
-        let cells = sweep(&cfg);
+    /// Sweeps `cfg` at smoke size: the deterministic report must be
+    /// identical at every shard count, and the JSON must be structurally
+    /// sound. Shared by the city and metro presets' tests.
+    pub(in crate::experiments) fn assert_smoke_sweep(id: &str, cfg: &MetroConfig) {
+        let cells = sweep(id, cfg);
         assert_eq!(cells.len(), SHARD_COUNTS.len());
         let fingerprint = |c: &MetroCell| {
             let r = &c.report;
@@ -234,19 +257,19 @@ mod tests {
             assert_eq!(
                 fingerprint(c),
                 base,
-                "shards={} diverged from shards=1",
+                "{id}: shards={} diverged from shards=1",
                 c.shards
             );
             assert!(c.report.cross_shard_conserved());
         }
         assert_eq!(
             cells[0].report.cross_shard_sent, 0,
-            "one shard, no exchange"
+            "{id}: one shard, no exchange"
         );
         assert!(cells.last().unwrap().report.cross_shard_sent > 0);
         // The placement is part of each report and covers every region.
         for c in &cells {
-            assert_eq!(c.report.placement.len(), 4);
+            assert_eq!(c.report.placement.len(), cfg.regions());
             assert!(c
                 .report
                 .placement
@@ -254,12 +277,23 @@ mod tests {
                 .all(|&(_, s, _)| (s as usize) < c.shards.max(1)));
         }
 
-        let json = render_json(&cells);
+        let json = render_json(id, &cells);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
+        assert!(json.contains(&format!("\"experiment\": \"{id}\"")));
         assert_eq!(json.matches("\"shards\"").count(), SHARD_COUNTS.len());
         assert!(json.contains("\"wedged\": 0"));
         assert!(json.contains("\"imbalance\": "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn smoke_sweep_is_shard_invariant_and_json_is_well_formed() {
+        let cfg = MetroConfig {
+            region_sizes: vec![3, 2, 2, 1],
+            frame_count: 2,
+            ..MetroConfig::smoke()
+        };
+        assert_smoke_sweep("metro", &cfg);
     }
 }

@@ -5,7 +5,6 @@
 
 pub mod application;
 pub mod chaos;
-pub mod city;
 pub mod compute;
 pub mod failover;
 pub mod loaded;
@@ -14,3 +13,24 @@ pub mod metro;
 pub mod mobility;
 pub mod network;
 pub mod scale;
+
+/// `figures city` is the metro sweep run with the
+/// [`MetroConfig::city`](acacia::metro::MetroConfig::city) preset; its
+/// tests live under its name.
+#[cfg(test)]
+mod city {
+    mod tests {
+        use crate::experiments::metro::tests::assert_smoke_sweep;
+        use acacia::metro::MetroConfig;
+
+        #[test]
+        fn smoke_sweep_is_shard_invariant_and_json_is_well_formed() {
+            let cfg = MetroConfig {
+                region_sizes: vec![2; 8],
+                frame_count: 2,
+                ..MetroConfig::city_smoke()
+            };
+            assert_smoke_sweep("city", &cfg);
+        }
+    }
+}

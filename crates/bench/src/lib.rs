@@ -102,7 +102,7 @@ pub fn run(id: &str) -> Option<Table> {
         "mobility" => mobility::mobility(),
         "chaos" => chaos::chaos(),
         "scale" => scale::scale(),
-        "city" => city::city(),
+        "city" => metro::city(),
         "metro" => metro::metro(),
         "failover" => failover::failover(),
         "loaded" => loaded::loaded(),

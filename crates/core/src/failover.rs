@@ -1,7 +1,7 @@
-//! Node-lifecycle chaos over the city scenario: MEC/GW crash-restart
+//! Node-lifecycle chaos over the regional scenario: MEC/GW crash-restart
 //! injection and the end-to-end session failover ladder.
 //!
-//! The [`crate::city`] scenario (with [`FailoverWiring`]
+//! The [`crate::metro`] scenario (with [`FailoverWiring`]
 //! enabled) already carries the full detection-and-recovery machinery:
 //! MEC servers heartbeat the cloud MRS, the MRS runs miss-N-of-M lease
 //! audits, streaming clients periodically re-validate their resolution,
@@ -25,14 +25,13 @@
 //! headline invariant.
 
 use crate::arclient::ArFrontend;
-use crate::city::{CityConfig, CityReport, CityScenario, CityTimeline, FailoverWiring};
+use crate::metro::{FailoverWiring, MetroConfig, MetroReport, MetroScenario, MetroTimeline};
 use crate::mrs::Mrs;
 use acacia_lte::entities::{gwc_port, GwControl};
 use acacia_lte::wire::ControlMsg;
 use acacia_simnet::fault::{NodeFaultPlan, NodeFaultRule};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::time::Duration;
-use std::net::Ipv4Addr;
 
 /// What dies, and whether it comes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +60,9 @@ impl FailoverMode {
 /// Failover experiment parameters.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
-    /// The city underneath (its `failover` wiring is force-enabled by
-    /// [`FailoverScenario::run`]).
-    pub city: CityConfig,
+    /// The regions underneath (their `failover` wiring is force-enabled
+    /// by [`FailoverScenario::run`]).
+    pub metro: MetroConfig,
     /// Crash shape.
     pub mode: FailoverMode,
     /// Region whose MEC (and GW-U, for [`FailoverMode::RegionOutage`])
@@ -81,13 +80,13 @@ pub struct FailoverConfig {
 }
 
 impl FailoverConfig {
-    /// The smoke-sized failover city: 8 regions × 4 UEs, 3 frames, crash
-    /// 2 s into the run.
+    /// Failover over the smoke city ([`MetroConfig::city_smoke`]):
+    /// 8 regions × 4 UEs, 3 frames, crash 2 s into the run.
     pub fn smoke(mode: FailoverMode, outage: Duration) -> FailoverConfig {
         FailoverConfig {
-            city: CityConfig {
+            metro: MetroConfig {
                 failover: Some(FailoverWiring::default()),
-                ..CityConfig::smoke()
+                ..MetroConfig::city_smoke()
             },
             mode,
             crash_region: 0,
@@ -121,8 +120,8 @@ impl FailoverOutcomes {
 /// Results of one failover run.
 #[derive(Debug, Clone)]
 pub struct FailoverReport {
-    /// The underlying city report (frames, handovers, wedged, parity).
-    pub city: CityReport,
+    /// The underlying regional report (frames, handovers, wedged, parity).
+    pub metro: MetroReport,
     /// Outcome audit over every session.
     pub outcomes: FailoverOutcomes,
     /// Service interruptions recorded at each failover (seconds, sorted
@@ -177,27 +176,27 @@ impl FailoverReport {
     pub fn conserved(&self) -> bool {
         self.dedicated_active == self.dedicated_live
             && self.dedicated_pending == 0
-            && self.outcomes.total() == self.city.ue_count
-            && self.city.cross_shard_conserved()
+            && self.outcomes.total() == self.metro.ue_count
+            && self.metro.cross_shard_conserved()
     }
 }
 
-/// A built failover run (city scenario + fault plan).
+/// A built failover run (regional scenario + fault plan).
 pub struct FailoverScenario;
 
 impl FailoverScenario {
-    /// Build the city, inject the crash schedule, run every session to
-    /// completion, and audit the outcomes.
+    /// Build the regions, inject the crash schedule, run every session
+    /// to completion, and audit the outcomes.
     pub fn run(cfg: FailoverConfig) -> FailoverReport {
-        let mut city_cfg = cfg.city.clone();
-        if city_cfg.failover.is_none() {
-            city_cfg.failover = Some(FailoverWiring::default());
+        let mut metro_cfg = cfg.metro.clone();
+        if metro_cfg.failover.is_none() {
+            metro_cfg.failover = Some(FailoverWiring::default());
         }
         assert!(
-            cfg.crash_region < city_cfg.regions,
+            cfg.crash_region < metro_cfg.regions(),
             "crash region out of range"
         );
-        let mut scenario = CityScenario::build(city_cfg);
+        let mut scenario = MetroScenario::build(metro_cfg);
         let mut timeline = scenario.schedule();
         // Crashed sessions ride out the outage plus the detection and
         // re-resolution ladder before finishing their frames.
@@ -205,11 +204,11 @@ impl FailoverScenario {
 
         Self::inject(&mut scenario, &cfg, &timeline);
         scenario.await_sessions(&timeline);
-        Self::collect(&scenario, &cfg, &timeline)
+        Self::collect(&mut scenario, &timeline)
     }
 
     /// Attach the node-fault plan and schedule the O&M side effects.
-    fn inject(scenario: &mut CityScenario, cfg: &FailoverConfig, timeline: &CityTimeline) {
+    fn inject(scenario: &mut MetroScenario, cfg: &FailoverConfig, timeline: &MetroTimeline) {
         let crash_at = timeline.start + cfg.crash_after;
         let victim = scenario.servers[cfg.crash_region];
         let mut plan = NodeFaultPlan::new(cfg.fault_seed);
@@ -266,15 +265,8 @@ impl FailoverScenario {
     }
 
     /// Classify every session and gather the recovery counters.
-    fn collect(
-        scenario: &CityScenario,
-        cfg: &FailoverConfig,
-        timeline: &CityTimeline,
-    ) -> FailoverReport {
-        let city = scenario.collect(timeline);
-        let original: Vec<Ipv4Addr> = (0..city.ue_count)
-            .map(|i| scenario.server_addrs[i / (city.ue_count / city.regions)])
-            .collect();
+    fn collect(scenario: &mut MetroScenario, timeline: &MetroTimeline) -> FailoverReport {
+        let metro = scenario.collect(timeline);
         let mut outcomes = FailoverOutcomes::default();
         let mut interruptions = Vec::new();
         let mut failovers = 0u64;
@@ -291,7 +283,7 @@ impl FailoverScenario {
                 outcomes.stayed += 1;
             } else if Some(fin) == scenario.cloud_addr {
                 outcomes.cloud_fallback += 1;
-            } else if fin == original[i] {
+            } else if fin == scenario.server_addrs[scenario.config().ue_region(i)] {
                 outcomes.restart_rebind += 1;
             } else {
                 outcomes.neighbor_mec += 1;
@@ -300,7 +292,6 @@ impl FailoverScenario {
         interruptions.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let mrs = scenario.net.sim.node_ref::<Mrs>(scenario.mrs);
         let gwc = scenario.net.sim.node_ref::<GwControl>(scenario.net.gwc);
-        let _ = cfg;
         FailoverReport {
             outcomes,
             interruptions_s: interruptions,
@@ -318,7 +309,7 @@ impl FailoverScenario {
             dedicated_active: gwc.dedicated_active,
             dedicated_live: gwc.dedicated_live(),
             dedicated_pending: gwc.dedicated_pending(),
-            city,
+            metro,
         }
     }
 }
@@ -329,9 +320,8 @@ mod tests {
 
     fn tiny(mode: FailoverMode, outage: Duration) -> FailoverConfig {
         let mut cfg = FailoverConfig::smoke(mode, outage);
-        cfg.city.regions = 2;
-        cfg.city.ues_per_region = 2;
-        cfg.city.frame_count = 2;
+        cfg.metro.region_sizes = vec![2, 2];
+        cfg.metro.frame_count = 2;
         cfg
     }
 
@@ -339,12 +329,12 @@ mod tests {
     fn crash_stop_fails_sessions_over_and_nobody_wedges() {
         let r = FailoverScenario::run(tiny(FailoverMode::CrashStop, Duration::ZERO));
         assert_eq!(
-            r.city.wedged(),
+            r.metro.wedged(),
             0,
             "every session completes: {:?}",
             r.outcomes
         );
-        assert_eq!(r.city.protocol_wedged(), 0);
+        assert_eq!(r.metro.protocol_wedged(), 0);
         assert!(r.conserved(), "conservation: {r:?}");
         assert!(r.failovers > 0, "the crashed region's sessions moved");
         assert_eq!(r.mrs_evictions, 1, "one server evicted");
@@ -356,7 +346,7 @@ mod tests {
         );
         assert_eq!(
             r.outcomes.neighbor_mec + r.outcomes.cloud_fallback,
-            r.city.ue_count / 2,
+            r.metro.ue_count / 2,
             "the crashed region's sessions all left: {:?}",
             r.outcomes
         );
@@ -368,9 +358,9 @@ mod tests {
         // the only live resolution after the crash is the cloud
         // fallback, and every crashed session must take it.
         let mut cfg = tiny(FailoverMode::CrashStop, Duration::ZERO);
-        cfg.city.regions = 1;
+        cfg.metro.region_sizes = vec![2];
         let r = FailoverScenario::run(cfg);
-        assert_eq!(r.city.wedged(), 0, "outcomes: {:?}", r.outcomes);
+        assert_eq!(r.metro.wedged(), 0, "outcomes: {:?}", r.outcomes);
         assert!(r.conserved(), "conservation: {r:?}");
         assert_eq!(r.outcomes.neighbor_mec, 0, "no neighbor exists");
         assert!(
@@ -383,19 +373,39 @@ mod tests {
     #[test]
     fn crash_restart_recovers_and_counts_the_restart() {
         let r = FailoverScenario::run(tiny(FailoverMode::CrashRestart, Duration::from_secs(1)));
-        assert_eq!(r.city.wedged(), 0, "outcomes: {:?}", r.outcomes);
-        assert_eq!(r.city.protocol_wedged(), 0);
+        assert_eq!(r.metro.wedged(), 0, "outcomes: {:?}", r.outcomes);
+        assert_eq!(r.metro.protocol_wedged(), 0);
         assert!(r.conserved(), "conservation: {r:?}");
         assert_eq!(r.node_restarts, 1, "the MEC server restarted");
         assert_eq!(r.mrs_evictions, 1);
         assert_eq!(r.mrs_restores, 1, "the restarted lease was restored");
     }
 
+    /// Each session's original server is its own region's, however
+    /// unequal the regions: all three sessions of the crashed region 0
+    /// come back to it, and the lone region-1 session never moves.
+    #[test]
+    fn crash_restart_rebinds_every_session_of_an_uneven_region() {
+        let mut cfg = FailoverConfig::smoke(FailoverMode::CrashRestart, Duration::from_secs(1));
+        cfg.metro.region_sizes = vec![3, 1];
+        let r = FailoverScenario::run(cfg);
+        assert_eq!(r.metro.wedged(), 0, "outcomes: {:?}", r.outcomes);
+        assert!(r.conserved(), "conservation: {r:?}");
+        assert_eq!(
+            r.outcomes,
+            FailoverOutcomes {
+                stayed: 1,
+                restart_rebind: 3,
+                ..FailoverOutcomes::default()
+            }
+        );
+    }
+
     #[test]
     fn region_outage_flushes_the_dead_gateway() {
         let r = FailoverScenario::run(tiny(FailoverMode::RegionOutage, Duration::from_secs(1)));
-        assert_eq!(r.city.wedged(), 0, "outcomes: {:?}", r.outcomes);
-        assert_eq!(r.city.protocol_wedged(), 0);
+        assert_eq!(r.metro.wedged(), 0, "outcomes: {:?}", r.outcomes);
+        assert_eq!(r.metro.protocol_wedged(), 0);
         assert!(r.conserved(), "conservation: {r:?}");
         assert_eq!(r.node_restarts, 2, "MEC server + local GW-U restarted");
         assert_eq!(r.gwu_failure_notices, 1);

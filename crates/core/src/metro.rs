@@ -1,26 +1,44 @@
-//! Metro-scale sharded scenario: a 10k-UE city of **heterogeneous**
-//! MEC regions, the workload behind the balanced region→shard placement
-//! and the adaptive per-pair lookahead.
+//! The regional sharded scenario: R MEC regions, each a two-cell site
+//! with its own AR server and local gateway, sharing one LTE core — the
+//! workload the sharded event engine exists for.
 //!
-//! Where [`crate::city`] replicates one region shape R times, metro's
-//! regions differ in population by an order of magnitude — downtown
-//! cells serve 1280 subscribers, suburban ones 128. That asymmetry is
-//! the point: `region % N` placement stacks heavy regions onto the same
-//! shard, balanced placement bin-packs them by weight, and the figure
-//! benchmark reports the per-shard event imbalance both produce. Every
-//! region is still the scale scenario's two-cell geometry with its own
-//! MEC server and local gateway, pinned to its own
-//! [`CellConfig::region`], and a metro run is byte-identical at every
-//! `--shards N` — placement moves work between threads, never reorders
-//! it.
+//! Every region is a copy of the scale scenario's geometry — two MEC
+//! cells 40 m apart, a population of UEs walking staggered
+//! there-and-back trajectories that hand each of them over twice —
+//! placed 1 km from its neighbours and pinned to its own
+//! [`CellConfig::region`], so the engine can run each region on its own
+//! shard. Cross-region traffic is limited to the shared control plane
+//! (MME / GW-C / PCRF / MRS in the core region) and the
+//! conservative-lookahead exchange keeps those messages ordered
+//! identically at every shard count: a run at `--shards 8` is
+//! byte-identical to the same run at `--shards 1`. Each region gets its
+//! own local GW-U ([`LteConfig::local_gw_per_region`]) and its own MEC
+//! server, registered with the cloud MRS under a per-region service
+//! name; UEs only see (and only measure) their own region's two cells,
+//! so the radio planes never couple regions.
+//!
+//! Two presets name the two benchmarks built on it:
+//!
+//! * [`MetroConfig::figure`] — the **metro**: 16 heterogeneous regions,
+//!   10 240 UEs from 1280-UE downtown to 128-UE suburb. That 10:1 skew is
+//!   the point: `region % N` placement stacks heavy regions onto the same
+//!   shard, balanced placement bin-packs them by weight, and the figure
+//!   benchmark reports the per-shard event imbalance both produce.
+//! * [`MetroConfig::city`] — the **city**: 8 equal regions of 256 UEs
+//!   at end-to-end resolution, the shape the control-plane drop soak and
+//!   the failover ladder ([`crate::failover`]) run over.
 //!
 //! Pacing is per region: each region's frame interval has a floor of
 //! `size_r × per_frame_budget`, so every serial MEC server sees the
 //! same uniform one-frame-per-budget arrival ring regardless of how
-//! many subscribers share it. Small regions therefore finish their
-//! sessions early and the tail of the run is carried by the downtown
-//! regions alone — exactly the load skew the balanced placement has to
-//! absorb.
+//! many subscribers share it. In the metro, small regions therefore
+//! finish their sessions early and the tail of the run is carried by the
+//! downtown regions alone — exactly the load skew the balanced placement
+//! has to absorb.
+//!
+//! Two layers are off by default: control-plane link drops
+//! ([`MetroConfig::ctrl_drop_rate`]) and the MEC failover wiring
+//! ([`MetroConfig::failover`]).
 
 use crate::arclient::{ArFrontend, ArFrontendConfig};
 use crate::arserver::{ArServer, ArServerConfig};
@@ -35,8 +53,10 @@ use acacia_lte::enb::Enb;
 use acacia_lte::entities::{pcrf_port, GwControl};
 use acacia_lte::mobility::Waypoint;
 use acacia_lte::network::{addr, CellConfig, LteConfig, LteNetwork};
+use acacia_lte::timers::Timers;
 use acacia_lte::ue::{AppSelector, Ue, UeState};
 use acacia_lte::wire::Protocol;
+use acacia_simnet::fault::{FaultPlan, FaultRule, PacketClass};
 use acacia_simnet::link::LinkConfig;
 use acacia_simnet::sim::NodeId;
 use acacia_simnet::time::{Duration, Instant};
@@ -44,7 +64,7 @@ use acacia_vision::compute::Device;
 use acacia_vision::db::ObjectDb;
 use acacia_vision::image::Resolution;
 
-/// Metro scenario parameters.
+/// Regional scenario parameters.
 #[derive(Debug, Clone)]
 pub struct MetroConfig {
     /// Subscribers homed in each region (two cells per region); the
@@ -65,37 +85,56 @@ pub struct MetroConfig {
     pub db_per_subsection: usize,
     /// Matching execution cap at each region's server.
     pub exec_cap: usize,
-    /// Camera resolution of every capture. The benchmark uses the
-    /// smallest Fig. 3(e) preview — the metro measures the engine, not
-    /// the vision pipeline, and a lighter frame keeps the serial-server
-    /// budget (and with it the whole run's simulated span) small.
+    /// Camera resolution of every capture. The metro uses the smallest
+    /// Fig. 3(e) preview — it measures the engine, not the vision
+    /// pipeline, and a lighter frame keeps the serial-server budget (and
+    /// with it the whole run's simulated span) small.
     pub resolution: Resolution,
+    /// Budget the core region (region 0, which hosts the shared EPC
+    /// control plane, MRS and PCRF) one extra average region of
+    /// placement weight for the traffic that terminates there. On in the
+    /// metro presets; the city leaves it off, because with equal regions
+    /// it under-fills the core shard far more than that traffic fills it.
+    pub core_weight_bias: bool,
+    /// Independent drop probability on every S1AP/X2 control link
+    /// direction, applied once the last session's bearer is up (the soak
+    /// test's fault injection; 0.0 = clean run).
+    pub ctrl_drop_rate: f64,
+    /// Seed for the per-link fault streams.
+    pub fault_seed: u64,
+    /// MEC failover wiring (server heartbeats, MRS lease monitoring,
+    /// neighbour/cloud fallback registrations, the core routes a failed-
+    /// over session rides). `None` = no failover machinery at all.
+    pub failover: Option<FailoverWiring>,
+}
+
+/// Failover wiring knobs for the regional scenario.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FailoverWiring {
+    /// Heartbeat / lease-audit / recheck intervals.
+    pub timers: Timers,
 }
 
 impl MetroConfig {
-    /// The benchmark configuration: 16 regions from 1280-UE downtown to
-    /// 128-UE suburb, 10240 subscribers total. Region 0 — the site that
-    /// also hosts the metro's shared core and cloud (every S1AP/GTP-C
-    /// exchange and MRS lookup terminates there) — is deliberately a
-    /// mid-sized region, and [`MetroScenario::build`] budgets it one
-    /// extra average region of placement weight for that traffic.
+    /// The metro benchmark: 16 regions from 1280-UE downtown to 128-UE
+    /// suburb, 10240 subscribers total. Region 0 — the site that also
+    /// hosts the shared core and cloud (every S1AP/GTP-C exchange and MRS
+    /// lookup terminates there) — is deliberately a mid-sized region, and
+    /// [`MetroConfig::core_weight_bias`] budgets it one extra average
+    /// region of placement weight for that traffic.
     pub fn figure() -> MetroConfig {
         MetroConfig {
             region_sizes: vec![
                 896, 1280, 1152, 1024, 1024, 896, 768, 768, 640, 512, 384, 256, 192, 192, 128, 128,
             ],
-            seed: 42,
-            frame_count: 2,
-            base_frame_interval: Duration::from_millis(2_500),
             per_frame_budget: Duration::from_millis(100),
-            speed_mps: 4.0,
-            db_per_subsection: 1,
-            exec_cap: 24,
             resolution: Resolution::new(320, 240),
+            core_weight_bias: true,
+            ..MetroConfig::city()
         }
     }
 
-    /// Smaller/faster variant for tests: the same 16-region skew (10:1
+    /// Smaller/faster metro for tests: the same 16-region skew (10:1
     /// between the heaviest and lightest region) so an 8-shard run
     /// genuinely splits and balanced placement still has decisions to
     /// make, with two orders of magnitude fewer subscribers.
@@ -109,6 +148,37 @@ impl MetroConfig {
             // ladder still has both regimes at 10-UE scale.
             per_frame_budget: Duration::from_millis(300),
             ..MetroConfig::figure()
+        }
+    }
+
+    /// The city benchmark: 8 equal regions × 256 UEs (16 cells, 2048
+    /// subscribers) at end-to-end resolution, no placement bias.
+    pub fn city() -> MetroConfig {
+        MetroConfig {
+            region_sizes: vec![256; 8],
+            seed: 42,
+            frame_count: 2,
+            base_frame_interval: Duration::from_millis(2_500),
+            per_frame_budget: Duration::from_millis(300),
+            speed_mps: 4.0,
+            db_per_subsection: 1,
+            exec_cap: 24,
+            resolution: Resolution::E2E,
+            core_weight_bias: false,
+            ctrl_drop_rate: 0.0,
+            fault_seed: 7,
+            failover: None,
+        }
+    }
+
+    /// Smaller/faster city for tests: the same 16-cell/8-region shape so
+    /// an 8-shard run genuinely splits, far fewer subscribers.
+    pub fn city_smoke() -> MetroConfig {
+        MetroConfig {
+            region_sizes: vec![4; 8],
+            frame_count: 3,
+            speed_mps: 6.0,
+            ..MetroConfig::city()
         }
     }
 
@@ -166,13 +236,21 @@ impl MetroConfig {
     }
 }
 
-/// Geometry shared with the scale/city scenarios, replicated per region.
+/// Geometry shared with the scale scenario, replicated per region.
 const CELL_SPACING_M: f64 = 40.0;
 const WALK_NEAR_M: f64 = 2.0;
 const WALK_FAR_M: f64 = 38.0;
+/// North-south distance between regions. Irrelevant to the radio plane
+/// (UEs only measure their own region's cells) but keeps positions
+/// honest on a city map.
 const REGION_SPACING_M: f64 = 1_000.0;
 
-/// Per-UE outcome of a metro run.
+/// The MRS service name region `r`'s clients resolve.
+fn region_service(r: usize) -> String {
+    format!("{SERVICE}-r{r}")
+}
+
+/// Per-UE outcome of a regional run.
 #[derive(Debug, Clone)]
 pub struct MetroUeReport {
     /// Frames that completed end-to-end.
@@ -183,7 +261,7 @@ pub struct MetroUeReport {
     pub retransmissions: u64,
 }
 
-/// Results of a metro run.
+/// Results of a regional run.
 #[derive(Debug, Clone)]
 pub struct MetroReport {
     /// Regions that ran.
@@ -212,9 +290,11 @@ pub struct MetroReport {
     pub placement: Vec<(u32, u32, u64)>,
     /// Arrival events handed across shards (sender side).
     pub cross_shard_sent: u64,
-    /// Arrival events accepted from other shards (receiver side).
+    /// Arrival events accepted from other shards (receiver side); equals
+    /// `cross_shard_sent` when no exchange lost an event.
     pub cross_shard_received: u64,
-    /// UEs that ended the run outside a legal end state.
+    /// UEs that ended the run outside a legal end state
+    /// (neither `Connected` nor `Idle`).
     pub stuck_ues: usize,
     /// Handover procedures still open at collection time.
     pub outstanding_procedures: usize,
@@ -223,12 +303,22 @@ pub struct MetroReport {
 }
 
 impl MetroReport {
-    /// Sessions that did not complete every requested frame.
+    /// Sessions that did not complete every requested frame. The strict
+    /// bar for fault-free runs; under sustained fault injection use
+    /// [`MetroReport::protocol_wedged`], which mirrors the chaos sweep's
+    /// invariant (lost frames under a drop storm are reported honestly,
+    /// an illegal end state is never tolerated).
     pub fn wedged(&self) -> usize {
         self.ues
             .iter()
             .filter(|u| u.frames_done < self.frames_requested)
             .count()
+    }
+
+    /// UEs in an illegal end state plus handover procedures left open —
+    /// the invariant the recovery ladder guarantees at any drop rate.
+    pub fn protocol_wedged(&self) -> usize {
+        self.stuck_ues + self.outstanding_procedures
     }
 
     /// Total handovers across every UE.
@@ -260,12 +350,13 @@ impl MetroReport {
     }
 }
 
-/// Timing anchors of a scheduled metro run.
+/// Timing anchors of a scheduled regional run.
 #[derive(Debug, Clone, Copy)]
 pub struct MetroTimeline {
     /// When [`MetroScenario::schedule`] was called.
     pub start: Instant,
-    /// The latest kickoff offset across every region.
+    /// The longest region stagger ring, `max_r(size_r × stagger_r)`:
+    /// one stagger past the latest kickoff offset.
     pub stagger_total: Duration,
     /// When the last UE finishes its walk.
     pub walk_end: Instant,
@@ -273,7 +364,7 @@ pub struct MetroTimeline {
     pub deadline: Instant,
 }
 
-/// A built metro scenario.
+/// A built regional scenario.
 pub struct MetroScenario {
     /// The network (owns the simulator).
     pub net: LteNetwork,
@@ -287,6 +378,10 @@ pub struct MetroScenario {
     pub mrs: NodeId,
     /// The MRS address.
     pub mrs_addr: std::net::Ipv4Addr,
+    /// Cloud fallback AR server (failover wiring only).
+    pub cloud: Option<NodeId>,
+    /// Cloud fallback address (failover wiring only).
+    pub cloud_addr: Option<std::net::Ipv4Addr>,
     cfg: MetroConfig,
     /// Last observed serving cell per UE (drives the device-manager
     /// re-anchor leg after handovers).
@@ -294,10 +389,10 @@ pub struct MetroScenario {
 }
 
 impl MetroScenario {
-    /// Build the scenario: heterogeneous regions provisioned, every UE
-    /// attached, per-region servers registered with the MRS.
+    /// Build the scenario: regions provisioned, every UE attached,
+    /// per-region servers registered with the MRS, clients connected.
     pub fn build(cfg: MetroConfig) -> MetroScenario {
-        assert!(cfg.regions() >= 1, "metro needs at least one region");
+        assert!(cfg.regions() >= 1, "needs at least one region");
         assert!(
             cfg.region_sizes.iter().all(|&s| s >= 1),
             "regions need at least one UE"
@@ -306,16 +401,13 @@ impl MetroScenario {
         let mut cells = Vec::with_capacity(2 * cfg.regions());
         for r in 0..cfg.regions() {
             let y = r as f64 * REGION_SPACING_M;
-            cells.push(CellConfig {
-                pos: Point::new(0.0, y),
-                mec: true,
-                region: r as u32,
-            });
-            cells.push(CellConfig {
-                pos: Point::new(CELL_SPACING_M, y),
-                mec: true,
-                region: r as u32,
-            });
+            for x in [0.0, CELL_SPACING_M] {
+                cells.push(CellConfig {
+                    pos: Point::new(x, y),
+                    mec: true,
+                    region: r as u32,
+                });
+            }
         }
         let ue_count = cfg.ue_count();
         let ue_cells: Vec<Vec<usize>> = (0..ue_count)
@@ -335,44 +427,82 @@ impl MetroScenario {
         });
 
         let db = ObjectDb::retail_cached(cfg.db_per_subsection, cfg.seed);
-        let mut servers = Vec::with_capacity(cfg.regions());
-        let mut server_addrs = Vec::with_capacity(cfg.regions());
-        for r in 0..cfg.regions() {
+        let ar_server = |server: ArServerConfig| {
             let floor = FloorPlan::retail_store();
             let locmgr = LocalizationManager::new(LocalizationMetadata::for_floor(
                 &floor,
                 &acacia_d2d::technology::ProximityTech::LteDirect.pathloss(),
             ));
+            Box::new(ArServer::new(
+                ArServerConfig {
+                    device: Device::I7Octa,
+                    strategy: SearchStrategy::Naive,
+                    exec_cap: cfg.exec_cap,
+                    ..server
+                },
+                db.clone(),
+                floor,
+                locmgr,
+            ))
+        };
+        let mrs_addr = addr::CLOUD_BASE;
+        let mut servers = Vec::with_capacity(cfg.regions());
+        let mut server_addrs = Vec::with_capacity(cfg.regions());
+        for r in 0..cfg.regions() {
             let server_addr = addr::mec(r, 0);
-            let (server, assigned) = net.add_mec_server_in_region(
-                r as u32,
-                Box::new(ArServer::new(
-                    ArServerConfig {
-                        device: Device::I7Octa,
-                        strategy: SearchStrategy::Naive,
-                        exec_cap: cfg.exec_cap,
-                        ..ArServerConfig::new(server_addr)
-                    },
-                    db.clone(),
-                    floor,
-                    locmgr,
-                )),
-            );
+            let mut server_cfg = ArServerConfig::new(server_addr);
+            if let Some(w) = cfg.failover {
+                // Each MEC server beats its lease to the cloud MRS
+                // (heartbeats ride the failover core path).
+                server_cfg.heartbeat = Some((mrs_addr, region_service(r)));
+                server_cfg.heartbeat_period = w.timers.heartbeat_period;
+            }
+            let (server, assigned) = net.add_mec_server_in_region(r as u32, ar_server(server_cfg));
             assert_eq!(assigned, server_addr);
             servers.push(server);
             server_addrs.push(server_addr);
         }
 
-        let mrs_addr = addr::CLOUD_BASE;
+        // One cloud MRS knows every region's server under a per-region
+        // service name; each client asks for its own region's service.
+        let cloud_ar_addr = cfg
+            .failover
+            .map(|_| std::net::Ipv4Addr::from(u32::from(addr::CLOUD_BASE) + 1));
         let mut mrs_node = Mrs::new(mrs_addr);
         for (r, &server_addr) in server_addrs.iter().enumerate() {
             mrs_node.register_service(
-                &format!("{SERVICE}-r{r}"),
+                &region_service(r),
                 ServerInstance {
                     addr: server_addr,
                     distance: 1.0,
                 },
             );
+        }
+        if let (Some(w), Some(cloud_ar_addr)) = (cfg.failover, cloud_ar_addr) {
+            // Lease-monitor the MEC servers, and register the failover
+            // ladder behind each one: the neighbour region's MEC (one hop
+            // worse) and the shared cloud AR server (last resort, not
+            // monitored — the cloud has no MEC lifecycle).
+            mrs_node.enable_lease_monitoring(w.timers);
+            for (r, &server_addr) in server_addrs.iter().enumerate() {
+                mrs_node.monitor_server(server_addr);
+                if cfg.regions() > 1 {
+                    mrs_node.register_service(
+                        &region_service(r),
+                        ServerInstance {
+                            addr: server_addrs[(r + 1) % cfg.regions()],
+                            distance: 2.0,
+                        },
+                    );
+                }
+                mrs_node.register_service(
+                    &region_service(r),
+                    ServerInstance {
+                        addr: cloud_ar_addr,
+                        distance: 100.0,
+                    },
+                );
+            }
         }
         let (mrs, assigned) = net.add_cloud_server(
             Box::new(mrs_node),
@@ -384,6 +514,14 @@ impl MetroScenario {
             (net.pcrf, pcrf_port::AF),
             LinkConfig::delay_only(Duration::from_micros(500)),
         );
+        let cloud = cloud_ar_addr.map(|cloud_ar_addr| {
+            let (cloud, assigned) = net.add_cloud_server(
+                ar_server(ArServerConfig::new(cloud_ar_addr)),
+                LinkConfig::delay_only(Duration::from_micros(800)),
+            );
+            assert_eq!(assigned, cloud_ar_addr);
+            cloud
+        });
 
         let scene_ids: Vec<u64> = db.in_subsections(&[0]).iter().map(|o| o.id).collect();
 
@@ -392,13 +530,12 @@ impl MetroScenario {
             let r = cfg.ue_region(i);
             let ue_ip = net.attach(i);
             let client_cfg = ArFrontendConfig {
-                ue_ip,
-                server: server_addrs[r],
-                mrs: Some((mrs_addr, format!("{SERVICE}-r{r}"))),
+                mrs: Some((mrs_addr, region_service(r))),
                 frame_count: cfg.frame_count,
                 min_frame_interval: Some(cfg.region_interval(r)),
                 resolution: cfg.resolution,
                 scene_ids: scene_ids.clone(),
+                lease_recheck: cfg.failover.map(|w| w.timers.lease_recheck_period),
                 ..ArFrontendConfig::new(ue_ip, server_addrs[r])
             };
             let client = net.connect_ue_app(
@@ -409,16 +546,26 @@ impl MetroScenario {
             clients.push(client);
         }
 
-        // The shared core and cloud (EPC control plane, MRS, PCRF) live
-        // in region 0 — cells[0]'s region — and every region's S1AP,
-        // GTP-C and registry traffic terminates there, which the static
-        // node/link placement weight cannot see. Budget the core region
-        // one extra average region of weight so the balanced packer
-        // under-fills its shard by roughly that much population.
-        let assigns = net.sim.region_assignments();
-        let total_weight: u64 = assigns.iter().map(|&(_, _, w)| w).sum();
-        net.sim
-            .set_region_weight_bias(0, total_weight / assigns.len().max(1) as u64);
+        if cfg.failover.is_some() {
+            // Every UE is attached and every server placed: snapshot the
+            // failover core routes (cross-region default-bearer paths +
+            // the heartbeat path to the cloud MRS).
+            net.enable_failover_core_path();
+        }
+
+        if cfg.core_weight_bias {
+            // The shared core and cloud (EPC control plane, MRS, PCRF)
+            // live in region 0 — cells[0]'s region — and every region's
+            // S1AP, GTP-C and registry traffic terminates there, which
+            // the static node/link placement weight cannot see. Budget
+            // the core region one extra average region of weight so the
+            // balanced packer under-fills its shard by roughly that much
+            // population.
+            let assigns = net.sim.region_assignments();
+            let total_weight: u64 = assigns.iter().map(|&(_, _, w)| w).sum();
+            net.sim
+                .set_region_weight_bias(0, total_weight / assigns.len().max(1) as u64);
+        }
 
         let last_serving = (0..ue_count).map(|i| net.serving_cell(i)).collect();
         MetroScenario {
@@ -428,6 +575,8 @@ impl MetroScenario {
             server_addrs,
             mrs,
             mrs_addr,
+            cloud,
+            cloud_addr: cloud_ar_addr,
             cfg,
             last_serving,
         }
@@ -438,12 +587,27 @@ impl MetroScenario {
         &self.cfg
     }
 
-    /// Schedule every session kickoff and walk, returning the run's
-    /// timing anchors. Each region staggers its own population across
-    /// its own interval; the k-th UE of a region kicks off at
+    /// Schedule every session kickoff and walk (and, when configured, the
+    /// lease machinery and the control-plane fault plans), returning the
+    /// run's timing anchors. Each region staggers its own population
+    /// across its own interval; the k-th UE of a region kicks off at
     /// `k × region_stagger(r)`.
     pub fn schedule(&mut self) -> MetroTimeline {
         let start = self.net.sim.now();
+        if let Some(w) = self.cfg.failover {
+            // Start the lease machinery: each MEC server's heartbeat
+            // chain and the MRS audit loop (both self-rescheduling).
+            for &server in &self.servers {
+                self.net
+                    .sim
+                    .schedule_timer(server, start, ArServer::HEARTBEAT);
+            }
+            self.net.sim.schedule_timer(
+                self.mrs,
+                start + w.timers.lease_check_period,
+                Mrs::LEASE_AUDIT,
+            );
+        }
         let walk_s = 2.0 * (WALK_FAR_M - WALK_NEAR_M) / self.cfg.speed_mps;
         let mut region_base = 0usize;
         let mut stagger_total = Duration::ZERO;
@@ -453,7 +617,6 @@ impl MetroScenario {
             for k in 0..size {
                 let i = region_base + k;
                 let offset = Duration::from_nanos(stagger.nanos() * k as u64);
-                stagger_total = stagger_total.max(offset);
                 self.net
                     .sim
                     .schedule_timer(self.clients[i], start + offset, ArFrontend::KICKOFF);
@@ -467,6 +630,7 @@ impl MetroScenario {
                     self.cfg.speed_mps,
                 );
             }
+            stagger_total = stagger_total.max(Duration::from_nanos(stagger.nanos() * size as u64));
             region_base += size;
         }
 
@@ -474,6 +638,28 @@ impl MetroScenario {
         let walk_end = start + stagger_total + Duration::from_secs_f64(walk_s);
         let deadline =
             walk_end + Duration::from_nanos(session.nanos() * 2) + Duration::from_secs(30);
+
+        if self.cfg.ctrl_drop_rate > 0.0 {
+            // Open the fault window after the last session's bearer is up
+            // (kickoff + MRS handshake fit well inside one extra second),
+            // so the drop storm stresses handover recovery rather than
+            // bring-up, mirroring the chaos scenario.
+            let fault_start = start + stagger_total + Duration::from_secs(1);
+            let fault_end = fault_start + Duration::from_secs(86_400);
+            for (idx, (endpoint, _label)) in self.net.control_fault_points().iter().enumerate() {
+                let seed = self
+                    .cfg
+                    .fault_seed
+                    .wrapping_add((idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let mut plan = FaultPlan::new(seed);
+                plan.add_rule(
+                    FaultRule::drop(PacketClass::any(), self.cfg.ctrl_drop_rate)
+                        .in_window(fault_start, fault_end),
+                );
+                self.net.sim.attach_fault_plan(*endpoint, plan);
+            }
+        }
+
         MetroTimeline {
             start,
             stagger_total,
@@ -483,7 +669,10 @@ impl MetroScenario {
     }
 
     /// Run until every session completes (or the deadline), driving the
-    /// device-manager re-anchor leg exactly as the city scenario does.
+    /// device-manager re-anchor leg: any UE whose serving cell changed
+    /// since the last poll repeats its MRS connectivity handshake, which
+    /// is idempotent when the network already re-anchored the bearer and
+    /// re-creates it when a failed handover flushed it.
     pub fn await_sessions(&mut self, timeline: &MetroTimeline) {
         while self.net.sim.now() < timeline.deadline {
             let t = self.net.sim.now() + Duration::from_millis(200);
@@ -590,6 +779,7 @@ mod tests {
         let report = MetroScenario::build(tiny()).run();
         assert_eq!(report.ue_count, 4);
         assert_eq!(report.wedged(), 0, "every session completes");
+        assert_eq!(report.protocol_wedged(), 0);
         assert!(
             report.ues.iter().all(|u| u.handovers >= 2),
             "each UE crosses its region's boundary twice: {:?}",

@@ -1,4 +1,5 @@
-//! City soak: the 8-shard city under a 30% control-plane drop storm.
+//! City soak: the 8-shard city (`MetroConfig::city_smoke`) under a 30%
+//! control-plane drop storm.
 //!
 //! The chaos suite established that one walking UE survives heavy
 //! control-plane loss; this soak asks the same of the sharded city —
@@ -22,7 +23,7 @@
 //! Ignored by default (five multi-second runs); CI runs it with
 //! `--release -- --ignored`.
 
-use acacia::city::{CityConfig, CityScenario};
+use acacia::metro::{MetroConfig, MetroScenario};
 use acacia_simnet::set_default_shards;
 
 /// Seeds swept by the soak, disjoint from the fixed-seed figures (42).
@@ -36,14 +37,14 @@ const DROP_RATE: f64 = 0.30;
 #[ignore = "five multi-second sharded city runs; run with --release -- --ignored"]
 fn sharded_city_survives_control_plane_drop_storm() {
     for seed in SOAK_SEEDS {
-        let cfg = CityConfig {
+        let cfg = MetroConfig {
             seed,
             ctrl_drop_rate: DROP_RATE,
             fault_seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            ..CityConfig::smoke()
+            ..MetroConfig::city_smoke()
         };
         set_default_shards(Some(8));
-        let report = CityScenario::build(cfg).run();
+        let report = MetroScenario::build(cfg).run();
         set_default_shards(None);
 
         assert_eq!(report.events_by_shard.len(), 8, "city ran on 8 shards");

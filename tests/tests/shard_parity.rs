@@ -12,14 +12,14 @@
 //! (`figures_output.txt`), so a lookahead bug, a mis-ordered exchange,
 //! or a shard-dependent RNG pull shows up as a one-character diff.
 //!
-//! The scale, failover, and metro benchmarks are not part of `figures
-//! all` (their stderr is wall-clock dependent), so their stdout is
-//! compared against a baseline rendering instead of the golden file.
-//! Failover and metro sweep the shard counts *internally*, so their
+//! The scale, city, failover, and metro benchmarks are not part of
+//! `figures all` (their stderr is wall-clock dependent), so their stdout
+//! is compared against a baseline rendering instead of the golden file.
+//! City, failover and metro sweep the shard counts *internally*, so their
 //! checks vary the outer process-wide knobs instead — the `--shards`
 //! default and the `--jobs` worker count — neither of which may leak
-//! into stdout; metro's four table rows (one per swept shard count) are
-//! additionally compared token-by-token.
+//! into stdout; city's and metro's four table rows (one per swept shard
+//! count) are additionally compared token-by-token.
 //!
 //! Ignored by default (it reruns figure-scale grids 4×); CI runs the
 //! matrix with `--release -- --ignored`.
@@ -130,32 +130,34 @@ fn shard_invariant_rows(rendered: &str) -> Vec<Vec<String>> {
         .collect()
 }
 
-/// The 10k-UE metro benchmark sweeps `--shards {1, 2, 4, 8}` internally:
-/// its stdout must not depend on the outer shard default or `--jobs`,
-/// and its four table rows — one per shard count — must be identical in
-/// every column except `shards` and `xshard`.
+/// The city and 10k-UE metro benchmarks sweep `--shards {1, 2, 4, 8}`
+/// internally: their stdout must not depend on the outer shard default
+/// or `--jobs`, and their four table rows — one per shard count — must
+/// be identical in every column except `shards` and `xshard`.
 #[test]
-#[ignore = "10k-UE metro x 4 shard counts, twice; run with --release -- --ignored"]
+#[ignore = "city and 10k-UE metro x 4 shard counts, twice; run with --release -- --ignored"]
 fn metro_rows_are_byte_identical_at_every_shard_count() {
     let _guard = ENGINE_KNOBS.lock().expect("engine knobs lock");
     set_seed(42);
-    runner::set_jobs(Some(1));
-    let base = render_at_shards("metro", 1);
-    let rows = shard_invariant_rows(&base);
-    assert_eq!(rows.len(), 4, "one row per swept shard count:\n{base}");
-    for row in &rows[1..] {
+    for id in ["city", "metro"] {
+        runner::set_jobs(Some(1));
+        let base = render_at_shards(id, 1);
+        let rows = shard_invariant_rows(&base);
+        assert_eq!(rows.len(), 4, "one row per swept shard count:\n{base}");
+        for row in &rows[1..] {
+            assert_eq!(
+                row, &rows[0],
+                "{id} rows must agree in every shard-invariant column:\n{base}"
+            );
+        }
+        runner::set_jobs(Some(4));
         assert_eq!(
-            row, &rows[0],
-            "metro rows must agree in every shard-invariant column:\n{base}"
+            render_at_shards(id, 8),
+            base,
+            "{id} stdout with outer --shards 8 / --jobs 4 must match \
+             --shards 1 / --jobs 1 exactly"
         );
     }
-    runner::set_jobs(Some(4));
-    assert_eq!(
-        render_at_shards("metro", 8),
-        base,
-        "metro stdout with outer --shards 8 / --jobs 4 must match \
-         --shards 1 / --jobs 1 exactly"
-    );
     runner::set_jobs(None);
     let _ = runner::drain_timings();
 }
