@@ -14,7 +14,8 @@
 //! goes to stderr.
 //!
 //! `--seed N` (or `--seed=N`) sets the master seed for seed-aware
-//! experiments (the chaos sweep); the default is 42.
+//! experiments (the chaos, loaded and failover sweeps); the default is
+//! 42.
 //!
 //! `--shards N` (or `--shards=N`) sets the engine's shard count: every
 //! simulation partitions its topology into N region shards running on N
@@ -23,6 +24,10 @@
 //! engine, and any `--shards N` run must match it exactly. The `city`,
 //! `metro` and `failover` experiments sweep shard counts themselves and
 //! restore this flag's value afterwards.
+//!
+//! Experiments that attach a `BENCH_*.json` (scale, city, metro,
+//! failover) have it written here, at the workspace root, after their
+//! table prints; running an experiment anywhere else writes no file.
 
 use acacia_bench::{run, runner, set_seed, ALL_IDS, EXTRA_IDS, SLOW_IDS};
 
@@ -84,7 +89,12 @@ fn main() {
     };
     for id in ids {
         match run(id) {
-            Some(table) => table.print(),
+            Some(table) => {
+                table.print();
+                if let Some((name, contents)) = table.attached() {
+                    write_artifact(name, contents);
+                }
+            }
             None => {
                 eprintln!("unknown experiment id: {id}");
                 eprintln!("valid experiment ids:");
@@ -104,6 +114,19 @@ fn main() {
     let timings = runner::drain_timings();
     if !timings.is_empty() {
         eprintln!("{}", runner::timing_report(&timings).render());
+    }
+}
+
+/// Write an experiment's attached file to the workspace root, whatever
+/// the working directory, reporting the outcome on stderr (never stdout
+/// — the path is machine-dependent and stdout is golden-checked).
+fn write_artifact(name: &str, contents: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    match std::fs::write(&path, contents) {
+        Ok(()) => eprintln!("wrote {name}"),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 

@@ -219,7 +219,7 @@ pub fn failover() -> Table {
             c.wall_s
         );
     }
-    runner::write_bench_json("BENCH_failover.json", &render_json(&cells));
+    t.artifact("BENCH_failover.json", render_json(&cells));
     t
 }
 

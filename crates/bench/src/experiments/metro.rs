@@ -17,8 +17,9 @@
 //! Stdout carries only deterministic columns (byte-identical across
 //! `--jobs` and `--shards` values, like every other experiment).
 //! Wall-clock throughput, per-shard speedup, and the event imbalance go
-//! to stderr and to `BENCH_<id>.json` at the workspace root, which CI
-//! parses for its imbalance ceiling and events/s floor.
+//! to stderr and to `BENCH_<id>.json`, which the `figures` binary writes
+//! at the workspace root and CI parses for its imbalance ceiling and
+//! events/s floor.
 
 use crate::runner;
 use crate::table::{fmt_secs, Table};
@@ -92,7 +93,7 @@ pub fn metro() -> Table {
     )
 }
 
-/// Sweep `cfg`, render its parity table, and write `BENCH_<id>.json`.
+/// Sweep `cfg`, render its parity table, and attach `BENCH_<id>.json`.
 /// `to_json` names what the last note says goes to stderr and the JSON.
 fn parity_table(id: &str, title: &str, cfg: &MetroConfig, to_json: &str) -> Table {
     let cells = sweep(id, cfg);
@@ -160,7 +161,7 @@ fn parity_table(id: &str, title: &str, cfg: &MetroConfig, to_json: &str) -> Tabl
             c.report.shard_imbalance() * 100.0
         );
     }
-    runner::write_bench_json(&format!("BENCH_{id}.json"), &render_json(id, &cells));
+    t.artifact(&format!("BENCH_{id}.json"), render_json(id, &cells));
     t
 }
 

@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use table::Table;
 
 /// Process-wide master seed for experiments that honour the `figures
-/// --seed N` flag (currently the chaos sweep). Defaults to 42, the seed
-/// baked into every fixed-seed experiment config.
+/// --seed N` flag (the chaos, loaded and failover sweeps). Defaults to
+/// 42, the seed baked into every fixed-seed experiment config.
 static SEED: AtomicU64 = AtomicU64::new(42);
 
 /// Set the master seed used by seed-aware experiments.
@@ -99,13 +99,13 @@ pub fn run(id: &str) -> Option<Table> {
         "fig12" => application::fig12(),
         "fig13" => application::fig13(),
         "ablation-radius" => application::ablation_radius(),
-        "mobility" => mobility::mobility(),
-        "chaos" => chaos::chaos(),
-        "scale" => scale::scale(),
+        "mobility" => corridor::mobility(),
+        "chaos" => corridor::chaos(),
+        "scale" => corridor::scale(),
         "city" => metro::city(),
         "metro" => metro::metro(),
         "failover" => failover::failover(),
-        "loaded" => loaded::loaded(),
+        "loaded" => corridor::loaded(),
         _ => return None,
     })
 }

@@ -97,28 +97,6 @@ fn run_cell<I, T>(experiment: &str, label: String, cell: I, f: impl Fn(I) -> T) 
     result
 }
 
-/// Canonical location for a `BENCH_*.json` artifact: the workspace
-/// root, regardless of the invoking process's working directory. The
-/// benchmark experiments also run inside `cargo test` harnesses whose
-/// cwd is the *crate* directory — writing a relative path from there
-/// used to scatter duplicates like `tests/BENCH_scale.json`.
-pub fn bench_output_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name)
-}
-
-/// Write a `BENCH_*.json` artifact to its canonical workspace-root
-/// location, reporting the outcome on stderr (never stdout — the
-/// artifact path is machine-dependent and stdout is golden-checked).
-pub fn write_bench_json(name: &str, json: &str) {
-    let path = bench_output_path(name);
-    match std::fs::write(&path, json) {
-        Ok(()) => eprintln!("wrote {name}"),
-        Err(e) => eprintln!("could not write {}: {e}", path.display()),
-    }
-}
-
 /// Set the worker count used by [`pmap`]. `None` (or `Some(0)`) restores
 /// the default: one worker per available hardware thread.
 pub fn set_jobs(jobs: Option<usize>) {
@@ -191,21 +169,6 @@ where
                 .expect("every cell completed")
         })
         .collect()
-}
-
-/// Convenience for unlabelled grids: cells are labelled by index.
-pub fn pmap_indexed<I, T, F>(experiment: &str, cells: Vec<I>, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    let cells = cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (format!("#{i}"), c))
-        .collect();
-    pmap(experiment, cells, f)
 }
 
 fn record(experiment: &str, cell: String, wall_s: f64, events: u64, shard_events: Vec<u64>) {
@@ -329,7 +292,8 @@ mod tests {
     #[test]
     fn timings_are_recorded_and_drained() {
         set_jobs(Some(2));
-        let _ = pmap_indexed("timed", vec![1u8, 2, 3], |x| x);
+        let cells = (1u8..=3).map(|x| (format!("#{x}"), x)).collect();
+        let _ = pmap("timed", cells, |x| x);
         // Other tests share the global buffer; only count our experiment.
         let timings: Vec<CellTiming> = drain_timings()
             .into_iter()

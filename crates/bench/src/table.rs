@@ -8,6 +8,7 @@ pub struct Table {
     rows: Vec<Vec<String>>,
     notes: Vec<String>,
     blocks: Vec<String>,
+    artifact: Option<(String, String)>,
 }
 
 impl Table {
@@ -19,6 +20,7 @@ impl Table {
             rows: Vec::new(),
             notes: Vec::new(),
             blocks: Vec::new(),
+            artifact: None,
         }
     }
 
@@ -40,6 +42,21 @@ impl Table {
     pub fn block(&mut self, text: &str) -> &mut Self {
         self.blocks.push(text.to_string());
         self
+    }
+
+    /// Attach a machine-readable file (name, contents) that goes with the
+    /// table, e.g. a `BENCH_*.json` with wall-clock numbers kept off
+    /// stdout. Only the `figures` binary writes it.
+    pub fn artifact(&mut self, name: &str, contents: String) -> &mut Self {
+        self.artifact = Some((name.to_string(), contents));
+        self
+    }
+
+    /// The attached file, if any, as `(name, contents)`.
+    pub fn attached(&self) -> Option<(&str, &str)> {
+        self.artifact
+            .as_ref()
+            .map(|(name, contents)| (name.as_str(), contents.as_str()))
     }
 
     /// Number of data rows.

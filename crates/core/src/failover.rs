@@ -25,7 +25,8 @@
 //! headline invariant.
 
 use crate::arclient::ArFrontend;
-use crate::metro::{FailoverWiring, MetroConfig, MetroReport, MetroScenario, MetroTimeline};
+use crate::corridor::Timeline;
+use crate::metro::{FailoverWiring, MetroConfig, MetroReport, MetroScenario};
 use crate::mrs::Mrs;
 use acacia_lte::entities::{gwc_port, GwControl};
 use acacia_lte::wire::ControlMsg;
@@ -208,7 +209,7 @@ impl FailoverScenario {
     }
 
     /// Attach the node-fault plan and schedule the O&M side effects.
-    fn inject(scenario: &mut MetroScenario, cfg: &FailoverConfig, timeline: &MetroTimeline) {
+    fn inject(scenario: &mut MetroScenario, cfg: &FailoverConfig, timeline: &Timeline) {
         let crash_at = timeline.start + cfg.crash_after;
         let victim = scenario.servers[cfg.crash_region];
         let mut plan = NodeFaultPlan::new(cfg.fault_seed);
@@ -265,7 +266,7 @@ impl FailoverScenario {
     }
 
     /// Classify every session and gather the recovery counters.
-    fn collect(scenario: &mut MetroScenario, timeline: &MetroTimeline) -> FailoverReport {
+    fn collect(scenario: &mut MetroScenario, timeline: &Timeline) -> FailoverReport {
         let metro = scenario.collect(timeline);
         let mut outcomes = FailoverOutcomes::default();
         let mut interruptions = Vec::new();

@@ -2,7 +2,7 @@
 //! with its own AR server and local gateway, sharing one LTE core — the
 //! workload the sharded event engine exists for.
 //!
-//! Every region is a copy of the scale scenario's geometry — two MEC
+//! Every region is a copy of the [`crate::corridor`] geometry — two MEC
 //! cells 40 m apart, a population of UEs walking staggered
 //! there-and-back trajectories that hand each of them over twice —
 //! placed 1 km from its neighbours and pinned to its own
@@ -42,26 +42,23 @@
 
 use crate::arclient::{ArFrontend, ArFrontendConfig};
 use crate::arserver::{ArServer, ArServerConfig};
-use crate::locmgr::{LocalizationManager, LocalizationMetadata};
-use crate::mrs::{port as mrs_port, Mrs, ServerInstance};
+use crate::corridor::{
+    add_mrs, ar_server, arm_control_faults, retail_db, scene_ids, walk, walk_time, Timeline,
+    UeReport, CELL_SPACING_M,
+};
+use crate::mrs::{Mrs, ServerInstance};
 use crate::msg::APP_PORT;
 use crate::scenario::SERVICE;
-use crate::search::SearchStrategy;
-use acacia_geo::floor::FloorPlan;
 use acacia_geo::Point;
 use acacia_lte::enb::Enb;
-use acacia_lte::entities::{pcrf_port, GwControl};
-use acacia_lte::mobility::Waypoint;
+use acacia_lte::entities::GwControl;
 use acacia_lte::network::{addr, CellConfig, LteConfig, LteNetwork};
 use acacia_lte::timers::Timers;
 use acacia_lte::ue::{AppSelector, Ue, UeState};
 use acacia_lte::wire::Protocol;
-use acacia_simnet::fault::{FaultPlan, FaultRule, PacketClass};
 use acacia_simnet::link::LinkConfig;
 use acacia_simnet::sim::NodeId;
-use acacia_simnet::time::{Duration, Instant};
-use acacia_vision::compute::Device;
-use acacia_vision::db::ObjectDb;
+use acacia_simnet::time::Duration;
 use acacia_vision::image::Resolution;
 
 /// Regional scenario parameters.
@@ -81,10 +78,6 @@ pub struct MetroConfig {
     pub per_frame_budget: Duration,
     /// Walk speed, m/s.
     pub speed_mps: f64,
-    /// Objects per subsection in the shared database.
-    pub db_per_subsection: usize,
-    /// Matching execution cap at each region's server.
-    pub exec_cap: usize,
     /// Camera resolution of every capture. The metro uses the smallest
     /// Fig. 3(e) preview — it measures the engine, not the vision
     /// pipeline, and a lighter frame keeps the serial-server budget (and
@@ -161,8 +154,6 @@ impl MetroConfig {
             base_frame_interval: Duration::from_millis(2_500),
             per_frame_budget: Duration::from_millis(300),
             speed_mps: 4.0,
-            db_per_subsection: 1,
-            exec_cap: 24,
             resolution: Resolution::E2E,
             core_weight_bias: false,
             ctrl_drop_rate: 0.0,
@@ -236,10 +227,6 @@ impl MetroConfig {
     }
 }
 
-/// Geometry shared with the scale scenario, replicated per region.
-const CELL_SPACING_M: f64 = 40.0;
-const WALK_NEAR_M: f64 = 2.0;
-const WALK_FAR_M: f64 = 38.0;
 /// North-south distance between regions. Irrelevant to the radio plane
 /// (UEs only measure their own region's cells) but keeps positions
 /// honest on a city map.
@@ -248,17 +235,6 @@ const REGION_SPACING_M: f64 = 1_000.0;
 /// The MRS service name region `r`'s clients resolve.
 fn region_service(r: usize) -> String {
     format!("{SERVICE}-r{r}")
-}
-
-/// Per-UE outcome of a regional run.
-#[derive(Debug, Clone)]
-pub struct MetroUeReport {
-    /// Frames that completed end-to-end.
-    pub frames_done: u64,
-    /// Serving-cell switches completed.
-    pub handovers: u64,
-    /// Client-side retransmissions.
-    pub retransmissions: u64,
 }
 
 /// Results of a regional run.
@@ -271,7 +247,7 @@ pub struct MetroReport {
     /// Frames each session was asked to complete.
     pub frames_requested: u64,
     /// Per-UE outcomes, in UE-index order (region-major).
-    pub ues: Vec<MetroUeReport>,
+    pub ues: Vec<UeReport>,
     /// X2AP messages on the wire.
     pub x2_msgs: u64,
     /// S1AP messages on the wire.
@@ -309,10 +285,7 @@ impl MetroReport {
     /// invariant (lost frames under a drop storm are reported honestly,
     /// an illegal end state is never tolerated).
     pub fn wedged(&self) -> usize {
-        self.ues
-            .iter()
-            .filter(|u| u.frames_done < self.frames_requested)
-            .count()
+        UeReport::wedged(&self.ues, self.frames_requested)
     }
 
     /// UEs in an illegal end state plus handover procedures left open —
@@ -323,7 +296,7 @@ impl MetroReport {
 
     /// Total handovers across every UE.
     pub fn total_handovers(&self) -> u64 {
-        self.ues.iter().map(|u| u.handovers).sum()
+        UeReport::total_handovers(&self.ues)
     }
 
     /// Did every cross-shard event survive the window exchange?
@@ -348,20 +321,6 @@ impl MetroReport {
         let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
         max / mean - 1.0
     }
-}
-
-/// Timing anchors of a scheduled regional run.
-#[derive(Debug, Clone, Copy)]
-pub struct MetroTimeline {
-    /// When [`MetroScenario::schedule`] was called.
-    pub start: Instant,
-    /// The longest region stagger ring, `max_r(size_r × stagger_r)`:
-    /// one stagger past the latest kickoff offset.
-    pub stagger_total: Duration,
-    /// When the last UE finishes its walk.
-    pub walk_end: Instant,
-    /// Hard stop for [`MetroScenario::await_sessions`].
-    pub deadline: Instant,
 }
 
 /// A built regional scenario.
@@ -426,25 +385,7 @@ impl MetroScenario {
             ..LteConfig::default()
         });
 
-        let db = ObjectDb::retail_cached(cfg.db_per_subsection, cfg.seed);
-        let ar_server = |server: ArServerConfig| {
-            let floor = FloorPlan::retail_store();
-            let locmgr = LocalizationManager::new(LocalizationMetadata::for_floor(
-                &floor,
-                &acacia_d2d::technology::ProximityTech::LteDirect.pathloss(),
-            ));
-            Box::new(ArServer::new(
-                ArServerConfig {
-                    device: Device::I7Octa,
-                    strategy: SearchStrategy::Naive,
-                    exec_cap: cfg.exec_cap,
-                    ..server
-                },
-                db.clone(),
-                floor,
-                locmgr,
-            ))
-        };
+        let db = retail_db(cfg.seed);
         let mrs_addr = addr::CLOUD_BASE;
         let mut servers = Vec::with_capacity(cfg.regions());
         let mut server_addrs = Vec::with_capacity(cfg.regions());
@@ -457,7 +398,8 @@ impl MetroScenario {
                 server_cfg.heartbeat = Some((mrs_addr, region_service(r)));
                 server_cfg.heartbeat_period = w.timers.heartbeat_period;
             }
-            let (server, assigned) = net.add_mec_server_in_region(r as u32, ar_server(server_cfg));
+            let (server, assigned) =
+                net.add_mec_server_in_region(r as u32, ar_server(server_cfg, &db));
             assert_eq!(assigned, server_addr);
             servers.push(server);
             server_addrs.push(server_addr);
@@ -504,26 +446,17 @@ impl MetroScenario {
                 );
             }
         }
-        let (mrs, assigned) = net.add_cloud_server(
-            Box::new(mrs_node),
-            LinkConfig::delay_only(Duration::from_micros(800)),
-        );
-        assert_eq!(assigned, mrs_addr);
-        net.sim.connect(
-            (mrs, mrs_port::RX),
-            (net.pcrf, pcrf_port::AF),
-            LinkConfig::delay_only(Duration::from_micros(500)),
-        );
+        let mrs = add_mrs(&mut net, mrs_node);
         let cloud = cloud_ar_addr.map(|cloud_ar_addr| {
             let (cloud, assigned) = net.add_cloud_server(
-                ar_server(ArServerConfig::new(cloud_ar_addr)),
+                ar_server(ArServerConfig::new(cloud_ar_addr), &db),
                 LinkConfig::delay_only(Duration::from_micros(800)),
             );
             assert_eq!(assigned, cloud_ar_addr);
             cloud
         });
 
-        let scene_ids: Vec<u64> = db.in_subsections(&[0]).iter().map(|o| o.id).collect();
+        let scene_ids = scene_ids(&db);
 
         let mut clients = Vec::with_capacity(ue_count);
         for i in 0..ue_count {
@@ -592,7 +525,7 @@ impl MetroScenario {
     /// run's timing anchors. Each region staggers its own population
     /// across its own interval; the k-th UE of a region kicks off at
     /// `k × region_stagger(r)`.
-    pub fn schedule(&mut self) -> MetroTimeline {
+    pub fn schedule(&mut self) -> Timeline {
         let start = self.net.sim.now();
         if let Some(w) = self.cfg.failover {
             // Start the lease machinery: each MEC server's heartbeat
@@ -608,7 +541,6 @@ impl MetroScenario {
                 Mrs::LEASE_AUDIT,
             );
         }
-        let walk_s = 2.0 * (WALK_FAR_M - WALK_NEAR_M) / self.cfg.speed_mps;
         let mut region_base = 0usize;
         let mut stagger_total = Duration::ZERO;
         for (r, &size) in self.cfg.region_sizes.iter().enumerate() {
@@ -620,52 +552,27 @@ impl MetroScenario {
                 self.net
                     .sim
                     .schedule_timer(self.clients[i], start + offset, ArFrontend::KICKOFF);
-                self.net.start_mobility(
-                    i,
-                    vec![
-                        Waypoint::dwelling(Point::new(WALK_NEAR_M, y), offset),
-                        Waypoint::passing(Point::new(WALK_FAR_M, y)),
-                        Waypoint::passing(Point::new(WALK_NEAR_M, y)),
-                    ],
-                    self.cfg.speed_mps,
-                );
+                self.net
+                    .start_mobility(i, walk(y, offset, Duration::ZERO), self.cfg.speed_mps);
             }
             stagger_total = stagger_total.max(Duration::from_nanos(stagger.nanos() * size as u64));
             region_base += size;
         }
 
-        let session = self.cfg.max_session();
-        let walk_end = start + stagger_total + Duration::from_secs_f64(walk_s);
-        let deadline =
-            walk_end + Duration::from_nanos(session.nanos() * 2) + Duration::from_secs(30);
-
-        if self.cfg.ctrl_drop_rate > 0.0 {
-            // Open the fault window after the last session's bearer is up
-            // (kickoff + MRS handshake fit well inside one extra second),
-            // so the drop storm stresses handover recovery rather than
-            // bring-up, mirroring the chaos scenario.
-            let fault_start = start + stagger_total + Duration::from_secs(1);
-            let fault_end = fault_start + Duration::from_secs(86_400);
-            for (idx, (endpoint, _label)) in self.net.control_fault_points().iter().enumerate() {
-                let seed = self
-                    .cfg
-                    .fault_seed
-                    .wrapping_add((idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                let mut plan = FaultPlan::new(seed);
-                plan.add_rule(
-                    FaultRule::drop(PacketClass::any(), self.cfg.ctrl_drop_rate)
-                        .in_window(fault_start, fault_end),
-                );
-                self.net.sim.attach_fault_plan(*endpoint, plan);
-            }
-        }
-
-        MetroTimeline {
+        let timeline = Timeline::new(
             start,
             stagger_total,
-            walk_end,
-            deadline,
-        }
+            walk_time(self.cfg.speed_mps),
+            self.cfg.max_session(),
+        );
+        arm_control_faults(
+            &mut self.net,
+            &timeline,
+            self.cfg.fault_seed,
+            self.cfg.ctrl_drop_rate,
+            0.0,
+        );
+        timeline
     }
 
     /// Run until every session completes (or the deadline), driving the
@@ -673,7 +580,7 @@ impl MetroScenario {
     /// since the last poll repeats its MRS connectivity handshake, which
     /// is idempotent when the network already re-anchored the bearer and
     /// re-creates it when a failed handover flushed it.
-    pub fn await_sessions(&mut self, timeline: &MetroTimeline) {
+    pub fn await_sessions(&mut self, timeline: &Timeline) {
         while self.net.sim.now() < timeline.deadline {
             let t = self.net.sim.now() + Duration::from_millis(200);
             self.net.sim.run_until(t);
@@ -698,17 +605,7 @@ impl MetroScenario {
     }
 
     /// Collect the report for a run that began at `timeline.start`.
-    pub fn collect(&mut self, timeline: &MetroTimeline) -> MetroReport {
-        let mut ues = Vec::with_capacity(self.clients.len());
-        for (i, &client) in self.clients.iter().enumerate() {
-            let c = self.net.sim.node_ref::<ArFrontend>(client);
-            let ue = self.net.sim.node_ref::<Ue>(self.net.ues[i]);
-            ues.push(MetroUeReport {
-                frames_done: c.frames.len() as u64,
-                handovers: ue.handovers,
-                retransmissions: c.retransmissions,
-            });
-        }
+    pub fn collect(&mut self, timeline: &Timeline) -> MetroReport {
         let mut x2_forwarded = 0;
         let mut outstanding_procedures = 0;
         for &enb in &self.net.enbs {
@@ -730,7 +627,7 @@ impl MetroScenario {
             regions: self.cfg.regions(),
             ue_count: self.clients.len(),
             frames_requested: self.cfg.frame_count,
-            ues,
+            ues: UeReport::collect(&self.net, &self.clients),
             x2_msgs: self.net.log.count(Protocol::X2Sctp),
             s1ap_msgs: self.net.log.count(Protocol::S1apSctp),
             gtpc_msgs: self.net.log.count(Protocol::Gtpv2),

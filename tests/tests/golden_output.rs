@@ -1,4 +1,5 @@
-//! Byte-level golden test for the heavy mobility-family experiments.
+//! Byte-level golden tests for the heavy mobility-family experiments and
+//! the deterministic keys of the checked-in `BENCH_scale.json`.
 //!
 //! `figures_output.txt` is the checked-in output of `figures all`. The
 //! simnet engine overhaul (timing-wheel scheduler, zero-copy payloads,
@@ -36,4 +37,33 @@ fn mobility_family_matches_checked_in_figures_output() {
     // The grids above record timings into the process-global buffer;
     // drain so co-resident tests see a clean slate.
     let _ = runner::drain_timings();
+}
+
+/// `BENCH_scale.json` lines cut before the wall-clock keys, `wall_s` and
+/// `events_per_sec` (which divides by it): they end every cell line.
+fn deterministic_keys(json: &str) -> Vec<&str> {
+    json.lines()
+        .map(|l| l.split(", \"wall_s\"").next().unwrap_or(l))
+        .collect()
+}
+
+/// `figures scale` stdout is not in `figures_output.txt` (its stderr is
+/// wall-clock dependent), so a fresh sweep's JSON is held against the
+/// checked-in `BENCH_scale.json`, key for key, minus the wall-clock ones.
+#[test]
+#[ignore = "figure-scale sweep; run with --release -- --ignored"]
+fn scale_matches_checked_in_bench_scale_json() {
+    let checked_in =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_scale.json"))
+            .expect("BENCH_scale.json is checked in at the repo root");
+    runner::set_jobs(None);
+    let table = run("scale").expect("known experiment id");
+    let (name, fresh) = table.attached().expect("scale attaches its JSON");
+    assert_eq!(name, "BENCH_scale.json");
+    let _ = runner::drain_timings();
+    assert_eq!(
+        deterministic_keys(fresh),
+        deterministic_keys(&checked_in),
+        "a deterministic BENCH_scale.json key drifted"
+    );
 }

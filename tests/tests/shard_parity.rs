@@ -70,10 +70,14 @@ fn mobility_family_matches_golden_at_every_shard_count() {
     let _ = runner::drain_timings();
 }
 
+/// Also pins that rendering an experiment writes no file: only the
+/// `figures` binary writes the `BENCH_*.json` a table carries.
 #[test]
 #[ignore = "figure-scale grids x 4 shard counts; run with --release -- --ignored"]
 fn scale_benchmark_is_byte_identical_at_every_shard_count() {
     let _guard = ENGINE_KNOBS.lock().expect("engine knobs lock");
+    let checked_in = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_scale.json");
+    let before = std::fs::read(checked_in).expect("BENCH_scale.json is checked in");
     runner::set_jobs(None);
     set_seed(42);
     let single = render_at_shards("scale", 1);
@@ -85,6 +89,11 @@ fn scale_benchmark_is_byte_identical_at_every_shard_count() {
         );
     }
     let _ = runner::drain_timings();
+    assert_eq!(
+        std::fs::read(checked_in).expect("BENCH_scale.json is checked in"),
+        before,
+        "rendering scale must not rewrite the checked-in BENCH_scale.json"
+    );
 }
 
 /// The failover experiment sweeps `--shards {1, 2, 4, 8}` *internally*
