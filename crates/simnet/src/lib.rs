@@ -44,13 +44,14 @@
 //! assert_eq!(sim.node_ref::<PingAgent>(ping).rtts().len(), 10);
 //! ```
 
-#![deny(unsafe_code)] // allowed only in `shard` (partitioned slice access)
+#![deny(unsafe_code)] // allowed only in `pool` (the job's lifetime erasure)
 #![warn(missing_docs)]
 
 pub mod cloud;
 pub mod fault;
 pub mod link;
 pub mod packet;
+pub(crate) mod pool;
 pub mod router;
 pub(crate) mod shard;
 pub mod sim;
@@ -66,8 +67,7 @@ pub use link::{ClassStats, LinkConfig, LinkStats};
 pub use packet::{FiveTuple, Packet};
 pub use router::{Ipv4Net, RouteTable, Router};
 pub use sim::{
-    default_shards, set_default_shards, Ctx, EvKey, Node, NodeId, PlacementMode, PortId, Simulator,
-    TimerHandle,
+    default_shards, set_default_shards, Ctx, EvKey, Node, NodeId, PortId, Simulator, TimerHandle,
 };
 pub use stats::Series;
 pub use time::{Duration, Instant};

@@ -1,12 +1,15 @@
-//! Sharded execution of the event loop: serial fast path and the
-//! conservative-lookahead windowed driver, serial first, threaded once a
-//! call has earned it.
+//! Sharded execution of the event loop: the shards that own the nodes,
+//! and the one driver that runs them — a straight drain when one shard is
+//! active, conservative-lookahead windows otherwise, serial first and
+//! threaded once a call has earned it.
 //!
 //! # Execution model
 //!
-//! The topology is partitioned by node region into `N` shards, each owning
-//! an event wheel, the nodes assigned to it and every link *leaving* those
-//! nodes. The parallel driver repeatedly:
+//! The topology is partitioned by node region into `N` [`Shard`]s, each
+//! owning an event wheel, the nodes assigned to it and every link
+//! *leaving* those nodes. With one active shard (every `N == 1` run among
+//! them) the driver drains it straight to the limit. Otherwise it
+//! repeatedly:
 //!
 //! 1. finds `m_u`, the earliest pending event instant of every shard `u`
 //!    (and their minimum `T`, which decides termination);
@@ -16,9 +19,7 @@
 //!    closure over per-pair direct link minima, cycles back to `s`
 //!    included) — jitter, serialization, same-shard forwarding legs and
 //!    injected-fault extras only ever *add* delay, so no event another
-//!    shard has yet to process can land inside the window. With adaptive
-//!    lookahead disabled the bound degenerates to the classic
-//!    `[T, T + L)` where `L` is the global minimum cross-shard delay;
+//!    shard has yet to process can land inside the window;
 //! 3. exchanges the buffered cross-shard arrivals (each was scheduled
 //!    strictly after the destination's window) into the destination
 //!    wheels, then loops.
@@ -30,12 +31,12 @@
 //! never when the lanes outnumber the cores. A harness that polls in
 //! thousands of small `run_until` steps therefore pays per call for the
 //! events in the call and nothing else: the placement, the lookahead
-//! matrix, the active-shard list and the outbox cells are simulator state
-//! kept current by the edits that change them, not recomputed here. The
-//! worker threads live in a persistent [`ShardPool`] owned by the
-//! simulator: spawned by the first call that escalates, parked between
-//! calls (waking them costs a few hundred events' worth of time, which is
-//! what the threshold is sized from), joined on drop.
+//! matrix and the active-shard list are simulator state kept current by
+//! the edits that change them, not recomputed here. The worker threads
+//! live in a persistent [`ShardPool`] owned by the simulator: spawned by
+//! the first call that escalates, parked between calls (waking them costs
+//! a few hundred events' worth of time, which is what the threshold is
+//! sized from), joined on drop.
 //!
 //! # Determinism
 //!
@@ -45,274 +46,48 @@
 //! packet ids are all content-derived (see [`crate::sim::EvKey`]). The
 //! wheel pops in `(at, key)` order regardless of insertion order, so the
 //! exchange needs no sorting. The result: every observable outcome is
-//! byte-identical to the `N = 1` serial run.
+//! byte-identical to the `N = 1` run.
 //!
-//! # Safety
+//! # Ownership
 //!
-//! This is the one module in the crate that uses `unsafe`: worker threads
-//! index into shared slices ([`SlicePtr`]) under the partition discipline
-//! that thread `s` only ever touches elements whose shard is `s` (nodes,
-//! links, per-node meta) or slots reserved for it (its wheel, its
-//! counters, its outbox row / inbox column). Windows are separated by
-//! barriers, so accesses to an element from different phases never race.
-
-#![allow(unsafe_code)]
+//! A lane is a `&mut Shard` plus two read-only tables shared by all
+//! lanes: where each node lives ([`Loc`]) and the node outage schedules.
+//! Serial windows borrow the shards one at a time; threaded windows hand
+//! each worker its own shard out of `iter_mut()`, behind a mutex only its
+//! lane ever locks. The exchange is one flush per window per shard pair:
+//! each lane swaps its non-empty per-destination buffers into an
+//! `N × N` mailbox of mutex-guarded cells, and after the barrier each lane
+//! drains its own column. The barriers separate the two phases, so no
+//! lock is ever contended, and the only code outside the borrow checker
+//! is the pool's job hand-off (`crate::pool`).
 
 use crate::fault::NodeOutageSet;
+use crate::packet::Packet;
+use crate::pool::{ShardPool, SpinBarrier};
 use crate::sim::{
-    Action, Ctx, EvKey, EvKind, EvPayload, NodeId, NodeMeta, ShardCounters, Simulator,
+    Action, Ctx, EvKey, EvKind, EvPayload, Node, NodeId, NodeMeta, PortSlot, ShardCounters,
+    Simulator,
 };
 use crate::time::{Duration, Instant};
 use crate::wheel::TimerWheel;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// A raw view over a `&mut [T]` that can be shared across worker threads.
-/// `get_mut` hands out `&mut T` to disjoint elements; callers uphold the
-/// partition discipline documented on the module.
-pub(crate) struct SlicePtr<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _pd: PhantomData<&'a mut [T]>,
+/// Where a node lives: its shard and its index in that shard's slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Loc {
+    pub(crate) shard: u32,
+    pub(crate) slot: u32,
 }
 
-impl<'a, T> SlicePtr<'a, T> {
-    fn new(s: &'a mut [T]) -> SlicePtr<'a, T> {
-        SlicePtr {
-            ptr: s.as_mut_ptr(),
-            len: s.len(),
-            _pd: PhantomData,
-        }
-    }
-
-    /// # Safety
-    /// The caller must guarantee no other live reference to element `i`
-    /// (each element is owned by exactly one shard/phase at a time).
-    #[inline]
-    unsafe fn get_mut(&self, i: usize) -> &'a mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
-}
-
-impl<T> Clone for SlicePtr<'_, T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SlicePtr<'_, T> {}
-// Safety: SlicePtr is only a capability to reach elements; the partition
-// discipline (one shard per element) provides the actual exclusion.
-unsafe impl<T: Send> Send for SlicePtr<'_, T> {}
-unsafe impl<T: Send> Sync for SlicePtr<'_, T> {}
-
-/// Sense-counting spin barrier; windows are hundreds of microseconds of
-/// simulated work, so parking would dominate.
-struct SpinBarrier {
-    count: AtomicUsize,
-    gen: AtomicUsize,
-    total: usize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> SpinBarrier {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            gen: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    fn wait(&self) {
-        let g = self.gen.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            self.count.store(0, Ordering::Relaxed);
-            self.gen.store(g.wrapping_add(1), Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.gen.load(Ordering::Acquire) == g {
-                spins += 1;
-                if spins < 1 << 10 {
-                    std::hint::spin_loop();
-                } else {
-                    // More shards than cores, or a long tail: be polite.
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Type-erased pointer to one parallel run's per-lane closure. The
-/// borrowed closure is only reachable between a job's publication and the
-/// dispatcher's completion wait, which is what makes the `'static` erasure
-/// sound (see [`ShardPool::run`]).
-#[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize) + Sync + 'static));
-// Safety: the pointee is `Sync` (shared by every worker) and the pointer
-// is only dereferenced while the dispatching thread keeps it alive.
-unsafe impl Send for Job {}
-
-/// Generation-stamped job slot shared between the dispatcher and the
-/// parked workers.
-struct PoolState {
-    /// Bumped once per published job; a worker runs each generation once.
-    gen: u64,
-    /// Workers participating in the current generation (lanes `1..=n`).
-    participants: usize,
-    job: Option<Job>,
-    shutdown: bool,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    wake: Condvar,
-    /// Participants that finished the current job.
-    done: Mutex<usize>,
-    done_cv: Condvar,
-}
-
-/// The persistent shard worker pool: threads are spawned once per
-/// simulator (grown lazily if later runs activate more shards), parked on
-/// a condvar between `run_until` calls, and joined when the simulator is
-/// dropped. Cheaper than a `std::thread::scope` spawn per call, but not
-/// free: a wake-up and re-park measured 40–220 µs, which is why a call
-/// only comes here after [`ESCALATE_AFTER_EVENTS`].
-pub(crate) struct ShardPool {
-    shared: std::sync::Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ShardPool {
-    pub(crate) fn new() -> ShardPool {
-        ShardPool {
-            shared: std::sync::Arc::new(PoolShared {
-                state: Mutex::new(PoolState {
-                    gen: 0,
-                    participants: 0,
-                    job: None,
-                    shutdown: false,
-                }),
-                wake: Condvar::new(),
-                done: Mutex::new(0),
-                done_cv: Condvar::new(),
-            }),
-            handles: Vec::new(),
-        }
-    }
-
-    /// Number of worker threads currently alive (excluding the caller).
-    pub(crate) fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
-    fn ensure_workers(&mut self, n: usize) {
-        while self.handles.len() < n {
-            let idx = self.handles.len();
-            let shared = self.shared.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("acacia-shard-{}", idx + 1))
-                .spawn(move || worker_loop(&shared, idx))
-                .expect("spawn shard pool worker");
-            self.handles.push(handle);
-        }
-    }
-
-    /// Run `f(lane)` for every lane in `0..nlanes`: lane 0 on the calling
-    /// thread, the rest on pool workers. Blocks until every lane returned
-    /// — including on unwind, so borrows captured by `f` stay valid for
-    /// the workers' whole execution (the scoped-spawn guarantee, without
-    /// the per-call spawn).
-    pub(crate) fn run(&mut self, nlanes: usize, f: &(dyn Fn(usize) + Sync)) {
-        let workers = nlanes.saturating_sub(1);
-        if workers == 0 {
-            f(0);
-            return;
-        }
-        self.ensure_workers(workers);
-        // Safety: erasing the closure's lifetime is sound because
-        // `DoneGuard` (dropped even on unwind) blocks until every
-        // participant finished with the pointer.
-        let f_static: &'static (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(f) };
-        let job = Job(f_static);
-        {
-            let mut st = self.shared.state.lock().expect("pool state");
-            st.gen += 1;
-            st.participants = workers;
-            st.job = Some(job);
-        }
-        self.shared.wake.notify_all();
-        let guard = DoneGuard {
-            shared: &self.shared,
-            workers,
-        };
-        f(0);
-        drop(guard);
-    }
-}
-
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("pool state");
-            st.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Blocks until every participant of the current generation reported
-/// done, then resets the counter. Lives in a drop guard so the dispatcher
-/// waits even when lane 0 panics — unwinding past the borrowed job
-/// context while workers still use it would be undefined behaviour.
-struct DoneGuard<'a> {
-    shared: &'a PoolShared,
-    workers: usize,
-}
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        let mut done = self.shared.done.lock().expect("pool done");
-        while *done < self.workers {
-            done = self.shared.done_cv.wait(done).expect("pool done");
-        }
-        *done = 0;
-    }
-}
-
-/// Body of a parked pool worker: wait for a new generation, run the job
-/// for lane `idx + 1` if this worker participates, report done, re-park.
-fn worker_loop(shared: &PoolShared, idx: usize) {
-    let mut seen = 0u64;
-    loop {
-        let (job, participants) = {
-            let mut st = shared.state.lock().expect("pool state");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.gen != seen {
-                    seen = st.gen;
-                    break (st.job.expect("published job"), st.participants);
-                }
-                st = shared.wake.wait(st).expect("pool state");
-            }
-        };
-        if idx < participants {
-            // Safety: the dispatcher blocks (DoneGuard) until this
-            // worker's `done` report below, keeping the closure and its
-            // borrows alive.
-            let f = unsafe { &*job.0 };
-            f(idx + 1);
-            let mut done = shared.done.lock().expect("pool done");
-            *done += 1;
-            shared.done_cv.notify_one();
-        }
-    }
+/// One node and everything the engine keeps for it, owned by the node's
+/// shard.
+pub(crate) struct Slot {
+    pub(crate) id: NodeId,
+    pub(crate) node: Box<dyn Node>,
+    /// The node's port table (links are owned by their source endpoint).
+    pub(crate) links: Vec<PortSlot>,
+    pub(crate) meta: NodeMeta,
 }
 
 /// A buffered cross-shard arrival awaiting the window exchange.
@@ -322,119 +97,132 @@ pub(crate) struct OutEntry {
     payload: EvPayload,
 }
 
-/// Write handle into the flat `owner × dst` outbox matrix for one owner.
-struct Outbox<'a> {
-    cells: SlicePtr<'a, Vec<OutEntry>>,
-    base: usize,
+/// One shard: the nodes it owns, its event wheel, its counters and the
+/// lane state that survives from one window (or call) to the next.
+pub(crate) struct Shard {
+    index: u32,
+    /// The shard's nodes in ascending id order. Boxed: a region move
+    /// shifts pointers, and spare capacity costs a pointer per slot.
+    #[allow(clippy::vec_box)]
+    pub(crate) slots: Vec<Box<Slot>>,
+    pub(crate) wheel: TimerWheel<EvPayload, EvKey>,
+    pub(crate) ctr: ShardCounters,
+    /// Instant of the last event dispatched here (set to the simulator's
+    /// clock at the start of every call).
+    pub(crate) now: Instant,
+    /// Reusable per-dispatch action buffer.
+    scratch: Vec<Action>,
+    /// Cross-shard arrivals of the current window, by destination shard
+    /// (empty between windows, capacity kept).
+    outbox: Vec<Vec<OutEntry>>,
 }
 
-impl Outbox<'_> {
-    #[inline]
-    fn push(&mut self, dst: usize, e: OutEntry) {
-        // Safety: cell `base + dst` belongs to this owner row; only the
-        // owning worker writes it during a drain phase.
-        unsafe { self.cells.get_mut(self.base + dst) }.push(e);
+impl Shard {
+    pub(crate) fn new(index: usize, nshards: usize) -> Shard {
+        Shard {
+            index: index as u32,
+            slots: Vec::new(),
+            wheel: TimerWheel::new(),
+            ctr: ShardCounters::default(),
+            now: Instant::ZERO,
+            scratch: Vec::new(),
+            outbox: (0..nshards).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Earliest pending event instant in nanoseconds (`u64::MAX` = idle).
+    fn next_at(&mut self) -> u64 {
+        self.wheel.peek_key().map_or(u64::MAX, |(at, _)| at.nanos())
+    }
+
+    /// Schedule another shard's buffered arrivals, leaving `entries`
+    /// empty with its capacity.
+    fn receive(&mut self, entries: &mut Vec<OutEntry>) {
+        for e in entries.drain(..) {
+            self.ctr.xrecv += 1;
+            self.wheel.schedule(e.at, e.key, e.payload);
+        }
     }
 }
 
-/// One shard's execution lane: everything needed to pop, dispatch and
-/// apply events for the nodes of one shard.
-struct Lane<'a> {
-    shard: u32,
-    nodes: SlicePtr<'a, Option<Box<dyn crate::sim::Node>>>,
-    links: SlicePtr<'a, Vec<crate::sim::PortSlot>>,
-    meta: SlicePtr<'a, NodeMeta>,
-    shard_of: &'a [u32],
-    /// Compiled node outage schedules (read-only during a run; empty when
-    /// no node-fault plan is attached). Per-node progress lives in
-    /// [`NodeMeta`], which this lane owns for its shard's nodes.
+/// What every lane reads and none writes during a call.
+#[derive(Clone, Copy)]
+struct Shared<'a> {
+    loc: &'a [Loc],
+    /// Compiled node outage schedules (empty when no node-fault plan is
+    /// attached). Per-node progress lives in [`NodeMeta`].
     faults: &'a [NodeOutageSet],
-    queue: &'a mut TimerWheel<EvPayload, EvKey>,
-    ctr: &'a mut ShardCounters,
-    outbox: Option<Outbox<'a>>,
-    scratch: Vec<Action>,
-    now: Instant,
+}
+
+/// One shard's execution lane: pops, dispatches and applies the events
+/// of the nodes it owns.
+struct Lane<'a> {
+    shard: &'a mut Shard,
+    shared: Shared<'a>,
 }
 
 impl Lane<'_> {
     /// Process every pending event with `at <= until` (including chains of
     /// events the processing itself schedules inside the window).
     fn drain_window(&mut self, until: Instant) {
-        while let Some((at, _)) = self.queue.peek_key() {
+        while let Some((at, _)) = self.shard.wheel.peek_key() {
             if at > until {
                 break;
             }
-            let (at, _, payload) = self.queue.pop().expect("peeked event vanished");
+            let (at, _, payload) = self.shard.wheel.pop().expect("peeked event vanished");
             self.dispatch(at, payload);
         }
     }
 
     fn dispatch(&mut self, at: Instant, ev: EvPayload) {
-        assert!(at >= self.now, "event scheduled in the past");
-        self.now = at;
-        self.ctr.last_at = at;
-        self.ctr.events += 1;
+        assert!(at >= self.shard.now, "event scheduled in the past");
+        self.shard.now = at;
+        self.shard.ctr.events += 1;
         let node_id = ev.node();
+        let loc = self.shared.loc[node_id];
         debug_assert_eq!(
-            self.shard_of[node_id], self.shard,
+            loc.shard, self.shard.index,
             "event routed to the wrong shard"
         );
+        let slot = loc.slot as usize;
         // Cancelled guard timers die here, before the node is touched.
         if let EvKind::Timer(_, _, Some(guard), _) = ev.kind {
-            // Safety: node (and its meta) belongs to this shard.
-            let m = unsafe { self.meta.get_mut(node_id) };
-            if !m.timers.invalidate(guard) {
-                self.ctr.timer_skipped += 1;
+            if !self.shard.slots[slot].meta.timers.invalidate(guard) {
+                self.shard.ctr.timer_skipped += 1;
                 return;
             }
         }
         // Node-lifecycle faults: a down node rejects the event; a
         // completed crash-restart erases the node's state first.
         let mut tx_blocked = false;
-        if !self.faults.is_empty()
-            && self
-                .faults
-                .get(node_id)
-                .is_some_and(|s| !s.windows.is_empty())
-        {
-            match self.fault_gate(node_id, at, &ev.kind) {
+        let faults = self.shared.faults;
+        if !faults.is_empty() && faults.get(node_id).is_some_and(|s| !s.windows.is_empty()) {
+            match self.fault_gate(slot, node_id, at, &ev.kind) {
                 FaultGate::Reject => return,
                 FaultGate::DeliverTxBlocked => tx_blocked = true,
                 FaultGate::Deliver => {}
             }
         }
-        // Safety: node belongs to this shard; it is taken out for the
-        // duration of the hook so re-entry panics.
-        let slot = unsafe { self.nodes.get_mut(node_id) };
-        let mut node = slot
-            .take()
-            .unwrap_or_else(|| panic!("node {node_id} re-entered during dispatch"));
-        let mut actions = std::mem::take(&mut self.scratch);
-        {
-            // Safety: meta belongs to this shard; the node itself was moved
-            // out above so no aliasing with the hook's `&mut self`.
-            let m = unsafe { self.meta.get_mut(node_id) };
-            let mut ctx = Ctx {
-                now: at,
-                node: node_id,
-                actions: &mut actions,
-                rng: &mut m.rng,
-                next_pkt_id: &mut m.pkt_ctr,
-                timers: &mut m.timers,
-            };
-            match ev.kind {
-                EvKind::Arrive(_, port) => {
-                    self.ctr.arrivals += 1;
-                    let pkt = ev.pkt.expect("arrival without a packet");
-                    node.on_packet(&mut ctx, port, pkt);
-                }
-                EvKind::Timer(_, token, _, _) => node.on_timer(&mut ctx, token),
+        let mut actions = std::mem::take(&mut self.shard.scratch);
+        let Slot { node, meta, .. } = &mut *self.shard.slots[slot];
+        let mut ctx = Ctx {
+            now: at,
+            node: node_id,
+            actions: &mut actions,
+            rng: &mut meta.rng,
+            next_pkt_id: &mut meta.pkt_ctr,
+            timers: &mut meta.timers,
+        };
+        match ev.kind {
+            EvKind::Arrive(_, port) => {
+                self.shard.ctr.arrivals += 1;
+                let pkt = ev.pkt.expect("arrival without a packet");
+                node.on_packet(&mut ctx, port, pkt);
             }
+            EvKind::Timer(_, token, _, _) => node.on_timer(&mut ctx, token),
         }
-        // Safety: same element as above; the previous borrow ended.
-        *unsafe { self.nodes.get_mut(node_id) } = Some(node);
-        self.apply_actions(node_id, &mut actions, tx_blocked);
-        self.scratch = actions;
+        self.apply_actions(slot, node_id, &mut actions, tx_blocked);
+        self.shard.scratch = actions;
     }
 
     /// Decide whether an event for a fault-targeted node is delivered. Lazily
@@ -443,25 +231,24 @@ impl Lane<'_> {
     /// epoch) before anything else reaches it. All decisions depend only on
     /// the event's own `(node, at, kind)` — never on other shards — so the
     /// outcome is identical at every shard count.
-    fn fault_gate(&mut self, node_id: NodeId, at: Instant, kind: &EvKind) -> FaultGate {
-        let windows = &self.faults[node_id].windows;
-        // Safety: the node's meta belongs to this shard.
-        let m = unsafe { self.meta.get_mut(node_id) };
+    fn fault_gate(
+        &mut self,
+        slot: usize,
+        node_id: NodeId,
+        at: Instant,
+        kind: &EvKind,
+    ) -> FaultGate {
+        let windows = &self.shared.faults[node_id].windows;
+        let Slot { node, meta: m, .. } = &mut *self.shard.slots[slot];
+        let ctr = &mut self.shard.ctr;
         // Complete every window that has fully passed.
         while (m.fault_pos as usize) < windows.len() && windows[m.fault_pos as usize].until <= at {
             let w = windows[m.fault_pos as usize];
             m.fault_pos += 1;
             if w.erase {
                 m.epoch = m.epoch.wrapping_add(1);
-                self.ctr.node_restarts += 1;
-                // Safety: node belongs to this shard; it is taken out for
-                // the duration of the restart hook only.
-                let slot = unsafe { self.nodes.get_mut(node_id) };
-                let mut node = slot
-                    .take()
-                    .unwrap_or_else(|| panic!("node {node_id} re-entered during restart"));
+                ctr.node_restarts += 1;
                 node.on_restart();
-                *unsafe { self.nodes.get_mut(node_id) } = Some(node);
             }
         }
         let in_window = windows
@@ -473,22 +260,22 @@ impl Lane<'_> {
             if w.erase {
                 // Crashed: nothing reaches the node, timers included.
                 match kind {
-                    EvKind::Arrive(..) => self.ctr.node_rejected += 1,
-                    EvKind::Timer(..) => self.ctr.node_timer_dropped += 1,
+                    EvKind::Arrive(..) => ctr.node_rejected += 1,
+                    EvKind::Timer(..) => ctr.node_timer_dropped += 1,
                 }
                 return FaultGate::Reject;
             }
             // Partitioned: deliveries bounce; timers still fire below, but
             // whatever they send is discarded.
             if matches!(kind, EvKind::Arrive(..)) {
-                self.ctr.node_rejected += 1;
+                ctr.node_rejected += 1;
                 return FaultGate::Reject;
             }
         }
         // A timer armed before the node's last crash-restart never fires.
         if let EvKind::Timer(_, _, _, armed_epoch) = *kind {
             if armed_epoch != m.epoch {
-                self.ctr.node_timer_dropped += 1;
+                ctr.node_timer_dropped += 1;
                 return FaultGate::Reject;
             }
         }
@@ -499,77 +286,83 @@ impl Lane<'_> {
         }
     }
 
-    /// Content-derived key for the next event emitted by `src`.
+    /// Content-derived key for the next event emitted by the node in
+    /// `slot` (id `src`).
     #[inline]
-    fn next_key(&mut self, src: NodeId) -> EvKey {
-        // Safety: src is the node just dispatched on this shard.
-        let m = unsafe { self.meta.get_mut(src) };
+    fn next_key(&mut self, slot: usize, src: NodeId) -> EvKey {
+        let m = &mut self.shard.slots[slot].meta;
         let ctr = m.ev_ctr;
         m.ev_ctr += 1;
         EvKey::new(src as u32, ctr)
     }
 
-    fn push_arrival(&mut self, src: NodeId, at: Instant, dest: (NodeId, usize), pkt: Packet) {
-        let key = self.next_key(src);
+    fn push_arrival(
+        &mut self,
+        (slot, src): (usize, NodeId),
+        at: Instant,
+        dest: (NodeId, usize),
+        pkt: Packet,
+    ) {
+        let key = self.next_key(slot, src);
         let payload = EvPayload {
             kind: EvKind::Arrive(dest.0, dest.1),
             pkt: Some(pkt),
         };
-        let dst_shard = self.shard_of[dest.0];
-        if dst_shard == self.shard {
-            self.queue.schedule(at, key, payload);
+        let dst_shard = self.shared.loc[dest.0].shard;
+        if dst_shard == self.shard.index {
+            self.shard.wheel.schedule(at, key, payload);
         } else {
-            self.ctr.xsent += 1;
-            self.outbox
-                .as_mut()
-                .expect("cross-shard arrival without an outbox")
-                .push(dst_shard as usize, OutEntry { at, key, payload });
+            self.shard.ctr.xsent += 1;
+            self.shard.outbox[dst_shard as usize].push(OutEntry { at, key, payload });
         }
     }
 
-    fn apply_actions(&mut self, node_id: NodeId, actions: &mut Vec<Action>, tx_blocked: bool) {
+    fn apply_actions(
+        &mut self,
+        slot: usize,
+        node_id: NodeId,
+        actions: &mut Vec<Action>,
+        tx_blocked: bool,
+    ) {
+        let src = (slot, node_id);
         for action in actions.drain(..) {
             match action {
                 Action::Send { port, pkt } => {
                     if tx_blocked {
                         // The emitting node is partitioned: its timers run
                         // but nothing it sends reaches the network.
-                        self.ctr.node_tx_dropped += 1;
+                        self.shard.ctr.node_tx_dropped += 1;
                         drop(pkt);
                         continue;
                     }
-                    let now = self.now;
-                    // Safety: the link table row of the dispatched node
-                    // belongs to this shard (links are owned by their
-                    // source endpoint).
-                    let ports = unsafe { self.links.get_mut(node_id) };
+                    let now = self.shard.now;
+                    let ports = &mut self.shard.slots[slot].links;
                     let Some(link) = ports.get_mut(port).and_then(Option::as_deref_mut) else {
-                        self.ctr.unrouted += 1;
+                        self.shard.ctr.unrouted += 1;
                         continue;
                     };
                     let dest = link.to();
                     let deliveries = link.transmit(now, &pkt);
                     match (deliveries.primary, deliveries.duplicate) {
-                        (Some(at), None) => self.push_arrival(node_id, at, dest, pkt),
+                        (Some(at), None) => self.push_arrival(src, at, dest, pkt),
                         (Some(at), Some(dup_at)) => {
                             // Payloads are shared buffers, so the duplicate
                             // is a header-only copy.
-                            self.push_arrival(node_id, at, dest, pkt.clone());
-                            self.push_arrival(node_id, dup_at, dest, pkt);
+                            self.push_arrival(src, at, dest, pkt.clone());
+                            self.push_arrival(src, dup_at, dest, pkt);
                         }
                         // Primary dropped: the duplicate takes the original
                         // packet, no clone needed.
-                        (None, Some(dup_at)) => self.push_arrival(node_id, dup_at, dest, pkt),
+                        (None, Some(dup_at)) => self.push_arrival(src, dup_at, dest, pkt),
                         (None, None) => {}
                     }
                 }
                 Action::Timer { at, token, guard } => {
-                    let at = at.max(self.now);
-                    let key = self.next_key(node_id);
-                    // Safety: the arming node's meta belongs to this shard.
-                    let epoch = unsafe { self.meta.get_mut(node_id) }.epoch;
+                    let at = at.max(self.shard.now);
+                    let key = self.next_key(slot, node_id);
+                    let epoch = self.shard.slots[slot].meta.epoch;
                     // Timers always fire on the arming node's own shard.
-                    self.queue.schedule(
+                    self.shard.wheel.schedule(
                         at,
                         key,
                         EvPayload {
@@ -583,8 +376,6 @@ impl Lane<'_> {
     }
 }
 
-use crate::packet::Packet;
-
 /// Verdict of [`Lane::fault_gate`] for one event.
 enum FaultGate {
     /// Deliver normally.
@@ -595,34 +386,6 @@ enum FaultGate {
     Reject,
 }
 
-/// Serial driver: one lane over the whole simulator. Runs every pending
-/// event with `at <= limit`; leaves `sim.now` at the last dispatched
-/// instant. Returns the number of events processed.
-pub(crate) fn run_serial(sim: &mut Simulator, limit: Instant) -> u64 {
-    let scratch = std::mem::take(&mut sim.scratch);
-    let before = sim.counters[0].events;
-    let mut lane = Lane {
-        shard: 0,
-        nodes: SlicePtr::new(&mut sim.nodes),
-        links: SlicePtr::new(&mut sim.links),
-        meta: SlicePtr::new(&mut sim.meta),
-        shard_of: &sim.shard_of,
-        faults: &sim.node_faults,
-        queue: &mut sim.queues[0],
-        ctr: &mut sim.counters[0],
-        outbox: None,
-        scratch,
-        now: sim.now,
-    };
-    lane.drain_window(limit);
-    let now = lane.now;
-    let scratch = std::mem::take(&mut lane.scratch);
-    drop(lane);
-    sim.scratch = scratch;
-    sim.now = now;
-    sim.counters[0].events - before
-}
-
 /// Minimum delay of the links running directly from each shard to each
 /// other shard, counted from every link (row-major `nsh × nsh`,
 /// nanoseconds, `u64::MAX` = none). Panics on a zero-delay cross-shard
@@ -630,10 +393,10 @@ pub(crate) fn run_serial(sim: &mut Simulator, limit: Instant) -> u64 {
 fn count_direct(sim: &Simulator) -> Vec<u64> {
     let nsh = sim.shards();
     let mut direct = vec![u64::MAX; nsh * nsh];
-    for (src, ports) in sim.links.iter().enumerate() {
-        for link in ports.iter().flatten() {
+    for src in 0..sim.loc.len() {
+        for link in sim.slot(src).links.iter().flatten() {
             let dst = link.to().0;
-            let (su, sv) = (sim.shard_of[src] as usize, sim.shard_of[dst] as usize);
+            let (su, sv) = (sim.loc[src].shard as usize, sim.loc[dst].shard as usize);
             if su != sv {
                 let d = link.delay();
                 assert!(
@@ -686,9 +449,9 @@ fn close_paths(pair: &mut [u64], nsh: usize) {
 /// closure alone; every link is recounted only after a region moved or a
 /// cross-shard link was reconfigured, and when a direct minimum reads zero,
 /// so that the panic names the offending link.
-pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
-    if let Some(l) = sim.lookahead {
-        return l;
+pub(crate) fn ensure_lookahead(sim: &mut Simulator) {
+    if sim.lookahead.is_some() {
+        return;
     }
     if sim.look_rescan || sim.pair_direct.contains(&0) {
         sim.pair_direct = count_direct(sim);
@@ -698,9 +461,7 @@ pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
     sim.pair_look.clone_from(&sim.pair_direct);
     close_paths(&mut sim.pair_look, nsh);
     let min = sim.pair_direct.iter().copied().min().unwrap_or(u64::MAX);
-    let look = Duration::from_nanos(min);
-    sim.lookahead = Some(look);
-    look
+    sim.lookahead = Some(Duration::from_nanos(min));
 }
 
 /// The pair matrix counted from every link, ignoring the incremental
@@ -715,11 +476,8 @@ pub(crate) fn recount_pair_lookahead(sim: &Simulator) -> Vec<u64> {
 /// What bounds every window of one `run_until` call.
 #[derive(Clone, Copy)]
 struct Windows<'a> {
-    /// Global minimum cross-shard delay, nanoseconds.
-    look: u64,
-    /// The per-pair matrix `D⁺` (row-major `nsh × nsh`) when adaptive
-    /// lookahead is on.
-    pair: Option<&'a [u64]>,
+    /// The per-pair matrix `D⁺` (row-major `nsh × nsh`).
+    pair: &'a [u64],
     nsh: usize,
     /// The call's limit, nanoseconds.
     limit_n: u64,
@@ -727,77 +485,23 @@ struct Windows<'a> {
 
 impl Windows<'_> {
     /// Inclusive window end for the lane of shard `s`, given every active
-    /// lane's earliest pending instant (`m(j)`, `u64::MAX` = idle) and the
-    /// round's global minimum `t`.
-    ///
-    /// Adaptive (`pair = Some`): shard `s` may run until just before the
-    /// earliest instant any other shard's pending work could reach it,
-    /// `min_u(m_u + D⁺[u][s]) - 1`. Every term is `≥ t + min_delay`, so the
-    /// bound never regresses below the classic global window and the shard
-    /// holding `t` always makes progress. Non-adaptive (`pair = None`): the
-    /// classic global bound `t + look - 1`. Both are capped at the limit.
-    fn until(&self, s: usize, active: &[usize], m: impl Fn(usize) -> u64, t: u64) -> Instant {
-        let until = match self.pair {
-            None => t.saturating_add(self.look.saturating_sub(1)),
-            Some(pair) => {
-                let mut bound = u64::MAX;
-                for (j, &u) in active.iter().enumerate() {
-                    let (mj, d) = (m(j), pair[u * self.nsh + s]);
-                    if mj != u64::MAX && d != u64::MAX {
-                        bound = bound.min(mj.saturating_add(d));
-                    }
-                }
-                bound.saturating_sub(1)
+    /// lane's earliest pending instant (`m(j)`, `u64::MAX` = idle): shard
+    /// `s` may run until just before the earliest instant any other
+    /// shard's pending work could reach it, `min_u(m_u + D⁺[u][s]) - 1`,
+    /// capped at the limit. Every term is at least the round's global
+    /// minimum plus the smallest cross-shard delay, so the shard holding
+    /// that minimum always makes progress.
+    fn until(&self, s: usize, active: &[usize], m: impl Fn(usize) -> u64) -> Instant {
+        let mut bound = u64::MAX;
+        for (j, &u) in active.iter().enumerate() {
+            let (mj, d) = (m(j), self.pair[u * self.nsh + s]);
+            if mj != u64::MAX && d != u64::MAX {
+                bound = bound.min(mj.saturating_add(d));
             }
-        };
-        Instant::from_nanos(until.min(self.limit_n))
-    }
-}
-
-/// Shared raw views over the simulator's partitioned state: everything a
-/// shard driver needs to build its [`Lane`] on demand.
-struct LaneParts<'a> {
-    nodes: SlicePtr<'a, Option<Box<dyn crate::sim::Node>>>,
-    links: SlicePtr<'a, Vec<crate::sim::PortSlot>>,
-    meta: SlicePtr<'a, NodeMeta>,
-    shard_of: &'a [u32],
-    faults: &'a [NodeOutageSet],
-    queues: SlicePtr<'a, TimerWheel<EvPayload, EvKey>>,
-    counters: SlicePtr<'a, ShardCounters>,
-    out: SlicePtr<'a, Vec<OutEntry>>,
-    nsh: usize,
-}
-
-impl<'a> LaneParts<'a> {
-    /// # Safety
-    /// The caller must be shard `s`'s current (sole) driver: wheel `s`,
-    /// counters `s` and outbox row `s` must not be aliased elsewhere.
-    unsafe fn lane(self, s: usize, scratch: Vec<Action>, now: Instant) -> Lane<'a> {
-        Lane {
-            shard: s as u32,
-            nodes: self.nodes,
-            links: self.links,
-            meta: self.meta,
-            shard_of: self.shard_of,
-            faults: self.faults,
-            queue: self.queues.get_mut(s),
-            ctr: self.counters.get_mut(s),
-            outbox: Some(Outbox {
-                cells: self.out,
-                base: s * self.nsh,
-            }),
-            scratch,
-            now,
         }
+        Instant::from_nanos(bound.saturating_sub(1).min(self.limit_n))
     }
 }
-
-impl<'a> Clone for LaneParts<'a> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'a> Copy for LaneParts<'a> {}
 
 /// Events one `run_until` call dispatches on the calling thread before its
 /// remaining windows are worth a pool wake-up: waking and re-parking the
@@ -811,140 +515,115 @@ fn cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Parallel driver: conservative-lookahead windows over the shards that
-/// own nodes. Runs every pending event with `at <= limit`; results are
-/// byte-identical to [`run_serial`] at any shard count. Returns the
-/// number of events processed.
+/// The driver: runs every pending event with `at <= limit` and moves the
+/// simulator's clock to the last dispatched instant. Returns the number
+/// of events processed.
 ///
-/// Only *active* shards (those owning at least one node) take part in
-/// the window protocol — a node-less shard can neither produce nor
-/// receive events, so `--shards 8` on a two-region topology pays for
-/// two lanes, not eight. The windows start on the calling thread and move
-/// to a thread per lane after [`ESCALATE_AFTER_EVENTS`] events — never,
-/// when the lanes outnumber the cores and the OS would serialize them
-/// anyway: the event order is fixed by `(at, key)`, not by which thread
-/// drains which lane, so the serial interleaving is byte-identical to the
-/// threaded one.
-pub(crate) fn run_parallel(sim: &mut Simulator, limit: Instant) -> u64 {
+/// Only *active* shards (those owning at least one node) take part — a
+/// node-less shard can neither produce nor receive events, so `--shards 8`
+/// on a two-region topology pays for two lanes, not eight, and a single
+/// active shard is simply drained. Windows start on the calling thread
+/// and move to a thread per lane after [`ESCALATE_AFTER_EVENTS`] events —
+/// never, when the lanes outnumber the cores and the OS would serialize
+/// them anyway: the event order is fixed by `(at, key)`, not by which
+/// thread drains which lane, so the serial interleaving is byte-identical
+/// to the threaded one.
+pub(crate) fn run(sim: &mut Simulator, limit: Instant) -> u64 {
     sim.ensure_placement();
     let escalate_after = if sim.active.len() > cores() {
         u64::MAX
     } else {
         ESCALATE_AFTER_EVENTS
     };
-    run_parallel_with(sim, limit, escalate_after)
+    run_with(sim, limit, escalate_after)
 }
 
-/// [`run_parallel`] with the hand-over point spelled out: `u64::MAX` keeps
-/// the whole call on the calling thread, `0` runs it on the pool from the
+/// [`run`] with the hand-over point spelled out: `u64::MAX` keeps the
+/// whole call on the calling thread, `0` runs it on the pool from the
 /// first window. A seam for the tests that must reach each driver with
 /// small fixtures, not a knob.
-pub(crate) fn run_parallel_with(sim: &mut Simulator, limit: Instant, escalate_after: u64) -> u64 {
+pub(crate) fn run_with(sim: &mut Simulator, limit: Instant, escalate_after: u64) -> u64 {
     sim.ensure_placement();
-    let look = ensure_lookahead(sim).nanos();
-    let before: u64 = sim.counters.iter().map(|c| c.events).sum();
-    let start_now = sim.now;
-
-    let nsh = sim.shards();
-    let active: &[usize] = &sim.active;
-    let windows = Windows {
-        look,
-        pair: sim.adaptive.then_some(sim.pair_look.as_slice()),
-        nsh,
-        limit_n: limit.nanos(),
-    };
-    let parts = LaneParts {
-        nodes: SlicePtr::new(&mut sim.nodes),
-        links: SlicePtr::new(&mut sim.links),
-        meta: SlicePtr::new(&mut sim.meta),
-        shard_of: &sim.shard_of,
+    if sim.active.len() > 1 {
+        ensure_lookahead(sim);
+    }
+    let before = sim.events_processed();
+    let start = sim.now;
+    for &s in &sim.active {
+        sim.shards[s].now = start;
+    }
+    let shared = Shared {
+        loc: &sim.loc,
         faults: &sim.node_faults,
-        queues: SlicePtr::new(&mut sim.queues),
-        counters: SlicePtr::new(&mut sim.counters),
-        out: SlicePtr::new(&mut sim.outcells),
-        nsh,
     };
-
-    if let [s] = *active {
-        // All nodes on one shard: no cross-shard traffic is possible, so
-        // the window machinery degenerates to a straight drain.
-        // Safety: single-threaded, sole driver of shard `s`.
-        let mut lane = unsafe { parts.lane(s, Vec::new(), start_now) };
-        lane.drain_window(limit);
-    } else if let Some(nows) = run_windows_serial(parts, active, windows, start_now, escalate_after)
-    {
-        let pool = sim.pool.get_or_insert_with(ShardPool::new);
-        run_windows_threaded(parts, active, windows, &nows, pool);
+    let active: &[usize] = &sim.active;
+    match *active {
+        [] => {}
+        [s] => Lane {
+            shard: &mut sim.shards[s],
+            shared,
+        }
+        .drain_window(limit),
+        _ => {
+            let windows = Windows {
+                pair: &sim.pair_look,
+                nsh: sim.shards.len(),
+                limit_n: limit.nanos(),
+            };
+            if run_windows_serial(&mut sim.shards, active, shared, windows, escalate_after) {
+                let pool = sim.pool.get_or_insert_with(ShardPool::new);
+                run_windows_threaded(&mut sim.shards, active, shared, windows, pool);
+            }
+        }
     }
-
-    let last = sim
-        .counters
-        .iter()
-        .map(|c| c.last_at)
-        .max()
-        .unwrap_or(start_now);
-    if last > sim.now {
-        sim.now = last;
-    }
-    let after: u64 = sim.counters.iter().map(|c| c.events).sum();
-    after - before
+    let last = active.iter().map(|&s| sim.shards[s].now).max();
+    sim.now = sim.now.max(last.unwrap_or(start));
+    sim.events_processed() - before
 }
 
 /// The windowed algorithm on the calling thread: drain every active
 /// lane's window, exchange, repeat. Identical event order and per-shard
 /// counters to the threaded driver (lanes share no state and the order is
-/// key-derived), none of the barrier or wake-up overhead. Returns `None`
-/// when the call is finished, or every lane's clock when more windows are
-/// pending after `escalate_after` events were dispatched — the point at
-/// which [`run_windows_threaded`] can take the rest.
+/// key-derived), none of the barrier or wake-up overhead. Returns `true`
+/// when more windows are pending after `escalate_after` events were
+/// dispatched — the point at which [`run_windows_threaded`] takes the
+/// rest — and `false` when the call is finished.
 fn run_windows_serial(
-    parts: LaneParts<'_>,
+    shards: &mut [Shard],
     active: &[usize],
+    shared: Shared<'_>,
     windows: Windows<'_>,
-    start_now: Instant,
     escalate_after: u64,
-) -> Option<Vec<Instant>> {
-    let mut nows = vec![start_now; active.len()];
-    let mut scratches: Vec<Vec<Action>> = (0..active.len()).map(|_| Vec::new()).collect();
+) -> bool {
     let mut mins = vec![u64::MAX; active.len()];
     let mut dispatched = 0u64;
     loop {
-        let mut t = u64::MAX;
-        for (i, &s) in active.iter().enumerate() {
-            // Safety: single-threaded; exclusive access to every wheel.
-            mins[i] = unsafe { parts.queues.get_mut(s) }
-                .peek_key()
-                .map_or(u64::MAX, |(at, _)| at.nanos());
-            t = t.min(mins[i]);
+        for (m, &s) in mins.iter_mut().zip(active) {
+            *m = shards[s].next_at();
         }
+        let t = mins.iter().copied().min().unwrap_or(u64::MAX);
         if t == u64::MAX || t > windows.limit_n {
-            return None;
+            return false;
         }
         if dispatched >= escalate_after {
-            return Some(nows);
+            return true;
         }
-        for (i, &s) in active.iter().enumerate() {
-            let until = windows.until(s, active, |j| mins[j], t);
-            // Safety: single-threaded, sole driver of shard `s`; the lane
-            // is dropped before the next one is built.
-            let mut lane = unsafe { parts.lane(s, std::mem::take(&mut scratches[i]), nows[i]) };
-            let before = lane.ctr.events;
-            lane.drain_window(until);
-            lane.ctr.windows += 1;
-            dispatched += lane.ctr.events - before;
-            nows[i] = lane.now;
-            scratches[i] = std::mem::take(&mut lane.scratch);
+        for &s in active {
+            let until = windows.until(s, active, |j| mins[j]);
+            let shard = &mut shards[s];
+            let before = shard.ctr.events;
+            Lane { shard, shared }.drain_window(until);
+            shards[s].ctr.windows += 1;
+            dispatched += shards[s].ctr.events - before;
         }
         // Exchange: every window's cross-shard arrivals land strictly
         // after the destination shard's window just drained.
         for &w in active {
             for &s in active {
-                // Safety: single-threaded; cells and destination wheels
-                // are touched one at a time.
-                let cell = unsafe { parts.out.get_mut(w * parts.nsh + s) };
-                for e in cell.drain(..) {
-                    unsafe { parts.counters.get_mut(s) }.xrecv += 1;
-                    unsafe { parts.queues.get_mut(s) }.schedule(e.at, e.key, e.payload);
+                if w != s {
+                    let mut cell = std::mem::take(&mut shards[w].outbox[s]);
+                    shards[s].receive(&mut cell);
+                    shards[w].outbox[s] = cell;
                 }
             }
         }
@@ -952,72 +631,83 @@ fn run_windows_serial(
 }
 
 /// Lane-per-active-shard windows on the persistent pool, synchronized
-/// with a spin barrier, from wherever [`run_windows_serial`] left off
-/// (`nows` = its lanes' clocks). The calling thread drives lane 0; pool
-/// workers drive the rest and park when the call completes.
+/// with a spin barrier, from wherever [`run_windows_serial`] left off.
+/// The calling thread drives lane 0; pool workers drive the rest and park
+/// when the call completes.
 fn run_windows_threaded(
-    parts: LaneParts<'_>,
+    shards: &mut [Shard],
     active: &[usize],
+    shared: Shared<'_>,
     windows: Windows<'_>,
-    nows: &[Instant],
     pool: &mut ShardPool,
 ) {
+    let nsh = shards.len();
+    let lanes: Vec<Mutex<&mut Shard>> = shards
+        .iter_mut()
+        .enumerate()
+        .filter(|(s, _)| active.contains(s))
+        .map(|(_, shard)| Mutex::new(shard))
+        .collect();
+    let mailbox: Vec<Mutex<Vec<OutEntry>>> = (0..nsh * nsh).map(|_| Mutex::default()).collect();
+    let cell = |i: usize| mailbox[i].lock().expect("a lane panicked in the exchange");
     let mins: Vec<AtomicU64> = (0..active.len())
         .map(|_| AtomicU64::new(u64::MAX))
         .collect();
-    let barrier = SpinBarrier::new(active.len());
-    let mins = &mins;
-    let barrier = &barrier;
 
-    let worker = move |i: usize| {
+    pool.run(active.len(), &|i: usize, barrier: &SpinBarrier| {
         let s = active[i];
-        // Safety: this worker is shard `s`'s sole driver; node/link/
-        // meta access inside the lane follows the shard partition.
-        let mut lane = unsafe { parts.lane(s, Vec::new(), nows[i]) };
-        lane.ctr.pool_dispatches += 1;
+        let mut guard = lanes[i].lock().expect("each lane locks only its own shard");
+        let shard: &mut Shard = &mut guard;
+        shard.ctr.pool_dispatches += 1;
         loop {
-            let local = lane.queue.peek_key().map_or(u64::MAX, |(at, _)| at.nanos());
-            mins[i].store(local, Ordering::Release);
-            barrier.wait();
-            // Every worker computes the same `t`, so they all either
-            // enter the window or leave the loop together.
+            mins[i].store(shard.next_at(), Ordering::Release);
+            if !barrier.wait() {
+                return;
+            }
+            // Every lane computes the same `t`, so they all either enter
+            // the window or leave the loop together.
             let t = mins
                 .iter()
                 .map(|m| m.load(Ordering::Acquire))
                 .min()
                 .expect("at least one shard");
             if t == u64::MAX || t > windows.limit_n {
-                break;
+                return;
             }
-            let until = windows.until(s, active, |j| mins[j].load(Ordering::Acquire), t);
-            lane.drain_window(until);
-            lane.ctr.windows += 1;
-            barrier.wait();
-            // Exchange: pull this shard's inbox column. Each window's
-            // cross-shard arrivals land strictly after this shard's
-            // window just drained.
-            for &w in active {
-                // Safety: column `s` cells are read by worker `s` only,
-                // in the exchange phase only.
-                let cell = unsafe { parts.out.get_mut(w * parts.nsh + s) };
-                for e in cell.drain(..) {
-                    lane.ctr.xrecv += 1;
-                    lane.queue.schedule(e.at, e.key, e.payload);
+            let until = windows.until(s, active, |j| mins[j].load(Ordering::Acquire));
+            Lane {
+                shard: &mut *shard,
+                shared,
+            }
+            .drain_window(until);
+            shard.ctr.windows += 1;
+            // Flush: hand each non-empty buffer to its (empty) mailbox
+            // cell, getting that cell's spare capacity back.
+            for (d, out) in shard.outbox.iter_mut().enumerate() {
+                if !out.is_empty() {
+                    std::mem::swap(out, &mut cell(s * nsh + d));
                 }
             }
-            // No third barrier: nobody can re-enter a drain phase (and
-            // write outboxes again) until this worker passes the next
-            // window's min barrier.
+            if !barrier.wait() {
+                return;
+            }
+            // Exchange: pull this shard's column. Each window's
+            // cross-shard arrivals land strictly after this shard's
+            // window just drained. No third barrier: nobody can flush
+            // into a cell again before passing the next window's first
+            // barrier, which this lane only reaches after draining.
+            for &w in active {
+                shard.receive(&mut cell(w * nsh + s));
+            }
         }
-    };
-    pool.run(active.len(), &worker);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
-    use crate::sim::{Node, PortId};
+    use crate::sim::PortId;
     use crate::traffic::Reflector;
     use crate::transport::PingAgent;
     use proptest::prelude::*;
@@ -1121,8 +811,9 @@ mod tests {
                 .map(|&p| sim.node_ref::<Traced<PingAgent>>(p).inner.rtts().to_vec())
                 .collect(),
             by_shard: sim
-                .counters
+                .shards
                 .iter()
+                .map(|s| &s.ctr)
                 .map(|c| [c.events, c.arrivals, c.xsent, c.xrecv, c.windows])
                 .collect(),
         };
@@ -1149,7 +840,7 @@ mod tests {
                     shards,
                     |sim| match escalate_after {
                         None => drop(sim.run_until_idle()),
-                        Some(n) => drop(run_parallel_with(sim, Instant::MAX, n)),
+                        Some(n) => drop(run_with(sim, Instant::MAX, n)),
                     },
                     (seed, regions),
                     &cross_delays_us,
@@ -1182,5 +873,68 @@ mod tests {
                 prop_assert!(pool == 0 || pool == lanes);
             }
         }
+    }
+
+    /// Panics when its timer fires.
+    struct Bomb;
+
+    impl Node for Bomb {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+        fn on_timer(&mut self, _: &mut Ctx<'_>, _: u64) {
+            panic!("bomb went off");
+        }
+    }
+
+    /// Runs a two-shard ping mesh whose node on shard `bomb_shard` panics
+    /// at 5 ms, threaded from the first window, on a thread of its own:
+    /// the panic must reach the caller of `run_with` rather than leave
+    /// the other lane waiting at a barrier (and the caller waiting for
+    /// it) forever.
+    fn lane_panic_reaches_the_caller(bomb_shard: u32) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let driver = std::thread::spawn(move || {
+            let mut sim = Simulator::with_shards(1, 2);
+            let ping = sim.add_node_in_region(
+                Box::new(PingAgent::new(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 0, 1, 2),
+                    Duration::from_millis(1),
+                    20,
+                )),
+                0,
+            );
+            let refl = sim.add_node_in_region(Box::new(Reflector::new()), 1);
+            sim.connect(
+                (ping, 0),
+                (refl, 0),
+                LinkConfig::delay_only(Duration::from_millis(1)),
+            );
+            let bomb = sim.add_node_in_region(Box::new(Bomb), 1);
+            // The heavier region takes shard 0.
+            sim.set_region_weight_bias(1 - bomb_shard, 10);
+            assert_eq!(sim.shard_of_node(bomb), bomb_shard);
+            sim.schedule_timer(ping, Instant::ZERO, PingAgent::KICKOFF);
+            sim.schedule_timer(bomb, Instant::from_millis(5), 0);
+            let run = std::panic::AssertUnwindSafe(|| run_with(&mut sim, Instant::MAX, 0));
+            let msg = std::panic::catch_unwind(run)
+                .err()
+                .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            tx.send(msg).expect("test thread waits");
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the threaded run neither returned nor panicked in time");
+        driver.join().expect("the run thread caught the panic");
+        assert_eq!(msg.as_deref(), Some("bomb went off"));
+    }
+
+    #[test]
+    fn a_worker_lane_panic_reaches_the_caller() {
+        lane_panic_reaches_the_caller(1);
+    }
+
+    #[test]
+    fn a_lane_zero_panic_reaches_the_caller() {
+        lane_panic_reaches_the_caller(0);
     }
 }

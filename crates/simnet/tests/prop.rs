@@ -453,8 +453,6 @@ proptest! {
     }
 }
 
-use acacia_simnet::PlacementMode;
-
 /// An arbitrary multi-region ping mesh with skewed per-region weight: a
 /// ring of cross-region pairs (positive-delay links, the lookahead
 /// source) plus 0–2 extra same-region pairs per region so the regions
@@ -463,21 +461,16 @@ use acacia_simnet::PlacementMode;
 /// engine's chosen `(region, shard, weight)` assignment.
 type MeshTrace = (Vec<Vec<Duration>>, u64, Vec<(u32, u32, u64)>);
 
-#[allow(clippy::too_many_arguments)]
 fn placement_mesh(
     seed: u64,
     regions: usize,
     shards: usize,
-    mode: PlacementMode,
-    adaptive: bool,
     bias_on_region0: u64,
     delays_us: &[u64],
     counts: &[u32],
     intervals_us: &[u64],
 ) -> MeshTrace {
     let mut sim = Simulator::with_shards(seed, shards);
-    sim.set_placement_mode(mode);
-    sim.set_adaptive_lookahead(adaptive);
     if bias_on_region0 > 0 {
         sim.set_region_weight_bias(0, bias_on_region0);
     }
@@ -534,37 +527,32 @@ fn placement_mesh(
 proptest! {
     /// Balanced placement is an engine-internal remapping: for any
     /// topology and any shard count it produces byte-identical
-    /// observables to `region % N`, conserves the per-region weights it
-    /// bin-packs (they are a function of the topology alone), and the
+    /// observables to the one-shard run, conserves the per-region weights
+    /// it bin-packs (they are a function of the topology alone), and the
     /// assignment is deterministic and seed-independent.
     #[test]
-    fn balanced_placement_matches_modulo_on_any_topology(
+    fn balanced_placement_matches_one_shard_on_any_topology(
         seed in any::<u64>(),
         regions in 2usize..=5,
         delays_us in prop::collection::vec(1u64..50_000, 3),
         counts in prop::collection::vec(1u32..8, 4),
         intervals_us in prop::collection::vec(1u64..50_000, 4),
     ) {
+        let (rtts_1, ev_1, asg_1) =
+            placement_mesh(seed, regions, 1, 0, &delays_us, &counts, &intervals_us);
         for shards in [2usize, 3, 8] {
-            let (rtts_m, ev_m, asg_m) = placement_mesh(
-                seed, regions, shards, PlacementMode::Modulo, true, 0,
-                &delays_us, &counts, &intervals_us,
-            );
-            let (rtts_b, ev_b, asg_b) = placement_mesh(
-                seed, regions, shards, PlacementMode::Balanced, true, 0,
-                &delays_us, &counts, &intervals_us,
-            );
-            prop_assert_eq!(&rtts_b, &rtts_m, "shards={} placement diverged", shards);
-            prop_assert_eq!(ev_b, ev_m, "shards={} event count drifted", shards);
-            // Weights come from the topology, not the placement mode …
-            let w_m: Vec<(u32, u64)> = asg_m.iter().map(|&(r, _, w)| (r, w)).collect();
+            let (rtts_b, ev_b, asg_b) =
+                placement_mesh(seed, regions, shards, 0, &delays_us, &counts, &intervals_us);
+            prop_assert_eq!(&rtts_b, &rtts_1, "shards={} placement diverged", shards);
+            prop_assert_eq!(ev_b, ev_1, "shards={} event count drifted", shards);
+            // Weights come from the topology, not the shard count …
+            let w_1: Vec<(u32, u64)> = asg_1.iter().map(|&(r, _, w)| (r, w)).collect();
             let w_b: Vec<(u32, u64)> = asg_b.iter().map(|&(r, _, w)| (r, w)).collect();
-            prop_assert_eq!(w_b, w_m, "shards={} weights not conserved", shards);
+            prop_assert_eq!(w_b, w_1, "shards={} weights not conserved", shards);
             prop_assert!(asg_b.iter().all(|&(_, s, _)| (s as usize) < shards));
             // … and the assignment ignores the seed entirely.
             let (_, _, asg_b2) = placement_mesh(
-                seed.wrapping_add(1), regions, shards, PlacementMode::Balanced, true, 0,
-                &delays_us, &counts, &intervals_us,
+                seed.wrapping_add(1), regions, shards, 0, &delays_us, &counts, &intervals_us,
             );
             prop_assert_eq!(asg_b2, asg_b, "shards={} assignment depends on seed", shards);
         }
@@ -584,14 +572,10 @@ proptest! {
         intervals_us in prop::collection::vec(1u64..50_000, 4),
     ) {
         for shards in [2usize, 3, 8] {
-            let (rtts_p, ev_p, asg_p) = placement_mesh(
-                seed, regions, shards, PlacementMode::Balanced, true, 0,
-                &delays_us, &counts, &intervals_us,
-            );
-            let (rtts_b, ev_b, asg_b) = placement_mesh(
-                seed, regions, shards, PlacementMode::Balanced, true, bias,
-                &delays_us, &counts, &intervals_us,
-            );
+            let (rtts_p, ev_p, asg_p) =
+                placement_mesh(seed, regions, shards, 0, &delays_us, &counts, &intervals_us);
+            let (rtts_b, ev_b, asg_b) =
+                placement_mesh(seed, regions, shards, bias, &delays_us, &counts, &intervals_us);
             prop_assert_eq!(&rtts_b, &rtts_p, "shards={} bias changed observables", shards);
             prop_assert_eq!(ev_b, ev_p, "shards={} bias changed event count", shards);
             let weight = |asg: &[(u32, u32, u64)], r: u32| {
@@ -603,31 +587,6 @@ proptest! {
             }
         }
     }
-
-    /// Adaptive per-pair lookahead only widens the conservative windows —
-    /// it never changes what the engine computes. Any topology, any shard
-    /// count: byte-identical to the global-minimum bound.
-    #[test]
-    fn adaptive_lookahead_matches_global_on_any_topology(
-        seed in any::<u64>(),
-        regions in 2usize..=5,
-        delays_us in prop::collection::vec(1u64..50_000, 3),
-        counts in prop::collection::vec(1u32..8, 4),
-        intervals_us in prop::collection::vec(1u64..50_000, 4),
-    ) {
-        for shards in [2usize, 3, 8] {
-            let (rtts_a, ev_a, _) = placement_mesh(
-                seed, regions, shards, PlacementMode::Balanced, true, 0,
-                &delays_us, &counts, &intervals_us,
-            );
-            let (rtts_g, ev_g, _) = placement_mesh(
-                seed, regions, shards, PlacementMode::Balanced, false, 0,
-                &delays_us, &counts, &intervals_us,
-            );
-            prop_assert_eq!(&rtts_a, &rtts_g, "shards={} adaptive diverged", shards);
-            prop_assert_eq!(ev_a, ev_g, "shards={} event count drifted", shards);
-        }
-    }
 }
 
 proptest! {
@@ -635,7 +594,7 @@ proptest! {
     /// exceeds the delay of any direct cross-shard link from `u` to `s`
     /// (multi-hop closure can only tighten other pairs, never loosen a
     /// direct one), and every finite entry is at least the global
-    /// minimum the non-adaptive driver would use.
+    /// minimum cross-shard delay.
     #[test]
     fn pair_lookahead_never_exceeds_direct_link_minimum(
         regions in 2usize..=6,
@@ -693,7 +652,7 @@ proptest! {
     }
 
     /// On a uniform topology — every region pair connected by the same
-    /// delay — the adaptive matrix degenerates to the global minimum:
+    /// delay — the per-pair matrix degenerates to the global minimum:
     /// every occupied off-diagonal entry IS the global bound, and the
     /// diagonal is the two-hop round trip.
     #[test]
