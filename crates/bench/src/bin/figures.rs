@@ -35,39 +35,27 @@ fn main() {
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
-        if a == "--jobs" {
-            let n = raw.next().and_then(|v| v.parse::<usize>().ok());
-            match n {
-                Some(n) if n >= 1 => runner::set_jobs(Some(n)),
-                _ => die("--jobs expects a positive integer"),
-            }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => runner::set_jobs(Some(n)),
-                _ => die("--jobs expects a positive integer"),
-            }
-        } else if a == "--seed" {
-            match raw.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => set_seed(n),
-                None => die("--seed expects an unsigned integer"),
-            }
-        } else if let Some(v) = a.strip_prefix("--seed=") {
-            match v.parse::<u64>() {
+        // `--flag N` or `--flag=N`.
+        let (flag, inline) = match a.split_once('=') {
+            Some((flag, v)) => (flag, Some(v.to_string())),
+            None => (a.as_str(), None),
+        };
+        if !["--jobs", "--seed", "--shards"].contains(&flag) {
+            args.push(a);
+            continue;
+        }
+        let value = inline.or_else(|| raw.next()).unwrap_or_default();
+        let count = |what: &str| match value.parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => die(&format!("{what} expects a positive integer")),
+        };
+        match flag {
+            "--jobs" => runner::set_jobs(Some(count("--jobs"))),
+            "--shards" => acacia_simnet::set_default_shards(Some(count("--shards"))),
+            _ => match value.parse::<u64>() {
                 Ok(n) => set_seed(n),
                 Err(_) => die("--seed expects an unsigned integer"),
-            }
-        } else if a == "--shards" {
-            match raw.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => acacia_simnet::set_default_shards(Some(n)),
-                _ => die("--shards expects a positive integer"),
-            }
-        } else if let Some(v) = a.strip_prefix("--shards=") {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => acacia_simnet::set_default_shards(Some(n)),
-                _ => die("--shards expects a positive integer"),
-            }
-        } else {
-            args.push(a);
+            },
         }
     }
     if args.is_empty() || args[0] == "list" {

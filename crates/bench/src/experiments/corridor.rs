@@ -7,8 +7,9 @@
 //! population; **loaded** floods the narrowed core under N walkers
 //! (`--seed` too). Stdout carries only deterministic columns,
 //! byte-identical across `--jobs` and `--shards`; scale's wall-clock goes
-//! to stderr and to `BENCH_scale.json`, which the `figures` binary writes.
+//! to `BENCH_scale.json`, which the `figures` binary writes.
 
+use crate::report::{self, Fields, Value};
 use crate::runner;
 use crate::table::{fmt_secs, Table};
 use acacia::arclient::FrameStats;
@@ -182,11 +183,6 @@ pub fn chaos() -> Table {
     t
 }
 
-/// Engine throughput of a run that took `wall_s` seconds of wall-clock.
-fn events_per_sec(r: &CorridorReport, wall_s: f64) -> f64 {
-    r.events_processed as f64 / wall_s.max(1e-9)
-}
-
 /// Scale: signalling load and throughput vs concurrent UE count.
 pub fn scale() -> Table {
     let cells = SCALE_UE_COUNTS
@@ -237,54 +233,41 @@ pub fn scale() -> Table {
     t.note("(X2 handover, S1AP path switch, GTP-C bearer management) scales with the walks,");
     t.note("not the frames; 'wedged' (sessions that lost frames) must be 0 at every N");
 
-    // Wall-clock throughput is machine-dependent: stderr + JSON only, so
-    // stdout stays byte-identical across runs and --jobs values.
-    for (r, wall_s) in &cells {
-        eprintln!(
-            "scale N={}: {} events in {wall_s:.2}s wall ({:.0} events/s)",
-            r.ue_count(),
-            r.events_processed,
-            events_per_sec(r, *wall_s)
-        );
+    for (r, _) in &cells {
+        assert_eq!(r.wedged(), 0, "scale N={}: wedged sessions", r.ue_count());
     }
-    t.artifact("BENCH_scale.json", scale_json(&cells));
+    // Wall-clock throughput is machine-dependent: JSON only, so stdout
+    // stays byte-identical across runs and --jobs values.
+    report::attach(&mut t, "scale", &scale_json_cells(&cells));
     t
 }
 
-/// Hand-rolled JSON (the bench crate deliberately has no serde): every
-/// value is an integer, a float formatted with `{:.N}`, or a count, so
-/// no string escaping is needed.
-pub(crate) fn scale_json(cells: &[(CorridorReport, f64)]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"scale\",\n  \"cells\": [\n");
-    for (i, (r, wall_s)) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"ue_count\": {}, \"frames_done\": {}, \"frames_requested\": {}, ",
-                "\"handovers\": {}, \"x2_msgs\": {}, \"s1ap_msgs\": {}, \"gtpc_msgs\": {}, ",
-                "\"core_signalling_bytes\": {}, \"dedicated_reanchored\": {}, ",
-                "\"x2_forwarded\": {}, \"wedged\": {}, \"events_processed\": {}, ",
-                "\"sim_elapsed_s\": {:.3}, \"wall_s\": {:.3}, \"events_per_sec\": {:.0}}}{}\n"
-            ),
-            r.ue_count(),
-            r.frames_done(),
-            r.frames_requested * r.ue_count() as u64,
-            r.total_handovers(),
-            r.x2_msgs,
-            r.s1ap_msgs,
-            r.gtpc_msgs,
-            r.core_signalling_bytes,
-            r.dedicated_reanchored,
-            r.x2_forwarded,
-            r.wedged(),
-            r.events_processed,
-            r.sim_elapsed.secs_f64(),
-            wall_s,
-            events_per_sec(r, *wall_s),
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_scale.json` cells: deterministic keys, then wall-clock.
+pub(crate) fn scale_json_cells(cells: &[(CorridorReport, f64)]) -> Vec<Fields> {
+    cells
+        .iter()
+        .map(|(r, wall_s)| {
+            let requested = r.frames_requested * r.ue_count() as u64;
+            let events_per_sec = r.events_processed as f64 / wall_s.max(1e-9);
+            vec![
+                ("ue_count", r.ue_count().into()),
+                ("frames_done", r.frames_done().into()),
+                ("frames_requested", requested.into()),
+                ("handovers", r.total_handovers().into()),
+                ("x2_msgs", r.x2_msgs.into()),
+                ("s1ap_msgs", r.s1ap_msgs.into()),
+                ("gtpc_msgs", r.gtpc_msgs.into()),
+                ("core_signalling_bytes", r.core_signalling_bytes.into()),
+                ("dedicated_reanchored", r.dedicated_reanchored.into()),
+                ("x2_forwarded", r.x2_forwarded.into()),
+                ("wedged", r.wedged().into()),
+                ("events_processed", r.events_processed.into()),
+                ("sim_elapsed_s", Value::Fixed(r.sim_elapsed.secs_f64(), 3)),
+                ("wall_s", Value::Fixed(*wall_s, 3)),
+                ("events_per_sec", Value::Fixed(events_per_sec, 0)),
+            ]
+        })
+        .collect()
 }
 
 /// The labelled loaded sweep at a given master seed.

@@ -18,17 +18,16 @@
 //! Headline invariants, asserted per cell: zero wedged sessions, every
 //! session in exactly one outcome bucket, the GW-C's dedicated-bearer
 //! activation counter equal to the bearers actually present, and a
-//! conserved cross-shard exchange. Wall-clock goes to stderr and
+//! conserved cross-shard exchange. Wall-clock goes to
 //! `BENCH_failover.json`; stdout stays byte-identical across `--jobs`
 //! and `--shards`.
 
+use super::metro::SHARD_COUNTS;
+use crate::report::{self, Fields, Value};
 use crate::runner;
 use crate::table::Table;
 use acacia::failover::{FailoverConfig, FailoverMode, FailoverReport, FailoverScenario};
 use acacia_simnet::time::Duration;
-
-/// Shard counts swept per crash configuration.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The crash schedule matrix: mode × outage duration.
 fn configs() -> Vec<(FailoverMode, Duration)> {
@@ -115,15 +114,11 @@ fn sweep(seed: u64) -> Vec<FailoverCell> {
     cells
 }
 
-/// Failover sweep at the master seed (`figures --seed N` varies the
-/// fault plan's probability draws; the schedule itself is fixed).
-pub fn failover_reports() -> Vec<FailoverCell> {
-    sweep(crate::seed())
-}
-
 /// Failover: crash schedules, outage sweep, outcome audit, shard parity.
 pub fn failover() -> Table {
-    let cells = failover_reports();
+    // `figures --seed N` varies the fault plan's probability draws; the
+    // schedule itself is fixed.
+    let cells = sweep(crate::seed());
     let mut t = Table::new(
         "Failover — MEC/GW crash schedules over the city (8 regions, 32 sessions)",
         &[
@@ -209,63 +204,44 @@ pub fn failover() -> Table {
     t.note("'wedged' must be 0 everywhere and stayed+neigh+cloud+rebind must cover all 32");
     t.note("sessions; 'p95 gap' is the service interruption at each failover adoption");
 
-    for c in &cells {
-        eprintln!(
-            "failover {} outage={} shards={}: {} events in {:.2}s wall",
-            c.mode.label(),
-            c.outage,
-            c.shards,
-            c.report.metro.events_processed,
-            c.wall_s
-        );
-    }
-    t.artifact("BENCH_failover.json", render_json(&cells));
+    report::attach(&mut t, "failover", &json_cells(&cells));
     t
 }
 
-/// Hand-rolled JSON (the bench crate deliberately has no serde): every
-/// string value is a fixed mode label, so no escaping is needed.
-fn render_json(cells: &[FailoverCell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"failover\",\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.report;
-        let frames_done: u64 = r.metro.ues.iter().map(|u| u.frames_done).sum();
-        out.push_str(&format!(
-            concat!(
-                "    {{\"mode\": \"{}\", \"outage_ms\": {}, \"shards\": {}, ",
-                "\"frames_done\": {}, \"frames_requested\": {}, \"failovers\": {}, ",
-                "\"stayed\": {}, \"neighbor_mec\": {}, \"cloud_fallback\": {}, ",
-                "\"restart_rebind\": {}, \"mrs_evictions\": {}, \"mrs_restores\": {}, ",
-                "\"node_restarts\": {}, \"gwu_flush_released\": {}, ",
-                "\"interruption_p50_s\": {:.3}, \"interruption_p95_s\": {:.3}, ",
-                "\"interruption_max_s\": {:.3}, \"wedged\": {}, ",
-                "\"events_processed\": {}, \"wall_s\": {:.3}}}{}\n"
-            ),
-            c.mode.label(),
-            (c.outage.secs_f64() * 1000.0).round() as u64,
-            c.shards,
-            frames_done,
-            r.metro.frames_requested * r.metro.ue_count as u64,
-            r.failovers,
-            r.outcomes.stayed,
-            r.outcomes.neighbor_mec,
-            r.outcomes.cloud_fallback,
-            r.outcomes.restart_rebind,
-            r.mrs_evictions,
-            r.mrs_restores,
-            r.node_restarts,
-            r.gwu_flush_released,
-            r.interruption_percentile(50.0),
-            r.interruption_percentile(95.0),
-            r.interruption_percentile(100.0),
-            r.metro.wedged(),
-            r.metro.events_processed,
-            c.wall_s,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_failover.json` cells: deterministic keys, then wall-clock.
+fn json_cells(cells: &[FailoverCell]) -> Vec<Fields> {
+    cells
+        .iter()
+        .map(|c| {
+            let r = &c.report;
+            let frames_done: u64 = r.metro.ues.iter().map(|u| u.frames_done).sum();
+            let requested = r.metro.frames_requested * r.metro.ue_count as u64;
+            let outage_ms = (c.outage.secs_f64() * 1000.0).round() as u64;
+            let interruption = |p: f64| Value::Fixed(r.interruption_percentile(p), 3);
+            vec![
+                ("mode", c.mode.label().into()),
+                ("outage_ms", outage_ms.into()),
+                ("shards", c.shards.into()),
+                ("frames_done", frames_done.into()),
+                ("frames_requested", requested.into()),
+                ("failovers", r.failovers.into()),
+                ("stayed", r.outcomes.stayed.into()),
+                ("neighbor_mec", r.outcomes.neighbor_mec.into()),
+                ("cloud_fallback", r.outcomes.cloud_fallback.into()),
+                ("restart_rebind", r.outcomes.restart_rebind.into()),
+                ("mrs_evictions", r.mrs_evictions.into()),
+                ("mrs_restores", r.mrs_restores.into()),
+                ("node_restarts", r.node_restarts.into()),
+                ("gwu_flush_released", r.gwu_flush_released.into()),
+                ("interruption_p50_s", interruption(50.0)),
+                ("interruption_p95_s", interruption(95.0)),
+                ("interruption_max_s", interruption(100.0)),
+                ("wedged", r.metro.wedged().into()),
+                ("events_processed", r.metro.events_processed.into()),
+                ("wall_s", Value::Fixed(c.wall_s, 3)),
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -311,11 +287,7 @@ mod tests {
         assert_eq!(cells[0].report.node_restarts, 1);
         assert_eq!(cells[0].report.mrs_restores, 1);
 
-        let json = render_json(&cells);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"mode\"").count(), SHARD_COUNTS.len());
-        assert!(json.contains("\"wedged\": 0"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let json = report::render("failover", &json_cells(&cells));
+        report::assert_well_formed(&json, "failover", SHARD_COUNTS.len());
     }
 }

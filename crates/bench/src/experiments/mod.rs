@@ -1,7 +1,7 @@
 //! One module per group of paper artifacts. Every public `figXX()`
 //! function regenerates the corresponding table/figure as a printable
 //! [`Table`](crate::table::Table); `*_data` variants expose the raw series
-//! for tests and the Criterion benches.
+//! for tests.
 
 pub mod application;
 pub mod compute;
@@ -89,20 +89,16 @@ mod chaos {
 #[cfg(test)]
 mod scale {
     mod tests {
-        use crate::experiments::corridor::scale_json;
+        use crate::experiments::corridor::scale_json_cells;
+        use crate::report;
         use acacia::corridor::{CorridorConfig, CorridorScenario};
 
         #[test]
         fn json_is_well_formed_enough_to_eyeball() {
-            let report = CorridorScenario::build(CorridorConfig::scale_smoke(2)).run();
-            let json = scale_json(&[(report, 1.5)]);
-            assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-            assert_eq!(json.matches("\"ue_count\"").count(), 1);
-            assert!(json.contains("\"wedged\": 0"));
-            // Balanced braces/brackets — the cheap structural check a
-            // serde-less crate can afford.
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('[').count(), json.matches(']').count());
+            let run = CorridorScenario::build(CorridorConfig::scale_smoke(2)).run();
+            assert_eq!(run.wedged(), 0);
+            let json = report::render("scale", &scale_json_cells(&[(run, 1.5)]));
+            report::assert_well_formed(&json, "scale", 1);
         }
     }
 }

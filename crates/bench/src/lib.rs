@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+mod report;
 pub mod runner;
 pub mod table;
 

@@ -248,17 +248,16 @@ pub fn timing_report(timings: &[CellTiming]) -> crate::table::Table {
         "whole run: total cell time {grand_total:.2}s{throughput}; wall-clock is bounded below by each experiment's slowest cell"
     ));
     // Per-shard splits for cells that ran a sharded engine, so occupancy
-    // balance (the scaling claim) is readable straight off the report.
+    // balance (the scaling claim) is readable straight off the report;
+    // the imbalance is the same reading `BENCH_*.json` records.
     for c in timings.iter().filter(|c| c.shard_events.len() > 1) {
         let split: Vec<String> = c.shard_events.iter().map(|n| n.to_string()).collect();
-        let max = c.shard_events.iter().copied().max().unwrap_or(0);
-        let min = c.shard_events.iter().copied().min().unwrap_or(0).max(1);
         t.note(&format!(
-            "{} {}: per-shard events [{}], imbalance {:.2}x",
+            "{} {}: per-shard events [{}], imbalance {:.1}%",
             c.experiment,
             c.cell,
             split.join(", "),
-            max as f64 / min as f64
+            acacia_simnet::shard_imbalance(&c.shard_events) * 100.0
         ));
     }
     t
@@ -322,7 +321,8 @@ mod tests {
         assert_eq!(timings[0].shard_events, vec![10, 20]);
         let rendered = timing_report(&timings).render();
         assert!(rendered.contains("per-shard events [10, 20]"), "{rendered}");
-        assert!(rendered.contains("imbalance 2.00x"), "{rendered}");
+        // max/mean − 1 over busy shards: 20 / 15 − 1.
+        assert!(rendered.contains("imbalance 33.3%"), "{rendered}");
         assert!(rendered.contains("whole run"), "{rendered}");
     }
 

@@ -304,22 +304,10 @@ impl MetroReport {
         self.cross_shard_sent == self.cross_shard_received
     }
 
-    /// Per-shard event imbalance: `max/mean − 1` over the shards that
-    /// dispatched any events, as a fraction (0.0 = perfectly even). The
-    /// figure benchmark reports this for the placement the run used.
+    /// Per-shard event imbalance of the placement the run used
+    /// ([`acacia_simnet::shard_imbalance`] of `events_by_shard`).
     pub fn shard_imbalance(&self) -> f64 {
-        let busy: Vec<u64> = self
-            .events_by_shard
-            .iter()
-            .copied()
-            .filter(|&e| e > 0)
-            .collect();
-        if busy.len() <= 1 {
-            return 0.0;
-        }
-        let max = *busy.iter().max().expect("non-empty") as f64;
-        let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-        max / mean - 1.0
+        acacia_simnet::shard_imbalance(&self.events_by_shard)
     }
 }
 

@@ -57,7 +57,6 @@ pub(crate) mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod traffic;
 pub mod transport;
 pub mod wheel;
@@ -67,7 +66,8 @@ pub use link::{ClassStats, LinkConfig, LinkStats};
 pub use packet::{FiveTuple, Packet};
 pub use router::{Ipv4Net, RouteTable, Router};
 pub use sim::{
-    default_shards, set_default_shards, Ctx, EvKey, Node, NodeId, PortId, Simulator, TimerHandle,
+    default_shards, set_default_shards, shard_imbalance, Ctx, EvKey, Node, NodeId, PortId,
+    Simulator, TimerHandle,
 };
 pub use stats::Series;
 pub use time::{Duration, Instant};

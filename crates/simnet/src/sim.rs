@@ -70,6 +70,19 @@ pub fn default_shards() -> usize {
     DEFAULT_SHARDS.load(Ordering::SeqCst).max(1)
 }
 
+/// Per-shard event imbalance of a [`Simulator::events_by_shard`] split:
+/// `max/mean − 1` over the shards that dispatched any events, as a
+/// fraction (0.0 = perfectly even, or at most one busy shard).
+pub fn shard_imbalance(events_by_shard: &[u64]) -> f64 {
+    let busy: Vec<u64> = events_by_shard.iter().copied().filter(|&e| e > 0).collect();
+    if busy.len() <= 1 {
+        return 0.0;
+    }
+    let max = *busy.iter().max().expect("non-empty") as f64;
+    let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
+    max / mean - 1.0
+}
+
 /// Behaviour of a simulated network element.
 ///
 /// Nodes are single-threaded state machines: the simulator calls exactly one

@@ -97,9 +97,12 @@ fn scale_benchmark_is_byte_identical_at_every_shard_count() {
 }
 
 /// The failover experiment sweeps `--shards {1, 2, 4, 8}` *internally*
-/// (and asserts its own per-config fingerprint parity while it runs),
-/// so its stdout must be byte-identical no matter what the outer shard
-/// default or `--jobs` worker count is when it starts.
+/// (and asserts its own per-config fingerprint parity, zero wedged and
+/// the outcome audit while it runs), so its stdout must be byte-identical
+/// no matter what the outer shard default or `--jobs` worker count is
+/// when it starts. At seed 42 the sweep also exercises every recovery
+/// path: each cell fails sessions over, and some cell re-anchors on a
+/// neighbor MEC, re-binds to a restarted server and restarts a node.
 #[test]
 #[ignore = "figure-scale grids x 4 shard counts; run with --release -- --ignored"]
 fn failover_experiment_is_byte_identical_across_jobs_and_shard_defaults() {
@@ -107,6 +110,20 @@ fn failover_experiment_is_byte_identical_across_jobs_and_shard_defaults() {
     set_seed(42);
     runner::set_jobs(Some(1));
     let base = render_at_shards("failover", 1);
+    // Columns 4, 6, 8, 10: failovers, neigh, rebind, restarts.
+    let rows = table_rows(&base);
+    assert_eq!(rows.len(), 20, "5 configurations x 4 shard counts:\n{base}");
+    let count = |row: &Vec<String>, col: usize| row[col].parse::<u64>().expect("a count");
+    assert!(
+        rows.iter().all(|r| count(r, 4) > 0),
+        "a cell without failover:\n{base}"
+    );
+    for col in [6, 8, 10] {
+        assert!(
+            rows.iter().any(|r| count(r, col) > 0),
+            "column {col} all 0:\n{base}"
+        );
+    }
     for (shards, jobs) in [(2, 4), (4, 1), (8, 4)] {
         runner::set_jobs(Some(jobs));
         assert_eq!(
@@ -120,20 +137,28 @@ fn failover_experiment_is_byte_identical_across_jobs_and_shard_defaults() {
     let _ = runner::drain_timings();
 }
 
-/// The data rows of a metro/city-style parity table, stripped to their
-/// shard-invariant tokens: column 0 (`shards`) and column 9 (`xshard`)
-/// are the only ones allowed to differ between rows.
-fn shard_invariant_rows(rendered: &str) -> Vec<Vec<String>> {
+/// The data rows of a rendered table, split into whitespace tokens.
+fn table_rows(rendered: &str) -> Vec<Vec<String>> {
     rendered
         .lines()
         .skip_while(|l| !l.starts_with("---"))
         .skip(1)
         .take_while(|l| !l.trim_start().starts_with("note:") && !l.is_empty())
+        .map(|row| row.split_whitespace().map(str::to_string).collect())
+        .collect()
+}
+
+/// The data rows of a metro/city-style parity table, stripped to their
+/// shard-invariant tokens: column 0 (`shards`) and column 9 (`xshard`)
+/// are the only ones allowed to differ between rows.
+fn shard_invariant_rows(rendered: &str) -> Vec<Vec<String>> {
+    table_rows(rendered)
+        .into_iter()
         .map(|row| {
-            row.split_whitespace()
+            row.into_iter()
                 .enumerate()
                 .filter(|&(i, _)| i != 0 && i != 9)
-                .map(|(_, tok)| tok.to_string())
+                .map(|(_, tok)| tok)
                 .collect()
         })
         .collect()
