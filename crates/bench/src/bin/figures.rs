@@ -18,8 +18,12 @@
 //! 42.
 //!
 //! `--shards N` (or `--shards=N`) sets the engine's shard count: every
-//! simulation partitions its topology into N region shards running on N
-//! threads with conservative-lookahead synchronization. Stdout is
+//! simulation partitions its topology into N region shards that advance
+//! in conservative-lookahead windows. A `run_until` call moves its
+//! windows to one thread per active shard (one that owns nodes) after
+//! its first 256 events, and only when the active shards do not
+//! outnumber the cores; otherwise the same windows run on the calling
+//! thread, so on 2 cores `--shards 4` and `--shards 8` are serial. Stdout is
 //! byte-identical for every shard count — `--shards 1` is the serial
 //! engine, and any `--shards N` run must match it exactly. The `city`,
 //! `metro` and `failover` experiments sweep shard counts themselves and

@@ -11,8 +11,8 @@
 //! a row that doesn't match. The metro's regions span a 10:1 population
 //! skew (1280-UE downtown to 128-UE suburb), so its sweep also exercises
 //! balanced region→shard placement (the JSON's imbalance field is the
-//! claim), adaptive per-pair lookahead windows, and pool reuse across
-//! the run's many thousand `run_until` calls.
+//! claim) and the serial-first escalation of the run's many thousand
+//! `run_until` calls, most of which never leave the calling thread.
 //!
 //! Stdout carries only deterministic columns (byte-identical across
 //! `--jobs` and `--shards` values, like every other experiment).

@@ -84,8 +84,9 @@ fn object(fields: &Fields) -> String {
     format!("{{{}}}", pairs.join(", "))
 }
 
-/// The host line: hardware threads (engine lanes are `min(shards,
-/// cores)`, so this says which rows ran threads), the runner's worker
+/// The host line: hardware threads (engine lanes run threaded only
+/// when they do not outnumber the cores, so this says which rows ran
+/// threads), the runner's worker
 /// count, the compiler and the commit; `"unknown"` where a command fails.
 fn host() -> Fields {
     let output = |program: &str, args: &[&str]| -> Value {

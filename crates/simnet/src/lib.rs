@@ -44,14 +44,13 @@
 //! assert_eq!(sim.node_ref::<PingAgent>(ping).rtts().len(), 10);
 //! ```
 
-#![deny(unsafe_code)] // allowed only in `pool` (the job's lifetime erasure)
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cloud;
 pub mod fault;
 pub mod link;
 pub mod packet;
-pub(crate) mod pool;
 pub mod router;
 pub(crate) mod shard;
 pub mod sim;

@@ -11,18 +11,15 @@
 //! them) the driver drains it straight to the limit. Otherwise it
 //! repeatedly:
 //!
-//! 1. finds `m_u`, the earliest pending event instant of every shard `u`
-//!    (and their minimum `T`, which decides termination);
-//! 2. lets every shard `s` independently drain its window
-//!    `[T, min_u(m_u + D⁺[u][s]))`, where `D⁺[u][s]` is the minimum delay
-//!    of any ≥1-link cross-shard path from `u` to `s` (Floyd–Warshall
-//!    closure over per-pair direct link minima, cycles back to `s`
-//!    included) — jitter, serialization, same-shard forwarding legs and
-//!    injected-fault extras only ever *add* delay, so no event another
-//!    shard has yet to process can land inside the window;
-//! 3. exchanges the buffered cross-shard arrivals (each was scheduled
-//!    strictly after the destination's window) into the destination
-//!    wheels, then loops.
+//! 1. finds `t`, the earliest pending event instant over every shard
+//!    (which also decides termination);
+//! 2. lets every shard independently drain its events in `[t, t + L)`,
+//!    where the lookahead `L` is the minimum delay of any link whose
+//!    endpoints live on different shards — jitter, serialization and
+//!    injected-fault extras only ever *add* delay, so nothing a shard
+//!    sends during the window can land inside another shard's window;
+//! 3. exchanges the buffered cross-shard arrivals (each lands at or after
+//!    `t + L`) into the destination wheels, then loops.
 //!
 //! Which thread drains which lane is invisible in the output (see
 //! *Determinism*), so every call starts its windows on the calling thread
@@ -30,13 +27,13 @@
 //! boundary — once it has dispatched [`ESCALATE_AFTER_EVENTS`] events, and
 //! never when the lanes outnumber the cores. A harness that polls in
 //! thousands of small `run_until` steps therefore pays per call for the
-//! events in the call and nothing else: the placement, the lookahead
-//! matrix and the active-shard list are simulator state kept current by
-//! the edits that change them, not recomputed here. The worker threads
-//! live in a persistent [`ShardPool`] owned by the simulator: spawned by
-//! the first call that escalates, parked between calls (waking them costs
-//! a few hundred events' worth of time, which is what the threshold is
-//! sized from), joined on drop.
+//! events in the call and nothing else: the placement, the lookahead and
+//! the active-shard list are simulator state kept current by the edits
+//! that change them, not recomputed here. The threads live for one call:
+//! lane 0 runs on the caller, the others on `std::thread::scope` threads
+//! spawned when the call escalates and joined before it returns (their
+//! spawn and join cost tens of microseconds, which is what the threshold
+//! is sized from).
 //!
 //! # Determinism
 //!
@@ -52,26 +49,25 @@
 //!
 //! A lane is a `&mut Shard` plus two read-only tables shared by all
 //! lanes: where each node lives ([`Loc`]) and the node outage schedules.
-//! Serial windows borrow the shards one at a time; threaded windows hand
-//! each worker its own shard out of `iter_mut()`, behind a mutex only its
-//! lane ever locks. The exchange is one flush per window per shard pair:
-//! each lane swaps its non-empty per-destination buffers into an
-//! `N × N` mailbox of mutex-guarded cells, and after the barrier each lane
-//! drains its own column. The barriers separate the two phases, so no
-//! lock is ever contended, and the only code outside the borrow checker
-//! is the pool's job hand-off (`crate::pool`).
+//! Serial windows borrow the shards one at a time; threaded windows move
+//! each lane's own shard, split out of `iter_mut()`, into the thread that
+//! drives it. The exchange is one flush per window per shard pair: each
+//! lane swaps its non-empty per-destination buffers into an `N × N`
+//! mailbox of mutex-guarded cells, and after the barrier each lane drains
+//! its own column. The barriers separate the two phases, so no lock is
+//! ever contended, and the borrow checker checks all of it.
 
 use crate::fault::NodeOutageSet;
 use crate::packet::Packet;
-use crate::pool::{ShardPool, SpinBarrier};
 use crate::sim::{
     Action, Ctx, EvKey, EvKind, EvPayload, Node, NodeId, NodeMeta, PortSlot, ShardCounters,
     Simulator,
 };
 use crate::time::{Duration, Instant};
 use crate::wheel::TimerWheel;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Where a node lives: its shard and its index in that shard's slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -386,18 +382,17 @@ enum FaultGate {
     Reject,
 }
 
-/// Minimum delay of the links running directly from each shard to each
-/// other shard, counted from every link (row-major `nsh × nsh`,
-/// nanoseconds, `u64::MAX` = none). Panics on a zero-delay cross-shard
-/// link — the window would be empty and the run could never make progress.
-fn count_direct(sim: &Simulator) -> Vec<u64> {
-    let nsh = sim.shards();
-    let mut direct = vec![u64::MAX; nsh * nsh];
+/// The conservative lookahead `L` in nanoseconds, counted from every
+/// link: the minimum delay of the links whose endpoints live on
+/// different shards (`u64::MAX` = none). Panics on a zero-delay
+/// cross-shard link — the window would be empty and the run could never
+/// make progress.
+pub(crate) fn count_lookahead(sim: &Simulator) -> u64 {
+    let mut min = u64::MAX;
     for src in 0..sim.loc.len() {
         for link in sim.slot(src).links.iter().flatten() {
             let dst = link.to().0;
-            let (su, sv) = (sim.loc[src].shard as usize, sim.loc[dst].shard as usize);
-            if su != sv {
+            if sim.loc[src].shard != sim.loc[dst].shard {
                 let d = link.delay();
                 assert!(
                     d > Duration::ZERO,
@@ -405,108 +400,40 @@ fn count_direct(sim: &Simulator) -> Vec<u64> {
                      conservative lookahead would be zero (co-locate both endpoints \
                      in one region or give the link a positive delay)"
                 );
-                let cell = &mut direct[su * nsh + sv];
-                *cell = (*cell).min(d.nanos());
+                min = min.min(d.nanos());
             }
         }
     }
-    direct
+    min
 }
 
-/// Floyd–Warshall closure of the direct minima, in place: an event
-/// processed on shard `u` can only affect shard `s` through a chain of
-/// cross-shard hops (same-shard forwarding legs in between only add
-/// delay), so the tightest sound bound per pair is the shortest ≥1-hop
-/// path, not just the direct link minimum. The diagonal ends up holding
-/// the minimum cycle delay back to a shard.
-fn close_paths(pair: &mut [u64], nsh: usize) {
-    for k in 0..nsh {
-        for i in 0..nsh {
-            let dik = pair[i * nsh + k];
-            if dik == u64::MAX {
-                continue;
-            }
-            for j in 0..nsh {
-                let dkj = pair[k * nsh + j];
-                if dkj == u64::MAX {
-                    continue;
-                }
-                let via = dik.saturating_add(dkj);
-                let cell = &mut pair[i * nsh + j];
-                if via < *cell {
-                    *cell = via;
-                }
-            }
-        }
+/// The lookahead the next windows span. `connect_simplex` lowers the
+/// cached value in place, so it is recounted from every link only after
+/// an edit that cleared it: a region move, a reconfigured cross-shard
+/// link, or a zero-delay cross-shard link (so that the panic names it).
+pub(crate) fn ensure_lookahead(sim: &mut Simulator) -> Duration {
+    if let Some(l) = sim.lookahead {
+        return l;
     }
+    let l = Duration::from_nanos(count_lookahead(sim));
+    sim.lookahead = Some(l);
+    l
 }
 
-/// The conservative lookahead — the global minimum propagation delay over
-/// links whose endpoints live on different shards — with the per-shard-pair
-/// matrix `D⁺` of minimum ≥1-link cross-shard path delays brought up to
-/// date beside it. The direct minima are simulator state that
-/// `connect_simplex` lowers in place, so the usual refresh is the `nsh³`
-/// closure alone; every link is recounted only after a region moved or a
-/// cross-shard link was reconfigured, and when a direct minimum reads zero,
-/// so that the panic names the offending link.
-pub(crate) fn ensure_lookahead(sim: &mut Simulator) {
-    if sim.lookahead.is_some() {
-        return;
-    }
-    if sim.look_rescan || sim.pair_direct.contains(&0) {
-        sim.pair_direct = count_direct(sim);
-        sim.look_rescan = false;
-    }
-    let nsh = sim.shards();
-    sim.pair_look.clone_from(&sim.pair_direct);
-    close_paths(&mut sim.pair_look, nsh);
-    let min = sim.pair_direct.iter().copied().min().unwrap_or(u64::MAX);
-    sim.lookahead = Some(Duration::from_nanos(min));
-}
-
-/// The pair matrix counted from every link, ignoring the incremental
-/// state: the oracle the cache property tests compare against.
-#[cfg(test)]
-pub(crate) fn recount_pair_lookahead(sim: &Simulator) -> Vec<u64> {
-    let mut pair = count_direct(sim);
-    close_paths(&mut pair, sim.shards());
-    pair
-}
-
-/// What bounds every window of one `run_until` call.
-#[derive(Clone, Copy)]
-struct Windows<'a> {
-    /// The per-pair matrix `D⁺` (row-major `nsh × nsh`).
-    pair: &'a [u64],
-    nsh: usize,
-    /// The call's limit, nanoseconds.
-    limit_n: u64,
-}
-
-impl Windows<'_> {
-    /// Inclusive window end for the lane of shard `s`, given every active
-    /// lane's earliest pending instant (`m(j)`, `u64::MAX` = idle): shard
-    /// `s` may run until just before the earliest instant any other
-    /// shard's pending work could reach it, `min_u(m_u + D⁺[u][s]) - 1`,
-    /// capped at the limit. Every term is at least the round's global
-    /// minimum plus the smallest cross-shard delay, so the shard holding
-    /// that minimum always makes progress.
-    fn until(&self, s: usize, active: &[usize], m: impl Fn(usize) -> u64) -> Instant {
-        let mut bound = u64::MAX;
-        for (j, &u) in active.iter().enumerate() {
-            let (mj, d) = (m(j), self.pair[u * self.nsh + s]);
-            if mj != u64::MAX && d != u64::MAX {
-                bound = bound.min(mj.saturating_add(d));
-            }
-        }
-        Instant::from_nanos(bound.saturating_sub(1).min(self.limit_n))
-    }
+/// Inclusive end of the window that opens at `t` (nanoseconds): just
+/// before `t + L`, the earliest instant a cross-shard arrival sent inside
+/// the window can land, capped at the call's limit.
+fn window_end(t: u64, lookahead: u64, limit: Instant) -> Instant {
+    let end = t.saturating_add(lookahead).saturating_sub(1);
+    Instant::from_nanos(end.min(limit.nanos()))
 }
 
 /// Events one `run_until` call dispatches on the calling thread before its
-/// remaining windows are worth a pool wake-up: waking and re-parking the
-/// workers costs about as much as dispatching two hundred events, so a
-/// call with less work than that is faster without them.
+/// remaining windows are worth threads of their own. Spawning and joining
+/// a scoped thread measured 31 µs at the median (70–90 µs at p99) on a
+/// 2-core x86-64 host, where an event costs 1–2.5 µs (the city and the
+/// benchmark's two-shard metro), so the events a call runs before it
+/// escalates cost about ten times what its threads will.
 const ESCALATE_AFTER_EVENTS: u64 = 256;
 
 /// Cores of this host, read once (the query costs tens of microseconds).
@@ -529,24 +456,25 @@ fn cores() -> usize {
 /// thread drains which lane, so the serial interleaving is byte-identical
 /// to the threaded one.
 pub(crate) fn run(sim: &mut Simulator, limit: Instant) -> u64 {
+    run_with(sim, limit, None)
+}
+
+/// [`run`] with the hand-over point spelled out: `Some(u64::MAX)` keeps
+/// the whole call on the calling thread, `Some(0)` runs it on threads
+/// from the first window, `None` applies the rule above. A seam for the
+/// tests that must reach each driver with small fixtures, not a knob.
+pub(crate) fn run_with(sim: &mut Simulator, limit: Instant, escalate_after: Option<u64>) -> u64 {
     sim.ensure_placement();
-    let escalate_after = if sim.active.len() > cores() {
+    let escalate_after = escalate_after.unwrap_or(if sim.active.len() > cores() {
         u64::MAX
     } else {
         ESCALATE_AFTER_EVENTS
+    });
+    let lookahead = if sim.active.len() > 1 {
+        ensure_lookahead(sim).nanos()
+    } else {
+        u64::MAX
     };
-    run_with(sim, limit, escalate_after)
-}
-
-/// [`run`] with the hand-over point spelled out: `u64::MAX` keeps the
-/// whole call on the calling thread, `0` runs it on the pool from the
-/// first window. A seam for the tests that must reach each driver with
-/// small fixtures, not a knob.
-pub(crate) fn run_with(sim: &mut Simulator, limit: Instant, escalate_after: u64) -> u64 {
-    sim.ensure_placement();
-    if sim.active.len() > 1 {
-        ensure_lookahead(sim);
-    }
     let before = sim.events_processed();
     let start = sim.now;
     for &s in &sim.active {
@@ -565,14 +493,9 @@ pub(crate) fn run_with(sim: &mut Simulator, limit: Instant, escalate_after: u64)
         }
         .drain_window(limit),
         _ => {
-            let windows = Windows {
-                pair: &sim.pair_look,
-                nsh: sim.shards.len(),
-                limit_n: limit.nanos(),
-            };
-            if run_windows_serial(&mut sim.shards, active, shared, windows, escalate_after) {
-                let pool = sim.pool.get_or_insert_with(ShardPool::new);
-                run_windows_threaded(&mut sim.shards, active, shared, windows, pool);
+            let shards = &mut sim.shards;
+            if run_windows_serial(shards, active, shared, lookahead, limit, escalate_after) {
+                run_windows_threaded(shards, active, shared, lookahead, limit);
             }
         }
     }
@@ -584,40 +507,42 @@ pub(crate) fn run_with(sim: &mut Simulator, limit: Instant, escalate_after: u64)
 /// The windowed algorithm on the calling thread: drain every active
 /// lane's window, exchange, repeat. Identical event order and per-shard
 /// counters to the threaded driver (lanes share no state and the order is
-/// key-derived), none of the barrier or wake-up overhead. Returns `true`
-/// when more windows are pending after `escalate_after` events were
+/// key-derived), none of the barrier or spawn overhead. Returns `true` when
+/// more windows are pending after `escalate_after` events were
 /// dispatched — the point at which [`run_windows_threaded`] takes the
 /// rest — and `false` when the call is finished.
 fn run_windows_serial(
     shards: &mut [Shard],
     active: &[usize],
     shared: Shared<'_>,
-    windows: Windows<'_>,
+    lookahead: u64,
+    limit: Instant,
     escalate_after: u64,
 ) -> bool {
-    let mut mins = vec![u64::MAX; active.len()];
     let mut dispatched = 0u64;
     loop {
-        for (m, &s) in mins.iter_mut().zip(active) {
-            *m = shards[s].next_at();
-        }
-        let t = mins.iter().copied().min().unwrap_or(u64::MAX);
-        if t == u64::MAX || t > windows.limit_n {
+        let next = active.iter().map(|&s| shards[s].next_at());
+        let t = next.min().unwrap_or(u64::MAX);
+        if t == u64::MAX || t > limit.nanos() {
             return false;
         }
         if dispatched >= escalate_after {
             return true;
         }
+        let until = window_end(t, lookahead, limit);
         for &s in active {
-            let until = windows.until(s, active, |j| mins[j]);
             let shard = &mut shards[s];
             let before = shard.ctr.events;
-            Lane { shard, shared }.drain_window(until);
-            shards[s].ctr.windows += 1;
-            dispatched += shards[s].ctr.events - before;
+            Lane {
+                shard: &mut *shard,
+                shared,
+            }
+            .drain_window(until);
+            shard.ctr.windows += 1;
+            dispatched += shard.ctr.events - before;
         }
-        // Exchange: every window's cross-shard arrivals land strictly
-        // after the destination shard's window just drained.
+        // Exchange: every window's cross-shard arrivals land after the
+        // window just drained.
         for &w in active {
             for &s in active {
                 if w != s {
@@ -630,23 +555,23 @@ fn run_windows_serial(
     }
 }
 
-/// Lane-per-active-shard windows on the persistent pool, synchronized
-/// with a spin barrier, from wherever [`run_windows_serial`] left off.
-/// The calling thread drives lane 0; pool workers drive the rest and park
-/// when the call completes.
+/// Lane-per-active-shard windows, synchronized with a spin barrier, from
+/// wherever [`run_windows_serial`] left off. The calling thread drives
+/// lane 0; a scoped thread per other lane drives the rest until the call
+/// completes (see [`run_lanes`]).
 fn run_windows_threaded(
     shards: &mut [Shard],
     active: &[usize],
     shared: Shared<'_>,
-    windows: Windows<'_>,
-    pool: &mut ShardPool,
+    lookahead: u64,
+    limit: Instant,
 ) {
     let nsh = shards.len();
-    let lanes: Vec<Mutex<&mut Shard>> = shards
+    let lanes: Vec<&mut Shard> = shards
         .iter_mut()
         .enumerate()
         .filter(|(s, _)| active.contains(s))
-        .map(|(_, shard)| Mutex::new(shard))
+        .map(|(_, shard)| shard)
         .collect();
     let mailbox: Vec<Mutex<Vec<OutEntry>>> = (0..nsh * nsh).map(|_| Mutex::default()).collect();
     let cell = |i: usize| mailbox[i].lock().expect("a lane panicked in the exchange");
@@ -654,11 +579,9 @@ fn run_windows_threaded(
         .map(|_| AtomicU64::new(u64::MAX))
         .collect();
 
-    pool.run(active.len(), &|i: usize, barrier: &SpinBarrier| {
+    run_lanes(lanes, |i, shard: &mut Shard, barrier| {
         let s = active[i];
-        let mut guard = lanes[i].lock().expect("each lane locks only its own shard");
-        let shard: &mut Shard = &mut guard;
-        shard.ctr.pool_dispatches += 1;
+        shard.ctr.threaded_runs += 1;
         loop {
             mins[i].store(shard.next_at(), Ordering::Release);
             if !barrier.wait() {
@@ -671,15 +594,14 @@ fn run_windows_threaded(
                 .map(|m| m.load(Ordering::Acquire))
                 .min()
                 .expect("at least one shard");
-            if t == u64::MAX || t > windows.limit_n {
+            if t == u64::MAX || t > limit.nanos() {
                 return;
             }
-            let until = windows.until(s, active, |j| mins[j].load(Ordering::Acquire));
             Lane {
                 shard: &mut *shard,
                 shared,
             }
-            .drain_window(until);
+            .drain_window(window_end(t, lookahead, limit));
             shard.ctr.windows += 1;
             // Flush: hand each non-empty buffer to its (empty) mailbox
             // cell, getting that cell's spare capacity back.
@@ -692,8 +614,8 @@ fn run_windows_threaded(
                 return;
             }
             // Exchange: pull this shard's column. Each window's
-            // cross-shard arrivals land strictly after this shard's
-            // window just drained. No third barrier: nobody can flush
+            // cross-shard arrivals land after the window this lane just
+            // drained. No third barrier: nobody can flush
             // into a cell again before passing the next window's first
             // barrier, which this lane only reaches after draining.
             for &w in active {
@@ -701,6 +623,96 @@ fn run_windows_threaded(
             }
         }
     });
+}
+
+/// Run `lane(i, lanes[i], barrier)` for every lane — lane 0 on the calling
+/// thread, each other lane on a `std::thread::scope` thread spawned for
+/// this call — with one [`SpinBarrier`] shared by all of them, and return
+/// once every lane has. A panicking lane aborts the barrier, so the others
+/// leave their loops at their next wait, and the first panic is resumed
+/// on the caller with its own payload.
+fn run_lanes<T: Send>(lanes: Vec<T>, lane: impl Fn(usize, T, &SpinBarrier) + Sync) {
+    let barrier = SpinBarrier::new(lanes.len());
+    let first_panic = Mutex::new(None);
+    let guarded = |i: usize, t: T| {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| lane(i, t, &barrier))) {
+            barrier.abort();
+            let mut first = first_panic.lock().unwrap_or_else(PoisonError::into_inner);
+            first.get_or_insert(payload);
+        }
+    };
+    std::thread::scope(|scope| {
+        let mut lanes = lanes.into_iter().enumerate();
+        let (_, first) = lanes.next().expect("at least one lane");
+        for (i, t) in lanes {
+            let guarded = &guarded;
+            let spawned = std::thread::Builder::new().spawn_scoped(scope, move || guarded(i, t));
+            if let Err(e) = spawned {
+                // The lanes already running would wait at the barrier
+                // forever, and the scope would wait for them.
+                barrier.abort();
+                panic!("cannot spawn a shard lane thread: {e}");
+            }
+        }
+        guarded(0, first);
+    });
+    if let Some(payload) = first_panic
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
+        resume_unwind(payload);
+    }
+}
+
+/// Sense-counting spin barrier; windows are hundreds of microseconds of
+/// simulated work, so parking would dominate. A lane that panicked
+/// aborts it: every wait then returns `false` at once, so the other
+/// lanes leave their window loops instead of waiting forever.
+struct SpinBarrier {
+    count: AtomicUsize,
+    gen: AtomicUsize,
+    total: usize,
+    aborted: AtomicBool,
+}
+
+impl SpinBarrier {
+    fn new(total: usize) -> SpinBarrier {
+        SpinBarrier {
+            count: AtomicUsize::new(0),
+            gen: AtomicUsize::new(0),
+            total,
+            aborted: AtomicBool::new(false),
+        }
+    }
+
+    /// Wait until every lane arrived. `false` once a lane has panicked:
+    /// the caller must leave its window loop.
+    fn wait(&self) -> bool {
+        let g = self.gen.load(Ordering::Acquire);
+        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
+            self.count.store(0, Ordering::Relaxed);
+            self.gen.store(g.wrapping_add(1), Ordering::Release);
+        } else {
+            let mut spins = 0u32;
+            while self.gen.load(Ordering::Acquire) == g {
+                if self.aborted.load(Ordering::Acquire) {
+                    return false;
+                }
+                spins += 1;
+                if spins < 1 << 10 {
+                    std::hint::spin_loop();
+                } else {
+                    // A long tail in another lane: give the core back.
+                    std::thread::yield_now();
+                }
+            }
+        }
+        !self.aborted.load(Ordering::Acquire)
+    }
+
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+    }
 }
 
 #[cfg(test)]
@@ -753,7 +765,7 @@ mod tests {
     /// (a ring of lossy, jittered cross-region ping pairs plus a
     /// zero-delay same-region pair per region, every kickoff at the same
     /// instant), run to idle by `drive`. Also returns how many lane runs
-    /// went to the pool.
+    /// went to threads.
     fn mesh(
         shards: usize,
         drive: impl Fn(&mut Simulator),
@@ -817,12 +829,12 @@ mod tests {
                 .map(|c| [c.events, c.arrivals, c.xsent, c.xrecv, c.windows])
                 .collect(),
         };
-        (outcome, sim.pool_dispatches())
+        (outcome, sim.threaded_lane_runs())
     }
 
     proptest! {
         /// The three shapes a multi-lane call can take — all windows on
-        /// the calling thread, all on the pool, hand-over in mid-call —
+        /// the calling thread, all on threads, hand-over in mid-call —
         /// dispatch every node's events in the merged wheel's order, agree
         /// on every per-shard counter, and lose nothing in the exchange.
         /// (Outside this test small fixtures never leave the calling
@@ -840,7 +852,7 @@ mod tests {
                     shards,
                     |sim| match escalate_after {
                         None => drop(sim.run_until_idle()),
-                        Some(n) => drop(run_with(sim, Instant::MAX, n)),
+                        Some(n) => drop(run_with(sim, Instant::MAX, Some(n))),
                     },
                     (seed, regions),
                     &cross_delays_us,
@@ -851,7 +863,7 @@ mod tests {
             let (merged, _) = run(1, None);
             let events: u64 = merged.by_shard.iter().map(|c| c[0]).sum();
             for shards in [2, regions, 8] {
-                let (serial, serial_pool) = run(shards, Some(u64::MAX));
+                let (serial, serial_threaded) = run(shards, Some(u64::MAX));
                 prop_assert_eq!(&serial.logs, &merged.logs, "shards={}", shards);
                 prop_assert_eq!(&serial.rtts, &merged.rtts, "shards={}", shards);
                 prop_assert_eq!(serial.by_shard.iter().map(|c| c[0]).sum::<u64>(), events);
@@ -861,16 +873,16 @@ mod tests {
                     .fold((0, 0), |(s, r), c| (s + c[2], r + c[3]));
                 prop_assert_eq!(sent, received, "shards={} exchange lost events", shards);
                 prop_assert!(sent > 0 && serial.by_shard.iter().all(|c| c[4] > 0 || c[0] == 0));
-                prop_assert_eq!(serial_pool, 0);
+                prop_assert_eq!(serial_threaded, 0);
 
                 let lanes = serial.by_shard.iter().filter(|c| c[0] > 0).count() as u64;
-                let (threaded, threaded_pool) = run(shards, Some(0));
+                let (threaded, threaded_runs) = run(shards, Some(0));
                 prop_assert_eq!(&threaded, &serial, "shards={} threaded", shards);
-                prop_assert_eq!(threaded_pool, lanes, "every lane ran on the pool");
+                prop_assert_eq!(threaded_runs, lanes, "every lane ran threaded");
 
-                let (handed_over, pool) = run(shards, Some(8));
+                let (handed_over, runs) = run(shards, Some(8));
                 prop_assert_eq!(&handed_over, &serial, "shards={} hand-over", shards);
-                prop_assert!(pool == 0 || pool == lanes);
+                prop_assert!(runs == 0 || runs == lanes);
             }
         }
     }
@@ -915,7 +927,7 @@ mod tests {
             assert_eq!(sim.shard_of_node(bomb), bomb_shard);
             sim.schedule_timer(ping, Instant::ZERO, PingAgent::KICKOFF);
             sim.schedule_timer(bomb, Instant::from_millis(5), 0);
-            let run = std::panic::AssertUnwindSafe(|| run_with(&mut sim, Instant::MAX, 0));
+            let run = std::panic::AssertUnwindSafe(|| run_with(&mut sim, Instant::MAX, Some(0)));
             let msg = std::panic::catch_unwind(run)
                 .err()
                 .and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
@@ -936,5 +948,58 @@ mod tests {
     #[test]
     fn a_lane_zero_panic_reaches_the_caller() {
         lane_panic_reaches_the_caller(0);
+    }
+
+    /// Three lanes pass ten thousand generations of one barrier, each
+    /// counting its arrival just before every wait. Whoever leaves
+    /// generation `g` must find all three arrivals of `g` counted (nobody
+    /// passed early) and none beyond the two other lanes' next ones (the
+    /// generations never ran ahead of a lane still inside one).
+    #[test]
+    fn spin_barrier_never_lets_a_lane_pass_early() {
+        const LANES: usize = 3;
+        const GENERATIONS: usize = 10_000;
+        let barrier = SpinBarrier::new(LANES);
+        let arrived = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..LANES {
+                scope.spawn(|| {
+                    for g in 1..=GENERATIONS {
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        assert!(barrier.wait(), "another lane saw a violation");
+                        let a = arrived.load(Ordering::SeqCst);
+                        if !(LANES * g..LANES * (g + 1)).contains(&a) {
+                            // Release the other lanes so the test fails
+                            // instead of hanging.
+                            barrier.abort();
+                            panic!("left generation {g} with {a} arrivals counted");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(arrived.into_inner(), LANES * GENERATIONS);
+    }
+
+    /// Once aborted, a barrier releases the lanes already waiting on it
+    /// with `false`, and every later wait returns `false` too, whether it
+    /// completes a generation or would have had to wait for one.
+    #[test]
+    fn an_aborted_barrier_releases_every_current_and_later_wait() {
+        let barrier = SpinBarrier::new(3);
+        std::thread::scope(|scope| {
+            let waiting: Vec<_> = (0..2).map(|_| scope.spawn(|| barrier.wait())).collect();
+            // Both lanes are inside `wait` once both arrivals are counted.
+            while barrier.count.load(Ordering::Acquire) < 2 {
+                std::hint::spin_loop();
+            }
+            barrier.abort();
+            for lane in waiting {
+                assert!(!lane.join().expect("a waiting lane returned"));
+            }
+        });
+        // The third arrival completes the generation, the next would wait.
+        assert!(!barrier.wait());
+        assert!(!barrier.wait());
     }
 }

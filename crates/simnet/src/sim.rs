@@ -18,9 +18,10 @@
 //! outgoing links and a timing wheel. With
 //! `N == 1` the engine is exactly the classic single-threaded event loop;
 //! with `N > 1` the shards advance in conservative lookahead windows
-//! derived from the propagation delay of links that cross shards — on the
-//! calling thread while a `run_until` call is small, on a persistent
-//! worker pool once it has enough work (see [`crate::shard`]). Because
+//! spanning the minimum propagation delay of the links that cross shards —
+//! on the calling thread while a `run_until` call is small, on one thread
+//! per active shard for the rest of the call once it has enough work (see
+//! [`crate::shard`]). Because
 //! every tie-breaking key, every RNG stream and every packet id is derived
 //! from content (node identity + per-node counters) rather than from
 //! global execution order, the observable results are byte-identical at
@@ -38,7 +39,6 @@
 use crate::fault::{FaultPlan, NodeFaultPlan, NodeOutageSet};
 use crate::link::{Link, LinkConfig, LinkStats};
 use crate::packet::Packet;
-use crate::pool::ShardPool;
 use crate::shard::{Loc, Shard, Slot};
 use crate::time::{Duration, Instant};
 use rand::RngCore;
@@ -264,8 +264,9 @@ pub(crate) struct ShardCounters {
     /// Lookahead windows this shard's lane drained (windowed drivers only;
     /// a single active shard drains straight through and counts none).
     pub(crate) windows: u64,
-    /// Times this shard's lane was handed to the persistent pool.
-    pub(crate) pool_dispatches: u64,
+    /// `run_until` calls whose remaining windows this shard's lane ran
+    /// threaded.
+    pub(crate) threaded_runs: u64,
 }
 
 /// Placement state of one region (see `Simulator::regions`).
@@ -426,26 +427,12 @@ pub struct Simulator {
     /// Compiled node-lifecycle outage schedules, indexed by node; empty
     /// when no [`NodeFaultPlan`] is attached (the no-plan fast path).
     pub(crate) node_faults: Vec<NodeOutageSet>,
-    /// Minimum delay of the links running directly from shard `u` to
-    /// shard `s` under the current placement (row-major
-    /// `shards × shards`, nanoseconds, `u64::MAX` = none). A new
-    /// cross-shard link lowers its cell in place; anything that could
-    /// *raise* a cell sets `look_rescan` instead.
-    pub(crate) pair_direct: Vec<u64>,
-    /// `pair_direct` must be recounted from every link before its next
-    /// use (a region moved, or a cross-shard link was reconfigured).
-    pub(crate) look_rescan: bool,
-    /// Cached conservative lookahead (the minimum of `pair_direct`);
-    /// `None` = `pair_direct` changed since `pair_look` was closed over it.
+    /// The conservative lookahead under the current placement: the
+    /// minimum delay of the links between different shards. A new
+    /// cross-shard link lowers it in place; anything that could *raise*
+    /// it, or a zero delay, sets it to `None`, to be recounted from every
+    /// link before the next windowed run.
     pub(crate) lookahead: Option<Duration>,
-    /// Per-shard-pair lookahead matrix (same layout as `pair_direct`): the
-    /// shortest cross-shard path delay from shard `u` to shard `s` over
-    /// one or more links (`u64::MAX` = unreachable). Valid while
-    /// `lookahead` is `Some`.
-    pub(crate) pair_look: Vec<u64>,
-    /// Persistent shard worker pool, created on the first threaded
-    /// run and parked between calls; torn down on drop.
-    pub(crate) pool: Option<ShardPool>,
 }
 
 /// The shard of every region, in the order `weights` yields them (region
@@ -497,11 +484,7 @@ impl Simulator {
             ext_ctr: 0,
             injected: 0,
             node_faults: Vec::new(),
-            pair_direct: vec![u64::MAX; shards * shards],
-            look_rescan: false,
             lookahead: None,
-            pair_look: Vec::new(),
-            pool: None,
         }
     }
 
@@ -576,11 +559,12 @@ impl Simulator {
         self.total(|c| c.unrouted)
     }
 
-    /// The conservative lookahead (minimum cross-shard propagation delay)
-    /// the windowed driver would use right now; `None` until first
-    /// computed, and again after an edit that may have changed it (a new
-    /// or reconfigured cross-shard link, a region moving to another
-    /// shard). `Duration::ZERO` never occurs — a zero-delay cross-shard
+    /// The conservative lookahead `L` (minimum cross-shard propagation
+    /// delay) every window of the sharded driver spans; `None` until a
+    /// windowed run first counts it, and again after an edit that needs a
+    /// recount (a region moving to another shard, a reconfigured or
+    /// zero-delay cross-shard link). A new cross-shard link lowers it in
+    /// place. `Duration::ZERO` never occurs — a zero-delay cross-shard
     /// link is rejected.
     pub fn lookahead(&self) -> Option<Duration> {
         self.lookahead
@@ -588,16 +572,16 @@ impl Simulator {
 
     /// Lookahead windows drained by the windowed drivers, summed over
     /// shards: one per active lane per synchronization round, the same on
-    /// the calling thread and on the pool.
+    /// the calling thread and on threads.
     pub fn windows(&self) -> u64 {
         self.total(|c| c.windows)
     }
 
-    /// Lane runs handed to the persistent shard pool, summed over shards:
-    /// one per active lane per `run_until` call that outgrew the calling
-    /// thread. Zero means every call so far ran serially.
-    pub fn pool_dispatches(&self) -> u64 {
-        self.total(|c| c.pool_dispatches)
+    /// Lane runs handed to threads, summed over shards: one per active
+    /// lane per `run_until` call that outgrew the calling thread. Zero
+    /// means every call so far ran serially.
+    pub fn threaded_lane_runs(&self) -> u64 {
+        self.total(|c| c.threaded_runs)
     }
 
     /// Add a node in region 0, returning its id.
@@ -659,15 +643,6 @@ impl Simulator {
         if self.weight_bias.insert(region, extra) != Some(extra) {
             self.placement_dirty = true;
         }
-    }
-
-    /// Worker threads alive in the persistent shard pool (zero until a
-    /// `run_until` call has enough work to wake it; the caller's thread
-    /// drives lane 0 and is not counted). Threads are created once and
-    /// parked between runs, so this number never shrinks until the
-    /// simulator is dropped.
-    pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, ShardPool::workers)
     }
 
     /// Re-pack the regions onto shards if a weight or a bias changed
@@ -736,7 +711,6 @@ impl Simulator {
             self.shards[s].wheel.schedule(at, key, payload);
         }
         // The set of cross-shard links changed with the assignment.
-        self.look_rescan = true;
         self.lookahead = None;
     }
 
@@ -775,18 +749,6 @@ impl Simulator {
             .collect()
     }
 
-    /// The per-shard-pair lookahead matrix the windowed driver would use
-    /// right now (row-major `shards × shards`, nanoseconds; `u64::MAX` =
-    /// no cross-shard path). Entry `[u][s]` is the minimum delay of any
-    /// ≥1-link path from shard `u` to shard `s`, cycles included — the
-    /// bound below which no event processed by `u` can affect `s`. Forces
-    /// placement and lookahead computation.
-    pub fn pair_lookahead_matrix(&mut self) -> Vec<u64> {
-        self.ensure_placement();
-        crate::shard::ensure_lookahead(self);
-        self.pair_look.clone()
-    }
-
     /// Connect `from`'s `from_port` to `to`'s `to_port` with a unidirectional
     /// link.
     pub fn connect_simplex(
@@ -803,22 +765,20 @@ impl Simulator {
             ports.resize_with(from.1 + 1, || None);
         }
         assert!(ports[from.1].is_none(), "port {from:?} already connected");
-        let delay = cfg.delay.nanos();
+        let delay = cfg.delay;
         ports[from.1] = Some(Box::new(Link::new(cfg, to, seed)));
         let owner = self.regions.get_mut(&self.region[from.0]);
         owner.expect("every node's region has a slot").weight += 1;
         self.placement_dirty = true;
         // A same-shard link leaves the lookahead as it is; a cross-shard
-        // one can only lower its pair's direct minimum. (A zero delay is
-        // judged at the next run, once placement has settled which regions
-        // share a shard.)
-        let (su, sv) = (self.loc[from.0].shard, self.loc[to.0].shard);
-        if su != sv {
-            let cell = &mut self.pair_direct[su as usize * self.shards.len() + sv as usize];
-            if delay < *cell {
-                *cell = delay;
-                self.lookahead = None;
-            }
+        // one can only lower it. (A zero delay is judged by the recount at
+        // the next run, once placement has settled which regions share a
+        // shard.)
+        if self.loc[from.0].shard != self.loc[to.0].shard {
+            self.lookahead = self
+                .lookahead
+                .map(|l| l.min(delay))
+                .filter(|&l| l > Duration::ZERO);
         }
     }
 
@@ -985,10 +945,9 @@ impl Simulator {
         let link = self.link_mut(from).expect("reconfigure of unknown link");
         link.reconfigure(f);
         let to = link.to().0;
-        // The new delay may be above its pair's direct minimum, which
-        // nothing short of a recount can raise.
+        // The new delay may be above the lookahead, which nothing short of
+        // a recount can raise.
         if self.loc[from.0].shard != self.loc[to].shard {
-            self.look_rescan = true;
             self.lookahead = None;
         }
     }
@@ -1459,10 +1418,9 @@ mod tests {
 
     /// Call-reuse regression: N consecutive `run_until` calls on one
     /// engine must be byte-identical to fresh engines run straight to
-    /// each checkpoint — neither the state kept between calls nor the
-    /// persistent pool may leak anything from one call into the next.
-    /// Small calls stay on the calling thread; calls with enough work
-    /// wake the pool, and the counters say which happened.
+    /// each checkpoint — nothing kept between calls may leak from one call
+    /// into the next. Small calls stay on the calling thread; calls with
+    /// enough work go threaded, and the counters say which happened.
     #[test]
     fn consecutive_run_until_calls_match_fresh_engine_runs() {
         let build = |shards: usize, count: u32| {
@@ -1505,17 +1463,11 @@ mod tests {
                 assert!(windowed.windows() > 0, "two lanes run the window protocol");
                 let threaded = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
                 if count == 40 || !threaded {
-                    assert_eq!(windowed.pool_dispatches(), 0, "no call was worth a wake-up");
-                    assert_eq!(windowed.pool_workers(), 0);
+                    assert_eq!(windowed.threaded_lane_runs(), 0, "no call went threaded");
                 } else {
                     assert!(
-                        windowed.pool_dispatches() >= 2,
-                        "a call with a thousand events hands both lanes to the pool"
-                    );
-                    assert_eq!(
-                        windowed.pool_workers(),
-                        1,
-                        "two active lanes share one pool worker plus the caller"
+                        windowed.threaded_lane_runs() >= 2,
+                        "a call with a thousand events hands both lanes to threads"
                     );
                 }
             }
@@ -1584,40 +1536,6 @@ mod tests {
         assert_eq!(w(&asg_bias, 2), w(&asg_plain, 2));
     }
 
-    /// The per-pair matrix is the shortest-path closure: a shard chain
-    /// `0 → 1 → 2` with no direct `0 → 2` link still bounds shard 2 by
-    /// the two-hop sum, and unreachable pairs stay unbounded.
-    #[test]
-    fn pair_lookahead_is_transitive_closure_of_link_delays() {
-        let mut sim = Simulator::with_shards(1, 3);
-        let a = sim.add_node_in_region(Box::new(Echo { seen: 0 }), 0);
-        let b = sim.add_node_in_region(Box::new(Echo { seen: 0 }), 1);
-        let c = sim.add_node_in_region(Box::new(Echo { seen: 0 }), 2);
-        sim.connect_simplex(
-            (a, 0),
-            (b, 0),
-            LinkConfig::delay_only(Duration::from_millis(1)),
-        );
-        sim.connect_simplex(
-            (b, 1),
-            (c, 0),
-            LinkConfig::delay_only(Duration::from_millis(2)),
-        );
-        let (sa, sb, sc) = (
-            sim.shard_of_node(a) as usize,
-            sim.shard_of_node(b) as usize,
-            sim.shard_of_node(c) as usize,
-        );
-        let m = sim.pair_lookahead_matrix();
-        let ns = |ms: u64| ms * 1_000_000;
-        assert_eq!(m[sa * 3 + sb], ns(1));
-        assert_eq!(m[sb * 3 + sc], ns(2));
-        assert_eq!(m[sa * 3 + sc], ns(3), "transitive bound, no direct link");
-        assert_eq!(m[sc * 3 + sa], u64::MAX, "no reverse path");
-        assert_eq!(m[sa * 3 + sa], u64::MAX, "no cycle back to shard");
-        assert_eq!(sim.lookahead(), Some(Duration::from_millis(1)));
-    }
-
     /// One step of an arbitrary build-and-run history (see
     /// `incremental_caches_match_a_recount`): `(what, a, b, c)`.
     type Edit = (u8, u32, u32, u32);
@@ -1649,12 +1567,9 @@ mod tests {
             owning.sort_unstable();
             owning.dedup();
             assert_eq!(sim.active, owning);
-            assert_eq!(
-                sim.pair_lookahead_matrix(),
-                crate::shard::recount_pair_lookahead(sim)
-            );
-            let direct = sim.pair_direct.iter().min().copied();
-            assert_eq!(sim.lookahead().map(|d| d.nanos()), direct);
+            let lookahead = crate::shard::ensure_lookahead(sim);
+            assert_eq!(lookahead.nanos(), crate::shard::count_lookahead(sim));
+            assert_eq!(sim.lookahead(), Some(lookahead));
         }
         let mut sim = Simulator::with_shards(7, shards);
         let mut links: Vec<(NodeId, PortId)> = Vec::new();

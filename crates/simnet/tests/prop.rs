@@ -588,112 +588,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    /// The per-pair matrix is a lower envelope: entry `[u][s]` never
-    /// exceeds the delay of any direct cross-shard link from `u` to `s`
-    /// (multi-hop closure can only tighten other pairs, never loosen a
-    /// direct one), and every finite entry is at least the global
-    /// minimum cross-shard delay.
-    #[test]
-    fn pair_lookahead_never_exceeds_direct_link_minimum(
-        regions in 2usize..=6,
-        shards in 2usize..=4,
-        delays_us in prop::collection::vec(1u64..100_000, 8),
-    ) {
-        let mut sim = Simulator::with_shards(1, shards);
-        let nodes: Vec<NodeId> = (0..regions)
-            .map(|r| sim.add_node_in_region(Box::new(Reflector::new()), r as u32))
-            .collect();
-        // Directed ring plus forward chords: some shard pairs get direct
-        // links, some are reachable only transitively, some not at all.
-        let mut edges = Vec::new();
-        for i in 0..regions {
-            edges.push((i, (i + 1) % regions, delays_us[i % delays_us.len()]));
-            if i % 2 == 0 && regions > 2 {
-                edges.push((i, (i + 2) % regions, delays_us[(i + 4) % delays_us.len()]));
-            }
-        }
-        for (port, &(a, b, d_us)) in edges.iter().enumerate() {
-            sim.connect_simplex(
-                (nodes[a], port),
-                (nodes[b], port),
-                LinkConfig::delay_only(Duration::from_micros(d_us)),
-            );
-        }
-        let mut direct = vec![u64::MAX; shards * shards];
-        for &(a, b, d_us) in &edges {
-            let (sa, sb) = (
-                sim.shard_of_node(nodes[a]) as usize,
-                sim.shard_of_node(nodes[b]) as usize,
-            );
-            if sa != sb {
-                let cell = &mut direct[sa * shards + sb];
-                *cell = (*cell).min(d_us * 1_000);
-            }
-        }
-        let m = sim.pair_lookahead_matrix();
-        let global = sim.lookahead().expect("ring has cross-shard links").nanos();
-        for u in 0..shards {
-            for s in 0..shards {
-                let e = m[u * shards + s];
-                if direct[u * shards + s] != u64::MAX {
-                    prop_assert!(
-                        e <= direct[u * shards + s],
-                        "[{}][{}] = {} above direct minimum {}",
-                        u, s, e, direct[u * shards + s]
-                    );
-                }
-                if e != u64::MAX {
-                    prop_assert!(e >= global, "[{}][{}] = {} below global {}", u, s, e, global);
-                }
-            }
-        }
-    }
-
-    /// On a uniform topology — every region pair connected by the same
-    /// delay — the per-pair matrix degenerates to the global minimum:
-    /// every occupied off-diagonal entry IS the global bound, and the
-    /// diagonal is the two-hop round trip.
-    #[test]
-    fn uniform_topology_degenerates_to_global_minimum(
-        regions in 2usize..=5,
-        shards in 2usize..=4,
-        delay_us in 1u64..100_000,
-    ) {
-        let mut sim = Simulator::with_shards(1, shards);
-        let nodes: Vec<NodeId> = (0..regions)
-            .map(|r| sim.add_node_in_region(Box::new(Reflector::new()), r as u32))
-            .collect();
-        for i in 0..regions {
-            for j in (i + 1)..regions {
-                sim.connect(
-                    (nodes[i], j),
-                    (nodes[j], i),
-                    LinkConfig::delay_only(Duration::from_micros(delay_us)),
-                );
-            }
-        }
-        let m = sim.pair_lookahead_matrix();
-        let d = delay_us * 1_000;
-        prop_assert_eq!(sim.lookahead(), Some(Duration::from_micros(delay_us)));
-        let occupied: Vec<usize> = {
-            let mut o: Vec<usize> = (0..regions)
-                .map(|r| sim.shard_of_node(nodes[r]) as usize)
-                .collect();
-            o.sort_unstable();
-            o.dedup();
-            o
-        };
-        prop_assert!(occupied.len() >= 2);
-        for &u in &occupied {
-            for &s in &occupied {
-                if u == s {
-                    prop_assert_eq!(m[u * shards + s], 2 * d, "diagonal is the min cycle");
-                } else {
-                    prop_assert_eq!(m[u * shards + s], d, "off-diagonal is the global min");
-                }
-            }
-        }
-    }
-}
