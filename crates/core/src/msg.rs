@@ -1,13 +1,18 @@
 //! Application-level messages exchanged between the CI app on the UE, the
 //! MRS and the CI (AR) server — serialized into packet payloads like any
 //! real application protocol.
+//!
+//! The payload is hand-written JSON ([`acacia_lte::json`]), and its bytes
+//! are pinned by the tests below: an application packet is exactly as
+//! large as its text (plus any virtual `extra_len`), so every byte shows
+//! up in the simulated timings and the recorded goldens.
 
+use acacia_lte::json::{self, Json, Reader, Writer};
 use acacia_simnet::packet::{proto, Packet};
 use acacia_simnet::time::Instant;
 use acacia_vision::compress::Codec;
-use acacia_vision::image::ImageSpec;
+use acacia_vision::image::{ImageSpec, Resolution};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// UDP port of the AR server (frames, chunks, results, rxPower reports).
@@ -18,7 +23,7 @@ pub const MRS_PORT: u16 = 8000;
 pub const APP_PORT: u16 = 9000;
 
 /// Frame metadata carried on the first chunk of each frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameMeta {
     /// Capture description (lets the synthetic server reconstruct the
     /// frame's features deterministically).
@@ -32,7 +37,7 @@ pub struct FrameMeta {
 }
 
 /// Application messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppMsg {
     /// One window chunk of an uploaded camera frame.
     FrameChunk {
@@ -43,7 +48,6 @@ pub enum AppMsg {
         /// Total chunks in this frame.
         total_chunks: u32,
         /// Frame metadata (present on chunk 0 only).
-        #[serde(skip_serializing_if = "Option::is_none", default)]
         meta: Option<FrameMeta>,
     },
     /// Server acknowledgement of a chunk (clocks the upload window).
@@ -113,7 +117,7 @@ impl AppMsg {
         extra_len: u32,
         at: Instant,
     ) -> Packet {
-        let body = serde_json::to_vec(self).expect("app message serializes");
+        let body = json::encode(b"", self);
         let mut pkt = Packet::udp_with_payload(src, dst, Bytes::from(body));
         pkt.app_len = extra_len;
         pkt.created = at;
@@ -125,7 +129,69 @@ impl AppMsg {
         if pkt.protocol != proto::UDP {
             return None;
         }
-        serde_json::from_slice(&pkt.payload).ok()
+        json::decode(&pkt.payload)
+    }
+}
+
+impl Json for FrameMeta {
+    fn write(&self, w: &mut Writer) {
+        let res = self.spec.resolution;
+        w.begin()
+            .key("spec")
+            .begin()
+            .field("scene_id", &self.spec.scene_id);
+        w.key("resolution")
+            .begin()
+            .field("w", &res.w)
+            .field("h", &res.h);
+        w.end().end().key("codec");
+        match self.codec {
+            Codec::Jpeg(quality) => w.begin().field("Jpeg", &quality).end(),
+            Codec::Png => w.str("Png"),
+            Codec::RawGray => w.str("RawGray"),
+        };
+        w.field("view_seed", &self.view_seed)
+            .field("captured_at_nanos", &self.captured_at_nanos)
+            .end();
+    }
+
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        r.object(|r| {
+            r.key_is("spec")?;
+            let spec = r.object(|r| {
+                let scene_id = r.field("scene_id")?;
+                r.key_is("resolution")?;
+                let res = r.object(|r| Some(Resolution::new(r.field("w")?, r.field("h")?)))?;
+                Some(ImageSpec::new(scene_id, res))
+            })?;
+            r.key_is("codec")?;
+            let codec = match r.peek()? {
+                b'"' => match r.tag()? {
+                    b"Png" => Codec::Png,
+                    b"RawGray" => Codec::RawGray,
+                    _ => return None,
+                },
+                _ => Codec::Jpeg(r.object(|r| r.field("Jpeg"))?),
+            };
+            Some(FrameMeta {
+                spec,
+                codec,
+                view_seed: r.field("view_seed")?,
+                captured_at_nanos: r.field("captured_at_nanos")?,
+            })
+        })
+    }
+}
+
+acacia_lte::json_codec! {
+    enum AppMsg {
+        FrameChunk = "FrameChunk" { seq, chunk, total_chunks; meta },
+        ChunkAck = "ChunkAck" { seq, chunk },
+        FrameResult = "FrameResult" { seq, matched, compute_s, match_s, candidates },
+        RxReport = "RxReport" { landmark, rx_power_dbm },
+        MrsRequest = "MrsRequest" { service, ue_addr, create },
+        Heartbeat = "Heartbeat" { service, server },
+        MrsAck = "MrsAck" { service, ok, server },
     }
 }
 
@@ -137,6 +203,25 @@ mod tests {
     fn ip(a: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, a)
     }
+
+    /// One payload per variant and field shape, byte for byte, as recorded
+    /// from the serde derive this codec replaced. The first eight are
+    /// `roundtrip_all_variants`' messages.
+    const PAYLOADS: [&str; 13] = [
+        r#"{"FrameChunk":{"seq":3,"chunk":0,"total_chunks":4,"meta":{"spec":{"scene_id":9,"resolution":{"w":720,"h":480}},"codec":{"Jpeg":90},"view_seed":42,"captured_at_nanos":1000}}}"#,
+        r#"{"FrameChunk":{"seq":3,"chunk":1,"total_chunks":4}}"#,
+        r#"{"ChunkAck":{"seq":3,"chunk":1}}"#,
+        r#"{"FrameResult":{"seq":3,"matched":"food#2","compute_s":0.05,"match_s":0.08,"candidates":20}}"#,
+        r#"{"RxReport":{"landmark":"L4","rx_power_dbm":-71.5}}"#,
+        r#"{"MrsRequest":{"service":"acme","ue_addr":"10.0.0.1","create":true}}"#,
+        r#"{"Heartbeat":{"service":"acme","server":"10.0.0.3"}}"#,
+        r#"{"MrsAck":{"service":"acme","ok":true,"server":"10.0.0.2"}}"#,
+        r#"{"FrameChunk":{"seq":4,"chunk":0,"total_chunks":1,"meta":{"spec":{"scene_id":9,"resolution":{"w":720,"h":480}},"codec":"Png","view_seed":42,"captured_at_nanos":1000}}}"#,
+        r#"{"FrameChunk":{"seq":5,"chunk":0,"total_chunks":1,"meta":{"spec":{"scene_id":9,"resolution":{"w":720,"h":480}},"codec":"RawGray","view_seed":42,"captured_at_nanos":1000}}}"#,
+        r#"{"FrameResult":{"seq":4,"matched":null,"compute_s":1e-7,"match_s":1.0,"candidates":0}}"#,
+        "{\"RxReport\":{\"landmark\":\"q\\\"b\\\\s/\\n\\t\\r\\b\\f\\u0001\\u001f\u{7f}é☃\",\"rx_power_dbm\":-71.5}}",
+        r#"{"MrsAck":{"service":"acme","ok":false,"server":null}}"#,
+    ];
 
     #[test]
     fn roundtrip_all_variants() {
@@ -185,10 +270,26 @@ mod tests {
                 server: Some(ip(2)),
             },
         ];
-        for m in msgs {
+        for (m, text) in msgs.into_iter().zip(PAYLOADS) {
             let pkt = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
+            assert_eq!(std::str::from_utf8(&pkt.payload), Ok(text));
             assert_eq!(AppMsg::from_packet(&pkt), Some(m));
         }
+    }
+
+    #[test]
+    fn payloads_are_pinned() {
+        for text in PAYLOADS {
+            let m: AppMsg = json::decode(text.as_bytes()).expect(text);
+            let pkt = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
+            assert_eq!(std::str::from_utf8(&pkt.payload), Ok(text));
+            assert_eq!(pkt.wire_size(), 28 + text.len() as u32);
+        }
+        // The values behind the less common spellings.
+        let m = |i: usize| json::decode::<AppMsg>(PAYLOADS[i].as_bytes()).unwrap();
+        assert!(matches!(m(10), AppMsg::FrameResult { compute_s, .. } if compute_s == 1e-7));
+        let escaped = "q\"b\\s/\n\t\r\u{8}\u{c}\u{1}\u{1f}\u{7f}é☃";
+        assert!(matches!(m(11), AppMsg::RxReport { landmark, .. } if landmark == escaped));
     }
 
     #[test]

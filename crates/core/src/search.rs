@@ -9,10 +9,9 @@
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
 use acacia_vision::db::{DbObject, ObjectDb};
-use serde::{Deserialize, Serialize};
 
 /// Which pruning scheme the server uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SearchStrategy {
     /// Entire database.
     Naive,

@@ -4,6 +4,7 @@ use acacia::msg::{AppMsg, FrameMeta};
 use acacia::search::{candidates, SearchContext, SearchStrategy};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
+use acacia_simnet::packet::Packet;
 use acacia_simnet::time::Instant;
 use acacia_vision::compress::Codec;
 use acacia_vision::db::ObjectDb;
@@ -13,12 +14,24 @@ use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
 fn arb_msg() -> impl Strategy<Value = AppMsg> {
-    let meta = (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(scene, seed, t)| FrameMeta {
-        spec: ImageSpec::new(scene, Resolution::E2E),
-        codec: Codec::Jpeg(90),
-        view_seed: seed,
-        captured_at_nanos: t,
-    });
+    let codecs = vec![
+        Codec::Jpeg(90),
+        Codec::Jpeg(100),
+        Codec::Png,
+        Codec::RawGray,
+    ];
+    let meta = (
+        any::<u64>(),
+        any::<u64>(),
+        any::<u64>(),
+        prop::sample::select(codecs),
+    )
+        .prop_map(|(scene, seed, t, codec)| FrameMeta {
+            spec: ImageSpec::new(scene, Resolution::E2E),
+            codec,
+            view_seed: seed,
+            captured_at_nanos: t,
+        });
     prop_oneof![
         (any::<u64>(), 0u32..100, 1u32..100, prop::option::of(meta)).prop_map(
             |(seq, chunk, total, meta)| AppMsg::FrameChunk {
@@ -31,7 +44,9 @@ fn arb_msg() -> impl Strategy<Value = AppMsg> {
         (any::<u64>(), any::<u32>()).prop_map(|(seq, chunk)| AppMsg::ChunkAck { seq, chunk }),
         (
             any::<u64>(),
-            prop::option::of("[a-z#0-9-]{1,24}"),
+            // Quotes, backslashes, control bytes and non-ASCII exercise
+            // every escape form.
+            prop::option::of("[a-z#0-9\"\\\n\t\u{1}\u{7f}é-]{1,24}"),
             0.0f64..10.0,
             0.0f64..10.0,
             0usize..200
@@ -54,7 +69,36 @@ fn arb_msg() -> impl Strategy<Value = AppMsg> {
                 create,
             }
         }),
+        ("[a-z-]{1,16}", any::<u32>()).prop_map(|(service, ip)| AppMsg::Heartbeat {
+            service,
+            server: Ipv4Addr::from(ip),
+        }),
+        (
+            "[a-z-]{1,16}",
+            any::<bool>(),
+            prop::option::of(any::<u32>())
+        )
+            .prop_map(|(service, ok, ip)| AppMsg::MrsAck {
+                service,
+                ok,
+                server: ip.map(Ipv4Addr::from),
+            }),
     ]
+}
+
+fn encode(msg: &AppMsg) -> Packet {
+    let at = (Ipv4Addr::LOCALHOST, 9000);
+    msg.into_packet(at, at, 0, Instant::ZERO)
+}
+
+/// A packet carrying `payload` decodes only if its message encodes back
+/// to exactly `payload`.
+fn rejected_or_reproduced(payload: Vec<u8>) {
+    let mut pkt = encode(&AppMsg::ChunkAck { seq: 0, chunk: 0 });
+    pkt.payload = payload.into();
+    if let Some(msg) = AppMsg::from_packet(&pkt) {
+        assert_eq!(encode(&msg).payload, pkt.payload);
+    }
 }
 
 /// Shared fixtures (DB generation is expensive; build once).
@@ -78,6 +122,23 @@ proptest! {
             Instant::from_millis(5),
         );
         prop_assert_eq!(AppMsg::from_packet(&pkt), Some(msg));
+    }
+
+    /// The strict reader never panics: arbitrary bytes, and single-byte
+    /// mutations of valid encodings, are rejected or re-encode to exactly
+    /// themselves.
+    #[test]
+    fn reader_rejects_or_reproduces_any_input(
+        msg in arb_msg(),
+        at in any::<usize>(),
+        byte in prop_oneof![any::<u8>(), prop::sample::select(b"0123456789-.,:\"\\{}[]enul".to_vec())],
+        noise in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut bytes = encode(&msg).payload.to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        rejected_or_reproduced(bytes);
+        rejected_or_reproduced(noise);
     }
 
     /// Search strategies: ACACIA candidates are always a subset of the DB

@@ -7,10 +7,8 @@
 //! §3, "LTE-direct"). Carriers manage the service-name namespace so
 //! different publishers (e.g. different retail stores) are distinguishable.
 
-use serde::{Deserialize, Serialize};
-
 /// A 128-bit LTE-direct *ProSe*-style expression code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ServiceCode(pub u128);
 
 impl ServiceCode {
@@ -48,7 +46,7 @@ fn fnv1a(data: &[u8]) -> u64 {
 
 /// A subscription filter stored in the modem: `code` with a `mask` of
 /// significant bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriptionFilter {
     /// Code bits to match.
     pub code: ServiceCode,
@@ -81,7 +79,7 @@ impl SubscriptionFilter {
 }
 
 /// A periodic service announcement broadcast by a publisher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Announcement {
     /// Carrier-managed service name (e.g. the retail chain).
     pub service: String,

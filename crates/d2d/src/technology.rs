@@ -9,10 +9,9 @@
 
 use crate::channel::RadioChannel;
 use acacia_geo::pathloss::PathLossModel;
-use serde::{Deserialize, Serialize};
 
 /// A proximity service discovery technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProximityTech {
     /// 3GPP Release-12 device-to-device discovery (the paper's choice).
     LteDirect,

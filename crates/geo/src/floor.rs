@@ -7,10 +7,9 @@
 //! here as presets; arbitrary plans can be constructed too.
 
 use crate::point::{Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// A fixed LTE-direct publisher position ("sales person smartphone").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Landmark {
     /// Service/landmark name broadcast over LTE-direct (e.g. "laptops").
     pub name: String,
@@ -19,7 +18,7 @@ pub struct Landmark {
 }
 
 /// A measurement position used in the evaluation ("C1".."C24").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Checkpoint label.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct Checkpoint {
 
 /// A named subsection of a section — the granularity at which the AR object
 /// database is geo-tagged.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Subsection {
     /// Display name, e.g. "food-2".
     pub name: String,
@@ -40,7 +39,7 @@ pub struct Subsection {
 }
 
 /// A complete store floor plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FloorPlan {
     /// Outer bounds of the floor.
     pub bounds: Rect,

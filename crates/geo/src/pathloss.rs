@@ -6,13 +6,11 @@
 //! user and landmark is constructed for the given environment, which is a
 //! one-time overhead").
 
-use serde::{Deserialize, Serialize};
-
 /// Log-distance path-loss ground truth used by the channel simulator.
 ///
 /// `rx(d) = tx_power_dbm - pl0_db - 10·n·log10(d)` with distances clamped to
 /// 10 cm so the model never blows up at zero range.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PathLossModel {
     /// Transmit power in dBm (LTE-direct UE class ~23 dBm).
     pub tx_power_dbm: f64,
@@ -46,7 +44,7 @@ impl PathLossModel {
 }
 
 /// A fitted `rxPower = alpha + beta·log10(distance)` regression.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedPathLoss {
     /// Intercept (dBm at 1 m).
     pub alpha: f64,

@@ -1,9 +1,7 @@
 //! 2-D points and rectangles in metres.
 
-use serde::{Deserialize, Serialize};
-
 /// A point on the floor plan, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// East-west coordinate, metres.
     pub x: f64,
@@ -44,7 +42,7 @@ impl From<(f64, f64)> for Point {
 
 /// An axis-aligned rectangle, inclusive of its lower bound and exclusive of
 /// its upper bound (so adjacent rectangles tile without overlap).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,

@@ -1,9 +1,7 @@
 //! Identifiers used across the EPC: TEIDs, bearer ids, UE identities.
 
-use serde::{Deserialize, Serialize};
-
 /// GTP Tunnel Endpoint Identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Teid(pub u32);
 
 impl std::fmt::Display for Teid {
@@ -13,7 +11,7 @@ impl std::fmt::Display for Teid {
 }
 
 /// EPS Bearer Identity (4-bit in the spec; 5..15 valid for bearers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Ebi(pub u8);
 
 impl Ebi {
@@ -28,7 +26,7 @@ impl std::fmt::Display for Ebi {
 }
 
 /// Subscriber identity (abbreviated IMSI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Imsi(pub u64);
 
 impl std::fmt::Display for Imsi {

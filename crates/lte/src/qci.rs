@@ -4,10 +4,8 @@
 //! budget and loss-rate target. ACACIA's dedicated MEC bearers use the
 //! non-GBR QCIs 5–9 (paper Fig. 10(a) sweeps exactly those).
 
-use serde::{Deserialize, Serialize};
-
 /// A QoS Class Identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Qci(pub u8);
 
 impl Qci {

@@ -8,6 +8,7 @@
 //! with TFTs, release).
 
 use crate::ids::Ebi;
+use crate::json;
 use crate::wire::ControlMsg;
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, PortId};
@@ -64,28 +65,18 @@ pub fn data_frame(ebi: Ebi, inner: &Packet, from: Ipv4Addr, to: Ipv4Addr) -> Pac
 
 /// Build an RRC control frame.
 pub fn rrc_frame(msg: &ControlMsg, from: Ipv4Addr, to: Ipv4Addr) -> Packet {
-    let body = serde_json::to_vec(msg).expect("rrc message serializes");
-    let mut b = BytesMut::with_capacity(1 + body.len());
-    b.put_u8(FRAME_RRC);
-    b.put_slice(&body);
-    let mut pkt = Packet {
+    msg.pad_to_spec(Packet {
         src: from,
         dst: to,
         src_port: 0,
         dst_port: 0,
         protocol: RADIO_PROTO,
         tos: 255, // control frames get top scheduling priority
-        payload: b.freeze(),
+        payload: json::encode(&[FRAME_RRC], msg).into(),
         app_len: 0,
         id: 0,
         created: Instant::ZERO,
-    };
-    let spec = msg.wire_size_spec();
-    let bare = pkt.wire_size();
-    if bare < spec {
-        pkt.app_len = spec - bare;
-    }
-    pkt
+    })
 }
 
 /// Parse a radio frame.
@@ -102,10 +93,7 @@ pub fn parse_frame(pkt: &Packet) -> Option<RadioPayload> {
             let inner = crate::gtpu::deserialize_inner(&pkt.payload.slice(2..), pkt.created)?;
             Some(RadioPayload::Data { ebi, inner })
         }
-        FRAME_RRC => {
-            let msg = serde_json::from_slice(&pkt.payload[1..]).ok()?;
-            Some(RadioPayload::Rrc(msg))
-        }
+        FRAME_RRC => ControlMsg::decode(&pkt.payload[1..]).map(RadioPayload::Rrc),
         _ => None,
     }
 }

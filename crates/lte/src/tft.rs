@@ -7,40 +7,31 @@
 //! no network-side inspection (paper §5.4).
 
 use acacia_simnet::packet::Packet;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Which direction(s) a filter applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// UE → network.
-    #[serde(rename = "U")]
     Uplink,
     /// Network → UE.
-    #[serde(rename = "D")]
     Downlink,
     /// Both.
-    #[serde(rename = "B")]
     Bidirectional,
 }
 
 /// One packet filter within a TFT.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketFilter {
     /// Evaluation precedence (lower evaluated first).
-    #[serde(rename = "p")]
     pub precedence: u8,
     /// Direction the filter applies to.
-    #[serde(rename = "d")]
     pub direction: Direction,
     /// Remote (network-side) address to match, with prefix length.
-    #[serde(rename = "a", skip_serializing_if = "Option::is_none", default)]
     pub remote_addr: Option<(Ipv4Addr, u8)>,
     /// Remote port range (inclusive).
-    #[serde(rename = "r", skip_serializing_if = "Option::is_none", default)]
     pub remote_port: Option<(u16, u16)>,
     /// IP protocol number.
-    #[serde(rename = "x", skip_serializing_if = "Option::is_none", default)]
     pub protocol: Option<u8>,
 }
 
@@ -121,10 +112,9 @@ impl PacketFilter {
 }
 
 /// A Traffic Flow Template: ordered packet filters.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Tft {
     /// Filters, evaluated in precedence order.
-    #[serde(rename = "f")]
     pub filters: Vec<PacketFilter>,
 }
 
@@ -153,6 +143,20 @@ impl Tft {
         1 + self.filters.iter().map(|f| f.wire_len()).sum::<u32>()
     }
 }
+
+crate::json_codec!(
+    enum Direction {
+        Uplink = "U",
+        Downlink = "D",
+        Bidirectional = "B",
+    }
+);
+crate::json_codec! {
+    struct PacketFilter {
+        precedence as "p", direction as "d"; remote_addr as "a", remote_port as "r", protocol as "x"
+    }
+}
+crate::json_codec!(struct Tft { filters as "f" });
 
 #[cfg(test)]
 mod tests {

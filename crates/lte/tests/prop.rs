@@ -3,6 +3,7 @@
 use acacia_lte::gtpu;
 use acacia_lte::ids::{Ebi, Imsi, Teid};
 use acacia_lte::qci::Qci;
+use acacia_lte::radio::{self, RadioPayload};
 use acacia_lte::tft::{Direction, PacketFilter, Tft};
 use acacia_lte::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
 use acacia_simnet::packet::Packet;
@@ -72,9 +73,8 @@ fn arb_tft() -> BoxedStrategy<Tft> {
     .boxed()
 }
 
-fn arb_msg() -> BoxedStrategy<ControlMsg> {
-    let imsi = any::<u64>().prop_map(Imsi).boxed();
-    let erab = (any::<u8>(), 1u8..10, any::<u32>(), arb_ip(), arb_tft())
+fn arb_erab() -> BoxedStrategy<ErabSetup> {
+    (any::<u8>(), 1u8..10, any::<u32>(), arb_ip(), arb_tft())
         .prop_map(|(ebi, qci, teid, addr, tft)| ErabSetup {
             ebi: Ebi(ebi),
             qci: Qci(qci),
@@ -82,7 +82,32 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
             gw_addr: addr,
             tft,
         })
-        .boxed();
+        .boxed()
+}
+
+fn arb_rule() -> BoxedStrategy<PolicyRule> {
+    (
+        any::<u32>(),
+        arb_ip(),
+        arb_ip(),
+        any::<u16>(),
+        1u8..10,
+        any::<bool>(),
+    )
+        .prop_map(|(sid, ue, srv, port, qci, install)| PolicyRule {
+            service_id: sid,
+            ue_addr: ue,
+            server_addr: srv,
+            server_port: port,
+            qci: Qci(qci),
+            install,
+        })
+        .boxed()
+}
+
+fn arb_msg() -> BoxedStrategy<ControlMsg> {
+    let imsi = any::<u64>().prop_map(Imsi).boxed();
+    let erab = arb_erab();
     prop_oneof![
         imsi.clone()
             .prop_map(|i| ControlMsg::InitialUeAttach { imsi: i }),
@@ -99,26 +124,7 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
                 enb_addr: a,
             }
         }),
-        (
-            any::<u32>(),
-            arb_ip(),
-            arb_ip(),
-            any::<u16>(),
-            1u8..10,
-            any::<bool>()
-        )
-            .prop_map(
-                |(sid, ue, srv, port, qci, install)| ControlMsg::RxAuthRequest {
-                    rule: PolicyRule {
-                        service_id: sid,
-                        ue_addr: ue,
-                        server_addr: srv,
-                        server_port: port,
-                        qci: Qci(qci),
-                        install,
-                    }
-                }
-            ),
+        arb_rule().prop_map(|rule| ControlMsg::RxAuthRequest { rule }),
         (
             any::<bool>(),
             any::<u16>(),
@@ -143,32 +149,8 @@ fn arb_msg() -> BoxedStrategy<ControlMsg> {
 /// full-coverage generator for the encode→decode→encode identities.
 fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
     let imsi = any::<u64>().prop_map(Imsi).boxed();
-    let erab = (any::<u8>(), 1u8..10, any::<u32>(), arb_ip(), arb_tft())
-        .prop_map(|(ebi, qci, teid, addr, tft)| ErabSetup {
-            ebi: Ebi(ebi),
-            qci: Qci(qci),
-            gw_teid: Teid(teid),
-            gw_addr: addr,
-            tft,
-        })
-        .boxed();
-    let rule = (
-        any::<u32>(),
-        arb_ip(),
-        arb_ip(),
-        any::<u16>(),
-        1u8..10,
-        any::<bool>(),
-    )
-        .prop_map(|(sid, ue, srv, port, qci, install)| PolicyRule {
-            service_id: sid,
-            ue_addr: ue,
-            server_addr: srv,
-            server_port: port,
-            qci: Qci(qci),
-            install,
-        })
-        .boxed();
+    let erab = arb_erab();
+    let rule = arb_rule();
     let s1ap = prop_oneof![
         imsi.clone()
             .prop_map(|i| ControlMsg::InitialUeServiceRequest { imsi: i }),
@@ -363,6 +345,23 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
     prop_oneof![arb_msg(), s1ap, gtpv2, diameter, rrc, handover].boxed()
 }
 
+/// `json` decodes as a control message (bare, and after the RRC frame
+/// byte) only if that message encodes back to exactly `json`; the raw
+/// bytes as a whole radio frame likewise.
+fn rejected_or_reproduced(json: &[u8]) {
+    let at = Ipv4Addr::LOCALHOST;
+    if let Some(msg) = ControlMsg::decode(json) {
+        assert_eq!(&msg.into_packet(at, at).payload[..], json);
+    }
+    let mut frame = radio::rrc_frame(&ControlMsg::RrcPaging { imsi: Imsi(1) }, at, at);
+    for payload in [[&[2u8][..], json].concat(), json.to_vec()] {
+        frame.payload = Bytes::from(payload);
+        if let Some(RadioPayload::Rrc(msg)) = radio::parse_frame(&frame) {
+            assert_eq!(radio::rrc_frame(&msg, at, at).payload, frame.payload);
+        }
+    }
+}
+
 proptest! {
     /// Control messages survive encode → packet → decode.
     #[test]
@@ -488,13 +487,12 @@ proptest! {
     /// Malformed input is rejected, not mis-decoded: any strict prefix of
     /// an encoded control message fails to decode (the top level is a
     /// JSON object, so truncation always breaks it), as does trailing
-    /// garbage.
+    /// garbage, whitespace included.
     #[test]
     fn malformed_control_rejected(
         msg in arb_msg_any(),
         cut in 0usize..1000,
-        // Non-whitespace garbage: trailing whitespace is legal JSON.
-        junk in prop::sample::select(vec![b'x', b'{', b'}', b'0', 0u8, 0xFFu8]),
+        junk in prop::sample::select(vec![b'x', b'{', b'}', b'0', b' ', 0u8, 0xFFu8]),
     ) {
         let pkt = msg.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
         let len = pkt.payload.len();
@@ -504,6 +502,23 @@ proptest! {
         let mut extended = pkt.payload.to_vec();
         extended.push(junk);
         prop_assert!(ControlMsg::decode(&extended).is_none());
+    }
+
+    /// The strict reader never panics: arbitrary bytes, and single-byte
+    /// mutations of valid encodings, are rejected or re-encode to exactly
+    /// themselves.
+    #[test]
+    fn reader_rejects_or_reproduces_any_input(
+        msg in arb_msg_any(),
+        at in any::<usize>(),
+        byte in prop_oneof![any::<u8>(), prop::sample::select(b"0123456789-.,:\"{}[]nultrefa".to_vec())],
+        noise in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let mut bytes = msg.into_packet(Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST).payload.to_vec();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        rejected_or_reproduced(&bytes);
+        rejected_or_reproduced(&noise);
     }
 
     /// TFT encoding round-trips through the wire representation exactly

@@ -58,9 +58,9 @@ pub struct PacketClass {
     pub dst_port: Option<u16>,
     /// Match the TOS/DSCP byte (e.g. the RRC priority marking).
     pub tos: Option<u8>,
-    /// Match packets whose stored payload contains `"<tag>"` (with quotes)
-    /// — precise per-message targeting of JSON-encoded control messages by
-    /// their serde rename tag.
+    /// Match packets whose stored payload is UTF-8 and contains `"<tag>"`
+    /// (with quotes) — precise per-message targeting of JSON-encoded
+    /// control messages by their variant tag (`"PSq"`, `"HOq"`, …).
     pub payload_tag: Option<String>,
 }
 
@@ -148,10 +148,13 @@ impl PacketClass {
             }
         }
         if let Some(tag) = &self.payload_tag {
-            let needle = format!("\"{tag}\"");
-            match std::str::from_utf8(&pkt.payload) {
-                Ok(text) if text.contains(&needle) => {}
-                _ => return false,
+            let tag = tag.as_bytes();
+            let quoted =
+                |w: &[u8]| w[0] == b'"' && w[w.len() - 1] == b'"' && &w[1..w.len() - 1] == tag;
+            if std::str::from_utf8(&pkt.payload).is_err()
+                || !pkt.payload.windows(tag.len() + 2).any(quoted)
+            {
+                return false;
             }
         }
         true
@@ -581,6 +584,11 @@ mod tests {
         p.payload = Bytes::from_static(br#"{"PSa":{"imsi":1}}"#);
         assert!(!class.matches(&p));
         p.payload = Bytes::new();
+        assert!(!class.matches(&p));
+        // The tag alone, and a tag in a payload that is not UTF-8.
+        p.payload = Bytes::from_static(br#""PSq""#);
+        assert!(class.matches(&p));
+        p.payload = Bytes::from_static(b"\xff\"PSq\"");
         assert!(!class.matches(&p));
     }
 

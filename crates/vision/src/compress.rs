@@ -8,10 +8,9 @@
 
 use crate::compute::DeviceProfile;
 use crate::image::ImageSpec;
-use serde::{Deserialize, Serialize};
 
 /// A frame codec choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Codec {
     /// JPEG at the given quality (higher = less compression).
     Jpeg(u8),

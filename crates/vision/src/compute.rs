@@ -20,10 +20,9 @@
 
 use crate::image::ImageSpec;
 use crate::matcher::MatchOps;
-use serde::{Deserialize, Serialize};
 
 /// The compute devices appearing in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Device {
     /// One+ One smartphone (the UE).
     OnePlusOne,
@@ -112,7 +111,7 @@ impl Device {
 }
 
 /// Per-operation virtual-time costs for one device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceProfile {
     /// Which device this is.
     pub device: Device,

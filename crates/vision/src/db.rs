@@ -13,14 +13,13 @@ use crate::image::{ImageSpec, Resolution};
 use crate::matcher::{match_pair, MatchOps, MatcherConfig, PairOutcome};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The resolution objects are photographed at for the database.
 pub const CAPTURE_RESOLUTION: Resolution = Resolution::new(480, 360);
 
 /// One catalogued object.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbObject {
     /// Stable object identity (drives synthetic feature generation).
     pub id: u64,
@@ -39,7 +38,7 @@ pub struct DbObject {
 }
 
 /// The object database.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObjectDb {
     objects: Vec<DbObject>,
 }
@@ -222,31 +221,6 @@ impl ObjectDb {
     pub fn match_all(&self, frame: &FeatureSet, cfg: &MatcherConfig) -> QueryOutcome {
         self.match_against(frame, self.objects.iter(), cfg)
     }
-
-    /// Serialize to JSON (stands in for the paper's YAML persistence).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Load from JSON.
-    pub fn from_json(s: &str) -> serde_json::Result<ObjectDb> {
-        serde_json::from_str(s)
-    }
-
-    /// Persist to a file (the AR back-end "reads the current database
-    /// stored in YAML format" at startup, §6.3 — ours is JSON).
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = self
-            .to_json()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
-    }
-
-    /// Load from a file written by [`ObjectDb::save`].
-    pub fn load(path: &std::path::Path) -> std::io::Result<ObjectDb> {
-        let s = std::fs::read_to_string(path)?;
-        Self::from_json(&s).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 impl Default for ObjectDb {
@@ -366,30 +340,5 @@ mod tests {
         let by_ss = db.in_subsections(&[ss]).len();
         let by_sec = db.in_sections(&[section]).len();
         assert!(by_sec >= by_ss);
-    }
-
-    #[test]
-    fn file_persistence_roundtrips() {
-        let floor = FloorPlan::retail_store();
-        let db = ObjectDb::generate_retail(&floor, 1, 4);
-        let path = std::env::temp_dir().join(format!("acacia-db-{}.json", std::process::id()));
-        db.save(&path).unwrap();
-        let back = ObjectDb::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back.len(), db.len());
-        assert_eq!(back.objects()[7].features, db.objects()[7].features);
-        // A missing file reports an error rather than panicking.
-        assert!(ObjectDb::load(std::path::Path::new("/nonexistent/x.json")).is_err());
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_db() {
-        let floor = FloorPlan::retail_store();
-        let db = ObjectDb::generate_retail(&floor, 1, 9);
-        let json = db.to_json().unwrap();
-        let back = ObjectDb::from_json(&json).unwrap();
-        assert_eq!(back.len(), db.len());
-        assert_eq!(back.objects()[3].features, db.objects()[3].features);
-        assert_eq!(back.objects()[3].tag, db.objects()[3].tag);
     }
 }

@@ -12,13 +12,12 @@
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Descriptor dimensionality (SURF-64).
 pub const DESC_DIM: usize = 64;
 
 /// An interest-point location in image coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Keypoint {
     /// X, pixels.
     pub x: f32,
@@ -29,7 +28,7 @@ pub struct Keypoint {
 }
 
 /// A 64-dimensional unit-norm descriptor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Descriptor(pub Vec<f32>);
 
 impl Descriptor {
@@ -59,7 +58,7 @@ impl Descriptor {
 }
 
 /// A keypoint + descriptor pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Feature {
     /// Where it is.
     pub keypoint: Keypoint,
@@ -68,7 +67,7 @@ pub struct Feature {
 }
 
 /// A set of features extracted from one image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureSet {
     /// The features.
     pub features: Vec<Feature>,
@@ -105,7 +104,7 @@ impl FeatureSet {
 
 /// A similarity transform (rotation, uniform scale, translation) applied to
 /// keypoints when an object is viewed by a camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Similarity {
     /// Rotation, radians.
     pub angle: f32,

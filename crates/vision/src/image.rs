@@ -16,10 +16,8 @@
 //! through these five anchor points (power-law extrapolation outside), plus
 //! a deterministic per-scene ±10% content factor.
 
-use serde::{Deserialize, Serialize};
-
 /// An image resolution in pixels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Resolution {
     /// Width, pixels.
     pub w: u32,
@@ -101,7 +99,7 @@ pub fn expected_features(res: Resolution) -> f64 {
 
 /// A synthetic scene: a scene identity plus the resolution it is captured
 /// at. Identical `scene_id`s depict the same physical object/scene.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ImageSpec {
     /// Scene/object identity.
     pub scene_id: u64,

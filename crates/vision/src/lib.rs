@@ -10,7 +10,7 @@
 //! * [`matcher`] — the four-stage cascade (brute-force 2-NN + ratio test,
 //!   symmetry test, RANSAC, inlier threshold) with operation metering.
 //! * [`db`] — the 105-object geo-tagged retail database (§6.3) with
-//!   subsection/section pruning and JSON persistence.
+//!   subsection/section pruning.
 //! * [`compute`] — device profiles turning metered operations into virtual
 //!   time, calibrated to Fig. 3(a,b,h) and §7.3.
 //! * [`compress`] — JPEG/PNG/raw codecs (Fig. 3(f), §7.3).
