@@ -936,7 +936,7 @@ impl CorridorScenario {
                 bg_rate_bps: load.bg_rate_bps,
                 cloud_rtts_ms,
                 cloud_probes,
-                core_classes: core.classes.iter().map(|(&c, &s)| (c, s)).collect(),
+                core_classes: core.classes.clone(),
                 core_drops_queue: core.drops_queue,
             }
         });

@@ -51,7 +51,7 @@ use crate::time::{serialization_time, Duration, Instant};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Static configuration of a link.
 #[derive(Debug, Clone)]
@@ -150,8 +150,9 @@ pub struct LinkStats {
     /// of accepted packets). A scheduler may reorder service but never
     /// invents or destroys work, so this is scheduler-invariant.
     pub busy: Duration,
-    /// Per-DSCP-class counters, keyed by `tos >> 2`.
-    pub classes: BTreeMap<u8, ClassStats>,
+    /// Per-DSCP-class counters, keyed by `tos >> 2`, in ascending DSCP
+    /// order. A class appears once it accepts or queue-drops a packet.
+    pub classes: Vec<(u8, ClassStats)>,
 }
 
 impl LinkStats {
@@ -168,10 +169,13 @@ impl LinkStats {
             + self.delays_injected
     }
 
-    /// Counters for one DSCP class (`None` if the class was never offered
-    /// a packet).
+    /// Counters for one DSCP class (`None` if the class never accepted or
+    /// queue-dropped a packet).
     pub fn class(&self, dscp: u8) -> Option<&ClassStats> {
-        self.classes.get(&dscp)
+        self.classes
+            .iter()
+            .find(|&&(d, _)| d == dscp)
+            .map(|(_, cs)| cs)
     }
 }
 
@@ -194,20 +198,38 @@ struct ClassQueue {
     backlog: u64,
 }
 
+/// The value for `dscp` in a per-class list sorted by DSCP, inserted as
+/// the default if absent. The list grows by exactly one slot: a link
+/// carries a few classes for its whole life, and a metro keeps thousands
+/// of links.
+fn entry<T: Default>(classes: &mut Vec<(u8, T)>, dscp: u8) -> &mut T {
+    let i = match classes.binary_search_by_key(&dscp, |&(d, _)| d) {
+        Ok(i) => i,
+        Err(i) => {
+            classes.reserve_exact(1);
+            classes.insert(i, (dscp, T::default()));
+            i
+        }
+    };
+    &mut classes[i].1
+}
+
 /// A unidirectional link between two node ports.
 pub struct Link {
     cfg: LinkConfig,
     to: (NodeId, PortId),
-    /// Committed transmissions per DSCP class, keyed by `tos >> 2`.
-    queues: BTreeMap<u8, ClassQueue>,
+    /// Committed transmissions per DSCP class, keyed by `tos >> 2`, in
+    /// ascending DSCP order.
+    queues: Vec<(u8, ClassQueue)>,
     stats: LinkStats,
     /// Private RNG stream for loss and jitter draws, seeded from the
     /// master seed and the link's source endpoint. Draw order therefore
     /// depends only on the offered-packet sequence, never on how other
     /// links or shards interleave.
     rng: ChaCha8Rng,
-    /// Optional injected-fault schedule with its own RNG stream.
-    fault: Option<FaultPlan>,
+    /// Optional injected-fault schedule with its own RNG stream, boxed
+    /// because only chaos runs set one.
+    fault: Option<Box<FaultPlan>>,
 }
 
 impl Link {
@@ -215,7 +237,7 @@ impl Link {
         Link {
             cfg,
             to,
-            queues: BTreeMap::new(),
+            queues: Vec::new(),
             stats: LinkStats::default(),
             rng: ChaCha8Rng::seed_from_u64(rng_seed),
             fault: None,
@@ -236,7 +258,7 @@ impl Link {
 
     /// Attach (or replace) the fault plan.
     pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault = plan;
+        self.fault = plan.map(Box::new);
     }
 
     /// Offer `pkt` to the link at time `now`.
@@ -257,9 +279,7 @@ impl Link {
                     break;
                 }
             }
-            if let Some(cs) = self.stats.classes.get_mut(dscp) {
-                cs.backlog_bytes = cq.backlog;
-            }
+            entry(&mut self.stats.classes, *dscp).backlog_bytes = cq.backlog;
         }
 
         // Injected faults act at the link entrance, before the channel's
@@ -297,11 +317,14 @@ impl Link {
         }
 
         if let Some(limit) = self.cfg.queue_bytes {
-            let backlog = self.queues.get(&class).map_or(0, |cq| cq.backlog);
+            let backlog = self
+                .queues
+                .iter()
+                .find(|&&(d, _)| d == class)
+                .map_or(0, |(_, cq)| cq.backlog);
             if backlog + wire_bytes as u64 > limit {
                 self.stats.drops_queue += 1;
-                let cs = self.stats.classes.entry(class).or_default();
-                cs.drops_queue += 1;
+                entry(&mut self.stats.classes, class).drops_queue += 1;
                 return Deliveries::default();
             }
         }
@@ -312,14 +335,15 @@ impl Link {
         // packets that have not started.
         let reserved = self
             .queues
-            .range(class..)
+            .iter()
+            .filter(|&&(d, _)| d >= class)
             .filter_map(|(_, cq)| cq.q.back().map(|&(_, done, _)| done))
             .max()
             .unwrap_or(Instant::ZERO);
         let active = self
             .queues
-            .values()
-            .filter_map(|cq| cq.q.front())
+            .iter()
+            .filter_map(|(_, cq)| cq.q.front())
             .filter(|&&(start, _, _)| start <= now)
             .map(|&(_, done, _)| done)
             .max()
@@ -327,7 +351,7 @@ impl Link {
         let start = now.max(reserved).max(active);
         let tx = serialization_time(wire_bytes as u64, self.cfg.rate_bps);
         let done = start + tx;
-        let cq = self.queues.entry(class).or_default();
+        let cq = entry(&mut self.queues, class);
         cq.q.push_back((start, done, wire_bytes as u64));
         cq.backlog += wire_bytes as u64;
 
@@ -340,7 +364,7 @@ impl Link {
         self.stats.tx_packets += 1;
         self.stats.tx_bytes += wire_bytes as u64;
         self.stats.busy += tx;
-        let cs = self.stats.classes.entry(class).or_default();
+        let cs = entry(&mut self.stats.classes, class);
         cs.enqueued += 1;
         cs.enqueued_bytes += wire_bytes as u64;
         cs.backlog_bytes = cq.backlog;
@@ -615,6 +639,34 @@ mod tests {
         assert_eq!(stats.class(1).unwrap().enqueued, 1);
         assert_eq!(stats.class(7).unwrap().enqueued, 1);
         assert_eq!(stats.class(7).unwrap().drops_queue, 0);
+    }
+
+    #[test]
+    fn classes_stay_sorted_and_exactly_sized() {
+        // Bound 1 500 B per class, everything offered at t=0: the second
+        // DSCP 46 packet (1 000 B behind 1 000 B) is the one drop.
+        let cfg = LinkConfig::rate_limited(8_000, Duration::ZERO).with_queue(1_500);
+        let mut link = Link::new(cfg, (0, 0), 99);
+        for (dscp, bytes) in [(46, 1000), (0, 500), (10, 1000), (46, 1000), (0, 500)] {
+            link.transmit(Instant::ZERO, &pkt_tos(bytes, dscp << 2));
+        }
+        let stats = link.stats();
+        let got: Vec<_> = stats
+            .classes
+            .iter()
+            .map(|(d, cs)| (*d, cs.enqueued, cs.drops_queue))
+            .collect();
+        assert_eq!(got, [(0, 2, 0), (10, 1, 0), (46, 1, 1)]);
+        assert_eq!(stats.drops_queue, 1);
+        for (d, enqueued, drops) in got {
+            let cs = stats.class(d).expect("every listed class is found");
+            assert_eq!((cs.enqueued, cs.drops_queue), (enqueued, drops));
+        }
+        assert!(stats.class(1).is_none());
+        let queued: Vec<u8> = link.queues.iter().map(|&(d, _)| d).collect();
+        assert_eq!(queued, [0, 10, 46]);
+        assert_eq!(stats.classes.capacity(), stats.classes.len());
+        assert_eq!(link.queues.capacity(), link.queues.len());
     }
 
     #[test]

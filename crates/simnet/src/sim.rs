@@ -390,9 +390,17 @@ impl EvPayload {
 
 /// One port of a node's row in the link table. Port numbers are sparse by
 /// convention (a UE's cell-facing ports start at 200), so an empty slot
-/// must cost a pointer, not a [`Link`] (two RNG streams, stats, config).
+/// must cost a pointer, not a [`Link`] (config, class queues, stats and an
+/// RNG stream).
 pub(crate) type PortSlot = Option<Box<Link>>;
 const _: () = assert!(std::mem::size_of::<PortSlot>() <= 16);
+// Every link and node lives for the whole run (a metro builds thousands of
+// each), so their inline state is pinned: rarely used parts such as a
+// link's fault plan go behind a pointer, and the generator buffers one
+// ChaCha block, not four.
+const _: () = assert!(std::mem::size_of::<Link>() <= 320);
+const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 192);
+const _: () = assert!(std::mem::size_of::<ChaCha8Rng>() <= 128);
 
 /// The discrete-event network simulator.
 pub struct Simulator {

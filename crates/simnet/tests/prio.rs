@@ -110,10 +110,10 @@ proptest! {
         prop_assert_eq!(stats.tx_packets, seen.len() as u64);
         prop_assert_eq!(seen.len() as u64 + stats.drops(), sent);
         // Per-class enqueues partition the committed packets…
-        let class_enqueued: u64 = stats.classes.values().map(|c| c.enqueued).sum();
+        let class_enqueued: u64 = stats.classes.iter().map(|(_, c)| c.enqueued).sum();
         prop_assert_eq!(class_enqueued, stats.tx_packets);
         // …and per-class queue drops partition the link's queue drops.
-        let class_drops: u64 = stats.classes.values().map(|c| c.drops_queue).sum();
+        let class_drops: u64 = stats.classes.iter().map(|(_, c)| c.drops_queue).sum();
         prop_assert_eq!(class_drops, stats.drops_queue);
         // Every arrival's class was accounted on the stats side.
         for &(tos, _) in &seen {
