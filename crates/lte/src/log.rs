@@ -3,12 +3,13 @@
 //! Every control message sent by any entity is recorded here, giving the
 //! per-protocol message and byte counts the paper reports in §4 (control
 //! overhead of bearer release/re-establishment). The log keeps running
-//! totals per message name, so its size follows the number of distinct
-//! messages (a few dozen), not the length of the run.
+//! totals per message kind (one row per row of the `wire` catalogue), so
+//! its size is fixed, not a function of the length of the run.
 
-use crate::wire::{ControlMsg, Protocol};
+use crate::wire::{ControlMsg, Protocol, KINDS, KIND_COUNT};
 use acacia_simnet::time::Instant;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Running totals for one message name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,49 +28,80 @@ pub struct MsgTotals {
     pub last: Instant,
 }
 
-/// A cheaply cloneable, shared message log. Entities on different shards
-/// may record concurrently; every query is an order-independent
-/// aggregation, so the interleaving of records does not affect results.
-#[derive(Clone, Default)]
+/// One kind's counters. Its bytes are `count` times its wire size.
+#[derive(Default)]
+struct Row {
+    count: AtomicU64,
+    /// Earliest send in nanoseconds, `u64::MAX` before the first.
+    first: AtomicU64,
+    /// Latest send in nanoseconds.
+    last: AtomicU64,
+    /// Rank of this kind's first record among every kind's first record.
+    order: AtomicU64,
+}
+
+/// A cheaply cloneable, shared message log: one row of relaxed atomic
+/// counters per message kind, so recording takes no lock. Entities on
+/// different shards may record concurrently; every total is a sum, a min
+/// or a max, so the interleaving of records does not affect it.
+#[derive(Clone)]
 pub struct MsgLog {
-    inner: Arc<Mutex<Vec<MsgTotals>>>,
+    rows: Arc<[Row; KIND_COUNT]>,
+    /// How many kinds have been recorded.
+    kinds_seen: Arc<AtomicU64>,
+}
+
+impl Default for MsgLog {
+    fn default() -> MsgLog {
+        MsgLog::new()
+    }
 }
 
 impl MsgLog {
     /// New empty log.
     pub fn new() -> MsgLog {
-        MsgLog::default()
+        let log = MsgLog {
+            rows: Arc::new(std::array::from_fn(|_| Row::default())),
+            kinds_seen: Arc::default(),
+        };
+        log.clear();
+        log
     }
 
-    fn rows(&self) -> MutexGuard<'_, Vec<MsgTotals>> {
-        self.inner.lock().expect("msg log poisoned")
+    /// Every kind's totals, after the rank of its first record.
+    fn totals(&self) -> impl Iterator<Item = (u64, MsgTotals)> + '_ {
+        let rows = self.rows.iter().zip(KINDS);
+        rows.map(|(r, (protocol, name, spec))| {
+            let count = r.count.load(Relaxed);
+            let totals = MsgTotals {
+                name,
+                protocol,
+                count,
+                bytes: count * u64::from(spec),
+                first: Instant::from_nanos(r.first.load(Relaxed)),
+                last: Instant::from_nanos(r.last.load(Relaxed)),
+            };
+            (r.order.load(Relaxed), totals)
+        })
     }
 
     /// Sum `f` over the rows `keep` selects.
     fn total(&self, keep: impl Fn(Protocol) -> bool, f: impl Fn(&MsgTotals) -> u64) -> u64 {
-        self.rows().iter().filter(|r| keep(r.protocol)).map(f).sum()
+        self.totals()
+            .filter(|(_, r)| keep(r.protocol))
+            .map(|(_, r)| f(&r))
+            .sum()
     }
 
     /// Record a message about to be sent.
     pub fn record(&self, at: Instant, msg: &ControlMsg) {
-        let name = msg.name();
-        let bytes = msg.wire_size_spec() as u64;
-        let mut rows = self.rows();
-        if let Some(r) = rows.iter_mut().find(|r| r.name == name) {
-            r.count += 1;
-            r.bytes += bytes;
-            // Shards record out of order within a window.
-            r.first = r.first.min(at);
-            r.last = r.last.max(at);
-        } else {
-            rows.push(MsgTotals {
-                name,
-                protocol: msg.protocol(),
-                count: 1,
-                bytes,
-                first: at,
-                last: at,
-            });
+        let r = &self.rows[msg.kind()];
+        // Shards record out of order within a window.
+        r.first.fetch_min(at.nanos(), Relaxed);
+        r.last.fetch_max(at.nanos(), Relaxed);
+        if r.count.fetch_add(1, Relaxed) == 0 {
+            r.order
+                .store(self.kinds_seen.fetch_add(1, Relaxed), Relaxed);
         }
     }
 
@@ -99,15 +131,20 @@ impl MsgLog {
     /// same instant keep the order they were first recorded in, which on
     /// one shard is the order they were sent in.
     pub fn by_name(&self) -> Vec<MsgTotals> {
-        let mut rows = self.rows().clone();
-        rows.sort_by_key(|r| r.first);
-        rows
+        let mut rows: Vec<_> = self.totals().filter(|(_, r)| r.count > 0).collect();
+        rows.sort_by_key(|&(order, r)| (r.first, order));
+        rows.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Forget everything (e.g. after the attach phase, before measuring a
     /// release/re-establish cycle).
     pub fn clear(&self) {
-        self.rows().clear();
+        for r in self.rows.iter() {
+            r.count.store(0, Relaxed);
+            r.first.store(u64::MAX, Relaxed);
+            r.last.store(0, Relaxed);
+        }
+        self.kinds_seen.store(0, Relaxed);
     }
 
     /// Total message count (all protocols) since the last
@@ -118,7 +155,7 @@ impl MsgLog {
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
-        self.rows().is_empty()
+        self.len() == 0
     }
 
     /// One-line-per-protocol summary (messages / bytes), core protocols

@@ -200,6 +200,39 @@ fn idle_release_and_service_request_match_paper_control_overhead() {
     assert_eq!(net.log.bytes(Protocol::OpenFlow), 1424, "OpenFlow bytes");
     assert_eq!(net.log.core_count(), 15, "total core messages");
     assert_eq!(net.log.core_bytes(), 2914, "total core bytes");
+
+    // One row per name, in first-sent order. Four pairs are first sent at
+    // the same instant (`FlowMod(del)` and `ReleaseAccessBearersResponse`,
+    // `RRCConnectionRelease` and `UEContextReleaseComplete`, the two
+    // service requests, `FlowMod(add)` and `ModifyBearerResponse`); each
+    // keeps the order it was recorded in, not the catalogue's order.
+    let rows: Vec<_> = net
+        .log
+        .by_name()
+        .iter()
+        .map(|r| (r.name, r.count))
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("UEContextReleaseRequest", 1),
+            ("ReleaseAccessBearersRequest", 1),
+            ("FlowMod(del)", 2),
+            ("ReleaseAccessBearersResponse", 1),
+            ("UEContextReleaseCommand", 1),
+            ("RRCConnectionRelease", 1),
+            ("UEContextReleaseComplete", 1),
+            ("RRC(ServiceRequest)", 1),
+            ("InitialUE(ServiceRequest)", 1),
+            ("InitialContextSetupRequest", 1),
+            ("InitialContextSetupResponse", 1),
+            ("ModifyBearerRequest", 1),
+            ("FlowMod(add)", 2),
+            ("ModifyBearerResponse", 1),
+            ("DownlinkNAS(Accept)", 1),
+            ("RRCConnectionReconfiguration", 1),
+        ]
+    );
 }
 
 #[test]
