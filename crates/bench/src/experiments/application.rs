@@ -76,18 +76,18 @@ pub fn fig11_frames(
 
         // The object photographed at this checkpoint: the DB object
         // anchored there (generate_retail puts one at each checkpoint).
-        let target = db
+        let target_id = db
             .objects()
             .iter()
             .filter(|o| o.pos.distance(cp.pos) < 1e-6)
             .min_by_key(|o| o.id)
             .unwrap_or(&db.objects()[ci % db.len()])
-            .clone();
+            .id;
 
         for f in 0..frames_per_object {
             let view_seed = (ci * 97 + f) as u64 ^ seed;
-            let spec = ImageSpec::new(target.id, resolution);
-            let base = object_features(target.id, spec.feature_count());
+            let spec = ImageSpec::new(target_id, resolution);
+            let base = object_features(target_id, spec.feature_count());
             let view = render_view(
                 &base,
                 Similarity::from_seed(view_seed),
@@ -100,7 +100,7 @@ pub fn fig11_frames(
             let correct = outcome
                 .best
                 .as_ref()
-                .map(|(id, _)| *id == target.id)
+                .map(|(id, _)| *id == target_id)
                 .unwrap_or(false);
             out.push(Fig11Frame {
                 ops: outcome.ops,

@@ -10,13 +10,20 @@
 
 use crate::feature::{object_features, FeatureSet};
 use crate::image::{ImageSpec, Resolution};
-use crate::matcher::{match_pair, MatchOps, MatcherConfig, PairOutcome};
+use crate::matcher::{exec_len, match_pair, match_prefix, MatchOps, MatcherConfig, PairOutcome};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
 use std::sync::Arc;
 
 /// The resolution objects are photographed at for the database.
 pub const CAPTURE_RESOLUTION: Resolution = Resolution::new(480, 360);
+
+/// Descriptors stored per object: the prefix that matching at the default
+/// [`MatcherConfig::exec_cap`] executes. An object photographed at
+/// [`CAPTURE_RESOLUTION`] detects 600–800 features; the rest only count
+/// towards metered operations, so the database keeps their number, not
+/// their descriptors.
+pub const STORED_FEATURES: usize = 96;
 
 /// One catalogued object.
 #[derive(Debug, Clone)]
@@ -33,7 +40,12 @@ pub struct DbObject {
     pub section: usize,
     /// Physical position of the object on the floor.
     pub pos: Point,
-    /// Stored SURF keypoints + descriptors.
+    /// SURF features detected in the object's capture image.
+    pub feature_count: usize,
+    /// Stored SURF keypoints + descriptors: the first
+    /// `min(feature_count, STORED_FEATURES)` of the object's features
+    /// (generation is prefix-stable, so these equal
+    /// `object_features(id, feature_count)`'s prefix).
     pub features: FeatureSet,
 }
 
@@ -93,7 +105,7 @@ impl ObjectDb {
                         ss.rect.min.y + fy * ss.rect.height(),
                     )
                 };
-                let spec = ImageSpec::new(id, CAPTURE_RESOLUTION);
+                let feature_count = ImageSpec::new(id, CAPTURE_RESOLUTION).feature_count();
                 objects.push(DbObject {
                     id,
                     name: format!("object-{}", objects.len()),
@@ -101,7 +113,8 @@ impl ObjectDb {
                     subsection: ssi,
                     section: ss.section,
                     pos,
-                    features: object_features(id, spec.feature_count()),
+                    feature_count,
+                    features: object_features(id, feature_count.min(STORED_FEATURES)),
                 });
             }
         }
@@ -198,7 +211,13 @@ impl ObjectDb {
         let mut examined = 0;
         for obj in candidates {
             examined += 1;
-            let outcome = match_pair(frame, &obj.features, cfg);
+            let outcome = if exec_len(obj.feature_count, cfg) <= obj.features.len() {
+                match_prefix(frame, &obj.features.features, obj.feature_count, cfg)
+            } else {
+                // The config executes past the stored prefix: regenerate
+                // the object's full feature set for this call.
+                match_pair(frame, &object_features(obj.id, obj.feature_count), cfg)
+            };
             ops.merge(outcome.ops);
             if outcome.passed {
                 let better = match &best {
@@ -269,6 +288,7 @@ mod tests {
             .zip(again.objects())
         {
             assert_eq!(a.id, b.id);
+            assert_eq!(a.feature_count, b.feature_count);
             assert_eq!(a.features, b.features);
             assert_eq!(a.features, c.features);
             assert_eq!(a.tag, b.tag);
@@ -283,6 +303,7 @@ mod tests {
         assert_eq!(a.objects().len(), b.objects().len());
         for (x, y) in a.objects().iter().zip(b.objects()) {
             assert_eq!(x.id, y.id);
+            assert_eq!(x.feature_count, y.feature_count);
             assert_eq!(x.features, y.features);
         }
     }
@@ -292,7 +313,7 @@ mod tests {
         let (_, db) = small_db();
         let target = &db.objects()[8];
         let frame = render_view(
-            &target.features,
+            &object_features(target.id, target.feature_count),
             Similarity::identity(),
             ViewParams::default(),
             3,
@@ -309,7 +330,7 @@ mod tests {
         let (_, db) = small_db();
         let target = &db.objects()[0];
         let frame = render_view(
-            &target.features,
+            &object_features(target.id, target.feature_count),
             Similarity::identity(),
             ViewParams::default(),
             4,
@@ -330,6 +351,53 @@ mod tests {
         let cfg = MatcherConfig::default();
         let out = db.match_all(&frame, &cfg);
         assert!(out.best.is_none(), "matched {:?}", out.best);
+    }
+
+    #[test]
+    fn stored_prefix_matches_like_the_full_feature_set() {
+        let (_, db) = small_db();
+        let full_sets: Vec<FeatureSet> = db
+            .objects()
+            .iter()
+            .map(|o| object_features(o.id, o.feature_count))
+            .collect();
+        for (o, full) in db.objects().iter().zip(&full_sets) {
+            let spec = ImageSpec::new(o.id, CAPTURE_RESOLUTION);
+            assert_eq!(o.feature_count, spec.feature_count());
+            assert_eq!(o.features.len(), o.feature_count.min(STORED_FEATURES));
+            assert_eq!(o.features.features[..], full.features[..o.features.len()]);
+        }
+        // Views of three objects with more features than the smaller caps,
+        // so both capped and whole-query execution are exercised.
+        let views: Vec<FeatureSet> = [0, 8, 17]
+            .iter()
+            .map(|&i| {
+                let base = object_features(db.objects()[i].id, 48);
+                let pose = Similarity::from_seed(i as u64);
+                render_view(&base, pose, ViewParams::default(), 7)
+            })
+            .collect();
+        // Caps within the stored prefix, then the ones that regenerate the
+        // full set: unlimited and past `STORED_FEATURES`.
+        let mut matched = 0;
+        for exec_cap in [16, 24, 32, 48, 96, 0, 200] {
+            let cfg = MatcherConfig {
+                exec_cap,
+                ..MatcherConfig::default()
+            };
+            for view in &views {
+                for (o, full) in db.objects().iter().zip(&full_sets) {
+                    let want = match_pair(view, full, &cfg);
+                    let got = db.match_against(view, [o], &cfg);
+                    assert_eq!(got.ops, want.ops, "cap {exec_cap}, object {}", o.id);
+                    assert_eq!(got.candidates_examined, 1);
+                    matched += usize::from(want.passed);
+                    assert_eq!(got.best, want.passed.then_some((o.id, want)));
+                }
+            }
+        }
+        // Each view finds its own object at every cap.
+        assert!(matched >= 3 * 7, "only {matched} matches");
     }
 
     #[test]

@@ -83,23 +83,6 @@ impl FeatureSet {
     pub fn is_empty(&self) -> bool {
         self.features.is_empty()
     }
-
-    /// Deterministically subsample to at most `k` features by taking the
-    /// prefix. Used to bound real matching work while op accounting uses
-    /// the full counts.
-    ///
-    /// Prefix (rather than strided) selection matters: synthetic feature
-    /// sets of the same object at different resolutions share a common
-    /// *prefix* of base features, so prefix subsets of the query and the
-    /// stored object still overlap and true matches survive subsampling.
-    pub fn subsample(&self, k: usize) -> FeatureSet {
-        if self.features.len() <= k || k == 0 {
-            return self.clone();
-        }
-        FeatureSet {
-            features: self.features[..k].to_vec(),
-        }
-    }
 }
 
 /// A similarity transform (rotation, uniform scale, translation) applied to
@@ -336,18 +319,5 @@ mod tests {
         let (x, y) = t.apply(1.0, 0.0);
         assert!((x - 10.0).abs() < 1e-5, "x {x}");
         assert!((y - (-3.0)).abs() < 1e-5, "y {y}");
-    }
-
-    #[test]
-    fn subsample_preserves_at_most_k() {
-        let base = object_features(9, 100);
-        let s = base.subsample(10);
-        assert_eq!(s.len(), 10);
-        let all = base.subsample(200);
-        assert_eq!(all.len(), 100);
-        // Subsampled features come from the original set.
-        for f in &s.features {
-            assert!(base.features.contains(f));
-        }
     }
 }

@@ -10,7 +10,8 @@
 //! * [`matcher`] — the four-stage cascade (brute-force 2-NN + ratio test,
 //!   symmetry test, RANSAC, inlier threshold) with operation metering.
 //! * [`db`] — the 105-object geo-tagged retail database (§6.3) with
-//!   subsection/section pruning.
+//!   subsection/section pruning; each object keeps its feature count and
+//!   the descriptor prefix the matcher executes.
 //! * [`compute`] — device profiles turning metered operations into virtual
 //!   time, calibrated to Fig. 3(a,b,h) and §7.3.
 //! * [`compress`] — JPEG/PNG/raw codecs (Fig. 3(f), §7.3).
@@ -28,8 +29,8 @@
 //! let floor = FloorPlan::retail_store();
 //! let db = ObjectDb::generate_retail(&floor, 1, 42);
 //! let target = &db.objects()[5];
-//! let frame = render_view(&target.features, Similarity::identity(),
-//!                         ViewParams::default(), 1);
+//! let base = object_features(target.id, target.feature_count);
+//! let frame = render_view(&base, Similarity::identity(), ViewParams::default(), 1);
 //! let out = db.match_all(&frame, &MatcherConfig::default());
 //! assert_eq!(out.best.unwrap().0, target.id);
 //! // Virtual time of that query on the paper's 8-core i7:
@@ -49,7 +50,7 @@ pub mod matcher;
 
 pub use compress::Codec;
 pub use compute::{contended_time_s, Device, DeviceProfile};
-pub use db::{DbObject, ObjectDb, QueryOutcome, CAPTURE_RESOLUTION};
+pub use db::{DbObject, ObjectDb, QueryOutcome, CAPTURE_RESOLUTION, STORED_FEATURES};
 pub use feature::{
     object_features, render_view, Descriptor, Feature, FeatureSet, Keypoint, Similarity,
     ViewParams, DESC_DIM,

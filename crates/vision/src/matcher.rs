@@ -5,12 +5,14 @@
 //! 3. **RANSAC** geometric verification returning inliers,
 //! 4. inlier-count acceptance threshold.
 //!
-//! Matching executes on (optionally subsampled) real descriptors so the
-//! accuracy behaviour is genuine; operation counts are metered at the full
+//! Matching executes on real descriptors so the accuracy behaviour is
+//! genuine, but only on the first [`MatcherConfig::exec_cap`] of each side,
+//! borrowed as slices; operation counts are metered at the full
 //! feature-set sizes so device-time models stay faithful to the paper's
 //! workloads (see `DESIGN.md`, substitution ledger).
 
-use crate::feature::{FeatureSet, Similarity};
+use crate::db::STORED_FEATURES;
+use crate::feature::{Feature, FeatureSet, Similarity};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -49,8 +51,14 @@ pub struct MatcherConfig {
     pub inlier_px: f32,
     /// Minimum RANSAC inliers to declare a match.
     pub min_inliers: usize,
-    /// Cap on descriptors *executed* per side (0 = unlimited). Subsampling
-    /// keeps debug-mode runs fast; op accounting always uses full counts.
+    /// Cap on descriptors *executed* per side (0 = unlimited): matching
+    /// runs on the first `exec_cap` features of each set, which keeps
+    /// debug-mode runs fast; op accounting always uses full counts.
+    ///
+    /// Prefix (rather than strided) selection matters: synthetic feature
+    /// sets of the same object at different resolutions share a common
+    /// *prefix* of base features, so prefixes of the query and the stored
+    /// object still overlap and true matches survive the cap.
     pub exec_cap: usize,
     /// Seed for RANSAC sampling.
     pub seed: u64,
@@ -63,7 +71,8 @@ impl Default for MatcherConfig {
             ransac_iters: 100,
             inlier_px: 6.0,
             min_inliers: 8,
-            exec_cap: 96,
+            // The database stores exactly the prefix the default executes.
+            exec_cap: STORED_FEATURES,
             seed: 0x51_7e,
         }
     }
@@ -118,8 +127,30 @@ impl PairOutcome {
 
 /// Run the full cascade for `query` against `train`.
 pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -> PairOutcome {
+    match_prefix(query, &train.features, train.len(), cfg)
+}
+
+/// Number of features of a `len`-feature set that `cfg` executes.
+pub(crate) fn exec_len(len: usize, cfg: &MatcherConfig) -> usize {
+    if cfg.exec_cap == 0 {
+        len
+    } else {
+        len.min(cfg.exec_cap)
+    }
+}
+
+/// Run the full cascade for `query` against a `train_len`-feature set of
+/// which `train` holds at least the executed prefix
+/// (`exec_len(train_len, cfg)` features). Operations are metered at
+/// `train_len`.
+pub(crate) fn match_prefix(
+    query: &FeatureSet,
+    train: &[Feature],
+    train_len: usize,
+    cfg: &MatcherConfig,
+) -> PairOutcome {
     let full_q = query.len() as u64;
-    let full_t = train.len() as u64;
+    let full_t = train_len as u64;
     let mut ops = MatchOps {
         // Forward brute-force 2-NN touches every (q, t) pair once.
         distance_computations: full_q * full_t,
@@ -127,21 +158,18 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
         ..MatchOps::default()
     };
 
-    if query.len() < 2 || train.len() < 2 {
+    if query.len() < 2 || train_len < 2 {
         return PairOutcome::rejected(CascadeStage::TooFewFeatures, ops);
     }
 
-    let (q, t) = if cfg.exec_cap > 0 {
-        (query.subsample(cfg.exec_cap), train.subsample(cfg.exec_cap))
-    } else {
-        (query.clone(), train.clone())
-    };
+    let q = &query.features[..exec_len(query.len(), cfg)];
+    let t = &train[..exec_len(train_len, cfg)];
 
     // Stage 1: forward 2-NN + ratio test.
     let mut forward: Vec<(usize, usize)> = Vec::new(); // (q_idx, t_idx)
-    for (qi, qf) in q.features.iter().enumerate() {
+    for (qi, qf) in q.iter().enumerate() {
         let (mut best, mut best_i, mut second) = (f32::INFINITY, usize::MAX, f32::INFINITY);
-        for (ti, tf) in t.features.iter().enumerate() {
+        for (ti, tf) in t.iter().enumerate() {
             let d = qf.descriptor.dist2(&tf.descriptor);
             if d < best {
                 second = best;
@@ -164,9 +192,9 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
     ops.symmetry_checks += forward.len() as u64;
     let mut tentative: Vec<(usize, usize)> = Vec::new();
     for &(qi, ti) in &forward {
-        let tf = &t.features[ti];
+        let tf = &t[ti];
         let (mut best, mut best_q) = (f32::INFINITY, usize::MAX);
-        for (qj, qf) in q.features.iter().enumerate() {
+        for (qj, qf) in q.iter().enumerate() {
             let d = tf.descriptor.dist2(&qf.descriptor);
             if d < best {
                 best = d;
@@ -196,10 +224,10 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
             j = (j + 1) % tentative.len();
         }
         let model = match similarity_from_pairs(
-            point_of(&t, tentative[i].1),
-            point_of(&q, tentative[i].0),
-            point_of(&t, tentative[j].1),
-            point_of(&q, tentative[j].0),
+            point_of(t, tentative[i].1),
+            point_of(q, tentative[i].0),
+            point_of(t, tentative[j].1),
+            point_of(q, tentative[j].0),
         ) {
             Some(m) => m,
             None => continue,
@@ -208,9 +236,9 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
             .iter()
             .enumerate()
             .filter(|(_, &(qi, ti))| {
-                let (px, py) = point_of(&t, ti);
+                let (px, py) = point_of(t, ti);
                 let (mx, my) = model.apply(px, py);
-                let (qx, qy) = point_of(&q, qi);
+                let (qx, qy) = point_of(q, qi);
                 let dx = mx - qx;
                 let dy = my - qy;
                 (dx * dx + dy * dy).sqrt() <= cfg.inlier_px
@@ -224,7 +252,7 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
     }
 
     // Stage 4: acceptance. The executed-side inlier requirement scales with
-    // the subsampling cap so that accuracy thresholds stay comparable.
+    // the execution cap so that accuracy thresholds stay comparable.
     let min_inliers = effective_min_inliers(cfg, query.len());
     let passed = best_inliers.len() >= min_inliers;
     PairOutcome {
@@ -241,17 +269,18 @@ pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -
     }
 }
 
-/// Minimum inliers, shrunk proportionally when execution is subsampled.
+/// Minimum inliers, shrunk proportionally when execution is capped.
 fn effective_min_inliers(cfg: &MatcherConfig, full_query: usize) -> usize {
-    if cfg.exec_cap == 0 || full_query <= cfg.exec_cap {
+    let executed = exec_len(full_query, cfg);
+    if executed == full_query {
         return cfg.min_inliers;
     }
-    let frac = cfg.exec_cap as f64 / full_query as f64;
+    let frac = executed as f64 / full_query as f64;
     ((cfg.min_inliers as f64 * frac).ceil() as usize).max(4)
 }
 
-fn point_of(set: &FeatureSet, idx: usize) -> (f32, f32) {
-    let k = &set.features[idx].keypoint;
+fn point_of(set: &[Feature], idx: usize) -> (f32, f32) {
+    let k = &set[idx].keypoint;
     (k.x, k.y)
 }
 

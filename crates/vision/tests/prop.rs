@@ -2,19 +2,28 @@
 
 use acacia_vision::compress::Codec;
 use acacia_vision::compute::Device;
+use acacia_vision::db::STORED_FEATURES;
 use acacia_vision::feature::{object_features, render_view, Similarity, ViewParams};
 use acacia_vision::image::{camera_preview_fps, expected_features, ImageSpec, Resolution};
 use acacia_vision::matcher::{match_pair, MatchOps, MatcherConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// Feature generation is prefix-stable: the first n features of a
-    /// larger set equal the smaller set (the property pruned matching
-    /// relies on).
+    /// Feature generation is prefix-stable: the first n1 features of a
+    /// larger set equal the smaller set. Capped matching relies on it, and
+    /// so does the object database, which stores the first
+    /// `STORED_FEATURES` of an object's 600–800 capture features.
     #[test]
-    fn object_features_prefix_stable(id in any::<u64>(), n1 in 2usize..80, extra in 1usize..80) {
+    fn object_features_prefix_stable(
+        id in any::<u64>(),
+        sizes in prop_oneof![
+            (2usize..80, 1usize..80).prop_map(|(n1, extra)| (n1, n1 + extra)),
+            (600usize..800).prop_map(|n| (STORED_FEATURES, n)),
+        ],
+    ) {
+        let (n1, n) = sizes;
         let small = object_features(id, n1);
-        let large = object_features(id, n1 + extra);
+        let large = object_features(id, n);
         prop_assert_eq!(&small.features[..], &large.features[..n1]);
     }
 
@@ -36,19 +45,6 @@ proptest! {
         let before = ((x1 - x2).powi(2) + (y1 - y2).powi(2)).sqrt();
         let after = ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt();
         prop_assert!((after - t.scale * before).abs() < 1e-2 * before.max(1.0));
-    }
-
-    /// Subsampling takes a prefix of at most k features.
-    #[test]
-    fn subsample_is_prefix(id in any::<u64>(), n in 1usize..100, k in 0usize..120) {
-        let set = object_features(id, n);
-        let sub = set.subsample(k);
-        if k == 0 || n <= k {
-            prop_assert_eq!(sub.len(), n);
-        } else {
-            prop_assert_eq!(sub.len(), k);
-            prop_assert_eq!(&sub.features[..], &set.features[..k]);
-        }
     }
 
     /// The matcher never reports more inliers than tentative matches, and
