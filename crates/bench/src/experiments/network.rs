@@ -161,11 +161,10 @@ pub fn fig3g_point(base_rtt_ms: u64, bg_bps: u64, seed: u64) -> f64 {
     sim.run_until(Instant::from_secs(21));
 
     let s = sim.node_ref::<Sink>(sink);
-    let ar_delays: Vec<Duration> = s.delays().to_vec();
     // Forward delay already includes the propagation; add the (uncongested)
     // base return path — the paper measures request/response latency and
     // responses are tiny.
-    let fwd = Series::from_durations_ms(&ar_delays).mean() / 1e3;
+    let fwd = s.mean_delay_ms() / 1e3;
     fwd + one_way.secs_f64()
 }
 

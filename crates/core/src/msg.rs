@@ -129,7 +129,7 @@ impl AppMsg {
         if pkt.protocol != proto::UDP {
             return None;
         }
-        json::decode(&pkt.payload)
+        json::decode(pkt.payload.as_bytes()?)
     }
 }
 
@@ -272,7 +272,10 @@ mod tests {
         ];
         for (m, text) in msgs.into_iter().zip(PAYLOADS) {
             let pkt = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
-            assert_eq!(std::str::from_utf8(&pkt.payload), Ok(text));
+            assert_eq!(
+                std::str::from_utf8(pkt.payload.as_bytes().unwrap()),
+                Ok(text)
+            );
             assert_eq!(AppMsg::from_packet(&pkt), Some(m));
         }
     }
@@ -282,7 +285,10 @@ mod tests {
         for text in PAYLOADS {
             let m: AppMsg = json::decode(text.as_bytes()).expect(text);
             let pkt = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
-            assert_eq!(std::str::from_utf8(&pkt.payload), Ok(text));
+            assert_eq!(
+                std::str::from_utf8(pkt.payload.as_bytes().unwrap()),
+                Ok(text)
+            );
             assert_eq!(pkt.wire_size(), 28 + text.len() as u32);
         }
         // The values behind the less common spellings.

@@ -95,7 +95,7 @@ fn encode(msg: &AppMsg) -> Packet {
 /// to exactly `payload`.
 fn rejected_or_reproduced(payload: Vec<u8>) {
     let mut pkt = encode(&AppMsg::ChunkAck { seq: 0, chunk: 0 });
-    pkt.payload = payload.into();
+    pkt.payload = bytes::Bytes::from(payload).into();
     if let Some(msg) = AppMsg::from_packet(&pkt) {
         assert_eq!(encode(&msg).payload, pkt.payload);
     }
@@ -134,7 +134,7 @@ proptest! {
         byte in prop_oneof![any::<u8>(), prop::sample::select(b"0123456789-.,:\"\\{}[]enul".to_vec())],
         noise in prop::collection::vec(any::<u8>(), 0..200),
     ) {
-        let mut bytes = encode(&msg).payload.to_vec();
+        let mut bytes = encode(&msg).payload.as_bytes().unwrap().to_vec();
         let at = at % bytes.len();
         bytes[at] = byte;
         rejected_or_reproduced(bytes);

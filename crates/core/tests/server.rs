@@ -178,13 +178,7 @@ fn two_frames_are_served_serially() {
     // must be separated by roughly one full (compute + match) interval.
     let s = sim.node_ref::<Sink>(sink);
     // Last two arrivals are the results (acks precede them).
-    let results: Vec<Instant> = {
-        let mut v = Vec::new();
-        let d = s.delays().len();
-        let _ = d;
-        v.push(s.last_arrival().unwrap());
-        v
-    };
+    let results = [s.last_arrival().unwrap()];
     let service = server.records[1].compute_s + server.records[1].match_s;
     let first_possible = Duration::from_secs_f64(service * 2.0); // two serial services
     assert!(

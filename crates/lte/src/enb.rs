@@ -54,6 +54,38 @@ struct UeEntry {
     idle_check_armed: bool,
 }
 
+/// Rows of the UE table by key, kept sorted by key. The simulator
+/// registers subscribers in IMSI and radio-address order, so an insert is
+/// a push: no hashing, and 8–16 B per UE.
+#[derive(Debug)]
+struct RowIndex<K>(Vec<(K, u32)>);
+
+impl<K> Default for RowIndex<K> {
+    fn default() -> Self {
+        RowIndex(Vec::new())
+    }
+}
+
+impl<K: Ord + Copy> RowIndex<K> {
+    /// Index `row` under `key`, unless `key` already has a row.
+    fn insert(&mut self, key: K, row: usize) {
+        let row = u32::try_from(row).expect("fewer than 2^32 UEs per eNB");
+        match self.0.last() {
+            Some(&(last, _)) if last >= key => {
+                if let Err(at) = self.0.binary_search_by_key(&key, |&(k, _)| k) {
+                    self.0.insert(at, (key, row));
+                }
+            }
+            _ => self.0.push((key, row)),
+        }
+    }
+
+    fn get(&self, key: K) -> Option<usize> {
+        let at = self.0.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(self.0[at].1 as usize)
+    }
+}
+
 /// An X2 neighbour of this eNB.
 #[derive(Debug, Clone, Copy)]
 struct X2Peer {
@@ -153,7 +185,13 @@ pub struct Enb {
     /// Known S1-U gateway addresses → output port (core SGW-U vs local
     /// MEC GW-U).
     pub s1_ports: HashMap<Ipv4Addr, PortId>,
+    /// Registered UEs, append-only: the UE in row `i` has radio port
+    /// `ENB_RADIO_BASE + i`.
     ues: Vec<UeEntry>,
+    /// Row of each IMSI in `ues` (its first registration).
+    ue_rows: RowIndex<Imsi>,
+    /// Row of each radio address in `ues` (its first registration).
+    radio_rows: RowIndex<Ipv4Addr>,
     bearers: Vec<EnbBearer>,
     next_teid: u32,
     dl: RadioScheduler,
@@ -218,6 +256,8 @@ impl Enb {
             mme_addr,
             s1_ports: HashMap::new(),
             ues: Vec::new(),
+            ue_rows: RowIndex::default(),
+            radio_rows: RowIndex::default(),
             bearers: Vec::new(),
             next_teid: 0x3000,
             dl: RadioScheduler::new(dl_rate_bps),
@@ -258,7 +298,10 @@ impl Enb {
 
     /// Register a UE served by this eNB; returns its radio port.
     pub fn add_ue(&mut self, imsi: Imsi, radio_addr: Ipv4Addr) -> PortId {
-        let radio_port = port::ENB_RADIO_BASE + self.ues.len();
+        let row = self.ues.len();
+        let radio_port = port::ENB_RADIO_BASE + row;
+        self.ue_rows.insert(imsi, row);
+        self.radio_rows.insert(radio_addr, row);
         self.ues.push(UeEntry {
             imsi,
             radio_addr,
@@ -312,11 +355,19 @@ impl Enb {
     }
 
     fn ue_by_radio_port(&self, p: PortId) -> Option<&UeEntry> {
-        self.ues.iter().find(|u| u.radio_port == p)
+        self.ues.get(p.checked_sub(port::ENB_RADIO_BASE)?)
+    }
+
+    fn ue_row(&self, imsi: Imsi) -> Option<usize> {
+        self.ue_rows.get(imsi)
     }
 
     fn ue_by_imsi(&self, imsi: Imsi) -> Option<&UeEntry> {
-        self.ues.iter().find(|u| u.imsi == imsi)
+        self.ue_row(imsi).map(|row| &self.ues[row])
+    }
+
+    fn ue_by_radio_addr(&self, addr: Ipv4Addr) -> Option<&UeEntry> {
+        self.radio_rows.get(addr).map(|row| &self.ues[row])
     }
 
     fn alloc_teid(&mut self) -> Teid {
@@ -583,10 +634,8 @@ impl Enb {
                     // admission (the source cancelled and retried); fall
                     // through to a fresh one.
                 }
-                if let Some(addr) = ue_addr {
-                    if let Some(ue) = self.ues.iter_mut().find(|u| u.imsi == imsi) {
-                        ue.ue_addr = Some(addr);
-                    }
+                if let (Some(addr), Some(row)) = (ue_addr, self.ue_row(imsi)) {
+                    self.ues[row].ue_addr = Some(addr);
                 }
                 let mut erabs = Vec::new();
                 for erab in &bearers {
@@ -730,7 +779,7 @@ impl Enb {
         let Some(timeout) = self.auto_idle else {
             return;
         };
-        let Some(idx) = self.ues.iter().position(|u| u.imsi == imsi) else {
+        let Some(idx) = self.ue_row(imsi) else {
             return;
         };
         self.ues[idx].last_activity = ctx.now();
@@ -874,10 +923,8 @@ impl Enb {
                 );
             }
             ControlMsg::DownlinkNasAccept { imsi, ue_addr } => {
-                if let Some(addr) = ue_addr {
-                    if let Some(ue) = self.ues.iter_mut().find(|u| u.imsi == imsi) {
-                        ue.ue_addr = Some(addr);
-                    }
+                if let (Some(addr), Some(row)) = (ue_addr, self.ue_row(imsi)) {
+                    self.ues[row].ue_addr = Some(addr);
                 }
                 // Push (or refresh) RRC configuration for every active
                 // bearer of this UE.
@@ -991,7 +1038,7 @@ impl Node for Enb {
         }
         if tok == token::DL_RELEASE {
             if let Some(frame) = self.dl.pop() {
-                if let Some(ue) = self.ues.iter().find(|u| u.radio_addr == frame.dst) {
+                if let Some(ue) = self.ue_by_radio_addr(frame.dst) {
                     let p = ue.radio_port;
                     ctx.send(p, frame);
                 }
@@ -1029,5 +1076,82 @@ impl Node for Enb {
                 self.send_s1ap(ctx, ControlMsg::UeContextReleaseRequest { imsi });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::network::{CellConfig, LteConfig, LteNetwork};
+    use acacia_geo::point::Point;
+
+    /// Keys registered out of order, or twice, index like a scan that
+    /// returns the first matching row.
+    #[test]
+    fn row_index_returns_the_first_row_of_each_key() {
+        let keys = [30u64, 10, 20, 10, 40, 30, 5];
+        let mut index = RowIndex::default();
+        for (row, &k) in keys.iter().enumerate() {
+            index.insert(k, row);
+        }
+        for k in [5, 10, 20, 30, 40, 7] {
+            assert_eq!(index.get(k), keys.iter().position(|&x| x == k), "{k}");
+        }
+    }
+
+    /// Three cells, each UE registered on only some of them and in its
+    /// own order, so each eNB's rows and radio ports differ from its
+    /// neighbours': the indexed lookups return what a scan of the table
+    /// returns, before and after every UE attaches.
+    #[test]
+    fn indexed_lookups_agree_with_table_scans() {
+        let cell = |x| CellConfig {
+            pos: Point::new(x, 0.0),
+            mec: true,
+            region: 0,
+        };
+        let sees = [
+            vec![0],
+            vec![1, 0],
+            vec![2, 1],
+            vec![0, 2],
+            vec![1, 2, 0],
+            vec![2],
+        ];
+        let mut net = LteNetwork::new(LteConfig {
+            ue_count: 12,
+            cells: vec![cell(0.0), cell(40.0), cell(80.0)],
+            ue_cells: (0..12).map(|i| sees[i % sees.len()].clone()).collect(),
+            ..LteConfig::default()
+        });
+        let check = |net: &LteNetwork| {
+            for &id in &net.enbs {
+                let enb = net.sim.node_ref::<Enb>(id);
+                assert!(!enb.ues.is_empty());
+                for u in &enb.ues {
+                    let scan = |f: &dyn Fn(&UeEntry) -> bool| enb.ues.iter().find(|e| f(e));
+                    let by_port = enb.ue_by_radio_port(u.radio_port);
+                    let by_imsi = enb.ue_by_imsi(u.imsi);
+                    let by_addr = enb.ue_by_radio_addr(u.radio_addr);
+                    let ptr = |e: Option<&UeEntry>| e.map(|e| e as *const UeEntry);
+                    assert_eq!(ptr(by_port), ptr(scan(&|e| e.radio_port == u.radio_port)));
+                    assert_eq!(ptr(by_imsi), ptr(scan(&|e| e.imsi == u.imsi)));
+                    assert_eq!(ptr(by_addr), ptr(scan(&|e| e.radio_addr == u.radio_addr)));
+                }
+                let past = port::ENB_RADIO_BASE + enb.ues.len();
+                assert!(enb.ue_by_radio_port(past).is_none());
+                assert!(enb.ue_by_radio_port(port::ENB_S1AP).is_none());
+                assert!(enb.ue_by_imsi(Imsi(1)).is_none());
+                assert!(enb.ue_by_radio_addr(Ipv4Addr::UNSPECIFIED).is_none());
+            }
+        };
+        check(&net);
+        for i in 0..12 {
+            let ue_addr = net.attach(i);
+            // The camp cell learnt the address through its IMSI row.
+            let camp = net.sim.node_ref::<Enb>(net.enbs[sees[i % sees.len()][0]]);
+            assert_eq!(camp.ue_by_imsi(net.imsi(i)).unwrap().ue_addr, Some(ue_addr));
+        }
+        check(&net);
     }
 }

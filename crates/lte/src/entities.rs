@@ -13,7 +13,7 @@ use crate::tft::{PacketFilter, Tft};
 use crate::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 /// MME port map.
@@ -426,7 +426,7 @@ impl Node for Mme {
 pub struct Hss {
     /// Own address.
     pub addr: Ipv4Addr,
-    subscribers: Vec<Imsi>,
+    subscribers: BTreeSet<Imsi>,
     log: MsgLog,
     /// Requests answered.
     pub answered: u64,
@@ -437,7 +437,7 @@ impl Hss {
     pub fn new(addr: Ipv4Addr, subscribers: Vec<Imsi>, log: MsgLog) -> Hss {
         Hss {
             addr,
-            subscribers,
+            subscribers: subscribers.into_iter().collect(),
             log,
             answered: 0,
         }
@@ -445,7 +445,7 @@ impl Hss {
 
     /// Provision another subscriber.
     pub fn add_subscriber(&mut self, imsi: Imsi) {
-        self.subscribers.push(imsi);
+        self.subscribers.insert(imsi);
     }
 }
 
@@ -758,12 +758,13 @@ impl GwControl {
         let (Some(enb_teid), Some(enb_addr)) = (s.enb_teid, s.enb_addr) else {
             return;
         };
-        let topo = self.topo.clone();
+        let (sgw_u, pgw_u) = (self.topo.sgw_u, self.topo.pgw_u);
+        let (sgw_to_pgw, sgw_to_enb) = (self.topo.sgw_port_pgw, self.topo.sgw_port_for(enb_addr));
         // UL: arriving tunnelled with teid_sgw_ul → re-tunnel to the PGW-U.
         self.flowmod(
             ctx,
             gwc_port::SGW_U,
-            topo.sgw_u,
+            sgw_u,
             true,
             FlowMatchSpec {
                 teid: Some(s.teid_sgw_ul),
@@ -773,19 +774,17 @@ impl GwControl {
             vec![
                 FlowActionSpec::GtpDecap,
                 FlowActionSpec::GtpEncap {
-                    peer: topo.pgw_u,
+                    peer: pgw_u,
                     teid: s.teid_pgw_ul,
                 },
-                FlowActionSpec::Output {
-                    port: topo.sgw_port_pgw,
-                },
+                FlowActionSpec::Output { port: sgw_to_pgw },
             ],
         );
         // DL: arriving tunnelled with teid_sgw_dl → re-tunnel to the eNB.
         self.flowmod(
             ctx,
             gwc_port::SGW_U,
-            topo.sgw_u,
+            sgw_u,
             true,
             FlowMatchSpec {
                 teid: Some(s.teid_sgw_dl),
@@ -798,9 +797,7 @@ impl GwControl {
                     peer: enb_addr,
                     teid: enb_teid,
                 },
-                FlowActionSpec::Output {
-                    port: topo.sgw_port_for(enb_addr),
-                },
+                FlowActionSpec::Output { port: sgw_to_enb },
             ],
         );
     }
@@ -809,12 +806,12 @@ impl GwControl {
         let Some(s) = self.sessions.get(&imsi).cloned() else {
             return;
         };
-        let topo = self.topo.clone();
+        let sgw_u = self.topo.sgw_u;
         for teid in [s.teid_sgw_ul, s.teid_sgw_dl] {
             self.flowmod(
                 ctx,
                 gwc_port::SGW_U,
-                topo.sgw_u,
+                sgw_u,
                 false,
                 FlowMatchSpec {
                     teid: Some(teid),
@@ -841,12 +838,13 @@ impl GwControl {
                     dedicated: BTreeMap::new(),
                     pending_dedicated: BTreeMap::new(),
                 };
-                let topo = self.topo.clone();
+                let (sgw_u, pgw_u) = (self.topo.sgw_u, self.topo.pgw_u);
+                let (pgw_to_inet, pgw_to_sgw) = (self.topo.pgw_port_inet, self.topo.pgw_port_sgw);
                 // PGW-U UL: decap to the Internet.
                 self.flowmod(
                     ctx,
                     gwc_port::PGW_U,
-                    topo.pgw_u,
+                    pgw_u,
                     true,
                     FlowMatchSpec {
                         teid: Some(session.teid_pgw_ul),
@@ -855,16 +853,14 @@ impl GwControl {
                     },
                     vec![
                         FlowActionSpec::GtpDecap,
-                        FlowActionSpec::Output {
-                            port: topo.pgw_port_inet,
-                        },
+                        FlowActionSpec::Output { port: pgw_to_inet },
                     ],
                 );
                 // PGW-U DL: plain packets to the UE → tunnel to the SGW-U.
                 self.flowmod(
                     ctx,
                     gwc_port::PGW_U,
-                    topo.pgw_u,
+                    pgw_u,
                     true,
                     FlowMatchSpec {
                         teid: None,
@@ -878,19 +874,17 @@ impl GwControl {
                             tos: Qci::DEFAULT_BEARER.tos(),
                         },
                         FlowActionSpec::GtpEncap {
-                            peer: topo.sgw_u,
+                            peer: sgw_u,
                             teid: session.teid_sgw_dl,
                         },
-                        FlowActionSpec::Output {
-                            port: topo.pgw_port_sgw,
-                        },
+                        FlowActionSpec::Output { port: pgw_to_sgw },
                     ],
                 );
                 let erab = ErabSetup {
                     ebi: Ebi::DEFAULT,
                     qci: Qci::DEFAULT_BEARER,
                     gw_teid: session.teid_sgw_ul,
-                    gw_addr: topo.sgw_u,
+                    gw_addr: sgw_u,
                     tft: Tft::new(),
                 };
                 self.sessions.insert(imsi, session);
@@ -1343,14 +1337,15 @@ impl GwControl {
                     .iter()
                     .map(|(&ebi, (t, r))| (ebi, *t, r.clone()))
                     .collect();
-                let topo = self.topo.clone();
+                let sgw_u = self.topo.sgw_u;
+                let sgw_to_enb = self.topo.sgw_port_for(enb_addr);
                 // Rewrite the SGW-U downlink leg toward the target eNB
                 // (the SGW's paging buffer absorbs the del→add window).
                 if let Some(teid) = default_teid {
                     self.flowmod(
                         ctx,
                         gwc_port::SGW_U,
-                        topo.sgw_u,
+                        sgw_u,
                         false,
                         FlowMatchSpec {
                             teid: Some(teid_sgw_dl),
@@ -1362,7 +1357,7 @@ impl GwControl {
                     self.flowmod(
                         ctx,
                         gwc_port::SGW_U,
-                        topo.sgw_u,
+                        sgw_u,
                         true,
                         FlowMatchSpec {
                             teid: Some(teid_sgw_dl),
@@ -1375,9 +1370,7 @@ impl GwControl {
                                 peer: enb_addr,
                                 teid,
                             },
-                            FlowActionSpec::Output {
-                                port: topo.sgw_port_for(enb_addr),
-                            },
+                            FlowActionSpec::Output { port: sgw_to_enb },
                         ],
                     );
                 }

@@ -1,9 +1,10 @@
 //! GTP-U user-plane tunnelling: byte-accurate encapsulation of user packets
-//! inside UDP/2152 tunnel packets, keyed by TEID.
+//! inside UDP/2152 tunnel packets, keyed by TEID. Tunnels carry bytes only:
+//! user packets and application messages, never a typed control message.
 
 use crate::ids::Teid;
 use crate::wire::ports;
-use acacia_simnet::packet::{proto, Packet};
+use acacia_simnet::packet::{proto, Packet, Payload};
 use acacia_simnet::time::Instant;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::net::Ipv4Addr;
@@ -14,8 +15,20 @@ pub const GTPU_HEADER: u32 = 8;
 /// Serialize a packet's headers + payload for carriage inside a tunnel.
 /// The inner packet's *virtual* app length is preserved as a number, so the
 /// outer packet can account for it without allocating.
+///
+/// # Panics
+///
+/// On a typed payload. Nothing in the simulator tunnels a control message:
+/// control travels on its own links (S1AP, X2, GTP-C, OpenFlow, Diameter)
+/// and in RRC frames. Every tunnel and radio data frame of every scenario
+/// test and golden run passes through here, so a change that starts
+/// tunnelling one fails them.
 pub fn serialize_inner(pkt: &Packet) -> Bytes {
-    let mut b = BytesMut::with_capacity(26 + pkt.payload.len());
+    let payload = pkt
+        .payload
+        .as_bytes()
+        .expect("a tunnel carries bytes, never a typed control message");
+    let mut b = BytesMut::with_capacity(26 + payload.len());
     b.put_u32(u32::from(pkt.src));
     b.put_u32(u32::from(pkt.dst));
     b.put_u16(pkt.src_port);
@@ -24,8 +37,8 @@ pub fn serialize_inner(pkt: &Packet) -> Bytes {
     b.put_u8(pkt.tos);
     b.put_u32(pkt.app_len);
     b.put_u64(pkt.id);
-    b.put_u16(pkt.payload.len() as u16);
-    b.put_slice(&pkt.payload);
+    b.put_u16(payload.len() as u16);
+    b.put_slice(payload);
     b.freeze()
 }
 
@@ -60,7 +73,7 @@ pub fn deserialize_inner(data: &Bytes, created: Instant) -> Option<Packet> {
         dst_port,
         protocol,
         tos,
-        payload: data.slice(28..28 + plen),
+        payload: data.slice(28..28 + plen).into(),
         app_len,
         id,
         created,
@@ -88,7 +101,7 @@ pub fn encapsulate(inner: &Packet, teid: Teid, src_gw: Ipv4Addr, dst_gw: Ipv4Add
         dst_port: ports::GTPU,
         protocol: proto::UDP,
         tos: inner.tos,
-        payload: b.freeze(),
+        payload: b.freeze().into(),
         // Account for the inner packet's virtual payload plus the bytes of
         // its IP/L4 headers that our compact serialization doesn't store
         // one-for-one.
@@ -106,10 +119,7 @@ pub fn decapsulate(outer: &Packet) -> Option<(Teid, Packet)> {
     if outer.protocol != proto::UDP || outer.dst_port != ports::GTPU {
         return None;
     }
-    let p = &outer.payload;
-    if p.len() < 8 || p[1] != 255 {
-        return None;
-    }
+    let p = tunnel_bytes(outer)?;
     let teid = Teid(u32::from_be_bytes(p[4..8].try_into().ok()?));
     let inner = deserialize_inner(&p.slice(8..), outer.created)?;
     Some((teid, inner))
@@ -124,11 +134,7 @@ pub fn peek_inner_addrs(pkt: &Packet) -> Option<(Ipv4Addr, Ipv4Addr)> {
     if !is_gtpu(pkt) {
         return None;
     }
-    let p = &pkt.payload;
-    if p.len() < 8 || p[1] != 255 {
-        return None;
-    }
-    let d = &p[8..];
+    let d = &tunnel_bytes(pkt)?[8..];
     if d.len() < 28 {
         return None;
     }
@@ -141,6 +147,15 @@ pub fn peek_inner_addrs(pkt: &Packet) -> Option<(Ipv4Addr, Ipv4Addr)> {
     Some((src, dst))
 }
 
+/// The payload of a G-PDU: bytes, at least a GTP-U header long, of
+/// message type 255.
+fn tunnel_bytes(pkt: &Packet) -> Option<&Bytes> {
+    match &pkt.payload {
+        Payload::Bytes(p) if p.len() >= 8 && p[1] == 255 => Some(p),
+        _ => None,
+    }
+}
+
 /// Is this packet a GTP-U tunnel packet?
 pub fn is_gtpu(pkt: &Packet) -> bool {
     pkt.protocol == proto::UDP && pkt.dst_port == ports::GTPU
@@ -149,10 +164,11 @@ pub fn is_gtpu(pkt: &Packet) -> bool {
 /// Read the TEID from a GTP-U header without deserializing the inner
 /// packet (cheap flow-cache keying).
 pub fn peek_teid(pkt: &Packet) -> Option<Teid> {
-    if !is_gtpu(pkt) || pkt.payload.len() < 8 || pkt.payload[1] != 255 {
+    if !is_gtpu(pkt) {
         return None;
     }
-    Some(Teid(u32::from_be_bytes(pkt.payload[4..8].try_into().ok()?)))
+    let p = tunnel_bytes(pkt)?;
+    Some(Teid(u32::from_be_bytes(p[4..8].try_into().ok()?)))
 }
 
 #[cfg(test)]
@@ -161,6 +177,10 @@ mod tests {
 
     fn ip(a: u8) -> Ipv4Addr {
         Ipv4Addr::new(10, 0, 0, a)
+    }
+
+    fn bytes(p: &Packet) -> &Bytes {
+        p.payload.as_bytes().expect("a byte payload")
     }
 
     fn inner() -> Packet {
@@ -213,11 +233,11 @@ mod tests {
     #[test]
     fn inner_with_real_payload_survives() {
         let mut p = inner();
-        p.payload = Bytes::from_static(b"hello control bytes");
+        p.payload = Bytes::from_static(b"hello control bytes").into();
         p.app_len = 0;
         let outer = encapsulate(&p, Teid(9), ip(10), ip(11));
         let (_, back) = decapsulate(&outer).unwrap();
-        assert_eq!(&back.payload[..], b"hello control bytes");
+        assert_eq!(&bytes(&back)[..], b"hello control bytes");
         assert_eq!(back.wire_size(), p.wire_size());
     }
 
@@ -230,7 +250,7 @@ mod tests {
         // decapsulate fails.
         assert_eq!(peek_inner_addrs(&p), None);
         let mut cut = outer.clone();
-        cut.payload = cut.payload.slice(0..20);
+        cut.payload = bytes(&outer).slice(0..20).into();
         assert!(decapsulate(&cut).is_none());
         assert_eq!(peek_inner_addrs(&cut), None);
     }
@@ -238,14 +258,14 @@ mod tests {
     #[test]
     fn decapsulated_payload_shares_the_tunnel_buffer() {
         let mut p = inner();
-        p.payload = Bytes::from_static(b"shared zero-copy payload");
+        p.payload = Bytes::from_static(b"shared zero-copy payload").into();
         let outer = encapsulate(&p, Teid(3), ip(10), ip(11));
         let (_, back) = decapsulate(&outer).unwrap();
         // The inner payload is a sub-slice of the outer buffer, not a copy.
-        let outer_range =
-            outer.payload.as_ptr() as usize..outer.payload.as_ptr() as usize + outer.payload.len();
-        assert!(outer_range.contains(&(back.payload.as_ptr() as usize)));
-        assert_eq!(&back.payload[..], b"shared zero-copy payload");
+        let (outer, back) = (bytes(&outer), bytes(&back));
+        let outer_range = outer.as_ptr() as usize..outer.as_ptr() as usize + outer.len();
+        assert!(outer_range.contains(&(back.as_ptr() as usize)));
+        assert_eq!(&back[..], b"shared zero-copy payload");
     }
 
     #[test]
@@ -260,9 +280,18 @@ mod tests {
     #[test]
     fn malformed_payloads_are_rejected() {
         let mut outer = encapsulate(&inner(), Teid(1), ip(10), ip(11));
-        outer.payload = outer.payload.slice(0..10);
+        outer.payload = bytes(&outer).slice(0..10).into();
         assert!(decapsulate(&outer).is_none());
-        outer.payload = Bytes::new();
+        outer.payload = Payload::default();
         assert!(decapsulate(&outer).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "never a typed control message")]
+    fn tunnelling_a_control_message_panics() {
+        let msg = crate::wire::ControlMsg::Paging {
+            imsi: crate::ids::Imsi(1),
+        };
+        encapsulate(&msg.into_packet(ip(1), ip(2)), Teid(1), ip(10), ip(11));
     }
 }

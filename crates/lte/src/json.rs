@@ -1,12 +1,14 @@
 //! Hand-written JSON for message payloads.
 //!
-//! Control and application messages travel as compact JSON text, and
-//! those bytes are pinned rather than free to change: a control packet is
-//! `max(spec, headers + payload)` bytes long and a few messages outgrow
-//! their calibrated spec by the length of their numbers, an application
-//! packet is exactly as large as its text, and fault rules pick messages
-//! by their quoted tags. So the format is exactly the one the goldens were
-//! recorded with (the pins live in `wire::tests` and `acacia::msg::tests`):
+//! Application messages travel as compact JSON text. Control messages
+//! travel typed ([`acacia_simnet::packet::Payload::Msg`]) and only their
+//! JSON *length* goes on the wire, counted by [`encoded_len`] over the
+//! same field lists the writer walks. Both are pinned rather than free to
+//! change: a control packet is `max(spec, headers + JSON length)` bytes
+//! long and a few messages outgrow their calibrated spec by the length of
+//! their numbers, and an application packet is exactly as large as its
+//! text. So the format is exactly the one the goldens were recorded with
+//! (the pins live in `wire::tests` and `acacia::msg::tests`):
 //!
 //! - enums are externally tagged, `{"TAG":{...}}`, and unit variants are a
 //!   bare `"TAG"`;
@@ -17,16 +19,16 @@
 //! - `f64` prints via `{:?}` (`null` when not finite), and strings escape
 //!   `"`, `\` and control bytes, the common ones in short form.
 //!
-//! [`Writer`] appends straight to the payload buffer. [`Reader`] is
-//! strict: it accepts exactly what the writer emits (no whitespace, keys
-//! in order, canonical numbers and escapes), so whatever it decodes
-//! re-encodes to the same bytes. [`json_codec!`](crate::json_codec)
-//! derives both sides of a struct or enum from one list of its fields.
+//! [`Writer`] appends straight to the payload buffer, or only counts what
+//! it would append. [`Reader`] is strict: it accepts exactly what the
+//! writer emits (no whitespace, keys in order, canonical numbers and
+//! escapes), so whatever it decodes re-encodes to the same bytes.
+//! [`json_codec!`](crate::json_codec) derives both sides of a struct or
+//! enum from one list of its fields.
 
 use crate::ids::{Ebi, Imsi, Teid};
 use crate::qci::Qci;
 use std::fmt;
-use std::io;
 use std::net::Ipv4Addr;
 
 /// A value with a JSON payload encoding.
@@ -39,10 +41,18 @@ pub trait Json: Sized {
 
 /// `prefix` (framing bytes, or nothing) followed by `value`'s encoding.
 pub fn encode<T: Json>(prefix: &[u8], value: &T) -> Vec<u8> {
-    let mut w = Writer(Vec::with_capacity(prefix.len() + 128));
-    w.0.extend_from_slice(prefix);
+    let mut w = Writer::new(Vec::with_capacity(prefix.len() + 128), false);
+    value.write(w.raw(prefix));
+    w.text
+}
+
+/// The length of `value`'s encoding, counted without writing it: the
+/// writer walks the same fields and counts integer digits instead of
+/// printing them.
+pub fn encoded_len<T: Json>(value: &T) -> usize {
+    let mut w = Writer::new(Vec::new(), true);
     value.write(&mut w);
-    w.0
+    w.len
 }
 
 /// Decode all of `bytes` as one value; trailing bytes fail.
@@ -149,18 +159,56 @@ const ESCAPES: [(u8, u8); 7] = [
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends JSON text to a payload buffer.
-pub struct Writer(Vec<u8>);
+/// Appends JSON text to a payload buffer, or only counts its length.
+pub struct Writer {
+    /// The text so far; stays empty while counting.
+    text: Vec<u8>,
+    /// Bytes written (or counted) so far.
+    len: usize,
+    /// Count the bytes, write none.
+    counting: bool,
+    /// The last byte opened an object, so the next key takes no comma.
+    open: bool,
+}
 
 impl Writer {
+    fn new(text: Vec<u8>, counting: bool) -> Writer {
+        Writer {
+            text,
+            len: 0,
+            counting,
+            open: false,
+        }
+    }
+
     fn raw(&mut self, bytes: &[u8]) -> &mut Self {
-        self.0.extend_from_slice(bytes);
+        self.len += bytes.len();
+        if !self.counting {
+            self.text.extend_from_slice(bytes);
+        }
+        self.open = false;
         self
+    }
+
+    /// An unsigned decimal. Counting needs only its number of digits.
+    fn uint(&mut self, n: u64) -> &mut Self {
+        let digits = n.checked_ilog10().map_or(1, |l| l as usize + 1);
+        let mut buf = [0u8; 20];
+        if !self.counting {
+            let mut rest = n;
+            for d in buf[..digits].iter_mut().rev() {
+                *d = b'0' + (rest % 10) as u8;
+                rest /= 10;
+            }
+        }
+        self.raw(&buf[..digits])
     }
 
     /// Open an object.
     pub fn begin(&mut self) -> &mut Self {
-        self.raw(b"{")
+        self.raw(b"{");
+        self.open = true;
+        self
     }
 
     /// Close an object.
@@ -170,7 +218,7 @@ impl Writer {
 
     /// Write `"key":`, after a comma unless it opens the object.
     pub fn key(&mut self, key: &str) -> &mut Self {
-        if self.0.last() != Some(&b'{') {
+        if !self.open {
             self.raw(b",");
         }
         self.raw(b"\"").raw(key.as_bytes()).raw(b"\":")
@@ -206,10 +254,17 @@ impl Writer {
         self.raw(b"\"")
     }
 
-    /// Append the text `args` formats to.
+    /// Append (or count) the text `args` formats to.
     fn fmt(&mut self, args: fmt::Arguments<'_>) -> &mut Self {
-        io::Write::write_fmt(&mut self.0, args).expect("writing to a Vec cannot fail");
+        fmt::Write::write_fmt(self, args).expect("writing to a Writer cannot fail");
         self
+    }
+}
+
+impl fmt::Write for Writer {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.raw(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -337,7 +392,7 @@ macro_rules! unsigned {
     ($($t:ty),*) => {$(
         impl Json for $t {
             fn write(&self, w: &mut Writer) {
-                w.fmt(format_args!("{self}"));
+                w.uint(*self as u64);
             }
 
             fn read(r: &mut Reader<'_>) -> Option<Self> {
@@ -365,7 +420,10 @@ newtype!(Teid(u32), Ebi(u8), Imsi(u64), Qci(u8));
 
 impl Json for i32 {
     fn write(&self, w: &mut Writer) {
-        w.fmt(format_args!("{self}"));
+        if *self < 0 {
+            w.raw(b"-");
+        }
+        w.uint(u64::from(self.unsigned_abs()));
     }
 
     fn read(r: &mut Reader<'_>) -> Option<Self> {
@@ -436,7 +494,9 @@ impl Json for String {
 
 impl Json for Ipv4Addr {
     fn write(&self, w: &mut Writer) {
-        w.fmt(format_args!("\"{self}\""));
+        let [a, b, c, d] = self.octets().map(u64::from);
+        w.raw(b"\"").uint(a).raw(b".").uint(b).raw(b".").uint(c);
+        w.raw(b".").uint(d).raw(b"\"");
     }
 
     /// The std parser takes exactly the dotted quads `Display` prints:

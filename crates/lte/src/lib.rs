@@ -7,8 +7,9 @@
 //! * [`wire`] — byte-accurate S1AP/SCTP, GTPv2-C, Diameter, OpenFlow and
 //!   RRC control messages, calibrated to the paper's §4 measurement
 //!   (release + re-establish = 15 messages / 2914 bytes).
-//! * [`json`] — the hand-written JSON codec behind every control and
-//!   application payload, byte-compatible with the recorded goldens.
+//! * [`json`] — the hand-written JSON codec behind every application
+//!   payload and the length of every typed control payload,
+//!   byte-compatible with the recorded goldens.
 //! * [`gtpu`] — GTP-U user-plane tunnelling with faithful overhead.
 //! * [`radio`] — bearer-tagged radio frames and priority schedulers.
 //! * [`switch`] — OpenFlow-programmed GW-U switches with slow/fast path

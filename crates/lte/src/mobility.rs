@@ -44,7 +44,9 @@ impl Waypoint {
 /// trajectory evaluation is replayable and thread-safe.
 #[derive(Debug, Clone)]
 pub struct Trajectory {
-    waypoints: Vec<Waypoint>,
+    /// The walk, stored at its exact length (a walk lives as long as its
+    /// UE, and a built-up `Vec` would keep its growth capacity).
+    waypoints: Box<[Waypoint]>,
     speed_mps: f64,
     /// Leg i: time to walk waypoint i → i+1, then dwell at i+1.
     start: Instant,
@@ -58,7 +60,7 @@ impl Trajectory {
         assert!(!waypoints.is_empty(), "trajectory needs >= 1 waypoint");
         assert!(speed_mps > 0.0, "speed must be positive");
         Trajectory {
-            waypoints,
+            waypoints: waypoints.into_boxed_slice(),
             speed_mps,
             start,
         }

@@ -26,6 +26,7 @@ use acacia_geo::{PathLossModel, Point};
 use acacia_simnet::link::LinkConfig;
 use acacia_simnet::sim::{Node, NodeId, PortId, Simulator};
 use acacia_simnet::time::{Duration, Instant};
+use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Well-known addresses in the reproduction's core network.
@@ -885,8 +886,8 @@ impl LteNetwork {
 
     /// Advance the engine in 10 ms steps until `done` holds. Panics, naming
     /// `what`, if it still does not after 5 s of simulated time (a protocol
-    /// bug, not an environmental condition).
-    fn poll_until(&mut self, what: &str, done: impl Fn(&LteNetwork) -> bool) {
+    /// bug, not an environmental condition). `what` is formatted only then.
+    fn poll_until(&mut self, what: fmt::Arguments<'_>, done: impl Fn(&LteNetwork) -> bool) {
         let deadline = self.sim.now() + Duration::from_secs(5);
         while self.sim.now() < deadline {
             self.sim
@@ -906,7 +907,7 @@ impl LteNetwork {
         self.sim
             .schedule_timer(ue, self.sim.now(), ue_token::ATTACH);
         let imsi = self.imsi(ue_idx);
-        self.poll_until(&format!("attach of UE {ue_idx}"), |net| {
+        self.poll_until(format_args!("attach of UE {ue_idx}"), |net| {
             let ue = net.sim.node_ref::<Ue>(ue);
             net.sim.node_ref::<Mme>(net.mme).ue_state(imsi) == MmeUeState::Attached
                 && ue.state == UeState::Connected
@@ -928,7 +929,7 @@ impl LteNetwork {
         let pkt = msg.into_packet(Ipv4Addr::UNSPECIFIED, addr::PCRF);
         self.sim.inject_packet(self.pcrf, pcrf_port::AF, now, pkt);
         let ue = self.ues[ue_idx];
-        self.poll_until("dedicated bearer activation", |net| {
+        self.poll_until(format_args!("dedicated bearer activation"), |net| {
             net.sim.node_ref::<GwControl>(net.gwc).dedicated_active > before
                 && net.sim.node_ref::<Ue>(ue).has_dedicated_bearer()
         });
@@ -944,7 +945,7 @@ impl LteNetwork {
         self.sim
             .schedule_timer(self.enb, now, enb_token::IDLE_BASE + local);
         let imsi = self.imsi(ue_idx);
-        self.poll_until("idle release", |net| {
+        self.poll_until(format_args!("idle release"), |net| {
             net.sim.node_ref::<Mme>(net.mme).ue_state(imsi) == MmeUeState::Idle
         });
     }
@@ -955,7 +956,7 @@ impl LteNetwork {
         self.sim
             .schedule_timer(ue, self.sim.now(), ue_token::SERVICE_REQUEST);
         let imsi = self.imsi(ue_idx);
-        self.poll_until("service request", |net| {
+        self.poll_until(format_args!("service request"), |net| {
             net.sim.node_ref::<Mme>(net.mme).ue_state(imsi) == MmeUeState::Attached
                 && net.sim.node_ref::<Ue>(ue).state == UeState::Connected
         });

@@ -5,12 +5,12 @@
 //! bearer (and thus which QoS class and S1 tunnel) a packet belongs to —
 //! this is where the UE modem's UL-TFT classification becomes visible on
 //! the air. RRC frames carry control messages (attach, reconfiguration
-//! with TFTs, release).
+//! with TFTs, release) typed, one frame-type byte plus the message's JSON
+//! length on the wire; data frames are bytes.
 
 use crate::ids::Ebi;
-use crate::json;
 use crate::wire::ControlMsg;
-use acacia_simnet::packet::Packet;
+use acacia_simnet::packet::{Packet, Payload};
 use acacia_simnet::sim::{Ctx, PortId};
 use acacia_simnet::time::{serialization_time, Duration, Instant};
 use bytes::{BufMut, BytesMut};
@@ -20,9 +20,11 @@ use std::net::Ipv4Addr;
 /// IP protocol number used for radio frames in the simulator.
 pub const RADIO_PROTO: u8 = 201;
 
-/// Frame-type discriminators.
+/// Frame-type byte of a data frame.
 const FRAME_DATA: u8 = 1;
-const FRAME_RRC: u8 = 2;
+/// An RRC frame is its frame-type byte (2) then the message's JSON; it
+/// travels typed, so only the byte's length is kept.
+const RRC_HEADER: u32 = 1;
 
 /// Decoded radio frame content.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +54,7 @@ pub fn data_frame(ebi: Ebi, inner: &Packet, from: Ipv4Addr, to: Ipv4Addr) -> Pac
         dst_port: 0,
         protocol: RADIO_PROTO,
         tos: inner.tos,
-        payload: b.freeze(),
+        payload: b.freeze().into(),
         // Preserve the inner packet's virtual length plus hidden header
         // bytes (same accounting as GTP-U encapsulation).
         app_len: inner
@@ -72,30 +74,31 @@ pub fn rrc_frame(msg: &ControlMsg, from: Ipv4Addr, to: Ipv4Addr) -> Packet {
         dst_port: 0,
         protocol: RADIO_PROTO,
         tos: 255, // control frames get top scheduling priority
-        payload: json::encode(&[FRAME_RRC], msg).into(),
+        payload: Payload::typed(RRC_HEADER, msg.clone()),
         app_len: 0,
         id: 0,
         created: Instant::ZERO,
     })
 }
 
-/// Parse a radio frame.
+/// Parse a radio frame: a typed RRC frame, or the bytes of a data frame.
 pub fn parse_frame(pkt: &Packet) -> Option<RadioPayload> {
-    if pkt.protocol != RADIO_PROTO || pkt.payload.is_empty() {
+    if pkt.protocol != RADIO_PROTO {
         return None;
     }
-    match pkt.payload[0] {
-        FRAME_DATA => {
-            if pkt.payload.len() < 2 {
-                return None;
-            }
-            let ebi = Ebi(pkt.payload[1]);
-            let inner = crate::gtpu::deserialize_inner(&pkt.payload.slice(2..), pkt.created)?;
-            Some(RadioPayload::Data { ebi, inner })
-        }
-        FRAME_RRC => ControlMsg::decode(&pkt.payload[1..]).map(RadioPayload::Rrc),
-        _ => None,
+    let Payload::Bytes(bytes) = &pkt.payload else {
+        return pkt
+            .payload
+            .msg::<ControlMsg>()
+            .cloned()
+            .map(RadioPayload::Rrc);
+    };
+    if *bytes.first()? != FRAME_DATA {
+        return None;
     }
+    let ebi = Ebi(*bytes.get(1)?);
+    let inner = crate::gtpu::deserialize_inner(&bytes.slice(2..), pkt.created)?;
+    Some(RadioPayload::Data { ebi, inner })
 }
 
 /// A serial radio transmitter with strict-priority scheduling.

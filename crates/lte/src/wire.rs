@@ -3,28 +3,31 @@
 //! is declared once, as one row of the `catalogue!` below that carries its
 //! JSON tag, protocol family, log name, calibrated wire size and fields.
 //!
-//! Message *contents* are encoded as hand-written JSON ([`crate::json`]),
-//! decodable by any receiving node; message *sizes* are the catalogue's,
-//! calibrated to the paper's testbed measurement (§4): one idle-release +
-//! re-establishment sequence costs exactly **15 messages / 2914 bytes —
-//! SCTP 7 (1138), GTPv2 4 (352), OpenFlow 4 (1424)**. Encoders pad (via
-//! the packet's virtual length) up to the calibrated size, so byte
-//! accounting matches the OpenEPC testbed while the payloads remain fully
-//! functional.
+//! A message travels typed ([`Payload::Msg`]): the receiver downcasts the
+//! value the sender built, and nothing is encoded on the way. What reaches
+//! the wire is the length of the message's hand-written JSON
+//! ([`crate::json`]), which [`crate::json::encoded_len`] counts without
+//! writing it; the text itself is written only where bytes are wanted
+//! ([`crate::json::encode`], and [`ControlMsg::decode`] reads it back).
+//! Message *sizes* are the catalogue's, calibrated to the paper's testbed
+//! measurement (§4): one idle-release + re-establishment sequence costs
+//! exactly **15 messages / 2914 bytes — SCTP 7 (1138), GTPv2 4 (352),
+//! OpenFlow 4 (1424)**. Encoders pad (via the packet's virtual length) up
+//! to the calibrated size, so byte accounting matches the OpenEPC testbed
+//! while the messages remain fully functional.
 //!
-//! The payload bytes are pinned by the tests below, not just their
-//! meaning: a packet is `max(spec, headers + payload)` long, and messages
-//! with long numbers (four-digit PDCP counters, long TEIDs and transaction
-//! ids) go out a byte or two over their spec, which the goldens and byte
-//! counters record. Fault rules also select messages by their quoted tags
-//! (`"PSq"`).
+//! The JSON bytes are pinned by the tests below, not just their meaning: a
+//! packet is `max(spec, headers + JSON length)` long, and messages with
+//! long numbers (four-digit PDCP counters, long TEIDs and transaction ids)
+//! go out a byte or two over their spec, which the goldens and byte
+//! counters record. Fault rules select messages by their tag (`PSq`), the
+//! key that opens their JSON.
 
 use crate::ids::{Ebi, Imsi, Teid};
 use crate::json;
 use crate::qci::Qci;
 use crate::tft::Tft;
-use acacia_simnet::packet::{proto, Packet};
-use bytes::Bytes;
+use acacia_simnet::packet::{proto, Message, Packet, Payload};
 use std::net::Ipv4Addr;
 
 /// Well-known control-plane ports.
@@ -189,6 +192,19 @@ macro_rules! catalogue {
                 match self {
                     ControlMsg::$XV { $($xp)* } => Kind::$X as usize,
                     $(ControlMsg::$V { .. } => Kind::$V as usize,)*
+                }
+            }
+        }
+
+        impl Message for ControlMsg {
+            fn encoded_len(&self) -> u32 {
+                json::encoded_len(self) as u32
+            }
+
+            /// The variant's JSON tag, the key its encoding opens with.
+            fn tag(&self) -> &'static str {
+                match self {
+                    $(ControlMsg::$V { .. } => $tag,)*
                 }
             }
         }
@@ -636,8 +652,9 @@ impl ControlMsg {
         KINDS[self.kind()].2
     }
 
-    /// Encode into a packet from `src` to `dst`, with transport chosen by
-    /// protocol family and wire size padded to [`Self::wire_size_spec`].
+    /// A packet from `src` to `dst` carrying this message typed, with
+    /// transport chosen by protocol family and wire size padded to
+    /// [`Self::wire_size_spec`].
     pub fn into_packet(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Packet {
         let (protocol, port) = match self.protocol() {
             Protocol::S1apSctp => (proto::SCTP, ports::S1AP),
@@ -654,7 +671,7 @@ impl ControlMsg {
             dst_port: port,
             protocol,
             tos: 0,
-            payload: Bytes::from(json::encode(b"", self)),
+            payload: Payload::typed(0, self.clone()),
             app_len: 0,
             id: 0,
             created: acacia_simnet::time::Instant::ZERO,
@@ -674,9 +691,9 @@ impl ControlMsg {
         json::decode(payload)
     }
 
-    /// Decode from a packet.
+    /// The message a packet carries, if it carries one.
     pub fn from_packet(pkt: &Packet) -> Option<ControlMsg> {
-        Self::decode(&pkt.payload)
+        pkt.payload.msg::<ControlMsg>().cloned()
     }
 }
 
@@ -696,6 +713,7 @@ crate::json_codec! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acacia_simnet::packet::{l4_header_len, IPV4_HEADER};
     use std::collections::HashSet;
     use Protocol::{Diameter, Gtpv2, OpenFlow, Rrc, S1apSctp, X2Sctp};
 
@@ -906,6 +924,22 @@ mod tests {
         msg.into_packet(Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 3, 0, 1))
     }
 
+    /// The typed packet and RRC frame of `msg` are exactly as long as the
+    /// JSON ones were: the text's length (after the frame's type byte),
+    /// and a wire size of `max(spec, headers + that length)`.
+    fn assert_sized_as_json(msg: &ControlMsg) {
+        let len = json::encode(b"", msg).len();
+        assert_eq!(json::encoded_len(msg), len, "{msg:?}");
+        let spec = msg.wire_size_spec();
+        let pkt = encode(msg);
+        let headers = IPV4_HEADER + l4_header_len(pkt.protocol);
+        let as_json = spec.max(headers + len as u32);
+        assert_eq!((pkt.payload.len(), pkt.wire_size()), (len, as_json));
+        let frame = crate::radio::rrc_frame(msg, Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST);
+        let as_json = spec.max(IPV4_HEADER + 1 + len as u32);
+        assert_eq!((frame.payload.len(), frame.wire_size()), (len + 1, as_json));
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
         for msg in sample_messages() {
@@ -922,9 +956,9 @@ mod tests {
             assert!(i >= samples.len() || samples[i] == msg, "{text}");
             let catalogued = (msg.name(), msg.protocol(), msg.wire_size_spec());
             assert_eq!(catalogued, (name, protocol, spec), "{text}");
-            assert_eq!(std::str::from_utf8(&encode(&msg).payload), Ok(text));
-            let frame = crate::radio::rrc_frame(&msg, Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST);
-            assert_eq!(frame.payload[..], [&[2], text.as_bytes()].concat());
+            assert_eq!(json::encode(b"", &msg), text.as_bytes());
+            assert_eq!(ControlMsg::from_packet(&encode(&msg)).as_ref(), Some(&msg));
+            assert_sized_as_json(&msg);
             variants.insert(std::mem::discriminant(&msg));
             kinds.insert(msg.kind());
         }
@@ -957,11 +991,34 @@ mod tests {
         ] {
             let msg = ControlMsg::decode(text.as_bytes()).unwrap();
             let pkt = encode(&msg);
-            assert_eq!((&pkt.payload[..], pkt.wire_size()), (text.as_bytes(), size));
+            assert_eq!((pkt.payload.len(), pkt.wire_size()), (text.len(), size));
+            assert_sized_as_json(&msg);
             assert!(size > msg.wire_size_spec());
             // A radio frame has a smaller header and stays at its spec.
             let frame = crate::radio::rrc_frame(&msg, Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST);
             assert_eq!(frame.wire_size(), msg.wire_size_spec());
+        }
+    }
+
+    /// Each message's JSON names its own tag, quoted, and no other kind's:
+    /// so selecting a message by [`Message::tag`] picks exactly the
+    /// packets a search for the quoted tag in the text would have.
+    #[test]
+    fn each_json_quotes_its_own_tag_and_no_other() {
+        let msgs: Vec<ControlMsg> = PAYLOADS
+            .iter()
+            .map(|(text, ..)| ControlMsg::decode(text.as_bytes()).unwrap())
+            .collect();
+        let tags: HashSet<&str> = msgs.iter().map(|m| m.tag()).collect();
+        assert_eq!(tags.len(), KIND_COUNT - 1, "one tag per variant");
+        for ((text, ..), msg) in PAYLOADS.iter().zip(&msgs) {
+            for tag in &tags {
+                let quoted = text.contains(&format!("\"{tag}\""));
+                assert_eq!(quoted, *tag == msg.tag(), "{tag} in {text}");
+            }
+            let frame = crate::radio::rrc_frame(msg, Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST);
+            assert_eq!(frame.payload.tag(), Some(msg.tag()));
+            assert_eq!(encode(msg).payload.tag(), Some(msg.tag()));
         }
     }
 

@@ -2,11 +2,12 @@
 
 use acacia_lte::gtpu;
 use acacia_lte::ids::{Ebi, Imsi, Teid};
+use acacia_lte::json;
 use acacia_lte::qci::Qci;
 use acacia_lte::radio::{self, RadioPayload};
 use acacia_lte::tft::{Direction, PacketFilter, Tft};
 use acacia_lte::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
-use acacia_simnet::packet::Packet;
+use acacia_simnet::packet::{Message, Packet};
 use acacia_simnet::time::Instant;
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -36,7 +37,7 @@ fn arb_packet() -> BoxedStrategy<Packet> {
                 dst_port: dp,
                 protocol: proto,
                 tos,
-                payload: Bytes::from(payload),
+                payload: Bytes::from(payload).into(),
                 app_len,
                 id,
                 created: Instant::from_nanos(42),
@@ -345,30 +346,38 @@ fn arb_msg_any() -> BoxedStrategy<ControlMsg> {
     prop_oneof![arb_msg(), s1ap, gtpv2, diameter, rrc, handover].boxed()
 }
 
-/// `json` decodes as a control message (bare, and after the RRC frame
-/// byte) only if that message encodes back to exactly `json`; the raw
-/// bytes as a whole radio frame likewise.
-fn rejected_or_reproduced(json: &[u8]) {
+/// `text` decodes as a control message only if that message encodes back
+/// to exactly `text`, and then a typed packet of it is exactly as long as
+/// `text`, and a typed RRC frame one frame-type byte longer.
+fn rejected_or_reproduced(text: &[u8]) {
     let at = Ipv4Addr::LOCALHOST;
-    if let Some(msg) = ControlMsg::decode(json) {
-        assert_eq!(&msg.into_packet(at, at).payload[..], json);
-    }
-    let mut frame = radio::rrc_frame(&ControlMsg::RrcPaging { imsi: Imsi(1) }, at, at);
-    for payload in [[&[2u8][..], json].concat(), json.to_vec()] {
-        frame.payload = Bytes::from(payload);
-        if let Some(RadioPayload::Rrc(msg)) = radio::parse_frame(&frame) {
-            assert_eq!(radio::rrc_frame(&msg, at, at).payload, frame.payload);
-        }
+    if let Some(msg) = ControlMsg::decode(text) {
+        assert_eq!(json::encode(b"", &msg), text);
+        assert_eq!(msg.into_packet(at, at).payload.len(), text.len());
+        assert_eq!(radio::rrc_frame(&msg, at, at).payload.len(), 1 + text.len());
     }
 }
 
+/// The packet `typed` was when control messages travelled as JSON text:
+/// the same headers, `prefix` and the text as bytes, padded up to the spec.
+fn json_packet(prefix: &[u8], msg: &ControlMsg, typed: &Packet) -> Packet {
+    let mut pkt = Packet {
+        payload: Bytes::from(json::encode(prefix, msg)).into(),
+        app_len: 0,
+        ..typed.clone()
+    };
+    pkt.app_len = msg.wire_size_spec().saturating_sub(pkt.wire_size());
+    pkt
+}
+
 proptest! {
-    /// Control messages survive encode → packet → decode.
+    /// Control messages survive encode → JSON → decode, and a typed
+    /// packet hands its message back.
     #[test]
     fn control_roundtrip(msg in arb_msg(), src in arb_ip(), dst in arb_ip()) {
-        let pkt = msg.into_packet(src, dst);
-        let back = ControlMsg::from_packet(&pkt).unwrap();
-        prop_assert_eq!(back, msg);
+        let back = ControlMsg::decode(&json::encode(b"", &msg)).unwrap();
+        prop_assert_eq!(&back, &msg);
+        prop_assert_eq!(ControlMsg::from_packet(&msg.into_packet(src, dst)), Some(msg));
     }
 
     /// GTP-U encapsulation round-trips any packet and always adds exactly
@@ -447,20 +456,45 @@ proptest! {
         prop_assert!(pkt.wire_size() >= msg.wire_size_spec());
     }
     /// Encode → decode → re-encode is a byte-level fixed point for every
-    /// message variant: the second encoding's payload, framing and padded
-    /// wire size are identical to the first. Covers GTPv2-C, S1AP/SCTP,
-    /// Diameter, OpenFlow and RRC.
+    /// message variant, and a typed packet of the decoded message equals
+    /// the first one in payload, framing and padded wire size. Covers
+    /// GTPv2-C, S1AP/SCTP, Diameter, OpenFlow and RRC.
     #[test]
     fn encode_decode_encode_identity(msg in arb_msg_any(), src in arb_ip(), dst in arb_ip()) {
-        let first = msg.into_packet(src, dst);
-        let decoded = ControlMsg::from_packet(&first).unwrap();
+        let text = json::encode(b"", &msg);
+        let decoded = ControlMsg::decode(&text).unwrap();
         prop_assert_eq!(&decoded, &msg);
+        prop_assert_eq!(json::encode(b"", &decoded), text);
+        let first = msg.into_packet(src, dst);
+        prop_assert_eq!(ControlMsg::from_packet(&first).as_ref(), Some(&msg));
         let second = decoded.into_packet(src, dst);
         prop_assert_eq!(&second.payload, &first.payload);
         prop_assert_eq!(second.wire_size(), first.wire_size());
         prop_assert_eq!(second.protocol, first.protocol);
         prop_assert_eq!(second.src_port, first.src_port);
         prop_assert_eq!(second.dst_port, first.dst_port);
+    }
+
+    /// The length counter agrees with the writer, and a typed packet or
+    /// RRC frame is exactly as long on the wire as the JSON one it
+    /// replaces: the same payload length, the same padded size.
+    #[test]
+    fn typed_packets_are_as_long_as_their_json(msg in arb_msg_any(), src in arb_ip(), dst in arb_ip()) {
+        let text = json::encode(b"", &msg);
+        prop_assert_eq!(json::encoded_len(&msg), text.len());
+        prop_assert_eq!(msg.encoded_len() as usize, text.len());
+        let typed = msg.into_packet(src, dst);
+        let old = json_packet(b"", &msg, &typed);
+        prop_assert_eq!(typed.payload.len(), old.payload.len());
+        prop_assert_eq!(typed.wire_size(), old.wire_size());
+        let frame = radio::rrc_frame(&msg, src, dst);
+        prop_assert_eq!(frame.payload.len(), 1 + text.len());
+        prop_assert_eq!(frame.wire_size(), json_packet(&[2], &msg, &frame).wire_size());
+        prop_assert_eq!(frame.payload.tag(), Some(msg.tag()));
+        match radio::parse_frame(&frame) {
+            Some(RadioPayload::Rrc(back)) => prop_assert_eq!(back, msg),
+            other => prop_assert!(false, "not an RRC frame: {:?}", other),
+        }
     }
 
     /// Framing follows the protocol family: GTPv2-C rides UDP/2123,
@@ -494,12 +528,12 @@ proptest! {
         cut in 0usize..1000,
         junk in prop::sample::select(vec![b'x', b'{', b'}', b'0', b' ', 0u8, 0xFFu8]),
     ) {
-        let pkt = msg.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        let len = pkt.payload.len();
+        let text = json::encode(b"", &msg);
+        let len = text.len();
         prop_assume!(len > 0);
         let cut = cut % len; // strict prefix: 0..len-1 bytes
-        prop_assert!(ControlMsg::decode(&pkt.payload[..cut]).is_none());
-        let mut extended = pkt.payload.to_vec();
+        prop_assert!(ControlMsg::decode(&text[..cut]).is_none());
+        let mut extended = text;
         extended.push(junk);
         prop_assert!(ControlMsg::decode(&extended).is_none());
     }
@@ -514,15 +548,15 @@ proptest! {
         byte in prop_oneof![any::<u8>(), prop::sample::select(b"0123456789-.,:\"{}[]nultrefa".to_vec())],
         noise in prop::collection::vec(any::<u8>(), 0..200),
     ) {
-        let mut bytes = msg.into_packet(Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST).payload.to_vec();
+        let mut bytes = json::encode(b"", &msg);
         let at = at % bytes.len();
         bytes[at] = byte;
         rejected_or_reproduced(&bytes);
         rejected_or_reproduced(&noise);
     }
 
-    /// TFT encoding round-trips through the wire representation exactly
-    /// (as carried inside RRC reconfiguration / E-RAB setup messages).
+    /// TFT encoding round-trips through the JSON encoding exactly (as
+    /// carried inside RRC reconfiguration / E-RAB setup messages).
     #[test]
     fn tft_roundtrip(tft in arb_tft()) {
         let msg = ControlMsg::RrcReconfiguration {
@@ -531,8 +565,7 @@ proptest! {
             tft: tft.clone(),
             ue_addr: None,
         };
-        let pkt = msg.into_packet(Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED);
-        match ControlMsg::from_packet(&pkt).unwrap() {
+        match ControlMsg::decode(&json::encode(b"", &msg)).unwrap() {
             ControlMsg::RrcReconfiguration { tft: back, .. } => prop_assert_eq!(back, tft),
             other => prop_assert!(false, "wrong variant {:?}", other),
         }
@@ -558,7 +591,7 @@ proptest! {
         // Cutting into the inner serialization (8-byte GTP header +
         // 28-byte inner header minimum) must fail cleanly.
         let cut = cut % (8 + 28).min(full);
-        outer.payload = outer.payload.slice(..cut);
+        outer.payload = outer.payload.as_bytes().unwrap().slice(..cut).into();
         prop_assert!(gtpu::decapsulate(&outer).is_none());
     }
 }

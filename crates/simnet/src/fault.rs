@@ -9,7 +9,7 @@
 //! at all.
 //!
 //! Rules target packets by *message class* ([`PacketClass`]: protocol,
-//! source/destination port, TOS byte, or a payload substring tag) and can
+//! source/destination port, TOS byte, or a typed message's tag) and can
 //! be scoped to a time window, to the nth matching occurrence, or to a
 //! maximum number of firings. The first rule that matches and fires wins.
 //!
@@ -58,9 +58,8 @@ pub struct PacketClass {
     pub dst_port: Option<u16>,
     /// Match the TOS/DSCP byte (e.g. the RRC priority marking).
     pub tos: Option<u8>,
-    /// Match packets whose stored payload is UTF-8 and contains `"<tag>"`
-    /// (with quotes) — precise per-message targeting of JSON-encoded
-    /// control messages by their variant tag (`"PSq"`, `"HOq"`, …).
+    /// Match packets carrying a typed message with this tag — precise
+    /// per-message targeting of control messages (`PSq`, `HOq`, …).
     pub payload_tag: Option<String>,
 }
 
@@ -118,8 +117,8 @@ impl PacketClass {
         self
     }
 
-    /// Builder-style: additionally require a payload tag (matched as a
-    /// quoted substring of the stored payload).
+    /// Builder-style: additionally require a typed payload whose
+    /// [`Message::tag`](crate::packet::Message::tag) is `tag`.
     pub fn with_payload_tag(mut self, tag: &str) -> PacketClass {
         self.payload_tag = Some(tag.to_string());
         self
@@ -148,12 +147,7 @@ impl PacketClass {
             }
         }
         if let Some(tag) = &self.payload_tag {
-            let tag = tag.as_bytes();
-            let quoted =
-                |w: &[u8]| w[0] == b'"' && w[w.len() - 1] == b'"' && &w[1..w.len() - 1] == tag;
-            if std::str::from_utf8(&pkt.payload).is_err()
-                || !pkt.payload.windows(tag.len() + 2).any(quoted)
-            {
+            if pkt.payload.tag() != Some(tag.as_str()) {
                 return false;
             }
         }
@@ -553,6 +547,7 @@ impl NodeFaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::{Message, Payload};
     use bytes::Bytes;
     use std::net::Ipv4Addr;
 
@@ -575,20 +570,31 @@ mod tests {
         assert!(PacketClass::any().matches(&pkt(6, 9)));
     }
 
+    #[derive(Debug, PartialEq)]
+    struct Tagged(&'static str);
+
+    impl Message for Tagged {
+        fn encoded_len(&self) -> u32 {
+            self.0.len() as u32
+        }
+
+        fn tag(&self) -> &'static str {
+            self.0
+        }
+    }
+
     #[test]
-    fn payload_tag_matches_quoted_substring() {
+    fn payload_tag_matches_the_typed_message_tag() {
         let class = PacketClass::any().with_payload_tag("PSq");
         let mut p = pkt(132, 36412);
-        p.payload = Bytes::from_static(br#"{"PSq":{"imsi":1}}"#);
+        p.payload = Payload::typed(0, Tagged("PSq"));
         assert!(class.matches(&p));
-        p.payload = Bytes::from_static(br#"{"PSa":{"imsi":1}}"#);
+        p.payload = Payload::typed(0, Tagged("PSa"));
         assert!(!class.matches(&p));
-        p.payload = Bytes::new();
+        p.payload = Payload::default();
         assert!(!class.matches(&p));
-        // The tag alone, and a tag in a payload that is not UTF-8.
-        p.payload = Bytes::from_static(br#""PSq""#);
-        assert!(class.matches(&p));
-        p.payload = Bytes::from_static(b"\xff\"PSq\"");
+        // Bytes never match, even when they spell the tag.
+        p.payload = Bytes::from_static(br#"{"PSq":{"imsi":1}}"#).into();
         assert!(!class.matches(&p));
     }
 

@@ -1,10 +1,15 @@
 //! Packets and protocol constants.
 //!
-//! A [`Packet`] carries an IPv4-like 5-tuple, an opaque encoded payload
-//! ([`bytes::Bytes`]) and a *virtual payload length*. The virtual length lets
-//! workload generators model megabytes of traffic without allocating the
-//! actual buffers: the wire size of a packet is
-//! `IP header + L4 header + payload.len() + app_len`.
+//! A [`Packet`] carries an IPv4-like 5-tuple, a [`Payload`] and a *virtual
+//! payload length*. The virtual length lets workload generators model
+//! megabytes of traffic without allocating the actual buffers: the wire
+//! size of a packet is `IP header + L4 header + payload.len() + app_len`.
+//!
+//! A payload is either encoded bytes ([`bytes::Bytes`]: user-plane
+//! tunnels, radio data frames, application messages) or a typed
+//! [`Message`] that travels as itself. A typed message is never encoded:
+//! the receiver downcasts it, and the payload counts the length its
+//! encoding would have, so wire sizes are the same as if it were text.
 //!
 //! Encapsulation (e.g. GTP-U in the `acacia-lte` crate) serializes the inner
 //! packet's headers into the outer payload and accounts for the inner virtual
@@ -12,7 +17,10 @@
 
 use crate::time::Instant;
 use bytes::Bytes;
+use std::any::Any;
+use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// IP protocol numbers used across the workspace.
 pub mod proto {
@@ -76,6 +84,111 @@ impl FiveTuple {
     }
 }
 
+/// A message that travels typed: the sender hands over the value and the
+/// receiver downcasts it, and only its encoding's length reaches the wire.
+pub trait Message: Any + fmt::Debug + Send + Sync + DynEq {
+    /// Length of this message's encoding, bytes.
+    fn encoded_len(&self) -> u32;
+    /// The short tag that names this message's kind (fault rules match it).
+    fn tag(&self) -> &'static str;
+}
+
+/// Equality across type-erased messages; implemented for every
+/// `PartialEq` type.
+pub trait DynEq {
+    /// Is `other` a value of this type, equal to this one?
+    fn dyn_eq(&self, other: &dyn Any) -> bool;
+}
+
+impl<T: PartialEq + Any> DynEq for T {
+    fn dyn_eq(&self, other: &dyn Any) -> bool {
+        other.downcast_ref::<T>() == Some(self)
+    }
+}
+
+/// What a packet carries beyond its headers.
+#[derive(Debug, Clone)]
+pub enum Payload {
+    /// Encoded bytes.
+    Bytes(Bytes),
+    /// A typed message and its length on the wire (see
+    /// [`Payload::typed`]).
+    Msg(Arc<dyn Message>, u32),
+}
+
+impl Payload {
+    /// A typed payload behind `header` bytes of framing (0 for a bare
+    /// message); its length, the header plus the message's encoding, is
+    /// counted once, here.
+    pub fn typed(header: u32, msg: impl Message) -> Payload {
+        let len = header + msg.encoded_len();
+        Payload::Msg(Arc::new(msg), len)
+    }
+
+    /// Length in bytes: the stored bytes, or the typed message's encoding.
+    pub fn len(&self) -> usize {
+        match self {
+            Payload::Bytes(b) => b.len(),
+            Payload::Msg(_, len) => *len as usize,
+        }
+    }
+
+    /// Is the payload zero bytes long?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The stored bytes; `None` for a typed message.
+    pub fn as_bytes(&self) -> Option<&Bytes> {
+        match self {
+            Payload::Bytes(b) => Some(b),
+            Payload::Msg(..) => None,
+        }
+    }
+
+    /// The typed message, if it is a `T`.
+    pub fn msg<T: Message>(&self) -> Option<&T> {
+        match self {
+            Payload::Bytes(_) => None,
+            Payload::Msg(m, _) => (&**m as &dyn Any).downcast_ref(),
+        }
+    }
+
+    /// The typed message's tag; `None` for bytes.
+    pub fn tag(&self) -> Option<&'static str> {
+        match self {
+            Payload::Bytes(_) => None,
+            Payload::Msg(m, _) => Some(m.tag()),
+        }
+    }
+}
+
+impl Default for Payload {
+    fn default() -> Payload {
+        Payload::Bytes(Bytes::new())
+    }
+}
+
+impl From<Bytes> for Payload {
+    fn from(bytes: Bytes) -> Payload {
+        Payload::Bytes(bytes)
+    }
+}
+
+/// Bytes equal bytes, and a typed message equals a message of the same
+/// type that compares equal.
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        match (self, other) {
+            (Payload::Bytes(a), Payload::Bytes(b)) => a == b,
+            (Payload::Msg(a, la), Payload::Msg(b, lb)) => la == lb && a.dyn_eq(&**b as &dyn Any),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Payload {}
+
 /// A simulated network packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
@@ -91,9 +204,10 @@ pub struct Packet {
     pub protocol: u8,
     /// DSCP/TOS byte; the LTE layer maps QCI priorities onto this.
     pub tos: u8,
-    /// Encoded payload bytes actually carried (control messages, tunnel
-    /// headers). May be empty for pure-volume traffic.
-    pub payload: Bytes,
+    /// Payload actually carried: encoded bytes (tunnel headers,
+    /// application messages) or a typed control message. May be empty for
+    /// pure-volume traffic.
+    pub payload: Payload,
     /// Virtual application payload length that is accounted for on the wire
     /// but not physically stored.
     pub app_len: u32,
@@ -113,7 +227,7 @@ impl Packet {
             dst_port: dst.1,
             protocol: proto::UDP,
             tos: 0,
-            payload: Bytes::new(),
+            payload: Payload::default(),
             app_len,
             id: 0,
             created: Instant::ZERO,
@@ -123,7 +237,7 @@ impl Packet {
     /// A UDP packet carrying real encoded bytes.
     pub fn udp_with_payload(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), payload: Bytes) -> Packet {
         Packet {
-            payload,
+            payload: payload.into(),
             ..Packet::udp(src, dst, 0)
         }
     }
@@ -145,7 +259,7 @@ impl Packet {
             dst_port: 0,
             protocol: proto::ICMP,
             tos: 0,
-            payload: Bytes::new(),
+            payload: Payload::default(),
             app_len,
             id: 0,
             created: Instant::ZERO,
@@ -209,8 +323,47 @@ mod tests {
     #[test]
     fn wire_size_counts_stored_and_virtual_payload_together() {
         let mut p = Packet::udp((ip(1), 1), (ip(2), 2), 100);
-        p.payload = Bytes::from_static(b"0123456789");
+        p.payload = Bytes::from_static(b"0123456789").into();
         assert_eq!(p.wire_size(), 20 + 8 + 10 + 100);
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Note(&'static str);
+
+    impl Message for Note {
+        fn encoded_len(&self) -> u32 {
+            self.0.len() as u32 + 2
+        }
+
+        fn tag(&self) -> &'static str {
+            "N"
+        }
+    }
+
+    #[test]
+    fn typed_payload_counts_its_encoding_and_downcasts() {
+        let mut p = Packet::udp((ip(1), 1), (ip(2), 2), 100);
+        p.payload = Payload::typed(0, Note("12345678"));
+        assert_eq!(p.payload.len(), 10);
+        assert_eq!(p.wire_size(), 20 + 8 + 10 + 100);
+        assert_eq!(p.payload.tag(), Some("N"));
+        assert_eq!(p.payload.msg::<Note>(), Some(&Note("12345678")));
+        assert!(p.payload.as_bytes().is_none());
+        // Equal when the same type compares equal, never equal to bytes.
+        assert_eq!(p.payload, Payload::typed(0, Note("12345678")));
+        assert_ne!(p.payload, Payload::typed(0, Note("1234567x")));
+        // A frame header counts towards the length, and tells payloads apart.
+        let framed = Payload::typed(1, Note("12345678"));
+        assert_eq!(
+            (framed.len(), framed.msg::<Note>()),
+            (11, Some(&Note("12345678")))
+        );
+        assert_ne!(p.payload, framed);
+        assert_ne!(p.payload, Payload::from(Bytes::from_static(b"0123456789")));
+        let bytes = Payload::from(Bytes::from_static(b"ab"));
+        assert_eq!(bytes.as_bytes().map(|b| &b[..]), Some(&b"ab"[..]));
+        assert_eq!(bytes.msg::<Note>(), None);
+        assert_eq!(bytes.tag(), None);
     }
 
     #[test]

@@ -135,13 +135,16 @@ impl Node for UdpSource {
     }
 }
 
-/// A sink that counts packets/bytes and records per-packet one-way delay
-/// (using [`Packet::created`] timestamps).
+/// A sink that counts packets/bytes and summarises their one-way delays
+/// (using [`Packet::created`] timestamps). It keeps a running sum and
+/// minimum, not the samples: a flood of millions of packets costs nothing.
 #[derive(Default)]
 pub struct Sink {
     packets: u64,
     bytes: u64,
-    delays: Vec<Duration>,
+    /// Sum of the delays in milliseconds, added in arrival order.
+    delay_sum_ms: f64,
+    min_delay: Option<Duration>,
     last_arrival: Option<Instant>,
 }
 
@@ -161,9 +164,19 @@ impl Sink {
         self.bytes
     }
 
-    /// One-way delays of all received packets.
-    pub fn delays(&self) -> &[Duration] {
-        &self.delays
+    /// Mean one-way delay in milliseconds (0 with no packets). The sum
+    /// runs in arrival order, so it equals the mean of a
+    /// [`Series`](crate::stats::Series) of the same delays bit for bit.
+    pub fn mean_delay_ms(&self) -> f64 {
+        if self.packets == 0 {
+            return 0.0;
+        }
+        self.delay_sum_ms / self.packets as f64
+    }
+
+    /// Smallest one-way delay received, if any packet arrived.
+    pub fn min_delay(&self) -> Option<Duration> {
+        self.min_delay
     }
 
     /// Arrival time of the most recent packet.
@@ -185,7 +198,9 @@ impl Node for Sink {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) {
         self.packets += 1;
         self.bytes += pkt.wire_size() as u64;
-        self.delays.push(ctx.now().saturating_since(pkt.created));
+        let delay = ctx.now().saturating_since(pkt.created);
+        self.delay_sum_ms += delay.millis_f64();
+        self.min_delay = Some(self.min_delay.map_or(delay, |m| m.min(delay)));
         self.last_arrival = Some(ctx.now());
     }
 }
@@ -294,6 +309,27 @@ mod tests {
             (rate - 10_000_000.0).abs() / 10_000_000.0 < 0.01,
             "rate was {rate}"
         );
+    }
+
+    #[test]
+    fn sink_summary_equals_the_series_of_its_delays() {
+        let mut sim = Simulator::new(1);
+        let k = sim.add_node(Box::new(Sink::new()));
+        assert_eq!(sim.node_ref::<Sink>(k).mean_delay_ms(), 0.0);
+        let delays_us = [1_700u64, 333, 25_001, 9, 4_444, 333];
+        for (i, &d) in delays_us.iter().enumerate() {
+            let at = Instant::from_millis(100 * i as u64 + 50);
+            let created = at - Duration::from_micros(d);
+            let pkt = Packet::udp((ip(1), 1), (ip(2), 2), 100).with_created(created);
+            sim.inject_packet(k, 0, at, pkt);
+        }
+        sim.run_until_idle();
+        let sink = sim.node_ref::<Sink>(k);
+        let delays: Vec<Duration> = delays_us.map(Duration::from_micros).to_vec();
+        let series = crate::stats::Series::from_durations_ms(&delays);
+        assert_eq!(sink.mean_delay_ms().to_bits(), series.mean().to_bits());
+        assert_eq!(sink.min_delay(), Some(Duration::from_micros(9)));
+        assert_eq!(sink.packets(), 6);
     }
 
     #[test]

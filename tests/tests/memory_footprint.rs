@@ -14,6 +14,7 @@
 #![cfg(target_os = "linux")]
 
 use acacia_geo::point::Point;
+use acacia_integration::peak_rss_mb;
 use acacia_lte::mobility::Waypoint;
 use acacia_lte::network::{CellConfig, LteConfig, LteNetwork};
 use acacia_lte::qci::Qci;
@@ -26,21 +27,6 @@ const UES: usize = 1_024;
 const LAPS: u64 = 3;
 const SPEED_MPS: f64 = 8.0;
 const BUDGET_MB: f64 = 16.0;
-
-/// Peak resident set of this process so far, MB (`VmHWM`).
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .expect("the kernel reports VmHWM");
-    let kb: f64 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|kb| kb.parse().ok())
-        .expect("VmHWM is a number of kB");
-    kb / 1024.0
-}
 
 #[test]
 fn a_thousand_ue_control_plane_fits_in_16_mb() {

@@ -11,25 +11,11 @@
 
 use acacia::search::SearchStrategy;
 use acacia_bench::experiments::application::fig11_frames;
+use acacia_integration::peak_rss_mb;
 use acacia_vision::db::{ObjectDb, STORED_FEATURES};
 use acacia_vision::image::Resolution;
 
 const BUDGET_MB: f64 = 12.0;
-
-/// Peak resident set of this process so far, MB (`VmHWM`).
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let line = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .expect("the kernel reports VmHWM");
-    let kb: f64 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|kb| kb.parse().ok())
-        .expect("VmHWM is a number of kB");
-    kb / 1024.0
-}
 
 #[test]
 fn the_retail_database_and_a_match_pass_fit_in_12_mb() {
