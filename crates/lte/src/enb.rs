@@ -742,7 +742,7 @@ impl Enb {
         let Some((teid, inner)) = gtpu::decapsulate(&pkt) else {
             return;
         };
-        let Some(bearer) = self.bearers.iter().find(|b| b.enb_teid == teid) else {
+        let Some(bearer) = self.bearer_by_teid(teid) else {
             self.no_bearer += 1;
             return;
         };
@@ -789,11 +789,23 @@ impl Enb {
         }
     }
 
+    /// The live bearer whose S1-U tunnel ends here at `teid`. `bearers`
+    /// is sorted by TEID: each is pushed with a fresh, larger TEID and
+    /// only `retain` removes any.
+    fn bearer_by_teid(&self, teid: Teid) -> Option<&EnbBearer> {
+        let i = self
+            .bearers
+            .binary_search_by_key(&teid, |b| b.enb_teid)
+            .ok()?;
+        Some(&self.bearers[i])
+    }
+
     fn setup_erab(&mut self, erab: &ErabSetup, imsi: Imsi) -> Teid {
         let enb_teid = self.alloc_teid();
         // Replace any stale state for the same (imsi, ebi).
         self.bearers
             .retain(|b| !(b.imsi == imsi && b.ebi == erab.ebi));
+        debug_assert!(self.bearers.last().is_none_or(|b| b.enb_teid < enb_teid));
         self.bearers.push(EnbBearer {
             imsi,
             ebi: erab.ebi,
@@ -1153,5 +1165,91 @@ mod tests {
             assert_eq!(camp.ue_by_imsi(net.imsi(i)).unwrap().ue_addr, Some(ue_addr));
         }
         check(&net);
+    }
+
+    /// `bearers` stays sorted by TEID through attaches, a dedicated
+    /// bearer, X2 handovers there and back, an idle release and a service
+    /// request: the binary search finds every live bearer by its TEID, and
+    /// no TEID a bearer gave up.
+    #[test]
+    fn bearers_are_found_by_teid_after_handover_and_release() {
+        use crate::mobility::Waypoint;
+        use crate::wire::PolicyRule;
+        use acacia_simnet::time::Duration;
+        use acacia_simnet::traffic::Reflector;
+
+        let cell = |x, region| CellConfig {
+            pos: Point::new(x, 0.0),
+            mec: true,
+            region,
+        };
+        let mut net = LteNetwork::new(LteConfig {
+            ue_count: 3,
+            cells: vec![cell(0.0, 0), cell(40.0, 1)],
+            ..LteConfig::default()
+        });
+        let (_, mec) = net.add_mec_server(Box::new(Reflector::new()));
+        let mut seen: Vec<(usize, Teid)> = Vec::new();
+        let record = |net: &LteNetwork, seen: &mut Vec<(usize, Teid)>| {
+            for (c, &id) in net.enbs.iter().enumerate() {
+                let enb = net.sim.node_ref::<Enb>(id);
+                seen.extend(enb.bearers.iter().map(|b| (c, b.enb_teid)));
+            }
+        };
+        let ue_addr = net.attach(0);
+        net.attach(1);
+        net.attach(2);
+        net.activate_dedicated_bearer(
+            0,
+            PolicyRule {
+                service_id: 9,
+                ue_addr,
+                server_addr: mec,
+                server_port: 0,
+                qci: crate::qci::Qci(7),
+                install: true,
+            },
+        );
+        record(&net, &mut seen);
+        net.start_mobility(
+            0,
+            vec![
+                Waypoint::passing(Point::new(2.0, 0.0)),
+                Waypoint::passing(Point::new(38.0, 0.0)),
+                Waypoint::passing(Point::new(2.0, 0.0)),
+            ],
+            4.0,
+        );
+        net.run_for(Duration::from_secs(10));
+        assert_eq!(net.serving_cell(0), 1, "UE 0 handed over");
+        record(&net, &mut seen);
+        net.run_for(Duration::from_secs(14));
+        assert_eq!(net.serving_cell(0), 0, "UE 0 handed back");
+        record(&net, &mut seen);
+        net.trigger_idle_release(1);
+        net.service_request(1);
+        record(&net, &mut seen);
+        seen.sort_unstable();
+        seen.dedup();
+
+        let mut stale = 0;
+        for (c, &id) in net.enbs.iter().enumerate() {
+            let enb = net.sim.node_ref::<Enb>(id);
+            assert!(enb
+                .bearers
+                .windows(2)
+                .all(|w| w[0].enb_teid < w[1].enb_teid));
+            for b in &enb.bearers {
+                let found = enb.bearer_by_teid(b.enb_teid).expect("live bearer");
+                assert!(std::ptr::eq(found, b));
+            }
+            for &(_, teid) in seen.iter().filter(|&&(sc, _)| sc == c) {
+                if enb.bearers.iter().all(|b| b.enb_teid != teid) {
+                    assert!(enb.bearer_by_teid(teid).is_none(), "{teid}");
+                    stale += 1;
+                }
+            }
+        }
+        assert_eq!(stale, 4, "each handover retired two TEIDs at its source");
     }
 }

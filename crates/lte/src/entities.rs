@@ -639,9 +639,69 @@ struct Session {
     enb_teid: Option<Teid>,
     enb_addr: Option<Ipv4Addr>,
     /// Dedicated bearers: ebi → (local UL teid, rule).
-    dedicated: BTreeMap<u8, (Teid, PolicyRule)>,
+    dedicated: ByEbi<(Teid, PolicyRule)>,
     /// Pending dedicated-bearer activations: ebi → (rule, local teid).
-    pending_dedicated: BTreeMap<u8, (PolicyRule, Teid)>,
+    pending_dedicated: ByEbi<(PolicyRule, Teid)>,
+}
+
+/// One session's bearers keyed by EBI, in a `Vec` sorted by EBI and sized
+/// to what it holds: a session holds one or two, most of the time none
+/// pending, and an emptied table gives its allocation back.
+#[derive(Debug, Clone)]
+struct ByEbi<V>(Vec<(u8, V)>);
+
+impl<V> Default for ByEbi<V> {
+    fn default() -> Self {
+        ByEbi(Vec::new())
+    }
+}
+
+impl<V> ByEbi<V> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The entries in EBI order.
+    fn iter(&self) -> std::slice::Iter<'_, (u8, V)> {
+        self.0.iter()
+    }
+
+    fn values(&self) -> impl Iterator<Item = &V> {
+        self.0.iter().map(|(_, v)| v)
+    }
+
+    /// Insert `v` under `ebi`, replacing any value already there.
+    fn insert(&mut self, ebi: u8, v: V) {
+        match self.0.binary_search_by_key(&ebi, |&(e, _)| e) {
+            Ok(i) => self.0[i].1 = v,
+            Err(i) => {
+                self.0.reserve_exact(1);
+                self.0.insert(i, (ebi, v));
+            }
+        }
+    }
+
+    fn remove(&mut self, ebi: u8) -> Option<V> {
+        let i = self.0.binary_search_by_key(&ebi, |&(e, _)| e).ok()?;
+        let (_, v) = self.0.remove(i);
+        self.release_if_empty();
+        Some(v)
+    }
+
+    fn retain(&mut self, keep: impl FnMut(&(u8, V)) -> bool) {
+        self.0.retain(keep);
+        self.release_if_empty();
+    }
+
+    fn clear(&mut self) {
+        self.0 = Vec::new();
+    }
+
+    fn release_if_empty(&mut self) {
+        if self.0.is_empty() {
+            self.0 = Vec::new();
+        }
+    }
 }
 
 /// The combined SGW-C + PGW-C (+ PCEF) controller.
@@ -835,8 +895,8 @@ impl GwControl {
                     teid_pgw_ul: self.alloc.teid(),
                     enb_teid: None,
                     enb_addr: None,
-                    dedicated: BTreeMap::new(),
-                    pending_dedicated: BTreeMap::new(),
+                    dedicated: ByEbi::default(),
+                    pending_dedicated: ByEbi::default(),
                 };
                 let (sgw_u, pgw_u) = (self.topo.sgw_u, self.topo.pgw_u);
                 let (pgw_to_inet, pgw_to_sgw) = (self.topo.pgw_port_inet, self.topo.pgw_port_sgw);
@@ -1060,7 +1120,7 @@ impl GwControl {
                     );
                 } else {
                     // Removal: find the bearer serving this service.
-                    let Some((&ebi, _)) = self.sessions[&imsi]
+                    let Some(&(ebi, _)) = self.sessions[&imsi]
                         .dedicated
                         .iter()
                         .find(|(_, (_, r))| r.service_id == rule.service_id)
@@ -1097,7 +1157,7 @@ impl GwControl {
                 let Some(session) = self.sessions.get_mut(&imsi) else {
                     return;
                 };
-                let Some((rule, teid_local_ul)) = session.pending_dedicated.remove(&ebi.0) else {
+                let Some((rule, teid_local_ul)) = session.pending_dedicated.remove(ebi.0) else {
                     return;
                 };
                 let ue_addr = session.ue_addr;
@@ -1166,7 +1226,7 @@ impl GwControl {
                 let Some(session) = self.sessions.get_mut(&imsi) else {
                     return;
                 };
-                let Some((teid_local_ul, rule)) = session.dedicated.remove(&ebi.0) else {
+                let Some((teid_local_ul, rule)) = session.dedicated.remove(ebi.0) else {
                     return;
                 };
                 let ue_addr = session.ue_addr;
@@ -1225,7 +1285,7 @@ impl GwControl {
                 let dedicated: Vec<(u8, Teid, PolicyRule)> = s
                     .dedicated
                     .iter()
-                    .map(|(&ebi, (t, r))| (ebi, *t, r.clone()))
+                    .map(|(ebi, (t, r))| (*ebi, *t, r.clone()))
                     .collect();
                 s.dedicated.clear();
                 s.pending_dedicated.clear();
@@ -1296,13 +1356,13 @@ impl GwControl {
                 for s in self.sessions.values_mut() {
                     let before = s.dedicated.len();
                     s.dedicated
-                        .retain(|_, (_, r)| !owned_by_dead(r.server_addr));
+                        .retain(|(_, (_, r))| !owned_by_dead(r.server_addr));
                     flushed += (before - s.dedicated.len()) as u64;
                     // A pending activation on the dead switch can never
                     // complete; drop it so the late CreateBearerResponse
                     // (if any) is a recognised no-op.
                     s.pending_dedicated
-                        .retain(|_, (r, _)| !owned_by_dead(r.server_addr));
+                        .retain(|(_, (r, _))| !owned_by_dead(r.server_addr));
                 }
                 if flushed > 0 {
                     self.gwu_flush_released += flushed;
@@ -1330,12 +1390,12 @@ impl GwControl {
                 let ue_addr = s.ue_addr;
                 let teid_sgw_dl = s.teid_sgw_dl;
                 let default_teid = s.enb_teid;
-                // BTreeMap iteration is EBI-ordered, so the FlowMod
-                // sequence is deterministic by construction.
+                // `ByEbi` iterates in EBI order, so the FlowMod sequence
+                // is deterministic by construction.
                 let dedicated: Vec<(u8, Teid, PolicyRule)> = s
                     .dedicated
                     .iter()
-                    .map(|(&ebi, (t, r))| (ebi, *t, r.clone()))
+                    .map(|(ebi, (t, r))| (*ebi, *t, r.clone()))
                     .collect();
                 let sgw_u = self.topo.sgw_u;
                 let sgw_to_enb = self.topo.sgw_port_for(enb_addr);
@@ -1458,7 +1518,7 @@ impl GwControl {
                             .get_mut(&imsi)
                             .expect("session exists")
                             .dedicated
-                            .remove(&ebi);
+                            .remove(ebi);
                         released.push(Ebi(ebi));
                         self.dedicated_released += 1;
                         self.dedicated_active = self.dedicated_active.saturating_sub(1);
@@ -1496,5 +1556,31 @@ impl Node for GwControl {
         if let Some(msg) = ControlMsg::from_packet(&pkt) {
             self.handle(ctx, msg);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ByEbi;
+
+    /// Inserted out of order, a table iterates in EBI order; an insert
+    /// under a taken EBI replaces the value, as a map's would; emptied,
+    /// it holds no allocation.
+    #[test]
+    fn by_ebi_is_an_ordered_map_that_frees_when_empty() {
+        let mut t = ByEbi::default();
+        for (ebi, v) in [(7, 'a'), (5, 'b'), (9, 'c'), (7, 'd')] {
+            t.insert(ebi, v);
+        }
+        assert_eq!(
+            t.iter().copied().collect::<Vec<_>>(),
+            [(5, 'b'), (7, 'd'), (9, 'c')]
+        );
+        assert_eq!(t.remove(7), Some('d'));
+        assert_eq!(t.remove(7), None);
+        t.retain(|&(_, v)| v != 'c');
+        assert_eq!(t.values().collect::<Vec<_>>(), [&'b']);
+        assert_eq!(t.remove(5), Some('b'));
+        assert_eq!((t.len(), t.0.capacity()), (0, 0));
     }
 }

@@ -219,7 +219,8 @@ pub struct Link {
     cfg: LinkConfig,
     to: (NodeId, PortId),
     /// Committed transmissions per DSCP class, keyed by `tos >> 2`, in
-    /// ascending DSCP order.
+    /// ascending DSCP order. Only intervals still running when offered
+    /// are kept, so a rate-0 link's list stays empty.
     queues: Vec<(u8, ClassQueue)>,
     stats: LinkStats,
     /// Private RNG stream for loss and jitter draws, seeded from the
@@ -269,8 +270,14 @@ impl Link {
     pub(crate) fn transmit(&mut self, now: Instant, pkt: &Packet) -> Deliveries {
         let wire_bytes = pkt.wire_size();
         let class = pkt.tos >> 2;
-        // Purge packets whose serialization completed.
-        for (dscp, cq) in self.queues.iter_mut() {
+        // Purge packets whose serialization completed, and settle every
+        // class's backlog: a class without a queue holds nothing.
+        let mut queues = self.queues.iter_mut().peekable();
+        for (dscp, cs) in self.stats.classes.iter_mut() {
+            let Some((_, cq)) = queues.next_if(|(d, _)| d == dscp) else {
+                cs.backlog_bytes = 0;
+                continue;
+            };
             while let Some(&(_, done, bytes)) = cq.q.front() {
                 if done <= now {
                     cq.q.pop_front();
@@ -279,7 +286,7 @@ impl Link {
                     break;
                 }
             }
-            entry(&mut self.stats.classes, *dscp).backlog_bytes = cq.backlog;
+            cs.backlog_bytes = cq.backlog;
         }
 
         // Injected faults act at the link entrance, before the channel's
@@ -351,9 +358,18 @@ impl Link {
         let start = now.max(reserved).max(active);
         let tx = serialization_time(wire_bytes as u64, self.cfg.rate_bps);
         let done = start + tx;
-        let cq = entry(&mut self.queues, class);
-        cq.q.push_back((start, done, wire_bytes as u64));
-        cq.backlog += wire_bytes as u64;
+        // An interval already over when it is offered (every interval of
+        // a rate-0 link) is purged by the next offer before anything reads
+        // it, and its class's queue is empty (anything still queued would
+        // have pushed `start` past `now`): such a link keeps no queue.
+        let backlog = if done > now {
+            let cq = entry(&mut self.queues, class);
+            cq.q.push_back((start, done, wire_bytes as u64));
+            cq.backlog += wire_bytes as u64;
+            cq.backlog
+        } else {
+            wire_bytes as u64
+        };
 
         let jitter = if self.cfg.jitter > Duration::ZERO {
             Duration::from_nanos(self.rng.gen_range(0..self.cfg.jitter.nanos().max(1)))
@@ -367,7 +383,7 @@ impl Link {
         let cs = entry(&mut self.stats.classes, class);
         cs.enqueued += 1;
         cs.enqueued_bytes += wire_bytes as u64;
-        cs.backlog_bytes = cq.backlog;
+        cs.backlog_bytes = backlog;
         let arrival = done + self.cfg.delay + jitter + extra;
         Deliveries {
             primary: Some(arrival),
@@ -667,6 +683,46 @@ mod tests {
         assert_eq!(queued, [0, 10, 46]);
         assert_eq!(stats.classes.capacity(), stats.classes.len());
         assert_eq!(link.queues.capacity(), link.queues.len());
+    }
+
+    /// An infinitely fast link serializes nothing, so however many
+    /// classes cross it, it keeps no class queue: the offered class's
+    /// backlog is the packet just accepted, every other class's is 0, and
+    /// each delivery is the offer instant plus delay plus a jitter drawn
+    /// from the link's own seed.
+    #[test]
+    fn rate_zero_link_keeps_no_queue() {
+        let (delay, jitter) = (Duration::from_millis(3), Duration::from_micros(700));
+        let cfg = LinkConfig::delay_only(delay)
+            .with_jitter(jitter)
+            .with_queue(1_500);
+        let mut link = Link::new(cfg, (0, 0), 99);
+        let mut draws = ChaCha8Rng::seed_from_u64(99);
+        for i in 0..600u32 {
+            // Four offers per instant, classes DSCP 0 / 10 / 46 / 46.
+            let now = Instant::from_micros(u64::from(i / 4) * 250);
+            let dscp = [0, 10, 46, 46][i as usize % 4];
+            let bytes = 100 + i % 7 * 200;
+            let at = link
+                .transmit(now, &pkt_tos(bytes, dscp << 2))
+                .primary
+                .expect("an empty queue drops nothing");
+            let drawn = Duration::from_nanos(draws.gen_range(0..jitter.nanos()));
+            assert_eq!(at, now + delay + drawn);
+            assert!(link.queues.is_empty());
+            for &(d, cs) in &link.stats().classes {
+                let want = if d == dscp { u64::from(bytes) } else { 0 };
+                assert_eq!(cs.backlog_bytes, want, "offer {i}, class {d}");
+            }
+        }
+        let stats = link.stats();
+        let enqueued: Vec<_> = stats
+            .classes
+            .iter()
+            .map(|(d, cs)| (*d, cs.enqueued))
+            .collect();
+        assert_eq!(enqueued, [(0, 150), (10, 150), (46, 300)]);
+        assert_eq!((stats.drops(), stats.busy), (0, Duration::ZERO));
     }
 
     #[test]

@@ -60,8 +60,7 @@
 use crate::fault::NodeOutageSet;
 use crate::packet::Packet;
 use crate::sim::{
-    Action, Ctx, EvKey, EvKind, EvPayload, Node, NodeId, NodeMeta, PortSlot, ShardCounters,
-    Simulator,
+    Action, Ctx, EvKey, EvKind, EvPayload, Node, NodeId, NodeMeta, Ports, ShardCounters, Simulator,
 };
 use crate::time::{Duration, Instant};
 use crate::wheel::TimerWheel;
@@ -81,8 +80,9 @@ pub(crate) struct Loc {
 pub(crate) struct Slot {
     pub(crate) id: NodeId,
     pub(crate) node: Box<dyn Node>,
-    /// The node's port table (links are owned by their source endpoint).
-    pub(crate) links: Vec<PortSlot>,
+    /// The node's connected ports (links are owned by their source
+    /// endpoint).
+    pub(crate) links: Ports,
     pub(crate) meta: NodeMeta,
 }
 
@@ -332,8 +332,7 @@ impl Lane<'_> {
                         continue;
                     }
                     let now = self.shard.now;
-                    let ports = &mut self.shard.slots[slot].links;
-                    let Some(link) = ports.get_mut(port).and_then(Option::as_deref_mut) else {
+                    let Some(link) = self.shard.slots[slot].links.get_mut(port) else {
                         self.shard.ctr.unrouted += 1;
                         continue;
                     };
@@ -390,7 +389,7 @@ enum FaultGate {
 pub(crate) fn count_lookahead(sim: &Simulator) -> u64 {
     let mut min = u64::MAX;
     for src in 0..sim.loc.len() {
-        for link in sim.slot(src).links.iter().flatten() {
+        for (_, link) in sim.slot(src).links.iter() {
             let dst = link.to().0;
             if sim.loc[src].shard != sim.loc[dst].shard {
                 let d = link.delay();

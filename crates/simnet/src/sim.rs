@@ -29,9 +29,9 @@
 //!
 //! The run loop is built for throughput: events live in a timing wheel
 //! ([`crate::wheel`]) instead of a binary heap, links hang off a per-node
-//! port table of pointer-sized slots (`Option<Box<Link>>`: `send` is two
-//! array indexes and one pointer hop, and an unused port number costs
-//! 8 bytes rather than a whole `Link`), the per-dispatch
+//! row holding only the connected ports, sorted (`send` is an array index,
+//! a binary search over a few ports and one pointer hop, and a port number
+//! nobody connected costs nothing), the per-dispatch
 //! action buffer is reused across events, and guard timers can be
 //! cancelled ([`Ctx::cancel_timer`]) so dead expiries are dropped at the
 //! queue instead of round-tripping through a node.
@@ -388,12 +388,44 @@ impl EvPayload {
     }
 }
 
-/// One port of a node's row in the link table. Port numbers are sparse by
-/// convention (a UE's cell-facing ports start at 200), so an empty slot
-/// must cost a pointer, not a [`Link`] (config, class queues, stats and an
-/// RNG stream).
-pub(crate) type PortSlot = Option<Box<Link>>;
-const _: () = assert!(std::mem::size_of::<PortSlot>() <= 16);
+/// A node's row in the link table: its connected ports only, sorted by
+/// port number. Crates number ports by convention, not densely (a UE's
+/// cell-facing ports start at 200), so a row indexed by port would pay a
+/// slot for every number below the highest; this one pays 16 B per link,
+/// and a lookup is a binary search over a handful of entries.
+#[derive(Default)]
+pub(crate) struct Ports(Vec<(PortId, Box<Link>)>);
+const _: () = assert!(std::mem::size_of::<(PortId, Box<Link>)>() <= 16);
+
+impl Ports {
+    pub(crate) fn get(&self, port: PortId) -> Option<&Link> {
+        let i = self.0.binary_search_by_key(&port, |&(p, _)| p).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    pub(crate) fn get_mut(&mut self, port: PortId) -> Option<&mut Link> {
+        let i = self.0.binary_search_by_key(&port, |&(p, _)| p).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
+    /// The connected ports and their links, in port order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PortId, &Link)> {
+        self.0.iter().map(|(p, l)| (*p, &**l))
+    }
+
+    /// Connect `port` to `link`; `false` (and no change) if the port is
+    /// already connected.
+    pub(crate) fn insert(&mut self, port: PortId, link: Link) -> bool {
+        match self.0.binary_search_by_key(&port, |&(p, _)| p) {
+            Ok(_) => false,
+            Err(i) => {
+                self.0.insert(i, (port, Box::new(link)));
+                true
+            }
+        }
+    }
+}
+
 // Every link and node lives for the whole run (a metro builds thousands of
 // each), so their inline state is pinned: rarely used parts such as a
 // link's fault plan go behind a pointer, and the generator buffers one
@@ -622,7 +654,7 @@ impl Simulator {
         shard.slots.push(Box::new(Slot {
             id,
             node,
-            links: Vec::new(),
+            links: Ports::default(),
             meta: NodeMeta::new(self.seed, id),
         }));
         self.region.push(region);
@@ -748,7 +780,7 @@ impl Simulator {
     fn recount_region_assignments(&self) -> Vec<(u32, u32, u64)> {
         let mut weights = BTreeMap::<u32, u64>::new();
         for (node, &r) in self.region.iter().enumerate() {
-            let links = self.slot(node).links.iter().flatten().count() as u64;
+            let links = self.slot(node).links.iter().count() as u64;
             *weights.entry(r).or_insert(self.bias(r)) += 1 + links;
         }
         let biased = weights.iter().map(|(&r, &w)| (r, w));
@@ -771,13 +803,12 @@ impl Simulator {
         assert!(from.0 < self.loc.len(), "unknown source node");
         assert!(to.0 < self.loc.len(), "unknown destination node");
         let seed = stream_seed(self.seed, 2, ((from.0 as u64) << 20) | from.1 as u64);
-        let ports = &mut self.slot_mut(from.0).links;
-        if ports.len() <= from.1 {
-            ports.resize_with(from.1 + 1, || None);
-        }
-        assert!(ports[from.1].is_none(), "port {from:?} already connected");
         let delay = cfg.delay;
-        ports[from.1] = Some(Box::new(Link::new(cfg, to, seed)));
+        let link = Link::new(cfg, to, seed);
+        assert!(
+            self.slot_mut(from.0).links.insert(from.1, link),
+            "port {from:?} already connected"
+        );
         let owner = self.regions.get_mut(&self.region[from.0]);
         owner.expect("every node's region has a slot").weight += 1;
         self.placement_dirty = true;
@@ -816,14 +847,14 @@ impl Simulator {
         if from.0 >= self.loc.len() {
             return None;
         }
-        self.slot_mut(from.0).links.get_mut(from.1)?.as_deref_mut()
+        self.slot_mut(from.0).links.get_mut(from.1)
     }
 
     fn link_ref(&self, from: (NodeId, PortId)) -> Option<&Link> {
         if from.0 >= self.loc.len() {
             return None;
         }
-        self.slot(from.0).links.get(from.1)?.as_deref()
+        self.slot(from.0).links.get(from.1)
     }
 
     /// Next key for a harness-originated event.
@@ -1070,6 +1101,63 @@ mod tests {
         sim.schedule_timer(n, Instant::ZERO, 0);
         sim.run_until_idle();
         assert_eq!(sim.unrouted_packets(), 1);
+    }
+
+    /// Node that sends one packet on the port its timer token names.
+    struct PortSender;
+    impl Node for PortSender {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            let p = Packet::udp(
+                (Ipv4Addr::new(1, 1, 1, 1), 1),
+                (Ipv4Addr::new(2, 2, 2, 2), 2),
+                10,
+            );
+            ctx.send(token as PortId, p);
+        }
+    }
+
+    /// A UE-shaped row, ports {0, 1, 201} connected out of order, holds
+    /// exactly its three links in port order; the numbers between them
+    /// route nowhere.
+    #[test]
+    fn port_row_holds_only_connected_ports() {
+        let mut sim = Simulator::new(7);
+        let n = sim.add_node(Box::new(PortSender));
+        let sink = sim.add_node(Box::new(PortSender));
+        for port in [201, 0, 1] {
+            let cfg = LinkConfig::delay_only(Duration::from_millis(1));
+            sim.connect_simplex((n, port), (sink, port), cfg);
+        }
+        let row = &sim.slot(n).links;
+        assert_eq!(row.0.len(), 3);
+        let ports: Vec<PortId> = row.iter().map(|(p, _)| p).collect();
+        assert_eq!(ports, [0, 1, 201]);
+        for (p, link) in row.iter() {
+            assert_eq!(link.to(), (sink, p));
+            assert!(std::ptr::eq(row.get(p).expect("connected"), link));
+        }
+        assert!(row.get(2).is_none() && row.get(200).is_none());
+        for port in [0, 2, 1, 200, 201, 202] {
+            sim.schedule_timer(n, Instant::ZERO, port);
+        }
+        sim.run_until_idle();
+        for port in [0, 1, 201] {
+            assert_eq!(sim.link_stats((n, port)).expect("connected").tx_packets, 1);
+        }
+        assert_eq!(sim.unrouted_packets(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "already connected")]
+    fn connecting_a_port_twice_panics() {
+        let mut sim = Simulator::new(7);
+        let a = sim.add_node(Box::new(PortSender));
+        let b = sim.add_node(Box::new(PortSender));
+        let cfg = LinkConfig::delay_only(Duration::from_millis(1));
+        sim.connect_simplex((a, 201), (b, 0), cfg.clone());
+        sim.connect_simplex((a, 0), (b, 1), cfg.clone());
+        sim.connect_simplex((a, 201), (b, 2), cfg);
     }
 
     #[test]
@@ -1604,7 +1692,10 @@ mod tests {
                 2 | 3 if n > 0 => {
                     let (from, to) = (a as usize % n, b as usize % n);
                     let cfg = LinkConfig::delay_only(delay(&sim, from, to, c));
-                    let (pf, pt) = (sim.slot(from).links.len(), sim.slot(to).links.len() + 1);
+                    // The next free port: one past the node's last.
+                    let next =
+                        |n: NodeId| sim.slot(n).links.iter().last().map_or(0, |(p, _)| p + 1);
+                    let (pf, pt) = (next(from), next(to) + 1);
                     if what % 9 == 2 || from == to {
                         sim.connect_simplex((from, pf), (to, pt), cfg);
                     } else {
