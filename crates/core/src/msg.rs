@@ -1,18 +1,17 @@
 //! Application-level messages exchanged between the CI app on the UE, the
-//! MRS and the CI (AR) server — serialized into packet payloads like any
-//! real application protocol.
+//! MRS and the CI (AR) server.
 //!
-//! The payload is hand-written JSON ([`acacia_lte::json`]), and its bytes
-//! are pinned by the tests below: an application packet is exactly as
+//! A message travels typed, and its wire form is hand-written JSON
+//! ([`acacia_lte::json`]) that is counted, never written, in a run. The
+//! text is pinned by the tests below: an application packet is exactly as
 //! large as its text (plus any virtual `extra_len`), so every byte shows
 //! up in the simulated timings and the recorded goldens.
 
 use acacia_lte::json::{self, Json, Reader, Writer};
-use acacia_simnet::packet::{proto, Packet};
+use acacia_simnet::packet::{proto, Message, Packet, Payload};
 use acacia_simnet::time::Instant;
 use acacia_vision::compress::Codec;
 use acacia_vision::image::{ImageSpec, Resolution};
-use bytes::Bytes;
 use std::net::Ipv4Addr;
 
 /// UDP port of the AR server (frames, chunks, results, rxPower reports).
@@ -117,19 +116,25 @@ impl AppMsg {
         extra_len: u32,
         at: Instant,
     ) -> Packet {
-        let body = json::encode(b"", self);
-        let mut pkt = Packet::udp_with_payload(src, dst, Bytes::from(body));
-        pkt.app_len = extra_len;
-        pkt.created = at;
-        pkt
+        Packet {
+            payload: Payload::typed(0, self.clone()),
+            ..Packet::udp(src, dst, extra_len).with_created(at)
+        }
     }
 
-    /// Decode from a packet payload.
+    /// The message a UDP packet carries, if it carries one.
     pub fn from_packet(pkt: &Packet) -> Option<AppMsg> {
         if pkt.protocol != proto::UDP {
             return None;
         }
-        json::decode(pkt.payload.as_bytes()?)
+        pkt.payload.msg::<AppMsg>().cloned()
+    }
+}
+
+/// Untagged: no fault rule selects an application message by tag.
+impl Message for AppMsg {
+    fn encoded_len(&self) -> u32 {
+        json::encoded_len(self) as u32
     }
 }
 
@@ -271,11 +276,9 @@ mod tests {
             },
         ];
         for (m, text) in msgs.into_iter().zip(PAYLOADS) {
+            assert_eq!(std::str::from_utf8(&json::encode(b"", &m)), Ok(text));
             let pkt = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
-            assert_eq!(
-                std::str::from_utf8(pkt.payload.as_bytes().unwrap()),
-                Ok(text)
-            );
+            assert_eq!(pkt.payload.len(), text.len());
             assert_eq!(AppMsg::from_packet(&pkt), Some(m));
         }
     }
@@ -284,11 +287,10 @@ mod tests {
     fn payloads_are_pinned() {
         for text in PAYLOADS {
             let m: AppMsg = json::decode(text.as_bytes()).expect(text);
+            assert_eq!(std::str::from_utf8(&json::encode(b"", &m)), Ok(text));
+            assert_eq!(json::encoded_len(&m), text.len());
             let pkt = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
-            assert_eq!(
-                std::str::from_utf8(pkt.payload.as_bytes().unwrap()),
-                Ok(text)
-            );
+            assert_eq!(pkt.payload.len(), text.len());
             assert_eq!(pkt.wire_size(), 28 + text.len() as u32);
         }
         // The values behind the less common spellings.
@@ -296,6 +298,26 @@ mod tests {
         assert!(matches!(m(10), AppMsg::FrameResult { compute_s, .. } if compute_s == 1e-7));
         let escaped = "q\"b\\s/\n\t\r\u{8}\u{c}\u{1}\u{1f}\u{7f}é☃";
         assert!(matches!(m(11), AppMsg::RxReport { landmark, .. } if landmark == escaped));
+    }
+
+    /// Fault rules select control messages by tag: none of them matches
+    /// a user-plane packet, bare, framed for the radio or tunnelled.
+    #[test]
+    fn no_catalogue_tag_matches_a_user_plane_packet() {
+        use acacia_lte::{gtpu, ids::Ebi, ids::Teid, radio, wire::TAGS};
+        use acacia_simnet::fault::PacketClass;
+        let mut pkts = Vec::new();
+        for text in PAYLOADS {
+            let m: AppMsg = json::decode(text.as_bytes()).expect(text);
+            let app = m.into_packet((ip(1), APP_PORT), (ip(2), AR_PORT), 0, Instant::ZERO);
+            pkts.push(radio::data_frame(Ebi(6), &app, ip(1), ip(9)));
+            pkts.push(gtpu::encapsulate(&app, Teid(7), ip(10), ip(11)));
+            pkts.push(app);
+        }
+        for tag in TAGS {
+            let class = PacketClass::any().with_payload_tag(tag);
+            assert!(pkts.iter().all(|p| !class.matches(p)), "{tag}");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@ use acacia::msg::{AppMsg, FrameMeta};
 use acacia::search::{candidates, SearchContext, SearchStrategy};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
+use acacia_lte::json;
 use acacia_simnet::packet::Packet;
 use acacia_simnet::time::Instant;
 use acacia_vision::compress::Codec;
@@ -91,13 +92,12 @@ fn encode(msg: &AppMsg) -> Packet {
     msg.into_packet(at, at, 0, Instant::ZERO)
 }
 
-/// A packet carrying `payload` decodes only if its message encodes back
-/// to exactly `payload`.
-fn rejected_or_reproduced(payload: Vec<u8>) {
-    let mut pkt = encode(&AppMsg::ChunkAck { seq: 0, chunk: 0 });
-    pkt.payload = bytes::Bytes::from(payload).into();
-    if let Some(msg) = AppMsg::from_packet(&pkt) {
-        assert_eq!(encode(&msg).payload, pkt.payload);
+/// `text` decodes only if its message encodes back to exactly `text`,
+/// and then a packet of it is exactly as long as `text`.
+fn rejected_or_reproduced(text: Vec<u8>) {
+    if let Some(msg) = json::decode::<AppMsg>(&text) {
+        assert_eq!(json::encode(b"", &msg), text);
+        assert_eq!(encode(&msg).payload.len(), text.len());
     }
 }
 
@@ -121,6 +121,7 @@ proptest! {
             extra,
             Instant::from_millis(5),
         );
+        prop_assert_eq!(pkt.payload.len(), json::encode(b"", &msg).len());
         prop_assert_eq!(AppMsg::from_packet(&pkt), Some(msg));
     }
 
@@ -134,7 +135,7 @@ proptest! {
         byte in prop_oneof![any::<u8>(), prop::sample::select(b"0123456789-.,:\"\\{}[]enul".to_vec())],
         noise in prop::collection::vec(any::<u8>(), 0..200),
     ) {
-        let mut bytes = encode(&msg).payload.as_bytes().unwrap().to_vec();
+        let mut bytes = json::encode(b"", &msg);
         let at = at % bytes.len();
         bytes[at] = byte;
         rejected_or_reproduced(bytes);

@@ -1,10 +1,10 @@
 //! Hand-written JSON for message payloads.
 //!
-//! Application messages travel as compact JSON text. Control messages
-//! travel typed ([`acacia_simnet::packet::Payload::Msg`]) and only their
-//! JSON *length* goes on the wire, counted by [`encoded_len`] over the
-//! same field lists the writer walks. Both are pinned rather than free to
-//! change: a control packet is `max(spec, headers + JSON length)` bytes
+//! Control and application messages travel typed
+//! ([`acacia_simnet::packet::Payload::typed`]) and only their JSON
+//! *length* goes on the wire, counted by [`encoded_len`] over the same
+//! field lists the writer walks. The lengths are pinned rather than free
+//! to change: a control packet is `max(spec, headers + JSON length)` bytes
 //! long and a few messages outgrow their calibrated spec by the length of
 //! their numbers, and an application packet is exactly as large as its
 //! text. So the format is exactly the one the goldens were recorded with
@@ -19,10 +19,13 @@
 //! - `f64` prints via `{:?}` (`null` when not finite), and strings escape
 //!   `"`, `\` and control bytes, the common ones in short form.
 //!
-//! [`Writer`] appends straight to the payload buffer, or only counts what
-//! it would append. [`Reader`] is strict: it accepts exactly what the
-//! writer emits (no whitespace, keys in order, canonical numbers and
-//! escapes), so whatever it decodes re-encodes to the same bytes.
+//! [`Writer`] appends to a text buffer, or only counts what it would
+//! append. [`Reader`] is strict: it accepts exactly what the writer emits
+//! (no whitespace, keys in order, canonical numbers and escapes), so
+//! whatever it decodes re-encodes to the same bytes. No run writes or
+//! reads text: [`encode`], [`decode`] and the [`Reader`] are the oracle of
+//! the text pins and the reader fuzz tests, which hold the counted
+//! lengths to the text they stand for.
 //! [`json_codec!`](crate::json_codec) derives both sides of a struct or
 //! enum from one list of its fields.
 
@@ -55,7 +58,8 @@ pub fn encoded_len<T: Json>(value: &T) -> usize {
     w.len
 }
 
-/// Decode all of `bytes` as one value; trailing bytes fail.
+/// Decode all of `bytes` as one value; trailing bytes fail. Only the text
+/// pins and fuzz tests read text.
 pub fn decode<T: Json>(bytes: &[u8]) -> Option<T> {
     let mut r = Reader { bytes, pos: 0 };
     let value = T::read(&mut r)?;
@@ -159,7 +163,7 @@ const ESCAPES: [(u8, u8); 7] = [
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-/// Appends JSON text to a payload buffer, or only counts its length.
+/// Appends JSON text to a buffer, or only counts its length.
 pub struct Writer {
     /// The text so far; stays empty while counting.
     text: Vec<u8>,

@@ -4,27 +4,44 @@
 //! Data frames carry the EPS bearer id so the receiving side knows which
 //! bearer (and thus which QoS class and S1 tunnel) a packet belongs to —
 //! this is where the UE modem's UL-TFT classification becomes visible on
-//! the air. RRC frames carry control messages (attach, reconfiguration
-//! with TFTs, release) typed, one frame-type byte plus the message's JSON
-//! length on the wire; data frames are bytes.
+//! the air. Both kinds travel typed: an RRC frame carries its control
+//! message (attach, reconfiguration with TFTs, release), one frame-type
+//! byte plus the message's JSON length on the wire; a data frame carries
+//! its bearer id and inner packet, two bytes of framing plus the inner
+//! packet's header block and payload.
 
+use crate::gtpu::INNER_HEADER;
 use crate::ids::Ebi;
 use crate::wire::ControlMsg;
-use acacia_simnet::packet::{Packet, Payload};
+use acacia_simnet::packet::{Message, Packet, Payload};
 use acacia_simnet::sim::{Ctx, PortId};
 use acacia_simnet::time::{serialization_time, Duration, Instant};
-use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// IP protocol number used for radio frames in the simulator.
 pub const RADIO_PROTO: u8 = 201;
 
-/// Frame-type byte of a data frame.
-const FRAME_DATA: u8 = 1;
-/// An RRC frame is its frame-type byte (2) then the message's JSON; it
-/// travels typed, so only the byte's length is kept.
+/// A data frame is its frame-type byte (1) and the bearer id, then the
+/// inner packet's header block and payload.
+const DATA_HEADER: u32 = 2;
+/// An RRC frame is its frame-type byte (2) then the message's JSON.
 const RRC_HEADER: u32 = 1;
+
+/// A bearer-tagged data frame's payload: the bearer id and the user
+/// packet.
+#[derive(Debug, PartialEq)]
+struct DataFrame {
+    ebi: Ebi,
+    inner: Packet,
+}
+
+/// Untagged: no fault rule selects a data frame by tag.
+impl Message for DataFrame {
+    fn encoded_len(&self) -> u32 {
+        INNER_HEADER + self.inner.payload.len() as u32
+    }
+}
 
 /// Decoded radio frame content.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,12 +58,11 @@ pub enum RadioPayload {
 }
 
 /// Build a bearer-tagged data frame carrying `inner`.
+///
+/// # Panics
+///
+/// On a control message, as [`crate::gtpu::encapsulate`] does.
 pub fn data_frame(ebi: Ebi, inner: &Packet, from: Ipv4Addr, to: Ipv4Addr) -> Packet {
-    let ser = crate::gtpu::serialize_inner(inner);
-    let mut b = BytesMut::with_capacity(2 + ser.len());
-    b.put_u8(FRAME_DATA);
-    b.put_u8(ebi.0);
-    b.put_slice(&ser);
     Packet {
         src: from,
         dst: to,
@@ -54,14 +70,20 @@ pub fn data_frame(ebi: Ebi, inner: &Packet, from: Ipv4Addr, to: Ipv4Addr) -> Pac
         dst_port: 0,
         protocol: RADIO_PROTO,
         tos: inner.tos,
-        payload: b.freeze().into(),
         // Preserve the inner packet's virtual length plus hidden header
         // bytes (same accounting as GTP-U encapsulation).
         app_len: inner
             .wire_size()
-            .saturating_sub(28 + inner.payload.len() as u32),
+            .saturating_sub(INNER_HEADER + inner.payload.len() as u32),
         id: inner.id,
         created: inner.created,
+        payload: Payload::typed(
+            DATA_HEADER,
+            DataFrame {
+                ebi,
+                inner: crate::gtpu::carried(inner),
+            },
+        ),
     }
 }
 
@@ -81,24 +103,23 @@ pub fn rrc_frame(msg: &ControlMsg, from: Ipv4Addr, to: Ipv4Addr) -> Packet {
     })
 }
 
-/// Parse a radio frame: a typed RRC frame, or the bytes of a data frame.
+/// Parse a radio frame: an RRC frame's control message, or a data frame's
+/// bearer and inner packet, created when the frame was.
 pub fn parse_frame(pkt: &Packet) -> Option<RadioPayload> {
     if pkt.protocol != RADIO_PROTO {
         return None;
     }
-    let Payload::Bytes(bytes) = &pkt.payload else {
-        return pkt
-            .payload
-            .msg::<ControlMsg>()
-            .cloned()
-            .map(RadioPayload::Rrc);
-    };
-    if *bytes.first()? != FRAME_DATA {
-        return None;
+    if let Some(f) = pkt.payload.msg::<DataFrame>() {
+        let inner = Packet {
+            created: pkt.created,
+            ..f.inner.clone()
+        };
+        return Some(RadioPayload::Data { ebi: f.ebi, inner });
     }
-    let ebi = Ebi(*bytes.get(1)?);
-    let inner = crate::gtpu::deserialize_inner(&bytes.slice(2..), pkt.created)?;
-    Some(RadioPayload::Data { ebi, inner })
+    pkt.payload
+        .msg::<ControlMsg>()
+        .cloned()
+        .map(RadioPayload::Rrc)
 }
 
 /// A serial radio transmitter with strict-priority scheduling.
@@ -248,7 +269,7 @@ mod tests {
         match parse_frame(&frame).unwrap() {
             RadioPayload::Data { ebi, inner: back } => {
                 assert_eq!(ebi, Ebi(6));
-                assert_eq!(back.dst_port, 2000);
+                assert_eq!(back, inner);
                 assert_eq!(back.wire_size(), inner.wire_size());
             }
             other => panic!("unexpected {other:?}"),
@@ -256,13 +277,46 @@ mod tests {
     }
 
     #[test]
+    fn deframed_inner_is_created_with_the_frame() {
+        let inner =
+            Packet::udp((ip(1), 1000), (ip(2), 2000), 900).with_created(Instant::from_millis(1));
+        let mut frame = data_frame(Ebi(6), &inner, ip(1), ip(9));
+        frame.created = Instant::from_millis(4);
+        match parse_frame(&frame) {
+            Some(RadioPayload::Data { inner: back, .. }) => {
+                assert_eq!(back.created, Instant::from_millis(4))
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn data_frame_payload_is_framing_plus_the_inner_header_block() {
+        let inner = Packet::udp((ip(1), 1000), (ip(2), 2000), 900);
+        let frame = data_frame(Ebi(5), &inner, ip(1), ip(9));
+        assert_eq!(frame.payload.len(), 30);
+        assert_eq!(frame.payload.tag(), None);
+        // A tunnel inside a frame counts its own 36 bytes too.
+        let outer = crate::gtpu::encapsulate(&inner, crate::ids::Teid(1), ip(1), ip(2));
+        let frame = data_frame(Ebi(5), &outer, ip(1), ip(9));
+        assert_eq!(frame.payload.len(), 30 + 36);
+        assert_eq!(frame.wire_size(), outer.wire_size() + 22);
+    }
+
+    #[test]
+    #[should_panic(expected = "never a typed control message")]
+    fn framing_a_control_message_as_data_panics() {
+        let msg = ControlMsg::RrcAttachRequest { imsi: Imsi(99) };
+        data_frame(Ebi(5), &msg.into_packet(ip(1), ip(2)), ip(1), ip(9));
+    }
+
+    #[test]
     fn data_frame_wire_size_covers_inner() {
         let inner = Packet::udp((ip(1), 1000), (ip(2), 2000), 900);
         let frame = data_frame(Ebi(5), &inner, ip(1), ip(9));
         // Frame adds its own IP-ish header + 2 bytes of framing + the
-        // serialized inner header block.
-        assert!(frame.wire_size() >= inner.wire_size());
-        assert!(frame.wire_size() <= inner.wire_size() + 40);
+        // inner header block, less the inner UDP header it stands for.
+        assert_eq!(frame.wire_size(), inner.wire_size() + 20 + 30 - 28);
     }
 
     #[test]
@@ -278,7 +332,13 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected() {
-        let pkt = Packet::udp((ip(1), 1), (ip(2), 2), 10);
+        let mut pkt = Packet::udp((ip(1), 1), (ip(2), 2), 10);
+        assert!(parse_frame(&pkt).is_none());
+        // A radio frame that is neither data nor RRC.
+        pkt.protocol = RADIO_PROTO;
+        assert!(parse_frame(&pkt).is_none());
+        let tunnel = crate::gtpu::encapsulate(&pkt, crate::ids::Teid(1), ip(1), ip(2));
+        pkt.payload = tunnel.payload;
         assert!(parse_frame(&pkt).is_none());
     }
 

@@ -90,7 +90,7 @@ struct CacheKey {
 
 fn cache_key(pkt: &Packet) -> CacheKey {
     CacheKey {
-        teid: gtpu::peek_teid(pkt).map(|t| t.0),
+        teid: gtpu::tunnel(pkt).map(|t| t.teid.0),
         src: pkt.src,
         dst: pkt.dst,
         src_port: pkt.src_port,
@@ -213,8 +213,8 @@ impl FlowSwitch {
         // apply to the *inner* endpoints so rules can steer by UE/server
         // address. The inner packet is never materialized here — only the
         // rule that wins may decapsulate.
-        let (teid, esrc, edst) = match gtpu::peek_inner_addrs(pkt) {
-            Some((s, d)) => (gtpu::peek_teid(pkt), s, d),
+        let (teid, esrc, edst) = match gtpu::tunnel(pkt) {
+            Some(t) => (Some(t.teid), t.inner.src, t.inner.dst),
             None => (None, pkt.src, pkt.dst),
         };
         let idx = self
@@ -260,9 +260,9 @@ impl FlowSwitch {
             None => {
                 // The SGW role: buffer missed downlink tunnel traffic and
                 // tell the controller so the MME can page the UE.
-                if self.paging_enabled && gtpu::is_gtpu(&pkt) && self.page_buffer.len() < 256 {
+                if self.paging_enabled && self.page_buffer.len() < 256 {
                     let first = self.page_buffer.is_empty();
-                    if let Some(teid) = gtpu::peek_teid(&pkt) {
+                    if let Some(teid) = gtpu::tunnel(&pkt).map(|t| t.teid) {
                         self.page_buffer.push(pkt);
                         if first {
                             self.ddn_sent += 1;
@@ -446,6 +446,35 @@ mod tests {
         sim.inject_packet(sw, 1, Instant::ZERO, user_pkt(ip(77)));
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<FlowSwitch>(sw).no_rule, 1);
+    }
+
+    #[test]
+    fn port_2152_without_a_tunnel_fails_to_decapsulate() {
+        let mut sim = Simulator::new(3);
+        let mut sw = FlowSwitch::new(ip(100), SwitchCosts::acacia_ovs());
+        let by_dst = FlowMatchSpec {
+            teid: None,
+            dst: Some(ip(60)),
+            src: None,
+        };
+        sw.install(
+            80,
+            by_dst,
+            vec![FlowActionSpec::GtpDecap, FlowActionSpec::Output { port: 2 }],
+        );
+        let sw = sim.add_node(Box::new(sw));
+        let sink = sim.add_node(Box::new(Sink::new()));
+        sim.connect((sw, 2), (sink, 0), LinkConfig::delay_only(Duration::ZERO));
+        // UDP/2152 by its ports, but its payload is not a tunnel: the
+        // rule matches on the outer destination, and its decap fails.
+        let mut fake = user_pkt(ip(60));
+        fake.src_port = crate::wire::ports::GTPU;
+        fake.dst_port = crate::wire::ports::GTPU;
+        assert!(gtpu::is_gtpu(&fake));
+        sim.inject_packet(sw, 1, Instant::ZERO, fake);
+        sim.run_until_idle();
+        assert_eq!(sim.node_ref::<FlowSwitch>(sw).no_rule, 1);
+        assert_eq!(sim.node_ref::<Sink>(sink).packets(), 0);
     }
 
     #[test]

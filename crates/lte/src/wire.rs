@@ -3,7 +3,7 @@
 //! is declared once, as one row of the `catalogue!` below that carries its
 //! JSON tag, protocol family, log name, calibrated wire size and fields.
 //!
-//! A message travels typed ([`Payload::Msg`]): the receiver downcasts the
+//! A message travels typed ([`Payload::typed`]): the receiver downcasts the
 //! value the sender built, and nothing is encoded on the way. What reaches
 //! the wire is the length of the message's hand-written JSON
 //! ([`crate::json`]), which [`crate::json::encoded_len`] counts without
@@ -177,6 +177,10 @@ macro_rules! catalogue {
         /// One unit variant per message kind, in catalogue order.
         enum Kind { $($V,)* $X }
 
+        /// Every variant's tag, in catalogue order: the tags a fault rule
+        /// can name ([`Message::tag`]).
+        pub const TAGS: [&str; KIND_COUNT - 1] = [$($tag,)*];
+
         /// One kind per variant, plus the one a field picks.
         pub(crate) const KIND_COUNT: usize = Kind::$X as usize + 1;
 
@@ -202,10 +206,10 @@ macro_rules! catalogue {
             }
 
             /// The variant's JSON tag, the key its encoding opens with.
-            fn tag(&self) -> &'static str {
-                match self {
+            fn tag(&self) -> Option<&'static str> {
+                Some(match self {
                     $(ControlMsg::$V { .. } => $tag,)*
-                }
+                })
             }
         }
 
@@ -686,7 +690,8 @@ impl ControlMsg {
         pkt
     }
 
-    /// Decode a control message from a packet payload.
+    /// Decode a control message from its JSON text. No run reads text: the
+    /// text pins and the reader fuzz tests use this as their oracle.
     pub fn decode(payload: &[u8]) -> Option<ControlMsg> {
         json::decode(payload)
     }
@@ -1009,16 +1014,17 @@ mod tests {
             .iter()
             .map(|(text, ..)| ControlMsg::decode(text.as_bytes()).unwrap())
             .collect();
-        let tags: HashSet<&str> = msgs.iter().map(|m| m.tag()).collect();
+        let tags: HashSet<&str> = msgs.iter().filter_map(|m| m.tag()).collect();
         assert_eq!(tags.len(), KIND_COUNT - 1, "one tag per variant");
+        assert_eq!(tags, HashSet::from(TAGS));
         for ((text, ..), msg) in PAYLOADS.iter().zip(&msgs) {
             for tag in &tags {
                 let quoted = text.contains(&format!("\"{tag}\""));
-                assert_eq!(quoted, *tag == msg.tag(), "{tag} in {text}");
+                assert_eq!(quoted, Some(*tag) == msg.tag(), "{tag} in {text}");
             }
             let frame = crate::radio::rrc_frame(msg, Ipv4Addr::LOCALHOST, Ipv4Addr::LOCALHOST);
-            assert_eq!(frame.payload.tag(), Some(msg.tag()));
-            assert_eq!(encode(msg).payload.tag(), Some(msg.tag()));
+            assert_eq!(frame.payload.tag(), msg.tag());
+            assert_eq!(encode(msg).payload.tag(), msg.tag());
         }
     }
 

@@ -7,14 +7,23 @@ use acacia_lte::qci::Qci;
 use acacia_lte::radio::{self, RadioPayload};
 use acacia_lte::tft::{Direction, PacketFilter, Tft};
 use acacia_lte::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
-use acacia_simnet::packet::{Message, Packet};
+use acacia_simnet::packet::{l4_header_len, Message, Packet, Payload, IPV4_HEADER};
 use acacia_simnet::time::Instant;
-use bytes::Bytes;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
 fn arb_ip() -> BoxedStrategy<Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from).boxed()
+}
+
+/// A user message that is only its length.
+#[derive(Debug, PartialEq)]
+struct Opaque(u32);
+
+impl Message for Opaque {
+    fn encoded_len(&self) -> u32 {
+        self.0
+    }
 }
 
 fn arb_packet() -> BoxedStrategy<Packet> {
@@ -26,7 +35,7 @@ fn arb_packet() -> BoxedStrategy<Packet> {
         prop::sample::select(vec![1u8, 6, 17, 132]),
         any::<u8>(),
         0u32..100_000,
-        prop::collection::vec(any::<u8>(), 0..128),
+        prop::option::of(0u32..128),
         any::<u64>(),
     )
         .prop_map(
@@ -37,7 +46,7 @@ fn arb_packet() -> BoxedStrategy<Packet> {
                 dst_port: dp,
                 protocol: proto,
                 tos,
-                payload: Bytes::from(payload).into(),
+                payload: payload.map_or_else(Payload::default, |n| Payload::typed(0, Opaque(n))),
                 app_len,
                 id,
                 created: Instant::from_nanos(42),
@@ -358,16 +367,12 @@ fn rejected_or_reproduced(text: &[u8]) {
     }
 }
 
-/// The packet `typed` was when control messages travelled as JSON text:
-/// the same headers, `prefix` and the text as bytes, padded up to the spec.
-fn json_packet(prefix: &[u8], msg: &ControlMsg, typed: &Packet) -> Packet {
-    let mut pkt = Packet {
-        payload: Bytes::from(json::encode(prefix, msg)).into(),
-        app_len: 0,
-        ..typed.clone()
-    };
-    pkt.app_len = msg.wire_size_spec().saturating_sub(pkt.wire_size());
-    pkt
+/// The wire size `typed` had when control messages travelled as JSON
+/// text: its headers, `prefix` and the text, padded up to the spec.
+fn json_wire_size(prefix: &[u8], msg: &ControlMsg, typed: &Packet) -> u32 {
+    let text = json::encode(prefix, msg).len() as u32;
+    let headers = IPV4_HEADER + l4_header_len(typed.protocol);
+    msg.wire_size_spec().max(headers + text)
 }
 
 proptest! {
@@ -386,7 +391,8 @@ proptest! {
     fn gtpu_roundtrip(inner in arb_packet(), teid in any::<u32>(), a in arb_ip(), b in arb_ip()) {
         let outer = gtpu::encapsulate(&inner, Teid(teid), a, b);
         prop_assert_eq!(outer.wire_size(), inner.wire_size() + 36);
-        prop_assert_eq!(gtpu::peek_teid(&outer), Some(Teid(teid)));
+        prop_assert_eq!(outer.payload.len(), 36 + inner.payload.len());
+        prop_assert_eq!(gtpu::tunnel(&outer).map(|t| t.teid), Some(Teid(teid)));
         let (t, back) = gtpu::decapsulate(&outer).unwrap();
         prop_assert_eq!(t, Teid(teid));
         prop_assert_eq!(back.wire_size(), inner.wire_size());
@@ -398,6 +404,22 @@ proptest! {
         prop_assert_eq!(back.tos, inner.tos);
         prop_assert_eq!(back.payload, inner.payload);
         prop_assert_eq!(back.id, inner.id);
+        prop_assert_eq!(back.created, outer.created);
+    }
+
+    /// A radio data frame hands back its bearer and inner packet, and is
+    /// two bytes of framing plus the inner header block and payload long.
+    #[test]
+    fn data_frame_roundtrip(inner in arb_packet(), ebi in any::<u8>(), a in arb_ip(), b in arb_ip()) {
+        let frame = radio::data_frame(Ebi(ebi), &inner, a, b);
+        prop_assert_eq!(frame.payload.len(), 30 + inner.payload.len());
+        match radio::parse_frame(&frame) {
+            Some(RadioPayload::Data { ebi: got, inner: back }) => {
+                prop_assert_eq!(got, Ebi(ebi));
+                prop_assert_eq!(back, inner);
+            }
+            other => prop_assert!(false, "not a data frame: {:?}", other),
+        }
     }
 
     /// Double encapsulation (S1-in-S5) unwraps in order.
@@ -484,13 +506,12 @@ proptest! {
         prop_assert_eq!(json::encoded_len(&msg), text.len());
         prop_assert_eq!(msg.encoded_len() as usize, text.len());
         let typed = msg.into_packet(src, dst);
-        let old = json_packet(b"", &msg, &typed);
-        prop_assert_eq!(typed.payload.len(), old.payload.len());
-        prop_assert_eq!(typed.wire_size(), old.wire_size());
+        prop_assert_eq!(typed.payload.len(), text.len());
+        prop_assert_eq!(typed.wire_size(), json_wire_size(b"", &msg, &typed));
         let frame = radio::rrc_frame(&msg, src, dst);
         prop_assert_eq!(frame.payload.len(), 1 + text.len());
-        prop_assert_eq!(frame.wire_size(), json_packet(&[2], &msg, &frame).wire_size());
-        prop_assert_eq!(frame.payload.tag(), Some(msg.tag()));
+        prop_assert_eq!(frame.wire_size(), json_wire_size(&[2], &msg, &frame));
+        prop_assert_eq!(frame.payload.tag(), msg.tag());
         match radio::parse_frame(&frame) {
             Some(RadioPayload::Rrc(back)) => prop_assert_eq!(back, msg),
             other => prop_assert!(false, "not an RRC frame: {:?}", other),
@@ -577,21 +598,19 @@ proptest! {
     fn gtpu_rejects_non_tunnel(pkt in arb_packet()) {
         prop_assume!(!(pkt.protocol == 17 && pkt.dst_port == 2152));
         prop_assert!(gtpu::decapsulate(&pkt).is_none());
-        prop_assert!(gtpu::peek_teid(&pkt).is_none());
+        prop_assert!(gtpu::tunnel(&pkt).is_none());
         prop_assert!(!gtpu::is_gtpu(&pkt));
     }
 
-    /// Truncating a tunnel packet's payload below the GTP-U header (or
-    /// into the inner packet) never yields a decoded inner packet.
+    /// A UDP/2152 packet that does not carry a tunnel is not one: it does
+    /// not decapsulate, and the flow switch reads its outer header.
     #[test]
-    fn gtpu_rejects_truncated(inner in arb_packet(), teid in any::<u32>(), cut in 0usize..1000) {
-        let a = Ipv4Addr::new(10, 0, 0, 1);
-        let mut outer = gtpu::encapsulate(&inner, Teid(teid), a, a);
-        let full = outer.payload.len();
-        // Cutting into the inner serialization (8-byte GTP header +
-        // 28-byte inner header minimum) must fail cleanly.
-        let cut = cut % (8 + 28).min(full);
-        outer.payload = outer.payload.as_bytes().unwrap().slice(..cut).into();
-        prop_assert!(gtpu::decapsulate(&outer).is_none());
+    fn gtpu_rejects_port_2152_without_a_tunnel(pkt in arb_packet()) {
+        let mut pkt = pkt;
+        pkt.protocol = 17;
+        pkt.dst_port = 2152;
+        prop_assert!(gtpu::is_gtpu(&pkt));
+        prop_assert!(gtpu::decapsulate(&pkt).is_none());
+        prop_assert!(gtpu::tunnel(&pkt).is_none());
     }
 }

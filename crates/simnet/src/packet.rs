@@ -5,18 +5,17 @@
 //! megabytes of traffic without allocating the actual buffers: the wire
 //! size of a packet is `IP header + L4 header + payload.len() + app_len`.
 //!
-//! A payload is either encoded bytes ([`bytes::Bytes`]: user-plane
-//! tunnels, radio data frames, application messages) or a typed
-//! [`Message`] that travels as itself. A typed message is never encoded:
-//! the receiver downcasts it, and the payload counts the length its
-//! encoding would have, so wire sizes are the same as if it were text.
+//! A payload is empty or a typed [`Message`] that travels as itself:
+//! control messages, GTP-U tunnels, radio frames and application messages
+//! alike. A message is never encoded: the receiver downcasts it, and the
+//! payload counts the length its encoding would have, so wire sizes are
+//! the same as if it were bytes. An empty payload holds no allocation.
 //!
-//! Encapsulation (e.g. GTP-U in the `acacia-lte` crate) serializes the inner
-//! packet's headers into the outer payload and accounts for the inner virtual
-//! length, so tunnelled wire sizes stay byte-accurate.
+//! Encapsulation (e.g. GTP-U in the `acacia-lte` crate) carries the inner
+//! packet as a value and counts its header block and payload, and accounts
+//! for the inner virtual length, so tunnelled wire sizes stay byte-accurate.
 
 use crate::time::Instant;
-use bytes::Bytes;
 use std::any::Any;
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -89,8 +88,11 @@ impl FiveTuple {
 pub trait Message: Any + fmt::Debug + Send + Sync + DynEq {
     /// Length of this message's encoding, bytes.
     fn encoded_len(&self) -> u32;
-    /// The short tag that names this message's kind (fault rules match it).
-    fn tag(&self) -> &'static str;
+    /// The short tag that names this message's kind, if fault rules may
+    /// select it (`PacketClass::with_payload_tag`); none by default.
+    fn tag(&self) -> Option<&'static str> {
+        None
+    }
 }
 
 /// Equality across type-erased messages; implemented for every
@@ -106,15 +108,10 @@ impl<T: PartialEq + Any> DynEq for T {
     }
 }
 
-/// What a packet carries beyond its headers.
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Encoded bytes.
-    Bytes(Bytes),
-    /// A typed message and its length on the wire (see
-    /// [`Payload::typed`]).
-    Msg(Arc<dyn Message>, u32),
-}
+/// What a packet carries beyond its headers: nothing, or a typed message
+/// and its length on the wire (see [`Payload::typed`]).
+#[derive(Debug, Clone, Default)]
+pub struct Payload(Option<(Arc<dyn Message>, u32)>);
 
 impl Payload {
     /// A typed payload behind `header` bytes of framing (0 for a bare
@@ -122,15 +119,12 @@ impl Payload {
     /// counted once, here.
     pub fn typed(header: u32, msg: impl Message) -> Payload {
         let len = header + msg.encoded_len();
-        Payload::Msg(Arc::new(msg), len)
+        Payload(Some((Arc::new(msg), len)))
     }
 
-    /// Length in bytes: the stored bytes, or the typed message's encoding.
+    /// Length in bytes: the header plus the message's encoding, or 0.
     pub fn len(&self) -> usize {
-        match self {
-            Payload::Bytes(b) => b.len(),
-            Payload::Msg(_, len) => *len as usize,
-        }
+        self.0.as_ref().map_or(0, |(_, len)| *len as usize)
     }
 
     /// Is the payload zero bytes long?
@@ -138,50 +132,25 @@ impl Payload {
         self.len() == 0
     }
 
-    /// The stored bytes; `None` for a typed message.
-    pub fn as_bytes(&self) -> Option<&Bytes> {
-        match self {
-            Payload::Bytes(b) => Some(b),
-            Payload::Msg(..) => None,
-        }
-    }
-
     /// The typed message, if it is a `T`.
     pub fn msg<T: Message>(&self) -> Option<&T> {
-        match self {
-            Payload::Bytes(_) => None,
-            Payload::Msg(m, _) => (&**m as &dyn Any).downcast_ref(),
-        }
+        let (m, _) = self.0.as_ref()?;
+        (&**m as &dyn Any).downcast_ref()
     }
 
-    /// The typed message's tag; `None` for bytes.
+    /// The typed message's tag; `None` when empty or untagged.
     pub fn tag(&self) -> Option<&'static str> {
-        match self {
-            Payload::Bytes(_) => None,
-            Payload::Msg(m, _) => Some(m.tag()),
-        }
+        self.0.as_ref().and_then(|(m, _)| m.tag())
     }
 }
 
-impl Default for Payload {
-    fn default() -> Payload {
-        Payload::Bytes(Bytes::new())
-    }
-}
-
-impl From<Bytes> for Payload {
-    fn from(bytes: Bytes) -> Payload {
-        Payload::Bytes(bytes)
-    }
-}
-
-/// Bytes equal bytes, and a typed message equals a message of the same
-/// type that compares equal.
+/// Empty equals empty, and a typed message equals a message of the same
+/// type and length that compares equal.
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
-        match (self, other) {
-            (Payload::Bytes(a), Payload::Bytes(b)) => a == b,
-            (Payload::Msg(a, la), Payload::Msg(b, lb)) => la == lb && a.dyn_eq(&**b as &dyn Any),
+        match (&self.0, &other.0) {
+            (None, None) => true,
+            (Some((a, la)), Some((b, lb))) => la == lb && a.dyn_eq(&**b as &dyn Any),
             _ => false,
         }
     }
@@ -204,9 +173,8 @@ pub struct Packet {
     pub protocol: u8,
     /// DSCP/TOS byte; the LTE layer maps QCI priorities onto this.
     pub tos: u8,
-    /// Payload actually carried: encoded bytes (tunnel headers,
-    /// application messages) or a typed control message. May be empty for
-    /// pure-volume traffic.
+    /// Payload actually carried: a typed message (control, tunnel, radio
+    /// frame or application message). Empty for pure-volume traffic.
     pub payload: Payload,
     /// Virtual application payload length that is accounted for on the wire
     /// but not physically stored.
@@ -234,14 +202,6 @@ impl Packet {
         }
     }
 
-    /// A UDP packet carrying real encoded bytes.
-    pub fn udp_with_payload(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), payload: Bytes) -> Packet {
-        Packet {
-            payload: payload.into(),
-            ..Packet::udp(src, dst, 0)
-        }
-    }
-
     /// A TCP segment with a virtual payload (used by the greedy flow).
     pub fn tcp(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), app_len: u32) -> Packet {
         Packet {
@@ -253,20 +213,12 @@ impl Packet {
     /// An ICMP echo request/reply of `app_len` payload bytes.
     pub fn icmp(src: Ipv4Addr, dst: Ipv4Addr, app_len: u32) -> Packet {
         Packet {
-            src,
-            dst,
-            src_port: 0,
-            dst_port: 0,
             protocol: proto::ICMP,
-            tos: 0,
-            payload: Payload::default(),
-            app_len,
-            id: 0,
-            created: Instant::ZERO,
+            ..Packet::udp((src, 0), (dst, 0), app_len)
         }
     }
 
-    /// Total on-the-wire size in bytes (IP + L4 headers + stored + virtual
+    /// Total on-the-wire size in bytes (IP + L4 headers + typed + virtual
     /// payload).
     pub fn wire_size(&self) -> u32 {
         IPV4_HEADER + l4_header_len(self.protocol) + self.payload.len() as u32 + self.app_len
@@ -320,13 +272,6 @@ mod tests {
         assert_eq!(i.wire_size(), 20 + 8 + 56);
     }
 
-    #[test]
-    fn wire_size_counts_stored_and_virtual_payload_together() {
-        let mut p = Packet::udp((ip(1), 1), (ip(2), 2), 100);
-        p.payload = Bytes::from_static(b"0123456789").into();
-        assert_eq!(p.wire_size(), 20 + 8 + 10 + 100);
-    }
-
     #[derive(Debug, Clone, PartialEq)]
     struct Note(&'static str);
 
@@ -335,9 +280,16 @@ mod tests {
             self.0.len() as u32 + 2
         }
 
-        fn tag(&self) -> &'static str {
-            "N"
+        fn tag(&self) -> Option<&'static str> {
+            Some("N")
         }
+    }
+
+    #[test]
+    fn wire_size_counts_stored_and_virtual_payload_together() {
+        let mut p = Packet::udp((ip(1), 1), (ip(2), 2), 100);
+        p.payload = Payload::typed(0, Note("01234567"));
+        assert_eq!(p.wire_size(), 20 + 8 + 10 + 100);
     }
 
     #[test]
@@ -348,8 +300,7 @@ mod tests {
         assert_eq!(p.wire_size(), 20 + 8 + 10 + 100);
         assert_eq!(p.payload.tag(), Some("N"));
         assert_eq!(p.payload.msg::<Note>(), Some(&Note("12345678")));
-        assert!(p.payload.as_bytes().is_none());
-        // Equal when the same type compares equal, never equal to bytes.
+        // Equal when the same type compares equal, never equal to empty.
         assert_eq!(p.payload, Payload::typed(0, Note("12345678")));
         assert_ne!(p.payload, Payload::typed(0, Note("1234567x")));
         // A frame header counts towards the length, and tells payloads apart.
@@ -359,11 +310,12 @@ mod tests {
             (11, Some(&Note("12345678")))
         );
         assert_ne!(p.payload, framed);
-        assert_ne!(p.payload, Payload::from(Bytes::from_static(b"0123456789")));
-        let bytes = Payload::from(Bytes::from_static(b"ab"));
-        assert_eq!(bytes.as_bytes().map(|b| &b[..]), Some(&b"ab"[..]));
-        assert_eq!(bytes.msg::<Note>(), None);
-        assert_eq!(bytes.tag(), None);
+        assert_ne!(p.payload, Payload::default());
+        let empty = Payload::default();
+        assert_eq!((empty.len(), empty.is_empty()), (0, true));
+        assert_eq!(empty.msg::<Note>(), None);
+        assert_eq!(empty.tag(), None);
+        assert_eq!(empty, Packet::icmp(ip(1), ip(2), 56).payload);
     }
 
     #[test]

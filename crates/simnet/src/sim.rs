@@ -433,9 +433,9 @@ impl Ports {
 const _: () = assert!(std::mem::size_of::<Link>() <= 320);
 const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 192);
 const _: () = assert!(std::mem::size_of::<ChaCha8Rng>() <= 128);
-// Packets are moved through every queue and event: a typed payload fits
-// around the niche of the `Bytes` variant, so it costs no extra word.
-const _: () = assert!(std::mem::size_of::<crate::packet::Packet>() <= 72);
+// Packets are moved through every queue and event: the payload is one
+// optional message pointer (its null is the empty payload) and a length.
+const _: () = assert!(std::mem::size_of::<crate::packet::Packet>() <= 64);
 
 /// The discrete-event network simulator.
 pub struct Simulator {

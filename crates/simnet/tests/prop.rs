@@ -1,12 +1,22 @@
 //! Property-based tests for the simulator substrate.
 
 use acacia_simnet::link::LinkConfig;
-use acacia_simnet::packet::{l4_header_len, Packet};
+use acacia_simnet::packet::{l4_header_len, Message, Packet, Payload};
 use acacia_simnet::prelude::*;
 use acacia_simnet::stats::Series;
 use acacia_simnet::time::serialization_time;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
+
+/// A message that is only a length.
+#[derive(Debug, PartialEq)]
+struct Opaque(u32);
+
+impl Message for Opaque {
+    fn encoded_len(&self) -> u32 {
+        self.0
+    }
+}
 
 proptest! {
     /// Instant/Duration arithmetic round-trips.
@@ -29,12 +39,12 @@ proptest! {
         prop_assert!((t.secs_f64() - expect).abs() < 1e-6 + expect * 1e-9);
     }
 
-    /// Wire size always covers headers + both payload kinds.
+    /// Wire size always covers headers + typed and virtual payload.
     #[test]
     fn wire_size_composition(app_len in 0u32..100_000, proto_byte in 0u8..255, payload_len in 0usize..512) {
         let mut p = Packet::udp((Ipv4Addr::UNSPECIFIED, 0), (Ipv4Addr::UNSPECIFIED, 0), app_len);
         p.protocol = proto_byte;
-        p.payload = bytes::Bytes::from(vec![0u8; payload_len]).into();
+        p.payload = Payload::typed(0, Opaque(payload_len as u32));
         prop_assert_eq!(
             p.wire_size(),
             20 + l4_header_len(proto_byte) + payload_len as u32 + app_len

@@ -2,7 +2,7 @@
 //! the deterministic keys of the checked-in `BENCH_scale.json`.
 //!
 //! `figures_output.txt` is the checked-in output of `figures all`. The
-//! simnet engine overhaul (timing-wheel scheduler, zero-copy payloads,
+//! simnet engine overhaul (timing-wheel scheduler, typed payloads,
 //! cancellable timers) is only legal because it changes *nothing* the
 //! experiments observe — this test pins that contract at the byte level
 //! for the experiments that exercise the engine hardest. Any
@@ -14,6 +14,7 @@
 //! with `--release -- --ignored`.
 
 use acacia_bench::{run, runner, set_seed};
+use acacia_integration::assert_matches_checked_in;
 
 #[test]
 #[ignore = "figure-scale grids; run with --release -- --ignored"]
@@ -39,33 +40,14 @@ fn mobility_family_matches_checked_in_figures_output() {
     let _ = runner::drain_timings();
 }
 
-/// `BENCH_scale.json` lines cut before the wall-clock keys, `wall_s` and
-/// `events_per_sec` (which divides by it): they end every cell line. The
-/// `"host"` line describes the machine, so it is skipped.
-fn deterministic_keys(json: &str) -> Vec<&str> {
-    json.lines()
-        .filter(|l| !l.trim_start().starts_with("\"host\""))
-        .map(|l| l.split(", \"wall_s\"").next().unwrap_or(l))
-        .collect()
-}
-
 /// `figures scale` stdout is not in `figures_output.txt` (its stderr is
 /// wall-clock dependent), so a fresh sweep's JSON is held against the
 /// checked-in `BENCH_scale.json`, key for key, minus the wall-clock ones.
 #[test]
 #[ignore = "figure-scale sweep; run with --release -- --ignored"]
 fn scale_matches_checked_in_bench_scale_json() {
-    let checked_in =
-        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCH_scale.json"))
-            .expect("BENCH_scale.json is checked in at the repo root");
     runner::set_jobs(None);
     let table = run("scale").expect("known experiment id");
-    let (name, fresh) = table.attached().expect("scale attaches its JSON");
-    assert_eq!(name, "BENCH_scale.json");
     let _ = runner::drain_timings();
-    assert_eq!(
-        deterministic_keys(fresh),
-        deterministic_keys(&checked_in),
-        "a deterministic BENCH_scale.json key drifted"
-    );
+    assert_matches_checked_in(table.attached(), "BENCH_scale.json");
 }

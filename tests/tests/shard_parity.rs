@@ -19,12 +19,17 @@
 //! checks vary the outer process-wide knobs instead — the `--shards`
 //! default and the `--jobs` worker count — neither of which may leak
 //! into stdout; city's and metro's four table rows (one per swept shard
-//! count) are additionally compared token-by-token.
+//! count) are additionally compared token-by-token. The JSON the
+//! `--shards 1` run of each attaches is held against the checked-in
+//! `BENCH_{city,metro,failover}.json`, key for key, minus the wall-clock
+//! ones, so a change that moved every shard count alike fails too.
 //!
 //! Ignored by default (it reruns figure-scale grids 4×); CI runs the
 //! matrix with `--release -- --ignored`.
 
+use acacia_bench::table::Table;
 use acacia_bench::{run, runner, set_seed};
+use acacia_integration::assert_matches_checked_in;
 use acacia_simnet::set_default_shards;
 use std::sync::Mutex;
 
@@ -36,14 +41,24 @@ static ENGINE_KNOBS: Mutex<()> = Mutex::new(());
 /// The shard counts of the differential matrix.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Render one experiment's stdout at a given shard count, restoring the
-/// single-shard default afterwards. Matches `Table::print` (render plus
-/// one trailing newline), which is what `figures_output.txt` records.
-fn render_at_shards(id: &str, shards: usize) -> String {
+/// Run one experiment at a given shard count, restoring the single-shard
+/// default afterwards.
+fn run_at_shards(id: &str, shards: usize) -> Table {
     set_default_shards(Some(shards));
-    let out = format!("{}\n", run(id).expect("known experiment id").render());
+    let table = run(id).expect("known experiment id");
     set_default_shards(None);
-    out
+    table
+}
+
+/// A table's stdout. Matches `Table::print` (render plus one trailing
+/// newline), which is what `figures_output.txt` records.
+fn stdout(table: &Table) -> String {
+    format!("{}\n", table.render())
+}
+
+/// Render one experiment's stdout at a given shard count.
+fn render_at_shards(id: &str, shards: usize) -> String {
+    stdout(&run_at_shards(id, shards))
 }
 
 #[test]
@@ -109,7 +124,9 @@ fn failover_experiment_is_byte_identical_across_jobs_and_shard_defaults() {
     let _guard = ENGINE_KNOBS.lock().expect("engine knobs lock");
     set_seed(42);
     runner::set_jobs(Some(1));
-    let base = render_at_shards("failover", 1);
+    let table = run_at_shards("failover", 1);
+    assert_matches_checked_in(table.attached(), "BENCH_failover.json");
+    let base = stdout(&table);
     // Columns 4, 6, 8, 10: failovers, neigh, rebind, restarts.
     let rows = table_rows(&base);
     assert_eq!(rows.len(), 20, "5 configurations x 4 shard counts:\n{base}");
@@ -175,7 +192,9 @@ fn metro_rows_are_byte_identical_at_every_shard_count() {
     set_seed(42);
     for id in ["city", "metro"] {
         runner::set_jobs(Some(1));
-        let base = render_at_shards(id, 1);
+        let table = run_at_shards(id, 1);
+        assert_matches_checked_in(table.attached(), &format!("BENCH_{id}.json"));
+        let base = stdout(&table);
         let rows = shard_invariant_rows(&base);
         assert_eq!(rows.len(), 4, "one row per swept shard count:\n{base}");
         for row in &rows[1..] {
