@@ -155,24 +155,39 @@ pub struct A3Tracker {
 }
 
 impl A3Tracker {
-    /// Feed one measurement sample. `rsrp[serving]` is the serving cell;
-    /// returns `Some(target_index)` when a neighbour has been
-    /// offset-better for at least `cfg.time_to_trigger`.
+    /// Feed one measurement sample taken at `pos`: the RSRP of each of
+    /// `sites`, of which `sites[serving]` is the serving cell. Returns
+    /// `Some(target_index)` when a neighbour has been offset-better for at
+    /// least `cfg.time_to_trigger`.
     pub fn observe(
         &mut self,
         cfg: &A3Config,
         now: Instant,
         serving: usize,
-        rsrp_cdbm: &[i32],
+        sites: &[CellSite],
+        pos: Point,
     ) -> Option<usize> {
-        let serving_rsrp = rsrp_cdbm[serving];
+        self.observe_rsrp(cfg, now, serving, sites.len(), |i| sites[i].rsrp_cdbm(pos))
+    }
+
+    /// [`A3Tracker::observe`] over `cells` cells whose RSRP, in centi-dBm,
+    /// `rsrp_cdbm` gives by index: evaluated per cell, never collected.
+    fn observe_rsrp(
+        &mut self,
+        cfg: &A3Config,
+        now: Instant,
+        serving: usize,
+        cells: usize,
+        rsrp_cdbm: impl Fn(usize) -> i32,
+    ) -> Option<usize> {
+        let serving_rsrp = rsrp_cdbm(serving);
         // Best neighbour satisfying the entering condition; ties broken by
         // lowest index for determinism.
-        let best = rsrp_cdbm
-            .iter()
-            .enumerate()
-            .filter(|&(i, &r)| i != serving && r >= serving_rsrp + cfg.hysteresis_cdb)
-            .max_by_key(|&(i, &r)| (r, std::cmp::Reverse(i)))
+        let best = (0..cells)
+            .filter(|&i| i != serving)
+            .map(|i| (i, rsrp_cdbm(i)))
+            .filter(|&(_, r)| r >= serving_rsrp + cfg.hysteresis_cdb)
+            .max_by_key(|&(i, r)| (r, std::cmp::Reverse(i)))
             .map(|(i, _)| i);
         match (best, self.candidate) {
             (None, _) => {
@@ -209,6 +224,17 @@ impl A3Tracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One A3 sample from RSRP values listed by cell.
+    fn sample(
+        a3: &mut A3Tracker,
+        cfg: &A3Config,
+        now: Instant,
+        serving: usize,
+        rsrp_cdbm: &[i32],
+    ) -> Option<usize> {
+        a3.observe_rsrp(cfg, now, serving, rsrp_cdbm.len(), |i| rsrp_cdbm[i])
+    }
 
     fn t(s: f64) -> Instant {
         Instant::ZERO
@@ -255,12 +281,12 @@ mod tests {
         };
         let mut a3 = A3Tracker::default();
         // Neighbour better but inside hysteresis: never triggers.
-        assert_eq!(a3.observe(&cfg, t(0.0), 0, &[-9000, -8800]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.0), 0, &[-9000, -8800]), None);
         // Crosses hysteresis: starts the clock.
-        assert_eq!(a3.observe(&cfg, t(0.1), 0, &[-9000, -8600]), None);
-        assert_eq!(a3.observe(&cfg, t(0.2), 0, &[-9000, -8600]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.1), 0, &[-9000, -8600]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.2), 0, &[-9000, -8600]), None);
         // 250 ms sustained: fires.
-        assert_eq!(a3.observe(&cfg, t(0.35), 0, &[-9000, -8600]), Some(1));
+        assert_eq!(sample(&mut a3, &cfg, t(0.35), 0, &[-9000, -8600]), Some(1));
     }
 
     #[test]
@@ -271,12 +297,12 @@ mod tests {
             interval: Duration::from_millis(100),
         };
         let mut a3 = A3Tracker::default();
-        assert_eq!(a3.observe(&cfg, t(0.0), 0, &[-9000, -8600]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.0), 0, &[-9000, -8600]), None);
         // Condition lapses: timer must restart.
-        assert_eq!(a3.observe(&cfg, t(0.1), 0, &[-9000, -8950]), None);
-        assert_eq!(a3.observe(&cfg, t(0.3), 0, &[-9000, -8600]), None);
-        assert_eq!(a3.observe(&cfg, t(0.4), 0, &[-9000, -8600]), None);
-        assert_eq!(a3.observe(&cfg, t(0.5), 0, &[-9000, -8600]), Some(1));
+        assert_eq!(sample(&mut a3, &cfg, t(0.1), 0, &[-9000, -8950]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.3), 0, &[-9000, -8600]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.4), 0, &[-9000, -8600]), None);
+        assert_eq!(sample(&mut a3, &cfg, t(0.5), 0, &[-9000, -8600]), Some(1));
     }
 
     #[test]
@@ -287,6 +313,38 @@ mod tests {
             interval: Duration::from_millis(100),
         };
         let mut a3 = A3Tracker::default();
-        assert_eq!(a3.observe(&cfg, t(0.0), 1, &[-8000, -9000]), Some(0));
+        assert_eq!(sample(&mut a3, &cfg, t(0.0), 1, &[-8000, -9000]), Some(0));
+    }
+
+    /// Sites read in place decide exactly as their RSRPs collected first,
+    /// sample by sample along a walk past three cells.
+    #[test]
+    fn a3_over_sites_matches_collected_rsrp() {
+        let cfg = A3Config::default();
+        let sites: Vec<CellSite> = [0.0, 40.0, 80.0]
+            .map(|x| CellSite {
+                pos: Point::new(x, 0.0),
+                model: PathLossModel::indoor_default(),
+            })
+            .into();
+        let (mut by_site, mut by_value) = (A3Tracker::default(), A3Tracker::default());
+        let (mut serving, mut fired) = (0, 0);
+        for step in 0..200u32 {
+            let now = t(f64::from(step) * 0.12);
+            let pos = Point::new(f64::from(step) * 0.5, 3.0);
+            let rsrp: Vec<i32> = sites.iter().map(|s| s.rsrp_cdbm(pos)).collect();
+            let got = by_site.observe(&cfg, now, serving, &sites, pos);
+            assert_eq!(
+                got,
+                sample(&mut by_value, &cfg, now, serving, &rsrp),
+                "step {step}"
+            );
+            if let Some(target) = got {
+                (serving, fired) = (target, fired + 1);
+                by_site.reset();
+                by_value.reset();
+            }
+        }
+        assert_eq!((serving, fired), (2, 2), "the walk hands over twice");
     }
 }

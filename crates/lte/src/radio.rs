@@ -188,8 +188,7 @@ impl RadioScheduler {
 
     /// Take the highest-priority queued frame (called on timer expiry).
     pub fn pop(&mut self) -> Option<Packet> {
-        let key = *self.queue.keys().next()?;
-        let frame = self.queue.remove(&key)?;
+        let (_, frame) = self.queue.pop_first()?;
         self.queued_bytes -= frame.wire_size() as u64;
         Some(frame)
     }

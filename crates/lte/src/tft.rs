@@ -131,11 +131,10 @@ impl Tft {
         }
     }
 
-    /// Does any filter match?
+    /// Does any filter match? Precedence orders which filter claims a
+    /// packet, not whether one does, so the filters are tried as stored.
     pub fn matches(&self, pkt: &Packet, dir: Direction) -> bool {
-        let mut filters: Vec<&PacketFilter> = self.filters.iter().collect();
-        filters.sort_by_key(|f| f.precedence);
-        filters.iter().any(|f| f.matches(pkt, dir))
+        self.filters.iter().any(|f| f.matches(pkt, dir))
     }
 
     /// Encoded size in bytes.

@@ -393,13 +393,12 @@ impl Ue {
         // Only a connected UE runs connected-mode measurements.
         if self.state == UeState::Connected {
             let pos = m.trajectory.position(now);
-            let rsrp: Vec<i32> = m.sites.iter().map(|s| s.rsrp_cdbm(pos)).collect();
-            if let Some(target) = m.a3.observe(&m.a3_cfg, now, self.serving, &rsrp) {
+            if let Some(target) = m.a3.observe(&m.a3_cfg, now, self.serving, &m.sites, pos) {
                 let report = ControlMsg::RrcMeasurementReport {
                     imsi: self.imsi,
-                    serving_rsrp_cdbm: rsrp[self.serving],
+                    serving_rsrp_cdbm: m.sites[self.serving].rsrp_cdbm(pos),
                     target_radio: self.cells[target].enb_radio,
-                    target_rsrp_cdbm: rsrp[target],
+                    target_rsrp_cdbm: m.sites[target].rsrp_cdbm(pos),
                 };
                 // Reset so the event re-arms only after the network acts
                 // (or the condition re-establishes from scratch).

@@ -436,13 +436,27 @@ proptest! {
     }
 
     /// TFT matching is consistent with its filters: a packet matches the
-    /// TFT iff it matches at least one filter.
+    /// TFT iff it matches at least one filter, whatever their order, so
+    /// stored order agrees with precedence order. A filter built to match
+    /// the packet is inserted at a random position, with a random
+    /// precedence, in half the cases.
     #[test]
-    fn tft_matches_any(tft in arb_tft(), pkt in arb_packet()) {
+    fn tft_matches_any(
+        tft in arb_tft(),
+        pkt in arb_packet(),
+        host in prop::option::of((any::<usize>(), any::<u8>())),
+    ) {
+        let mut tft = tft;
+        if let Some((at, precedence)) = host {
+            let mut f = PacketFilter::to_host(pkt.dst);
+            f.precedence = precedence;
+            tft.filters.insert(at % (tft.filters.len() + 1), f);
+        }
+        let mut sorted: Vec<&PacketFilter> = tft.filters.iter().collect();
+        sorted.sort_by_key(|f| f.precedence);
         for dir in [Direction::Uplink, Direction::Downlink] {
-            let whole = tft.matches(&pkt, dir);
-            let any = tft.filters.iter().any(|f| f.matches(&pkt, dir));
-            prop_assert_eq!(whole, any);
+            let in_precedence = sorted.iter().any(|f| f.matches(&pkt, dir));
+            prop_assert_eq!(tft.matches(&pkt, dir), in_precedence);
         }
     }
 

@@ -29,8 +29,7 @@ use crate::packet::Packet;
 use crate::sim::{stream_seed, NodeId};
 use crate::time::{Duration, Instant};
 use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::ChaCha8Stream;
 
 /// What a fault does to a matched packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -285,7 +284,7 @@ pub enum FaultVerdict {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     rules: Vec<FaultRule>,
-    rng: ChaCha8Rng,
+    rng: ChaCha8Stream,
 }
 
 impl FaultPlan {
@@ -293,7 +292,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             rules: Vec::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8Stream::seed_from_u64(seed),
         }
     }
 
@@ -508,7 +507,7 @@ impl NodeFaultPlan {
             };
             if rule.probability < 1.0 {
                 // Per-rule stream keyed by content, not insertion order.
-                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(
+                let mut rng = ChaCha8Stream::seed_from_u64(stream_seed(
                     self.seed,
                     3,
                     (rule.node as u64)

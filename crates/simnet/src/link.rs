@@ -49,8 +49,7 @@ use crate::packet::Packet;
 use crate::sim::{NodeId, PortId};
 use crate::time::{serialization_time, Duration, Instant};
 use rand::Rng;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::ChaCha8Stream;
 use std::collections::VecDeque;
 
 /// Static configuration of a link.
@@ -127,7 +126,7 @@ pub struct ClassStats {
     pub backlog_bytes: u64,
 }
 
-/// Counters exported per link.
+/// Counters exported per link: a snapshot assembled by [`Link::stats`].
 #[derive(Debug, Clone, Default)]
 pub struct LinkStats {
     /// Packets accepted and (eventually) delivered.
@@ -179,6 +178,33 @@ impl LinkStats {
     }
 }
 
+/// The counters every link keeps inline. The rest of [`LinkStats`] is
+/// derived: the packet, byte and queue-drop totals are sums over the
+/// classes, and the injected-fault counts live with the fault plan.
+#[derive(Debug, Default)]
+struct Counters {
+    drops_loss: u64,
+    busy: Duration,
+    classes: Vec<(u8, ClassStats)>,
+}
+
+/// Firings of the injected-fault rules, by kind.
+#[derive(Debug, Clone, Copy, Default)]
+struct Injected {
+    drops: u64,
+    duplicates: u64,
+    reorders: u64,
+    delays: u64,
+}
+
+/// A link's fault state, allocated when a plan is first attached: the
+/// current plan, if any, and what every plan attached so far injected.
+#[derive(Debug, Default)]
+struct Faults {
+    plan: Option<FaultPlan>,
+    injected: Injected,
+}
+
 /// Delivery instants produced by one [`Link::transmit`] call.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Deliveries {
@@ -222,15 +248,15 @@ pub struct Link {
     /// ascending DSCP order. Only intervals still running when offered
     /// are kept, so a rate-0 link's list stays empty.
     queues: Vec<(u8, ClassQueue)>,
-    stats: LinkStats,
+    stats: Counters,
     /// Private RNG stream for loss and jitter draws, seeded from the
     /// master seed and the link's source endpoint. Draw order therefore
     /// depends only on the offered-packet sequence, never on how other
     /// links or shards interleave.
-    rng: ChaCha8Rng,
-    /// Optional injected-fault schedule with its own RNG stream, boxed
-    /// because only chaos runs set one.
-    fault: Option<Box<FaultPlan>>,
+    rng: ChaCha8Stream,
+    /// Injected-fault schedule (with its own RNG stream) and counters,
+    /// boxed because only chaos runs set one.
+    fault: Option<Box<Faults>>,
 }
 
 impl Link {
@@ -239,8 +265,8 @@ impl Link {
             cfg,
             to,
             queues: Vec::new(),
-            stats: LinkStats::default(),
-            rng: ChaCha8Rng::seed_from_u64(rng_seed),
+            stats: Counters::default(),
+            rng: ChaCha8Stream::seed_from_u64(rng_seed),
             fault: None,
         }
     }
@@ -257,9 +283,12 @@ impl Link {
         self.cfg.delay
     }
 
-    /// Attach (or replace) the fault plan.
+    /// Attach (or replace, or with `None` detach) the fault plan. The
+    /// injected-fault counters outlive the plans that fed them.
     pub(crate) fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
-        self.fault = plan.map(Box::new);
+        if plan.is_some() || self.fault.is_some() {
+            self.fault.get_or_insert_default().plan = plan;
+        }
     }
 
     /// Offer `pkt` to the link at time `now`.
@@ -292,29 +321,31 @@ impl Link {
         // Injected faults act at the link entrance, before the channel's
         // own loss/queue model, and draw from the plan's private RNG so the
         // global stream is untouched when no plan is attached.
-        let verdict = match &mut self.fault {
-            Some(plan) => plan.apply(now, pkt),
-            None => FaultVerdict::Pass,
-        };
         let mut extra = Duration::ZERO;
         let mut dup_extra = None;
-        match verdict {
-            FaultVerdict::Pass => {}
-            FaultVerdict::Drop => {
-                self.stats.drops_injected += 1;
-                return Deliveries::default();
-            }
-            FaultVerdict::Duplicate { extra: d } => {
-                self.stats.duplicates_injected += 1;
-                dup_extra = Some(d);
-            }
-            FaultVerdict::Reorder { extra: e } => {
-                self.stats.reorders_injected += 1;
-                extra = e;
-            }
-            FaultVerdict::Delay { extra: e } => {
-                self.stats.delays_injected += 1;
-                extra = e;
+        if let Some(Faults {
+            plan: Some(plan),
+            injected,
+        }) = self.fault.as_deref_mut()
+        {
+            match plan.apply(now, pkt) {
+                FaultVerdict::Pass => {}
+                FaultVerdict::Drop => {
+                    injected.drops += 1;
+                    return Deliveries::default();
+                }
+                FaultVerdict::Duplicate { extra: d } => {
+                    injected.duplicates += 1;
+                    dup_extra = Some(d);
+                }
+                FaultVerdict::Reorder { extra: e } => {
+                    injected.reorders += 1;
+                    extra = e;
+                }
+                FaultVerdict::Delay { extra: e } => {
+                    injected.delays += 1;
+                    extra = e;
+                }
             }
         }
 
@@ -330,7 +361,6 @@ impl Link {
                 .find(|&&(d, _)| d == class)
                 .map_or(0, |(_, cq)| cq.backlog);
             if backlog + wire_bytes as u64 > limit {
-                self.stats.drops_queue += 1;
                 entry(&mut self.stats.classes, class).drops_queue += 1;
                 return Deliveries::default();
             }
@@ -377,8 +407,6 @@ impl Link {
             Duration::ZERO
         };
 
-        self.stats.tx_packets += 1;
-        self.stats.tx_bytes += wire_bytes as u64;
         self.stats.busy += tx;
         let cs = entry(&mut self.stats.classes, class);
         cs.enqueued += 1;
@@ -392,8 +420,25 @@ impl Link {
     }
 
     /// Link statistics so far.
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
+    pub fn stats(&self) -> LinkStats {
+        let c = &self.stats;
+        let total = |f: fn(&ClassStats) -> u64| c.classes.iter().map(|(_, cs)| f(cs)).sum();
+        let injected = self
+            .fault
+            .as_ref()
+            .map_or(Injected::default(), |f| f.injected);
+        LinkStats {
+            tx_packets: total(|cs| cs.enqueued),
+            tx_bytes: total(|cs| cs.enqueued_bytes),
+            drops_queue: total(|cs| cs.drops_queue),
+            drops_loss: c.drops_loss,
+            drops_injected: injected.drops,
+            duplicates_injected: injected.duplicates,
+            reorders_injected: injected.reorders,
+            delays_injected: injected.delays,
+            busy: c.busy,
+            classes: c.classes.clone(),
+        }
     }
 
     /// Mutate the configuration in place (takes effect for future packets).
@@ -406,6 +451,8 @@ impl Link {
 mod tests {
     use super::*;
     use crate::fault::{FaultRule, PacketClass};
+    use rand_chacha::rand_core::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use std::net::Ipv4Addr;
 
     /// A packet whose wire size is exactly `wire_bytes` (UDP: 28 B of
@@ -559,6 +606,56 @@ mod tests {
     }
 
     #[test]
+    fn injected_counts_survive_a_replaced_or_cleared_plan() {
+        let mut link = Link::new(LinkConfig::delay_only(Duration::ZERO), (0, 0), 99);
+        link.set_fault_plan(None);
+        assert!(link.fault.is_none(), "no plan, no fault state");
+        link.set_fault_plan(Some(
+            FaultPlan::new(5).with_rule(FaultRule::drop(PacketClass::any(), 1.0)),
+        ));
+        link.transmit(Instant::ZERO, &pkt(100));
+        link.set_fault_plan(Some(FaultPlan::new(6).with_rule(FaultRule::delay(
+            PacketClass::any(),
+            1.0,
+            Duration::from_millis(1),
+        ))));
+        link.transmit(Instant::ZERO, &pkt(100));
+        link.set_fault_plan(None);
+        link.transmit(Instant::ZERO, &pkt(100));
+        let stats = link.stats();
+        assert_eq!((stats.drops_injected, stats.delays_injected), (1, 1));
+        assert_eq!((stats.faults_injected(), stats.tx_packets), (2, 2));
+    }
+
+    /// The link's loss and jitter draws are exactly those of a buffered
+    /// ChaCha8 generator seeded with the link's seed: one `f64` per offer
+    /// for loss, then one jitter draw per accepted packet.
+    #[test]
+    fn lossy_jittered_link_draws_the_seeded_chacha8_stream() {
+        let (delay, jitter, loss) = (Duration::from_millis(2), Duration::from_micros(900), 0.3);
+        let cfg = LinkConfig::delay_only(delay)
+            .with_jitter(jitter)
+            .with_loss(loss);
+        let seed = 0x5eed_1234_abcd;
+        let mut link = Link::new(cfg, (0, 0), seed);
+        let mut draws = ChaCha8Rng::seed_from_u64(seed);
+        let mut drops = 0;
+        for i in 0..1_000u64 {
+            let now = Instant::from_micros(i * 37);
+            let got = link.transmit(now, &pkt(200)).primary;
+            let want = if draws.gen::<f64>() < loss {
+                drops += 1;
+                None
+            } else {
+                Some(now + delay + Duration::from_nanos(draws.gen_range(0..jitter.nanos())))
+            };
+            assert_eq!(got, want, "offer {i}");
+        }
+        assert_eq!(link.stats().drops_loss, drops);
+        assert!((250..350).contains(&drops), "{drops} drops at p = {loss}");
+    }
+
+    #[test]
     fn high_class_overtakes_queued_low_class() {
         // 1 Mbps, 1250-byte packets => 10 ms each. Three best-effort
         // packets committed at t=0 occupy [0,10], [10,20], [20,30]. A
@@ -681,7 +778,7 @@ mod tests {
         assert!(stats.class(1).is_none());
         let queued: Vec<u8> = link.queues.iter().map(|&(d, _)| d).collect();
         assert_eq!(queued, [0, 10, 46]);
-        assert_eq!(stats.classes.capacity(), stats.classes.len());
+        assert_eq!(link.stats.classes.capacity(), link.stats.classes.len());
         assert_eq!(link.queues.capacity(), link.queues.len());
     }
 

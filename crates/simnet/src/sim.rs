@@ -42,8 +42,7 @@ use crate::packet::Packet;
 use crate::shard::{Loc, Shard, Slot};
 use crate::time::{Duration, Instant};
 use rand::RngCore;
-use rand_chacha::rand_core::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use rand_chacha::ChaCha8Stream;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -202,7 +201,7 @@ pub(crate) enum Action {
 /// identity (plus the master seed), never by global execution order, so it
 /// evolves identically at every shard count.
 pub(crate) struct NodeMeta {
-    pub(crate) rng: ChaCha8Rng,
+    pub(crate) rng: ChaCha8Stream,
     pub(crate) ev_ctr: u64,
     pub(crate) pkt_ctr: u64,
     pub(crate) timers: TimerSlab,
@@ -218,7 +217,7 @@ pub(crate) struct NodeMeta {
 impl NodeMeta {
     fn new(master_seed: u64, node: NodeId) -> NodeMeta {
         NodeMeta {
-            rng: ChaCha8Rng::seed_from_u64(stream_seed(master_seed, 1, node as u64)),
+            rng: ChaCha8Stream::seed_from_u64(stream_seed(master_seed, 1, node as u64)),
             ev_ctr: 0,
             pkt_ctr: 0,
             timers: TimerSlab::default(),
@@ -281,7 +280,7 @@ pub struct Ctx<'a> {
     pub(crate) now: Instant,
     pub(crate) node: NodeId,
     pub(crate) actions: &'a mut Vec<Action>,
-    pub(crate) rng: &'a mut ChaCha8Rng,
+    pub(crate) rng: &'a mut ChaCha8Stream,
     pub(crate) next_pkt_id: &'a mut u64,
     pub(crate) timers: &'a mut TimerSlab,
 }
@@ -428,11 +427,13 @@ impl Ports {
 
 // Every link and node lives for the whole run (a metro builds thousands of
 // each), so their inline state is pinned: rarely used parts such as a
-// link's fault plan go behind a pointer, and the generator buffers one
-// ChaCha block, not four.
-const _: () = assert!(std::mem::size_of::<Link>() <= 320);
-const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 192);
-const _: () = assert!(std::mem::size_of::<ChaCha8Rng>() <= 128);
+// link's fault plan and its injected-fault counters go behind a pointer,
+// totals a link can sum from its per-class counters are not kept, and
+// each random stream is a seed and a word position, not a buffered
+// generator (most links and nodes never draw).
+const _: () = assert!(std::mem::size_of::<Link>() <= 152);
+const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 88);
+const _: () = assert!(std::mem::size_of::<ChaCha8Stream>() == 16);
 // Packets are moved through every queue and event: the payload is one
 // optional message pointer (its null is the empty payload) and a length.
 const _: () = assert!(std::mem::size_of::<crate::packet::Packet>() <= 64);
@@ -977,7 +978,7 @@ impl Simulator {
     }
 
     /// Statistics of the link leaving `(node, port)`, if connected.
-    pub fn link_stats(&self, from: (NodeId, PortId)) -> Option<&LinkStats> {
+    pub fn link_stats(&self, from: (NodeId, PortId)) -> Option<LinkStats> {
         self.link_ref(from).map(|l| l.stats())
     }
 

@@ -80,7 +80,7 @@ fn run_mix(
     let first = Duration::from_nanos(schedule.first().map_or(0, |s| s.0));
     sim.schedule_timer(src, Instant::ZERO + first, 0);
     sim.run_until_idle();
-    let stats = sim.link_stats((src, 0)).unwrap().clone();
+    let stats = sim.link_stats((src, 0)).unwrap();
     let s = sim.node_ref::<ClassSink>(sink);
     (stats, s.seen.clone(), s.bytes)
 }

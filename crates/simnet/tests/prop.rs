@@ -6,6 +6,9 @@ use acacia_simnet::prelude::*;
 use acacia_simnet::stats::Series;
 use acacia_simnet::time::serialization_time;
 use proptest::prelude::*;
+use rand::RngCore;
+use rand_chacha::rand_core::SeedableRng;
+use rand_chacha::{ChaCha8Rng, ChaCha8Stream};
 use std::net::Ipv4Addr;
 
 /// A message that is only a length.
@@ -85,6 +88,32 @@ proptest! {
         prop_assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 
+    /// The position-addressed stream every link and node draws from
+    /// gives exactly the words of the buffered generator seeded the same
+    /// way, under any mix of reads: `next_u64` straddling a block end and
+    /// odd-length fills ending mid-word included.
+    #[test]
+    fn chacha8_stream_matches_buffered_generator(
+        seed in any::<u64>(),
+        reads in prop::collection::vec((0u8..3, 0usize..40), 1..120),
+    ) {
+        let mut want = ChaCha8Rng::seed_from_u64(seed);
+        let mut got = ChaCha8Stream::seed_from_u64(seed);
+        for (i, &(kind, n)) in reads.iter().enumerate() {
+            match kind {
+                0 => prop_assert_eq!(got.next_u32(), want.next_u32(), "read {}", i),
+                1 => prop_assert_eq!(got.next_u64(), want.next_u64(), "read {}", i),
+                _ => {
+                    let len = 2 * n + 1;
+                    let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                    got.fill_bytes(&mut a);
+                    want.fill_bytes(&mut b);
+                    prop_assert_eq!(a, b, "read {}: {}-byte fill", i, len);
+                }
+            }
+        }
+    }
+
     /// Links conserve packets: delivered + dropped = offered, and
     /// deliveries never beat propagation delay.
     #[test]
@@ -113,7 +142,7 @@ proptest! {
         sim.schedule_timer(src, Instant::ZERO, UdpSource::KICKOFF);
         sim.run_until_idle();
 
-        let stats = sim.link_stats((src, 0)).unwrap().clone();
+        let stats = sim.link_stats((src, 0)).unwrap();
         let sent = sim.node_ref::<acacia_simnet::traffic::UdpSource>(src).sent;
         let delivered = sim.node_ref::<Sink>(sink).packets();
         prop_assert_eq!(stats.tx_packets, delivered);

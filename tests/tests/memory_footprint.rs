@@ -6,13 +6,16 @@
 //! whose ring slots each kept the buffer of the one burst that passed
 //! through them, and a message log with one entry per message ever sent.
 //! A port number nobody connected now costs nothing (a row holds only its
-//! connected ports), and a rate-0 link keeps no transmission queue. The
-//! budget is tight enough (it reads about 9 MB in a release build, 10 MB
-//! in a debug one) to catch smaller per-entity waste too. It read 11.9 MB
-//! (release) and 13.2 MB (debug) when a UE's row paid a pointer per port
-//! number below 202 and every rate-0 link kept a queue per DSCP class, at
-//! and over the budget, and 17–18 MB when links kept a `BTreeMap` per
-//! class, an inline fault plan and a four-block RNG buffer.
+//! connected ports), a rate-0 link keeps no transmission queue, and
+//! links and nodes keep their random streams as a seed and a position
+//! (16 B, not a 112 B generator). The budget is tight enough (it reads
+//! about 8.5 MB in a release build, 9.4 MB in a debug one; 9.2 MB in a
+//! release build with 112 B generators) to catch smaller per-entity
+//! waste too. It read 11.9 MB (release) and 13.2 MB (debug) when a UE's
+//! row paid a pointer per port number below 202 and every rate-0 link
+//! kept a queue per DSCP class, at and over the budget, and 17–18 MB
+//! when links kept a `BTreeMap` per class, an inline fault plan and a
+//! four-block RNG buffer.
 //!
 //! One test, alone in its binary: the high-water mark is the process's.
 #![cfg(target_os = "linux")]
