@@ -16,7 +16,6 @@ use crate::wire::ControlMsg;
 use acacia_simnet::packet::{Message, Packet, Payload};
 use acacia_simnet::sim::{Ctx, PortId};
 use acacia_simnet::time::{serialization_time, Duration, Instant};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// IP protocol number used for radio frames in the simulator.
@@ -127,11 +126,16 @@ pub fn parse_frame(pkt: &Packet) -> Option<RadioPayload> {
 /// The owning node enqueues frames with a priority (lower = served first),
 /// arms a release timer for each enqueue, and calls [`RadioScheduler::pop`]
 /// on each timer expiry to obtain the next frame to put on the air.
+///
+/// The queue is a `Vec` in reverse service order (priority descending,
+/// newest first within a priority), so the next frame is the last one and
+/// an insertion's position alone keeps each class first-in first-out. It
+/// is freed whenever it drains: a UE is idle on the air most of the time,
+/// and an idle scheduler holds no heap.
 pub struct RadioScheduler {
     rate_bps: u64,
     busy_until: Instant,
-    seq: u64,
-    queue: BTreeMap<(u8, u64), Packet>,
+    queue: Vec<(u8, Packet)>,
     /// Bytes queued (for a drop-tail bound).
     queued_bytes: u64,
     /// Queue bound in bytes.
@@ -140,14 +144,16 @@ pub struct RadioScheduler {
     pub drops: u64,
 }
 
+// One per UE and per eNB, kept for the whole run.
+const _: () = assert!(std::mem::size_of::<RadioScheduler>() <= 64);
+
 impl RadioScheduler {
     /// Scheduler transmitting at `rate_bps`.
     pub fn new(rate_bps: u64) -> RadioScheduler {
         RadioScheduler {
             rate_bps,
             busy_until: Instant::ZERO,
-            seq: 0,
-            queue: BTreeMap::new(),
+            queue: Vec::new(),
             queued_bytes: 0,
             queue_limit: 512 * 1024,
             drops: 0,
@@ -180,15 +186,19 @@ impl RadioScheduler {
         let done = start + serialization_time(wire, self.rate_bps);
         self.busy_until = done;
         self.queued_bytes += wire;
-        self.queue.insert((priority, self.seq), frame);
-        self.seq += 1;
+        // Behind every lower priority, ahead of the older frames of its own.
+        let at = self.queue.partition_point(|&(p, _)| p > priority);
+        self.queue.insert(at, (priority, frame));
         ctx.schedule_at(done, token);
         true
     }
 
     /// Take the highest-priority queued frame (called on timer expiry).
     pub fn pop(&mut self) -> Option<Packet> {
-        let (_, frame) = self.queue.pop_first()?;
+        let (_, frame) = self.queue.pop()?;
+        if self.queue.is_empty() {
+            self.queue = Vec::new();
+        }
         self.queued_bytes -= frame.wire_size() as u64;
         Some(frame)
     }
@@ -339,6 +349,46 @@ mod tests {
         let tunnel = crate::gtpu::encapsulate(&pkt, crate::ids::Teid(1), ip(1), ip(2));
         pkt.payload = tunnel.payload;
         assert!(parse_frame(&pkt).is_none());
+    }
+
+    #[test]
+    fn a_drained_scheduler_holds_no_buffer() {
+        use acacia_simnet::sim::{Node, Simulator};
+        /// Offers a burst on token 0 and pops one frame per release,
+        /// noting the queue's capacity after each step.
+        struct Tx {
+            sched: RadioScheduler,
+            capacity: Vec<usize>,
+        }
+        impl Node for Tx {
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                if token == 0 {
+                    for prio in [9, 0, 9] {
+                        let frame = Packet::udp((ip(1), 1), (ip(2), 2), 500);
+                        assert!(self.sched.offer(ctx, prio, frame, 1));
+                    }
+                } else {
+                    self.sched.pop().expect("one frame per release");
+                }
+                self.capacity.push(self.sched.queue.capacity());
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let tx = sim.add_node(Box::new(Tx {
+            sched: RadioScheduler::new(1_000_000),
+            capacity: Vec::new(),
+        }));
+        // Two busy periods, the second long after the first drained.
+        sim.schedule_timer(tx, Instant::ZERO, 0);
+        sim.schedule_timer(tx, Instant::from_millis(100), 0);
+        sim.run_until_idle();
+        let tx = sim.node_ref::<Tx>(tx);
+        let cap = &tx.capacity;
+        assert_eq!(cap.len(), 8, "{cap:?}");
+        assert!(cap[..3].iter().chain(&cap[4..7]).all(|&c| c > 0), "{cap:?}");
+        assert_eq!((cap[3], cap[7]), (0, 0), "{cap:?}");
+        assert_eq!(tx.sched.queued(), 0);
     }
 
     #[test]

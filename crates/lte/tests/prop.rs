@@ -4,12 +4,14 @@ use acacia_lte::gtpu;
 use acacia_lte::ids::{Ebi, Imsi, Teid};
 use acacia_lte::json;
 use acacia_lte::qci::Qci;
-use acacia_lte::radio::{self, RadioPayload};
+use acacia_lte::radio::{self, RadioPayload, RadioScheduler};
 use acacia_lte::tft::{Direction, PacketFilter, Tft};
 use acacia_lte::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
 use acacia_simnet::packet::{l4_header_len, Message, Packet, Payload, IPV4_HEADER};
-use acacia_simnet::time::Instant;
+use acacia_simnet::sim::{Ctx, Node, PortId, Simulator};
+use acacia_simnet::time::{serialization_time, Duration, Instant};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 fn arb_ip() -> BoxedStrategy<Ipv4Addr> {
@@ -375,7 +377,190 @@ fn json_wire_size(prefix: &[u8], msg: &ControlMsg, typed: &Packet) -> u32 {
     msg.wire_size_spec().max(headers + text)
 }
 
+/// One step of a radio-queue script.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    /// Offer a frame of this scheduling priority and wire size.
+    Offer(u8, u32),
+    /// Take the next frame.
+    Pop,
+    /// Let this many microseconds pass.
+    Wait(u64),
+}
+
+/// Offers (half the steps) at the priorities of RRC and of QCI 1–9
+/// bearers, pops (a third) and waits.
+fn arb_queue_op() -> BoxedStrategy<QueueOp> {
+    let priorities = std::iter::once(255)
+        .chain((1..=9).map(|q| Qci(q).tos()))
+        .map(radio::sched_priority)
+        .collect();
+    (
+        0u8..6,
+        prop::sample::select(priorities),
+        28u32..3_000,
+        0u64..20_000,
+    )
+        .prop_map(|(kind, prio, size, wait)| match kind {
+            0..=2 => QueueOp::Offer(prio, size),
+            3 | 4 => QueueOp::Pop,
+            _ => QueueOp::Wait(wait),
+        })
+        .boxed()
+}
+
+/// What one step of a script saw, with the queue length after it.
+#[derive(Debug, PartialEq)]
+enum Step {
+    /// An offer, and whether it was queued.
+    Offered(bool, usize),
+    /// A pop, and the id of the frame it took.
+    Popped(Option<u64>, usize),
+}
+
+/// The frame offered at step `i` of a script: `size` bytes on the wire.
+fn queue_frame(i: usize, size: u32) -> Packet {
+    let at = Ipv4Addr::LOCALHOST;
+    Packet::udp((at, 1), (at, 2), size - 28).with_id(i as u64)
+}
+
+/// Runs a script against a [`RadioScheduler`] in the engine, noting each
+/// step and the instant of every release timer.
+struct QueueScript {
+    sched: RadioScheduler,
+    ops: Vec<QueueOp>,
+    next: usize,
+    steps: Vec<Step>,
+    released: Vec<Instant>,
+}
+
+const STEP: u64 = 0;
+const RELEASE: u64 = 1;
+
+impl Node for QueueScript {
+    fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        if token == RELEASE {
+            self.released.push(ctx.now());
+            return;
+        }
+        while let Some(op) = self.ops.get(self.next).cloned() {
+            let i = self.next;
+            self.next += 1;
+            let step = match op {
+                QueueOp::Offer(prio, size) => {
+                    let ok = self.sched.offer(ctx, prio, queue_frame(i, size), RELEASE);
+                    Step::Offered(ok, self.sched.queued())
+                }
+                QueueOp::Pop => {
+                    let id = self.sched.pop().map(|f| f.id);
+                    Step::Popped(id, self.sched.queued())
+                }
+                QueueOp::Wait(us) => {
+                    ctx.schedule_in(Duration::from_micros(us), STEP);
+                    return;
+                }
+            };
+            self.steps.push(step);
+        }
+    }
+}
+
+/// The radio queue as it was before it became a service-ordered `Vec`: a
+/// map keyed by priority and arrival number, with the same busy horizon
+/// and drop-tail bound.
+struct QueueOracle {
+    rate_bps: u64,
+    busy_until: Instant,
+    seq: u64,
+    queue: BTreeMap<(u8, u64), Packet>,
+    queued_bytes: u64,
+    queue_limit: u64,
+    drops: u64,
+}
+
+impl QueueOracle {
+    /// The frame's release instant, or `None` when it is dropped.
+    fn offer(&mut self, now: Instant, priority: u8, frame: Packet) -> Option<Instant> {
+        let wire = frame.wire_size() as u64;
+        if self.queued_bytes + wire > self.queue_limit {
+            self.drops += 1;
+            return None;
+        }
+        let done = self.busy_until.max(now) + serialization_time(wire, self.rate_bps);
+        self.busy_until = done;
+        self.queued_bytes += wire;
+        self.queue.insert((priority, self.seq), frame);
+        self.seq += 1;
+        Some(done)
+    }
+
+    fn pop(&mut self) -> Option<Packet> {
+        let (_, frame) = self.queue.pop_first()?;
+        self.queued_bytes -= frame.wire_size() as u64;
+        Some(frame)
+    }
+}
+
 proptest! {
+    /// The radio scheduler serves, drops and releases exactly as the
+    /// `BTreeMap` queue it replaced, for any interleaving of offers and
+    /// pops at RRC and bearer priorities against a small bound.
+    #[test]
+    fn radio_queue_matches_the_map_it_replaced(
+        ops in prop::collection::vec(arb_queue_op(), 1..80),
+        rate_bps in prop::sample::select(vec![1_000_000u64, 6_000_000, 40_000_000]),
+        queue_limit in 2_000u64..12_000,
+    ) {
+        let mut sim = Simulator::new(1);
+        let mut sched = RadioScheduler::new(rate_bps);
+        sched.queue_limit = queue_limit;
+        let node = sim.add_node(Box::new(QueueScript {
+            sched,
+            ops: ops.clone(),
+            next: 0,
+            steps: Vec::new(),
+            released: Vec::new(),
+        }));
+        sim.schedule_timer(node, Instant::ZERO, STEP);
+        sim.run_until_idle();
+
+        let mut oracle = QueueOracle {
+            rate_bps,
+            busy_until: Instant::ZERO,
+            seq: 0,
+            queue: BTreeMap::new(),
+            queued_bytes: 0,
+            queue_limit,
+            drops: 0,
+        };
+        let (mut now, mut steps, mut released) = (Instant::ZERO, Vec::new(), Vec::new());
+        for (i, op) in ops.into_iter().enumerate() {
+            let step = match op {
+                QueueOp::Offer(prio, size) => {
+                    let done = oracle.offer(now, prio, queue_frame(i, size));
+                    released.extend(done);
+                    Step::Offered(done.is_some(), oracle.queue.len())
+                }
+                QueueOp::Pop => {
+                    let id = oracle.pop().map(|f| f.id);
+                    Step::Popped(id, oracle.queue.len())
+                }
+                QueueOp::Wait(us) => {
+                    now += Duration::from_micros(us);
+                    continue;
+                }
+            };
+            steps.push(step);
+        }
+
+        let run = sim.node_ref::<QueueScript>(node);
+        prop_assert_eq!(&run.steps, &steps);
+        prop_assert_eq!(run.sched.drops, oracle.drops);
+        prop_assert_eq!(&run.released, &released);
+    }
+
     /// Control messages survive encode → JSON → decode, and a typed
     /// packet hands its message back.
     #[test]

@@ -1,24 +1,29 @@
 //! The radio scheduler's strict-priority behaviour, observed through a
 //! minimal host node.
 
-use acacia_lte::ids::Ebi;
-use acacia_lte::radio::{data_frame, parse_frame, RadioPayload, RadioScheduler};
+use acacia_lte::ids::{Ebi, Imsi};
+use acacia_lte::qci::Qci;
+use acacia_lte::radio::{
+    data_frame, parse_frame, rrc_frame, sched_priority, RadioPayload, RadioScheduler,
+};
+use acacia_lte::wire::ControlMsg;
 use acacia_simnet::link::LinkConfig;
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId, Simulator};
 use acacia_simnet::time::{Duration, Instant};
 use acacia_simnet::traffic::Sink;
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 fn ip(a: u8) -> Ipv4Addr {
     Ipv4Addr::new(192, 168, 0, a)
 }
 
-/// A node that enqueues a batch of frames with given priorities at t=0 and
-/// transmits them through a RadioScheduler.
+/// A node that offers each frame of its batch to a RadioScheduler at the
+/// frame's instant and transmits whatever the scheduler releases.
 struct TxHost {
     sched: RadioScheduler,
-    batch: Vec<(u8, Packet)>,
+    batch: VecDeque<(Instant, u8, Packet)>,
 }
 
 const RELEASE: u64 = 1;
@@ -30,7 +35,8 @@ impl Node for TxHost {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         match token {
             START => {
-                for (prio, frame) in std::mem::take(&mut self.batch) {
+                while self.batch.front().is_some_and(|f| f.0 <= ctx.now()) {
+                    let (_, prio, frame) = self.batch.pop_front().unwrap();
                     self.sched.offer(ctx, prio, frame, RELEASE);
                 }
             }
@@ -44,57 +50,72 @@ impl Node for TxHost {
     }
 }
 
-#[test]
-fn high_priority_frames_jump_the_queue() {
-    let mut sim = Simulator::new(3);
-    // 1 Mbps transmitter: 5 same-size frames serialize over ~46 ms.
-    let mut batch = Vec::new();
-    for (i, prio) in [(0u64, 9u8), (1, 9), (2, 1), (3, 9), (4, 1)] {
-        let inner = Packet::udp((ip(2), 1000), (ip(1), 2000), 1_100).with_id(i);
-        batch.push((prio, data_frame(Ebi(5), &inner, ip(2), ip(1))));
-    }
-    let tx = sim.add_node(Box::new(TxHost {
-        sched: RadioScheduler::new(1_000_000),
-        batch,
-    }));
-    let rx = sim.add_node(Box::new(Sink::new()));
-    sim.connect((tx, 0), (rx, 0), LinkConfig::delay_only(Duration::ZERO));
-    sim.schedule_timer(tx, Instant::ZERO, START);
-    sim.run_until_idle();
-    assert_eq!(sim.node_ref::<Sink>(rx).packets(), 5);
-    // Delivery order favours priority 1 (ids 2 and 4) over priority 9.
-    // We can't read ids from the Sink, so check via delays: priorities
-    // reorder *which* frame pops at each serialization slot — re-run with
-    // a recording sink instead.
-    struct Recorder {
-        ids: Vec<u64>,
-    }
-    impl Node for Recorder {
-        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) {
-            if let Some(RadioPayload::Data { inner, .. }) = parse_frame(&pkt) {
-                self.ids.push(inner.id);
-            }
+/// Records what it receives: a data frame's inner id, `None` for RRC.
+struct Recorder {
+    served: Vec<Option<u64>>,
+}
+
+impl Node for Recorder {
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _p: PortId, pkt: Packet) {
+        match parse_frame(&pkt) {
+            Some(RadioPayload::Data { inner, .. }) => self.served.push(Some(inner.id)),
+            Some(RadioPayload::Rrc(_)) => self.served.push(None),
+            None => panic!("not a radio frame"),
         }
     }
+}
+
+/// A 1 150 B data frame (9.2 ms on a 1 Mbps transmitter) with inner `id`.
+fn data(id: u64) -> Packet {
+    let inner = Packet::udp((ip(2), 1000), (ip(1), 2000), 1_100).with_id(id);
+    data_frame(Ebi(5), &inner, ip(2), ip(1))
+}
+
+/// Service order of `batch` through a 1 Mbps scheduler.
+fn served(batch: Vec<(Instant, u8, Packet)>) -> Vec<Option<u64>> {
     let mut sim = Simulator::new(3);
-    let mut batch = Vec::new();
-    for (i, prio) in [(0u64, 9u8), (1, 9), (2, 1), (3, 9), (4, 1)] {
-        let inner = Packet::udp((ip(2), 1000), (ip(1), 2000), 1_100).with_id(i);
-        batch.push((prio, data_frame(Ebi(5), &inner, ip(2), ip(1))));
-    }
+    let starts: Vec<Instant> = batch.iter().map(|&(at, _, _)| at).collect();
     let tx = sim.add_node(Box::new(TxHost {
         sched: RadioScheduler::new(1_000_000),
-        batch,
+        batch: batch.into(),
     }));
-    let rec = sim.add_node(Box::new(Recorder { ids: Vec::new() }));
+    let rec = sim.add_node(Box::new(Recorder { served: Vec::new() }));
     sim.connect((tx, 0), (rec, 0), LinkConfig::delay_only(Duration::ZERO));
-    sim.schedule_timer(tx, Instant::ZERO, START);
+    for at in starts {
+        sim.schedule_timer(tx, at, START);
+    }
     sim.run_until_idle();
-    let ids = &sim.node_ref::<Recorder>(rec).ids;
-    assert_eq!(ids.len(), 5);
+    sim.node_ref::<Recorder>(rec).served.clone()
+}
+
+#[test]
+fn high_priority_frames_jump_the_queue() {
+    let batch = [(0, 9), (1, 9), (2, 1), (3, 9), (4, 1)]
+        .map(|(id, prio)| (Instant::ZERO, prio, data(id)))
+        .into();
     // Priority-1 frames (ids 2, 4) are served first, in FIFO order within
     // the class; then the priority-9 frames in FIFO order.
-    assert_eq!(&ids[..], &[2, 4, 0, 1, 3], "service order {ids:?}");
+    let ids = served(batch);
+    assert_eq!(ids, [2, 4, 0, 1, 3].map(Some), "service order {ids:?}");
+}
+
+#[test]
+fn an_rrc_frame_overtakes_queued_data() {
+    let best_effort = sched_priority(Qci(9).tos());
+    let mut batch: Vec<_> = (0..4)
+        .map(|id| (Instant::ZERO, best_effort, data(id)))
+        .collect();
+    // Frame 0 is released at 9.2 ms; the RRC frame arrives behind the
+    // other three and is released next.
+    let msg = ControlMsg::RrcAttachRequest { imsi: Imsi(7) };
+    let rrc = rrc_frame(&msg, ip(2), ip(1));
+    batch.push((Instant::from_millis(10), sched_priority(rrc.tos), rrc));
+    let order = served(batch);
+    assert_eq!(
+        order,
+        [Some(0), None, Some(1), Some(2), Some(3)],
+        "service order {order:?}"
+    );
 }
 
 #[test]

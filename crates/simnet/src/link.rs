@@ -61,8 +61,8 @@ pub struct LinkConfig {
     /// One-way propagation delay.
     pub delay: Duration,
     /// Drop-tail queue bound in bytes, applied to each priority class's
-    /// queue independently (`None` = unbounded).
-    pub queue_bytes: Option<u64>,
+    /// queue independently (`u64::MAX` = unbounded).
+    pub queue_bytes: u64,
     /// Uniform random extra delay in `[0, jitter)` applied per packet.
     pub jitter: Duration,
     /// Independent per-packet drop probability in `[0, 1]`.
@@ -75,7 +75,7 @@ impl LinkConfig {
         LinkConfig {
             rate_bps: 0,
             delay,
-            queue_bytes: None,
+            queue_bytes: u64::MAX,
             jitter: Duration::ZERO,
             loss: 0.0,
         }
@@ -86,7 +86,7 @@ impl LinkConfig {
         LinkConfig {
             rate_bps,
             delay,
-            queue_bytes: Some(256 * 1024),
+            queue_bytes: 256 * 1024,
             jitter: Duration::ZERO,
             loss: 0.0,
         }
@@ -94,7 +94,7 @@ impl LinkConfig {
 
     /// Builder-style: set the queue bound.
     pub fn with_queue(mut self, bytes: u64) -> LinkConfig {
-        self.queue_bytes = Some(bytes);
+        self.queue_bytes = bytes;
         self
     }
 
@@ -240,10 +240,16 @@ fn entry<T: Default>(classes: &mut Vec<(u8, T)>, dscp: u8) -> &mut T {
     &mut classes[i].1
 }
 
+/// A node id or port number as a link stores it.
+fn narrow(id: usize) -> u32 {
+    u32::try_from(id).expect("node ids and ports fit in 32 bits")
+}
+
 /// A unidirectional link between two node ports.
 pub struct Link {
     cfg: LinkConfig,
-    to: (NodeId, PortId),
+    /// Destination node and port, each narrowed to 32 bits.
+    to: (u32, u32),
     /// Committed transmissions per DSCP class, keyed by `tos >> 2`, in
     /// ascending DSCP order. Only intervals still running when offered
     /// are kept, so a rate-0 link's list stays empty.
@@ -263,7 +269,7 @@ impl Link {
     pub(crate) fn new(cfg: LinkConfig, to: (NodeId, PortId), rng_seed: u64) -> Link {
         Link {
             cfg,
-            to,
+            to: (narrow(to.0), narrow(to.1)),
             queues: Vec::new(),
             stats: Counters::default(),
             rng: ChaCha8Stream::seed_from_u64(rng_seed),
@@ -273,7 +279,7 @@ impl Link {
 
     /// Destination `(node, port)` of this link.
     pub(crate) fn to(&self) -> (NodeId, PortId) {
-        self.to
+        (self.to.0 as NodeId, self.to.1 as PortId)
     }
 
     /// Configured propagation delay — the floor on every delivery this
@@ -354,16 +360,14 @@ impl Link {
             return Deliveries::default();
         }
 
-        if let Some(limit) = self.cfg.queue_bytes {
-            let backlog = self
-                .queues
-                .iter()
-                .find(|&&(d, _)| d == class)
-                .map_or(0, |(_, cq)| cq.backlog);
-            if backlog + wire_bytes as u64 > limit {
-                entry(&mut self.stats.classes, class).drops_queue += 1;
-                return Deliveries::default();
-            }
+        let backlog = self
+            .queues
+            .iter()
+            .find(|&&(d, _)| d == class)
+            .map_or(0, |(_, cq)| cq.backlog);
+        if backlog + wire_bytes as u64 > self.cfg.queue_bytes {
+            entry(&mut self.stats.classes, class).drops_queue += 1;
+            return Deliveries::default();
         }
 
         // Strict priority: wait for everything already committed at equal
