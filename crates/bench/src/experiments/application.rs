@@ -126,7 +126,7 @@ pub const FIG11_RESOLUTIONS: [Resolution; 3] = [
 ];
 
 /// Fig. 11(a): mean matching time by scheme × machine × resolution.
-pub fn fig11a() -> Table {
+pub(crate) fn fig11a() -> Table {
     let mut t = Table::new(
         "Fig 11(a) — matching time by search-space scheme (ms)",
         &[
@@ -168,7 +168,7 @@ pub fn fig11a() -> Table {
 }
 
 /// Fig. 11(b): distribution of per-frame match runtimes at 960×720.
-pub fn fig11b() -> Table {
+pub(crate) fn fig11b() -> Table {
     let res = Resolution::new(960, 720);
     let mut t = Table::new(
         "Fig 11(b) — distribution of match runtime at 960x720 (ms)",
@@ -199,7 +199,7 @@ pub fn fig11b() -> Table {
 }
 
 /// Fig. 12: matching time vs number of concurrent clients.
-pub fn fig12() -> Table {
+pub(crate) fn fig12() -> Table {
     let res = Resolution::new(960, 720);
     let mut t = Table::new(
         "Fig 12 — matching time vs concurrent clients at 960x720 (s)",
@@ -247,7 +247,7 @@ pub fn fig13_reports(frame_count: u64, exec_cap: usize) -> Vec<acacia::scenario:
 }
 
 /// Fig. 13: end-to-end latency breakdown, ACACIA vs MEC vs CLOUD.
-pub fn fig13() -> Table {
+pub(crate) fn fig13() -> Table {
     let reports = fig13_reports(10, 48);
     let mut t = Table::new(
         "Fig 13 — end-to-end comparison at 720x480 (s)",
@@ -313,7 +313,7 @@ pub fn fig13() -> Table {
 /// Ablation: sweep the ACACIA pruning radius and report the
 /// accuracy / candidate-count / match-time trade-off (the design choice
 /// behind `SearchStrategy::ACACIA_DEFAULT`).
-pub fn ablation_radius() -> Table {
+pub(crate) fn ablation_radius() -> Table {
     let res = Resolution::new(960, 720);
     let mut t = Table::new(
         "Ablation — ACACIA pruning radius vs accuracy and match time (960x720, i7 8-core)",

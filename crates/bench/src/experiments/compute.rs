@@ -10,7 +10,7 @@ use acacia_vision::image::{camera_preview_fps, ImageSpec, Resolution};
 use acacia_vision::matcher::{match_pair, MatcherConfig};
 
 /// Fig. 3(a): SURF detection + description time vs resolution × device.
-pub fn fig3a() -> Table {
+pub(crate) fn fig3a() -> Table {
     let mut t = Table::new(
         "Fig 3(a) — SURF detection+description runtime (s)",
         &["resolution", "features", "One+", "i7 (1)", "i7 (8)", "GPU"],
@@ -32,7 +32,7 @@ pub fn fig3a() -> Table {
 
 /// Data behind Fig. 3(b): per-device single-object match time, seconds,
 /// per sweep resolution.
-pub fn fig3b_data() -> Vec<(Resolution, Vec<(Device, f64)>)> {
+pub(crate) fn fig3b_data() -> Vec<(Resolution, Vec<(Device, f64)>)> {
     let cfg = MatcherConfig {
         exec_cap: 48,
         ..MatcherConfig::default()
@@ -57,7 +57,7 @@ pub fn fig3b_data() -> Vec<(Resolution, Vec<(Device, f64)>)> {
 }
 
 /// Fig. 3(b): brute-force matcher runtime vs resolution × device.
-pub fn fig3b() -> Table {
+pub(crate) fn fig3b() -> Table {
     let mut t = Table::new(
         "Fig 3(b) — brute-force object matching runtime (s, one object)",
         &["resolution", "One+", "i7 (1)", "i7 (8)", "GPU"],
@@ -74,7 +74,7 @@ pub fn fig3b() -> Table {
 }
 
 /// Fig. 3(e): camera preview FPS vs resolution on the One+ One.
-pub fn fig3e() -> Table {
+pub(crate) fn fig3e() -> Table {
     let mut t = Table::new(
         "Fig 3(e) — One+ One camera preview frames per second",
         &["resolution", "fps"],
@@ -90,7 +90,7 @@ pub fn fig3e() -> Table {
 
 /// Fig. 3(f): sustainable upload FPS vs uplink capacity × codec at the
 /// paper's HD upload resolution (1280×720).
-pub fn fig3f() -> Table {
+pub(crate) fn fig3f() -> Table {
     let caps = [5_500_000u64, 10_000_000, 12_000_000];
     let mut t = Table::new(
         "Fig 3(f) — upload FPS vs uplink capacity and compression (1280x720)",
@@ -109,7 +109,7 @@ pub fn fig3f() -> Table {
 
 /// Data behind Fig. 3(h): (db_size, virtual seconds on i7-8) at each sweep
 /// resolution.
-pub fn fig3h_data() -> Vec<(Resolution, Vec<(usize, f64)>)> {
+pub(crate) fn fig3h_data() -> Vec<(Resolution, Vec<(usize, f64)>)> {
     let db = ObjectDb::retail_cached(5, 99);
     let cfg = MatcherConfig {
         exec_cap: 32,
@@ -139,7 +139,7 @@ pub fn fig3h_data() -> Vec<(Resolution, Vec<(usize, f64)>)> {
 }
 
 /// Fig. 3(h): match runtime vs database size (8-core i7).
-pub fn fig3h() -> Table {
+pub(crate) fn fig3h() -> Table {
     let mut t = Table::new(
         "Fig 3(h) — match runtime vs database size (i7 8-core)",
         &["resolution", "1 obj", "5 obj", "10 obj", "25 obj", "50 obj"],
@@ -155,7 +155,7 @@ pub fn fig3h() -> Table {
 }
 
 /// §7.3: JPEG-90 encode time and compression ratio on the One+ One.
-pub fn sec73_jpeg() -> Table {
+pub(crate) fn sec73_jpeg() -> Table {
     let mut t = Table::new(
         "§7.3 — JPEG 90 grayscale compression on the One+ One",
         &["resolution", "encode time", "size reduction", "paper"],

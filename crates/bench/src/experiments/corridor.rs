@@ -42,7 +42,7 @@ fn run_cell(cfg: CorridorConfig) -> CorridorReport {
 }
 
 /// Mobility: session continuity across handovers, per variant.
-pub fn mobility() -> Table {
+pub(crate) fn mobility() -> Table {
     let cells = CorridorMode::ALL
         .iter()
         .map(|&m| (m.name().to_string(), m))
@@ -184,7 +184,7 @@ pub fn chaos() -> Table {
 }
 
 /// Scale: signalling load and throughput vs concurrent UE count.
-pub fn scale() -> Table {
+pub(crate) fn scale() -> Table {
     let cells = SCALE_UE_COUNTS
         .iter()
         .map(|&n| (format!("N={n}"), n))

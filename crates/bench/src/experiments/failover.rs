@@ -115,7 +115,7 @@ fn sweep(seed: u64) -> Vec<FailoverCell> {
 }
 
 /// Failover: crash schedules, outage sweep, outcome audit, shard parity.
-pub fn failover() -> Table {
+pub(crate) fn failover() -> Table {
     // `figures --seed N` varies the fault plan's probability draws; the
     // schedule itself is fixed.
     let cells = sweep(crate::seed());

@@ -23,7 +23,7 @@ pub struct WalkSample {
 
 /// Generate the Fig. 6(b,c) trace: a 550 s walk past three landmarks,
 /// sampling every discovery period.
-pub fn fig6_trace(seed: u64) -> Vec<WalkSample> {
+pub(crate) fn fig6_trace(seed: u64) -> Vec<WalkSample> {
     let floor = FloorPlan::walkway();
     let channel = RadioChannel::new(PathLossModel::indoor_default(), seed);
     let world = ProximityWorld::from_floor(&floor, "walk", channel);
@@ -66,7 +66,7 @@ fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 
 /// Correlation of rxPower and SNR with −log10(distance) along the walk —
 /// quantifying the paper's argument for choosing rxPower.
-pub fn fig6_correlations(seed: u64) -> (f64, f64) {
+pub(crate) fn fig6_correlations(seed: u64) -> (f64, f64) {
     let floor = FloorPlan::walkway();
     let walk = WalkPath::fig6_walk();
     let trace = fig6_trace(seed);
@@ -86,7 +86,7 @@ pub fn fig6_correlations(seed: u64) -> (f64, f64) {
 }
 
 /// Fig. 6: summary of the walking-trace experiment.
-pub fn fig6() -> Table {
+pub(crate) fn fig6() -> Table {
     let (rx_corr, snr_corr) = fig6_correlations(21);
     let trace = fig6_trace(21);
     let mut t = Table::new(
@@ -112,7 +112,7 @@ pub fn fig6() -> Table {
 /// Fig. 9(b) data: per landmark-count k, (best, mean, worst) mean
 /// Euclidean error in metres across all C(7,k) landmark subsets evaluated
 /// over the 24 checkpoints.
-pub fn fig9b_data(seed: u64) -> Vec<(usize, f64, f64, f64)> {
+pub(crate) fn fig9b_data(seed: u64) -> Vec<(usize, f64, f64, f64)> {
     let floor = FloorPlan::retail_store();
     let model = PathLossModel::indoor_default();
     let channel = RadioChannel::new(model, seed);
@@ -233,7 +233,7 @@ fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
 }
 
 /// Fig. 9(a) / Fig. 6(a): the evaluation floor plans, rendered.
-pub fn fig9a() -> Table {
+pub(crate) fn fig9a() -> Table {
     let retail = FloorPlan::retail_store();
     let walkway = FloorPlan::walkway();
     let mut t = Table::new(
@@ -258,7 +258,7 @@ pub fn fig9a() -> Table {
 }
 
 /// Fig. 9(b): localization accuracy vs number (and placement) of landmarks.
-pub fn fig9b() -> Table {
+pub(crate) fn fig9b() -> Table {
     let mut t = Table::new(
         "Fig 9(b) — localization error vs number of landmarks (m)",
         &["landmarks", "best placement", "mean", "worst placement"],

@@ -44,7 +44,7 @@ pub struct MetroCell {
 
 impl MetroCell {
     /// Engine throughput: events dispatched per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
+    pub(crate) fn events_per_sec(&self) -> f64 {
         self.report.events_processed as f64 / self.wall_s.max(1e-9)
     }
 }
@@ -82,7 +82,7 @@ fn sweep(id: &str, cfg: &MetroConfig) -> Vec<MetroCell> {
 const METRO_MAX_IMBALANCE: f64 = 0.25;
 
 /// City: shard-parity table and events/s scaling for the 2048-UE city.
-pub fn city() -> Table {
+pub(crate) fn city() -> Table {
     parity_table(
         "city",
         "City — sharded engine parity and scaling (8 regions, 16 cells, 2048 UEs)",
@@ -93,7 +93,7 @@ pub fn city() -> Table {
 }
 
 /// Metro: shard-parity table and scaling for the 10240-UE metro.
-pub fn metro() -> Table {
+pub(crate) fn metro() -> Table {
     parity_table(
         "metro",
         "Metro — balanced placement at scale (16 heterogeneous regions, 10240 UEs)",

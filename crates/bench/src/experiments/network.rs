@@ -17,7 +17,7 @@ use acacia_simnet::transport::{GreedyFlow, GreedyReceiver, PingAgent};
 use std::net::Ipv4Addr;
 
 /// RTT samples (ms) from a UE to an EC2 region through the full LTE stack.
-pub fn fig3c_data(region: Ec2Region, probes: u64, seed: u64) -> Series {
+pub(crate) fn fig3c_data(region: Ec2Region, probes: u64, seed: u64) -> Series {
     let mut net = LteNetwork::new(LteConfig {
         seed,
         ..LteConfig::default()
@@ -41,7 +41,7 @@ pub fn fig3c_data(region: Ec2Region, probes: u64, seed: u64) -> Series {
 }
 
 /// Fig. 3(c): LTE → EC2 RTT distribution per region.
-pub fn fig3c() -> Table {
+pub(crate) fn fig3c() -> Table {
     let mut t = Table::new(
         "Fig 3(c) — LTE RTT to EC2 (ms)",
         &["region", "p10", "p25", "median", "p75", "p90", "p95"],
@@ -68,7 +68,7 @@ pub fn fig3c() -> Table {
 
 /// Measured uplink goodput (bps) through a bottleneck shaped like the
 /// region's radio uplink.
-pub fn fig3d_data(region: Ec2Region, excellent: bool, seed: u64) -> f64 {
+pub(crate) fn fig3d_data(region: Ec2Region, excellent: bool, seed: u64) -> f64 {
     let mut sim = Simulator::new(seed);
     let src = Ipv4Addr::new(10, 0, 0, 1);
     let dst = Ipv4Addr::new(10, 0, 0, 2);
@@ -92,7 +92,7 @@ pub fn fig3d_data(region: Ec2Region, excellent: bool, seed: u64) -> f64 {
 }
 
 /// Fig. 3(d): uplink bandwidth by region and signal quality.
-pub fn fig3d() -> Table {
+pub(crate) fn fig3d() -> Table {
     let mut t = Table::new(
         "Fig 3(d) — LTE uplink bandwidth to EC2",
         &["region", "excellent (4/4)", "fair (2/4)"],
@@ -122,7 +122,7 @@ pub fn fig3d() -> Table {
 /// One Fig. 3(g) point: mean AR-packet latency (seconds) with `bg_bps` of
 /// Poisson background through a shared 100 Mbps gateway whose unloaded
 /// round-trip is `base_rtt_ms`.
-pub fn fig3g_point(base_rtt_ms: u64, bg_bps: u64, seed: u64) -> f64 {
+pub(crate) fn fig3g_point(base_rtt_ms: u64, bg_bps: u64, seed: u64) -> f64 {
     let mut sim = Simulator::new(seed);
     let ar_src = Ipv4Addr::new(10, 0, 0, 1);
     let bg_src = Ipv4Addr::new(10, 0, 0, 2);
@@ -169,7 +169,7 @@ pub fn fig3g_point(base_rtt_ms: u64, bg_bps: u64, seed: u64) -> f64 {
 }
 
 /// Fig. 3(g): latency vs background traffic for three base RTTs.
-pub fn fig3g() -> Table {
+pub(crate) fn fig3g() -> Table {
     let mut t = Table::new(
         "Fig 3(g) — network latency vs background traffic (one S-PGW, 100 Mbps)",
         &["bg (Mbps)", "RTT 8ms", "RTT 18ms", "RTT 70ms"],
@@ -194,7 +194,7 @@ pub fn fig3g() -> Table {
 
 /// Fig. 8 data: per-second goodput (bps) through a GW-U with the given
 /// processing model, over `secs` seconds.
-pub fn fig8_data(costs: SwitchCosts, secs: u64, seed: u64) -> Vec<f64> {
+pub(crate) fn fig8_data(costs: SwitchCosts, secs: u64, seed: u64) -> Vec<f64> {
     let mut sim = Simulator::new(seed);
     let src = Ipv4Addr::new(10, 0, 0, 1);
     let dst = Ipv4Addr::new(10, 0, 0, 2);
@@ -232,7 +232,7 @@ pub fn fig8_data(costs: SwitchCosts, secs: u64, seed: u64) -> Vec<f64> {
 }
 
 /// Fig. 8: data-plane throughput, OpenEPC vs ACACIA vs IDEAL.
-pub fn fig8() -> Table {
+pub(crate) fn fig8() -> Table {
     let mut t = Table::new(
         "Fig 8 — GW-U data-plane throughput over 60 s (Iperf-like TCP)",
         &["variant", "mean", "p5 second", "p95 second"],
@@ -262,7 +262,7 @@ pub fn fig8() -> Table {
 
 /// §4: control overhead of one idle-release + re-establish cycle, measured
 /// by running the real procedures.
-pub fn sec4_ctrl() -> Table {
+pub(crate) fn sec4_ctrl() -> Table {
     let mut net = LteNetwork::new(LteConfig::default());
     net.attach(0);
     net.log.clear();
@@ -296,7 +296,7 @@ pub fn sec4_ctrl() -> Table {
 }
 
 /// Fig. 10(a) data: RTT series (ms) over a dedicated MEC bearer at `qci`.
-pub fn fig10a_data(qci: Qci, probes: u64, seed: u64) -> Series {
+pub(crate) fn fig10a_data(qci: Qci, probes: u64, seed: u64) -> Series {
     let mut net = LteNetwork::new(LteConfig {
         seed,
         ..LteConfig::default()
@@ -346,7 +346,7 @@ pub fn fig10a_data(qci: Qci, probes: u64, seed: u64) -> Series {
 }
 
 /// Fig. 10(a): RTT per QCI class over the dedicated MEC bearer.
-pub fn fig10a() -> Table {
+pub(crate) fn fig10a() -> Table {
     let mut t = Table::new(
         "Fig 10(a) — UE↔MEC RTT by QCI of the dedicated bearer (ms)",
         &["QCI", "p5", "median", "p95"],
@@ -382,7 +382,7 @@ pub enum Fig10bArch {
 
 /// One Fig. 10(b) point: mean AR request latency (s) under `bg_bps` of
 /// background through the (100 Mbps) core.
-pub fn fig10b_point(arch: Fig10bArch, bg_bps: u64, seed: u64) -> f64 {
+pub(crate) fn fig10b_point(arch: Fig10bArch, bg_bps: u64, seed: u64) -> f64 {
     let mut net = LteNetwork::new(LteConfig {
         seed,
         core_rate_bps: 100_000_000,
@@ -462,7 +462,7 @@ pub fn fig10b_point(arch: Fig10bArch, bg_bps: u64, seed: u64) -> f64 {
 }
 
 /// Fig. 10(b): latency vs background traffic across architectures.
-pub fn fig10b() -> Table {
+pub(crate) fn fig10b() -> Table {
     let mut t = Table::new(
         "Fig 10(b) — AR latency vs background traffic (s)",
         &["bg (Mbps)", "Conventional EPC", "EPC with MEC", "ACACIA"],

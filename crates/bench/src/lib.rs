@@ -34,7 +34,7 @@ pub fn set_seed(seed: u64) {
 }
 
 /// The master seed in effect.
-pub fn seed() -> u64 {
+pub(crate) fn seed() -> u64 {
     SEED.load(Ordering::SeqCst)
 }
 

@@ -40,10 +40,10 @@ pub struct CellTiming {
     /// Wall-clock seconds the cell took.
     pub wall_s: f64,
     /// Engine events the cell's simulation dispatched (0 when the cell
-    /// did not call [`report_events`]).
+    /// did not call `report_events`).
     pub events: u64,
     /// Per-shard breakdown of `events` for cells that ran a sharded
-    /// engine and called [`report_shard_events`] (empty otherwise).
+    /// engine and called `report_shard_events` (empty otherwise).
     pub shard_events: Vec<u64>,
 }
 
@@ -59,7 +59,7 @@ thread_local! {
 /// dispatched. Call from inside the closure passed to [`pmap`]; the
 /// runner attaches the count to that cell's timing record so the stderr
 /// report can show throughput (events/sec) per experiment.
-pub fn report_events(events: u64) {
+pub(crate) fn report_events(events: u64) {
     CELL_EVENTS.with(|c| c.set(c.get().saturating_add(events)));
 }
 
@@ -67,7 +67,7 @@ pub fn report_events(events: u64) {
 /// simulator's `events_by_shard()`). Complements [`report_events`]; the
 /// timing report prints the split so per-shard occupancy — the scaling
 /// claim — is visible without re-running anything.
-pub fn report_shard_events(by_shard: &[u64]) {
+pub(crate) fn report_shard_events(by_shard: &[u64]) {
     CELL_SHARD_EVENTS.with(|c| {
         let mut v = c.borrow_mut();
         if v.len() < by_shard.len() {
@@ -97,7 +97,7 @@ fn run_cell<I, T>(experiment: &str, label: String, cell: I, f: impl Fn(I) -> T) 
     result
 }
 
-/// Set the worker count used by [`pmap`]. `None` (or `Some(0)`) restores
+/// Set the worker count used by `pmap`. `None` (or `Some(0)`) restores
 /// the default: one worker per available hardware thread.
 pub fn set_jobs(jobs: Option<usize>) {
     JOBS.store(jobs.unwrap_or(0), Ordering::SeqCst);
@@ -105,7 +105,7 @@ pub fn set_jobs(jobs: Option<usize>) {
 
 /// The effective worker count: the value set via [`set_jobs`], or the
 /// machine's available parallelism when unset.
-pub fn jobs() -> usize {
+pub(crate) fn jobs() -> usize {
     match JOBS.load(Ordering::SeqCst) {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -121,7 +121,7 @@ pub fn jobs() -> usize {
 /// value and builds whatever simulation it needs inside the worker
 /// thread. With `jobs() == 1` the grid runs in a plain `for` loop — the
 /// exact serial path experiments used before the runner existed.
-pub fn pmap<I, T, F>(experiment: &str, cells: Vec<(String, I)>, f: F) -> Vec<T>
+pub(crate) fn pmap<I, T, F>(experiment: &str, cells: Vec<(String, I)>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
@@ -189,7 +189,7 @@ pub fn drain_timings() -> Vec<CellTiming> {
 /// Render the drained timings as a per-experiment report: cell count,
 /// total cell seconds, engine events dispatched, throughput, and the
 /// slowest cell (the lower bound on that experiment's parallel
-/// wall-clock). Experiments whose cells never call [`report_events`]
+/// wall-clock). Experiments whose cells never call `report_events`
 /// show `-` in the event columns.
 pub fn timing_report(timings: &[CellTiming]) -> crate::table::Table {
     let mut t = crate::table::Table::new(

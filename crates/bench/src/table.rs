@@ -13,7 +13,7 @@ pub struct Table {
 
 impl Table {
     /// New table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Table {
+    pub(crate) fn new(title: &str, headers: &[&str]) -> Table {
         Table {
             title: title.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -25,21 +25,21 @@ impl Table {
     }
 
     /// Append a row (must match the header count).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
         self
     }
 
     /// Append a free-form note shown under the table.
-    pub fn note(&mut self, note: &str) -> &mut Self {
+    pub(crate) fn note(&mut self, note: &str) -> &mut Self {
         self.notes.push(note.to_string());
         self
     }
 
     /// Append a verbatim multi-line block (e.g. ASCII art) rendered
     /// between the rows and the notes.
-    pub fn block(&mut self, text: &str) -> &mut Self {
+    pub(crate) fn block(&mut self, text: &str) -> &mut Self {
         self.blocks.push(text.to_string());
         self
     }
@@ -47,7 +47,7 @@ impl Table {
     /// Attach a machine-readable file (name, contents) that goes with the
     /// table, e.g. a `BENCH_*.json` with wall-clock numbers kept off
     /// stdout. Only the `figures` binary writes it.
-    pub fn artifact(&mut self, name: &str, contents: String) -> &mut Self {
+    pub(crate) fn artifact(&mut self, name: &str, contents: String) -> &mut Self {
         self.artifact = Some((name.to_string(), contents));
         self
     }
@@ -60,13 +60,9 @@ impl Table {
     }
 
     /// Number of data rows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render to a string.
@@ -115,7 +111,7 @@ impl Table {
 }
 
 /// Format seconds adaptively (s / ms / µs).
-pub fn fmt_secs(s: f64) -> String {
+pub(crate) fn fmt_secs(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.3}s")
     } else if s >= 1e-3 {
@@ -126,7 +122,7 @@ pub fn fmt_secs(s: f64) -> String {
 }
 
 /// Format bits/s adaptively (Gbps / Mbps / kbps).
-pub fn fmt_bps(bps: f64) -> String {
+pub(crate) fn fmt_bps(bps: f64) -> String {
     if bps >= 1e9 {
         format!("{:.2}Gbps", bps / 1e9)
     } else if bps >= 1e6 {

@@ -12,9 +12,21 @@ use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId, TimerHandle};
 use acacia_simnet::time::{Duration, Instant};
 use acacia_vision::compress::Codec;
-use acacia_vision::compute::{Device, DeviceProfile};
+use acacia_vision::compute::Device;
 use acacia_vision::image::{camera_preview_fps, ImageSpec, Resolution};
 use std::net::Ipv4Addr;
+
+/// Frame codec (§7.4: JPEG at quality 90).
+const CODEC: Codec = Codec::Jpeg(90);
+/// The phone the client runs on (its encode cost).
+const DEVICE: Device = Device::OnePlusOne;
+/// Chunk (MTU payload) size in bytes.
+const CHUNK_BYTES: u32 = 1_400;
+/// Upload window in chunks: 16 KiB of ack-clocked chunks.
+const WINDOW_CHUNKS: u32 = 16 * 1024 / CHUNK_BYTES;
+/// Period at which a client with `lease_recheck` re-validates its MEC
+/// lease with the MRS.
+const LEASE_RECHECK_PERIOD: Duration = Duration::from_millis(250);
 
 /// Client configuration.
 #[derive(Debug, Clone)]
@@ -28,14 +40,6 @@ pub struct ArFrontendConfig {
     pub mrs: Option<(Ipv4Addr, String)>,
     /// Camera resolution (§7.4 uses 720×480).
     pub resolution: Resolution,
-    /// Frame codec.
-    pub codec: Codec,
-    /// Phone compute profile (encode cost).
-    pub device: Device,
-    /// Upload window in bytes (ack-clocked).
-    pub window_bytes: u32,
-    /// Chunk (MTU payload) size in bytes.
-    pub chunk_bytes: u32,
     /// Frames to capture before stopping.
     pub frame_count: u64,
     /// Scene ids (database object ids) the user photographs, cycled.
@@ -53,11 +57,11 @@ pub struct ArFrontendConfig {
     /// streaming back-to-back.
     pub min_frame_interval: Option<Duration>,
     /// Device-manager lease recheck: when set, a streaming client
-    /// re-validates its MEC resolution with the MRS at this period. If
+    /// re-validates its MEC resolution with the MRS every 250 ms. If
     /// the MRS has evicted the serving server (lease lapsed), the answer
     /// carries a different address and the client fails the session over
     /// to it (see [`ArFrontend::failovers`]).
-    pub lease_recheck: Option<Duration>,
+    pub lease_recheck: bool,
 }
 
 impl ArFrontendConfig {
@@ -68,17 +72,13 @@ impl ArFrontendConfig {
             server,
             mrs: None,
             resolution: Resolution::E2E,
-            codec: Codec::Jpeg(90),
-            device: Device::OnePlusOne,
-            window_bytes: 16 * 1024,
-            chunk_bytes: 1_400,
             frame_count: 10,
             scene_ids: vec![1],
             rx_reports: Vec::new(),
             rx_report_schedule: Vec::new(),
             report_period: Duration::from_secs(5),
             min_frame_interval: None,
-            lease_recheck: None,
+            lease_recheck: false,
         }
     }
 }
@@ -164,7 +164,6 @@ mod token {
 /// The AR front-end node.
 pub struct ArFrontend {
     cfg: ArFrontendConfig,
-    profile: DeviceProfile,
     phase: Phase,
     seq: u64,
     captured_at: Instant,
@@ -220,6 +219,11 @@ pub struct ArFrontend {
     report_ticks: usize,
 }
 
+// One per session, kept for the whole run: codec, device, window and chunk
+// size are constants, and the phone's compute profile is looked up per
+// frame rather than kept.
+const _: () = assert!(std::mem::size_of::<ArFrontend>() <= 424);
+
 impl ArFrontend {
     /// The timer token that must be armed to start the client:
     /// `sim.schedule_timer(node, start, ArFrontend::KICKOFF)`.
@@ -234,17 +238,15 @@ impl ArFrontend {
 
     /// The CI server the session is currently anchored to (moves on
     /// failover; starts at `cfg.server`).
-    pub fn current_server(&self) -> Ipv4Addr {
+    pub(crate) fn current_server(&self) -> Ipv4Addr {
         self.current_server
     }
 
     /// New client.
     pub fn new(cfg: ArFrontendConfig) -> ArFrontend {
-        let profile = cfg.device.profile();
         let current_server = cfg.server;
         ArFrontend {
             cfg,
-            profile,
             phase: Phase::Boot,
             seq: 0,
             captured_at: Instant::ZERO,
@@ -275,7 +277,7 @@ impl ArFrontend {
     }
 
     /// Has the client finished its configured frame budget?
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.phase == Phase::Done
     }
 
@@ -300,22 +302,22 @@ impl ArFrontend {
         let scene = self.cfg.scene_ids[(self.seq as usize) % self.cfg.scene_ids.len()];
         self.spec = ImageSpec::new(scene, self.cfg.resolution);
         self.captured_at = ctx.now();
-        self.encode_s = self.cfg.codec.encode_time_s(self.spec, &self.profile);
+        self.encode_s = CODEC.encode_time_s(self.spec, &DEVICE.profile());
         ctx.schedule_in(Duration::from_secs_f64(self.encode_s), token::ENCODED);
     }
 
     fn frame_bytes(&self) -> u32 {
-        self.cfg.codec.bytes(self.spec) as u32
+        CODEC.bytes(self.spec) as u32
     }
 
     fn send_chunk(&mut self, ctx: &mut Ctx<'_>, chunk: u32) {
         let total_bytes = self.frame_bytes();
-        let full = self.cfg.chunk_bytes;
+        let full = CHUNK_BYTES;
         let offset = chunk * full;
         let this = full.min(total_bytes.saturating_sub(offset)).max(1);
         let meta = (chunk == 0).then(|| FrameMeta {
             spec: self.spec,
-            codec: self.cfg.codec,
+            codec: CODEC,
             view_seed: self.seq.wrapping_mul(0x9e37_79b9) ^ self.spec.scene_id,
             captured_at_nanos: self.captured_at.nanos(),
         });
@@ -330,8 +332,8 @@ impl ArFrontend {
 
     fn begin_upload(&mut self, ctx: &mut Ctx<'_>) {
         let total_bytes = self.frame_bytes();
-        self.total_chunks = total_bytes.div_ceil(self.cfg.chunk_bytes).max(1);
-        let window_chunks = (self.cfg.window_bytes / self.cfg.chunk_bytes).max(1);
+        self.total_chunks = total_bytes.div_ceil(CHUNK_BYTES).max(1);
+        let window_chunks = WINDOW_CHUNKS;
         let initial = window_chunks.min(self.total_chunks);
         for c in 0..initial {
             self.send_chunk(ctx, c);
@@ -372,7 +374,7 @@ impl ArFrontend {
     fn replay_frame(&mut self, ctx: &mut Ctx<'_>) {
         self.acked.iter_mut().for_each(|a| *a = false);
         self.acked_chunks = 0;
-        let window_chunks = (self.cfg.window_bytes / self.cfg.chunk_bytes).max(1);
+        let window_chunks = WINDOW_CHUNKS;
         let resend = window_chunks.min(self.total_chunks);
         for c in 0..resend {
             self.send_chunk(ctx, c);
@@ -533,8 +535,8 @@ impl Node for ArFrontend {
                         self.current_server = s;
                     }
                     self.last_progress_at = ctx.now();
-                    if let Some(period) = self.cfg.lease_recheck {
-                        ctx.schedule_in(period, token::RECHECK);
+                    if self.cfg.lease_recheck {
+                        ctx.schedule_in(LEASE_RECHECK_PERIOD, token::RECHECK);
                     }
                     if self.has_reports() {
                         self.send_reports(ctx);
@@ -659,8 +661,8 @@ impl Node for ArFrontend {
                     };
                     self.send_app(ctx, (mrs_addr, MRS_PORT), &msg, 0);
                 }
-                if let Some(period) = self.cfg.lease_recheck {
-                    ctx.schedule_in(period, token::RECHECK);
+                if self.cfg.lease_recheck {
+                    ctx.schedule_in(LEASE_RECHECK_PERIOD, token::RECHECK);
                 }
             }
             _ => {}

@@ -85,8 +85,6 @@ fn cached_view(scene_id: u64, feature_count: usize, view_seed: u64) -> Arc<Featu
 pub struct ArServerConfig {
     /// Server address.
     pub addr: Ipv4Addr,
-    /// Compute device the server runs on.
-    pub device: Device,
     /// Search-space strategy.
     pub strategy: SearchStrategy,
     /// Descriptors actually executed per side during matching (op
@@ -96,8 +94,6 @@ pub struct ArServerConfig {
     /// `None` disables heartbeats (the default; lease monitoring is a
     /// failover-scenario feature).
     pub heartbeat: Option<(Ipv4Addr, String)>,
-    /// Liveness beat period when `heartbeat` is configured.
-    pub heartbeat_period: Duration,
 }
 
 impl ArServerConfig {
@@ -105,11 +101,9 @@ impl ArServerConfig {
     pub fn new(addr: Ipv4Addr) -> ArServerConfig {
         ArServerConfig {
             addr,
-            device: Device::I7Octa,
             strategy: SearchStrategy::ACACIA_DEFAULT,
             exec_cap: 48,
             heartbeat: None,
-            heartbeat_period: acacia_lte::Timers::DEFAULT.heartbeat_period,
         }
     }
 }
@@ -142,6 +136,9 @@ struct Assembly {
 
 const TOKEN_RESULT: u64 = 1;
 const TOKEN_HEARTBEAT: u64 = 2;
+/// Period of the liveness beats a server with a lease target sends to
+/// the MRS.
+const HEARTBEAT_PERIOD: Duration = Duration::from_millis(100);
 
 /// The AR server node. Port 0 is its network interface.
 pub struct ArServer {
@@ -180,7 +177,7 @@ impl ArServer {
         floor: FloorPlan,
         locmgr: LocalizationManager,
     ) -> ArServer {
-        let profile = cfg.device.profile();
+        let profile = Device::I7Octa.profile();
         ArServer {
             cfg,
             profile,
@@ -215,7 +212,7 @@ impl ArServer {
         };
         let pkt = msg.into_packet((self.cfg.addr, AR_PORT), (mrs, MRS_PORT), 0, ctx.now());
         ctx.send(0, pkt);
-        ctx.schedule_in(self.cfg.heartbeat_period, TOKEN_HEARTBEAT);
+        ctx.schedule_in(HEARTBEAT_PERIOD, TOKEN_HEARTBEAT);
     }
 
     /// Fraction of processed frames whose match equals the ground truth.

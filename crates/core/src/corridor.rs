@@ -42,7 +42,6 @@ use acacia_simnet::sim::NodeId;
 use acacia_simnet::time::{Duration, Instant};
 use acacia_simnet::traffic::Reflector;
 use acacia_simnet::transport::PingAgent;
-use acacia_vision::compute::Device;
 use acacia_vision::db::ObjectDb;
 use std::sync::Arc;
 
@@ -100,7 +99,6 @@ pub(crate) fn ar_server(cfg: ArServerConfig, db: &Arc<ObjectDb>) -> Box<ArServer
     ));
     Box::new(ArServer::new(
         ArServerConfig {
-            device: Device::I7Octa,
             strategy: SearchStrategy::Naive,
             exec_cap: EXEC_CAP,
             ..cfg
@@ -330,7 +328,7 @@ pub struct CorridorConfig {
     /// Frames each session captures.
     pub frame_count: u64,
     /// Per-UE pacing between captures before the serial-server floor
-    /// (see [`CorridorConfig::frame_interval`]).
+    /// (see `CorridorConfig::frame_interval`).
     pub base_frame_interval: Duration,
     /// Walk speed, m/s.
     pub speed_mps: f64,
@@ -347,7 +345,7 @@ pub struct CorridorConfig {
     /// drives the device manager's re-anchor leg, meters the data path
     /// with 25 ms liveness probes and keeps its own deadline; a population
     /// polls every 200 ms, probes liveness only under [`CoreLoad`] and
-    /// stops at [`Timeline::new`]'s deadline.
+    /// stops at `Timeline::new`'s deadline.
     pub population: bool,
     /// Control-plane fault injection (`None` = clean run).
     pub faults: Option<ControlFaults>,
@@ -463,7 +461,7 @@ impl CorridorConfig {
     /// The effective per-UE frame interval: the base interval, raised to
     /// `ue_count × PER_FRAME_BUDGET` once the population would
     /// oversubscribe the serial server.
-    pub fn frame_interval(&self) -> Duration {
+    pub(crate) fn frame_interval(&self) -> Duration {
         let floor = Duration::from_nanos(Self::PER_FRAME_BUDGET.nanos() * self.ue_count as u64);
         self.base_frame_interval.max(floor)
     }
@@ -635,7 +633,7 @@ impl CorridorReport {
     /// the GW-C ever acknowledged is still accounted for by a bearer in
     /// its session table, with none mid-flight — faults may delay or
     /// retry activations, but must never leak or double-count one.
-    pub fn conserved(&self) -> bool {
+    pub(crate) fn conserved(&self) -> bool {
         self.dedicated_active == self.dedicated_live && self.dedicated_pending == 0
     }
 

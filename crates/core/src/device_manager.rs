@@ -12,7 +12,7 @@
 //!    is what keeps dedicated bearers **on-demand** instead of always-on
 //!    (the §4 control-overhead argument).
 
-use acacia_d2d::modem::{Modem, SubscriptionId};
+use acacia_d2d::modem::Modem;
 use acacia_d2d::service::{DiscoveryEvent, SubscriptionFilter};
 
 /// What a CI application registers with the manager (the paper's
@@ -54,7 +54,9 @@ enum ConnState {
 
 struct AppEntry {
     info: ServiceInfo,
-    subs: Vec<SubscriptionId>,
+    /// The app's modem filters, removed again by `unregister_app`.
+    #[cfg(test)]
+    subs: Vec<acacia_d2d::modem::SubscriptionId>,
     conn: ConnState,
     /// Has this app ever asked for MEC connectivity? Cell changes only
     /// (re-)establish connectivity for apps that opted in.
@@ -88,6 +90,7 @@ impl DeviceManager {
         }
         self.apps.push(Some(AppEntry {
             info,
+            #[cfg(test)]
             subs,
             conn: ConnState::None,
             wants_conn: false,
@@ -96,8 +99,14 @@ impl DeviceManager {
     }
 
     /// Unregister an application: remove its modem filters and request
-    /// connectivity deletion if a bearer was active.
-    pub fn unregister_app(&mut self, modem: &mut Modem, app: AppId) -> Option<ConnectivityAction> {
+    /// connectivity deletion if a bearer was active. Only the retail app
+    /// model, which runs in tests, closes an app.
+    #[cfg(test)]
+    pub(crate) fn unregister_app(
+        &mut self,
+        modem: &mut Modem,
+        app: AppId,
+    ) -> Option<ConnectivityAction> {
         let entry = self.apps.get_mut(app)?.take()?;
         for sub in entry.subs {
             modem.unsubscribe(sub);
@@ -145,7 +154,7 @@ impl DeviceManager {
     /// Trigger connectivity *without* proximity discovery (paper §8,
     /// "ACACIA without proximity service discovery"): launching the CI
     /// application itself requests MEC connectivity.
-    pub fn on_app_launch(&mut self, app: AppId) -> Option<ConnectivityAction> {
+    pub(crate) fn on_app_launch(&mut self, app: AppId) -> Option<ConnectivityAction> {
         let entry = self.apps.get_mut(app)?.as_mut()?;
         if entry.conn == ConnState::None {
             entry.conn = ConnState::Requested;
@@ -169,7 +178,7 @@ impl DeviceManager {
     /// * the new cell has no MEC → the network released the dedicated
     ///   bearer; drop to default connectivity so the next MEC cell
     ///   triggers a fresh create.
-    pub fn on_cell_change(&mut self, cell_is_mec: bool) -> Vec<ConnectivityAction> {
+    pub(crate) fn on_cell_change(&mut self, cell_is_mec: bool) -> Vec<ConnectivityAction> {
         let mut actions = Vec::new();
         for entry in self.apps.iter_mut().flatten() {
             if !entry.wants_conn {
@@ -187,26 +196,8 @@ impl DeviceManager {
         actions
     }
 
-    /// The serving MEC's lease lapsed (the MRS evicted it, or the client
-    /// noticed a dead session leg): re-request connectivity for every app
-    /// bound to `service` that wants it. The resulting `Create` is
-    /// idempotent at the MRS — it re-resolves to the closest **live**
-    /// instance, which is exactly the failover re-resolution step of the
-    /// recovery ladder.
-    pub fn on_lease_lapse(&mut self, service: &str) -> Option<ConnectivityAction> {
-        for entry in self.apps.iter_mut().flatten() {
-            if entry.info.service == service && entry.wants_conn {
-                entry.conn = ConnState::Requested;
-                return Some(ConnectivityAction::Create {
-                    service: entry.info.service.clone(),
-                });
-            }
-        }
-        None
-    }
-
     /// The MRS answered a connectivity request for `service`.
-    pub fn on_mrs_ack(&mut self, service: &str, ok: bool) {
+    pub(crate) fn on_mrs_ack(&mut self, service: &str, ok: bool) {
         for slot in self.apps.iter_mut().flatten() {
             if slot.info.service == service && slot.conn == ConnState::Requested {
                 slot.conn = if ok {
@@ -219,7 +210,8 @@ impl DeviceManager {
     }
 
     /// Does any application currently hold (or await) MEC connectivity?
-    pub fn has_connectivity(&self, app: AppId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_connectivity(&self, app: AppId) -> bool {
         matches!(
             self.apps.get(app).and_then(|s| s.as_ref()).map(|e| &e.conn),
             Some(ConnState::Active)
@@ -412,37 +404,6 @@ mod tests {
         );
         dm.on_mrs_ack("acme", true);
         assert!(dm.has_connectivity(app));
-    }
-
-    #[test]
-    fn lease_lapse_rerequests_for_opted_in_apps_only() {
-        let mut dm = DeviceManager::new();
-        let mut modem = Modem::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: "acme".into(),
-                interests: vec![],
-            },
-        );
-        // Before opting in: a lapse is nobody's business.
-        assert_eq!(dm.on_lease_lapse("acme"), None);
-        dm.on_discovery(&event("acme", "x"));
-        dm.on_mrs_ack("acme", true);
-        assert!(dm.has_connectivity(app));
-        // Lease lapses: re-resolution fires and the app drops to
-        // Requested until the (re-)ack lands.
-        assert_eq!(
-            dm.on_lease_lapse("acme"),
-            Some(ConnectivityAction::Create {
-                service: "acme".into()
-            })
-        );
-        assert!(!dm.has_connectivity(app));
-        dm.on_mrs_ack("acme", true);
-        assert!(dm.has_connectivity(app));
-        // Other services are untouched.
-        assert_eq!(dm.on_lease_lapse("other"), None);
     }
 
     #[test]

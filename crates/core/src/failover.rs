@@ -1,8 +1,8 @@
 //! Node-lifecycle chaos over the regional scenario: MEC/GW crash-restart
 //! injection and the end-to-end session failover ladder.
 //!
-//! The [`crate::metro`] scenario (with [`FailoverWiring`]
-//! enabled) already carries the full detection-and-recovery machinery:
+//! The [`crate::metro`] scenario (with [`MetroConfig::failover`]
+//! on) already carries the full detection-and-recovery machinery:
 //! MEC servers heartbeat the cloud MRS, the MRS runs miss-N-of-M lease
 //! audits, streaming clients periodically re-validate their resolution,
 //! and the GW-C guards against anchoring dedicated bearers on gateways
@@ -26,7 +26,7 @@
 
 use crate::arclient::ArFrontend;
 use crate::corridor::Timeline;
-use crate::metro::{FailoverWiring, MetroConfig, MetroReport, MetroScenario};
+use crate::metro::{MetroConfig, MetroReport, MetroScenario};
 use crate::mrs::Mrs;
 use acacia_lte::entities::{gwc_port, GwControl};
 use acacia_lte::wire::ControlMsg;
@@ -58,6 +58,13 @@ impl FailoverMode {
     }
 }
 
+/// Region whose MEC (and GW-U, for [`FailoverMode::RegionOutage`]) dies:
+/// the core region, which every metro has.
+const CRASH_REGION: usize = 0;
+/// Crash instant, as an offset from schedule time: inside the streaming
+/// phase.
+const CRASH_AFTER: Duration = Duration::from_secs(2);
+
 /// Failover experiment parameters.
 #[derive(Debug, Clone)]
 pub struct FailoverConfig {
@@ -66,12 +73,6 @@ pub struct FailoverConfig {
     pub metro: MetroConfig,
     /// Crash shape.
     pub mode: FailoverMode,
-    /// Region whose MEC (and GW-U, for [`FailoverMode::RegionOutage`])
-    /// dies.
-    pub crash_region: usize,
-    /// Crash instant, as an offset from schedule time — pick it inside
-    /// the streaming phase.
-    pub crash_after: Duration,
     /// Outage length for the restarting modes (ignored by
     /// [`FailoverMode::CrashStop`]).
     pub outage: Duration,
@@ -85,13 +86,8 @@ impl FailoverConfig {
     /// 8 regions × 4 UEs, 3 frames, crash 2 s into the run.
     pub fn smoke(mode: FailoverMode, outage: Duration) -> FailoverConfig {
         FailoverConfig {
-            metro: MetroConfig {
-                failover: Some(FailoverWiring::default()),
-                ..MetroConfig::city_smoke()
-            },
+            metro: MetroConfig::city_smoke(),
             mode,
-            crash_region: 0,
-            crash_after: Duration::from_secs(2),
             outage,
             fault_seed: 11,
         }
@@ -113,7 +109,7 @@ pub struct FailoverOutcomes {
 
 impl FailoverOutcomes {
     /// Sessions accounted for across all buckets.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.stayed + self.neighbor_mec + self.cloud_fallback + self.restart_rebind
     }
 }
@@ -190,13 +186,7 @@ impl FailoverScenario {
     /// to completion, and audit the outcomes.
     pub fn run(cfg: FailoverConfig) -> FailoverReport {
         let mut metro_cfg = cfg.metro.clone();
-        if metro_cfg.failover.is_none() {
-            metro_cfg.failover = Some(FailoverWiring::default());
-        }
-        assert!(
-            cfg.crash_region < metro_cfg.regions(),
-            "crash region out of range"
-        );
+        metro_cfg.failover = true;
         let mut scenario = MetroScenario::build(metro_cfg);
         let mut timeline = scenario.schedule();
         // Crashed sessions ride out the outage plus the detection and
@@ -210,8 +200,8 @@ impl FailoverScenario {
 
     /// Attach the node-fault plan and schedule the O&M side effects.
     fn inject(scenario: &mut MetroScenario, cfg: &FailoverConfig, timeline: &Timeline) {
-        let crash_at = timeline.start + cfg.crash_after;
-        let victim = scenario.servers[cfg.crash_region];
+        let crash_at = timeline.start + CRASH_AFTER;
+        let victim = scenario.servers[CRASH_REGION];
         let mut plan = NodeFaultPlan::new(cfg.fault_seed);
         match cfg.mode {
             FailoverMode::CrashStop => {
@@ -222,7 +212,7 @@ impl FailoverScenario {
             }
             FailoverMode::RegionOutage => {
                 plan.add_rule(NodeFaultRule::crash_restart(victim, crash_at, cfg.outage));
-                let (gwu, gwu_addr) = scenario.net.local_gwu_in_region(cfg.crash_region as u32);
+                let (gwu, gwu_addr) = scenario.net.local_gwu_in_region(CRASH_REGION as u32);
                 plan.add_rule(NodeFaultRule::crash_restart(gwu, crash_at, cfg.outage));
                 // O&M failure detection: tell the GW-C to flush every
                 // dedicated bearer anchored on the dead gateway. The
@@ -251,11 +241,11 @@ impl FailoverScenario {
             // triggers the lazy restart, and — because `hb_live` is
             // false after `on_restart` — re-arms the heartbeat chain.
             let poke_at = crash_at + cfg.outage + Duration::from_millis(1);
-            let server_addr = scenario.server_addrs[cfg.crash_region];
+            let server_addr = scenario.server_addrs[CRASH_REGION];
             let poke = Packet::icmp(scenario.mrs_addr, server_addr, 0).with_created(poke_at);
             scenario.net.sim.inject_packet(victim, 0, poke_at, poke);
             if cfg.mode == FailoverMode::RegionOutage {
-                let (gwu, gwu_addr) = scenario.net.local_gwu_in_region(cfg.crash_region as u32);
+                let (gwu, gwu_addr) = scenario.net.local_gwu_in_region(CRASH_REGION as u32);
                 let poke = Packet::icmp(scenario.mrs_addr, gwu_addr, 0).with_created(poke_at);
                 // Port 1 is a data port: the switch has no rule for the
                 // poke and drops it, but arriving at all is what drives

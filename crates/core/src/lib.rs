@@ -36,7 +36,8 @@ pub mod locmgr;
 pub mod metro;
 pub mod mrs;
 pub mod msg;
-pub mod retail;
+#[cfg(test)]
+mod retail;
 pub mod scenario;
 pub mod search;
 
@@ -286,7 +287,6 @@ pub use device_manager::{AppId, ConnectivityAction, DeviceManager, ServiceInfo};
 pub use locmgr::{LocalizationManager, LocalizationMetadata};
 pub use mrs::{Mrs, ServerInstance};
 pub use msg::{AppMsg, FrameMeta};
-pub use retail::{CustomerApp, ShopperNotification, StoreApp};
 pub use scenario::{Deployment, Scenario, ScenarioConfig, SessionReport};
 pub use search::{candidates, SearchContext, SearchStrategy};
 

@@ -77,11 +77,6 @@ impl LocalizationManager {
         *entry = self.alpha * rx_power_dbm + (1.0 - self.alpha) * *entry;
     }
 
-    /// Number of landmarks currently heard.
-    pub fn landmarks_heard(&self) -> usize {
-        self.readings.len()
-    }
-
     /// Latest (landmark, rxPower) view — the input for the `rxPower`
     /// baseline strategy.
     pub fn rx_view(&self) -> Vec<(String, f64)> {
@@ -107,11 +102,6 @@ impl LocalizationManager {
         let sol = trilaterate(&measurements).ok()?;
         self.estimates += 1;
         Some(sol.position)
-    }
-
-    /// Drop all readings (e.g. the user left the store).
-    pub fn reset(&mut self) {
-        self.readings.clear();
     }
 }
 
@@ -192,7 +182,7 @@ mod tests {
         let floor = FloorPlan::retail_store();
         let mut mgr = manager(&floor);
         mgr.report("nonsense", -50.0);
-        assert_eq!(mgr.landmarks_heard(), 0);
+        assert_eq!(mgr.readings.len(), 0);
     }
 
     #[test]
@@ -204,18 +194,5 @@ mod tests {
         let v = mgr.rx_view();
         assert_eq!(v.len(), 1);
         assert!((v[0].1 - (-75.0)).abs() < 1e-9, "smoothed {}", v[0].1);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let floor = FloorPlan::retail_store();
-        let mut mgr = manager(&floor);
-        for lm in &floor.landmarks {
-            mgr.report(&lm.name, -70.0);
-        }
-        assert!(mgr.landmarks_heard() > 0);
-        mgr.reset();
-        assert_eq!(mgr.landmarks_heard(), 0);
-        assert!(mgr.estimate().is_none());
     }
 }

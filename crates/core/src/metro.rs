@@ -46,14 +46,13 @@ use crate::corridor::{
     add_mrs, ar_server, arm_control_faults, retail_db, scene_ids, walk, walk_time, Timeline,
     UeReport, CELL_SPACING_M,
 };
-use crate::mrs::{Mrs, ServerInstance};
+use crate::mrs::{Mrs, ServerInstance, LEASE_CHECK_PERIOD};
 use crate::msg::APP_PORT;
 use crate::scenario::SERVICE;
 use acacia_geo::Point;
 use acacia_lte::enb::Enb;
 use acacia_lte::entities::GwControl;
 use acacia_lte::network::{addr, CellConfig, LteConfig, LteNetwork};
-use acacia_lte::timers::Timers;
 use acacia_lte::ue::{AppSelector, Ue, UeState};
 use acacia_lte::wire::Protocol;
 use acacia_simnet::link::LinkConfig;
@@ -97,15 +96,8 @@ pub struct MetroConfig {
     pub fault_seed: u64,
     /// MEC failover wiring (server heartbeats, MRS lease monitoring,
     /// neighbour/cloud fallback registrations, the core routes a failed-
-    /// over session rides). `None` = no failover machinery at all.
-    pub failover: Option<FailoverWiring>,
-}
-
-/// Failover wiring knobs for the regional scenario.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FailoverWiring {
-    /// Heartbeat / lease-audit / recheck intervals.
-    pub timers: Timers,
+    /// over session rides). `false` = no failover machinery at all.
+    pub failover: bool,
 }
 
 impl MetroConfig {
@@ -158,7 +150,7 @@ impl MetroConfig {
             core_weight_bias: false,
             ctrl_drop_rate: 0.0,
             fault_seed: 7,
-            failover: None,
+            failover: false,
         }
     }
 
@@ -185,7 +177,7 @@ impl MetroConfig {
 
     /// The region UE index `i` is homed in (UEs are numbered
     /// region-major).
-    pub fn ue_region(&self, i: usize) -> usize {
+    pub(crate) fn ue_region(&self, i: usize) -> usize {
         let mut rest = i;
         for (r, &size) in self.region_sizes.iter().enumerate() {
             if rest < size {
@@ -201,7 +193,7 @@ impl MetroConfig {
     /// population would oversubscribe its serial server. Heavier regions
     /// pace slower — the aggregate arrival rate at every server is the
     /// same.
-    pub fn region_interval(&self, r: usize) -> Duration {
+    pub(crate) fn region_interval(&self, r: usize) -> Duration {
         let floor =
             Duration::from_nanos(self.per_frame_budget.nanos() * self.region_sizes[r] as u64);
         self.base_frame_interval.max(floor)
@@ -211,7 +203,7 @@ impl MetroConfig {
     /// region interval spread across that region's population, so
     /// captures arrive at each server as a uniform ring even though the
     /// rings turn at different speeds.
-    pub fn region_stagger(&self, r: usize) -> Duration {
+    pub(crate) fn region_stagger(&self, r: usize) -> Duration {
         Duration::from_nanos(self.region_interval(r).nanos() / self.region_sizes[r] as u64)
     }
 
@@ -380,11 +372,10 @@ impl MetroScenario {
         for r in 0..cfg.regions() {
             let server_addr = addr::mec(r, 0);
             let mut server_cfg = ArServerConfig::new(server_addr);
-            if let Some(w) = cfg.failover {
+            if cfg.failover {
                 // Each MEC server beats its lease to the cloud MRS
                 // (heartbeats ride the failover core path).
                 server_cfg.heartbeat = Some((mrs_addr, region_service(r)));
-                server_cfg.heartbeat_period = w.timers.heartbeat_period;
             }
             let (server, assigned) =
                 net.add_mec_server_in_region(r as u32, ar_server(server_cfg, &db));
@@ -397,7 +388,7 @@ impl MetroScenario {
         // service name; each client asks for its own region's service.
         let cloud_ar_addr = cfg
             .failover
-            .map(|_| std::net::Ipv4Addr::from(u32::from(addr::CLOUD_BASE) + 1));
+            .then(|| std::net::Ipv4Addr::from(u32::from(addr::CLOUD_BASE) + 1));
         let mut mrs_node = Mrs::new(mrs_addr);
         for (r, &server_addr) in server_addrs.iter().enumerate() {
             mrs_node.register_service(
@@ -408,12 +399,11 @@ impl MetroScenario {
                 },
             );
         }
-        if let (Some(w), Some(cloud_ar_addr)) = (cfg.failover, cloud_ar_addr) {
+        if let Some(cloud_ar_addr) = cloud_ar_addr {
             // Lease-monitor the MEC servers, and register the failover
             // ladder behind each one: the neighbour region's MEC (one hop
             // worse) and the shared cloud AR server (last resort, not
             // monitored — the cloud has no MEC lifecycle).
-            mrs_node.enable_lease_monitoring(w.timers);
             for (r, &server_addr) in server_addrs.iter().enumerate() {
                 mrs_node.monitor_server(server_addr);
                 if cfg.regions() > 1 {
@@ -456,7 +446,7 @@ impl MetroScenario {
                 min_frame_interval: Some(cfg.region_interval(r)),
                 resolution: cfg.resolution,
                 scene_ids: scene_ids.clone(),
-                lease_recheck: cfg.failover.map(|w| w.timers.lease_recheck_period),
+                lease_recheck: cfg.failover,
                 ..ArFrontendConfig::new(ue_ip, server_addrs[r])
             };
             let client = net.connect_ue_app(
@@ -467,7 +457,7 @@ impl MetroScenario {
             clients.push(client);
         }
 
-        if cfg.failover.is_some() {
+        if cfg.failover {
             // Every UE is attached and every server placed: snapshot the
             // failover core routes (cross-region default-bearer paths +
             // the heartbeat path to the cloud MRS).
@@ -504,7 +494,7 @@ impl MetroScenario {
     }
 
     /// The configuration the scenario was built with.
-    pub fn config(&self) -> &MetroConfig {
+    pub(crate) fn config(&self) -> &MetroConfig {
         &self.cfg
     }
 
@@ -515,7 +505,7 @@ impl MetroScenario {
     /// `k × region_stagger(r)`.
     pub fn schedule(&mut self) -> Timeline {
         let start = self.net.sim.now();
-        if let Some(w) = self.cfg.failover {
+        if self.cfg.failover {
             // Start the lease machinery: each MEC server's heartbeat
             // chain and the MRS audit loop (both self-rescheduling).
             for &server in &self.servers {
@@ -523,11 +513,9 @@ impl MetroScenario {
                     .sim
                     .schedule_timer(server, start, ArServer::HEARTBEAT);
             }
-            self.net.sim.schedule_timer(
-                self.mrs,
-                start + w.timers.lease_check_period,
-                Mrs::LEASE_AUDIT,
-            );
+            self.net
+                .sim
+                .schedule_timer(self.mrs, start + LEASE_CHECK_PERIOD, Mrs::LEASE_AUDIT);
         }
         let mut region_base = 0usize;
         let mut stagger_total = Duration::ZERO;
@@ -699,14 +687,5 @@ mod tests {
         let smoke = MetroConfig::smoke();
         assert_eq!(smoke.region_interval(15), smoke.base_frame_interval);
         assert!(smoke.region_interval(0) > smoke.base_frame_interval);
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean_of_busy_shards() {
-        let mut report = MetroScenario::build(tiny()).run();
-        report.events_by_shard = vec![300, 100, 0, 200];
-        assert!((report.shard_imbalance() - 0.5).abs() < 1e-12);
-        report.events_by_shard = vec![100, 100];
-        assert_eq!(report.shard_imbalance(), 0.0);
     }
 }

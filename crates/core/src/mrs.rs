@@ -7,10 +7,10 @@
 //!
 //! # Lease monitoring
 //!
-//! With [`Mrs::enable_lease_monitoring`], registered servers are expected
-//! to send periodic [`AppMsg::Heartbeat`]s. A lease audit runs every
-//! [`Timers::lease_check_period`]; a server whose beats are missing in at
-//! least `lease_miss_n` of its last `lease_window_m` audits is **evicted**
+//! Servers enrolled with `Mrs::monitor_server` are expected to send
+//! periodic [`AppMsg::Heartbeat`]s. Once the harness arms
+//! [`Mrs::LEASE_AUDIT`], a lease audit runs every 120 ms; a server whose
+//! beats are missing in at least 3 of its last 5 audits is **evicted**
 //! — it stops being eligible for resolution, so the next device-manager
 //! re-resolution fails over to the next-closest instance (a neighbor
 //! region's MEC, or the cloud). A dead server that beats again (e.g.
@@ -20,10 +20,10 @@
 
 use crate::msg::{AppMsg, MRS_PORT};
 use acacia_lte::qci::Qci;
-use acacia_lte::timers::Timers;
 use acacia_lte::wire::{ControlMsg, PolicyRule};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId};
+use acacia_simnet::time::Duration;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -53,23 +53,24 @@ struct Pending {
     server: Ipv4Addr,
 }
 
+/// Period of the lease audit.
+pub(crate) const LEASE_CHECK_PERIOD: Duration = Duration::from_millis(120);
+/// A server is evicted when at least this many of its last
+/// [`LEASE_WINDOW_M`] audits saw no fresh heartbeat (miss-N-of-M;
+/// tolerates isolated loss on the heartbeat path).
+const LEASE_MISS_N: usize = 3;
+/// Size of the sliding audit window for miss-N-of-M eviction.
+const LEASE_WINDOW_M: usize = 5;
+
 /// Lease health of one monitored server.
 #[derive(Debug, Clone)]
-pub struct ServerHealth {
+struct ServerHealth {
     /// Beats received since the last lease audit.
     beats_since_audit: u32,
-    /// Miss history of the last `lease_window_m` audits (`true` = miss).
+    /// Miss history of the last [`LEASE_WINDOW_M`] audits (`true` = miss).
     window: VecDeque<bool>,
     /// Is the server currently eligible for resolution?
-    pub live: bool,
-    /// Total beats received.
-    pub beats: u64,
-    /// Total audits that saw no beat.
-    pub misses: u64,
-    /// Times this server was evicted.
-    pub evictions: u64,
-    /// Times this server was restored after an eviction.
-    pub restores: u64,
+    live: bool,
 }
 
 impl ServerHealth {
@@ -78,29 +79,8 @@ impl ServerHealth {
             beats_since_audit: 0,
             window: VecDeque::new(),
             live: true,
-            beats: 0,
-            misses: 0,
-            evictions: 0,
-            restores: 0,
         }
     }
-}
-
-/// Aggregated lease health of one service (all instances).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceHealth {
-    /// Registered instances.
-    pub instances: usize,
-    /// Instances currently eligible for resolution.
-    pub live: usize,
-    /// Total beats across instances.
-    pub beats: u64,
-    /// Total missed audits across instances.
-    pub misses: u64,
-    /// Total evictions across instances.
-    pub evictions: u64,
-    /// Total post-eviction restores across instances.
-    pub restores: u64,
 }
 
 /// The MRS node.
@@ -117,8 +97,6 @@ pub struct Mrs {
     /// instead of stacking a second bearer.
     allocated: BTreeMap<(String, Ipv4Addr), u32>,
     next_service_id: u32,
-    /// Lease timers; `None` until lease monitoring is enabled.
-    monitoring: Option<Timers>,
     /// Per-server lease health, keyed by server address. Only servers
     /// explicitly enrolled with [`Mrs::monitor_server`] are audited;
     /// un-enrolled servers (e.g. the cloud fallback) are always live.
@@ -143,7 +121,7 @@ impl Mrs {
     pub const LEASE_AUDIT: u64 = 1;
 
     /// New MRS.
-    pub fn new(addr: Ipv4Addr) -> Mrs {
+    pub(crate) fn new(addr: Ipv4Addr) -> Mrs {
         Mrs {
             addr,
             qci: Qci(7),
@@ -151,7 +129,6 @@ impl Mrs {
             pending: BTreeMap::new(),
             allocated: BTreeMap::new(),
             next_service_id: 1,
-            monitoring: None,
             health: BTreeMap::new(),
             requests: 0,
             rejected: 0,
@@ -163,28 +140,17 @@ impl Mrs {
     }
 
     /// Register a CI server for `service`.
-    pub fn register_service(&mut self, service: &str, server: ServerInstance) {
+    pub(crate) fn register_service(&mut self, service: &str, server: ServerInstance) {
         self.registry
             .entry(service.to_string())
             .or_default()
             .push(server);
     }
 
-    /// Turn on heartbeat/lease auditing with the given intervals. The
-    /// audit itself runs off the [`Mrs::LEASE_AUDIT`] timer, which the
-    /// harness must arm once.
-    pub fn enable_lease_monitoring(&mut self, timers: Timers) {
-        assert!(
-            timers.lease_miss_n <= timers.lease_window_m,
-            "miss-N-of-M needs N <= M"
-        );
-        self.monitoring = Some(timers);
-    }
-
     /// Enroll a server address in lease auditing. Un-enrolled servers
     /// never expire (use for the cloud fallback, which has no MEC
     /// lifecycle).
-    pub fn monitor_server(&mut self, server: Ipv4Addr) {
+    pub(crate) fn monitor_server(&mut self, server: Ipv4Addr) {
         self.health.entry(server).or_insert_with(ServerHealth::new);
     }
 
@@ -194,7 +160,7 @@ impl Mrs {
     }
 
     /// The closest registered **live** server for a service.
-    pub fn closest(&self, service: &str) -> Option<&ServerInstance> {
+    pub(crate) fn closest(&self, service: &str) -> Option<&ServerInstance> {
         self.registry
             .get(service)?
             .iter()
@@ -206,60 +172,27 @@ impl Mrs {
             })
     }
 
-    /// Lease health of one monitored server.
-    pub fn server_health(&self, server: Ipv4Addr) -> Option<&ServerHealth> {
-        self.health.get(&server)
-    }
-
-    /// Aggregated lease health of every instance backing `service`.
-    pub fn service_health(&self, service: &str) -> ServiceHealth {
-        let mut out = ServiceHealth::default();
-        let Some(instances) = self.registry.get(service) else {
-            return out;
-        };
-        out.instances = instances.len();
-        for inst in instances {
-            match self.health.get(&inst.addr) {
-                Some(h) => {
-                    out.live += h.live as usize;
-                    out.beats += h.beats;
-                    out.misses += h.misses;
-                    out.evictions += h.evictions;
-                    out.restores += h.restores;
-                }
-                None => out.live += 1, // un-enrolled ⇒ always live
-            }
-        }
-        out
-    }
-
     /// One lease audit pass: score each enrolled server's beat window,
     /// evict the dead, restore the recovered.
     fn audit(&mut self) {
-        let Some(t) = self.monitoring else { return };
         self.audits += 1;
         let mut evictions = 0u64;
         let mut restores = 0u64;
         for h in self.health.values_mut() {
             let beat = h.beats_since_audit > 0;
             h.beats_since_audit = 0;
-            if !beat {
-                h.misses += 1;
-            }
             h.window.push_back(!beat);
-            while h.window.len() > t.lease_window_m as usize {
+            while h.window.len() > LEASE_WINDOW_M {
                 h.window.pop_front();
             }
-            let missed = h.window.iter().filter(|&&m| m).count() as u32;
-            if h.live && missed >= t.lease_miss_n {
+            let missed = h.window.iter().filter(|&&m| m).count();
+            if h.live && missed >= LEASE_MISS_N {
                 h.live = false;
-                h.evictions += 1;
                 evictions += 1;
             } else if !h.live && beat {
                 // A dead server that beats again is back: clear the miss
                 // history so one stale window can't re-evict it.
                 h.live = true;
-                h.restores += 1;
                 h.window.clear();
                 restores += 1;
             }
@@ -294,7 +227,6 @@ impl Node for Mrs {
                     self.heartbeats_seen += 1;
                     if let Some(h) = self.health.get_mut(&server) {
                         h.beats_since_audit += 1;
-                        h.beats += 1;
                     }
                 }
                 Some(AppMsg::MrsRequest {
@@ -359,10 +291,8 @@ impl Node for Mrs {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == Self::LEASE_AUDIT {
-            if let Some(t) = self.monitoring {
-                self.audit();
-                ctx.schedule_in(t.lease_check_period, Self::LEASE_AUDIT);
-            }
+            self.audit();
+            ctx.schedule_in(LEASE_CHECK_PERIOD, Self::LEASE_AUDIT);
         }
     }
 }
@@ -449,9 +379,7 @@ mod tests {
     /// the timer-driven path end to end).
     #[test]
     fn miss_n_of_m_evicts_and_resolution_falls_over() {
-        let timers = Timers::default();
         let mut mrs = Mrs::new(ip(100));
-        mrs.enable_lease_monitoring(timers);
         mrs.register_service(
             "acme",
             ServerInstance {
@@ -468,24 +396,21 @@ mod tests {
         );
         mrs.monitor_server(ip(1));
         // ip(2) is the (un-enrolled) fallback: always live.
-        for _ in 0..timers.lease_miss_n {
+        for _ in 0..LEASE_MISS_N {
             assert_eq!(mrs.closest("acme").unwrap().addr, ip(1));
             mrs.audit();
         }
         assert_eq!(mrs.evictions, 1, "N consecutive misses evict");
         assert_eq!(mrs.closest("acme").unwrap().addr, ip(2), "failover");
-        let h = mrs.server_health(ip(1)).unwrap();
+        let h = &mrs.health[&ip(1)];
         assert!(!h.live);
-        assert_eq!(h.misses, timers.lease_miss_n as u64);
-        let sh = mrs.service_health("acme");
-        assert_eq!((sh.instances, sh.live, sh.evictions), (2, 1, 1));
+        assert_eq!(h.window.iter().filter(|&&m| m).count(), LEASE_MISS_N);
+        assert!(mrs.is_live(ip(2)), "the un-enrolled fallback stays live");
     }
 
     #[test]
     fn a_beat_restores_an_evicted_server() {
-        let timers = Timers::default();
         let mut mrs = Mrs::new(ip(100));
-        mrs.enable_lease_monitoring(timers);
         mrs.register_service(
             "acme",
             ServerInstance {
@@ -494,7 +419,7 @@ mod tests {
             },
         );
         mrs.monitor_server(ip(1));
-        for _ in 0..timers.lease_miss_n {
+        for _ in 0..LEASE_MISS_N {
             mrs.audit();
         }
         assert!(mrs.closest("acme").is_none(), "sole instance evicted");
@@ -506,7 +431,6 @@ mod tests {
         mrs.heartbeats_seen += 1;
         let h = mrs.health.get_mut(&ip(1)).unwrap();
         h.beats_since_audit += 1;
-        h.beats += 1;
         mrs.audit();
         assert_eq!(mrs.restores, 1);
         assert_eq!(mrs.closest("acme").unwrap().addr, ip(1), "restored");
@@ -515,9 +439,7 @@ mod tests {
 
     #[test]
     fn isolated_misses_inside_the_window_do_not_evict() {
-        let timers = Timers::default();
         let mut mrs = Mrs::new(ip(100));
-        mrs.enable_lease_monitoring(timers);
         mrs.register_service(
             "acme",
             ServerInstance {
@@ -532,12 +454,11 @@ mod tests {
             for _ in 0..2 {
                 let h = mrs.health.get_mut(&ip(1)).unwrap();
                 h.beats_since_audit += 1;
-                h.beats += 1;
                 mrs.audit();
             }
             mrs.audit(); // one silent audit
         }
         assert_eq!(mrs.evictions, 0, "lone misses tolerated");
-        assert!(mrs.server_health(ip(1)).unwrap().live);
+        assert!(mrs.health[&ip(1)].live);
     }
 }

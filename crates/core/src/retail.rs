@@ -30,7 +30,7 @@ pub struct StoreApp {
 
 impl StoreApp {
     /// A store with a carrier-assigned service name.
-    pub fn new(service: &str) -> StoreApp {
+    pub(crate) fn new(service: &str) -> StoreApp {
         StoreApp {
             service: service.to_string(),
             staff: Vec::new(),
@@ -39,18 +39,18 @@ impl StoreApp {
 
     /// A sales person opens the app at `pos` and selects what they cover.
     /// Their phone becomes an LTE-direct publisher.
-    pub fn staff_selects(&mut self, employee: &str, covers: &str, pos: Point) {
+    pub(crate) fn staff_selects(&mut self, employee: &str, covers: &str, pos: Point) {
         self.staff
             .push((employee.to_string(), covers.to_string(), pos));
     }
 
     /// Number of active publishers.
-    pub fn publishers(&self) -> usize {
+    pub(crate) fn publishers(&self) -> usize {
         self.staff.len()
     }
 
     /// Install every staff phone as a publisher into a proximity world.
-    pub fn deploy(&self, world: &mut ProximityWorld) {
+    pub(crate) fn deploy(&self, world: &mut ProximityWorld) {
         for (employee, covers, pos) in &self.staff {
             world.add_publisher(employee, *pos, Announcement::new(&self.service, covers));
         }
@@ -58,7 +58,7 @@ impl StoreApp {
 
     /// Convenience: one staff phone per floor landmark, each covering the
     /// landmark's name (the evaluation setup).
-    pub fn staff_at_landmarks(service: &str, floor: &FloorPlan) -> StoreApp {
+    pub(crate) fn staff_at_landmarks(service: &str, floor: &FloorPlan) -> StoreApp {
         let mut store = StoreApp::new(service);
         for lm in &floor.landmarks {
             store.staff_selects(&format!("staff-{}", lm.name), &lm.name, lm.pos);
@@ -97,7 +97,7 @@ pub struct CustomerApp {
 impl CustomerApp {
     /// The shopper opens the app and ticks her interests (e.g. "laptops").
     /// An empty list means "everything in this store".
-    pub fn open(service: &str, interests: Vec<String>) -> CustomerApp {
+    pub(crate) fn open(service: &str, interests: Vec<String>) -> CustomerApp {
         let mut modem = Modem::new();
         let mut dm = DeviceManager::new();
         let app = dm.register_app(
@@ -119,7 +119,7 @@ impl CustomerApp {
 
     /// One discovery occasion at the shopper's position: the modem filters,
     /// the device manager routes, the app notifies.
-    pub fn discovery_tick(&mut self, world: &ProximityWorld, pos: Point, tick: u64) {
+    pub(crate) fn discovery_tick(&mut self, world: &ProximityWorld, pos: Point, tick: u64) {
         let events: Vec<DiscoveryEvent> = world.scan(&mut self.modem, pos, tick);
         for ev in events {
             let (owner, action) = self.dm.on_discovery(&ev);
@@ -140,29 +140,29 @@ impl CustomerApp {
     }
 
     /// The MRS answered the connectivity request.
-    pub fn on_mrs_ack(&mut self, ok: bool) {
+    pub(crate) fn on_mrs_ack(&mut self, ok: bool) {
         let service = self.service.clone();
         self.dm.on_mrs_ack(&service, ok);
     }
 
     /// Does the app currently hold MEC connectivity?
-    pub fn connected(&self) -> bool {
+    pub(crate) fn connected(&self) -> bool {
         self.dm.has_connectivity(self.app)
     }
 
     /// The shopper leaves: unsubscribe and (if connected) tear down.
-    pub fn close(&mut self) -> Option<ConnectivityAction> {
+    pub(crate) fn close(&mut self) -> Option<ConnectivityAction> {
         self.dm.unregister_app(&mut self.modem, self.app)
     }
 
     /// Modem-side statistics (broadcasts seen / filtered).
-    pub fn modem_stats(&self) -> (u64, u64) {
+    pub(crate) fn modem_stats(&self) -> (u64, u64) {
         (self.modem.messages_seen, self.modem.messages_filtered)
     }
 
     /// Latest per-publisher rxPower readings — what the app forwards to
     /// the CI server's localization manager.
-    pub fn rx_readings(&self) -> Vec<(String, f64)> {
+    pub(crate) fn rx_readings(&self) -> Vec<(String, f64)> {
         // BTreeMap: readings feed trilateration, whose least-squares
         // accumulation is order-sensitive — iteration order must be
         // deterministic for same-seed runs to be byte-identical.

@@ -32,14 +32,15 @@ use acacia_lte::ue::AppSelector;
 use acacia_simnet::cloud::Ec2Region;
 use acacia_simnet::link::LinkConfig;
 use acacia_simnet::sim::NodeId;
-use acacia_simnet::time::{Duration, Instant};
-use acacia_vision::compute::Device;
+use acacia_simnet::time::Duration;
 use acacia_vision::db::ObjectDb;
-use acacia_vision::image::Resolution;
 use std::net::Ipv4Addr;
 
 /// The service name used by the retail scenario.
 pub const SERVICE: &str = "acme-retail";
+
+/// Cloud region of the CLOUD deployment's server (§7.4).
+const CLOUD_REGION: Ec2Region = Ec2Region::California;
 
 /// Which of the paper's three deployments to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,18 +78,10 @@ pub struct ScenarioConfig {
     pub checkpoint: usize,
     /// Frames to capture.
     pub frame_count: u64,
-    /// Camera resolution.
-    pub resolution: Resolution,
     /// Objects per subsection in the database (5 ⇒ the paper's 105).
     pub db_per_subsection: usize,
-    /// Server compute device.
-    pub server_device: Device,
     /// Matching execution cap (see `ArServerConfig::exec_cap`).
     pub exec_cap: usize,
-    /// Background traffic through the core, bits/s (0 = none).
-    pub background_bps: u64,
-    /// Cloud region for the CLOUD deployment.
-    pub region: Ec2Region,
     /// Residual radio loss injected on the data path after attach
     /// (fraction; 0 = clean air).
     pub radio_loss: f64,
@@ -105,12 +98,8 @@ impl ScenarioConfig {
             seed: 42,
             checkpoint: 10,
             frame_count: 10,
-            resolution: Resolution::E2E,
             db_per_subsection: 5,
-            server_device: Device::I7Octa,
             exec_cap: 48,
-            background_bps: 0,
-            region: Ec2Region::California,
             radio_loss: 0.0,
             tech: acacia_d2d::technology::ProximityTech::LteDirect,
         }
@@ -252,7 +241,6 @@ impl Scenario {
         let make_server = |addr: Ipv4Addr| {
             ArServer::new(
                 ArServerConfig {
-                    device: cfg.server_device,
                     strategy,
                     exec_cap: cfg.exec_cap,
                     ..ArServerConfig::new(addr)
@@ -267,7 +255,7 @@ impl Scenario {
             Deployment::Cloud => {
                 let addr = acacia_lte::network::addr::CLOUD_BASE;
                 let (server, assigned) =
-                    net.add_cloud_server(Box::new(make_server(addr)), cfg.region.link_config());
+                    net.add_cloud_server(Box::new(make_server(addr)), CLOUD_REGION.link_config());
                 assert_eq!(assigned, addr);
                 (server, addr, None)
             }
@@ -306,10 +294,6 @@ impl Scenario {
         if cfg.radio_loss > 0.0 {
             net.set_radio_loss(cfg.radio_loss);
         }
-        if cfg.background_bps > 0 {
-            let t0 = net.sim.now();
-            net.start_background_traffic(cfg.background_bps, t0, Instant::MAX);
-        }
 
         // The user photographs objects from their current subsection.
         let subsection = floor.subsection_at(user_pos).expect("user is on the floor");
@@ -326,7 +310,6 @@ impl Scenario {
                 Deployment::Cloud => None,
                 _ => Some((acacia_lte::network::addr::CLOUD_BASE, SERVICE.to_string())),
             },
-            resolution: cfg.resolution,
             frame_count: cfg.frame_count,
             scene_ids,
             rx_reports: if cfg.deployment == Deployment::Acacia {

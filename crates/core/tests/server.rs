@@ -26,7 +26,6 @@ fn setup(strategy: SearchStrategy) -> (Simulator, NodeId, NodeId, ObjectDb, Floo
     let locmgr = LocalizationManager::new(LocalizationMetadata::for_floor(&floor, &model));
     let server = ArServer::new(
         ArServerConfig {
-            device: acacia_vision::compute::Device::I7Octa,
             strategy,
             exec_cap: 16,
             ..ArServerConfig::new(SERVER)

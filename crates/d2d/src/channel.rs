@@ -56,25 +56,6 @@ impl RadioChannel {
         }
     }
 
-    /// Builder-style: set shadowing sigma.
-    pub fn with_shadowing(mut self, sigma_db: f64) -> RadioChannel {
-        self.shadowing_sigma_db = sigma_db;
-        self
-    }
-
-    /// Builder-style: set fast-fading sigma.
-    pub fn with_fading(mut self, sigma_db: f64) -> RadioChannel {
-        self.fading_sigma_db = sigma_db;
-        self
-    }
-
-    /// An ideal channel: no shadowing, no fading (useful in tests).
-    pub fn ideal(pathloss: PathLossModel) -> RadioChannel {
-        RadioChannel::new(pathloss, 0)
-            .with_shadowing(0.0)
-            .with_fading(0.0)
-    }
-
     /// Sample the channel from a publisher at `tx_pos` (identified by
     /// `publisher_id`) to a subscriber at `rx_pos` at time-step `tick`.
     ///
@@ -139,6 +120,15 @@ fn gaussian(h: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An ideal channel: no shadowing, no fading.
+    fn ideal(pathloss: PathLossModel) -> RadioChannel {
+        RadioChannel {
+            shadowing_sigma_db: 0.0,
+            fading_sigma_db: 0.0,
+            ..RadioChannel::new(pathloss, 0)
+        }
+    }
     use acacia_geo::pathloss::PathLossModel;
 
     fn channel() -> RadioChannel {
@@ -168,7 +158,7 @@ mod tests {
     #[test]
     fn ideal_channel_matches_pathloss_exactly() {
         let pl = PathLossModel::indoor_default();
-        let ch = RadioChannel::ideal(pl);
+        let ch = ideal(pl);
         let r = ch
             .sample(7, Point::new(0.0, 0.0), Point::new(3.0, 4.0), 0)
             .unwrap();
@@ -196,7 +186,7 @@ mod tests {
         // The paper's core argument for using rxPower over SNR: close to a
         // publisher, SNR pins at its dynamic-range ceiling while rxPower
         // keeps discriminating.
-        let ch = RadioChannel::ideal(PathLossModel::indoor_default());
+        let ch = ideal(PathLossModel::indoor_default());
         let at = |d: f64| {
             ch.sample(1, Point::new(0.0, 0.0), Point::new(d, 0.0), 0)
                 .unwrap()
@@ -216,7 +206,7 @@ mod tests {
 
     #[test]
     fn below_sensitivity_is_not_received() {
-        let ch = RadioChannel::ideal(PathLossModel::indoor_default());
+        let ch = ideal(PathLossModel::indoor_default());
         // indoor_default gives ~-40 dBm at 1 m and loses 38 dB per decade:
         // at 1 km the signal is ~-154 dBm, far below sensitivity.
         assert!(ch
@@ -226,7 +216,10 @@ mod tests {
 
     #[test]
     fn shadowing_is_spatially_consistent() {
-        let ch = channel().with_fading(0.0);
+        let ch = RadioChannel {
+            fading_sigma_db: 0.0,
+            ..channel()
+        };
         // Same grid cell => identical reading regardless of tick.
         let a = ch.sample(1, Point::new(0.0, 0.0), Point::new(5.2, 5.7), 1);
         let b = ch.sample(1, Point::new(0.0, 0.0), Point::new(5.2, 5.7), 99);

@@ -68,11 +68,6 @@ impl ProximityWorld {
         });
     }
 
-    /// Publishers currently in the world.
-    pub fn publishers(&self) -> &[Publisher] {
-        &self.publishers
-    }
-
     /// The discovery tick in effect at wall time `t_s` seconds.
     pub fn tick_at(&self, t_s: f64) -> u64 {
         (t_s / self.period_s).floor().max(0.0) as u64
@@ -146,9 +141,9 @@ mod tests {
     #[test]
     fn floor_landmarks_become_publishers() {
         let w = world();
-        assert_eq!(w.publishers().len(), 7);
-        assert_eq!(w.publishers()[0].name, "L1");
-        assert_eq!(w.publishers()[0].announcement.expression, "L1");
+        assert_eq!(w.publishers.len(), 7);
+        assert_eq!(w.publishers[0].name, "L1");
+        assert_eq!(w.publishers[0].announcement.expression, "L1");
     }
 
     #[test]

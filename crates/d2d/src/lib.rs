@@ -10,7 +10,8 @@
 //! * [`service`] — 128-bit expression codes, masks, announcements.
 //! * [`modem`] — modem-resident subscription filtering.
 //! * [`discovery`] — publishers on a floor plan; scan/dwell operations.
-//! * [`resource`] — uplink resource-block accounting (<1% utilization).
+//! * `resource` (tests only) — checks §3's claim that discovery uses
+//!   under 1% of the uplink resource blocks.
 //!
 //! ```
 //! use acacia_d2d::prelude::*;
@@ -34,7 +35,8 @@
 pub mod channel;
 pub mod discovery;
 pub mod modem;
-pub mod resource;
+#[cfg(test)]
+mod resource;
 pub mod service;
 pub mod technology;
 
@@ -49,7 +51,6 @@ pub mod prelude {
     pub use crate::channel::{RadioChannel, RadioReading};
     pub use crate::discovery::{ProximityWorld, Publisher};
     pub use crate::modem::Modem;
-    pub use crate::resource::{DiscoveryAllocation, UplinkConfig};
     pub use crate::service::{Announcement, DiscoveryEvent, ServiceCode, SubscriptionFilter};
     pub use crate::technology::ProximityTech;
 }

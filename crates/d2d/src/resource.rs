@@ -19,7 +19,7 @@ pub struct UplinkConfig {
 
 impl UplinkConfig {
     /// A 10 MHz LTE carrier.
-    pub fn mhz10() -> UplinkConfig {
+    pub(crate) fn mhz10() -> UplinkConfig {
         UplinkConfig {
             rbs_per_subframe: 50,
             subframes_per_sec: 1000,
@@ -27,7 +27,7 @@ impl UplinkConfig {
     }
 
     /// A 20 MHz LTE carrier.
-    pub fn mhz20() -> UplinkConfig {
+    pub(crate) fn mhz20() -> UplinkConfig {
         UplinkConfig {
             rbs_per_subframe: 100,
             subframes_per_sec: 1000,
@@ -35,7 +35,7 @@ impl UplinkConfig {
     }
 
     /// Total resource blocks per second.
-    pub fn rbs_per_sec(&self) -> u64 {
+    pub(crate) fn rbs_per_sec(&self) -> u64 {
         self.rbs_per_subframe as u64 * self.subframes_per_sec as u64
     }
 }
@@ -54,7 +54,7 @@ pub struct DiscoveryAllocation {
 
 impl DiscoveryAllocation {
     /// The default used throughout the reproduction: 40 subframes every 5 s.
-    pub fn default_5s() -> DiscoveryAllocation {
+    pub(crate) fn default_5s() -> DiscoveryAllocation {
         DiscoveryAllocation {
             period_s: 5.0,
             subframes_per_occasion: 40,
@@ -63,14 +63,14 @@ impl DiscoveryAllocation {
     }
 
     /// Fraction of total uplink resources consumed by discovery.
-    pub fn utilization(&self, cfg: UplinkConfig) -> f64 {
+    pub(crate) fn utilization(&self, cfg: UplinkConfig) -> f64 {
         let rbs_per_occasion = self.subframes_per_occasion as f64 * cfg.rbs_per_subframe as f64;
         let total_rbs_per_period = cfg.rbs_per_sec() as f64 * self.period_s;
         rbs_per_occasion / total_rbs_per_period
     }
 
     /// How many distinct publishers can broadcast per discovery occasion.
-    pub fn capacity_per_occasion(&self, cfg: UplinkConfig) -> u32 {
+    pub(crate) fn capacity_per_occasion(&self, cfg: UplinkConfig) -> u32 {
         self.subframes_per_occasion * cfg.rbs_per_subframe / self.rbs_per_message
     }
 }

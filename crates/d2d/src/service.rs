@@ -22,16 +22,6 @@ impl ServiceCode {
         let lo = fnv1a(expression.as_bytes());
         ServiceCode(((hi as u128) << 64) | lo as u128)
     }
-
-    /// The service (upper) half of the code.
-    pub fn service_bits(&self) -> u64 {
-        (self.0 >> 64) as u64
-    }
-
-    /// The expression (lower) half of the code.
-    pub fn expression_bits(&self) -> u64 {
-        self.0 as u64
-    }
 }
 
 /// 64-bit FNV-1a — stable across platforms and runs.
@@ -98,12 +88,6 @@ impl Announcement {
             code: ServiceCode::derive(service, expression),
         }
     }
-
-    /// Over-the-air size of the discovery message in bytes. LTE-direct
-    /// expressions are 128-bit codes plus a small metadata header.
-    pub fn wire_size(&self) -> u32 {
-        16 + 8
-    }
 }
 
 /// A discovery message as delivered *by the modem* to the application after
@@ -135,9 +119,11 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, d);
-        assert_eq!(a.service_bits(), c.service_bits());
-        assert_ne!(a.service_bits(), d.service_bits());
-        assert_eq!(a.expression_bits(), d.expression_bits());
+        // The service is the upper half of the code, the expression the
+        // lower.
+        assert_eq!(a.0 >> 64, c.0 >> 64);
+        assert_ne!(a.0 >> 64, d.0 >> 64);
+        assert_eq!(a.0 as u64, d.0 as u64);
     }
 
     #[test]
@@ -160,6 +146,5 @@ mod tests {
     fn announcement_derives_consistent_code() {
         let a = Announcement::new("acme-retail", "laptops");
         assert_eq!(a.code, ServiceCode::derive("acme-retail", "laptops"));
-        assert!(a.wire_size() >= 16);
     }
 }

@@ -7,7 +7,6 @@
 //! **Wi-Fi Aware**; this module captures their radio and timing
 //! characteristics so the rest of the stack runs unchanged on any of them.
 
-use crate::channel::RadioChannel;
 use acacia_geo::pathloss::PathLossModel;
 
 /// A proximity service discovery technology.
@@ -50,7 +49,7 @@ impl ProximityTech {
     }
 
     /// Transmit power, dBm.
-    pub fn tx_power_dbm(&self) -> f64 {
+    pub(crate) fn tx_power_dbm(&self) -> f64 {
         match self {
             ProximityTech::LteDirect => 23.0,
             ProximityTech::IBeacon => 0.0,
@@ -91,21 +90,22 @@ impl ProximityTech {
         let pl = self.pathloss();
         pl.distance_for(crate::channel::SENSITIVITY_DBM + 6.0)
     }
-
-    /// A radio channel with this technology's characteristics.
-    pub fn channel(&self, seed: u64) -> RadioChannel {
-        RadioChannel::new(self.pathloss(), seed ^ (*self as u64) << 32)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::RadioChannel;
     use crate::discovery::ProximityWorld;
     use crate::modem::Modem;
     use crate::service::SubscriptionFilter;
     use acacia_geo::floor::FloorPlan;
     use acacia_geo::point::Point;
+
+    /// A radio channel with `tech`'s characteristics.
+    fn channel(tech: ProximityTech, seed: u64) -> RadioChannel {
+        RadioChannel::new(tech.pathloss(), seed ^ (tech as u64) << 32)
+    }
 
     #[test]
     fn lte_direct_has_longest_range() {
@@ -137,7 +137,7 @@ mod tests {
     fn every_technology_drives_the_same_discovery_pipeline() {
         let floor = FloorPlan::retail_store();
         for tech in ProximityTech::ALL {
-            let mut world = ProximityWorld::from_floor(&floor, "acme", tech.channel(9));
+            let mut world = ProximityWorld::from_floor(&floor, "acme", channel(tech, 9));
             world.period_s = tech.period_s();
             let mut modem = Modem::new();
             modem.subscribe(SubscriptionFilter::service_wide("acme"));
@@ -155,7 +155,7 @@ mod tests {
     fn ble_hears_fewer_landmarks_than_lte_direct() {
         let floor = FloorPlan::retail_store();
         let hear_count = |tech: ProximityTech| {
-            let world = ProximityWorld::from_floor(&floor, "acme", tech.channel(4));
+            let world = ProximityWorld::from_floor(&floor, "acme", channel(tech, 4));
             let mut modem = Modem::new();
             modem.subscribe(SubscriptionFilter::service_wide("acme"));
             // Count over several occasions from a far corner of the store

@@ -96,11 +96,6 @@ impl FittedPathLoss {
         Ok(FittedPathLoss { alpha, beta })
     }
 
-    /// Predicted received power at distance `d`.
-    pub fn rx_power_dbm(&self, d: f64) -> f64 {
-        self.alpha + self.beta * d.max(0.1).log10()
-    }
-
     /// Predicted distance for a received power reading. Distances are
     /// clamped to `[0.1, 1000]` m — extrapolating a noisy regression beyond
     /// that is meaningless indoors.

@@ -64,14 +64,6 @@ impl Rect {
         p.x >= self.min.x && p.x < self.max.x && p.y >= self.min.y && p.y < self.max.y
     }
 
-    /// Geometric centre.
-    pub fn center(&self) -> Point {
-        Point::new(
-            (self.min.x + self.max.x) / 2.0,
-            (self.min.y + self.max.y) / 2.0,
-        )
-    }
-
     /// Width in metres.
     pub fn width(&self) -> f64 {
         self.max.x - self.min.x
@@ -116,7 +108,6 @@ mod tests {
         assert!(r.contains(Point::new(0.0, 0.0)));
         assert!(r.contains(Point::new(9.999, 9.999)));
         assert!(!r.contains(Point::new(10.0, 5.0)));
-        assert_eq!(r.center(), Point::new(5.0, 5.0));
         assert_eq!(r.width(), 10.0);
         assert_eq!(r.height(), 10.0);
     }

@@ -11,7 +11,6 @@ use crate::ids::{Ebi, Imsi, Teid};
 use crate::log::MsgLog;
 use crate::qci::Qci;
 use crate::radio::{self, port, RadioPayload, RadioScheduler};
-use crate::timers::Timers;
 use crate::wire::{ControlMsg, ErabSetup};
 use crate::{gtpu, tft::Tft};
 use acacia_simnet::packet::Packet;
@@ -176,6 +175,19 @@ pub mod token {
     pub const HO_GUARD_BASE: u64 = 1 << 32;
 }
 
+/// Guard before retransmitting an unanswered X2 Handover Request (the
+/// TX2RELOCprep analogue; see DESIGN.md's substitution ledger).
+const X2_PREP_GUARD: Duration = Duration::from_millis(60);
+/// Guard on the forwarding phase: if the target never signals UE Context
+/// Release, the source gives up and releases locally (TX2RELOCoverall
+/// analogue).
+const HO_OVERALL_GUARD: Duration = Duration::from_millis(1500);
+/// Guard before retransmitting an unanswered Path Switch Request.
+const PATH_SWITCH_GUARD: Duration = Duration::from_millis(120);
+/// Transmissions of X2 Handover Request / Path Switch Request before the
+/// procedure is abandoned (cancel / core-detour fallback).
+const HO_MAX_ATTEMPTS: u32 = 3;
+
 /// The eNB node.
 pub struct Enb {
     /// Control/S1 address of this eNB.
@@ -200,9 +212,6 @@ pub struct Enb {
     /// `None` disables the mechanism (procedures driven by the harness).
     pub auto_idle: Option<acacia_simnet::time::Duration>,
     log: MsgLog,
-    /// Guard/retry intervals ([`crate::timers::Timers`]); the defaults
-    /// reproduce the historical hard-coded constants.
-    pub timers: Timers,
     /// X2 neighbours (peer cells).
     x2_peers: Vec<X2Peer>,
     /// Outgoing handovers in progress, keyed by UE.
@@ -248,9 +257,12 @@ pub struct Enb {
     pub reest_in: u64,
 }
 
+// One per cell; its guard timers are constants, not a per-eNB copy.
+const _: () = assert!(std::mem::size_of::<Enb>() <= 464);
+
 impl Enb {
     /// New eNB.
-    pub fn new(addr: Ipv4Addr, mme_addr: Ipv4Addr, dl_rate_bps: u64, log: MsgLog) -> Enb {
+    pub(crate) fn new(addr: Ipv4Addr, mme_addr: Ipv4Addr, log: MsgLog) -> Enb {
         Enb {
             addr,
             mme_addr,
@@ -260,10 +272,9 @@ impl Enb {
             radio_rows: RowIndex::default(),
             bearers: Vec::new(),
             next_teid: 0x3000,
-            dl: RadioScheduler::new(dl_rate_bps),
+            dl: RadioScheduler::new(radio::params::DL_RATE),
             auto_idle: None,
             log,
-            timers: Timers::default(),
             x2_peers: Vec::new(),
             ho: BTreeMap::new(),
             ho_in: BTreeMap::new(),
@@ -288,7 +299,12 @@ impl Enb {
 
     /// Register an X2 neighbour cell reachable via `port`. Measurement
     /// reports identify targets by their radio address.
-    pub fn add_x2_neighbor(&mut self, radio_addr: Ipv4Addr, enb_addr: Ipv4Addr, port: PortId) {
+    pub(crate) fn add_x2_neighbor(
+        &mut self,
+        radio_addr: Ipv4Addr,
+        enb_addr: Ipv4Addr,
+        port: PortId,
+    ) {
         self.x2_peers.push(X2Peer {
             radio_addr,
             enb_addr,
@@ -297,7 +313,7 @@ impl Enb {
     }
 
     /// Register a UE served by this eNB; returns its radio port.
-    pub fn add_ue(&mut self, imsi: Imsi, radio_addr: Ipv4Addr) -> PortId {
+    pub(crate) fn add_ue(&mut self, imsi: Imsi, radio_addr: Ipv4Addr) -> PortId {
         let row = self.ues.len();
         let radio_port = port::ENB_RADIO_BASE + row;
         self.ue_rows.insert(imsi, row);
@@ -314,13 +330,8 @@ impl Enb {
     }
 
     /// Register an S1-U gateway reachable via `out_port`.
-    pub fn add_s1_gateway(&mut self, gw_addr: Ipv4Addr, out_port: PortId) {
+    pub(crate) fn add_s1_gateway(&mut self, gw_addr: Ipv4Addr, out_port: PortId) {
         self.s1_ports.insert(gw_addr, out_port);
-    }
-
-    /// Bearer state for inspection.
-    pub fn bearers(&self) -> &[EnbBearer] {
-        &self.bearers
     }
 
     /// Handover procedures still open at this eNB (source + target side).
@@ -494,7 +505,7 @@ impl Enb {
             bearers,
             txid,
         };
-        let guard = self.arm_guard(ctx, self.timers.x2_prep_guard);
+        let guard = self.arm_guard(ctx, X2_PREP_GUARD);
         self.ho.insert(
             imsi,
             HoPhase::Preparing {
@@ -533,7 +544,7 @@ impl Enb {
             erabs,
             txid,
         };
-        let guard = self.arm_guard(ctx, self.timers.path_switch_guard);
+        let guard = self.arm_guard(ctx, PATH_SWITCH_GUARD);
         if let Some(hin) = self.ho_in.get_mut(&imsi) {
             hin.ps = Some(PsState {
                 attempts: 1,
@@ -687,7 +698,7 @@ impl Enb {
                         ul_count: self.ul_forwarded as u32,
                     },
                 );
-                let guard = self.arm_guard(ctx, self.timers.ho_overall_guard);
+                let guard = self.arm_guard(ctx, HO_OVERALL_GUARD);
                 self.ho.insert(
                     imsi,
                     HoPhase::Forwarding {
@@ -842,8 +853,8 @@ impl Enb {
             else {
                 return;
             };
-            if attempts < self.timers.ho_max_attempts {
-                let new_guard = self.arm_guard(ctx, self.timers.x2_prep_guard);
+            if attempts < HO_MAX_ATTEMPTS {
+                let new_guard = self.arm_guard(ctx, X2_PREP_GUARD);
                 if let Some(HoPhase::Preparing {
                     attempts, guard, ..
                 }) = self.ho.get_mut(&imsi)
@@ -889,8 +900,8 @@ impl Enb {
                 let ps = self.ho_in[&imsi].ps.as_ref().expect("matched above");
                 (ps.attempts, ps.request.clone())
             };
-            if attempts < self.timers.ho_max_attempts {
-                let new_guard = self.arm_guard(ctx, self.timers.path_switch_guard);
+            if attempts < HO_MAX_ATTEMPTS {
+                let new_guard = self.arm_guard(ctx, PATH_SWITCH_GUARD);
                 if let Some(ps) = self.ho_in.get_mut(&imsi).and_then(|h| h.ps.as_mut()) {
                     ps.attempts += 1;
                     ps.guard = new_guard;

@@ -20,7 +20,7 @@ use std::net::Ipv4Addr;
 pub mod mme_port {
     use super::PortId;
     /// S1AP to the first eNB (additional eNBs get ports from
-    /// [`super::Mme::register_enb`], starting right after `HSS`).
+    /// `super::Mme::register_enb`, starting right after `HSS`).
     pub const ENB: PortId = 0;
     /// GTP-C to the GW-C.
     pub const GWC: PortId = 1;
@@ -102,7 +102,7 @@ impl Mme {
 
     /// Register an additional eNB; returns the MME port its S1AP link must
     /// be connected to.
-    pub fn register_enb(&mut self, enb_addr: Ipv4Addr) -> PortId {
+    pub(crate) fn register_enb(&mut self, enb_addr: Ipv4Addr) -> PortId {
         let port = mme_port::HSS + self.enbs.len();
         self.enbs.push((enb_addr, port));
         port
@@ -114,11 +114,6 @@ impl Mme {
             .get(&imsi)
             .map(|c| c.state.clone())
             .unwrap_or(MmeUeState::Unknown)
-    }
-
-    /// The eNB currently serving a UE, if the MME has heard of it.
-    pub fn serving_enb(&self, imsi: Imsi) -> Option<Ipv4Addr> {
-        self.ues.get(&imsi).map(|c| c.enb_addr)
     }
 
     fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst: Ipv4Addr, msg: ControlMsg) {
@@ -442,11 +437,6 @@ impl Hss {
             answered: 0,
         }
     }
-
-    /// Provision another subscriber.
-    pub fn add_subscriber(&mut self, imsi: Imsi) {
-        self.subscribers.insert(imsi);
-    }
 }
 
 impl Node for Hss {
@@ -576,7 +566,7 @@ pub struct LocalGw {
 
 impl LocalGw {
     /// Output port toward `enb`.
-    pub fn port_for(&self, enb: Ipv4Addr) -> usize {
+    pub(crate) fn port_for(&self, enb: Ipv4Addr) -> usize {
         self.enb_ports
             .iter()
             .find(|&&(a, _)| a == enb)
@@ -585,7 +575,7 @@ impl LocalGw {
     }
 
     /// Does `enb` have a direct path to this GW-U?
-    pub fn serves_enb(&self, enb: Ipv4Addr) -> bool {
+    pub(crate) fn serves_enb(&self, enb: Ipv4Addr) -> bool {
         self.enbs.is_empty() || self.enbs.contains(&enb)
     }
 }
@@ -616,7 +606,7 @@ pub struct GwTopology {
 
 impl GwTopology {
     /// SGW-U output port toward `enb`.
-    pub fn sgw_port_for(&self, enb: Ipv4Addr) -> usize {
+    pub(crate) fn sgw_port_for(&self, enb: Ipv4Addr) -> usize {
         self.sgw_enb_ports
             .iter()
             .find(|&&(a, _)| a == enb)
@@ -625,7 +615,7 @@ impl GwTopology {
     }
 
     /// The local GW-U site anchoring `server`, if any.
-    pub fn local_for_server(&self, server: Ipv4Addr) -> Option<&LocalGw> {
+    pub(crate) fn local_for_server(&self, server: Ipv4Addr) -> Option<&LocalGw> {
         self.locals.iter().find(|g| g.servers.contains(&server))
     }
 }
@@ -755,7 +745,7 @@ impl GwControl {
 
     /// Mutable access to the data-plane topology (used when servers are
     /// added after construction).
-    pub fn topology_mut(&mut self) -> &mut GwTopology {
+    pub(crate) fn topology_mut(&mut self) -> &mut GwTopology {
         &mut self.topo
     }
 

@@ -39,34 +39,19 @@ impl std::fmt::Display for Imsi {
 #[derive(Debug, Default)]
 pub struct Allocator {
     next_teid: u32,
-    next_ebi: u8,
 }
 
 impl Allocator {
     /// Fresh allocator.
-    pub fn new() -> Allocator {
-        Allocator {
-            next_teid: 0x1000,
-            next_ebi: Ebi::DEFAULT.0,
-        }
+    pub(crate) fn new() -> Allocator {
+        Allocator { next_teid: 0x1000 }
     }
 
     /// Allocate a TEID.
-    pub fn teid(&mut self) -> Teid {
+    pub(crate) fn teid(&mut self) -> Teid {
         let t = Teid(self.next_teid);
         self.next_teid += 1;
         t
-    }
-
-    /// Allocate an EBI (wraps at 15, the 4-bit ceiling, back to 5).
-    pub fn ebi(&mut self) -> Ebi {
-        let e = Ebi(self.next_ebi);
-        self.next_ebi = if self.next_ebi >= 15 {
-            5
-        } else {
-            self.next_ebi + 1
-        };
-        e
     }
 }
 
@@ -81,24 +66,6 @@ mod tests {
         let t2 = a.teid();
         assert_ne!(t1, t2);
         assert!(t2.0 > t1.0);
-    }
-
-    #[test]
-    fn first_ebi_is_the_default_bearer() {
-        let mut a = Allocator::new();
-        assert_eq!(a.ebi(), Ebi::DEFAULT);
-        assert_eq!(a.ebi(), Ebi(6));
-    }
-
-    #[test]
-    fn ebi_wraps_within_four_bits() {
-        let mut a = Allocator::new();
-        let mut last = Ebi(0);
-        for _ in 0..20 {
-            last = a.ebi();
-            assert!((5..=15).contains(&last.0));
-        }
-        let _ = last;
     }
 
     #[test]

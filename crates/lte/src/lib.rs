@@ -52,7 +52,6 @@ pub mod qci;
 pub mod radio;
 pub mod switch;
 pub mod tft;
-pub mod timers;
 pub mod ue;
 pub mod wire;
 
@@ -62,14 +61,13 @@ pub use network::{LteConfig, LteNetwork};
 pub use qci::Qci;
 pub use switch::{FlowSwitch, SwitchCosts};
 pub use tft::{Direction, PacketFilter, Tft};
-pub use timers::Timers;
 pub use wire::{ControlMsg, PolicyRule, Protocol};
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::ids::{Ebi, Imsi, Teid};
     pub use crate::log::MsgLog;
-    pub use crate::mobility::{A3Config, CellSite, Trajectory, Waypoint};
+    pub use crate::mobility::{CellSite, Trajectory, Waypoint};
     pub use crate::network::{addr, CellConfig, LteConfig, LteNetwork};
     pub use crate::qci::Qci;
     pub use crate::switch::{FlowSwitch, SwitchCosts};

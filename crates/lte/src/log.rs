@@ -194,6 +194,7 @@ impl MsgLog {
 mod tests {
     use super::*;
     use crate::ids::Imsi;
+    use crate::wire::KINDS;
 
     #[test]
     fn log_aggregates_by_protocol() {
@@ -255,11 +256,11 @@ mod tests {
         log.record(Instant::from_millis(9), &release);
         let rows = log.by_name();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].name, attach.name());
+        assert_eq!(rows[0].name, KINDS[attach.kind()].1);
         assert_eq!(
             rows[1],
             MsgTotals {
-                name: release.name(),
+                name: KINDS[release.kind()].1,
                 protocol: Protocol::S1apSctp,
                 count: 2,
                 bytes: 280,

@@ -56,7 +56,7 @@ impl Trajectory {
     /// Build a walk through `waypoints` at `speed_mps`, starting (at the
     /// first waypoint) at simulation time `start`. Panics on an empty
     /// waypoint list or non-positive speed.
-    pub fn new(waypoints: Vec<Waypoint>, speed_mps: f64, start: Instant) -> Trajectory {
+    pub(crate) fn new(waypoints: Vec<Waypoint>, speed_mps: f64, start: Instant) -> Trajectory {
         assert!(!waypoints.is_empty(), "trajectory needs >= 1 waypoint");
         assert!(speed_mps > 0.0, "speed must be positive");
         Trajectory {
@@ -68,7 +68,7 @@ impl Trajectory {
 
     /// Total walking + dwelling time from the first waypoint to rest at
     /// the last (the initial waypoint's dwell counts too).
-    pub fn total_duration(&self) -> Duration {
+    pub(crate) fn total_duration(&self) -> Duration {
         let mut total = self.waypoints[0].dwell;
         for w in self.waypoints.windows(2) {
             let walk = w[0].pos.distance(w[1].pos) / self.speed_mps;
@@ -81,7 +81,7 @@ impl Trajectory {
 
     /// Position at simulation time `now`: clamped to the first waypoint
     /// before `start` and to the last waypoint after the walk completes.
-    pub fn position(&self, now: Instant) -> Point {
+    pub(crate) fn position(&self, now: Instant) -> Point {
         let mut remaining = now.saturating_since(self.start).secs_f64();
         let mut dwell = self.waypoints[0].dwell.secs_f64();
         if remaining <= dwell {
@@ -118,7 +118,7 @@ impl CellSite {
     /// RSRP seen by a UE at `ue_pos`, in centi-dBm. Integer centi-dBm is
     /// what goes on the wire (measurement reports stay float-free and
     /// byte-deterministic).
-    pub fn rsrp_cdbm(&self, ue_pos: Point) -> i32 {
+    pub(crate) fn rsrp_cdbm(&self, ue_pos: Point) -> i32 {
         (self.model.rx_power_dbm(self.pos.distance(ue_pos)) * 100.0).round() as i32
     }
 }
@@ -126,25 +126,23 @@ impl CellSite {
 /// A3-event parameters (3GPP 36.331 §5.5.4.4, simplified: offset folded
 /// into the hysteresis).
 #[derive(Debug, Clone, Copy)]
-pub struct A3Config {
+pub(crate) struct A3Config {
     /// Neighbour must beat serving by this margin, centi-dB.
-    pub hysteresis_cdb: i32,
+    pub(crate) hysteresis_cdb: i32,
     /// The margin must hold continuously for this long before a
     /// measurement report fires.
-    pub time_to_trigger: Duration,
+    pub(crate) time_to_trigger: Duration,
     /// Measurement sampling interval.
-    pub interval: Duration,
+    pub(crate) interval: Duration,
 }
 
-impl Default for A3Config {
-    fn default() -> A3Config {
-        A3Config {
-            hysteresis_cdb: 300, // 3 dB
-            time_to_trigger: Duration::from_millis(256),
-            interval: Duration::from_millis(120),
-        }
-    }
-}
+/// The A3 parameters every moving UE measures with: a 3 dB hysteresis,
+/// a 256 ms time-to-trigger, one sample every 120 ms.
+pub(crate) const A3: A3Config = A3Config {
+    hysteresis_cdb: 300,
+    time_to_trigger: Duration::from_millis(256),
+    interval: Duration::from_millis(120),
+};
 
 /// Tracks the A3 entering condition across measurement samples and fires
 /// once the time-to-trigger elapses.
@@ -157,17 +155,16 @@ pub struct A3Tracker {
 impl A3Tracker {
     /// Feed one measurement sample taken at `pos`: the RSRP of each of
     /// `sites`, of which `sites[serving]` is the serving cell. Returns
-    /// `Some(target_index)` when a neighbour has been offset-better for at
-    /// least `cfg.time_to_trigger`.
-    pub fn observe(
+    /// `Some(target_index)` when a neighbour has been offset-better (by
+    /// [`A3`]'s hysteresis) for at least its time-to-trigger.
+    pub(crate) fn observe(
         &mut self,
-        cfg: &A3Config,
         now: Instant,
         serving: usize,
         sites: &[CellSite],
         pos: Point,
     ) -> Option<usize> {
-        self.observe_rsrp(cfg, now, serving, sites.len(), |i| sites[i].rsrp_cdbm(pos))
+        self.observe_rsrp(&A3, now, serving, sites.len(), |i| sites[i].rsrp_cdbm(pos))
     }
 
     /// [`A3Tracker::observe`] over `cells` cells whose RSRP, in centi-dBm,
@@ -216,7 +213,7 @@ impl A3Tracker {
 
     /// Forget the tracked candidate (after a handover, or after sending a
     /// report, to avoid duplicate triggers while the network executes).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.candidate = None;
     }
 }
@@ -320,7 +317,7 @@ mod tests {
     /// sample by sample along a walk past three cells.
     #[test]
     fn a3_over_sites_matches_collected_rsrp() {
-        let cfg = A3Config::default();
+        let cfg = A3;
         let sites: Vec<CellSite> = [0.0, 40.0, 80.0]
             .map(|x| CellSite {
                 pos: Point::new(x, 0.0),
@@ -333,7 +330,7 @@ mod tests {
             let now = t(f64::from(step) * 0.12);
             let pos = Point::new(f64::from(step) * 0.5, 3.0);
             let rsrp: Vec<i32> = sites.iter().map(|s| s.rsrp_cdbm(pos)).collect();
-            let got = by_site.observe(&cfg, now, serving, &sites, pos);
+            let got = by_site.observe(now, serving, &sites, pos);
             assert_eq!(
                 got,
                 sample(&mut by_value, &cfg, now, serving, &rsrp),

@@ -16,7 +16,7 @@ use crate::entities::{
 };
 use crate::ids::Imsi;
 use crate::log::MsgLog;
-use crate::mobility::{A3Config, CellSite, Trajectory, Waypoint};
+use crate::mobility::{CellSite, Trajectory, Waypoint};
 use crate::qci::Qci;
 use crate::radio::{params, port};
 use crate::switch::{FlowSwitch, SwitchCosts};
@@ -63,17 +63,17 @@ pub mod addr {
     pub const BG_SOURCE: Ipv4Addr = Ipv4Addr::new(10, 9, 0, 1);
 
     /// S1/control address of the eNB serving cell `i` (cell 0 is [`ENB`]).
-    pub fn enb(i: usize) -> Ipv4Addr {
+    pub(crate) fn enb(i: usize) -> Ipv4Addr {
         Ipv4Addr::from(u32::from(ENB) + i as u32)
     }
 
     /// Radio-side address of the eNB serving cell `i`.
-    pub fn enb_radio(i: usize) -> Ipv4Addr {
+    pub(crate) fn enb_radio(i: usize) -> Ipv4Addr {
         Ipv4Addr::from(u32::from(ENB_RADIO) + i as u32)
     }
 
     /// Address of local GW-U site `s` (site 0 is [`LOCAL_GWU`]).
-    pub fn local_gwu(s: usize) -> Ipv4Addr {
+    pub(crate) fn local_gwu(s: usize) -> Ipv4Addr {
         Ipv4Addr::from(u32::from(LOCAL_GWU) + s as u32)
     }
 
@@ -83,6 +83,18 @@ pub mod addr {
         Ipv4Addr::from(u32::from(MEC_BASE) + ((s as u32) << 8) + k as u32)
     }
 }
+
+/// One-way eNB ↔ SGW-U backhaul delay; the X2 mesh between eNBs uses it
+/// too.
+const BACKHAUL_DELAY: Duration = Duration::from_micros(1_000);
+/// One-way SGW-U ↔ PGW-U delay (the paper's "hierarchical routing in the
+/// core network" inflation).
+const CORE_DELAY: Duration = Duration::from_micros(5_000);
+/// One-way PGW-U ↔ Internet-exchange delay.
+const INET_DELAY: Duration = Duration::from_micros(500);
+/// One-way eNB ↔ local GW-U delay (MEC placement: the paper measures the
+/// eNB↔MEC RTT at ~1.6 ms).
+const MEC_DELAY: Duration = Duration::from_micros(400);
 
 /// One cell of the radio topology.
 #[derive(Debug, Clone, Copy)]
@@ -103,37 +115,13 @@ pub struct CellConfig {
 pub struct LteConfig {
     /// Simulation seed.
     pub seed: u64,
-    /// Uplink air rate, bits/s.
-    pub ul_rate_bps: u64,
-    /// Downlink air rate, bits/s.
-    pub dl_rate_bps: u64,
-    /// One-way eNB ↔ SGW-U backhaul delay.
-    pub backhaul_delay: Duration,
-    /// One-way SGW-U ↔ PGW-U delay (the paper's "hierarchical routing in
-    /// the core network" inflation).
-    pub core_delay: Duration,
-    /// One-way PGW-U ↔ Internet-exchange delay.
-    pub inet_delay: Duration,
     /// Capacity of the SGW↔PGW and PGW↔internet links, bits/s.
     pub core_rate_bps: u64,
     /// Queue bound on the core links, bytes (bufferbloat knob for
     /// Fig. 3(g)/10(b)).
     pub core_queue_bytes: u64,
-    /// One-way eNB ↔ local GW-U delay (MEC placement: paper measures the
-    /// eNB↔MEC RTT at ~1.6 ms).
-    pub mec_delay: Duration,
-    /// Processing model of the core GW-Us.
-    pub core_switch_costs: SwitchCosts,
-    /// Processing model of the local GW-U.
-    pub local_switch_costs: SwitchCosts,
     /// Subscribers to provision (one UE node each).
     pub ue_count: usize,
-    /// Independent per-frame loss probability on the radio links (fault
-    /// injection; residual loss after HARQ in a real deployment). Note:
-    /// real LTE carries RRC/NAS on acknowledged-mode RLC, so prefer
-    /// attaching first and injecting loss afterwards via
-    /// [`LteNetwork::set_radio_loss`].
-    pub radio_loss: f64,
     /// Automatic inactivity release at the eNB (the paper's 11.576 s
     /// timer; see [`crate::overhead::IDLE_TIMEOUT`]). `None` = procedures
     /// are driven explicitly by the harness.
@@ -151,10 +139,6 @@ pub struct LteConfig {
     /// near-linear shard scaling: a single local GW-U serializes every
     /// region's MEC traffic onto one shard.
     pub local_gw_per_region: bool,
-    /// Path-loss model shared by all cells (RSRP ground truth).
-    pub pathloss: PathLossModel,
-    /// A3 handover-event parameters for moving UEs.
-    pub a3: A3Config,
     /// Route MEC-server traffic from the Internet exchange through the
     /// local GW-U ("core detour"): lets a UE that lost its dedicated
     /// bearer still reach MEC servers over the default bearer, at core-
@@ -166,18 +150,9 @@ impl Default for LteConfig {
     fn default() -> LteConfig {
         LteConfig {
             seed: 1,
-            ul_rate_bps: params::UL_RATE_EXCELLENT,
-            dl_rate_bps: params::DL_RATE,
-            backhaul_delay: Duration::from_micros(1_000),
-            core_delay: Duration::from_micros(5_000),
-            inet_delay: Duration::from_micros(500),
             core_rate_bps: 1_000_000_000,
             core_queue_bytes: 4 * 1024 * 1024,
-            mec_delay: Duration::from_micros(400),
-            core_switch_costs: SwitchCosts::acacia_ovs(),
-            local_switch_costs: SwitchCosts::acacia_ovs(),
             ue_count: 1,
-            radio_loss: 0.0,
             auto_idle: None,
             cells: vec![CellConfig {
                 pos: Point::new(0.0, 0.0),
@@ -186,8 +161,6 @@ impl Default for LteConfig {
             }],
             ue_cells: Vec::new(),
             local_gw_per_region: false,
-            pathloss: PathLossModel::indoor_default(),
-            a3: A3Config::default(),
             core_detour: false,
         }
     }
@@ -363,7 +336,7 @@ impl LteNetwork {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let mut e = Enb::new(addr::enb(i), addr::MME, cfg.dl_rate_bps, log.clone());
+                let mut e = Enb::new(addr::enb(i), addr::MME, log.clone());
                 e.auto_idle = cfg.auto_idle;
                 e.add_s1_gateway(addr::SGW_U, port::ENB_S1_CORE);
                 if c.mec {
@@ -415,7 +388,7 @@ impl LteNetwork {
             .collect();
         let enb = enbs[0];
         // X2 mesh (direct eNB↔eNB, backhaul-class links).
-        let x2 = LinkConfig::rate_limited(cfg.core_rate_bps, cfg.backhaul_delay)
+        let x2 = LinkConfig::rate_limited(cfg.core_rate_bps, BACKHAUL_DELAY)
             .with_queue(cfg.core_queue_bytes);
         for i in 0..cells.len() {
             for j in (i + 1)..cells.len() {
@@ -428,12 +401,10 @@ impl LteNetwork {
         }
 
         let mut ues = Vec::new();
-        let air = LinkConfig::delay_only(params::AIR_LATENCY)
-            .with_jitter(params::AIR_JITTER)
-            .with_loss(cfg.radio_loss);
+        let air = LinkConfig::delay_only(params::AIR_LATENCY).with_jitter(params::AIR_JITTER);
         for (i, &(imsi, radio_addr)) in ue_nodes.iter().enumerate() {
             let vis = &ue_vis[i];
-            let mut ue_node = Ue::new(imsi, radio_addr, addr::enb_radio(vis[0]), cfg.ul_rate_bps);
+            let mut ue_node = Ue::new(imsi, radio_addr, addr::enb_radio(vis[0]));
             for &c in &vis[1..] {
                 ue_node.add_cell(addr::enb_radio(c));
             }
@@ -502,13 +473,13 @@ impl LteNetwork {
             core_region,
         );
 
-        let mut sgw_u_node = FlowSwitch::new(addr::SGW_U, cfg.core_switch_costs);
+        let mut sgw_u_node = FlowSwitch::new(addr::SGW_U, SwitchCosts::acacia_ovs());
         // The SGW buffers downlink data for idle UEs and raises Downlink
         // Data Notifications (its paging role).
         sgw_u_node.paging_enabled = true;
         let sgw_u = sim.add_node_in_region(Box::new(sgw_u_node), core_region);
         let pgw_u = sim.add_node_in_region(
-            Box::new(FlowSwitch::new(addr::PGW_U, cfg.core_switch_costs)),
+            Box::new(FlowSwitch::new(addr::PGW_U, SwitchCosts::acacia_ovs())),
             core_region,
         );
 
@@ -517,7 +488,10 @@ impl LteNetwork {
         let mut local_sites = Vec::new();
         for (s, &region) in site_regions.iter().enumerate() {
             let gwu = sim.add_node_in_region(
-                Box::new(FlowSwitch::new(addr::local_gwu(s), cfg.local_switch_costs)),
+                Box::new(FlowSwitch::new(
+                    addr::local_gwu(s),
+                    SwitchCosts::acacia_ovs(),
+                )),
                 region,
             );
             let router = sim.add_node_in_region(
@@ -571,14 +545,13 @@ impl LteNetwork {
         }
 
         // User plane.
-        let backhaul = LinkConfig::rate_limited(cfg.core_rate_bps, cfg.backhaul_delay)
+        let backhaul = LinkConfig::rate_limited(cfg.core_rate_bps, BACKHAUL_DELAY)
             .with_queue(cfg.core_queue_bytes);
-        let core = LinkConfig::rate_limited(cfg.core_rate_bps, cfg.core_delay)
+        let core = LinkConfig::rate_limited(cfg.core_rate_bps, CORE_DELAY)
             .with_queue(cfg.core_queue_bytes);
-        let inet = LinkConfig::rate_limited(cfg.core_rate_bps, cfg.inet_delay)
+        let inet = LinkConfig::rate_limited(cfg.core_rate_bps, INET_DELAY)
             .with_queue(cfg.core_queue_bytes);
-        let mec =
-            LinkConfig::rate_limited(1_000_000_000, cfg.mec_delay).with_queue(4 * 1024 * 1024);
+        let mec = LinkConfig::rate_limited(1_000_000_000, MEC_DELAY).with_queue(4 * 1024 * 1024);
         for (i, &enb_i) in enbs.iter().enumerate() {
             let sgw_port = if i == 0 { 1 } else { 3 + i };
             sim.connect(
@@ -640,7 +613,7 @@ impl LteNetwork {
     }
 
     /// IMSI of UE `i`.
-    pub fn imsi(&self, i: usize) -> Imsi {
+    pub(crate) fn imsi(&self, i: usize) -> Imsi {
         Imsi(310_410_000_000_001 + i as u64)
     }
 
@@ -808,7 +781,7 @@ impl LteNetwork {
             return;
         }
         self.mec_core_routes = true;
-        let inet = LinkConfig::rate_limited(self.cfg.core_rate_bps, self.cfg.inet_delay)
+        let inet = LinkConfig::rate_limited(self.cfg.core_rate_bps, INET_DELAY)
             .with_queue(self.cfg.core_queue_bytes);
         // Snapshot attached UE addresses per region (region = camp cell's
         // region, which is also the UE node's shard region).
@@ -1035,7 +1008,7 @@ impl LteNetwork {
             .iter()
             .map(|&c| CellSite {
                 pos: self.cfg.cells[c].pos,
-                model: self.cfg.pathloss,
+                model: PathLossModel::indoor_default(),
             })
             .collect();
         let now = self.sim.now();
@@ -1043,10 +1016,9 @@ impl LteNetwork {
         // Keep measuring a little past the walk so trailing handovers
         // (e.g. at the final waypoint) still trigger, then go quiet.
         let measure_until = now + trajectory.total_duration() + Duration::from_secs(5);
-        let a3 = self.cfg.a3;
         let ue = self.ues[ue_idx];
         self.sim.node_mut::<Ue>(ue).mobility =
-            Some(UeMobility::new(trajectory, sites, a3, measure_until));
+            Some(UeMobility::new(trajectory, sites, measure_until));
         self.sim.schedule_timer(ue, now, ue_token::MEASURE);
     }
 
@@ -1062,7 +1034,7 @@ impl LteNetwork {
     }
 
     /// Transmit endpoint of the S1AP link direction: MME → eNB `cell`.
-    pub fn s1ap_downlink(&self, cell: usize) -> (NodeId, PortId) {
+    pub(crate) fn s1ap_downlink(&self, cell: usize) -> (NodeId, PortId) {
         (self.mme, self.mme_ports[cell])
     }
 

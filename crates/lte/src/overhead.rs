@@ -14,11 +14,6 @@ use acacia_simnet::time::Duration;
 /// cites 11.576 s, measured by Huang et al. on a commercial network).
 pub const IDLE_TIMEOUT: Duration = Duration::from_micros(11_576_000);
 
-/// The idle timer after which LTE releases a device's bearers.
-pub fn idle_timeout() -> Duration {
-    IDLE_TIMEOUT
-}
-
 /// On-the-wire bytes of one default-bearer release + re-establish cycle,
 /// as measured by running the real procedures (§4: 2914 bytes).
 pub const CYCLE_BYTES: u64 = 2914;
@@ -27,53 +22,6 @@ pub const CYCLE_BYTES: u64 = 2914;
 /// Fig. 5 steps 2–4: Rx + Gx + CreateBearer pair + E-RAB setup pair + two
 /// flow-mods), from the calibrated wire-size table.
 pub const DEDICATED_SETUP_BYTES: u64 = 320 + 340 + 240 + 130 + 300 + 130 + 190 + 180 + 2 * 400;
-
-/// How a device manages its MEC bearer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BearerPolicy {
-    /// ACACIA: create the dedicated bearer only on a service match.
-    OnDemand {
-        /// MEC sessions actually started per day.
-        service_matches_per_day: u32,
-    },
-    /// Strawman: keep a dedicated MEC bearer provisioned at all times; it
-    /// is released and re-established together with the default bearer at
-    /// every idle cycle.
-    AlwaysOn,
-}
-
-/// Daily control-plane bytes for a device experiencing
-/// `idle_cycles_per_day` release/re-establish events under `policy`.
-///
-/// The paper's §4 anchors: at 929 cycles/day a single always-on extra
-/// bearer costs ~2.58 MB/day; at the 7200-cycle worst case ~20 MB/day.
-pub fn control_bytes_per_day(policy: BearerPolicy, idle_cycles_per_day: u32) -> u64 {
-    match policy {
-        BearerPolicy::OnDemand {
-            service_matches_per_day,
-        } => {
-            // The default bearer pays the cycles regardless; MEC costs only
-            // per actual session.
-            u64::from(idle_cycles_per_day) * CYCLE_BYTES
-                + u64::from(service_matches_per_day) * DEDICATED_SETUP_BYTES
-        }
-        BearerPolicy::AlwaysOn => {
-            // Both bearers cycle: double the per-cycle batch.
-            u64::from(idle_cycles_per_day) * CYCLE_BYTES * 2
-        }
-    }
-}
-
-/// Extra daily bytes the always-on policy pays over on-demand.
-pub fn always_on_penalty(idle_cycles_per_day: u32, service_matches_per_day: u32) -> i64 {
-    control_bytes_per_day(BearerPolicy::AlwaysOn, idle_cycles_per_day) as i64
-        - control_bytes_per_day(
-            BearerPolicy::OnDemand {
-                service_matches_per_day,
-            },
-            idle_cycles_per_day,
-        ) as i64
-}
 
 #[cfg(test)]
 mod tests {
@@ -91,12 +39,21 @@ mod tests {
         assert!((19e6..22e6).contains(&(worst_extra as f64)));
     }
 
+    /// Extra daily bytes an always-on MEC bearer pays over ACACIA's
+    /// on-demand one: the always-on bearer cycles with the default bearer
+    /// (one more batch per cycle), while on-demand pays one dedicated-bearer
+    /// setup per MEC session.
+    fn always_on_penalty(idle_cycles_per_day: u64, service_matches_per_day: u64) -> i64 {
+        (idle_cycles_per_day * CYCLE_BYTES) as i64
+            - (service_matches_per_day * DEDICATED_SETUP_BYTES) as i64
+    }
+
     #[test]
     fn on_demand_wins_for_realistic_usage() {
         // A shopper starts a handful of MEC sessions a day; the phone
         // cycles idle hundreds of times.
-        for cycles in [929u32, 7_200] {
-            for matches in [0u32, 3, 10, 50] {
+        for cycles in [929, 7_200] {
+            for matches in [0, 3, 10, 50] {
                 let penalty = always_on_penalty(cycles, matches);
                 assert!(
                     penalty > 0,
@@ -110,14 +67,14 @@ mod tests {
     fn break_even_point_is_implausibly_high() {
         // On-demand only loses if the user starts more MEC sessions per
         // day than the phone has idle cycles × (CYCLE/SETUP) — hundreds.
-        let cycles = 929u32;
-        let break_even = (u64::from(cycles) * CYCLE_BYTES / DEDICATED_SETUP_BYTES) as u32;
+        let cycles = 929;
+        let break_even = cycles * CYCLE_BYTES / DEDICATED_SETUP_BYTES;
         assert!(break_even > 700, "break-even at {break_even} sessions/day");
         assert!(always_on_penalty(cycles, break_even + 1) < 0);
     }
 
     #[test]
     fn idle_timeout_matches_paper() {
-        assert_eq!(idle_timeout().millis(), 11_576);
+        assert_eq!(IDLE_TIMEOUT.millis(), 11_576);
     }
 }

@@ -61,11 +61,6 @@ impl Qci {
         }
     }
 
-    /// Is this a guaranteed-bit-rate class?
-    pub fn is_gbr(&self) -> bool {
-        (1..=4).contains(&self.0)
-    }
-
     /// DSCP/TOS byte used to mark this class's packets in the data plane.
     ///
     /// Monotone mapping: higher scheduling priority (smaller number) ⇒
@@ -110,10 +105,9 @@ mod tests {
 
     #[test]
     fn gbr_classification() {
-        assert!(Qci(1).is_gbr());
-        assert!(Qci(4).is_gbr());
+        // QCIs 1-4 are the guaranteed-bit-rate classes.
         for q in Qci::NON_GBR {
-            assert!(!q.is_gbr());
+            assert!(!(1..=4).contains(&q.0));
         }
     }
 

@@ -160,16 +160,6 @@ impl RadioScheduler {
         }
     }
 
-    /// Configured rate in bits/s.
-    pub fn rate_bps(&self) -> u64 {
-        self.rate_bps
-    }
-
-    /// Change the transmission rate (affects future frames).
-    pub fn set_rate(&mut self, rate_bps: u64) {
-        self.rate_bps = rate_bps;
-    }
-
     /// Offer a frame with scheduling `priority`; arms `token` on `ctx` at
     /// the instant the frame finishes serialization. Returns `false` when
     /// the frame was dropped at the queue.
@@ -227,8 +217,6 @@ pub mod params {
 
     /// Uplink air rate with excellent signal (Fig. 3(d): ~12 Mbps).
     pub const UL_RATE_EXCELLENT: u64 = 12_000_000;
-    /// Uplink air rate with fair signal (2/4 bars).
-    pub const UL_RATE_FAIR: u64 = 6_000_000;
     /// Downlink air rate.
     pub const DL_RATE: u64 = 40_000_000;
     /// One-way air propagation + HARQ/scheduling latency.

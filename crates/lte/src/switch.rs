@@ -174,7 +174,7 @@ impl FlowSwitch {
     }
 
     /// Remove rules matching the spec exactly.
-    pub fn remove(&mut self, mtch: &FlowMatchSpec) {
+    pub(crate) fn remove(&mut self, mtch: &FlowMatchSpec) {
         self.rules.retain(|r| &r.mtch != mtch);
         self.cache.clear();
     }

@@ -120,7 +120,7 @@ pub struct Tft {
 
 impl Tft {
     /// Empty (match-nothing) TFT.
-    pub fn new() -> Tft {
+    pub(crate) fn new() -> Tft {
         Tft::default()
     }
 

@@ -9,11 +9,10 @@
 //! else uses the default bearer.
 
 use crate::ids::{Ebi, Imsi};
-use crate::mobility::{A3Config, A3Tracker, CellSite, Trajectory};
+use crate::mobility::{A3Tracker, CellSite, Trajectory, A3};
 use crate::qci::Qci;
 use crate::radio::{self, port, RadioPayload, RadioScheduler};
 use crate::tft::{Direction, Tft};
-use crate::timers::Timers;
 use crate::wire::ControlMsg;
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId, TimerHandle};
@@ -135,8 +134,6 @@ pub struct UeMobility {
     pub trajectory: Trajectory,
     /// Per-cell RSRP ground truth, parallel to the UE's cell list.
     pub sites: Vec<CellSite>,
-    /// A3 event parameters.
-    pub a3_cfg: A3Config,
     /// Stop sampling after this instant (keeps `run_until_idle` usable).
     pub measure_until: Instant,
     a3: A3Tracker,
@@ -144,21 +141,26 @@ pub struct UeMobility {
 
 impl UeMobility {
     /// New mobility state; measurement sampling stops at `measure_until`.
-    pub fn new(
+    pub(crate) fn new(
         trajectory: Trajectory,
         sites: Vec<CellSite>,
-        a3_cfg: A3Config,
         measure_until: Instant,
     ) -> UeMobility {
         UeMobility {
             trajectory,
             sites,
-            a3_cfg,
             measure_until,
             a3: A3Tracker::default(),
         }
     }
 }
+
+/// How long after a measurement report the UE waits for downlink progress
+/// before declaring the serving leg dead and re-establishing on the
+/// reported target (T304 / RLF analogue).
+const T304: Duration = Duration::from_millis(300);
+/// Retry period for unanswered RRC Service Requests.
+const SR_RETRY: Duration = Duration::from_millis(1000);
 
 /// The UE node.
 pub struct Ue {
@@ -178,9 +180,6 @@ pub struct Ue {
     pub bearers: Vec<UeBearer>,
     /// Walk + measurement state (None for a stationary UE).
     pub mobility: Option<UeMobility>,
-    /// Guard/retry intervals ([`crate::timers::Timers`]); the defaults
-    /// reproduce the historical hard-coded constants.
-    pub timers: Timers,
     apps: Vec<(AppSelector, PortId)>,
     ul: RadioScheduler,
     /// Uplink packets buffered while idle, flushed after the service
@@ -222,11 +221,15 @@ pub struct Ue {
     sr_timer: Option<TimerHandle>,
 }
 
+// One per subscriber, kept for the whole run: the recovery timers and the
+// A3 parameters are constants, not per-UE copies.
+const _: () = assert!(std::mem::size_of::<Ue>() <= 472);
+
 impl Ue {
     /// New detached UE, camped on a single cell reachable via
     /// [`port::UE_RADIO`] (multi-cell topologies add more with
-    /// [`Ue::add_cell`]).
-    pub fn new(imsi: Imsi, radio_addr: Ipv4Addr, enb_addr: Ipv4Addr, ul_rate_bps: u64) -> Ue {
+    /// `Ue::add_cell`).
+    pub(crate) fn new(imsi: Imsi, radio_addr: Ipv4Addr, enb_addr: Ipv4Addr) -> Ue {
         Ue {
             imsi,
             radio_addr,
@@ -239,9 +242,8 @@ impl Ue {
             state: UeState::Detached,
             bearers: Vec::new(),
             mobility: None,
-            timers: Timers::default(),
             apps: Vec::new(),
-            ul: RadioScheduler::new(ul_rate_bps),
+            ul: RadioScheduler::new(radio::params::UL_RATE_EXCELLENT),
             idle_buffer: Vec::new(),
             promotions: 0,
             ul_dedicated: 0,
@@ -264,7 +266,7 @@ impl Ue {
 
     /// Register an additional cell; its air link must be connected on UE
     /// port `UE_CELL_BASE + index`. Returns the cell index.
-    pub fn add_cell(&mut self, enb_radio: Ipv4Addr) -> usize {
+    pub(crate) fn add_cell(&mut self, enb_radio: Ipv4Addr) -> usize {
         let idx = self.cells.len();
         self.cells.push(UeCell {
             enb_radio,
@@ -274,7 +276,7 @@ impl Ue {
     }
 
     /// Radio address of the current serving cell's eNB.
-    pub fn serving_enb_addr(&self) -> Ipv4Addr {
+    pub(crate) fn serving_enb_addr(&self) -> Ipv4Addr {
         self.cells[self.serving].enb_radio
     }
 
@@ -285,7 +287,7 @@ impl Ue {
 
     /// Register an app connected on UE port `ue_port` to receive downlink
     /// packets matching `selector`.
-    pub fn register_app(&mut self, selector: AppSelector, ue_port: PortId) {
+    pub(crate) fn register_app(&mut self, selector: AppSelector, ue_port: PortId) {
         assert!(ue_port >= port::UE_APP_BASE, "app ports start at 1");
         self.apps.push((selector, ue_port));
     }
@@ -388,12 +390,11 @@ impl Ue {
         if now > m.measure_until {
             return; // walk over: stop re-arming
         }
-        let interval = m.a3_cfg.interval;
-        ctx.schedule_in(interval, token::MEASURE);
+        ctx.schedule_in(A3.interval, token::MEASURE);
         // Only a connected UE runs connected-mode measurements.
         if self.state == UeState::Connected {
             let pos = m.trajectory.position(now);
-            if let Some(target) = m.a3.observe(&m.a3_cfg, now, self.serving, &m.sites, pos) {
+            if let Some(target) = m.a3.observe(now, self.serving, &m.sites, pos) {
                 let report = ControlMsg::RrcMeasurementReport {
                     imsi: self.imsi,
                     serving_rsrp_cdbm: m.sites[self.serving].rsrp_cdbm(pos),
@@ -417,8 +418,7 @@ impl Ue {
                 if let Some(h) = self.t304_timer.take() {
                     ctx.cancel_timer(h);
                 }
-                self.t304_timer =
-                    Some(ctx.schedule_in_cancellable(self.timers.t304, token::T304_BASE + epoch));
+                self.t304_timer = Some(ctx.schedule_in_cancellable(T304, token::T304_BASE + epoch));
             }
         }
     }
@@ -457,9 +457,8 @@ impl Ue {
         if let Some(h) = self.sr_timer.take() {
             ctx.cancel_timer(h);
         }
-        self.sr_timer = Some(
-            ctx.schedule_in_cancellable(self.timers.sr_retry, token::SR_RETRY_BASE + self.sr_epoch),
-        );
+        self.sr_timer =
+            Some(ctx.schedule_in_cancellable(SR_RETRY, token::SR_RETRY_BASE + self.sr_epoch));
     }
 
     /// Service-request retry fired: if still idle with data waiting, the
@@ -518,7 +517,7 @@ impl Ue {
     /// Remove a dedicated bearer (driven by an E-RAB release relayed over
     /// RRC as a reconfiguration with a match-nothing TFT in real LTE; the
     /// harness calls this directly via the eNB).
-    pub fn remove_bearer(&mut self, ebi: Ebi) {
+    pub(crate) fn remove_bearer(&mut self, ebi: Ebi) {
         self.bearers.retain(|b| b.ebi != ebi);
     }
 }
@@ -621,7 +620,7 @@ impl Node for Ue {
 }
 
 /// Extra latency knob: zero-delay loopback config for app↔UE links.
-pub fn loopback() -> acacia_simnet::link::LinkConfig {
+pub(crate) fn loopback() -> acacia_simnet::link::LinkConfig {
     acacia_simnet::link::LinkConfig::delay_only(Duration::from_micros(50))
 }
 
@@ -636,7 +635,6 @@ mod tests {
             Imsi(1),
             Ipv4Addr::new(192, 168, 0, 2),
             Ipv4Addr::new(192, 168, 0, 1),
-            radio::params::UL_RATE_EXCELLENT,
         );
         ue.ip = Some(Ipv4Addr::new(10, 10, 0, 1));
         ue.state = UeState::Connected;
@@ -684,7 +682,6 @@ mod tests {
             Imsi(1),
             Ipv4Addr::new(192, 168, 0, 2),
             Ipv4Addr::new(192, 168, 0, 1),
-            1_000_000,
         );
         u.apply_rrc(ControlMsg::RrcReconfiguration {
             ebi: Ebi::DEFAULT,

@@ -644,11 +644,6 @@ impl ControlMsg {
         KINDS[self.kind()].0
     }
 
-    /// Short message name for logs.
-    pub fn name(&self) -> &'static str {
-        KINDS[self.kind()].1
-    }
-
     /// Calibrated total on-the-wire size (IP + transport + message) in
     /// bytes. The idle-release + re-establishment sequence sums to the
     /// paper's measured 2914 bytes; see module docs.
@@ -959,7 +954,7 @@ mod tests {
         for (i, (text, name, protocol, spec)) in PAYLOADS.into_iter().enumerate() {
             let msg = ControlMsg::decode(text.as_bytes()).expect(text);
             assert!(i >= samples.len() || samples[i] == msg, "{text}");
-            let catalogued = (msg.name(), msg.protocol(), msg.wire_size_spec());
+            let catalogued = (KINDS[msg.kind()].1, msg.protocol(), msg.wire_size_spec());
             assert_eq!(catalogued, (name, protocol, spec), "{text}");
             assert_eq!(json::encode(b"", &msg), text.as_bytes());
             assert_eq!(ControlMsg::from_packet(&encode(&msg)).as_ref(), Some(&msg));

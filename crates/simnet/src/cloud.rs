@@ -51,7 +51,7 @@ impl Ec2Region {
     /// Per-packet jitter bound of the transit leg. Wide-area paths in the
     /// paper show long tails (Fig. 3(c) reaches 180 ms), which the uniform
     /// jitter here approximates.
-    pub fn jitter(&self) -> Duration {
+    pub(crate) fn jitter(&self) -> Duration {
         match self {
             Ec2Region::California => Duration::from_micros(9_000),
             Ec2Region::Oregon => Duration::from_micros(12_000),

@@ -68,34 +68,12 @@ impl PacketClass {
         PacketClass::default()
     }
 
-    /// Match a protocol number.
-    pub fn protocol(protocol: u8) -> PacketClass {
-        PacketClass {
-            protocol: Some(protocol),
-            ..PacketClass::default()
-        }
-    }
-
-    /// Match a destination port.
-    pub fn dst_port(port: u16) -> PacketClass {
-        PacketClass {
-            dst_port: Some(port),
-            ..PacketClass::default()
-        }
-    }
-
     /// Match a source port.
     pub fn src_port(port: u16) -> PacketClass {
         PacketClass {
             src_port: Some(port),
             ..PacketClass::default()
         }
-    }
-
-    /// Builder-style: additionally require a protocol number.
-    pub fn with_protocol(mut self, protocol: u8) -> PacketClass {
-        self.protocol = Some(protocol);
-        self
     }
 
     /// Builder-style: additionally require a destination port.
@@ -107,12 +85,6 @@ impl PacketClass {
     /// Builder-style: additionally require a source port.
     pub fn with_src_port(mut self, port: u16) -> PacketClass {
         self.src_port = Some(port);
-        self
-    }
-
-    /// Builder-style: additionally require a TOS byte.
-    pub fn with_tos(mut self, tos: u8) -> PacketClass {
-        self.tos = Some(tos);
         self
     }
 
@@ -212,14 +184,6 @@ impl FaultRule {
         }
     }
 
-    /// Delay matching packets by `extra` with `probability`.
-    pub fn delay(class: PacketClass, probability: f64, extra: Duration) -> FaultRule {
-        FaultRule {
-            extra_delay: extra,
-            ..FaultRule::new(FaultKind::Delay, class, probability)
-        }
-    }
-
     /// Builder-style: restrict to a time window `[start, end)`.
     pub fn in_window(mut self, start: Instant, end: Instant) -> FaultRule {
         self.window = Some((start, end));
@@ -231,28 +195,6 @@ impl FaultRule {
         assert!(n >= 1, "nth is 1-based");
         self.nth = Some(n);
         self
-    }
-
-    /// Builder-style: fire at most `n` times.
-    pub fn at_most(mut self, n: u64) -> FaultRule {
-        self.max_count = Some(n);
-        self
-    }
-
-    /// Builder-style: set the extra delay used by duplicate/reorder/delay.
-    pub fn with_extra_delay(mut self, extra: Duration) -> FaultRule {
-        self.extra_delay = extra;
-        self
-    }
-
-    /// Matching packets observed so far (within window and class).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Times this rule actually fired.
-    pub fn fired(&self) -> u64 {
-        self.fired
     }
 }
 
@@ -308,13 +250,8 @@ impl FaultPlan {
         self.rules.push(rule);
     }
 
-    /// The rules, with their live `seen`/`fired` counters.
-    pub fn rules(&self) -> &[FaultRule] {
-        &self.rules
-    }
-
     /// Decide the fate of a packet offered to the link at `now`.
-    pub fn apply(&mut self, now: Instant, pkt: &Packet) -> FaultVerdict {
+    pub(crate) fn apply(&mut self, now: Instant, pkt: &Packet) -> FaultVerdict {
         for rule in &mut self.rules {
             if let Some((start, end)) = rule.window {
                 if now < start || now >= end {
@@ -471,22 +408,18 @@ impl NodeFaultPlan {
         }
     }
 
-    /// Builder-style: append a rule. Rule order carries no meaning —
-    /// whether a probabilistic rule fires depends only on the plan seed
-    /// and the rule's `(node, at, kind)`.
-    pub fn with_rule(mut self, rule: NodeFaultRule) -> NodeFaultPlan {
+    /// Builder-style [`NodeFaultPlan::add_rule`].
+    #[cfg(test)]
+    pub(crate) fn with_rule(mut self, rule: NodeFaultRule) -> NodeFaultPlan {
         self.rules.push(rule);
         self
     }
 
-    /// Append a rule.
+    /// Append a rule. Rule order carries no meaning: whether a
+    /// probabilistic rule fires depends only on the plan seed and the
+    /// rule's `(node, at, kind)`.
     pub fn add_rule(&mut self, rule: NodeFaultRule) {
         self.rules.push(rule);
-    }
-
-    /// The rules as inserted.
-    pub fn rules(&self) -> &[NodeFaultRule] {
-        &self.rules
     }
 
     /// Resolve probability draws and compile the plan into per-node outage
@@ -561,7 +494,11 @@ mod tests {
 
     #[test]
     fn class_matches_on_all_populated_fields() {
-        let class = PacketClass::protocol(132).with_dst_port(36412);
+        let class = PacketClass {
+            protocol: Some(132),
+            ..PacketClass::any()
+        }
+        .with_dst_port(36412);
         assert!(class.matches(&pkt(132, 36412)));
         assert!(!class.matches(&pkt(132, 36422)));
         assert!(!class.matches(&pkt(17, 36412)));
@@ -601,8 +538,8 @@ mod tests {
         assert_eq!(plan.apply(Instant::ZERO, &p), FaultVerdict::Pass);
         assert_eq!(plan.apply(Instant::ZERO, &p), FaultVerdict::Drop);
         assert_eq!(plan.apply(Instant::ZERO, &p), FaultVerdict::Pass);
-        assert_eq!(plan.rules()[0].fired(), 1);
-        assert_eq!(plan.rules()[0].seen(), 3);
+        assert_eq!(plan.rules[0].fired, 1);
+        assert_eq!(plan.rules[0].seen, 3);
     }
 
     #[test]
@@ -615,13 +552,14 @@ mod tests {
         assert_eq!(plan.apply(Instant::from_millis(10), &p), FaultVerdict::Drop);
         assert_eq!(plan.apply(Instant::from_millis(20), &p), FaultVerdict::Pass);
         // Out-of-window packets are not even counted as seen.
-        assert_eq!(plan.rules()[0].seen(), 1);
+        assert_eq!(plan.rules[0].seen, 1);
     }
 
     #[test]
     fn max_count_caps_firings() {
-        let mut plan =
-            FaultPlan::new(1).with_rule(FaultRule::drop(PacketClass::any(), 1.0).at_most(2));
+        let mut rule = FaultRule::drop(PacketClass::any(), 1.0);
+        rule.max_count = Some(2);
+        let mut plan = FaultPlan::new(1).with_rule(rule);
         let p = pkt(17, 9);
         assert_eq!(plan.apply(Instant::ZERO, &p), FaultVerdict::Drop);
         assert_eq!(plan.apply(Instant::ZERO, &p), FaultVerdict::Drop);
@@ -644,7 +582,13 @@ mod tests {
     #[test]
     fn first_matching_rule_wins() {
         let mut plan = FaultPlan::new(1)
-            .with_rule(FaultRule::duplicate(PacketClass::protocol(132), 1.0))
+            .with_rule(FaultRule::duplicate(
+                PacketClass {
+                    protocol: Some(132),
+                    ..PacketClass::any()
+                },
+                1.0,
+            ))
             .with_rule(FaultRule::drop(PacketClass::any(), 1.0));
         assert!(matches!(
             plan.apply(Instant::ZERO, &pkt(132, 1)),
@@ -673,7 +617,7 @@ mod tests {
         assert!(class.matches(&pkt_from(8000, 9000)));
         assert!(!class.matches(&pkt_from(8001, 9000)));
         // Composes with the other selectors.
-        let both = PacketClass::dst_port(9000).with_src_port(8000);
+        let both = PacketClass::any().with_dst_port(9000).with_src_port(8000);
         assert!(both.matches(&pkt_from(8000, 9000)));
         assert!(!both.matches(&pkt_from(8000, 9001)));
         assert!(!both.matches(&pkt_from(7999, 9000)));

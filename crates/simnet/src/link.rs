@@ -126,7 +126,7 @@ pub struct ClassStats {
     pub backlog_bytes: u64,
 }
 
-/// Counters exported per link: a snapshot assembled by [`Link::stats`].
+/// Counters exported per link: a snapshot assembled by `Link::stats`.
 #[derive(Debug, Clone, Default)]
 pub struct LinkStats {
     /// Packets accepted and (eventually) delivered.
@@ -158,14 +158,6 @@ impl LinkStats {
     /// All drops combined (congestion + random loss + injected).
     pub fn drops(&self) -> u64 {
         self.drops_queue + self.drops_loss + self.drops_injected
-    }
-
-    /// All injected-fault firings combined.
-    pub fn faults_injected(&self) -> u64 {
-        self.drops_injected
-            + self.duplicates_injected
-            + self.reorders_injected
-            + self.delays_injected
     }
 
     /// Counters for one DSCP class (`None` if the class never accepted or
@@ -424,7 +416,7 @@ impl Link {
     }
 
     /// Link statistics so far.
-    pub fn stats(&self) -> LinkStats {
+    pub(crate) fn stats(&self) -> LinkStats {
         let c = &self.stats;
         let total = |f: fn(&ClassStats) -> u64| c.classes.iter().map(|(_, cs)| f(cs)).sum();
         let injected = self
@@ -446,7 +438,7 @@ impl Link {
     }
 
     /// Mutate the configuration in place (takes effect for future packets).
-    pub fn reconfigure(&mut self, f: impl FnOnce(&mut LinkConfig)) {
+    pub(crate) fn reconfigure(&mut self, f: impl FnOnce(&mut LinkConfig)) {
         f(&mut self.cfg);
     }
 }
@@ -454,7 +446,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultRule, PacketClass};
+    use crate::fault::{FaultKind, FaultRule, PacketClass};
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::net::Ipv4Addr;
@@ -564,12 +556,9 @@ mod tests {
     #[test]
     fn injected_duplicate_delivers_second_copy_later() {
         let mut link = Link::new(LinkConfig::delay_only(Duration::from_millis(3)), (0, 0), 99);
-        link.set_fault_plan(Some(
-            FaultPlan::new(5).with_rule(
-                FaultRule::duplicate(PacketClass::any(), 1.0)
-                    .with_extra_delay(Duration::from_millis(4)),
-            ),
-        ));
+        let mut dup = FaultRule::duplicate(PacketClass::any(), 1.0);
+        dup.extra_delay = Duration::from_millis(4);
+        link.set_fault_plan(Some(FaultPlan::new(5).with_rule(dup)));
         let d = link.transmit(Instant::ZERO, &pkt(100));
         assert_eq!(d.primary, Some(Instant::from_millis(3)));
         assert_eq!(d.duplicate, Some(Instant::from_millis(7)));
@@ -618,17 +607,15 @@ mod tests {
             FaultPlan::new(5).with_rule(FaultRule::drop(PacketClass::any(), 1.0)),
         ));
         link.transmit(Instant::ZERO, &pkt(100));
-        link.set_fault_plan(Some(FaultPlan::new(6).with_rule(FaultRule::delay(
-            PacketClass::any(),
-            1.0,
-            Duration::from_millis(1),
-        ))));
+        let mut delay = FaultRule::reorder(PacketClass::any(), 1.0, Duration::from_millis(1));
+        delay.kind = FaultKind::Delay;
+        link.set_fault_plan(Some(FaultPlan::new(6).with_rule(delay)));
         link.transmit(Instant::ZERO, &pkt(100));
         link.set_fault_plan(None);
         link.transmit(Instant::ZERO, &pkt(100));
         let stats = link.stats();
         assert_eq!((stats.drops_injected, stats.delays_injected), (1, 1));
-        assert_eq!((stats.faults_injected(), stats.tx_packets), (2, 2));
+        assert_eq!(stats.tx_packets, 2);
     }
 
     /// The link's loss and jitter draws are exactly those of a buffered

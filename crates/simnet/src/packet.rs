@@ -203,7 +203,7 @@ impl Packet {
     }
 
     /// A TCP segment with a virtual payload (used by the greedy flow).
-    pub fn tcp(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), app_len: u32) -> Packet {
+    pub(crate) fn tcp(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), app_len: u32) -> Packet {
         Packet {
             protocol: proto::TCP,
             ..Packet::udp(src, dst, app_len)

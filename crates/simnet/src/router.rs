@@ -46,19 +46,14 @@ impl Ipv4Net {
     }
 
     /// Does `addr` fall within this prefix?
-    pub fn contains(&self, addr: Ipv4Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Ipv4Addr) -> bool {
         let mask = Self::mask_of(self.prefix_len);
         (u32::from(addr) & mask) == u32::from(self.addr)
     }
 
     /// Prefix length in bits.
-    pub fn prefix_len(&self) -> u8 {
+    pub(crate) fn prefix_len(&self) -> u8 {
         self.prefix_len
-    }
-
-    /// Network address.
-    pub fn network(&self) -> Ipv4Addr {
-        self.addr
     }
 }
 
@@ -91,16 +86,6 @@ impl RouteTable {
             .iter()
             .find(|(net, _)| net.contains(dst))
             .map(|&(_, port)| port)
-    }
-
-    /// Number of routes installed.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 }
 
@@ -139,16 +124,6 @@ impl Router {
             forwarded: 0,
             no_route: 0,
             proc_drops: 0,
-        }
-    }
-
-    /// Router that spends `cost` of serial CPU per packet with a bounded
-    /// processing queue (`limit` packets).
-    pub fn with_processing(table: RouteTable, cost: Duration, limit: usize) -> Router {
-        Router {
-            per_packet_cost: cost,
-            proc_queue_limit: limit,
-            ..Router::new(table)
         }
     }
 
@@ -209,7 +184,7 @@ mod tests {
     #[test]
     fn prefix_contains_masks_host_bits() {
         let net = Ipv4Net::new(ip(10, 1, 2, 3), 16);
-        assert_eq!(net.network(), ip(10, 1, 0, 0));
+        assert_eq!(net.addr, ip(10, 1, 0, 0));
         assert!(net.contains(ip(10, 1, 200, 9)));
         assert!(!net.contains(ip(10, 2, 0, 1)));
         assert!(Ipv4Net::default_route().contains(ip(8, 8, 8, 8)));
@@ -233,7 +208,7 @@ mod tests {
         let mut t = RouteTable::new();
         t.add(Ipv4Net::default_route(), 0);
         t.add(Ipv4Net::default_route(), 3);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.routes.len(), 1);
         assert_eq!(t.lookup(ip(1, 1, 1, 1)), Some(3));
     }
 
@@ -279,11 +254,11 @@ mod tests {
         let mut sim = Simulator::new(5);
         let mut table = RouteTable::new();
         table.add(Ipv4Net::default_route(), 1);
-        let router = sim.add_node(Box::new(Router::with_processing(
-            table,
-            Duration::from_millis(1),
-            10,
-        )));
+        let router = sim.add_node(Box::new(Router {
+            per_packet_cost: Duration::from_millis(1),
+            proc_queue_limit: 10,
+            ..Router::new(table)
+        }));
         let sink = sim.add_node(Box::new(Sink::new()));
         sim.connect(
             (router, 1),
@@ -305,11 +280,11 @@ mod tests {
         let mut sim = Simulator::new(5);
         let mut table = RouteTable::new();
         table.add(Ipv4Net::default_route(), 1);
-        let router = sim.add_node(Box::new(Router::with_processing(
-            table,
-            Duration::from_millis(1),
-            2,
-        )));
+        let router = sim.add_node(Box::new(Router {
+            per_packet_cost: Duration::from_millis(1),
+            proc_queue_limit: 2,
+            ..Router::new(table)
+        }));
         let sink = sim.add_node(Box::new(Sink::new()));
         sim.connect(
             (router, 1),

@@ -828,7 +828,10 @@ mod tests {
                 .map(|c| [c.events, c.arrivals, c.xsent, c.xrecv, c.windows])
                 .collect(),
         };
-        (outcome, sim.threaded_lane_runs())
+        (
+            outcome,
+            sim.shards.iter().map(|s| s.ctr.threaded_runs).sum(),
+        )
     }
 
     proptest! {
@@ -923,7 +926,8 @@ mod tests {
             let bomb = sim.add_node_in_region(Box::new(Bomb), 1);
             // The heavier region takes shard 0.
             sim.set_region_weight_bias(1 - bomb_shard, 10);
-            assert_eq!(sim.shard_of_node(bomb), bomb_shard);
+            sim.ensure_placement();
+            assert_eq!(sim.loc[bomb].shard, bomb_shard);
             sim.schedule_timer(ping, Instant::ZERO, PingAgent::KICKOFF);
             sim.schedule_timer(bomb, Instant::from_millis(5), 0);
             let run = std::panic::AssertUnwindSafe(|| run_with(&mut sim, Instant::MAX, Some(0)));

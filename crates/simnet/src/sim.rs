@@ -21,7 +21,7 @@
 //! spanning the minimum propagation delay of the links that cross shards —
 //! on the calling thread while a `run_until` call is small, on one thread
 //! per active shard for the rest of the call once it has enough work (see
-//! [`crate::shard`]). Because
+//! `crate::shard`). Because
 //! every tie-breaking key, every RNG stream and every packet id is derived
 //! from content (node identity + per-node counters) rather than from
 //! global execution order, the observable results are byte-identical at
@@ -129,7 +129,7 @@ impl EvKey {
     pub const EXTERNAL: u32 = u32::MAX;
 
     /// Construct a key (exposed for the scheduler property tests).
-    pub fn new(src: u32, ctr: u64) -> EvKey {
+    pub(crate) fn new(src: u32, ctr: u64) -> EvKey {
         EvKey { src, ctr }
     }
 }
@@ -291,14 +291,8 @@ impl Ctx<'_> {
         self.now
     }
 
-    /// The id of the node being invoked.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Queue `pkt` for transmission out of `port`. If the port is not
-    /// connected the packet is dropped and counted in
-    /// [`Simulator::unrouted_packets`].
+    /// connected the packet is dropped and counted as unrouted.
     pub fn send(&mut self, port: PortId, pkt: Packet) {
         self.actions.push(Action::Send { port, pkt });
     }
@@ -322,7 +316,7 @@ impl Ctx<'_> {
     /// handle can be passed to [`Ctx::cancel_timer`] to suppress the
     /// expiry; a cancelled timer is dropped inside the engine without
     /// invoking [`Node::on_timer`].
-    pub fn schedule_at_cancellable(&mut self, at: Instant, token: u64) -> TimerHandle {
+    pub(crate) fn schedule_at_cancellable(&mut self, at: Instant, token: u64) -> TimerHandle {
         let guard = self.timers.alloc();
         self.actions.push(Action::Timer {
             at,
@@ -333,13 +327,13 @@ impl Ctx<'_> {
     }
 
     /// Schedule a cancellable timer `d` from now (see
-    /// [`Ctx::schedule_at_cancellable`]).
+    /// `Ctx::schedule_at_cancellable`).
     pub fn schedule_in_cancellable(&mut self, d: Duration, token: u64) -> TimerHandle {
         let at = self.now + d;
         self.schedule_at_cancellable(at, token)
     }
 
-    /// Cancel a timer armed with [`Ctx::schedule_at_cancellable`]. Returns
+    /// Cancel a timer armed with `Ctx::schedule_at_cancellable`. Returns
     /// `true` if the timer was still pending; `false` if it already fired
     /// or was already cancelled (both safe to call).
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
@@ -349,13 +343,13 @@ impl Ctx<'_> {
     /// This node's private deterministic RNG stream (derived from the
     /// master seed and the node id, so draws are independent of other
     /// nodes' dispatch order).
-    pub fn rng(&mut self) -> &mut impl RngCore {
+    pub(crate) fn rng(&mut self) -> &mut impl RngCore {
         self.rng
     }
 
     /// Allocate a fresh, simulation-unique packet id from this node's
     /// private id space.
-    pub fn fresh_packet_id(&mut self) -> u64 {
+    pub(crate) fn fresh_packet_id(&mut self) -> u64 {
         let id = ((self.node as u64 + 1) << 40) | *self.next_pkt_id;
         *self.next_pkt_id += 1;
         id
@@ -468,8 +462,6 @@ pub struct Simulator {
     weight_bias: BTreeMap<u32, u64>,
     /// Emission counter for harness-injected events.
     ext_ctr: u64,
-    /// Packets injected by the harness (conservation accounting).
-    injected: u64,
     /// Compiled node-lifecycle outage schedules, indexed by node; empty
     /// when no [`NodeFaultPlan`] is attached (the no-plan fast path).
     pub(crate) node_faults: Vec<NodeOutageSet>,
@@ -528,7 +520,6 @@ impl Simulator {
             placement_dirty: false,
             weight_bias: BTreeMap::new(),
             ext_ctr: 0,
-            injected: 0,
             node_faults: Vec::new(),
             lookahead: None,
         }
@@ -590,19 +581,9 @@ impl Simulator {
         self.total(|c| c.xrecv)
     }
 
-    /// Packets injected directly by the harness.
-    pub fn injected_packets(&self) -> u64 {
-        self.injected
-    }
-
     /// Timer expiries dropped at the queue because the timer was cancelled.
     pub fn timer_fires_skipped(&self) -> u64 {
         self.total(|c| c.timer_skipped)
-    }
-
-    /// Packets sent out of unconnected ports (usually a topology bug).
-    pub fn unrouted_packets(&self) -> u64 {
-        self.total(|c| c.unrouted)
     }
 
     /// The conservative lookahead `L` (minimum cross-shard propagation
@@ -614,20 +595,6 @@ impl Simulator {
     /// link is rejected.
     pub fn lookahead(&self) -> Option<Duration> {
         self.lookahead
-    }
-
-    /// Lookahead windows drained by the windowed drivers, summed over
-    /// shards: one per active lane per synchronization round, the same on
-    /// the calling thread and on threads.
-    pub fn windows(&self) -> u64 {
-        self.total(|c| c.windows)
-    }
-
-    /// Lane runs handed to threads, summed over shards: one per active
-    /// lane per `run_until` call that outgrew the calling thread. Zero
-    /// means every call so far ran serially.
-    pub fn threaded_lane_runs(&self) -> u64 {
-        self.total(|c| c.threaded_runs)
     }
 
     /// Add a node in region 0, returning its id.
@@ -668,13 +635,6 @@ impl Simulator {
     /// The region a node was added in.
     pub fn region_of(&self, node: NodeId) -> u32 {
         self.region[node]
-    }
-
-    /// The shard a node's events currently execute on (after the next
-    /// placement pass if the topology changed since the last run).
-    pub fn shard_of_node(&mut self, node: NodeId) -> u32 {
-        self.ensure_placement();
-        self.loc[node].shard
     }
 
     /// Add `extra` placement weight to `region` (replacing any earlier
@@ -889,7 +849,6 @@ impl Simulator {
 
     /// Inject a packet arriving at `(node, port)` at time `at`.
     pub fn inject_packet(&mut self, node: NodeId, port: PortId, at: Instant, pkt: Packet) {
-        self.injected += 1;
         let payload = EvPayload {
             kind: EvKind::Arrive(node, port),
             pkt: Some(pkt),
@@ -935,13 +894,6 @@ impl Simulator {
         link.set_fault_plan(Some(plan));
     }
 
-    /// Detach the fault plan (if any) from the link leaving `(node, port)`.
-    pub fn clear_fault_plan(&mut self, from: (NodeId, PortId)) {
-        if let Some(link) = self.link_mut(from) {
-            link.set_fault_plan(None);
-        }
-    }
-
     /// Attach a node-lifecycle fault plan. Probability draws are resolved
     /// here (from the plan's own seeded stream, keyed by rule content, so
     /// insertion order is irrelevant) and the plan is compiled into
@@ -951,11 +903,6 @@ impl Simulator {
     /// plan at all.
     pub fn attach_node_fault_plan(&mut self, plan: &NodeFaultPlan) {
         self.node_faults = plan.compile(self.loc.len());
-    }
-
-    /// Detach the node-lifecycle fault plan, if any.
-    pub fn clear_node_fault_plan(&mut self) {
-        self.node_faults.clear();
     }
 
     /// Packet deliveries rejected because the destination node was down.
@@ -1002,6 +949,12 @@ impl Simulator {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+
+    #[test]
+    fn imbalance_is_max_over_mean_of_busy_shards() {
+        assert!((shard_imbalance(&[300, 100, 0, 200]) - 0.5).abs() < 1e-12);
+        assert_eq!(shard_imbalance(&[100, 100]), 0.0);
+    }
 
     /// Node that reflects every packet back out the port it arrived on.
     struct Echo {
@@ -1103,7 +1056,7 @@ mod tests {
         let n = sim.add_node(Box::new(Shouter));
         sim.schedule_timer(n, Instant::ZERO, 0);
         sim.run_until_idle();
-        assert_eq!(sim.unrouted_packets(), 1);
+        assert_eq!(sim.total(|c| c.unrouted), 1);
     }
 
     /// Node that sends one packet on the port its timer token names.
@@ -1148,7 +1101,7 @@ mod tests {
         for port in [0, 1, 201] {
             assert_eq!(sim.link_stats((n, port)).expect("connected").tx_packets, 1);
         }
-        assert_eq!(sim.unrouted_packets(), 3);
+        assert_eq!(sim.total(|c| c.unrouted), 3);
     }
 
     #[test]
@@ -1562,13 +1515,20 @@ mod tests {
                     assert_eq!(windowed.events_processed(), fresh.events_processed());
                     assert_eq!(windowed.now(), fresh.now());
                 }
-                assert!(windowed.windows() > 0, "two lanes run the window protocol");
+                assert!(
+                    windowed.total(|c| c.windows) > 0,
+                    "two lanes run the window protocol"
+                );
                 let threaded = std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
                 if count == 40 || !threaded {
-                    assert_eq!(windowed.threaded_lane_runs(), 0, "no call went threaded");
+                    assert_eq!(
+                        windowed.total(|c| c.threaded_runs),
+                        0,
+                        "no call went threaded"
+                    );
                 } else {
                     assert!(
-                        windowed.threaded_lane_runs() >= 2,
+                        windowed.total(|c| c.threaded_runs) >= 2,
                         "a call with a thousand events hands both lanes to threads"
                     );
                 }
@@ -1772,7 +1732,7 @@ mod tests {
         }
         sim.schedule_timer(a, Instant::ZERO, 0);
         sim.run_until(Instant::from_millis(1));
-        assert_eq!(sim.shard_of_node(a), sim.shard_of_node(b));
+        assert_eq!(sim.loc[a].shard, sim.loc[b].shard);
         // Budgeted heaviest, region 0 takes a shard of its own and leaves
         // region 1 with region 2.
         sim.set_region_weight_bias(0, 100);

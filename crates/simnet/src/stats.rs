@@ -18,7 +18,7 @@ impl Series {
     /// Build from an iterator of samples (also available through the
     /// `FromIterator` impl / `collect()`).
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(iter: impl IntoIterator<Item = f64>) -> Series {
+    pub(crate) fn from_iter(iter: impl IntoIterator<Item = f64>) -> Series {
         Series {
             samples: iter.into_iter().collect(),
         }
@@ -42,11 +42,6 @@ impl Series {
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Raw samples in insertion order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     /// Arithmetic mean (0 for an empty series).
@@ -73,17 +68,6 @@ impl Series {
             .copied()
             .fold(f64::NEG_INFINITY, f64::max)
             .pipe_finite()
-    }
-
-    /// Population standard deviation (0 for fewer than two samples).
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
-        var.sqrt()
     }
 
     /// The `p`-th percentile (0 ≤ p ≤ 100) by nearest-rank on the sorted
@@ -150,7 +134,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.median(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         assert!(s.cdf().is_empty());
     }
 
@@ -161,7 +144,6 @@ mod tests {
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
         assert_eq!(s.len(), 4);
-        assert!((s.stddev() - 1.118).abs() < 0.001);
     }
 
     #[test]
@@ -188,6 +170,6 @@ mod tests {
     #[test]
     fn from_durations_converts_to_ms() {
         let s = Series::from_durations_ms(&[Duration::from_millis(5), Duration::from_micros(1500)]);
-        assert_eq!(s.samples(), &[5.0, 1.5]);
+        assert_eq!(s.samples, &[5.0, 1.5]);
     }
 }

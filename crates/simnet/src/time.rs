@@ -51,18 +51,8 @@ impl Instant {
         self.nanos
     }
 
-    /// Whole microseconds since simulation start (truncating).
-    pub const fn micros(&self) -> u64 {
-        self.nanos / 1_000
-    }
-
-    /// Whole milliseconds since simulation start (truncating).
-    pub const fn millis(&self) -> u64 {
-        self.nanos / 1_000_000
-    }
-
     /// Seconds since simulation start as a float (for reporting only).
-    pub fn secs_f64(&self) -> f64 {
+    pub(crate) fn secs_f64(&self) -> f64 {
         self.nanos as f64 / 1e9
     }
 
@@ -143,11 +133,6 @@ impl Duration {
         self.nanos
     }
 
-    /// Whole microseconds (truncating).
-    pub const fn micros(&self) -> u64 {
-        self.nanos / 1_000
-    }
-
     /// Whole milliseconds (truncating).
     pub const fn millis(&self) -> u64 {
         self.nanos / 1_000_000
@@ -159,7 +144,7 @@ impl Duration {
     }
 
     /// Length in milliseconds as a float (for reporting only).
-    pub fn millis_f64(&self) -> f64 {
+    pub(crate) fn millis_f64(&self) -> f64 {
         self.nanos as f64 / 1e6
     }
 
@@ -168,18 +153,13 @@ impl Duration {
         Duration::from_nanos(self.nanos.saturating_add(other.nanos))
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(&self, other: Duration) -> Duration {
-        Duration::from_nanos(self.nanos.saturating_sub(other.nanos))
-    }
-
     /// Multiply by an integer factor, saturating on overflow.
     pub fn saturating_mul(&self, factor: u64) -> Duration {
         Duration::from_nanos(self.nanos.saturating_mul(factor))
     }
 
     /// Scale by a float factor (clamped non-negative), rounding to nanoseconds.
-    pub fn mul_f64(&self, factor: f64) -> Duration {
+    pub(crate) fn mul_f64(&self, factor: f64) -> Duration {
         Duration::from_secs_f64(self.secs_f64() * factor)
     }
 }

@@ -183,15 +183,6 @@ impl Sink {
     pub fn last_arrival(&self) -> Option<Instant> {
         self.last_arrival
     }
-
-    /// Mean goodput in bits/s between the first `created` stamp and the last
-    /// arrival (0 if fewer than one packet).
-    pub fn mean_rate_bps(&self, duration: Duration) -> f64 {
-        if duration == Duration::ZERO {
-            return 0.0;
-        }
-        self.bytes as f64 * 8.0 / duration.secs_f64()
-    }
 }
 
 impl Node for Sink {
@@ -221,14 +212,6 @@ impl Reflector {
     /// Immediate reflector.
     pub fn new() -> Reflector {
         Reflector::default()
-    }
-
-    /// Reflector with a fixed service time per request.
-    pub fn with_service_time(service_time: Duration) -> Reflector {
-        Reflector {
-            service_time,
-            ..Reflector::default()
-        }
     }
 }
 
@@ -304,7 +287,7 @@ mod tests {
             .window(Instant::ZERO, Instant::from_secs(2));
         let (sim, _, k) = source_to_sink(src, Instant::from_secs(3));
         let sink = sim.node_ref::<Sink>(k);
-        let rate = sink.mean_rate_bps(Duration::from_secs(2));
+        let rate = sink.bytes as f64 * 8.0 / 2.0;
         assert!(
             (rate - 10_000_000.0).abs() / 10_000_000.0 < 0.01,
             "rate was {rate}"
@@ -339,7 +322,7 @@ mod tests {
             .window(Instant::ZERO, Instant::from_secs(10));
         let (sim, _, k) = source_to_sink(src, Instant::from_secs(11));
         let sink = sim.node_ref::<Sink>(k);
-        let rate = sink.mean_rate_bps(Duration::from_secs(10));
+        let rate = sink.bytes as f64 * 8.0 / 10.0;
         assert!(
             (rate - 5_000_000.0).abs() / 5_000_000.0 < 0.1,
             "rate was {rate}"
@@ -370,9 +353,10 @@ mod tests {
     fn reflector_service_time_delays_response() {
         let mut sim = Simulator::new(3);
         let sink = sim.add_node(Box::new(Sink::new()));
-        let refl = sim.add_node(Box::new(Reflector::with_service_time(
-            Duration::from_millis(30),
-        )));
+        let refl = sim.add_node(Box::new(Reflector {
+            service_time: Duration::from_millis(30),
+            ..Reflector::new()
+        }));
         sim.connect(
             (sink, 0),
             (refl, 0),

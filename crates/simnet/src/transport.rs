@@ -44,12 +44,6 @@ impl PingAgent {
         }
     }
 
-    /// Builder-style: mark probes with a TOS byte (used for QCI mapping).
-    pub fn with_tos(mut self, tos: u8) -> PingAgent {
-        self.tos = tos;
-        self
-    }
-
     /// Timer token to arm via `sim.schedule_timer(node, start, PingAgent::KICKOFF)`.
     pub const KICKOFF: u64 = TOKEN_PING;
 
@@ -152,11 +146,6 @@ impl GreedyFlow {
 
     /// Timer token to arm via `sim.schedule_timer(node, start, GreedyFlow::KICKOFF)`.
     pub const KICKOFF: u64 = TOKEN_TICK;
-
-    /// Current congestion window (segments).
-    pub fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
 
     fn fill_window(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();

@@ -15,7 +15,7 @@
 //!   so the slab never holds more cells than the peak number of *pending*
 //!   events — however many ring slots a burst has passed through and
 //!   however long the run;
-//! * a ring of [`SLOTS`] buckets, each [`SLOT_WIDTH`] of simulated time
+//! * a ring of `SLOTS` buckets, each [`SLOT_WIDTH`] of simulated time
 //!   wide (the ring horizon is `SLOTS * SLOT_WIDTH` ≈ 268 ms); a bucket is
 //!   the `u32` head of an unsorted list threaded through the slab;
 //! * `cur`, a small binary heap of `(at, key, cell)` handles for every
@@ -133,11 +133,6 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
             overflow: BinaryHeap::new(),
             len: 0,
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
     }
 
     /// Whether no events are pending.
@@ -270,7 +265,7 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
     /// with its cursor wherever the last pop advanced it, which is legal
     /// for any future insertion sequence (earlier instants route into
     /// `cur`).
-    pub fn drain(&mut self) -> Vec<(Instant, K, T)> {
+    pub(crate) fn drain(&mut self) -> Vec<(Instant, K, T)> {
         let mut out = Vec::with_capacity(self.len);
         while let Some(e) = self.pop() {
             out.push(e);
@@ -402,7 +397,7 @@ mod tests {
             w.schedule(Instant::from_nanos(i), seq, i);
             seq += 1;
         }
-        let mut peak = w.len();
+        let mut peak = w.len;
         let mut buckets = std::collections::BTreeSet::new();
         // One slot width per lap while in the ring, then hops beyond the
         // ring horizon so every entry passes through `overflow`.
@@ -416,7 +411,7 @@ mod tests {
                 last = Some((at, key));
                 w.schedule(Instant::from_nanos(at.nanos() + period), seq, item);
                 seq += 1;
-                peak = peak.max(w.len());
+                peak = peak.max(w.len);
             }
             // The burst spans 1 µs: one bucket per lap is enough to count.
             buckets.insert(TimerWheel::<u64>::bucket(last.expect("popped").0));

@@ -42,7 +42,7 @@ impl Codec {
 
     /// Mean compression ratio vs raw grayscale for this codec (content
     /// factor not applied).
-    pub fn base_ratio(&self) -> f64 {
+    pub(crate) fn base_ratio(&self) -> f64 {
         match self {
             // Piecewise-linear in quality between measured anchors.
             Codec::Jpeg(q) => {
@@ -78,15 +78,6 @@ impl Codec {
             Codec::RawGray => 0.0,
             Codec::Jpeg(_) => profile.encode_time_s(spec.resolution.pixels()),
             Codec::Png => 2.5 * profile.encode_time_s(spec.resolution.pixels()),
-        }
-    }
-
-    /// Decode-time on `profile` in seconds.
-    pub fn decode_time_s(&self, spec: ImageSpec, profile: &DeviceProfile) -> f64 {
-        match self {
-            Codec::RawGray => 0.0,
-            Codec::Jpeg(_) => profile.decode_time_s(spec.resolution.pixels()),
-            Codec::Png => 2.0 * profile.decode_time_s(spec.resolution.pixels()),
         }
     }
 

@@ -140,7 +140,7 @@ impl DeviceProfile {
     }
 
     /// Virtual time for JPEG-encoding an image of `pixels` pixels.
-    pub fn encode_time_s(&self, pixels: u64) -> f64 {
+    pub(crate) fn encode_time_s(&self, pixels: u64) -> f64 {
         pixels as f64 * self.encode_s_per_pixel
     }
 

@@ -69,7 +69,7 @@ pub struct QueryOutcome {
 
 impl ObjectDb {
     /// An empty database.
-    pub fn new() -> ObjectDb {
+    pub(crate) fn new() -> ObjectDb {
         ObjectDb {
             objects: Vec::new(),
         }

@@ -33,7 +33,7 @@ pub struct Descriptor(pub Vec<f32>);
 
 impl Descriptor {
     /// Squared L2 distance to another descriptor.
-    pub fn dist2(&self, other: &Descriptor) -> f32 {
+    pub(crate) fn dist2(&self, other: &Descriptor) -> f32 {
         debug_assert_eq!(self.0.len(), other.0.len());
         self.0
             .iter()

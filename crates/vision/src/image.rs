@@ -118,7 +118,7 @@ impl ImageSpec {
 
     /// Deterministic content factor in `[0.9, 1.1]`: some scenes are more
     /// textured than others.
-    pub fn content_factor(&self) -> f64 {
+    pub(crate) fn content_factor(&self) -> f64 {
         let h = splitmix(self.scene_id ^ 0xa5a5_5a5a);
         0.9 + 0.2 * (h as f64 / u64::MAX as f64)
     }

@@ -32,7 +32,7 @@ pub struct MatchOps {
 
 impl MatchOps {
     /// Accumulate another counter set.
-    pub fn merge(&mut self, other: MatchOps) {
+    pub(crate) fn merge(&mut self, other: MatchOps) {
         self.distance_computations += other.distance_computations;
         self.ratio_tests += other.ratio_tests;
         self.symmetry_checks += other.symmetry_checks;
@@ -40,13 +40,14 @@ impl MatchOps {
     }
 }
 
+/// Lowe ratio threshold (applied to *squared* distances as `RATIO²`).
+const RATIO: f32 = 0.75;
+/// RANSAC iterations per pair.
+const RANSAC_ITERS: u32 = 100;
+
 /// Cascade configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MatcherConfig {
-    /// Lowe ratio threshold (applied to *squared* distances as `ratio²`).
-    pub ratio: f32,
-    /// RANSAC iterations.
-    pub ransac_iters: u32,
     /// RANSAC inlier reprojection threshold, pixels.
     pub inlier_px: f32,
     /// Minimum RANSAC inliers to declare a match.
@@ -67,8 +68,6 @@ pub struct MatcherConfig {
 impl Default for MatcherConfig {
     fn default() -> MatcherConfig {
         MatcherConfig {
-            ratio: 0.75,
-            ransac_iters: 100,
             inlier_px: 6.0,
             min_inliers: 8,
             // The database stores exactly the prefix the default executes.
@@ -179,7 +178,7 @@ pub(crate) fn match_prefix(
                 second = d;
             }
         }
-        if best < cfg.ratio * cfg.ratio * second {
+        if best < RATIO * RATIO * second {
             forward.push((qi, best_i));
         }
     }
@@ -216,7 +215,7 @@ pub(crate) fn match_prefix(
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut best_inliers: Vec<usize> = Vec::new();
     let mut best_model = None;
-    for _ in 0..cfg.ransac_iters {
+    for _ in 0..RANSAC_ITERS {
         ops.ransac_iterations += 1;
         let i = rng.gen_range(0..tentative.len());
         let mut j = rng.gen_range(0..tentative.len());

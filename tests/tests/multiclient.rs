@@ -15,7 +15,6 @@ use acacia_lte::ue::AppSelector;
 use acacia_lte::wire::PolicyRule;
 use acacia_simnet::sim::NodeId;
 use acacia_simnet::time::Duration;
-use acacia_vision::compute::Device;
 use acacia_vision::db::ObjectDb;
 use acacia_vision::image::Resolution;
 
@@ -34,7 +33,6 @@ fn run_clients(n: usize) -> Vec<f64> {
     let server_addr = acacia_lte::network::addr::MEC_BASE;
     let (server, assigned) = net.add_mec_server(Box::new(ArServer::new(
         ArServerConfig {
-            device: Device::I7Octa,
             strategy: SearchStrategy::Naive,
             exec_cap: 16,
             ..ArServerConfig::new(server_addr)
@@ -118,7 +116,6 @@ fn both_ues_hold_independent_dedicated_bearers() {
     let server_addr = acacia_lte::network::addr::MEC_BASE;
     let _ = net.add_mec_server(Box::new(ArServer::new(
         ArServerConfig {
-            device: Device::I7Octa,
             strategy: SearchStrategy::Naive,
             exec_cap: 16,
             ..ArServerConfig::new(server_addr)

@@ -19,7 +19,6 @@ use acacia_lte::qci::Qci;
 use acacia_lte::ue::AppSelector;
 use acacia_lte::wire::PolicyRule;
 use acacia_simnet::time::Duration;
-use acacia_vision::compute::Device;
 use acacia_vision::db::ObjectDb;
 use acacia_vision::image::Resolution;
 
@@ -57,7 +56,6 @@ fn moving_user_repoints_the_search_space() {
     let server_addr = acacia_lte::network::addr::MEC_BASE;
     let (server, _) = net.add_mec_server(Box::new(ArServer::new(
         ArServerConfig {
-            device: Device::I7Octa,
             strategy: SearchStrategy::ACACIA_DEFAULT,
             exec_cap: 16,
             ..ArServerConfig::new(server_addr)
