@@ -6,6 +6,12 @@
 //! operations × the configured device profile — and the server is a serial
 //! processor, so concurrent clients queue (the paper's Fig. 12 contention
 //! behaviour).
+//!
+//! A frame's match is a pure function of its view, the matcher
+//! configuration and the candidate set, so the server asks the database
+//! ([`ObjectDb::match_view`]), which runs each distinct query once and
+//! memoizes its outcome; no rendered view outlives its match. The
+//! simulated match time still comes from the outcome's metered operations.
 
 use crate::locmgr::LocalizationManager;
 use crate::msg::{AppMsg, FrameMeta, AR_PORT, MRS_PORT};
@@ -16,69 +22,10 @@ use acacia_simnet::sim::{Ctx, Node, PortId};
 use acacia_simnet::time::{Duration, Instant};
 use acacia_vision::compute::{Device, DeviceProfile};
 use acacia_vision::db::ObjectDb;
-use acacia_vision::feature::{object_features, render_view, FeatureSet, Similarity, ViewParams};
 use acacia_vision::matcher::MatcherConfig;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Process-wide memo for rendered views, keyed by
-/// `(scene_id, feature_count, view_seed)`.
-///
-/// `object_features` and `render_view` are pure functions of these three
-/// values (they draw from private, key-seeded RNGs), so the cache is
-/// invisible to simulation results — it only changes wall-clock time.
-/// Sharing it across server instances matters because sweep experiments
-/// replay the same scenario under many configurations: every cell after
-/// the first reuses the renders instead of re-deriving them.
-type FeatureCache<K> = OnceLock<Mutex<HashMap<K, Arc<FeatureSet>>>>;
-static VIEW_CACHE: FeatureCache<(u64, usize, u64)> = OnceLock::new();
-static BASE_CACHE: FeatureCache<(u64, usize)> = OnceLock::new();
-
-fn cached_view(scene_id: u64, feature_count: usize, view_seed: u64) -> Arc<FeatureSet> {
-    let views = VIEW_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(v) = views
-        .lock()
-        .unwrap()
-        .get(&(scene_id, feature_count, view_seed))
-    {
-        return v.clone();
-    }
-    let base = {
-        let bases = BASE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let hit = bases
-            .lock()
-            .unwrap()
-            .get(&(scene_id, feature_count))
-            .cloned();
-        match hit {
-            Some(b) => b,
-            None => {
-                // Compute outside the lock; a racing thread may duplicate
-                // the work but both arrive at the same pure value.
-                let b = Arc::new(object_features(scene_id, feature_count));
-                bases
-                    .lock()
-                    .unwrap()
-                    .entry((scene_id, feature_count))
-                    .or_insert(b)
-                    .clone()
-            }
-        }
-    };
-    let v = Arc::new(render_view(
-        &base,
-        Similarity::from_seed(view_seed),
-        ViewParams::default(),
-        view_seed,
-    ));
-    views
-        .lock()
-        .unwrap()
-        .entry((scene_id, feature_count, view_seed))
-        .or_insert(v)
-        .clone()
-}
+use std::sync::Arc;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -235,16 +182,6 @@ impl ArServer {
         seq: u64,
         meta: FrameMeta,
     ) {
-        // Reconstruct the uploaded frame's features: the client photographed
-        // object `scene_id` with a hand-held pose derived from the seed.
-        // Both steps are pure functions of `(scene_id, feature_count,
-        // view_seed)`, so results come from the process-wide memo.
-        let view = cached_view(
-            meta.spec.scene_id,
-            meta.spec.feature_count(),
-            meta.view_seed,
-        );
-
         let search_ctx = SearchContext {
             rx_readings: self.locmgr.rx_view(),
             location: self.locmgr.estimate(),
@@ -256,7 +193,16 @@ impl ArServer {
             seed: meta.view_seed,
             ..MatcherConfig::default()
         };
-        let outcome = self.db.match_against(&view, cands, &matcher);
+        // The client photographed object `scene_id` with a hand-held pose
+        // derived from `view_seed`; the db renders that view and matches
+        // it once per distinct query.
+        let outcome = self.db.match_view(
+            meta.spec.scene_id,
+            meta.spec.feature_count(),
+            meta.view_seed,
+            &cands,
+            &matcher,
+        );
 
         let compute_s = self.profile.decode_time_s(meta.spec.resolution.pixels())
             + self.profile.detect_time_s(meta.spec);

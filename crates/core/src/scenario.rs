@@ -17,7 +17,6 @@
 
 use crate::arclient::{ArFrontend, ArFrontendConfig, FrameStats};
 use crate::arserver::{ArServer, ArServerConfig};
-use crate::device_manager::{ConnectivityAction, DeviceManager, ServiceInfo};
 use crate::locmgr::{LocalizationManager, LocalizationMetadata};
 use crate::mrs::{port as mrs_port, Mrs, ServerInstance};
 use crate::msg::APP_PORT;
@@ -25,6 +24,7 @@ use crate::search::SearchStrategy;
 use acacia_d2d::channel::RadioChannel;
 use acacia_d2d::discovery::ProximityWorld;
 use acacia_d2d::modem::Modem;
+use acacia_d2d::service::SubscriptionFilter;
 use acacia_geo::floor::FloorPlan;
 use acacia_lte::entities::pcrf_port;
 use acacia_lte::network::{LteConfig, LteNetwork};
@@ -191,33 +191,22 @@ impl Scenario {
         let world = world;
         let user_pos = floor.checkpoints[cfg.checkpoint % floor.checkpoints.len()].pos;
 
-        // --- Out-of-band LTE-direct discovery (device manager + modem). ---
+        // --- Out-of-band LTE-direct discovery: the modem hears the store's
+        // landmarks. The bearer comes from the app-launch trigger (§8), so
+        // only the rxPower readings are kept. ---
         let mut modem = Modem::new();
-        let mut dm = DeviceManager::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: SERVICE.to_string(),
-                interests: vec![], // interested in the whole store
-            },
-        );
+        modem.subscribe(SubscriptionFilter::service_wide(SERVICE));
         // BTreeMap, not HashMap: the report order reaches the server's
         // localization manager and must not vary run to run.
         let mut rx_readings: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
-        let mut wants_connectivity = false;
         for tick in 0..4 {
             for ev in world.scan(&mut modem, user_pos, tick) {
-                let (_, action) = dm.on_discovery(&ev);
-                if matches!(action, Some(ConnectivityAction::Create { .. })) {
-                    wants_connectivity = true;
-                }
                 rx_readings
                     .entry(ev.publisher.clone())
                     .or_default()
                     .push(ev.rx_power_dbm);
             }
         }
-        let _ = app;
         let rx_reports: Vec<(String, f64)> = rx_readings
             .into_iter()
             .map(|(k, v)| {
@@ -324,12 +313,6 @@ impl Scenario {
             Box::new(ArFrontend::new(client_cfg)),
             AppSelector::port(APP_PORT),
         );
-
-        // The device manager normally decides connectivity is wanted on
-        // the first discovery match; even on a quiet radio the client's
-        // in-sim MRS handshake (MEC/ACACIA) still carries the request —
-        // the paper's "app launch as trigger" fallback (§8).
-        let _ = wants_connectivity;
 
         Scenario {
             net,

@@ -178,6 +178,11 @@ impl RadioScheduler {
         self.queued_bytes += wire;
         // Behind every lower priority, ahead of the older frames of its own.
         let at = self.queue.partition_point(|&(p, _)| p > priority);
+        if self.queue.capacity() == 0 {
+            // Most queues hold one frame at a time: a drained queue's
+            // first frame gets room for itself, not the default four.
+            self.queue.reserve_exact(1);
+        }
         self.queue.insert(at, (priority, frame));
         ctx.schedule_at(done, token);
         true

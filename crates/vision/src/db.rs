@@ -8,12 +8,13 @@
 //! images are tagged by subsection; localization prunes the search space to
 //! the subsections near the user.
 
-use crate::feature::{object_features, FeatureSet};
+use crate::feature::{object_features, render_view, FeatureSet, Similarity, ViewParams};
 use crate::image::{ImageSpec, Resolution};
 use crate::matcher::{exec_len, match_pair, match_prefix, MatchOps, MatcherConfig, PairOutcome};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 /// The resolution objects are photographed at for the database.
 pub const CAPTURE_RESOLUTION: Resolution = Resolution::new(480, 360);
@@ -50,9 +51,39 @@ pub struct DbObject {
 }
 
 /// The object database.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ObjectDb {
     objects: Vec<DbObject>,
+    /// Outcomes of [`ObjectDb::match_view`] queries. An object's content
+    /// derives from its id alone and nothing mutates a database after
+    /// generation, so an outcome is a pure function of its key: fill
+    /// order cannot matter, at any shard count.
+    memo: Mutex<HashMap<QueryKey, QueryOutcome>>,
+}
+
+/// Everything a [`ObjectDb::match_view`] outcome depends on: the view,
+/// every [`MatcherConfig`] field and the candidate ids in order (the
+/// first of equally good candidates wins).
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct QueryKey {
+    scene_id: u64,
+    feature_count: usize,
+    view_seed: u64,
+    exec_cap: usize,
+    seed: u64,
+    inlier_px_bits: u32,
+    min_inliers: usize,
+    candidates: Box<[u64]>,
+}
+
+impl Clone for ObjectDb {
+    /// A copy of the objects with an empty memo.
+    fn clone(&self) -> ObjectDb {
+        ObjectDb {
+            objects: self.objects.clone(),
+            memo: Mutex::default(),
+        }
+    }
 }
 
 /// Result of matching a frame against a set of candidate objects.
@@ -68,13 +99,6 @@ pub struct QueryOutcome {
 }
 
 impl ObjectDb {
-    /// An empty database.
-    pub(crate) fn new() -> ObjectDb {
-        ObjectDb {
-            objects: Vec::new(),
-        }
-    }
-
     /// Generate the paper's retail database: `per_subsection` objects in
     /// each floor-plan subsection (5 × 21 = 105 by default). Objects placed
     /// in subsections containing checkpoints sit *at* the checkpoint so the
@@ -118,7 +142,10 @@ impl ObjectDb {
                 });
             }
         }
-        ObjectDb { objects }
+        ObjectDb {
+            objects,
+            memo: Mutex::default(),
+        }
     }
 
     /// Memoized [`ObjectDb::generate_retail`] over the standard
@@ -240,11 +267,48 @@ impl ObjectDb {
     pub fn match_all(&self, frame: &FeatureSet, cfg: &MatcherConfig) -> QueryOutcome {
         self.match_against(frame, self.objects.iter(), cfg)
     }
-}
 
-impl Default for ObjectDb {
-    fn default() -> Self {
-        ObjectDb::new()
+    /// [`ObjectDb::match_against`] for the view a client uploads: object
+    /// `scene_id`'s first `feature_count` features, photographed under
+    /// the hand-held pose and noise `view_seed` derives. Each distinct
+    /// query renders and matches once; repeats return the memoized
+    /// outcome, and no rendered view is kept.
+    pub fn match_view(
+        &self,
+        scene_id: u64,
+        feature_count: usize,
+        view_seed: u64,
+        candidates: &[&DbObject],
+        cfg: &MatcherConfig,
+    ) -> QueryOutcome {
+        let key = QueryKey {
+            scene_id,
+            feature_count,
+            view_seed,
+            exec_cap: cfg.exec_cap,
+            seed: cfg.seed,
+            inlier_px_bits: cfg.inlier_px.to_bits(),
+            min_inliers: cfg.min_inliers,
+            candidates: candidates.iter().map(|o| o.id).collect(),
+        };
+        if let Some(hit) = self.memo.lock().expect("query memo poisoned").get(&key) {
+            return hit.clone();
+        }
+        // Match outside the lock; a racing duplicate computes the same
+        // pure value.
+        let view = render_view(
+            &object_features(scene_id, feature_count),
+            Similarity::from_seed(view_seed),
+            ViewParams::default(),
+            view_seed,
+        );
+        let outcome = self.match_against(&view, candidates.iter().copied(), cfg);
+        self.memo
+            .lock()
+            .expect("query memo poisoned")
+            .entry(key)
+            .or_insert(outcome)
+            .clone()
     }
 }
 
@@ -398,6 +462,50 @@ mod tests {
         }
         // Each view finds its own object at every cap.
         assert!(matched >= 3 * 7, "only {matched} matches");
+    }
+
+    #[test]
+    fn match_view_memoizes_one_outcome_per_distinct_query() {
+        let (_, db) = small_db();
+        let memo_len = || db.memo.lock().unwrap().len();
+        let target = &db.objects()[8];
+        let (scene, count) = (target.id, target.feature_count);
+        let cands: Vec<&DbObject> = db.objects()[6..11].iter().collect();
+        let reversed: Vec<&DbObject> = cands.iter().rev().copied().collect();
+        let cfg = |exec_cap, seed| MatcherConfig {
+            exec_cap,
+            seed,
+            ..MatcherConfig::default()
+        };
+        // The first query, then one that differs from it in each part of
+        // the key: candidate order, `exec_cap`, matcher seed, feature count.
+        let queries = [
+            (count, &cands, cfg(48, 11)),
+            (count, &reversed, cfg(48, 11)),
+            (count, &cands, cfg(24, 11)),
+            (count, &cands, cfg(48, 12)),
+            (count / 2, &cands, cfg(48, 11)),
+        ];
+        for (i, (count, cands, cfg)) in queries.iter().enumerate() {
+            let view = render_view(
+                &object_features(scene, *count),
+                Similarity::from_seed(11),
+                ViewParams::default(),
+                11,
+            );
+            let fresh = db.match_against(&view, cands.iter().copied(), cfg);
+            assert_eq!(fresh.best.as_ref().map(|b| b.0), Some(scene), "query {i}");
+            // A miss, then a hit: both equal the fresh match.
+            for _ in 0..2 {
+                let got = db.match_view(scene, *count, 11, cands, cfg);
+                assert_eq!(got.best, fresh.best, "query {i}");
+                assert_eq!(got.ops, fresh.ops, "query {i}");
+                assert_eq!(got.candidates_examined, fresh.candidates_examined);
+                assert_eq!(memo_len(), i + 1, "one entry per distinct query");
+            }
+        }
+        // A copy of the database starts with an empty memo.
+        assert_eq!(db.clone().memo.lock().unwrap().len(), 0);
     }
 
     #[test]
