@@ -16,7 +16,7 @@ use acacia_geo::pathloss::PathLossModel;
 use acacia_simnet::stats::Series;
 use acacia_vision::compute::{contended_time_s, Device};
 use acacia_vision::db::ObjectDb;
-use acacia_vision::feature::{object_features, render_view, Similarity, ViewParams};
+use acacia_vision::feature::{render_object_view, Similarity, ViewParams};
 use acacia_vision::image::{ImageSpec, Resolution};
 use acacia_vision::matcher::{MatchOps, MatcherConfig};
 
@@ -87,12 +87,13 @@ pub fn fig11_frames(
         for f in 0..frames_per_object {
             let view_seed = (ci * 97 + f) as u64 ^ seed;
             let spec = ImageSpec::new(target_id, resolution);
-            let base = object_features(target_id, spec.feature_count());
-            let view = render_view(
-                &base,
+            let view = render_object_view(
+                target_id,
+                spec.feature_count(),
                 Similarity::from_seed(view_seed),
                 ViewParams::default(),
                 view_seed,
+                matcher.executed_prefix(),
             );
             let cands = candidates(strategy, &db, &floor, &ctx);
             let n = cands.len();

@@ -5,7 +5,7 @@ use crate::table::{fmt_secs, Table};
 use acacia_vision::compress::Codec;
 use acacia_vision::compute::Device;
 use acacia_vision::db::{ObjectDb, CAPTURE_RESOLUTION};
-use acacia_vision::feature::{object_features, render_view, Similarity, ViewParams};
+use acacia_vision::feature::{object_features, render_object_view, Similarity, ViewParams};
 use acacia_vision::image::{camera_preview_fps, ImageSpec, Resolution};
 use acacia_vision::matcher::{match_pair, MatcherConfig};
 
@@ -44,8 +44,14 @@ pub(crate) fn fig3b_data() -> Vec<(Resolution, Vec<(Device, f64)>)> {
         let train_spec = ImageSpec::new(7, CAPTURE_RESOLUTION);
         let train = object_features(7, train_spec.feature_count());
         let query_spec = ImageSpec::new(7, res);
-        let base = object_features(7, query_spec.feature_count());
-        let view = render_view(&base, Similarity::from_seed(1), ViewParams::default(), 1);
+        let view = render_object_view(
+            7,
+            query_spec.feature_count(),
+            Similarity::from_seed(1),
+            ViewParams::default(),
+            1,
+            cfg.executed_prefix(),
+        );
         let outcome = match_pair(&view, &train, &cfg);
         let per_dev = Device::FIG3
             .iter()
@@ -124,8 +130,14 @@ pub(crate) fn fig3h_data() -> Vec<(Resolution, Vec<(usize, f64)>)> {
     let per_res = crate::runner::pmap("fig3h", cells, |res| {
         let target = &db.objects()[0];
         let spec = ImageSpec::new(target.id, res);
-        let base = object_features(target.id, spec.feature_count());
-        let view = render_view(&base, Similarity::from_seed(3), ViewParams::default(), 3);
+        let view = render_object_view(
+            target.id,
+            spec.feature_count(),
+            Similarity::from_seed(3),
+            ViewParams::default(),
+            3,
+            cfg.executed_prefix(),
+        );
         sizes
             .iter()
             .map(|&n| {

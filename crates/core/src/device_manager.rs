@@ -8,9 +8,8 @@
 //!    the owning application.
 //! 2. **Connectivity manager** — on the *first* interest match for an
 //!    application it asks the MRS to create MEC connectivity (a dedicated
-//!    bearer); when the application unregisters it asks for deletion. This
-//!    is what keeps dedicated bearers **on-demand** instead of always-on
-//!    (the §4 control-overhead argument).
+//!    bearer). This is what keeps dedicated bearers **on-demand** instead
+//!    of always-on (the §4 control-overhead argument).
 
 use acacia_d2d::modem::Modem;
 use acacia_d2d::service::{DiscoveryEvent, SubscriptionFilter};
@@ -54,9 +53,6 @@ enum ConnState {
 
 struct AppEntry {
     info: ServiceInfo,
-    /// The app's modem filters, removed again by `unregister_app`.
-    #[cfg(test)]
-    subs: Vec<acacia_d2d::modem::SubscriptionId>,
     conn: ConnState,
     /// Has this app ever asked for MEC connectivity? Cell changes only
     /// (re-)establish connectivity for apps that opted in.
@@ -67,8 +63,6 @@ struct AppEntry {
 #[derive(Default)]
 pub struct DeviceManager {
     apps: Vec<Option<AppEntry>>,
-    /// Discovery events delivered to applications.
-    pub events_delivered: u64,
 }
 
 impl DeviceManager {
@@ -80,43 +74,19 @@ impl DeviceManager {
     /// A CI application registers its interests; matching filters go into
     /// the modem.
     pub fn register_app(&mut self, modem: &mut Modem, info: ServiceInfo) -> AppId {
-        let mut subs = Vec::new();
         if info.interests.is_empty() {
-            subs.push(modem.subscribe(SubscriptionFilter::service_wide(&info.service)));
+            modem.subscribe(SubscriptionFilter::service_wide(&info.service));
         } else {
             for interest in &info.interests {
-                subs.push(modem.subscribe(SubscriptionFilter::exact(&info.service, interest)));
+                modem.subscribe(SubscriptionFilter::exact(&info.service, interest));
             }
         }
         self.apps.push(Some(AppEntry {
             info,
-            #[cfg(test)]
-            subs,
             conn: ConnState::None,
             wants_conn: false,
         }));
         self.apps.len() - 1
-    }
-
-    /// Unregister an application: remove its modem filters and request
-    /// connectivity deletion if a bearer was active. Only the retail app
-    /// model, which runs in tests, closes an app.
-    #[cfg(test)]
-    pub(crate) fn unregister_app(
-        &mut self,
-        modem: &mut Modem,
-        app: AppId,
-    ) -> Option<ConnectivityAction> {
-        let entry = self.apps.get_mut(app)?.take()?;
-        for sub in entry.subs {
-            modem.unsubscribe(sub);
-        }
-        match entry.conn {
-            ConnState::Active | ConnState::Requested => Some(ConnectivityAction::Delete {
-                service: entry.info.service,
-            }),
-            ConnState::None => None,
-        }
     }
 
     /// Route a modem-delivered discovery event to the owning application.
@@ -135,7 +105,6 @@ impl DeviceManager {
                     .interests
                     .contains(&event.announcement.expression);
             if service_match && interest_match {
-                self.events_delivered += 1;
                 let action = if entry.conn == ConnState::None {
                     entry.conn = ConnState::Requested;
                     entry.wants_conn = true;
@@ -208,15 +177,6 @@ impl DeviceManager {
             }
         }
     }
-
-    /// Does any application currently hold (or await) MEC connectivity?
-    #[cfg(test)]
-    pub(crate) fn has_connectivity(&self, app: AppId) -> bool {
-        matches!(
-            self.apps.get(app).and_then(|s| s.as_ref()).map(|e| &e.conn),
-            Some(ConnState::Active)
-        )
-    }
 }
 
 #[cfg(test)]
@@ -233,6 +193,13 @@ mod tests {
             snr_db: 20.0,
             tick: 0,
         }
+    }
+
+    /// Whether `app` holds acknowledged MEC connectivity.
+    fn active(dm: &DeviceManager, app: AppId) -> bool {
+        dm.apps[app]
+            .as_ref()
+            .is_some_and(|e| e.conn == ConnState::Active)
     }
 
     fn reading() -> RadioReading {
@@ -285,7 +252,7 @@ mod tests {
         assert_eq!(action2, None);
         // Ack activates.
         dm.on_mrs_ack("acme", true);
-        assert!(dm.has_connectivity(app));
+        assert!(active(&dm, app));
     }
 
     #[test]
@@ -302,48 +269,9 @@ mod tests {
         let (_, a1) = dm.on_discovery(&event("acme", "anything"));
         assert!(a1.is_some());
         dm.on_mrs_ack("acme", false);
-        assert!(!dm.has_connectivity(app));
+        assert!(!active(&dm, app));
         let (_, a2) = dm.on_discovery(&event("acme", "anything"));
         assert!(a2.is_some(), "retry after a NACK");
-    }
-
-    #[test]
-    fn unregister_requests_deletion_and_clears_modem() {
-        let mut dm = DeviceManager::new();
-        let mut modem = Modem::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: "acme".into(),
-                interests: vec![],
-            },
-        );
-        dm.on_discovery(&event("acme", "x"));
-        dm.on_mrs_ack("acme", true);
-        let action = dm.unregister_app(&mut modem, app);
-        assert_eq!(
-            action,
-            Some(ConnectivityAction::Delete {
-                service: "acme".into()
-            })
-        );
-        assert_eq!(modem.active_subscriptions(), 0);
-        // Double unregister is harmless.
-        assert_eq!(dm.unregister_app(&mut modem, app), None);
-    }
-
-    #[test]
-    fn unregister_without_connectivity_requests_nothing() {
-        let mut dm = DeviceManager::new();
-        let mut modem = Modem::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: "acme".into(),
-                interests: vec![],
-            },
-        );
-        assert_eq!(dm.unregister_app(&mut modem, app), None);
     }
 
     #[test]
@@ -372,7 +300,7 @@ mod tests {
         let (_, a2) = dm.on_discovery(&event("acme", "x"));
         assert_eq!(a2, None);
         dm.on_mrs_ack("acme", true);
-        assert!(dm.has_connectivity(app));
+        assert!(active(&dm, app));
     }
 
     #[test]
@@ -390,10 +318,10 @@ mod tests {
         assert!(dm.on_cell_change(true).is_empty());
         dm.on_discovery(&event("acme", "x"));
         dm.on_mrs_ack("acme", true);
-        assert!(dm.has_connectivity(app));
+        assert!(active(&dm, app));
         // Walk to a non-MEC cell: connectivity drops to default.
         assert!(dm.on_cell_change(false).is_empty());
-        assert!(!dm.has_connectivity(app));
+        assert!(!active(&dm, app));
         // Walk back into MEC coverage: a fresh create fires.
         let actions = dm.on_cell_change(true);
         assert_eq!(
@@ -403,7 +331,7 @@ mod tests {
             }]
         );
         dm.on_mrs_ack("acme", true);
-        assert!(dm.has_connectivity(app));
+        assert!(active(&dm, app));
     }
 
     #[test]
@@ -420,6 +348,5 @@ mod tests {
         let (owner, action) = dm.on_discovery(&event("other-store", "laptops"));
         assert_eq!(owner, None);
         assert_eq!(action, None);
-        assert_eq!(dm.events_delivered, 0);
     }
 }

@@ -36,8 +36,6 @@ pub mod locmgr;
 pub mod metro;
 pub mod mrs;
 pub mod msg;
-#[cfg(test)]
-mod retail;
 pub mod scenario;
 pub mod search;
 

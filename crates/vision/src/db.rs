@@ -8,9 +8,9 @@
 //! images are tagged by subsection; localization prunes the search space to
 //! the subsections near the user.
 
-use crate::feature::{object_features, render_view, FeatureSet, Similarity, ViewParams};
+use crate::feature::{object_features, render_object_view, FeatureSet, Similarity, ViewParams};
 use crate::image::{ImageSpec, Resolution};
-use crate::matcher::{exec_len, match_pair, match_prefix, MatchOps, MatcherConfig, PairOutcome};
+use crate::matcher::{exec_len, match_prefix, MatchOps, MatcherConfig, PairOutcome};
 use acacia_geo::floor::FloorPlan;
 use acacia_geo::point::Point;
 use std::collections::HashMap;
@@ -238,13 +238,18 @@ impl ObjectDb {
         let mut examined = 0;
         for obj in candidates {
             examined += 1;
-            let outcome = if exec_len(obj.feature_count, cfg) <= obj.features.len() {
-                match_prefix(frame, &obj.features.features, obj.feature_count, cfg)
+            let executed = exec_len(obj.feature_count, cfg);
+            let regenerated;
+            let train = if executed <= obj.features.len() {
+                &obj.features.features
             } else {
-                // The config executes past the stored prefix: regenerate
-                // the object's full feature set for this call.
-                match_pair(frame, &object_features(obj.id, obj.feature_count), cfg)
+                // The config executes past the stored prefix: generate the
+                // executed prefix for this call (generation is
+                // prefix-stable).
+                regenerated = object_features(obj.id, executed);
+                &regenerated.features
             };
+            let outcome = match_prefix(frame, train, obj.feature_count, cfg);
             ops.merge(outcome.ops);
             if outcome.passed {
                 let better = match &best {
@@ -271,8 +276,9 @@ impl ObjectDb {
     /// [`ObjectDb::match_against`] for the view a client uploads: object
     /// `scene_id`'s first `feature_count` features, photographed under
     /// the hand-held pose and noise `view_seed` derives. Each distinct
-    /// query renders and matches once; repeats return the memoized
-    /// outcome, and no rendered view is kept.
+    /// query renders the view as far as `cfg` executes it and matches
+    /// once; repeats return the memoized outcome, and no rendered view is
+    /// kept.
     pub fn match_view(
         &self,
         scene_id: u64,
@@ -296,11 +302,13 @@ impl ObjectDb {
         }
         // Match outside the lock; a racing duplicate computes the same
         // pure value.
-        let view = render_view(
-            &object_features(scene_id, feature_count),
+        let view = render_object_view(
+            scene_id,
+            feature_count,
             Similarity::from_seed(view_seed),
             ViewParams::default(),
             view_seed,
+            cfg.executed_prefix(),
         );
         let outcome = self.match_against(&view, candidates.iter().copied(), cfg);
         self.memo
@@ -315,7 +323,8 @@ impl ObjectDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feature::{render_view, Similarity, ViewParams};
+    use crate::feature::render_view;
+    use crate::matcher::match_pair;
 
     fn small_db() -> (FloorPlan, ObjectDb) {
         let floor = FloorPlan::retail_store();

@@ -8,10 +8,18 @@
 //! perturbs the descriptors with view noise — so the downstream matcher
 //! (ratio test, symmetry test, RANSAC) runs on data with the same geometry
 //! the real pipeline sees.
+//!
+//! A descriptor is an inline `[f32; 64]`, so a [`Feature`] is 268 bytes
+//! with no allocation of its own. A [`FeatureSet`] may hold only a prefix
+//! of its features and count the rest: the matcher executes at most
+//! [`MatcherConfig::exec_cap`](crate::matcher::MatcherConfig::exec_cap)
+//! features of a side, and [`render_object_view`] draws a view only that
+//! far while still counting all of it.
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::borrow::Borrow;
 
 /// Descriptor dimensionality (SURF-64).
 pub const DESC_DIM: usize = 64;
@@ -27,14 +35,13 @@ pub struct Keypoint {
     pub scale: f32,
 }
 
-/// A 64-dimensional unit-norm descriptor.
+/// A 64-dimensional unit-norm descriptor, held inline.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Descriptor(pub Vec<f32>);
+pub struct Descriptor(pub [f32; DESC_DIM]);
 
 impl Descriptor {
     /// Squared L2 distance to another descriptor.
     pub(crate) fn dist2(&self, other: &Descriptor) -> f32 {
-        debug_assert_eq!(self.0.len(), other.0.len());
         self.0
             .iter()
             .zip(&other.0)
@@ -66,22 +73,25 @@ pub struct Feature {
     pub descriptor: Descriptor,
 }
 
-/// A set of features extracted from one image.
+/// A set of features extracted from one image. It holds the whole set or
+/// a prefix of it; [`FeatureSet::len`] counts the whole set either way.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FeatureSet {
-    /// The features.
+    /// The held features: the set's first `features.len()`.
     pub features: Vec<Feature>,
+    /// Features of the set past `features`: counted, not held.
+    unheld: usize,
 }
 
 impl FeatureSet {
-    /// Number of features.
+    /// Number of features in the set, held or not.
     pub fn len(&self) -> usize {
-        self.features.len()
+        self.features.len() + self.unheld
     }
 
     /// Whether empty.
     pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
+        self.len() == 0
     }
 }
 
@@ -137,25 +147,53 @@ impl Similarity {
 /// Positions are spread over a 512×512 object plane; descriptors are random
 /// unit vectors — distinct objects are far apart in descriptor space with
 /// overwhelming probability, matching the behaviour of real SURF on
-/// distinct textured objects.
+/// distinct textured objects. Generation is prefix-stable: the first `k`
+/// of `n` features do not depend on `n`.
 pub fn object_features(object_id: u64, n: usize) -> FeatureSet {
-    let mut rng = ChaCha8Rng::seed_from_u64(object_id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let features = (0..n)
-        .map(|_| {
-            let keypoint = Keypoint {
-                x: rng.gen_range(0.0..512.0),
-                y: rng.gen_range(0.0..512.0),
-                scale: rng.gen_range(1.0..8.0),
-            };
-            let mut d = Descriptor((0..DESC_DIM).map(|_| rng.gen_range(-1.0..1.0)).collect());
-            d.normalize();
-            Feature {
-                keypoint,
-                descriptor: d,
-            }
+    FeatureSet {
+        features: BaseFeatures::new(object_id).take(n).collect(),
+        unheld: 0,
+    }
+}
+
+/// Object `object_id`'s base features in generation order, drawn one at a
+/// time from the object's stream.
+struct BaseFeatures(ChaCha8Rng);
+
+impl BaseFeatures {
+    fn new(object_id: u64) -> BaseFeatures {
+        BaseFeatures(ChaCha8Rng::seed_from_u64(
+            object_id.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        ))
+    }
+}
+
+impl Iterator for BaseFeatures {
+    type Item = Feature;
+
+    fn next(&mut self) -> Option<Feature> {
+        let rng = &mut self.0;
+        let keypoint = Keypoint {
+            x: rng.gen_range(0.0..512.0),
+            y: rng.gen_range(0.0..512.0),
+            scale: rng.gen_range(1.0..8.0),
+        };
+        let mut d = Descriptor([0.0; DESC_DIM]);
+        for v in &mut d.0 {
+            *v = rng.gen_range(-1.0..1.0);
+        }
+        d.normalize();
+        Some(Feature {
+            keypoint,
+            descriptor: d,
         })
-        .collect();
-    FeatureSet { features }
+    }
+
+    /// Endless, so `take(n)` reports exactly `n` and `object_features`
+    /// allocates exactly `n` features.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 /// Parameters of a synthetic camera view of an object.
@@ -185,40 +223,107 @@ impl Default for ViewParams {
 }
 
 /// Render a view of `base` under `transform` with the given noise model.
-/// `view_seed` individualizes frames.
+/// `view_seed` individualizes frames. A `base` that holds only a prefix
+/// of its features yields a view held as far as that prefix reaches; the
+/// view's [`FeatureSet::len`] is exact either way.
 pub fn render_view(
     base: &FeatureSet,
     transform: Similarity,
     params: ViewParams,
     view_seed: u64,
 ) -> FeatureSet {
+    render(
+        base.features.iter(),
+        base.len(),
+        transform,
+        params,
+        view_seed,
+        usize::MAX,
+    )
+}
+
+/// The view [`render_view`] makes of `object_features(object_id,
+/// feature_count)`, holding only its first `keep` features; its
+/// [`FeatureSet::len`] counts the whole view. Base features are generated
+/// only up to the last kept one, so a view matched under an execution cap
+/// costs its count's random draws, not a full render.
+pub fn render_object_view(
+    object_id: u64,
+    feature_count: usize,
+    transform: Similarity,
+    params: ViewParams,
+    view_seed: u64,
+    keep: usize,
+) -> FeatureSet {
+    render(
+        BaseFeatures::new(object_id),
+        feature_count,
+        transform,
+        params,
+        view_seed,
+        keep,
+    )
+}
+
+/// The one view renderer. `base` yields the held base features of a
+/// `base_len`-feature set in order; the view holds its first `keep`
+/// features (fewer if `base` runs out first) and counts the rest.
+fn render<F: Borrow<Feature>>(
+    mut base: impl Iterator<Item = F>,
+    base_len: usize,
+    transform: Similarity,
+    params: ViewParams,
+    view_seed: u64,
+    mut keep: usize,
+) -> FeatureSet {
     let mut rng = ChaCha8Rng::seed_from_u64(view_seed ^ 0x5bd1_e995);
-    let mut features = Vec::with_capacity(base.len());
-    for f in &base.features {
+    let mut features = Vec::with_capacity(keep.min(base_len + params.clutter));
+    let mut unheld = 0;
+    for _ in 0..base_len {
+        // The base is read only while a survivor would be held, so a lazy
+        // base is generated no further than the last held feature.
+        let f = if features.len() < keep {
+            base.next()
+        } else {
+            None
+        };
         if rng.gen::<f32>() < params.dropout {
             continue;
         }
+        let Some(f) = f else {
+            // Past the held prefix: make the draws a rendered feature
+            // makes, so every later draw and the count stay exact.
+            keep = features.len();
+            for _ in 0..2 + DESC_DIM {
+                gauss_draws(&mut rng);
+            }
+            unheld += 1;
+            continue;
+        };
+        let f = f.borrow();
         let (x, y) = transform.apply(f.keypoint.x, f.keypoint.y);
         let keypoint = Keypoint {
             x: x + gauss(&mut rng) * params.position_noise,
             y: y + gauss(&mut rng) * params.position_noise,
             scale: f.keypoint.scale * transform.scale,
         };
-        let mut d = Descriptor(
-            f.descriptor
-                .0
-                .iter()
-                .map(|&v| v + gauss(&mut rng) * params.descriptor_noise)
-                .collect(),
-        );
+        let mut d = f.descriptor.clone();
+        for v in &mut d.0 {
+            *v += gauss(&mut rng) * params.descriptor_noise;
+        }
         d.normalize();
         features.push(Feature {
             keypoint,
             descriptor: d,
         });
     }
-    for _ in 0..params.clutter {
-        let mut d = Descriptor((0..DESC_DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
+    // Clutter comes last, so clutter that is not held needs no draws.
+    let held_clutter = params.clutter.min(keep - features.len());
+    for _ in 0..held_clutter {
+        let mut d = Descriptor([0.0; DESC_DIM]);
+        for v in &mut d.0 {
+            *v = rng.gen_range(-1.0..1.0);
+        }
         d.normalize();
         features.push(Feature {
             keypoint: Keypoint {
@@ -229,19 +334,31 @@ pub fn render_view(
             descriptor: d,
         });
     }
-    FeatureSet { features }
+    unheld += params.clutter - held_clutter;
+    FeatureSet { features, unheld }
+}
+
+/// The two uniform draws behind one [`gauss`] value.
+fn gauss_draws(rng: &mut ChaCha8Rng) -> (f32, f32) {
+    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+    let u2: f32 = rng.gen_range(0.0..1.0);
+    (u1, u2)
 }
 
 /// Box-Muller standard normal.
 fn gauss(rng: &mut ChaCha8Rng) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
+    let (u1, u2) = gauss_draws(rng);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_feature_is_268_bytes_with_its_descriptor_inline() {
+        assert_eq!(std::mem::size_of::<Feature>(), 268);
+    }
 
     #[test]
     fn object_features_are_deterministic_and_unit_norm() {
@@ -306,6 +423,27 @@ mod tests {
         };
         let view = render_view(&base, Similarity::identity(), p, 1);
         assert_eq!(view.len(), 75);
+    }
+
+    #[test]
+    fn a_view_of_a_held_prefix_is_held_as_far_as_the_prefix_reaches() {
+        let p = ViewParams {
+            clutter: 10,
+            ..ViewParams::default()
+        };
+        let pose = Similarity::from_seed(4);
+        let whole = render_object_view(9, 300, pose, p, 4, usize::MAX);
+        let prefix = render_object_view(9, 300, pose, p, 4, 40);
+        assert_eq!(
+            (whole.len(), prefix.len(), prefix.features.len()),
+            (whole.features.len(), whole.len(), 40)
+        );
+        let of_whole = render_view(&whole, Similarity::identity(), p, 5);
+        let of_prefix = render_view(&prefix, Similarity::identity(), p, 5);
+        assert_eq!(of_prefix.len(), of_whole.len());
+        let held = of_prefix.features.len();
+        assert!(held > 0 && held < 40, "held {held}");
+        assert_eq!(of_prefix.features[..], of_whole.features[..held]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //!
 //! * [`image`] — resolutions, the paper's feature-count power law, the
 //!   One+ One camera model (Fig. 3(e)).
-//! * [`feature`] — SURF-like keypoints and 64-d descriptors; objects are
-//!   deterministic descriptor sets, camera frames are noisy transformed
-//!   views of them.
+//! * [`feature`] — SURF-like keypoints and inline 64-d descriptors;
+//!   objects are deterministic descriptor sets, camera frames are noisy
+//!   transformed views of them, rendered only as far as the matcher
+//!   executes them and counted in full.
 //! * [`matcher`] — the four-stage cascade (brute-force 2-NN + ratio test,
 //!   symmetry test, RANSAC, inlier threshold) with operation metering.
 //! * [`db`] — the 105-object geo-tagged retail database (§6.3) with
@@ -52,8 +53,8 @@ pub use compress::Codec;
 pub use compute::{contended_time_s, Device, DeviceProfile};
 pub use db::{DbObject, ObjectDb, QueryOutcome, CAPTURE_RESOLUTION, STORED_FEATURES};
 pub use feature::{
-    object_features, render_view, Descriptor, Feature, FeatureSet, Keypoint, Similarity,
-    ViewParams, DESC_DIM,
+    object_features, render_object_view, render_view, Descriptor, Feature, FeatureSet, Keypoint,
+    Similarity, ViewParams, DESC_DIM,
 };
 pub use image::{camera_preview_fps, expected_features, ImageSpec, Resolution};
 pub use matcher::{match_pair, CascadeStage, MatchOps, MatcherConfig, PairOutcome};
@@ -63,7 +64,9 @@ pub mod prelude {
     pub use crate::compress::Codec;
     pub use crate::compute::{contended_time_s, Device, DeviceProfile};
     pub use crate::db::{DbObject, ObjectDb, QueryOutcome};
-    pub use crate::feature::{object_features, render_view, FeatureSet, Similarity, ViewParams};
+    pub use crate::feature::{
+        object_features, render_object_view, render_view, FeatureSet, Similarity, ViewParams,
+    };
     pub use crate::image::{camera_preview_fps, expected_features, ImageSpec, Resolution};
     pub use crate::matcher::{match_pair, CascadeStage, MatchOps, MatcherConfig, PairOutcome};
 }

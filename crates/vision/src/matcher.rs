@@ -7,9 +7,10 @@
 //!
 //! Matching executes on real descriptors so the accuracy behaviour is
 //! genuine, but only on the first [`MatcherConfig::exec_cap`] of each side,
-//! borrowed as slices; operation counts are metered at the full
-//! feature-set sizes so device-time models stay faithful to the paper's
-//! workloads (see `DESIGN.md`, substitution ledger).
+//! borrowed as slices, so a side need hold no more; operation counts are
+//! metered at the full feature-set sizes so device-time models stay
+//! faithful to the paper's workloads (see `DESIGN.md`, substitution
+//! ledger).
 
 use crate::db::STORED_FEATURES;
 use crate::feature::{Feature, FeatureSet, Similarity};
@@ -77,6 +78,20 @@ impl Default for MatcherConfig {
     }
 }
 
+impl MatcherConfig {
+    /// The most features of one side the cascade executes: `exec_cap`, or
+    /// every feature when the cap is 0. A view rendered with
+    /// [`render_object_view`](crate::feature::render_object_view) need
+    /// hold no more.
+    pub fn executed_prefix(&self) -> usize {
+        if self.exec_cap == 0 {
+            usize::MAX
+        } else {
+            self.exec_cap
+        }
+    }
+}
+
 /// Which cascade stage decided the outcome (paper §6.3: "In each step, it
 /// compares the output with the threshold and then decides whether to
 /// proceed to the next step or return a 'no-match' response").
@@ -124,24 +139,22 @@ impl PairOutcome {
     }
 }
 
-/// Run the full cascade for `query` against `train`.
+/// Run the full cascade for `query` against `train`. Each set must hold
+/// at least the prefix `cfg` executes of it; operations are metered at
+/// their full counts ([`FeatureSet::len`]).
 pub fn match_pair(query: &FeatureSet, train: &FeatureSet, cfg: &MatcherConfig) -> PairOutcome {
     match_prefix(query, &train.features, train.len(), cfg)
 }
 
 /// Number of features of a `len`-feature set that `cfg` executes.
 pub(crate) fn exec_len(len: usize, cfg: &MatcherConfig) -> usize {
-    if cfg.exec_cap == 0 {
-        len
-    } else {
-        len.min(cfg.exec_cap)
-    }
+    len.min(cfg.executed_prefix())
 }
 
 /// Run the full cascade for `query` against a `train_len`-feature set of
 /// which `train` holds at least the executed prefix
-/// (`exec_len(train_len, cfg)` features). Operations are metered at
-/// `train_len`.
+/// (`exec_len(train_len, cfg)` features); `query` must hold its own.
+/// Operations are metered at `query.len()` and `train_len`.
 pub(crate) fn match_prefix(
     query: &FeatureSet,
     train: &[Feature],

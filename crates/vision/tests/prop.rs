@@ -3,7 +3,9 @@
 use acacia_vision::compress::Codec;
 use acacia_vision::compute::Device;
 use acacia_vision::db::STORED_FEATURES;
-use acacia_vision::feature::{object_features, render_view, Similarity, ViewParams};
+use acacia_vision::feature::{
+    object_features, render_object_view, render_view, Similarity, ViewParams,
+};
 use acacia_vision::image::{camera_preview_fps, expected_features, ImageSpec, Resolution};
 use acacia_vision::matcher::{match_pair, MatchOps, MatcherConfig};
 use proptest::prelude::*;
@@ -25,6 +27,36 @@ proptest! {
         let small = object_features(id, n1);
         let large = object_features(id, n);
         prop_assert_eq!(&small.features[..], &large.features[..n1]);
+    }
+
+    /// A view rendered only to `keep` features holds exactly the first
+    /// `keep` of the full view and counts all of it, whatever survives
+    /// dropout and however much clutter follows: the draws it skips
+    /// rendering are still made.
+    #[test]
+    fn prefix_view_is_the_full_views_prefix(
+        id in any::<u64>(),
+        n in prop_oneof![0usize..=150, 150usize..=1_500],
+        view_seed in any::<u64>(),
+        dropout in prop::sample::select(vec![0.0f32, ViewParams::default().dropout, 1.0]),
+        clutter in prop_oneof![0usize..=0, 1usize..40],
+        // None, some, at least the whole view (≤ 1 539), and uncapped.
+        keep in prop_oneof![
+            0usize..=0,
+            1usize..120,
+            1_540usize..2_000,
+            prop::sample::select(vec![
+                MatcherConfig { exec_cap: 0, ..MatcherConfig::default() }.executed_prefix(),
+            ]),
+        ],
+    ) {
+        let params = ViewParams { dropout, clutter, ..ViewParams::default() };
+        let pose = Similarity::from_seed(view_seed);
+        let full = render_view(&object_features(id, n), pose, params, view_seed);
+        let prefix = render_object_view(id, n, pose, params, view_seed, keep);
+        prop_assert_eq!(prefix.len(), full.len());
+        let held = keep.min(full.len());
+        prop_assert_eq!(&prefix.features[..], &full.features[..held]);
     }
 
     /// Descriptors are unit-norm.
