@@ -14,8 +14,7 @@
 //! goes to stderr.
 //!
 //! `--seed N` (or `--seed=N`) sets the master seed for seed-aware
-//! experiments (the chaos, loaded and failover sweeps); the default is
-//! 42.
+//! experiments (the chaos and loaded sweeps); the default is 42.
 //!
 //! `--shards N` (or `--shards=N`) sets the engine's shard count: every
 //! simulation partitions its topology into N region shards that advance

@@ -79,7 +79,7 @@ fn fingerprint(r: &FailoverReport) -> impl PartialEq + std::fmt::Debug {
 /// process-wide, so shard counts run serially; within one shard count
 /// the configurations fan out across `--jobs`. The knob in effect
 /// before the sweep is restored afterwards.
-fn sweep(seed: u64) -> Vec<FailoverCell> {
+fn sweep() -> Vec<FailoverCell> {
     let prev = acacia_simnet::default_shards();
     let mut cells = Vec::new();
     for &shards in &SHARD_COUNTS {
@@ -94,8 +94,7 @@ fn sweep(seed: u64) -> Vec<FailoverCell> {
             })
             .collect();
         let ran = runner::pmap("failover", jobs, move |(mode, outage)| {
-            let mut cfg = FailoverConfig::smoke(mode, outage);
-            cfg.fault_seed = seed;
+            let cfg = FailoverConfig::smoke(mode, outage);
             let t0 = std::time::Instant::now();
             let report = FailoverScenario::run(cfg);
             runner::report_events(report.metro.events_processed);
@@ -116,9 +115,7 @@ fn sweep(seed: u64) -> Vec<FailoverCell> {
 
 /// Failover: crash schedules, outage sweep, outcome audit, shard parity.
 pub(crate) fn failover() -> Table {
-    // `figures --seed N` varies the fault plan's probability draws; the
-    // schedule itself is fixed.
-    let cells = sweep(crate::seed());
+    let cells = sweep();
     let mut t = Table::new(
         "Failover — MEC/GW crash schedules over the city (8 regions, 32 sessions)",
         &[

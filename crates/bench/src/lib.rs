@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use table::Table;
 
 /// Process-wide master seed for experiments that honour the `figures
-/// --seed N` flag (the chaos, loaded and failover sweeps). Defaults to
+/// --seed N` flag (the chaos and loaded sweeps). Defaults to
 /// 42, the seed baked into every fixed-seed experiment config.
 static SEED: AtomicU64 = AtomicU64::new(42);
 

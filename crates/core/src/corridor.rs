@@ -19,7 +19,7 @@
 
 use crate::arclient::{ArFrontend, ArFrontendConfig, FrameStats};
 use crate::arserver::{ArServer, ArServerConfig};
-use crate::device_manager::{ConnectivityAction, DeviceManager, ServiceInfo};
+use crate::device_manager::{DeviceManager, ServiceInfo};
 use crate::locmgr::{LocalizationManager, LocalizationMetadata};
 use crate::mrs::{port as mrs_port, Mrs, ServerInstance};
 use crate::msg::APP_PORT;
@@ -864,12 +864,10 @@ impl CorridorScenario {
                 // (idempotent when the network already re-anchored) or
                 // records the fallback to default.
                 let cell_is_mec = self.net.cfg.cells[now_serving].mec;
-                for action in dm.on_cell_change(cell_is_mec) {
-                    if matches!(action, ConnectivityAction::Create { .. }) {
-                        self.net
-                            .sim
-                            .schedule_timer(self.clients[i], now, ArFrontend::REANCHOR);
-                    }
+                for _ in dm.on_cell_change(cell_is_mec) {
+                    self.net
+                        .sim
+                        .schedule_timer(self.clients[i], now, ArFrontend::REANCHOR);
                 }
             }
             let all_done = self

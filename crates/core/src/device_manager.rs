@@ -28,20 +28,12 @@ pub struct ServiceInfo {
 /// Handle of a registered CI application.
 pub type AppId = usize;
 
-/// Connectivity actions the manager wants performed (sent to the MRS by
-/// the hosting node).
+/// A request for MEC connectivity the manager wants sent to the MRS by
+/// the hosting node.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConnectivityAction {
-    /// Request MEC connectivity for `service`.
-    Create {
-        /// Service to connect.
-        service: String,
-    },
-    /// Tear MEC connectivity down.
-    Delete {
-        /// Service to disconnect.
-        service: String,
-    },
+pub struct ConnectivityAction {
+    /// Service to connect.
+    pub service: String,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,7 +54,7 @@ struct AppEntry {
 /// The device manager.
 #[derive(Default)]
 pub struct DeviceManager {
-    apps: Vec<Option<AppEntry>>,
+    apps: Vec<AppEntry>,
 }
 
 impl DeviceManager {
@@ -81,11 +73,11 @@ impl DeviceManager {
                 modem.subscribe(SubscriptionFilter::exact(&info.service, interest));
             }
         }
-        self.apps.push(Some(AppEntry {
+        self.apps.push(AppEntry {
             info,
             conn: ConnState::None,
             wants_conn: false,
-        }));
+        });
         self.apps.len() - 1
     }
 
@@ -96,8 +88,7 @@ impl DeviceManager {
         &mut self,
         event: &DiscoveryEvent,
     ) -> (Option<AppId>, Option<ConnectivityAction>) {
-        for (id, slot) in self.apps.iter_mut().enumerate() {
-            let Some(entry) = slot else { continue };
+        for (id, entry) in self.apps.iter_mut().enumerate() {
             let service_match = entry.info.service == event.announcement.service;
             let interest_match = entry.info.interests.is_empty()
                 || entry
@@ -108,7 +99,7 @@ impl DeviceManager {
                 let action = if entry.conn == ConnState::None {
                     entry.conn = ConnState::Requested;
                     entry.wants_conn = true;
-                    Some(ConnectivityAction::Create {
+                    Some(ConnectivityAction {
                         service: entry.info.service.clone(),
                     })
                 } else {
@@ -124,11 +115,11 @@ impl DeviceManager {
     /// "ACACIA without proximity service discovery"): launching the CI
     /// application itself requests MEC connectivity.
     pub(crate) fn on_app_launch(&mut self, app: AppId) -> Option<ConnectivityAction> {
-        let entry = self.apps.get_mut(app)?.as_mut()?;
+        let entry = self.apps.get_mut(app)?;
         if entry.conn == ConnState::None {
             entry.conn = ConnState::Requested;
             entry.wants_conn = true;
-            Some(ConnectivityAction::Create {
+            Some(ConnectivityAction {
                 service: entry.info.service.clone(),
             })
         } else {
@@ -149,13 +140,13 @@ impl DeviceManager {
     ///   triggers a fresh create.
     pub(crate) fn on_cell_change(&mut self, cell_is_mec: bool) -> Vec<ConnectivityAction> {
         let mut actions = Vec::new();
-        for entry in self.apps.iter_mut().flatten() {
+        for entry in &mut self.apps {
             if !entry.wants_conn {
                 continue;
             }
             if cell_is_mec {
                 entry.conn = ConnState::Requested;
-                actions.push(ConnectivityAction::Create {
+                actions.push(ConnectivityAction {
                     service: entry.info.service.clone(),
                 });
             } else {
@@ -167,9 +158,9 @@ impl DeviceManager {
 
     /// The MRS answered a connectivity request for `service`.
     pub(crate) fn on_mrs_ack(&mut self, service: &str, ok: bool) {
-        for slot in self.apps.iter_mut().flatten() {
-            if slot.info.service == service && slot.conn == ConnState::Requested {
-                slot.conn = if ok {
+        for entry in &mut self.apps {
+            if entry.info.service == service && entry.conn == ConnState::Requested {
+                entry.conn = if ok {
                     ConnState::Active
                 } else {
                     ConnState::None
@@ -197,9 +188,7 @@ mod tests {
 
     /// Whether `app` holds acknowledged MEC connectivity.
     fn active(dm: &DeviceManager, app: AppId) -> bool {
-        dm.apps[app]
-            .as_ref()
-            .is_some_and(|e| e.conn == ConnState::Active)
+        dm.apps[app].conn == ConnState::Active
     }
 
     fn reading() -> RadioReading {
@@ -243,7 +232,7 @@ mod tests {
         assert_eq!(owner, Some(app));
         assert_eq!(
             action,
-            Some(ConnectivityAction::Create {
+            Some(ConnectivityAction {
                 service: "acme".into()
             })
         );
@@ -290,7 +279,7 @@ mod tests {
         let action = dm.on_app_launch(app);
         assert_eq!(
             action,
-            Some(ConnectivityAction::Create {
+            Some(ConnectivityAction {
                 service: "acme".into()
             })
         );
@@ -326,7 +315,7 @@ mod tests {
         let actions = dm.on_cell_change(true);
         assert_eq!(
             actions,
-            vec![ConnectivityAction::Create {
+            vec![ConnectivityAction {
                 service: "acme".into()
             }]
         );

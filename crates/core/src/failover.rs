@@ -6,7 +6,7 @@
 //! MEC servers heartbeat the cloud MRS, the MRS runs miss-N-of-M lease
 //! audits, streaming clients periodically re-validate their resolution,
 //! and the GW-C guards against anchoring dedicated bearers on gateways
-//! with no path to the UE. This module adds the *faults*: a seeded
+//! with no path to the UE. This module adds the *faults*: a fixed
 //! [`NodeFaultPlan`] crashing a region's MEC server (and, for correlated
 //! region outages, its local GW-U), the O&M failure indication that
 //! flushes the dead gateway's bearers, and the post-outage pokes that
@@ -76,9 +76,6 @@ pub struct FailoverConfig {
     /// Outage length for the restarting modes (ignored by
     /// [`FailoverMode::CrashStop`]).
     pub outage: Duration,
-    /// Seed of the node-fault plan (probability draws; the schedule
-    /// itself is deterministic).
-    pub fault_seed: u64,
 }
 
 impl FailoverConfig {
@@ -89,7 +86,6 @@ impl FailoverConfig {
             metro: MetroConfig::city_smoke(),
             mode,
             outage,
-            fault_seed: 11,
         }
     }
 }
@@ -202,7 +198,7 @@ impl FailoverScenario {
     fn inject(scenario: &mut MetroScenario, cfg: &FailoverConfig, timeline: &Timeline) {
         let crash_at = timeline.start + CRASH_AFTER;
         let victim = scenario.servers[CRASH_REGION];
-        let mut plan = NodeFaultPlan::new(cfg.fault_seed);
+        let mut plan = NodeFaultPlan::default();
         match cfg.mode {
             FailoverMode::CrashStop => {
                 plan.add_rule(NodeFaultRule::crash_stop(victim, crash_at));

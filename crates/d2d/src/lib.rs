@@ -10,8 +10,6 @@
 //! * [`service`] — 128-bit expression codes, masks, announcements.
 //! * [`modem`] — modem-resident subscription filtering.
 //! * [`discovery`] — publishers on a floor plan; scan/dwell operations.
-//! * `resource` (tests only) — checks §3's claim that discovery uses
-//!   under 1% of the uplink resource blocks.
 //!
 //! ```
 //! use acacia_d2d::prelude::*;
@@ -35,14 +33,12 @@
 pub mod channel;
 pub mod discovery;
 pub mod modem;
-#[cfg(test)]
-mod resource;
 pub mod service;
 pub mod technology;
 
 pub use channel::{RadioChannel, RadioReading};
 pub use discovery::{ProximityWorld, Publisher};
-pub use modem::{Modem, SubscriptionId};
+pub use modem::Modem;
 pub use service::{Announcement, DiscoveryEvent, ServiceCode, SubscriptionFilter};
 pub use technology::ProximityTech;
 

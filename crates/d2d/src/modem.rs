@@ -6,13 +6,10 @@
 use crate::channel::RadioReading;
 use crate::service::{Announcement, DiscoveryEvent, SubscriptionFilter};
 
-/// Identifier an application receives when registering a subscription.
-pub type SubscriptionId = usize;
-
 /// Modem-resident discovery state for one UE.
 #[derive(Debug, Default)]
 pub struct Modem {
-    subscriptions: Vec<Option<SubscriptionFilter>>,
+    subscriptions: Vec<SubscriptionFilter>,
     /// Discovery messages decoded by the radio.
     pub messages_seen: u64,
     /// Messages filtered out in the modem (no matching subscription).
@@ -27,22 +24,14 @@ impl Modem {
         Modem::default()
     }
 
-    /// Install a subscription filter; returns its handle.
-    pub fn subscribe(&mut self, filter: SubscriptionFilter) -> SubscriptionId {
-        self.subscriptions.push(Some(filter));
-        self.subscriptions.len() - 1
+    /// Install a subscription filter.
+    pub fn subscribe(&mut self, filter: SubscriptionFilter) {
+        self.subscriptions.push(filter);
     }
 
-    /// Remove a subscription.
-    pub fn unsubscribe(&mut self, id: SubscriptionId) {
-        if let Some(slot) = self.subscriptions.get_mut(id) {
-            *slot = None;
-        }
-    }
-
-    /// Number of active subscriptions.
+    /// Number of installed subscriptions.
     pub fn active_subscriptions(&self) -> usize {
-        self.subscriptions.iter().flatten().count()
+        self.subscriptions.len()
     }
 
     /// Present a decoded over-the-air announcement to the modem. Returns the
@@ -58,7 +47,6 @@ impl Modem {
         let matched = self
             .subscriptions
             .iter()
-            .flatten()
             .any(|f| f.matches(announcement.code));
         if !matched {
             self.messages_filtered += 1;
@@ -109,24 +97,6 @@ mod tests {
         assert!(m.receive(&a, "L2", reading(), 0).is_none());
         assert_eq!(m.messages_filtered, 1);
         assert_eq!(m.messages_delivered, 0);
-    }
-
-    #[test]
-    fn unsubscribe_stops_delivery() {
-        let mut m = Modem::new();
-        let id = m.subscribe(SubscriptionFilter::service_wide("store"));
-        assert_eq!(m.active_subscriptions(), 1);
-        m.unsubscribe(id);
-        assert_eq!(m.active_subscriptions(), 0);
-        let a = Announcement::new("store", "laptops");
-        assert!(m.receive(&a, "L1", reading(), 0).is_none());
-    }
-
-    #[test]
-    fn unsubscribe_of_unknown_id_is_harmless() {
-        let mut m = Modem::new();
-        m.unsubscribe(17);
-        assert_eq!(m.active_subscriptions(), 0);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * [`link`] — serialization + propagation + drop-tail queue + jitter/loss
 //!   fault injection.
 //! * [`fault`] — deterministic per-link fault plans (drop / duplicate /
-//!   reorder / delay, targetable by message class, window or occurrence).
-//! * [`router`] — longest-prefix-match IPv4 routing, with an optional
-//!   serial per-packet processing cost (software data planes).
+//!   reorder, targetable by message tag, window or occurrence) and
+//!   node crash schedules (crash-stop, crash-restart).
+//! * [`router`] — longest-prefix-match IPv4 routing.
 //! * [`traffic`] — CBR/Poisson sources, counting sinks, echo reflectors.
 //! * [`transport`] — ping prober and greedy AIMD flow (iperf-like).
 //! * [`stats`] — series summaries, percentiles, CDFs.

@@ -143,8 +143,6 @@ pub struct LinkStats {
     pub duplicates_injected: u64,
     /// Packets held back by an injected reorder fault.
     pub reorders_injected: u64,
-    /// Packets delayed by an injected delay fault.
-    pub delays_injected: u64,
     /// Total transmitter busy time committed (sum of serialization times
     /// of accepted packets). A scheduler may reorder service but never
     /// invents or destroys work, so this is scheduler-invariant.
@@ -186,7 +184,6 @@ struct Injected {
     drops: u64,
     duplicates: u64,
     reorders: u64,
-    delays: u64,
 }
 
 /// A link's fault state, allocated when a plan is first attached: the
@@ -340,10 +337,6 @@ impl Link {
                     injected.reorders += 1;
                     extra = e;
                 }
-                FaultVerdict::Delay { extra: e } => {
-                    injected.delays += 1;
-                    extra = e;
-                }
             }
         }
 
@@ -431,7 +424,6 @@ impl Link {
             drops_injected: injected.drops,
             duplicates_injected: injected.duplicates,
             reorders_injected: injected.reorders,
-            delays_injected: injected.delays,
             busy: c.busy,
             classes: c.classes.clone(),
         }
@@ -446,7 +438,7 @@ impl Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultRule, PacketClass};
+    use crate::fault::{FaultRule, PacketClass};
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::net::Ipv4Addr;
@@ -607,14 +599,13 @@ mod tests {
             FaultPlan::new(5).with_rule(FaultRule::drop(PacketClass::any(), 1.0)),
         ));
         link.transmit(Instant::ZERO, &pkt(100));
-        let mut delay = FaultRule::reorder(PacketClass::any(), 1.0, Duration::from_millis(1));
-        delay.kind = FaultKind::Delay;
-        link.set_fault_plan(Some(FaultPlan::new(6).with_rule(delay)));
+        let reorder = FaultRule::reorder(PacketClass::any(), 1.0, Duration::from_millis(1));
+        link.set_fault_plan(Some(FaultPlan::new(6).with_rule(reorder)));
         link.transmit(Instant::ZERO, &pkt(100));
         link.set_fault_plan(None);
         link.transmit(Instant::ZERO, &pkt(100));
         let stats = link.stats();
-        assert_eq!((stats.drops_injected, stats.delays_injected), (1, 1));
+        assert_eq!((stats.drops_injected, stats.reorders_injected), (1, 1));
         assert_eq!(stats.tx_packets, 2);
     }
 

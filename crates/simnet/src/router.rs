@@ -2,8 +2,6 @@
 
 use crate::packet::Packet;
 use crate::sim::{Ctx, Node, PortId};
-use crate::time::{Duration, Instant};
-use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// An IPv4 network prefix, e.g. `10.1.0.0/16`.
@@ -89,41 +87,23 @@ impl RouteTable {
     }
 }
 
-/// Timer token used by [`Router`] for packet release events.
-const TOKEN_RELEASE: u64 = 1;
-
-/// A store-and-forward router with an optional per-packet processing cost
-/// (modelling a software data plane) applied before forwarding.
+/// A store-and-forward router: each arriving packet leaves at once on the
+/// port its destination's longest matching prefix names.
 pub struct Router {
     table: RouteTable,
-    /// CPU time spent per packet before it can be forwarded (serial).
-    per_packet_cost: Duration,
-    /// Completion watermark of the serial processor.
-    busy_until: Instant,
-    /// Maximum packets allowed to be waiting for processing.
-    proc_queue_limit: usize,
-    /// Packets waiting for their processing-completion timer, FIFO.
-    deferred: VecDeque<Packet>,
     /// Forwarded packet count.
     pub forwarded: u64,
     /// Packets dropped for lack of a route.
     pub no_route: u64,
-    /// Packets dropped because the processing queue overflowed.
-    pub proc_drops: u64,
 }
 
 impl Router {
-    /// Router with zero processing cost (pure forwarding).
+    /// A router over `table`.
     pub fn new(table: RouteTable) -> Router {
         Router {
             table,
-            per_packet_cost: Duration::ZERO,
-            busy_until: Instant::ZERO,
-            proc_queue_limit: usize::MAX,
-            deferred: VecDeque::new(),
             forwarded: 0,
             no_route: 0,
-            proc_drops: 0,
         }
     }
 
@@ -131,8 +111,10 @@ impl Router {
     pub fn set_table(&mut self, table: RouteTable) {
         self.table = table;
     }
+}
 
-    fn forward(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+impl Node for Router {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) {
         match self.table.lookup(pkt.dst) {
             Some(port) => {
                 self.forwarded += 1;
@@ -143,38 +125,12 @@ impl Router {
     }
 }
 
-impl Node for Router {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) {
-        if self.per_packet_cost == Duration::ZERO {
-            self.forward(ctx, pkt);
-            return;
-        }
-        if self.deferred.len() >= self.proc_queue_limit {
-            self.proc_drops += 1;
-            return;
-        }
-        let start = self.busy_until.max(ctx.now());
-        let done = start + self.per_packet_cost;
-        self.busy_until = done;
-        self.deferred.push_back(pkt);
-        ctx.schedule_at(done, TOKEN_RELEASE);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token != TOKEN_RELEASE {
-            return;
-        }
-        if let Some(pkt) = self.deferred.pop_front() {
-            self.forward(ctx, pkt);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
     use crate::sim::Simulator;
+    use crate::time::{Duration, Instant};
     use crate::traffic::Sink;
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
@@ -245,59 +201,6 @@ mod tests {
         let r = sim.node_ref::<Router>(router);
         assert_eq!(r.forwarded, 2);
         assert_eq!(r.no_route, 1);
-    }
-
-    #[test]
-    fn processing_cost_serializes_packets() {
-        // 1 ms per packet: 3 packets injected simultaneously leave at
-        // t = 1, 2, 3 ms.
-        let mut sim = Simulator::new(5);
-        let mut table = RouteTable::new();
-        table.add(Ipv4Net::default_route(), 1);
-        let router = sim.add_node(Box::new(Router {
-            per_packet_cost: Duration::from_millis(1),
-            proc_queue_limit: 10,
-            ..Router::new(table)
-        }));
-        let sink = sim.add_node(Box::new(Sink::new()));
-        sim.connect(
-            (router, 1),
-            (sink, 0),
-            LinkConfig::delay_only(Duration::ZERO),
-        );
-        for _ in 0..3 {
-            let p = Packet::udp((ip(1, 1, 1, 1), 1), (ip(2, 2, 2, 2), 2), 10);
-            sim.inject_packet(router, 0, Instant::ZERO, p);
-        }
-        sim.run_until_idle();
-        let s = sim.node_ref::<Sink>(sink);
-        assert_eq!(s.packets(), 3);
-        assert_eq!(s.last_arrival(), Some(Instant::from_millis(3)));
-    }
-
-    #[test]
-    fn processing_queue_overflow_drops() {
-        let mut sim = Simulator::new(5);
-        let mut table = RouteTable::new();
-        table.add(Ipv4Net::default_route(), 1);
-        let router = sim.add_node(Box::new(Router {
-            per_packet_cost: Duration::from_millis(1),
-            proc_queue_limit: 2,
-            ..Router::new(table)
-        }));
-        let sink = sim.add_node(Box::new(Sink::new()));
-        sim.connect(
-            (router, 1),
-            (sink, 0),
-            LinkConfig::delay_only(Duration::ZERO),
-        );
-        for _ in 0..5 {
-            let p = Packet::udp((ip(1, 1, 1, 1), 1), (ip(2, 2, 2, 2), 2), 10);
-            sim.inject_packet(router, 0, Instant::ZERO, p);
-        }
-        sim.run_until_idle();
-        assert_eq!(sim.node_ref::<Sink>(sink).packets(), 2);
-        assert_eq!(sim.node_ref::<Router>(router).proc_drops, 3);
     }
 
     #[test]

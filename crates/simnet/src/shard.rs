@@ -190,14 +190,12 @@ impl Lane<'_> {
         }
         // Node-lifecycle faults: a down node rejects the event; a
         // completed crash-restart erases the node's state first.
-        let mut tx_blocked = false;
         let faults = self.shared.faults;
-        if !faults.is_empty() && faults.get(node_id).is_some_and(|s| !s.windows.is_empty()) {
-            match self.fault_gate(slot, node_id, at, &ev.kind) {
-                FaultGate::Reject => return,
-                FaultGate::DeliverTxBlocked => tx_blocked = true,
-                FaultGate::Deliver => {}
-            }
+        if !faults.is_empty()
+            && faults.get(node_id).is_some_and(|s| !s.windows.is_empty())
+            && !self.fault_gate(slot, node_id, at, &ev.kind)
+        {
+            return;
         }
         let mut actions = std::mem::take(&mut self.shard.scratch);
         let Slot { node, meta, .. } = &mut *self.shard.slots[slot];
@@ -217,69 +215,43 @@ impl Lane<'_> {
             }
             EvKind::Timer(_, token, _, _) => node.on_timer(&mut ctx, token),
         }
-        self.apply_actions(slot, node_id, &mut actions, tx_blocked);
+        self.apply_actions(slot, node_id, &mut actions);
         self.shard.scratch = actions;
     }
 
-    /// Decide whether an event for a fault-targeted node is delivered. Lazily
-    /// advances the node through its outage schedule: a crash-restart window
-    /// that has fully passed erases the node's state (and bumps its timer
+    /// Decide whether an event for a fault-targeted node is delivered
+    /// (`false`: drop it; counters are already updated). Lazily advances
+    /// the node through its outage schedule: a crash-restart window that
+    /// has fully passed erases the node's state (and bumps its timer
     /// epoch) before anything else reaches it. All decisions depend only on
     /// the event's own `(node, at, kind)` — never on other shards — so the
     /// outcome is identical at every shard count.
-    fn fault_gate(
-        &mut self,
-        slot: usize,
-        node_id: NodeId,
-        at: Instant,
-        kind: &EvKind,
-    ) -> FaultGate {
+    fn fault_gate(&mut self, slot: usize, node_id: NodeId, at: Instant, kind: &EvKind) -> bool {
         let windows = &self.shared.faults[node_id].windows;
         let Slot { node, meta: m, .. } = &mut *self.shard.slots[slot];
         let ctr = &mut self.shard.ctr;
         // Complete every window that has fully passed.
         while (m.fault_pos as usize) < windows.len() && windows[m.fault_pos as usize].until <= at {
-            let w = windows[m.fault_pos as usize];
             m.fault_pos += 1;
-            if w.erase {
-                m.epoch = m.epoch.wrapping_add(1);
-                ctr.node_restarts += 1;
-                node.on_restart();
-            }
+            m.epoch = m.epoch.wrapping_add(1);
+            ctr.node_restarts += 1;
+            node.on_restart();
         }
-        let in_window = windows
+        let down = windows
             .get(m.fault_pos as usize)
-            .copied()
-            .filter(|w| w.from <= at);
-        if let Some(w) = in_window {
-            debug_assert!(at < w.until);
-            if w.erase {
-                // Crashed: nothing reaches the node, timers included.
-                match kind {
-                    EvKind::Arrive(..) => ctr.node_rejected += 1,
-                    EvKind::Timer(..) => ctr.node_timer_dropped += 1,
-                }
-                return FaultGate::Reject;
+            .is_some_and(|w| w.from <= at);
+        match *kind {
+            // Crashed: nothing reaches the node, timers included.
+            EvKind::Arrive(..) if down => ctr.node_rejected += 1,
+            EvKind::Timer(..) if down => ctr.node_timer_dropped += 1,
+            // A timer armed before the node's last crash-restart never
+            // fires.
+            EvKind::Timer(_, _, _, armed_epoch) if armed_epoch != m.epoch => {
+                ctr.node_timer_dropped += 1
             }
-            // Partitioned: deliveries bounce; timers still fire below, but
-            // whatever they send is discarded.
-            if matches!(kind, EvKind::Arrive(..)) {
-                ctr.node_rejected += 1;
-                return FaultGate::Reject;
-            }
+            _ => return true,
         }
-        // A timer armed before the node's last crash-restart never fires.
-        if let EvKind::Timer(_, _, _, armed_epoch) = *kind {
-            if armed_epoch != m.epoch {
-                ctr.node_timer_dropped += 1;
-                return FaultGate::Reject;
-            }
-        }
-        if in_window.is_some() {
-            FaultGate::DeliverTxBlocked
-        } else {
-            FaultGate::Deliver
-        }
+        false
     }
 
     /// Content-derived key for the next event emitted by the node in
@@ -313,24 +285,11 @@ impl Lane<'_> {
         }
     }
 
-    fn apply_actions(
-        &mut self,
-        slot: usize,
-        node_id: NodeId,
-        actions: &mut Vec<Action>,
-        tx_blocked: bool,
-    ) {
+    fn apply_actions(&mut self, slot: usize, node_id: NodeId, actions: &mut Vec<Action>) {
         let src = (slot, node_id);
         for action in actions.drain(..) {
             match action {
                 Action::Send { port, pkt } => {
-                    if tx_blocked {
-                        // The emitting node is partitioned: its timers run
-                        // but nothing it sends reaches the network.
-                        self.shard.ctr.node_tx_dropped += 1;
-                        drop(pkt);
-                        continue;
-                    }
                     let now = self.shard.now;
                     let Some(link) = self.shard.slots[slot].links.get_mut(port) else {
                         self.shard.ctr.unrouted += 1;
@@ -369,16 +328,6 @@ impl Lane<'_> {
             }
         }
     }
-}
-
-/// Verdict of [`Lane::fault_gate`] for one event.
-enum FaultGate {
-    /// Deliver normally.
-    Deliver,
-    /// Deliver (a partitioned node's timer), but discard its sends.
-    DeliverTxBlocked,
-    /// Drop the event; counters were already updated.
-    Reject,
 }
 
 /// The conservative lookahead `L` in nanoseconds, counted from every

@@ -250,16 +250,13 @@ pub(crate) struct ShardCounters {
     pub(crate) xsent: u64,
     /// Cross-shard arrivals accepted from other shards' outboxes.
     pub(crate) xrecv: u64,
-    /// Packet deliveries rejected because the destination node was down
-    /// (crashed or partitioned).
+    /// Packet deliveries rejected because the destination node was down.
     pub(crate) node_rejected: u64,
     /// Timer expiries dropped because the node was crashed, or because the
     /// timer was armed before the node's last crash-restart.
     pub(crate) node_timer_dropped: u64,
     /// Crash-restart recoveries performed ([`Node::on_restart`] calls).
     pub(crate) node_restarts: u64,
-    /// Sends discarded because the emitting node was partitioned.
-    pub(crate) node_tx_dropped: u64,
     /// Lookahead windows this shard's lane drained (windowed drivers only;
     /// a single active shard drains straight through and counts none).
     pub(crate) windows: u64,
@@ -894,13 +891,10 @@ impl Simulator {
         link.set_fault_plan(Some(plan));
     }
 
-    /// Attach a node-lifecycle fault plan. Probability draws are resolved
-    /// here (from the plan's own seeded stream, keyed by rule content, so
-    /// insertion order is irrelevant) and the plan is compiled into
-    /// per-node outage schedules. Replaces any previous plan. Attach after
-    /// the topology is built; nodes added later are never faulted. A plan
-    /// whose rules all miss their draws behaves byte-identically to no
-    /// plan at all.
+    /// Attach a node-lifecycle fault plan, compiled into per-node outage
+    /// schedules. Replaces any previous plan. Attach after the topology is
+    /// built; nodes added later are never faulted. An empty plan behaves
+    /// byte-identically to no plan at all.
     pub fn attach_node_fault_plan(&mut self, plan: &NodeFaultPlan) {
         self.node_faults = plan.compile(self.loc.len());
     }
@@ -919,11 +913,6 @@ impl Simulator {
     /// Crash-restart recoveries performed ([`Node::on_restart`] calls).
     pub fn node_restarts(&self) -> u64 {
         self.total(|c| c.node_restarts)
-    }
-
-    /// Sends discarded because the emitting node was partitioned.
-    pub fn node_sends_dropped(&self) -> u64 {
-        self.total(|c| c.node_tx_dropped)
     }
 
     /// Statistics of the link leaving `(node, port)`, if connected.
@@ -1336,7 +1325,7 @@ mod tests {
         // Arrivals land at 1, 11, ..., 291 ms. Down for [100, 150) ms:
         // the five arrivals at 101..141 bounce, and the node restarts
         // empty before the 151 ms delivery.
-        let plan = NodeFaultPlan::new(1).with_rule(NodeFaultRule::crash_restart(
+        let plan = NodeFaultPlan::default().with_rule(NodeFaultRule::crash_restart(
             tally,
             Instant::from_millis(100),
             Duration::from_millis(50),
@@ -1359,7 +1348,7 @@ mod tests {
         tally.long_timer_at = Some(Instant::from_millis(200));
         let (_, tally) = ticker_tally(&mut sim, [0, 0], tally);
         sim.schedule_timer(tally, Instant::ZERO, 0);
-        let plan = NodeFaultPlan::new(1).with_rule(NodeFaultRule::crash_restart(
+        let plan = NodeFaultPlan::default().with_rule(NodeFaultRule::crash_restart(
             tally,
             Instant::from_millis(100),
             Duration::from_millis(50),
@@ -1380,35 +1369,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_preserves_state_and_cuts_traffic_both_ways() {
-        let mut sim = Simulator::new(5);
-        let mut tally = Tally::new();
-        tally.tick_every = Some(Duration::from_millis(7));
-        let (_, tally) = ticker_tally(&mut sim, [0, 0], tally);
-        sim.schedule_timer(tally, Instant::ZERO, 0);
-        let plan = NodeFaultPlan::new(1).with_rule(NodeFaultRule::partition(
-            tally,
-            Instant::from_millis(100),
-            Duration::from_millis(50),
-        ));
-        sim.attach_node_fault_plan(&plan);
-        // The tick chain reschedules forever, so bound the run instead of
-        // draining to idle.
-        sim.run_until(Instant::from_millis(300));
-        let t = sim.node_ref::<Tally>(tally);
-        assert_eq!(sim.node_arrivals_rejected(), 5, "deliveries bounce");
-        assert_eq!(sim.node_restarts(), 0, "a partition is not a crash");
-        assert!(
-            sim.node_sends_dropped() >= 7,
-            "tick sends inside the window go nowhere"
-        );
-        assert_eq!(sim.node_timers_dropped(), 0, "timers keep firing");
-        assert_eq!(t.seen, 25, "10 before + 15 after, state preserved");
-        let expect: Vec<u32> = (1..=25).collect();
-        assert_eq!(t.trace, expect, "no reset across a partition");
-    }
-
-    #[test]
     fn empty_or_all_miss_node_plan_is_byte_identical_to_none() {
         let run = |plan: Option<NodeFaultPlan>| {
             let mut sim = Simulator::new(42);
@@ -1423,10 +1383,10 @@ mod tests {
             )
         };
         let baseline = run(None);
-        assert_eq!(baseline, run(Some(NodeFaultPlan::new(7))));
-        let all_miss = NodeFaultPlan::new(7).with_rule(
-            NodeFaultRule::crash_stop(1, Instant::from_millis(50)).with_probability(0.0),
-        );
+        assert_eq!(baseline, run(Some(NodeFaultPlan::default())));
+        // The run drains by 300 ms; a crash due after that misses it.
+        let all_miss = NodeFaultPlan::default()
+            .with_rule(NodeFaultRule::crash_stop(1, Instant::from_secs(10)));
         assert_eq!(baseline, run(Some(all_miss)));
     }
 
@@ -1438,7 +1398,7 @@ mod tests {
             tally.tick_every = Some(Duration::from_millis(7));
             let (_, tally) = ticker_tally(&mut sim, [0, 1], tally);
             sim.schedule_timer(tally, Instant::ZERO, 0);
-            let plan = NodeFaultPlan::new(3).with_rule(NodeFaultRule::crash_restart(
+            let plan = NodeFaultPlan::default().with_rule(NodeFaultRule::crash_restart(
                 tally,
                 Instant::from_millis(100),
                 Duration::from_millis(50),
@@ -1462,7 +1422,7 @@ mod tests {
     fn crash_stop_silences_a_node_forever() {
         let mut sim = Simulator::new(5);
         let (_, tally) = ticker_tally(&mut sim, [0, 0], Tally::new());
-        let plan = NodeFaultPlan::new(1)
+        let plan = NodeFaultPlan::default()
             .with_rule(NodeFaultRule::crash_stop(tally, Instant::from_millis(100)));
         sim.attach_node_fault_plan(&plan);
         sim.run_until_idle();
