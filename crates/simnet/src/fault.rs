@@ -371,14 +371,25 @@ mod tests {
     }
 
     #[test]
+    fn class_matches_on_all_populated_fields() {
+        // The empty selector matches everything, tagged or not.
+        assert!(PacketClass::any().matches(&tagged("PSa")));
+        assert!(PacketClass::any().matches(&pkt()));
+        // A populated selector (the payload tag is the only field) must hold.
+        let class = PacketClass {
+            payload_tag: Some("PSq".to_string()),
+        };
+        assert_eq!(class, PacketClass::any().with_payload_tag("PSq"));
+        assert!(class.matches(&tagged("PSq")));
+        assert!(!class.matches(&pkt()));
+    }
+
+    #[test]
     fn payload_tag_matches_the_typed_message_tag() {
         let class = PacketClass::any().with_payload_tag("PSq");
         assert!(class.matches(&tagged("PSq")));
         assert!(!class.matches(&tagged("PSa")));
         assert!(!class.matches(&pkt()));
-        // The empty selector matches everything, tagged or not.
-        assert!(PacketClass::any().matches(&tagged("PSa")));
-        assert!(PacketClass::any().matches(&pkt()));
     }
 
     #[test]
