@@ -14,7 +14,7 @@ use crate::runner;
 use crate::table::{fmt_secs, Table};
 use acacia::arclient::FrameStats;
 use acacia::corridor::{
-    CorridorConfig, CorridorMode, CorridorReport, CorridorScenario, LoadReport,
+    CoreLoad, CorridorConfig, CorridorMode, CorridorReport, CorridorScenario, LoadReport,
 };
 use acacia_simnet::stats::Series;
 
@@ -119,7 +119,8 @@ pub(crate) fn chaos_grid(seed: u64, smoke: bool) -> Vec<(String, CorridorConfig)
         .collect()
 }
 
-/// Chaos: handover recovery outcomes vs control-plane fault rate.
+/// Chaos: handover recovery outcomes vs control-plane fault rate. Every
+/// cell must end with no UE in an illegal state and no procedure open.
 pub fn chaos() -> Table {
     let reports = runner::pmap("chaos", chaos_grid(crate::seed(), false), run_cell);
     let mut t = Table::new(
@@ -143,6 +144,13 @@ pub fn chaos() -> Table {
         ],
     );
     for (rate, r) in DROP_RATES.iter().zip(&reports) {
+        assert_eq!(
+            (r.stuck_ues, r.outstanding_procedures),
+            (0, 0),
+            "chaos seed {} drop={:.0}%: wedged UEs",
+            crate::seed(),
+            rate * 100.0
+        );
         let (p50, max) = if r.interruptions_ms.is_empty() {
             ("-".to_string(), "-".to_string())
         } else {
@@ -297,7 +305,9 @@ fn drops_cell(load: &LoadReport) -> String {
         .join(" ")
 }
 
-/// Loaded: congested multi-UE handovers, MEC path vs cloud path.
+/// Loaded: congested multi-UE handovers, MEC path vs cloud path. Every
+/// cell must complete its sessions, and every cell loaded above the
+/// core's rate must drop best-effort (class-1) packets at the core queue.
 pub fn loaded() -> Table {
     let reports = runner::pmap("loaded", loaded_grid(crate::seed()), run_cell);
     let mut t = Table::new(
@@ -320,6 +330,20 @@ pub fn loaded() -> Table {
     );
     for r in &reports {
         let load = r.load.as_ref().expect("the loaded preset reports its load");
+        let cell = format!(
+            "loaded N={} bg={}M",
+            r.ue_count(),
+            load.bg_rate_bps / 1_000_000
+        );
+        assert_eq!(r.wedged(), 0, "{cell}: wedged sessions");
+        if load.bg_rate_bps > CoreLoad::CORE_RATE_BPS {
+            let c1_drops = load
+                .core_classes
+                .iter()
+                .find(|&&(c, _)| c == 1)
+                .map_or(0, |(_, s)| s.drops_queue);
+            assert!(c1_drops > 0, "{cell}: no class-1 drops above capacity");
+        }
         let ints = Series::from_iter(r.interruptions_ms.iter().copied());
         let mec = Series::from_iter(r.probe_rtts_ms.iter().copied());
         let cloud = Series::from_iter(load.cloud_rtts_ms.iter().copied());

@@ -49,17 +49,24 @@ impl MetroCell {
     }
 }
 
-/// Run one configuration at every shard count, serially (the shard count
-/// is a process-wide engine knob, so cells must not overlap). The knob
-/// in effect before the sweep — the `--shards` flag — is restored
-/// afterwards so later experiments honour it.
-fn sweep(id: &str, cfg: &MetroConfig) -> Vec<MetroCell> {
+/// Run labelled configurations at every shard count, shard-major: the
+/// shard count is a process-wide engine knob, so shard counts run
+/// serially, and within one the configurations fan out across `--jobs`.
+/// The knob in effect before the sweep — the `--shards` flag — is
+/// restored afterwards so later experiments honour it.
+pub(super) fn sweep(id: &str, configs: &[(String, MetroConfig)]) -> Vec<MetroCell> {
     let prev = acacia_simnet::default_shards();
-    let mut cells = Vec::with_capacity(SHARD_COUNTS.len());
+    let mut cells = Vec::with_capacity(SHARD_COUNTS.len() * configs.len());
     for &shards in &SHARD_COUNTS {
         acacia_simnet::set_default_shards(Some(shards));
-        let cfg = cfg.clone();
-        let mut ran = runner::pmap(id, vec![(format!("shards={shards}"), cfg)], |cfg| {
+        let jobs = configs
+            .iter()
+            .map(|(label, cfg)| {
+                let label = format!("{label} shards={shards}");
+                (label.trim_start().to_string(), cfg.clone())
+            })
+            .collect();
+        cells.extend(runner::pmap(id, jobs, |cfg| {
             let t0 = std::time::Instant::now();
             let report = MetroScenario::build(cfg).run();
             runner::report_events(report.events_processed);
@@ -69,8 +76,7 @@ fn sweep(id: &str, cfg: &MetroConfig) -> Vec<MetroCell> {
                 report,
                 wall_s: t0.elapsed().as_secs_f64(),
             }
-        });
-        cells.push(ran.remove(0));
+        }));
     }
     acacia_simnet::set_default_shards(Some(prev));
     cells
@@ -103,8 +109,9 @@ pub(crate) fn metro() -> Table {
     )
 }
 
-/// The deterministic outcome that must not vary with the shard count.
-fn fingerprint(r: &MetroReport) -> impl PartialEq + std::fmt::Debug {
+/// The deterministic outcome that must not vary with the shard count,
+/// failover audit included.
+fn fingerprint(r: &MetroReport) -> impl PartialEq + std::fmt::Debug + '_ {
     (
         r.ues
             .iter()
@@ -116,16 +123,20 @@ fn fingerprint(r: &MetroReport) -> impl PartialEq + std::fmt::Debug {
         r.dedicated_reanchored,
         r.events_processed,
         r.sim_elapsed,
+        &r.failover,
     )
 }
 
 /// The sweep's invariants, asserted where its rows are made: a conserved
 /// cross-shard exchange, zero wedged sessions, every row's deterministic
-/// outcome equal to the one-shard row's, and, where a ceiling is given,
-/// the per-shard imbalance under it (a one-shard row reads 0).
-fn assert_invariants(id: &str, cells: &[MetroCell], max_imbalance: Option<f64>) {
-    let base = fingerprint(&cells[0].report); // SHARD_COUNTS[0] == 1
-    for c in cells {
+/// outcome equal to its configuration's one-shard row's, conserved
+/// failover counters under a crash, and, where a ceiling is given, the
+/// per-shard imbalance under it (a one-shard row reads 0).
+pub(super) fn assert_invariants(id: &str, cells: &[MetroCell], max_imbalance: Option<f64>) {
+    // Shard-major: the first `per_shard` cells are the one-shard rows
+    // (SHARD_COUNTS[0] == 1).
+    let per_shard = cells.len() / SHARD_COUNTS.len();
+    for (i, c) in cells.iter().enumerate() {
         let r = &c.report;
         assert!(
             r.cross_shard_conserved(),
@@ -137,10 +148,18 @@ fn assert_invariants(id: &str, cells: &[MetroCell], max_imbalance: Option<f64>) 
         assert_eq!(r.wedged(), 0, "{id} shards={}: wedged sessions", c.shards);
         assert_eq!(
             fingerprint(r),
-            base,
+            fingerprint(&cells[i % per_shard].report),
             "{id}: shards={} diverged from shards=1",
             c.shards
         );
+        if let Some(audit) = &r.failover {
+            assert_eq!(r.protocol_wedged(), 0, "{id} shards={}", c.shards);
+            assert!(
+                audit.conserved(r.ue_count),
+                "{id} shards={}: recovery counters not conserved",
+                c.shards
+            );
+        }
         if let Some(max) = max_imbalance {
             assert!(
                 r.shard_imbalance() <= max,
@@ -162,7 +181,7 @@ fn parity_table(
     to_json: &str,
     max_imbalance: Option<f64>,
 ) -> Table {
-    let cells = sweep(id, cfg);
+    let cells = sweep(id, &[(String::new(), cfg.clone())]);
     assert_invariants(id, &cells, max_imbalance);
     let mut t = Table::new(
         title,
@@ -260,7 +279,7 @@ pub(super) mod tests {
     /// something, and the JSON must be structurally sound. Shared by the
     /// city and metro presets' tests.
     pub(in crate::experiments) fn assert_smoke_sweep(id: &str, cfg: &MetroConfig) {
-        let cells = sweep(id, cfg);
+        let cells = sweep(id, &[(String::new(), cfg.clone())]);
         assert_eq!(cells.len(), SHARD_COUNTS.len());
         assert_invariants(id, &cells, None);
         assert_eq!(

@@ -310,7 +310,7 @@ pub struct CoreLoad {
 
 impl CoreLoad {
     /// Narrowed shared-core rate: 100 Mbit/s, the regime of Fig. 3(g).
-    pub(crate) const CORE_RATE_BPS: u64 = 100_000_000;
+    pub const CORE_RATE_BPS: u64 = 100_000_000;
     /// Core queue bound. 12 MiB at 100 Mbit/s drains in ~1.0 s — the
     /// saturated RTT plateau of Fig. 3(g).
     pub(crate) const CORE_QUEUE_BYTES: u64 = 12 * 1024 * 1024;

@@ -26,7 +26,7 @@
 //!   benchmark reports the per-shard event imbalance both produce.
 //! * [`MetroConfig::city`] — the **city**: 8 equal regions of 256 UEs
 //!   at end-to-end resolution, the shape the control-plane drop soak and
-//!   the failover ladder ([`crate::failover`]) run over.
+//!   the failover ladder run over.
 //!
 //! Pacing is per region: each region's frame interval has a floor of
 //! `size_r × per_frame_budget`, so every serial MEC server sees the
@@ -37,8 +37,10 @@
 //! has to absorb.
 //!
 //! Two layers are off by default: control-plane link drops
-//! ([`MetroConfig::ctrl_drop_rate`]) and the MEC failover wiring
-//! ([`MetroConfig::failover`]).
+//! ([`MetroConfig::ctrl_drop_rate`], armed by `corridor`'s
+//! `arm_control_faults`) and a MEC crash ([`MetroConfig::crash`]), which
+//! wires the failover machinery at build, arms the crash at schedule and
+//! audits every session at collect ([`crate::failover`]).
 
 use crate::arclient::{ArFrontend, ArFrontendConfig};
 use crate::arserver::{ArServer, ArServerConfig};
@@ -46,6 +48,7 @@ use crate::corridor::{
     add_mrs, ar_server, arm_control_faults, retail_db, scene_ids, walk, walk_time, Timeline,
     UeReport, CELL_SPACING_M,
 };
+use crate::failover::{self, Crash, FailoverAudit};
 use crate::mrs::{Mrs, ServerInstance, LEASE_CHECK_PERIOD};
 use crate::msg::APP_PORT;
 use crate::scenario::SERVICE;
@@ -94,10 +97,11 @@ pub struct MetroConfig {
     pub ctrl_drop_rate: f64,
     /// Seed for the per-link fault streams.
     pub fault_seed: u64,
-    /// MEC failover wiring (server heartbeats, MRS lease monitoring,
-    /// neighbour/cloud fallback registrations, the core routes a failed-
-    /// over session rides). `false` = no failover machinery at all.
-    pub failover: bool,
+    /// A MEC crash injected mid-stream, with the failover wiring it
+    /// needs (server heartbeats, MRS lease monitoring, neighbour/cloud
+    /// fallback registrations, the core routes a failed-over session
+    /// rides). `None` = no failover machinery at all.
+    pub crash: Option<Crash>,
 }
 
 impl MetroConfig {
@@ -150,7 +154,7 @@ impl MetroConfig {
             core_weight_bias: false,
             ctrl_drop_rate: 0.0,
             fault_seed: 7,
-            failover: false,
+            crash: None,
         }
     }
 
@@ -268,6 +272,8 @@ pub struct MetroReport {
     pub outstanding_procedures: usize,
     /// Simulated time the run covered.
     pub sim_elapsed: Duration,
+    /// The failover audit, when [`MetroConfig::crash`] was set.
+    pub failover: Option<FailoverAudit>,
 }
 
 impl MetroReport {
@@ -317,8 +323,6 @@ pub struct MetroScenario {
     pub mrs: NodeId,
     /// The MRS address.
     pub mrs_addr: std::net::Ipv4Addr,
-    /// Cloud fallback AR server (failover wiring only).
-    pub cloud: Option<NodeId>,
     /// Cloud fallback address (failover wiring only).
     pub cloud_addr: Option<std::net::Ipv4Addr>,
     cfg: MetroConfig,
@@ -372,7 +376,7 @@ impl MetroScenario {
         for r in 0..cfg.regions() {
             let server_addr = addr::mec(r, 0);
             let mut server_cfg = ArServerConfig::new(server_addr);
-            if cfg.failover {
+            if cfg.crash.is_some() {
                 // Each MEC server beats its lease to the cloud MRS
                 // (heartbeats ride the failover core path).
                 server_cfg.heartbeat = Some((mrs_addr, region_service(r)));
@@ -387,8 +391,8 @@ impl MetroScenario {
         // One cloud MRS knows every region's server under a per-region
         // service name; each client asks for its own region's service.
         let cloud_ar_addr = cfg
-            .failover
-            .then(|| std::net::Ipv4Addr::from(u32::from(addr::CLOUD_BASE) + 1));
+            .crash
+            .map(|_| std::net::Ipv4Addr::from(u32::from(addr::CLOUD_BASE) + 1));
         let mut mrs_node = Mrs::new(mrs_addr);
         for (r, &server_addr) in server_addrs.iter().enumerate() {
             mrs_node.register_service(
@@ -425,14 +429,13 @@ impl MetroScenario {
             }
         }
         let mrs = add_mrs(&mut net, mrs_node);
-        let cloud = cloud_ar_addr.map(|cloud_ar_addr| {
-            let (cloud, assigned) = net.add_cloud_server(
+        if let Some(cloud_ar_addr) = cloud_ar_addr {
+            let (_, assigned) = net.add_cloud_server(
                 ar_server(ArServerConfig::new(cloud_ar_addr), &db),
                 LinkConfig::delay_only(Duration::from_micros(800)),
             );
             assert_eq!(assigned, cloud_ar_addr);
-            cloud
-        });
+        }
 
         let scene_ids = scene_ids(&db);
 
@@ -446,7 +449,7 @@ impl MetroScenario {
                 min_frame_interval: Some(cfg.region_interval(r)),
                 resolution: cfg.resolution,
                 scene_ids: scene_ids.clone(),
-                lease_recheck: cfg.failover,
+                lease_recheck: cfg.crash.is_some(),
                 ..ArFrontendConfig::new(ue_ip, server_addrs[r])
             };
             let client = net.connect_ue_app(
@@ -457,7 +460,7 @@ impl MetroScenario {
             clients.push(client);
         }
 
-        if cfg.failover {
+        if cfg.crash.is_some() {
             // Every UE is attached and every server placed: snapshot the
             // failover core routes (cross-region default-bearer paths +
             // the heartbeat path to the cloud MRS).
@@ -486,7 +489,6 @@ impl MetroScenario {
             server_addrs,
             mrs,
             mrs_addr,
-            cloud,
             cloud_addr: cloud_ar_addr,
             cfg,
             last_serving,
@@ -499,13 +501,13 @@ impl MetroScenario {
     }
 
     /// Schedule every session kickoff and walk (and, when configured, the
-    /// lease machinery and the control-plane fault plans), returning the
-    /// run's timing anchors. Each region staggers its own population
-    /// across its own interval; the k-th UE of a region kicks off at
-    /// `k × region_stagger(r)`.
+    /// lease machinery, the control-plane fault plans and the crash),
+    /// returning the run's timing anchors. Each region staggers its own
+    /// population across its own interval; the k-th UE of a region kicks
+    /// off at `k × region_stagger(r)`.
     pub fn schedule(&mut self) -> Timeline {
         let start = self.net.sim.now();
-        if self.cfg.failover {
+        if self.cfg.crash.is_some() {
             // Start the lease machinery: each MEC server's heartbeat
             // chain and the MRS audit loop (both self-rescheduling).
             for &server in &self.servers {
@@ -535,7 +537,7 @@ impl MetroScenario {
             region_base += size;
         }
 
-        let timeline = Timeline::new(
+        let mut timeline = Timeline::new(
             start,
             stagger_total,
             walk_time(self.cfg.speed_mps),
@@ -548,6 +550,9 @@ impl MetroScenario {
             self.cfg.ctrl_drop_rate,
             0.0,
         );
+        if let Some(crash) = self.cfg.crash {
+            failover::arm(self, crash, &mut timeline);
+        }
         timeline
     }
 
@@ -617,6 +622,7 @@ impl MetroScenario {
             stuck_ues,
             outstanding_procedures,
             sim_elapsed: self.net.sim.now() - timeline.start,
+            failover: self.cfg.crash.map(|crash| failover::audit(self, crash)),
         }
     }
 

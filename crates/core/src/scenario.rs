@@ -17,8 +17,9 @@
 
 use crate::arclient::{ArFrontend, ArFrontendConfig, FrameStats};
 use crate::arserver::{ArServer, ArServerConfig};
+use crate::corridor::add_mrs;
 use crate::locmgr::{LocalizationManager, LocalizationMetadata};
-use crate::mrs::{port as mrs_port, Mrs, ServerInstance};
+use crate::mrs::{Mrs, ServerInstance};
 use crate::msg::APP_PORT;
 use crate::search::SearchStrategy;
 use acacia_d2d::channel::RadioChannel;
@@ -26,11 +27,9 @@ use acacia_d2d::discovery::ProximityWorld;
 use acacia_d2d::modem::Modem;
 use acacia_d2d::service::SubscriptionFilter;
 use acacia_geo::floor::FloorPlan;
-use acacia_lte::entities::pcrf_port;
 use acacia_lte::network::{LteConfig, LteNetwork};
 use acacia_lte::ue::AppSelector;
 use acacia_simnet::cloud::Ec2Region;
-use acacia_simnet::link::LinkConfig;
 use acacia_simnet::sim::NodeId;
 use acacia_simnet::time::Duration;
 use acacia_vision::db::ObjectDb;
@@ -263,17 +262,7 @@ impl Scenario {
                         distance: 1.0,
                     },
                 );
-                let (mrs, assigned) = net.add_cloud_server(
-                    Box::new(mrs_node),
-                    LinkConfig::delay_only(Duration::from_micros(800)),
-                );
-                assert_eq!(assigned, mrs_addr);
-                // Rx interface to the PCRF.
-                net.sim.connect(
-                    (mrs, mrs_port::RX),
-                    (net.pcrf, pcrf_port::AF),
-                    LinkConfig::delay_only(Duration::from_micros(500)),
-                );
+                let mrs = add_mrs(&mut net, mrs_node);
                 (server, addr, Some(mrs))
             }
         };

@@ -62,7 +62,7 @@ pub mod wheel;
 
 pub use fault::{FaultKind, FaultPlan, FaultRule, PacketClass};
 pub use link::{ClassStats, LinkConfig, LinkStats};
-pub use packet::{FiveTuple, Packet};
+pub use packet::Packet;
 pub use router::{Ipv4Net, RouteTable, Router};
 pub use sim::{
     default_shards, set_default_shards, shard_imbalance, Ctx, EvKey, Node, NodeId, PortId,
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use crate::cloud::Ec2Region;
     pub use crate::fault::{FaultKind, FaultPlan, FaultRule, PacketClass};
     pub use crate::link::LinkConfig;
-    pub use crate::packet::{proto, FiveTuple, Packet};
+    pub use crate::packet::{proto, Packet};
     pub use crate::router::{Ipv4Net, RouteTable, Router};
     pub use crate::sim::{Ctx, Node, NodeId, PortId, Simulator};
     pub use crate::stats::Series;

@@ -55,34 +55,6 @@ pub fn l4_header_len(protocol: u8) -> u32 {
     }
 }
 
-/// The classic 5-tuple identifying a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FiveTuple {
-    /// Source address.
-    pub src: Ipv4Addr,
-    /// Destination address.
-    pub dst: Ipv4Addr,
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// IP protocol number.
-    pub protocol: u8,
-}
-
-impl FiveTuple {
-    /// The reverse direction of this flow.
-    pub fn reversed(&self) -> FiveTuple {
-        FiveTuple {
-            src: self.dst,
-            dst: self.src,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            protocol: self.protocol,
-        }
-    }
-}
-
 /// A message that travels typed: the sender hands over the value and the
 /// receiver downcasts it, and only its encoding's length reaches the wire.
 pub trait Message: Any + fmt::Debug + Send + Sync + DynEq {
@@ -224,17 +196,6 @@ impl Packet {
         IPV4_HEADER + l4_header_len(self.protocol) + self.payload.len() as u32 + self.app_len
     }
 
-    /// The packet's 5-tuple.
-    pub fn five_tuple(&self) -> FiveTuple {
-        FiveTuple {
-            src: self.src,
-            dst: self.dst,
-            src_port: self.src_port,
-            dst_port: self.dst_port,
-            protocol: self.protocol,
-        }
-    }
-
     /// Builder-style: set the TOS byte.
     pub fn with_tos(mut self, tos: u8) -> Packet {
         self.tos = tos;
@@ -316,15 +277,6 @@ mod tests {
         assert_eq!(empty.msg::<Note>(), None);
         assert_eq!(empty.tag(), None);
         assert_eq!(empty, Packet::icmp(ip(1), ip(2), 56).payload);
-    }
-
-    #[test]
-    fn five_tuple_reverse_is_involutive() {
-        let p = Packet::udp((ip(1), 1000), (ip(2), 2000), 0);
-        let ft = p.five_tuple();
-        assert_eq!(ft.reversed().reversed(), ft);
-        assert_eq!(ft.reversed().src, ip(2));
-        assert_eq!(ft.reversed().dst_port, 1000);
     }
 
     #[test]

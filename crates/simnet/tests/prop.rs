@@ -54,14 +54,6 @@ proptest! {
         );
     }
 
-    /// FiveTuple reversal is an involution.
-    #[test]
-    fn five_tuple_involution(a in any::<u32>(), b in any::<u32>(), pa in any::<u16>(), pb in any::<u16>()) {
-        let p = Packet::udp((Ipv4Addr::from(a), pa), (Ipv4Addr::from(b), pb), 1);
-        let ft = p.five_tuple();
-        prop_assert_eq!(ft.reversed().reversed(), ft);
-    }
-
     /// Longest-prefix match: a /32 host route always beats anything else.
     #[test]
     fn lpm_host_route_wins(addr in any::<u32>(), plen in 0u8..=24) {
