@@ -27,6 +27,12 @@ pub const STRATEGIES: [SearchStrategy; 3] = [
     SearchStrategy::Naive,
 ];
 
+/// Descriptors executed per side by the Fig. 11/12 workload.
+pub(crate) const FIG11_EXEC_CAP: usize = 32;
+
+/// Descriptors executed per side by the Fig. 13 sessions.
+pub(crate) const FIG13_EXEC_CAP: usize = 48;
+
 /// Per-frame result of the Fig. 11 workload.
 #[derive(Debug, Clone)]
 pub struct Fig11Frame {
@@ -54,7 +60,7 @@ pub fn fig11_frames(
     let channel = RadioChannel::new(model, seed);
     let world = ProximityWorld::from_floor(&floor, "acme", channel);
     let matcher = MatcherConfig {
-        exec_cap: 32,
+        exec_cap: FIG11_EXEC_CAP,
         ..MatcherConfig::default()
     };
 
@@ -249,7 +255,7 @@ pub fn fig13_reports(frame_count: u64, exec_cap: usize) -> Vec<acacia::scenario:
 
 /// Fig. 13: end-to-end latency breakdown, ACACIA vs MEC vs CLOUD.
 pub(crate) fn fig13() -> Table {
-    let reports = fig13_reports(10, 48);
+    let reports = fig13_reports(10, FIG13_EXEC_CAP);
     let mut t = Table::new(
         "Fig 13 — end-to-end comparison at 720x480 (s)",
         &[

@@ -9,6 +9,12 @@ use acacia_vision::feature::{object_features, render_object_view, Similarity, Vi
 use acacia_vision::image::{camera_preview_fps, ImageSpec, Resolution};
 use acacia_vision::matcher::{match_pair, MatcherConfig};
 
+/// Descriptors executed per side by the Fig. 3(b) single-object match.
+pub(crate) const FIG3B_EXEC_CAP: usize = 48;
+
+/// Descriptors executed per side by the Fig. 3(h) database scan.
+pub(crate) const FIG3H_EXEC_CAP: usize = 32;
+
 /// Fig. 3(a): SURF detection + description time vs resolution × device.
 pub(crate) fn fig3a() -> Table {
     let mut t = Table::new(
@@ -34,7 +40,7 @@ pub(crate) fn fig3a() -> Table {
 /// per sweep resolution.
 pub(crate) fn fig3b_data() -> Vec<(Resolution, Vec<(Device, f64)>)> {
     let cfg = MatcherConfig {
-        exec_cap: 48,
+        exec_cap: FIG3B_EXEC_CAP,
         ..MatcherConfig::default()
     };
     let mut out = Vec::new();
@@ -118,7 +124,7 @@ pub(crate) fn fig3f() -> Table {
 pub(crate) fn fig3h_data() -> Vec<(Resolution, Vec<(usize, f64)>)> {
     let db = ObjectDb::retail_cached(5, 99);
     let cfg = MatcherConfig {
-        exec_cap: 32,
+        exec_cap: FIG3H_EXEC_CAP,
         ..MatcherConfig::default()
     };
     let profile = Device::I7Octa.profile();

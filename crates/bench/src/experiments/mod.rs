@@ -134,3 +134,49 @@ mod loaded {
         }
     }
 }
+
+/// Beyond [`STORED_FEATURES`](acacia_vision::db::STORED_FEATURES) (or at
+/// cap 0, unlimited) `ObjectDb::match_against` still matches exactly, but
+/// regenerates every candidate's executed prefix on every query: a
+/// run-time cliff no output shows. Every cap an experiment or server runs
+/// at stays within the stored prefix.
+#[cfg(test)]
+mod exec_caps {
+    mod tests {
+        use crate::experiments::{application, compute};
+        use acacia::arserver::ArServerConfig;
+        use acacia::scenario::{Deployment, ScenarioConfig};
+        use acacia_vision::db::STORED_FEATURES;
+        use std::net::Ipv4Addr;
+
+        #[test]
+        fn every_production_cap_executes_within_the_stored_prefix() {
+            let mut caps: Vec<(String, usize)> = Deployment::ALL
+                .iter()
+                .map(|&d| {
+                    let name = format!("ScenarioConfig::e2e({})", d.name());
+                    (name, ScenarioConfig::e2e(d).exec_cap)
+                })
+                .collect();
+            caps.extend([
+                (
+                    "ArServerConfig::new".to_string(),
+                    ArServerConfig::new(Ipv4Addr::LOCALHOST).exec_cap,
+                ),
+                ("corridor::EXEC_CAP".to_string(), acacia::corridor::EXEC_CAP),
+                ("fig3b".to_string(), compute::FIG3B_EXEC_CAP),
+                ("fig3h".to_string(), compute::FIG3H_EXEC_CAP),
+                ("fig11/fig12".to_string(), application::FIG11_EXEC_CAP),
+                ("fig13".to_string(), application::FIG13_EXEC_CAP),
+            ]);
+            for (name, cap) in &caps {
+                assert!(
+                    (1..=STORED_FEATURES).contains(cap),
+                    "{name} executes {cap} features; the database stores {STORED_FEATURES}"
+                );
+            }
+            // The stored prefix is no longer than the largest cap needs.
+            assert_eq!(caps.iter().map(|c| c.1).max(), Some(STORED_FEATURES));
+        }
+    }
+}

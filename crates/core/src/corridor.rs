@@ -54,7 +54,7 @@ const WALK_FAR_M: f64 = 38.0;
 /// Objects per subsection in the retail database every server holds.
 const DB_PER_SUBSECTION: usize = 1;
 /// Matching execution cap at every AR server.
-const EXEC_CAP: usize = 24;
+pub const EXEC_CAP: usize = 24;
 /// Where the Cloud mode's server runs.
 const CLOUD_REGION: Ec2Region = Ec2Region::California;
 /// Liveness-probe spacing: resolves handover interruption to ±25 ms.

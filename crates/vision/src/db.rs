@@ -19,12 +19,16 @@ use std::sync::{Arc, Mutex};
 /// The resolution objects are photographed at for the database.
 pub const CAPTURE_RESOLUTION: Resolution = Resolution::new(480, 360);
 
-/// Descriptors stored per object: the prefix that matching at the default
-/// [`MatcherConfig::exec_cap`] executes. An object photographed at
-/// [`CAPTURE_RESOLUTION`] detects 600–800 features; the rest only count
-/// towards metered operations, so the database keeps their number, not
-/// their descriptors.
-pub const STORED_FEATURES: usize = 96;
+/// Descriptors stored per object: the largest prefix any experiment or
+/// server executes, and the default [`MatcherConfig::exec_cap`]. Fig. 3(b),
+/// fig13, `ScenarioConfig::e2e` and `ArServerConfig::new` execute 48;
+/// fig3h, fig11 and fig12 execute 32; every corridor and metro server
+/// executes 24. An object photographed at [`CAPTURE_RESOLUTION`] detects
+/// 600–800 features; the rest only count towards metered operations, so
+/// the database keeps their number, not their descriptors. A cap above
+/// this (or 0, unlimited) still matches exactly, but regenerates each
+/// candidate's executed prefix on every query.
+pub const STORED_FEATURES: usize = 48;
 
 /// One catalogued object.
 #[derive(Debug, Clone)]
@@ -450,8 +454,8 @@ mod tests {
                 render_view(&base, pose, ViewParams::default(), 7)
             })
             .collect();
-        // Caps within the stored prefix, then the ones that regenerate the
-        // full set: unlimited and past `STORED_FEATURES`.
+        // Caps within the stored prefix, then the ones that regenerate:
+        // past `STORED_FEATURES`, and unlimited.
         let mut matched = 0;
         for exec_cap in [16, 24, 32, 48, 96, 0, 200] {
             let cfg = MatcherConfig {

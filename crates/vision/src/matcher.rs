@@ -71,7 +71,8 @@ impl Default for MatcherConfig {
         MatcherConfig {
             inlier_px: 6.0,
             min_inliers: 8,
-            // The database stores exactly the prefix the default executes.
+            // The database stores exactly the prefix the default executes,
+            // which is the largest any experiment or server executes.
             exec_cap: STORED_FEATURES,
             seed: 0x51_7e,
         }
