@@ -228,6 +228,7 @@ pub(crate) fn fig8_data(costs: SwitchCosts, secs: u64, seed: u64) -> Vec<f64> {
     );
     sim.schedule_timer(tx, Instant::ZERO, GreedyFlow::KICKOFF);
     sim.run_until(Instant::from_secs(secs + 1));
+    runner::report_events(sim.events_processed());
     sim.node_ref::<GreedyReceiver>(rx).throughput_series_bps()
 }
 
@@ -342,6 +343,7 @@ pub(crate) fn fig10a_data(qci: Qci, probes: u64, seed: u64) -> Series {
     let now = net.sim.now();
     net.sim.schedule_timer(agent, now, PingAgent::KICKOFF);
     net.run_for(Duration::from_millis(50 * probes + 2_000));
+    runner::report_events(net.sim.events_processed());
     Series::from_durations_ms(net.sim.node_ref::<PingAgent>(agent).rtts())
 }
 

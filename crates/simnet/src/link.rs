@@ -36,11 +36,28 @@
 //! curves of the paper's Fig. 3(g)/10(b) byte-for-byte.
 //!
 //! One approximation keeps the model enqueue-time-analytic (and therefore
-//! deterministic and allocation-light): completion times already promised
-//! to lower-priority packets are never revised when higher-priority
-//! traffic arrives later, so under sustained cross-class load committed
-//! intervals may overlap and low-priority delay is *understated* relative
-//! to a cycle-accurate scheduler. See DESIGN.md for the ledger entry.
+//! deterministic, with per-class state that grows only while a class is
+//! backlogged): completion times already promised to lower-priority
+//! packets are never revised when higher-priority traffic arrives later,
+//! so under sustained cross-class load committed intervals may overlap and
+//! low-priority delay is *understated* relative to a cycle-accurate
+//! scheduler. See DESIGN.md for the ledger entry.
+//!
+//! # Packets in flight
+//!
+//! A link holds the packets it has accepted and not yet delivered, so a
+//! saturated class costs the event loop one pending event, not one per
+//! queued packet. Each class with a ledger keeps a *chain*: its first
+//! packet goes on the shard's wheel as the chain's head, and each later
+//! one waits in the link with its arrival instant and the event key it was
+//! given when sent. Dispatching the head puts the next packet on the wheel
+//! under that same `(at, key)`, so the wheel pops exactly what it would
+//! have popped with one event per packet. A packet joins its class's chain
+//! only when its destination is on the link's own shard and it arrives no
+//! earlier than the chain's tail. Everything else is its own arrival
+//! event: the packets of a rate-0 link (no ledger), a cross-shard
+//! destination, an injected duplicate copy, and an arrival that jitter, a
+//! shortened delay or an injected reorder would land ahead of the tail.
 //!
 //! [`Qci::tos`]: ../../acacia_lte/qci/struct.Qci.html
 
@@ -195,22 +212,75 @@ struct Faults {
 }
 
 /// Delivery instants produced by one [`Link::transmit`] call.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Deliveries {
+#[derive(Debug, Default)]
+pub(crate) struct Deliveries<'a> {
     /// When the (possibly fault-delayed) packet arrives, if not dropped.
     pub primary: Option<Instant>,
     /// When an injected duplicate copy arrives, if any.
     pub duplicate: Option<Instant>,
+    /// The offered class's chain, when the primary copy may join it: the
+    /// class has a ledger and the copy arrives no earlier than the chain's
+    /// tail. Whether its destination shares the link's shard is the
+    /// caller's to check.
+    pub chain: Option<&'a mut ClassQueue>,
 }
 
-/// One priority class's committed transmissions: `(start, done, wire
+/// A packet waiting in its class's chain: its arrival instant, the
+/// emission counter of the event key it was given when sent (the key's
+/// source is the link's source node), and the packet.
+pub(crate) type Held = (Instant, u64, Packet);
+
+/// The largest deque a class keeps for its next chain when one closes.
+/// A link whose chain opens and closes every few packets then allocates
+/// its deque once, not an allocation, a free and the regrowth at every
+/// reopening, while a deque a saturated burst grew (9 000 packets in
+/// `figures loaded`) is freed with its burst.
+const KEEP_WAITING: usize = 64;
+
+/// One priority class's ledger and chain.
+///
+/// The ledger holds the committed transmissions `(start, done, wire
 /// bytes)`, FIFO within the class, purged lazily once serialization
-/// completes. `backlog` is the byte sum of the queue, maintained
-/// incrementally so the drop-tail check is O(1).
+/// completes. Its byte sum is the class's [`ClassStats::backlog_bytes`],
+/// kept incrementally so the drop-tail check is O(1).
+///
+/// The chain is the class's packets in flight to a same-shard destination
+/// (see *Packets in flight* above): the head is on the wheel, the rest
+/// wait here. The entry costs 8 B more than the ledger alone: the tail
+/// instant, while the packets behind the head get a deque of their own
+/// only once a second packet joins.
 #[derive(Debug, Default)]
-struct ClassQueue {
+pub(crate) struct ClassQueue {
     q: VecDeque<(Instant, Instant, u64)>,
-    backlog: u64,
+    /// Arrival instant of the chain's last packet; `Instant::ZERO` while no
+    /// chain is open. A chained packet arrives after its serialization
+    /// ends, which is after the instant it was offered, so never at zero.
+    tail: Instant,
+    /// The open chain's packets behind its head, in send order: allocated
+    /// when a second packet first joins, and kept, empty, when the chain
+    /// closes unless it outgrew `KEEP_WAITING` packets. Boxed: a pointer
+    /// here, where an inline deque would cost every class 32 B.
+    #[allow(clippy::box_collection)]
+    waiting: Option<Box<VecDeque<Held>>>,
+}
+
+impl ClassQueue {
+    /// Add the packet arriving at `at` under key counter `ctr` to the
+    /// chain. Returns it when it opens the chain: the caller puts it on the
+    /// wheel as the chain's head. Otherwise the link holds it until the
+    /// packet ahead of it is dispatched.
+    pub(crate) fn hold(&mut self, at: Instant, ctr: u64, pkt: Packet) -> Option<Packet> {
+        debug_assert!(at >= self.tail && at > Instant::ZERO);
+        let open = self.tail > Instant::ZERO;
+        self.tail = at;
+        if !open {
+            return Some(pkt);
+        }
+        self.waiting
+            .get_or_insert_default()
+            .push_back((at, ctr, pkt));
+        None
+    }
 }
 
 /// The value for `dscp` in a per-class list sorted by DSCP, inserted as
@@ -239,9 +309,10 @@ pub struct Link {
     cfg: LinkConfig,
     /// Destination node and port, each narrowed to 32 bits.
     to: (u32, u32),
-    /// Committed transmissions per DSCP class, keyed by `tos >> 2`, in
+    /// Ledgers and chains per DSCP class, keyed by `tos >> 2`, in
     /// ascending DSCP order. Only intervals still running when offered
-    /// are kept, so a rate-0 link's list stays empty.
+    /// are kept, so a rate-0 link's list stays empty (and it chains
+    /// nothing).
     queues: Vec<(u8, ClassQueue)>,
     stats: Counters,
     /// Private RNG stream for loss and jitter draws, seeded from the
@@ -291,26 +362,34 @@ impl Link {
     /// Returns the delivery instant(s): `primary` is `None` when the packet
     /// was dropped (queue overflow, random loss, or an injected drop);
     /// `duplicate` is `Some` when an injected fault delivers a second copy.
-    pub(crate) fn transmit(&mut self, now: Instant, pkt: &Packet) -> Deliveries {
-        let wire_bytes = pkt.wire_size();
+    pub(crate) fn transmit(&mut self, now: Instant, pkt: &Packet) -> Deliveries<'_> {
+        let wire_bytes = u64::from(pkt.wire_size());
         let class = pkt.tos >> 2;
         // Purge packets whose serialization completed, and settle every
-        // class's backlog: a class without a queue holds nothing.
+        // class's backlog: a class without a ledger holds nothing, and one
+        // whose ledger emptied holds nothing either (which also clears the
+        // single packet an infinitely fast interval reported, below).
+        let mut backlog = 0;
         let mut queues = self.queues.iter_mut().peekable();
         for (dscp, cs) in self.stats.classes.iter_mut() {
-            let Some((_, cq)) = queues.next_if(|(d, _)| d == dscp) else {
-                cs.backlog_bytes = 0;
-                continue;
-            };
-            while let Some(&(_, done, bytes)) = cq.q.front() {
-                if done <= now {
-                    cq.q.pop_front();
-                    cq.backlog -= bytes;
-                } else {
-                    break;
+            match queues.next_if(|(d, _)| d == dscp) {
+                None => cs.backlog_bytes = 0,
+                Some((_, cq)) => {
+                    while let Some(&(_, done, bytes)) = cq.q.front() {
+                        if done > now {
+                            break;
+                        }
+                        cq.q.pop_front();
+                        cs.backlog_bytes -= bytes;
+                    }
+                    if cq.q.is_empty() {
+                        cs.backlog_bytes = 0;
+                    }
                 }
             }
-            cs.backlog_bytes = cq.backlog;
+            if *dscp == class {
+                backlog = cs.backlog_bytes;
+            }
         }
 
         // Injected faults act at the link entrance, before the channel's
@@ -345,12 +424,7 @@ impl Link {
             return Deliveries::default();
         }
 
-        let backlog = self
-            .queues
-            .iter()
-            .find(|&&(d, _)| d == class)
-            .map_or(0, |(_, cq)| cq.backlog);
-        if backlog + wire_bytes as u64 > self.cfg.queue_bytes {
+        if backlog + wire_bytes > self.cfg.queue_bytes {
             entry(&mut self.stats.classes, class).drops_queue += 1;
             return Deliveries::default();
         }
@@ -375,19 +449,18 @@ impl Link {
             .max()
             .unwrap_or(Instant::ZERO);
         let start = now.max(reserved).max(active);
-        let tx = serialization_time(wire_bytes as u64, self.cfg.rate_bps);
+        let tx = serialization_time(wire_bytes, self.cfg.rate_bps);
         let done = start + tx;
         // An interval already over when it is offered (every interval of
         // a rate-0 link) is purged by the next offer before anything reads
-        // it, and its class's queue is empty (anything still queued would
-        // have pushed `start` past `now`): such a link keeps no queue.
-        let backlog = if done > now {
+        // it, and its class's ledger is empty (anything still in it would
+        // have pushed `start` past `now`): such a link keeps no ledger.
+        let (ledger, backlog) = if done > now {
             let cq = entry(&mut self.queues, class);
-            cq.q.push_back((start, done, wire_bytes as u64));
-            cq.backlog += wire_bytes as u64;
-            cq.backlog
+            cq.q.push_back((start, done, wire_bytes));
+            (Some(cq), backlog + wire_bytes)
         } else {
-            wire_bytes as u64
+            (None, wire_bytes)
         };
 
         let jitter = if self.cfg.jitter > Duration::ZERO {
@@ -399,13 +472,47 @@ impl Link {
         self.stats.busy += tx;
         let cs = entry(&mut self.stats.classes, class);
         cs.enqueued += 1;
-        cs.enqueued_bytes += wire_bytes as u64;
+        cs.enqueued_bytes += wire_bytes;
         cs.backlog_bytes = backlog;
         let arrival = done + self.cfg.delay + jitter + extra;
         Deliveries {
             primary: Some(arrival),
             duplicate: dup_extra.map(|d| arrival + d),
+            chain: ledger.filter(|cq| cq.tail <= arrival),
         }
+    }
+
+    /// Class `dscp`'s chain head was dispatched: the packet behind it,
+    /// which becomes the new head, or `None` once the chain is closed.
+    pub(crate) fn release(&mut self, dscp: u8) -> Option<Held> {
+        let cq = self.ledger(dscp);
+        let next = cq.waiting.as_mut().and_then(|w| w.pop_front());
+        if next.is_none() {
+            cq.tail = Instant::ZERO;
+            if cq
+                .waiting
+                .as_ref()
+                .is_some_and(|w| w.capacity() > KEEP_WAITING)
+            {
+                cq.waiting = None;
+            }
+        }
+        next
+    }
+
+    /// Close class `dscp`'s chain, handing back the packets behind its head
+    /// in send order.
+    pub(crate) fn flush(&mut self, dscp: u8) -> VecDeque<Held> {
+        let cq = self.ledger(dscp);
+        cq.tail = Instant::ZERO;
+        cq.waiting.take().map_or_else(VecDeque::new, |w| *w)
+    }
+
+    /// The ledger of class `dscp`, which a chain's class always has (a
+    /// ledger, once made, is never removed).
+    fn ledger(&mut self, dscp: u8) -> &mut ClassQueue {
+        let i = self.queues.binary_search_by_key(&dscp, |&(d, _)| d);
+        &mut self.queues[i.expect("a chain's class has a ledger")].1
     }
 
     /// Link statistics so far.

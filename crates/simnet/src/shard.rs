@@ -60,7 +60,8 @@
 use crate::fault::NodeOutageSet;
 use crate::packet::Packet;
 use crate::sim::{
-    Action, Ctx, EvKey, EvKind, EvPayload, Node, NodeId, NodeMeta, Ports, ShardCounters, Simulator,
+    Action, Ctx, EvKey, EvKind, EvPayload, Node, NodeId, NodeMeta, PortId, Ports, ShardCounters,
+    Simulator,
 };
 use crate::time::{Duration, Instant};
 use crate::wheel::TimerWheel;
@@ -170,10 +171,13 @@ impl Lane<'_> {
         }
     }
 
-    fn dispatch(&mut self, at: Instant, ev: EvPayload) {
+    fn dispatch(&mut self, at: Instant, mut ev: EvPayload) {
         assert!(at >= self.shard.now, "event scheduled in the past");
         self.shard.now = at;
         self.shard.ctr.events += 1;
+        if let EvKind::Head { to, from, dscp } = ev.kind {
+            ev.kind = self.release(to, from, dscp);
+        }
         let node_id = ev.node();
         let loc = self.shared.loc[node_id];
         debug_assert_eq!(
@@ -214,9 +218,32 @@ impl Lane<'_> {
                 node.on_packet(&mut ctx, port, pkt);
             }
             EvKind::Timer(_, token, _, _) => node.on_timer(&mut ctx, token),
+            EvKind::Head { .. } => unreachable!("a chain head is released above"),
         }
         self.apply_actions(slot, node_id, &mut actions);
         self.shard.scratch = actions;
+    }
+
+    /// A chain head is due: put the next packet of its chain on the wheel
+    /// under the `(at, key)` it was given when sent, and hand the head on
+    /// as a plain arrival.
+    fn release(&mut self, to: (u32, u32), from: (u32, u32), dscp: u8) -> EvKind {
+        let loc = self.shared.loc[from.0 as usize];
+        debug_assert_eq!(loc.shard, self.shard.index, "a chain crossed shards");
+        let link = self.shard.slots[loc.slot as usize]
+            .links
+            .get_mut(from.1 as PortId);
+        let link = link.expect("a chain's link stays connected");
+        if let Some((at, ctr, pkt)) = link.release(dscp) {
+            let payload = EvPayload {
+                kind: EvKind::Head { to, from, dscp },
+                pkt: Some(pkt),
+            };
+            self.shard
+                .wheel
+                .schedule(at, EvKey::new(from.0, ctr), payload);
+        }
+        EvKind::Arrive(to.0 as NodeId, to.1 as PortId)
     }
 
     /// Decide whether an event for a fault-targeted node is delivered
@@ -264,24 +291,72 @@ impl Lane<'_> {
         EvKey::new(src as u32, ctr)
     }
 
-    fn push_arrival(
-        &mut self,
-        (slot, src): (usize, NodeId),
-        at: Instant,
-        dest: (NodeId, usize),
-        pkt: Packet,
-    ) {
-        let key = self.next_key(slot, src);
-        let payload = EvPayload {
-            kind: EvKind::Arrive(dest.0, dest.1),
-            pkt: Some(pkt),
+    /// Offer `pkt` to the link on `port` of the node in `slot` (id `src`)
+    /// and schedule what it delivers, each copy under the sender's next
+    /// event key, the primary first. The primary joins its class's chain
+    /// when the link offers it one and the destination is on this shard;
+    /// every other copy is an arrival of its own, on this wheel or in the
+    /// outbox of the destination's shard.
+    fn send(&mut self, (slot, src): (usize, NodeId), port: PortId, pkt: Packet) {
+        let Shard {
+            index,
+            slots,
+            wheel,
+            ctr: counters,
+            now,
+            outbox,
+            ..
+        } = &mut *self.shard;
+        let Slot { links, meta, .. } = &mut *slots[slot];
+        let Some(link) = links.get_mut(port) else {
+            counters.unrouted += 1;
+            return;
         };
-        let dst_shard = self.shared.loc[dest.0].shard;
-        if dst_shard == self.shard.index {
-            self.shard.wheel.schedule(at, key, payload);
-        } else {
-            self.shard.ctr.xsent += 1;
-            self.shard.outbox[dst_shard as usize].push(OutEntry { at, key, payload });
+        let to = link.to();
+        let dst_shard = self.shared.loc[to.0].shard;
+        let local = dst_shard == *index;
+        let sent = link.transmit(*now, &pkt);
+        let mut next_ctr = || {
+            meta.ev_ctr += 1;
+            meta.ev_ctr - 1
+        };
+        let mut post = |at: Instant, ctr: u64, kind: EvKind, pkt: Packet| {
+            let key = EvKey::new(src as u32, ctr);
+            let payload = EvPayload {
+                kind,
+                pkt: Some(pkt),
+            };
+            if local {
+                wheel.schedule(at, key, payload);
+            } else {
+                counters.xsent += 1;
+                outbox[dst_shard as usize].push(OutEntry { at, key, payload });
+            }
+        };
+        let arrive = EvKind::Arrive(to.0, to.1);
+        let primary = |at: Instant, ctr: u64, pkt: Packet| match sent.chain.filter(|_| local) {
+            None => post(at, ctr, arrive, pkt),
+            Some(chain) => {
+                if let Some(pkt) = chain.hold(at, ctr, pkt) {
+                    let head = EvKind::Head {
+                        to: (to.0 as u32, to.1 as u32),
+                        from: (src as u32, port as u32),
+                        dscp: pkt.tos >> 2,
+                    };
+                    post(at, ctr, head, pkt);
+                }
+            }
+        };
+        // Payloads are shared buffers, so a duplicate is a header-only copy;
+        // with the primary dropped it takes the original.
+        match (sent.primary, sent.duplicate) {
+            (Some(at), None) => primary(at, next_ctr(), pkt),
+            (Some(at), Some(dup_at)) => {
+                primary(at, next_ctr(), pkt.clone());
+                post(dup_at, next_ctr(), arrive, pkt);
+            }
+            (None, Some(dup_at)) => post(dup_at, next_ctr(), arrive, pkt),
+            (None, None) => {}
         }
     }
 
@@ -289,28 +364,7 @@ impl Lane<'_> {
         let src = (slot, node_id);
         for action in actions.drain(..) {
             match action {
-                Action::Send { port, pkt } => {
-                    let now = self.shard.now;
-                    let Some(link) = self.shard.slots[slot].links.get_mut(port) else {
-                        self.shard.ctr.unrouted += 1;
-                        continue;
-                    };
-                    let dest = link.to();
-                    let deliveries = link.transmit(now, &pkt);
-                    match (deliveries.primary, deliveries.duplicate) {
-                        (Some(at), None) => self.push_arrival(src, at, dest, pkt),
-                        (Some(at), Some(dup_at)) => {
-                            // Payloads are shared buffers, so the duplicate
-                            // is a header-only copy.
-                            self.push_arrival(src, at, dest, pkt.clone());
-                            self.push_arrival(src, dup_at, dest, pkt);
-                        }
-                        // Primary dropped: the duplicate takes the original
-                        // packet, no clone needed.
-                        (None, Some(dup_at)) => self.push_arrival(src, dup_at, dest, pkt),
-                        (None, None) => {}
-                    }
-                }
+                Action::Send { port, pkt } => self.send(src, port, pkt),
                 Action::Timer { at, token, guard } => {
                     let at = at.max(self.shard.now);
                     let key = self.next_key(slot, node_id);
@@ -667,7 +721,6 @@ impl SpinBarrier {
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
-    use crate::sim::PortId;
     use crate::traffic::Reflector;
     use crate::transport::PingAgent;
     use proptest::prelude::*;

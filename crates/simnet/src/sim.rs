@@ -361,6 +361,15 @@ pub(crate) enum EvKind {
     /// cancellation handle, stamped with the node's lifecycle epoch at
     /// arming time (a timer armed before a crash-restart never fires).
     Timer(NodeId, u64, Option<TimerHandle>, u32),
+    /// Packet delivery at `to` (node, port) by the head of the chain of
+    /// class `dscp` on the link leaving `from` (node, port): dispatching
+    /// it also puts the next packet of that chain on the wheel (see
+    /// `crate::link`'s *Packets in flight*). Same-shard only.
+    Head {
+        to: (u32, u32),
+        from: (u32, u32),
+        dscp: u8,
+    },
 }
 
 /// Event payload stored in the wheel (the `(at, key)` pair lives in the
@@ -374,6 +383,7 @@ impl EvPayload {
     pub(crate) fn node(&self) -> NodeId {
         match self.kind {
             EvKind::Arrive(n, _) | EvKind::Timer(n, _, _, _) => n,
+            EvKind::Head { to, .. } => to.0 as NodeId,
         }
     }
 }
@@ -425,6 +435,11 @@ impl Ports {
 // 32-bit numbers and its queue bound a plain `u64`, so a boxed link takes
 // a 144 B malloc chunk, not a 160 B one.
 const _: () = assert!(std::mem::size_of::<Link>() <= 136);
+// A saturated class keeps one event on the wheel and its other packets in
+// flight in the link: the chain adds 8 B to a class's entry and nothing to
+// an event.
+const _: () = assert!(std::mem::size_of::<(u8, crate::link::ClassQueue)>() <= 56);
+const _: () = assert!(std::mem::size_of::<EvPayload>() <= 104);
 const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 88);
 const _: () = assert!(std::mem::size_of::<ChaCha8Stream>() == 16);
 // Packets are moved through every queue and event: the payload is one
@@ -703,14 +718,31 @@ impl Simulator {
         // Events already queued (harness injections, timers from earlier
         // runs) may sit on wheels their node no longer owns: migrate them.
         // `(at, key)` pairs are preserved, so the total event order — and
-        // with it every observable outcome — is unchanged.
+        // with it every observable outcome — is unchanged. A chain may now
+        // cross shards, so each one is flushed: its head and the packets
+        // behind it become plain arrivals, each under the key it was sent
+        // with. Only the drained heads are visited, never every link.
         let pending: Vec<_> = self
             .shards
             .iter_mut()
             .flat_map(|s| s.wheel.drain())
             .collect();
-        for (at, key, payload) in pending {
+        for (at, key, mut payload) in pending {
             let s = self.loc[payload.node()].shard as usize;
+            if let EvKind::Head { to, from, dscp } = payload.kind {
+                let arrive = EvKind::Arrive(to.0 as NodeId, to.1 as PortId);
+                let link = self.link_mut((from.0 as NodeId, from.1 as PortId));
+                for (at, ctr, pkt) in link.expect("a chain's link stays connected").flush(dscp) {
+                    let payload = EvPayload {
+                        kind: arrive,
+                        pkt: Some(pkt),
+                    };
+                    self.shards[s]
+                        .wheel
+                        .schedule(at, EvKey::new(from.0, ctr), payload);
+                }
+                payload.kind = arrive;
+            }
             self.shards[s].wheel.schedule(at, key, payload);
         }
         // The set of cross-shard links changed with the assignment.
@@ -762,6 +794,7 @@ impl Simulator {
     ) {
         assert!(from.0 < self.loc.len(), "unknown source node");
         assert!(to.0 < self.loc.len(), "unknown destination node");
+        assert!(u32::try_from(from.1).is_ok(), "ports fit in 32 bits");
         let seed = stream_seed(self.seed, 2, ((from.0 as u64) << 20) | from.1 as u64);
         let delay = cfg.delay;
         let link = Link::new(cfg, to, seed);
@@ -1700,6 +1733,91 @@ mod tests {
         let panic = std::panic::catch_unwind(run).expect_err("must refuse to run");
         let msg = panic.downcast_ref::<String>().expect("formatted panic");
         assert!(msg.contains("zero propagation delay"), "{msg}");
+    }
+
+    /// Offers `count` 1 000 B datagrams on port 0 when its timer fires,
+    /// alternating DSCP 0 and 46, each with its index as id.
+    struct Flood {
+        count: u64,
+    }
+    impl Flood {
+        fn packet(i: u64) -> Packet {
+            let tos = if i.is_multiple_of(2) { 0 } else { 46 << 2 };
+            let ends = (
+                (Ipv4Addr::new(10, 0, 0, 1), 1),
+                (Ipv4Addr::new(10, 0, 0, 2), 2),
+            );
+            Packet::udp(ends.0, ends.1, 972).with_tos(tos).with_id(i)
+        }
+    }
+    impl Node for Flood {
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+            for i in 0..self.count {
+                ctx.send(0, Flood::packet(i));
+            }
+        }
+    }
+
+    /// Records every arrival's instant and packet id.
+    #[derive(Default)]
+    struct Arrivals(Vec<(Instant, u64)>);
+    impl Node for Arrivals {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, _: PortId, pkt: Packet) {
+            self.0.push((ctx.now(), pkt.id));
+        }
+    }
+
+    /// Ten thousand packets offered at once to one rated link stand in
+    /// its two busy classes, and the wheel holds one event per class —
+    /// the chain heads — while they drain, not one per packet. Every
+    /// packet then arrives once, at the instant the link's `transmit`
+    /// gives it, in `(at, key)` order.
+    #[test]
+    fn a_saturated_link_keeps_one_wheel_event_per_busy_class() {
+        const PACKETS: u64 = 10_000;
+        let cfg =
+            LinkConfig::rate_limited(100_000_000, Duration::from_millis(5)).with_queue(u64::MAX);
+        let mut sim = Simulator::with_shards(3, 1);
+        let src = sim.add_node(Box::new(Flood { count: PACKETS }));
+        let dst = sim.add_node(Box::<Arrivals>::default());
+        sim.connect_simplex((src, 0), (dst, 0), cfg.clone());
+        sim.schedule_timer(src, Instant::ZERO, 0);
+        sim.run_until(Instant::ZERO);
+        assert_eq!(
+            sim.link_stats((src, 0)).expect("connected").tx_packets,
+            PACKETS
+        );
+        let mut steps = 0;
+        while !sim.shards[0].wheel.is_empty() {
+            assert!(
+                sim.shards[0].wheel.len() <= 2,
+                "{} events pending",
+                sim.shards[0].wheel.len()
+            );
+            sim.run_until(sim.now() + Duration::from_millis(7));
+            steps += 1;
+        }
+        // Each class serializes at the line rate (the ledger's overlap
+        // approximation): 5 000 × 80 µs.
+        assert!(steps >= 57, "the link drained over {steps} steps");
+
+        // Packet ids follow the sender's event keys, so `(at, id)` order
+        // is the wheel's `(at, key)` order.
+        let mut link = Link::new(cfg, (dst, 0), 0);
+        let mut want: Vec<(Instant, u64)> = (0..PACKETS)
+            .map(|i| {
+                (
+                    link.transmit(Instant::ZERO, &Flood::packet(i))
+                        .primary
+                        .unwrap(),
+                    i,
+                )
+            })
+            .collect();
+        want.sort_unstable();
+        assert_eq!(sim.node_ref::<Arrivals>(dst).0, want);
+        assert_eq!(sim.arrivals_dispatched(), PACKETS);
     }
 
     #[test]

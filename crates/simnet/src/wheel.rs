@@ -140,6 +140,12 @@ impl<T, K: Ord + Copy> TimerWheel<T, K> {
         self.len == 0
     }
 
+    /// Number of pending events.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
     #[inline]
     fn bucket(at: Instant) -> u64 {
         at.nanos() >> SLOT_SHIFT

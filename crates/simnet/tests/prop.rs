@@ -572,3 +572,239 @@ proptest! {
         }
     }
 }
+
+/// Offers a burst of datagrams on each of its ports every `every` until
+/// `until`, cycling through DSCP 0, 10 and 46 and five sizes. A packet's
+/// id is `id_base` plus the sender's running count.
+struct Burster {
+    ports: usize,
+    burst: u32,
+    every: Duration,
+    until: Instant,
+    id_base: u64,
+    sent: u64,
+}
+
+impl Node for Burster {
+    fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _: u64) {
+        for port in 0..self.ports {
+            for _ in 0..self.burst {
+                let n = self.sent;
+                self.sent += 1;
+                let tos = [0, 10, 46][(n % 3) as usize] << 2;
+                let ends = (
+                    (Ipv4Addr::new(10, 0, 0, 1), 1),
+                    (Ipv4Addr::new(10, 0, 0, 2), 2),
+                );
+                let pkt = Packet::udp(ends.0, ends.1, 100 + (n % 5) as u32 * 300)
+                    .with_tos(tos)
+                    .with_id(self.id_base + n);
+                ctx.send(port, pkt);
+            }
+        }
+        if ctx.now() + self.every < self.until {
+            ctx.schedule_in(self.every, 0);
+        }
+    }
+}
+
+/// Records every arrival as `(at, port, packet id)`. The record is the
+/// harness's, so it survives a crash-restart.
+#[derive(Default)]
+struct Recorder(Vec<(Instant, PortId, u64)>);
+
+impl Node for Recorder {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+        self.0.push((ctx.now(), port, pkt.id));
+    }
+    fn on_restart(&mut self) {}
+}
+
+/// One rated link of the chain property: rate (Mbit/s), delay and jitter
+/// (µs, none when `None`), loss, queue bound (KiB, unbounded when `None`)
+/// and which injected faults it carries (bit 0: duplicate, bit 1:
+/// reorder).
+type ChainLink = (u64, u64, Option<u64>, f64, Option<u64>, u8);
+
+/// What one run of the chain property leaves behind: each receiver's
+/// `(at, port, packet id)` trace; per link its packets sent, queue drops,
+/// losses, injected duplicates and reorders; the events, arrivals,
+/// rejected arrivals, restarts and cross-shard arrivals; and whether the
+/// mid-run bias moved a region to another shard.
+type ChainTrace = (
+    Vec<Vec<(Instant, PortId, u64)>>,
+    Vec<[u64; 5]>,
+    [u64; 5],
+    bool,
+);
+
+/// Three bursting senders, two ports each, feed two receivers over six
+/// rated links (`links`, one per sender port), node `i` in region
+/// `regions[i]`. Receiver 3 crashes and restarts; at `cut_at` every
+/// even-numbered link's delay is cut to a quarter (packets sent after it
+/// overtake the ones still in flight) and a region is biased until it
+/// moves to another shard, which re-deals the nodes while chains are open.
+fn chain_run(
+    seed: u64,
+    shards: usize,
+    regions: &[u32; 5],
+    links: &[ChainLink],
+    (every_us, burst): (u64, u32),
+    (crash_at_us, outage_us): (u64, u64),
+    cut_at: Instant,
+) -> ChainTrace {
+    let mut sim = Simulator::with_shards(seed, shards);
+    let senders: Vec<NodeId> = (0..3u64)
+        .map(|s| {
+            let burster = Burster {
+                ports: 2,
+                burst,
+                every: Duration::from_micros(every_us),
+                until: Instant::from_millis(40),
+                id_base: s << 32,
+                sent: 0,
+            };
+            sim.add_node_in_region(Box::new(burster), regions[s as usize])
+        })
+        .collect();
+    let receivers: Vec<NodeId> = (3..5)
+        .map(|i| sim.add_node_in_region(Box::<Recorder>::default(), regions[i]))
+        .collect();
+    let mut ports = Vec::new();
+    for (i, &(rate_mbps, delay_us, jitter_us, loss, queue_kib, faults)) in links.iter().enumerate()
+    {
+        let from = (senders[i / 2], i % 2);
+        let cfg = LinkConfig::rate_limited(rate_mbps * 1_000_000, Duration::from_micros(delay_us))
+            .with_jitter(Duration::from_micros(jitter_us.unwrap_or(0)))
+            .with_loss(loss)
+            .with_queue(queue_kib.map_or(u64::MAX, |k| k * 1024));
+        sim.connect_simplex(from, (receivers[i % 2], i), cfg);
+        if faults != 0 {
+            let mut plan = FaultPlan::new(seed ^ i as u64);
+            if faults & 1 != 0 {
+                let mut dup = FaultRule::duplicate(PacketClass::any(), 0.1);
+                dup.extra_delay = Duration::from_micros(delay_us / 3);
+                plan = plan.with_rule(dup);
+            }
+            if faults & 2 != 0 {
+                let extra = Duration::from_micros(2 * delay_us);
+                plan = plan.with_rule(FaultRule::reorder(PacketClass::any(), 0.1, extra));
+            }
+            sim.attach_fault_plan(from, plan);
+        }
+        ports.push(from);
+    }
+    let mut crash = NodeFaultPlan::default();
+    crash.add_rule(NodeFaultRule::crash_restart(
+        receivers[0],
+        Instant::from_micros(crash_at_us),
+        Duration::from_micros(outage_us),
+    ));
+    sim.attach_node_fault_plan(&crash);
+    for &s in &senders {
+        sim.schedule_timer(s, Instant::ZERO, 0);
+    }
+
+    sim.run_until(cut_at);
+    for &from in ports.iter().step_by(2) {
+        sim.reconfigure_link(from, |cfg| {
+            cfg.delay = Duration::from_nanos(cfg.delay.nanos() / 4)
+        });
+    }
+    let before = sim.region_assignments();
+    let mut moved = false;
+    for r in 0..3 {
+        sim.set_region_weight_bias(r, 1_000);
+        let now = sim.region_assignments();
+        moved = now.iter().zip(&before).any(|(a, b)| a.1 != b.1);
+        if moved {
+            break;
+        }
+        sim.set_region_weight_bias(r, 0);
+    }
+    sim.run_until_idle();
+
+    let traces = receivers
+        .iter()
+        .map(|&r| sim.node_ref::<Recorder>(r).0.clone())
+        .collect();
+    let per_link = ports
+        .iter()
+        .map(|&from| {
+            let s = sim.link_stats(from).expect("connected");
+            [
+                s.tx_packets,
+                s.drops_queue,
+                s.drops_loss,
+                s.duplicates_injected,
+                s.reorders_injected,
+            ]
+        })
+        .collect();
+    let counters = [
+        sim.events_processed(),
+        sim.arrivals_dispatched(),
+        sim.node_arrivals_rejected(),
+        sim.node_restarts(),
+        sim.cross_shard_sent(),
+    ];
+    (traces, per_link, counters, moved)
+}
+
+proptest! {
+    /// A link's chains deliver exactly what one arrival event per packet
+    /// delivers. The reference run puts every sender on one shard and
+    /// every receiver on the other, so each packet is its own arrival
+    /// event at the instant `Link::transmit` returned for it. On one
+    /// shard every rated link chains its local deliveries; on two some
+    /// links chain and some cross, and the mid-run region move flushes
+    /// the open chains. Both give the reference's per-receiver
+    /// `(at, port, packet id)` trace, in `(at, key)` order, and its link
+    /// and engine counters, with every accepted copy delivered or
+    /// rejected exactly once — through jitter, loss, drop-tail, injected
+    /// duplicates and reorders, a delay cut mid-flight and a receiver's
+    /// crash-restart.
+    #[test]
+    fn chained_links_deliver_like_direct_arrivals(
+        seed in any::<u64>(),
+        links in prop::collection::vec(
+            (2u64..20, 500u64..20_000, prop::option::of(1u64..2_000), 0.0f64..0.1,
+             prop::option::of(16u64..1_024), 0u8..4),
+            6,
+        ),
+        traffic in (1_000u64..5_000, 1u32..12),
+        crash in (0u64..40_000, 1_000u64..20_000),
+        receiver_regions in (0u32..3, 0u32..3),
+        cut_at_us in 1_000u64..40_000,
+    ) {
+        let cut_at = Instant::from_micros(cut_at_us);
+        let run = |shards: usize, regions: &[u32; 5]| {
+            chain_run(seed, shards, regions, &links, traffic, crash, cut_at)
+        };
+        let (want, want_links, want_ctr, _) = run(2, &[0, 0, 0, 1, 1]);
+        // Every accepted packet is delivered or rejected once, and so is
+        // each duplicate copy whose original was accepted (a rule can fire
+        // on a packet the link then drops).
+        let copies = want_ctr[1] + want_ctr[2];
+        prop_assert_eq!(want_ctr[4], copies, "every reference copy crossed shards");
+        let accepted: u64 = want_links.iter().map(|l| l[0]).sum();
+        let duplicated: u64 = want_links.iter().map(|l| l[3]).sum();
+        prop_assert!((accepted..=accepted + duplicated).contains(&copies));
+        let recorded: usize = want.iter().map(Vec::len).sum();
+        prop_assert_eq!(recorded as u64, want_ctr[1], "lost or duplicated");
+        for trace in &want {
+            prop_assert!(trace.windows(2).all(|w| w[0].0 <= w[1].0));
+        }
+
+        let regions = [0, 1, 2, receiver_regions.0, receiver_regions.1];
+        for shards in [1, 2] {
+            let (got, got_links, got_ctr, moved) = run(shards, &regions);
+            prop_assert_eq!(&got, &want, "shards={}", shards);
+            prop_assert_eq!(&got_links, &want_links, "shards={}", shards);
+            prop_assert_eq!(&got_ctr[..4], &want_ctr[..4], "shards={}", shards);
+            prop_assert!(got_ctr[4] < copies, "shards={}: some copies stay local", shards);
+            prop_assert_eq!(moved, shards == 2, "shards={}: the bias moved a region", shards);
+        }
+    }
+}
