@@ -520,9 +520,10 @@ pub struct Recovery {
     pub reestablished: u64,
     /// Control packets dropped by injected faults.
     pub injected_drops: u64,
-    /// Duplicate control packets delivered by injected faults.
+    /// Control packets an injected duplicate fault fired on (a second
+    /// copy is delivered only when the link then accepts the packet).
     pub injected_duplicates: u64,
-    /// Control packets reordered by injected faults.
+    /// Control packets an injected reorder fault fired on.
     pub injected_reorders: u64,
     /// Control packets lost to congestion/queue overflow instead (the
     /// injected/organic attribution split on the same links).

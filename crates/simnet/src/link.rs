@@ -59,6 +59,12 @@
 //! destination, an injected duplicate copy, and an arrival that jitter, a
 //! shortened delay or an injected reorder would land ahead of the tail.
 //!
+//! The packets behind a head wait in blocks: a first deque that doubles
+//! up to 256 packets, which is all a short chain ever allocates, then
+//! fixed 256-packet blocks, each freed once drained. A standing queue of
+//! 9 000 packets costs its packets and at most two partly filled blocks,
+//! not a deque doubled to 16 384 entries.
+//!
 //! [`Qci::tos`]: ../../acacia_lte/qci/struct.Qci.html
 
 use crate::fault::{FaultPlan, FaultVerdict};
@@ -156,9 +162,13 @@ pub struct LinkStats {
     pub drops_loss: u64,
     /// Packets dropped by an injected fault rule.
     pub drops_injected: u64,
-    /// Extra copies delivered by an injected duplicate fault.
+    /// Firings of an injected duplicate fault. A firing makes a second
+    /// copy only when the link then accepts the packet: one it loses or
+    /// queue-drops is counted here and in its drop counter, and neither
+    /// copy is delivered.
     pub duplicates_injected: u64,
-    /// Packets held back by an injected reorder fault.
+    /// Firings of an injected reorder fault, likewise counted whether or
+    /// not the link then accepts the packet it holds back.
     pub reorders_injected: u64,
     /// Total transmitter busy time committed (sum of serialization times
     /// of accepted packets). A scheduler may reorder service but never
@@ -230,12 +240,72 @@ pub(crate) struct Deliveries<'a> {
 /// source is the link's source node), and the packet.
 pub(crate) type Held = (Instant, u64, Packet);
 
-/// The largest deque a class keeps for its next chain when one closes.
-/// A link whose chain opens and closes every few packets then allocates
-/// its deque once, not an allocation, a free and the regrowth at every
-/// reopening, while a deque a saturated burst grew (9 000 packets in
-/// `figures loaded`) is freed with its burst.
+/// The largest first block a class keeps for its next chain when one
+/// closes. A link whose chain opens and closes every few packets then
+/// allocates its block once, not an allocation, a free and the regrowth at
+/// every reopening, while the blocks a saturated burst filled (9 000
+/// packets in `figures loaded`) are freed with its burst.
 const KEEP_WAITING: usize = 64;
+
+/// Entries in a chain's first block once it stops doubling, and in every
+/// block after it: 256 packets, 20 KiB.
+const BLOCK: usize = 256;
+
+/// The packets waiting behind a chain's head, in send order, stored in
+/// blocks. The first block is an ordinary deque that doubles up to
+/// `BLOCK` entries, so a short chain (a radio link, signalling) costs what
+/// a deque costs. Past that the chain appends fixed `BLOCK`-entry blocks,
+/// and popping frees each block once it is drained. A standing queue of
+/// `n` packets therefore holds at most `n + 2 * BLOCK` entries, where one
+/// deque doubles to up to `2n`.
+#[derive(Debug, Default)]
+struct Waiting {
+    /// The oldest packets; it takes pushes only until `rest` is made.
+    first: VecDeque<Held>,
+    /// Full blocks behind `first`, then the one being filled; never an
+    /// empty block. Boxed, so that a chain that never outgrows its first
+    /// block costs a 40 B allocation, the same 48 B malloc chunk as a bare
+    /// deque's.
+    #[allow(clippy::box_collection)]
+    rest: Option<Box<VecDeque<VecDeque<Held>>>>,
+}
+
+const _: () = assert!(std::mem::size_of::<Waiting>() <= 40);
+
+impl Waiting {
+    fn push_back(&mut self, held: Held) {
+        if self.rest.is_none() && self.first.len() < BLOCK {
+            self.first.push_back(held);
+            return;
+        }
+        let rest = self.rest.get_or_insert_default();
+        match rest.back_mut() {
+            Some(block) if block.len() < BLOCK => block.push_back(held),
+            _ => {
+                let mut block = VecDeque::with_capacity(BLOCK);
+                block.push_back(held);
+                rest.push_back(block);
+            }
+        }
+    }
+
+    fn pop_front(&mut self) -> Option<Held> {
+        if self.first.is_empty() {
+            // The drained block is freed and the next one takes its place.
+            self.first = self.rest.as_mut()?.pop_front()?;
+        }
+        self.first.pop_front()
+    }
+
+    /// The packets in send order.
+    fn into_held(self) -> impl Iterator<Item = Held> {
+        let rest = self
+            .rest
+            .into_iter()
+            .flat_map(|rest| rest.into_iter().flatten());
+        self.first.into_iter().chain(rest)
+    }
+}
 
 /// One priority class's ledger and chain.
 ///
@@ -246,9 +316,9 @@ const KEEP_WAITING: usize = 64;
 ///
 /// The chain is the class's packets in flight to a same-shard destination
 /// (see *Packets in flight* above): the head is on the wheel, the rest
-/// wait here. The entry costs 8 B more than the ledger alone: the tail
-/// instant, while the packets behind the head get a deque of their own
-/// only once a second packet joins.
+/// wait here, in `Waiting`'s blocks. The entry costs 8 B more than the
+/// ledger alone: the tail instant, while the packets behind the head get
+/// their blocks only once a second packet joins.
 #[derive(Debug, Default)]
 pub(crate) struct ClassQueue {
     q: VecDeque<(Instant, Instant, u64)>,
@@ -256,12 +326,11 @@ pub(crate) struct ClassQueue {
     /// chain is open. A chained packet arrives after its serialization
     /// ends, which is after the instant it was offered, so never at zero.
     tail: Instant,
-    /// The open chain's packets behind its head, in send order: allocated
-    /// when a second packet first joins, and kept, empty, when the chain
-    /// closes unless it outgrew `KEEP_WAITING` packets. Boxed: a pointer
-    /// here, where an inline deque would cost every class 32 B.
-    #[allow(clippy::box_collection)]
-    waiting: Option<Box<VecDeque<Held>>>,
+    /// The open chain's packets behind its head: allocated when a second
+    /// packet first joins, and kept, empty, when the chain closes unless
+    /// its first block outgrew `KEEP_WAITING` packets. Boxed: a pointer
+    /// here, where the blocks inline would cost every class 40 B.
+    waiting: Option<Box<Waiting>>,
 }
 
 impl ClassQueue {
@@ -280,6 +349,31 @@ impl ClassQueue {
             .get_or_insert_default()
             .push_back((at, ctr, pkt));
         None
+    }
+
+    /// The chain's head was dispatched: the packet behind it, which
+    /// becomes the new head, or `None` once the chain is closed.
+    fn release(&mut self) -> Option<Held> {
+        let next = self.waiting.as_mut().and_then(|w| w.pop_front());
+        if next.is_none() {
+            self.tail = Instant::ZERO;
+            // A closed chain's blocks are all drained but the first.
+            if self
+                .waiting
+                .as_ref()
+                .is_some_and(|w| w.first.capacity() > KEEP_WAITING)
+            {
+                self.waiting = None;
+            }
+        }
+        next
+    }
+
+    /// Close the chain, handing back the packets behind its head in send
+    /// order.
+    fn flush(&mut self) -> impl Iterator<Item = Held> {
+        self.tail = Instant::ZERO;
+        self.waiting.take().into_iter().flat_map(|w| w.into_held())
     }
 }
 
@@ -485,27 +579,13 @@ impl Link {
     /// Class `dscp`'s chain head was dispatched: the packet behind it,
     /// which becomes the new head, or `None` once the chain is closed.
     pub(crate) fn release(&mut self, dscp: u8) -> Option<Held> {
-        let cq = self.ledger(dscp);
-        let next = cq.waiting.as_mut().and_then(|w| w.pop_front());
-        if next.is_none() {
-            cq.tail = Instant::ZERO;
-            if cq
-                .waiting
-                .as_ref()
-                .is_some_and(|w| w.capacity() > KEEP_WAITING)
-            {
-                cq.waiting = None;
-            }
-        }
-        next
+        self.ledger(dscp).release()
     }
 
     /// Close class `dscp`'s chain, handing back the packets behind its head
     /// in send order.
-    pub(crate) fn flush(&mut self, dscp: u8) -> VecDeque<Held> {
-        let cq = self.ledger(dscp);
-        cq.tail = Instant::ZERO;
-        cq.waiting.take().map_or_else(VecDeque::new, |w| *w)
+    pub(crate) fn flush(&mut self, dscp: u8) -> impl Iterator<Item = Held> {
+        self.ledger(dscp).flush()
     }
 
     /// The ledger of class `dscp`, which a chain's class always has (a
@@ -546,6 +626,7 @@ impl Link {
 mod tests {
     use super::*;
     use crate::fault::{FaultRule, PacketClass};
+    use proptest::prelude::*;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use std::net::Ipv4Addr;
@@ -909,6 +990,105 @@ mod tests {
             .collect();
         assert_eq!(enqueued, [(0, 150), (10, 150), (46, 300)]);
         assert_eq!((stats.drops(), stats.busy), (0, Duration::ZERO));
+    }
+
+    /// A step of the chain property below: hold a burst of packets,
+    /// dispatch a run of heads, or flush the chain.
+    #[derive(Debug, Clone)]
+    enum ChainOp {
+        Hold(u16),
+        Release(u16),
+        Flush,
+    }
+
+    fn chain_op() -> impl Strategy<Value = ChainOp> {
+        (0u8..5, 1u16..700).prop_map(|(kind, n)| match kind {
+            0 | 1 => ChainOp::Hold(n),
+            2 | 3 => ChainOp::Release(n),
+            _ => ChainOp::Flush,
+        })
+    }
+
+    /// A held packet's `(arrival, key counter)`.
+    type Key = (Instant, u64);
+
+    /// Front, back and length of a chain's waiting packets, by `Key`,
+    /// with its block layout checked: the first block at most `BLOCK`
+    /// entries, every later one exactly `BLOCK` and never empty, at most
+    /// `2 * BLOCK` entries held that hold nothing.
+    fn waiting_ends(cq: &ClassQueue) -> (Option<Key>, Option<Key>, usize) {
+        let Some(w) = cq.waiting.as_deref() else {
+            return (None, None, 0);
+        };
+        assert!(w.first.capacity() <= BLOCK, "{}", w.first.capacity());
+        let none = VecDeque::new();
+        let rest = w.rest.as_deref().unwrap_or(&none);
+        assert!(rest.iter().all(|b| b.capacity() == BLOCK && !b.is_empty()));
+        let len = w.first.len() + rest.iter().map(VecDeque::len).sum::<usize>();
+        let capacity = w.first.capacity() + rest.len() * BLOCK;
+        assert!(capacity <= len + 2 * BLOCK, "{capacity} entries for {len}");
+        let key = |h: &Held| (h.0, h.1);
+        let front = w.first.front().or_else(|| rest.front()?.front());
+        let back = rest.back().map_or(w.first.back(), VecDeque::back);
+        (front.map(key), back.map(key), len)
+    }
+
+    proptest! {
+        /// A class's chain holds, releases and flushes exactly what one
+        /// `VecDeque` would, through bursts that cross block boundaries,
+        /// heads dispatched until the chain closes (dropping its blocks
+        /// once they outgrew `KEEP_WAITING`) and reopens, and flushes.
+        #[test]
+        fn chain_blocks_behave_like_a_deque(ops in prop::collection::vec(chain_op(), 1..24)) {
+            let mut cq = ClassQueue::default();
+            // The packets behind the head; `None` while the chain is closed.
+            let mut model: Option<VecDeque<Key>> = None;
+            let mut ctr = 0u64;
+            for op in ops {
+                match op {
+                    ChainOp::Hold(n) => {
+                        for _ in 0..n {
+                            ctr += 1;
+                            let at = Instant::from_micros(ctr);
+                            let head = cq.hold(at, ctr, pkt(100)).is_some();
+                            match model.as_mut() {
+                                None => model = Some(VecDeque::new()),
+                                Some(m) => m.push_back((at, ctr)),
+                            }
+                            prop_assert_eq!(head, model.as_ref().unwrap().is_empty());
+                        }
+                    }
+                    ChainOp::Release(n) => {
+                        for _ in 0..n {
+                            let Some(m) = model.as_mut() else { break };
+                            let want = m.pop_front();
+                            prop_assert_eq!(cq.release().map(|h| (h.0, h.1)), want);
+                            if want.is_none() {
+                                model = None;
+                                prop_assert_eq!(cq.tail, Instant::ZERO);
+                                prop_assert!(cq
+                                    .waiting
+                                    .as_ref()
+                                    .is_none_or(|w| w.first.capacity() <= KEEP_WAITING));
+                            }
+                        }
+                    }
+                    ChainOp::Flush => {
+                        let got: Vec<_> = cq.flush().map(|h| (h.0, h.1)).collect();
+                        let want: Vec<_> = model.take().unwrap_or_default().into();
+                        prop_assert_eq!(got, want);
+                        prop_assert!(cq.waiting.is_none() && cq.tail == Instant::ZERO);
+                    }
+                }
+                let m = model.as_ref();
+                let want = (
+                    m.and_then(|m| m.front().copied()),
+                    m.and_then(|m| m.back().copied()),
+                    m.map_or(0, VecDeque::len),
+                );
+                prop_assert_eq!(waiting_ends(&cq), want);
+            }
+        }
     }
 
     #[test]
