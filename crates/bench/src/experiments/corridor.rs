@@ -1,4 +1,4 @@
-//! The two-cell corridor tables, one per preset of [`CorridorConfig`].
+//! The corridor tables, one per one-region preset of [`MetroConfig`].
 //! None is a figure of the original paper: §8 argues ACACIA survives
 //! mobility and signalling failures through standard procedures plus
 //! MRS-driven bearer management, without measuring either. **mobility**
@@ -9,13 +9,12 @@
 //! byte-identical across `--jobs` and `--shards`; scale's wall-clock goes
 //! to `BENCH_scale.json`, which the `figures` binary writes.
 
+use super::metro::frames_cell;
 use crate::report::{self, Fields, Value};
 use crate::runner;
 use crate::table::{fmt_secs, Table};
 use acacia::arclient::FrameStats;
-use acacia::corridor::{
-    CoreLoad, CorridorConfig, CorridorMode, CorridorReport, CorridorScenario, LoadReport,
-};
+use acacia::metro::{BearerMode, CoreLoad, LoadReport, MetroConfig, MetroReport, MetroScenario};
 use acacia_simnet::stats::Series;
 
 /// Control-message drop rates swept by the chaos figure (duplicates and
@@ -35,26 +34,26 @@ pub const LOADED_UE_COUNTS: [usize; 2] = [4, 16];
 pub const LOADS_MBPS: [u64; 4] = [0, 90, 110, 160];
 
 /// Build and run one cell, reporting its engine events to the runner.
-fn run_cell(cfg: CorridorConfig) -> CorridorReport {
-    let report = CorridorScenario::build(cfg).run();
+fn run_cell(cfg: MetroConfig) -> MetroReport {
+    let report = MetroScenario::build(cfg).run();
     runner::report_events(report.events_processed);
     report
 }
 
 /// Mobility: session continuity across handovers, per variant.
 pub(crate) fn mobility() -> Table {
-    let cells = CorridorMode::ALL
+    let cells = BearerMode::ALL
         .iter()
         .map(|&m| (m.name().to_string(), m))
         .collect();
     let runs = runner::pmap("mobility", cells, |mode| {
-        let mut sc = CorridorScenario::build(CorridorConfig::mobility(mode));
+        let mut sc = MetroScenario::build(MetroConfig::mobility(mode));
         let timeline = sc.schedule();
         sc.await_sessions(&timeline);
         let report = sc.collect(&timeline);
         runner::report_events(report.events_processed);
         let latencies: Vec<f64> = sc.frames(0).iter().map(FrameStats::total_s).collect();
-        (report, latencies)
+        (mode, report, latencies)
     });
     let mut t = Table::new(
         "Mobility — AR session across X2 handovers (MEC cell -> far cell -> back)",
@@ -71,7 +70,7 @@ pub(crate) fn mobility() -> Table {
             "lat p90",
         ],
     );
-    for (r, latencies) in runs {
+    for (mode, r, latencies) in runs {
         let lat = Series::from_iter(latencies);
         let bearer = match (r.dedicated_reanchored, r.dedicated_released) {
             (0, 0) => "default only".to_string(),
@@ -80,7 +79,7 @@ pub(crate) fn mobility() -> Table {
             (re, rel) => format!("reanchored x{re}, released x{rel}"),
         };
         t.row(vec![
-            r.mode.name().to_string(),
+            mode.name().to_string(),
             frames_cell(&r),
             r.total_handovers().to_string(),
             fmt_secs(r.interrupt_max_ms() / 1e3),
@@ -99,14 +98,14 @@ pub(crate) fn mobility() -> Table {
 }
 
 /// The labelled chaos sweep at a given master seed.
-pub(crate) fn chaos_grid(seed: u64, smoke: bool) -> Vec<(String, CorridorConfig)> {
+pub(crate) fn chaos_grid(seed: u64, smoke: bool) -> Vec<(String, MetroConfig)> {
     DROP_RATES
         .iter()
         .map(|&rate| {
             let mut cfg = if smoke {
-                CorridorConfig::chaos_smoke(rate)
+                MetroConfig::chaos_smoke(rate)
             } else {
-                CorridorConfig::chaos(rate)
+                MetroConfig::chaos(rate)
             };
             cfg.seed = seed;
             // A seed-derived fault stream family, decorrelated from the
@@ -201,7 +200,7 @@ pub(crate) fn scale() -> Table {
     // off stdout).
     let cells = runner::pmap("scale", cells, |n| {
         let t0 = std::time::Instant::now();
-        let report = run_cell(CorridorConfig::scale(n));
+        let report = run_cell(MetroConfig::scale(n));
         (report, t0.elapsed().as_secs_f64())
     });
     let mut t = Table::new(
@@ -223,7 +222,7 @@ pub(crate) fn scale() -> Table {
     );
     for (r, _) in &cells {
         t.row(vec![
-            r.ue_count().to_string(),
+            r.ue_count.to_string(),
             frames_cell(r),
             r.total_handovers().to_string(),
             r.x2_msgs.to_string(),
@@ -242,7 +241,7 @@ pub(crate) fn scale() -> Table {
     t.note("not the frames; 'wedged' (sessions that lost frames) must be 0 at every N");
 
     for (r, _) in &cells {
-        assert_eq!(r.wedged(), 0, "scale N={}: wedged sessions", r.ue_count());
+        assert_eq!(r.wedged(), 0, "scale N={}: wedged sessions", r.ue_count);
     }
     // Wall-clock throughput is machine-dependent: JSON only, so stdout
     // stays byte-identical across runs and --jobs values.
@@ -251,14 +250,14 @@ pub(crate) fn scale() -> Table {
 }
 
 /// The `BENCH_scale.json` cells: deterministic keys, then wall-clock.
-pub(crate) fn scale_json_cells(cells: &[(CorridorReport, f64)]) -> Vec<Fields> {
+pub(crate) fn scale_json_cells(cells: &[(MetroReport, f64)]) -> Vec<Fields> {
     cells
         .iter()
         .map(|(r, wall_s)| {
-            let requested = r.frames_requested * r.ue_count() as u64;
+            let requested = r.frames_requested * r.ue_count as u64;
             let events_per_sec = r.events_processed as f64 / wall_s.max(1e-9);
             vec![
-                ("ue_count", r.ue_count().into()),
+                ("ue_count", r.ue_count.into()),
                 ("frames_done", r.frames_done().into()),
                 ("frames_requested", requested.into()),
                 ("handovers", r.total_handovers().into()),
@@ -279,13 +278,13 @@ pub(crate) fn scale_json_cells(cells: &[(CorridorReport, f64)]) -> Vec<Fields> {
 }
 
 /// The labelled loaded sweep at a given master seed.
-fn loaded_grid(seed: u64) -> Vec<(String, CorridorConfig)> {
+fn loaded_grid(seed: u64) -> Vec<(String, MetroConfig)> {
     let mut cells = Vec::with_capacity(LOADED_UE_COUNTS.len() * LOADS_MBPS.len());
     for &n in &LOADED_UE_COUNTS {
         for &mbps in &LOADS_MBPS {
-            let cfg = CorridorConfig {
+            let cfg = MetroConfig {
                 seed,
-                ..CorridorConfig::loaded(n, mbps)
+                ..MetroConfig::loaded(n, mbps)
             };
             cells.push((format!("N={n} bg={mbps}M"), cfg));
         }
@@ -332,7 +331,7 @@ pub fn loaded() -> Table {
         let load = r.load.as_ref().expect("the loaded preset reports its load");
         let cell = format!(
             "loaded N={} bg={}M",
-            r.ue_count(),
+            r.ue_count,
             load.bg_rate_bps / 1_000_000
         );
         assert_eq!(r.wedged(), 0, "{cell}: wedged sessions");
@@ -348,7 +347,7 @@ pub fn loaded() -> Table {
         let mec = Series::from_iter(r.probe_rtts_ms.iter().copied());
         let cloud = Series::from_iter(load.cloud_rtts_ms.iter().copied());
         t.row(vec![
-            r.ue_count().to_string(),
+            r.ue_count.to_string(),
             (load.bg_rate_bps / 1_000_000).to_string(),
             frames_cell(r),
             r.total_handovers().to_string(),
@@ -369,13 +368,4 @@ pub fn loaded() -> Table {
     t.note("~1 s queue limit and drops (per-class 'cN:drops' counters), while 'int max'");
     t.note("(per-handover interruption) stays bounded and 'wedged' stays 0 at every N.");
     t
-}
-
-/// Frames completed vs requested across every UE, e.g. `45/45`.
-fn frames_cell(r: &CorridorReport) -> String {
-    format!(
-        "{}/{}",
-        r.frames_done(),
-        r.frames_requested * r.ue_count() as u64
-    )
 }

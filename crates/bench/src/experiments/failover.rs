@@ -23,7 +23,7 @@
 //! `BENCH_failover.json`; stdout stays byte-identical across `--jobs`
 //! and `--shards`.
 
-use super::metro::{assert_invariants, sweep, MetroCell};
+use super::metro::{assert_invariants, frames_cell, sweep, MetroCell};
 use crate::report::{self, Fields, Value};
 use crate::table::Table;
 use acacia::failover::{Crash, FailoverAudit, FailoverMode};
@@ -84,12 +84,11 @@ pub(crate) fn failover() -> Table {
     );
     for c in &cells {
         let (r, a) = (&c.report, audit(c));
-        let frames_done: u64 = r.ues.iter().map(|u| u.frames_done).sum();
         t.row(vec![
             a.crash.mode.label().to_string(),
             format!("{}", a.crash.outage),
             c.shards.to_string(),
-            format!("{}/{}", frames_done, r.frames_requested * r.ue_count as u64),
+            frames_cell(r),
             a.failovers.to_string(),
             a.outcomes.stayed.to_string(),
             a.outcomes.neighbor_mec.to_string(),
@@ -117,7 +116,6 @@ fn json_cells(cells: &[MetroCell]) -> Vec<Fields> {
         .iter()
         .map(|c| {
             let (r, a) = (&c.report, audit(c));
-            let frames_done: u64 = r.ues.iter().map(|u| u.frames_done).sum();
             let requested = r.frames_requested * r.ue_count as u64;
             let outage_ms = (a.crash.outage.secs_f64() * 1000.0).round() as u64;
             let interruption = |p: f64| Value::Fixed(a.interruption_percentile(p), 3);
@@ -125,7 +123,7 @@ fn json_cells(cells: &[MetroCell]) -> Vec<Fields> {
                 ("mode", a.crash.mode.label().into()),
                 ("outage_ms", outage_ms.into()),
                 ("shards", c.shards.into()),
-                ("frames_done", frames_done.into()),
+                ("frames_done", r.frames_done().into()),
                 ("frames_requested", requested.into()),
                 ("failovers", a.failovers.into()),
                 ("stayed", a.outcomes.stayed.into()),

@@ -37,18 +37,17 @@ mod city {
 #[cfg(test)]
 mod mobility {
     mod tests {
-        use acacia::corridor::{CorridorConfig, CorridorMode, CorridorScenario};
+        use acacia::metro::{BearerMode, MetroConfig, MetroScenario};
 
         #[test]
         fn mobility_reports_complete_in_every_variant() {
             // Smoke scale: the figure-scale walk is exercised by `figures`.
-            let reports: Vec<_> = CorridorMode::ALL
-                .iter()
-                .map(|&m| CorridorScenario::build(CorridorConfig::mobility_smoke(m)).run())
-                .collect();
-            for r in &reports {
-                assert_eq!(r.wedged(), 0, "{} incomplete", r.mode.name());
-                assert_eq!(r.total_handovers(), 2, "{}", r.mode.name());
+            let reports: Vec<_> = BearerMode::ALL
+                .map(|m| MetroScenario::build(MetroConfig::mobility_smoke(m)).run())
+                .into();
+            for (m, r) in BearerMode::ALL.iter().zip(&reports) {
+                assert_eq!(r.wedged(), 0, "{} incomplete", m.name());
+                assert_eq!(r.total_handovers(), 2, "{}", m.name());
             }
             // Only the re-anchor variant keeps the bearer on the move.
             assert_eq!(reports[0].dedicated_reanchored, 2);
@@ -62,8 +61,9 @@ mod mobility {
 mod chaos {
     mod tests {
         use crate::experiments::corridor::chaos_grid;
+        use crate::experiments::metro::tests::shard_free;
         use crate::runner;
-        use acacia::corridor::CorridorScenario;
+        use acacia::metro::MetroScenario;
 
         /// The assembled sweep must be byte-identical no matter how many
         /// workers raced over the grid (smoke scale; figure scale is
@@ -73,13 +73,13 @@ mod chaos {
             let render = |jobs: usize| {
                 runner::set_jobs(Some(jobs));
                 let reports = runner::pmap("chaos-smoke", chaos_grid(42, true), |cfg| {
-                    CorridorScenario::build(cfg).run()
+                    MetroScenario::build(cfg).run()
                 });
                 runner::set_jobs(None);
                 // Every cell of the smoke sweep must end clean, rate 0
                 // included.
                 assert!(reports.iter().all(|r| r.clean()), "{reports:?}");
-                format!("{reports:?}")
+                shard_free(&reports)
             };
             assert_eq!(render(1), render(4));
         }
@@ -91,11 +91,11 @@ mod scale {
     mod tests {
         use crate::experiments::corridor::scale_json_cells;
         use crate::report;
-        use acacia::corridor::{CorridorConfig, CorridorScenario};
+        use acacia::metro::{MetroConfig, MetroScenario};
 
         #[test]
         fn json_is_well_formed_enough_to_eyeball() {
-            let run = CorridorScenario::build(CorridorConfig::scale_smoke(2)).run();
+            let run = MetroScenario::build(MetroConfig::scale_smoke(2)).run();
             assert_eq!(run.wedged(), 0);
             let json = report::render("scale", &scale_json_cells(&[(run, 1.5)]));
             report::assert_well_formed(&json, "scale", 1);
@@ -106,8 +106,9 @@ mod scale {
 #[cfg(test)]
 mod loaded {
     mod tests {
+        use crate::experiments::metro::tests::shard_free;
         use crate::runner;
-        use acacia::corridor::{CorridorConfig, CorridorScenario};
+        use acacia::metro::{MetroConfig, MetroScenario};
 
         /// The assembled sweep must be byte-identical no matter how many
         /// workers raced over the grid (smoke scale; figure scale is
@@ -122,13 +123,13 @@ mod loaded {
                     ("N=3 bg=110M".to_string(), (3usize, 110u64)),
                 ];
                 let reports = runner::pmap("loaded-smoke", grid, |(n, mbps)| {
-                    CorridorScenario::build(CorridorConfig::loaded_smoke(n, mbps)).run()
+                    MetroScenario::build(MetroConfig::loaded_smoke(n, mbps)).run()
                 });
                 runner::set_jobs(None);
                 // Every cell completes every session, congested ones
                 // included.
                 assert!(reports.iter().all(|r| r.wedged() == 0), "{reports:?}");
-                format!("{reports:?}")
+                shard_free(&reports)
             };
             assert_eq!(render(1), render(4));
         }
@@ -163,7 +164,7 @@ mod exec_caps {
                     "ArServerConfig::new".to_string(),
                     ArServerConfig::new(Ipv4Addr::LOCALHOST).exec_cap,
                 ),
-                ("corridor::EXEC_CAP".to_string(), acacia::corridor::EXEC_CAP),
+                ("metro::EXEC_CAP".to_string(), acacia::metro::EXEC_CAP),
                 ("fig3b".to_string(), compute::FIG3B_EXEC_CAP),
                 ("fig3h".to_string(), compute::FIG3H_EXEC_CAP),
                 ("fig11/fig12".to_string(), application::FIG11_EXEC_CAP),

@@ -36,19 +36,10 @@ pub struct ConnectivityAction {
     pub service: String,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ConnState {
-    None,
-    Requested,
-    Active,
-}
-
 struct AppEntry {
     info: ServiceInfo,
-    conn: ConnState,
-    /// Has this app ever asked for MEC connectivity? Cell changes only
-    /// (re-)establish connectivity for apps that opted in.
-    wants_conn: bool,
+    /// Has this app asked for MEC connectivity yet?
+    requested: bool,
 }
 
 /// The device manager.
@@ -75,8 +66,7 @@ impl DeviceManager {
         }
         self.apps.push(AppEntry {
             info,
-            conn: ConnState::None,
-            wants_conn: false,
+            requested: false,
         });
         self.apps.len() - 1
     }
@@ -96,77 +86,14 @@ impl DeviceManager {
                     .interests
                     .contains(&event.announcement.expression);
             if service_match && interest_match {
-                let action = if entry.conn == ConnState::None {
-                    entry.conn = ConnState::Requested;
-                    entry.wants_conn = true;
-                    Some(ConnectivityAction {
-                        service: entry.info.service.clone(),
-                    })
-                } else {
-                    None
-                };
+                let action = (!entry.requested).then(|| ConnectivityAction {
+                    service: entry.info.service.clone(),
+                });
+                entry.requested = true;
                 return (Some(id), action);
             }
         }
         (None, None)
-    }
-
-    /// Trigger connectivity *without* proximity discovery (paper §8,
-    /// "ACACIA without proximity service discovery"): launching the CI
-    /// application itself requests MEC connectivity.
-    pub(crate) fn on_app_launch(&mut self, app: AppId) -> Option<ConnectivityAction> {
-        let entry = self.apps.get_mut(app)?;
-        if entry.conn == ConnState::None {
-            entry.conn = ConnState::Requested;
-            entry.wants_conn = true;
-            Some(ConnectivityAction {
-                service: entry.info.service.clone(),
-            })
-        } else {
-            None
-        }
-    }
-
-    /// The serving cell changed (mobility, paper §8 "users may move").
-    /// For every app that wants MEC connectivity:
-    ///
-    /// * the new cell is MEC-equipped → re-request connectivity. The PCEF
-    ///   treats this as idempotent: if the network already re-anchored the
-    ///   dedicated bearer during the handover, the request just acks; if
-    ///   the bearer was lost, it re-creates it on the new cell's local
-    ///   gateway.
-    /// * the new cell has no MEC → the network released the dedicated
-    ///   bearer; drop to default connectivity so the next MEC cell
-    ///   triggers a fresh create.
-    pub(crate) fn on_cell_change(&mut self, cell_is_mec: bool) -> Vec<ConnectivityAction> {
-        let mut actions = Vec::new();
-        for entry in &mut self.apps {
-            if !entry.wants_conn {
-                continue;
-            }
-            if cell_is_mec {
-                entry.conn = ConnState::Requested;
-                actions.push(ConnectivityAction {
-                    service: entry.info.service.clone(),
-                });
-            } else {
-                entry.conn = ConnState::None;
-            }
-        }
-        actions
-    }
-
-    /// The MRS answered a connectivity request for `service`.
-    pub(crate) fn on_mrs_ack(&mut self, service: &str, ok: bool) {
-        for entry in &mut self.apps {
-            if entry.info.service == service && entry.conn == ConnState::Requested {
-                entry.conn = if ok {
-                    ConnState::Active
-                } else {
-                    ConnState::None
-                };
-            }
-        }
     }
 }
 
@@ -184,11 +111,6 @@ mod tests {
             snr_db: 20.0,
             tick: 0,
         }
-    }
-
-    /// Whether `app` holds acknowledged MEC connectivity.
-    fn active(dm: &DeviceManager, app: AppId) -> bool {
-        dm.apps[app].conn == ConnState::Active
     }
 
     fn reading() -> RadioReading {
@@ -239,88 +161,6 @@ mod tests {
         // Second match: no new request.
         let (_, action2) = dm.on_discovery(&event("acme", "laptops"));
         assert_eq!(action2, None);
-        // Ack activates.
-        dm.on_mrs_ack("acme", true);
-        assert!(active(&dm, app));
-    }
-
-    #[test]
-    fn failed_ack_allows_retry() {
-        let mut dm = DeviceManager::new();
-        let mut modem = Modem::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: "acme".into(),
-                interests: vec![],
-            },
-        );
-        let (_, a1) = dm.on_discovery(&event("acme", "anything"));
-        assert!(a1.is_some());
-        dm.on_mrs_ack("acme", false);
-        assert!(!active(&dm, app));
-        let (_, a2) = dm.on_discovery(&event("acme", "anything"));
-        assert!(a2.is_some(), "retry after a NACK");
-    }
-
-    #[test]
-    fn app_launch_trigger_works_without_discovery() {
-        // Paper §8: "launching a specific application might serve as the
-        // trigger to activate ACACIA functionality".
-        let mut dm = DeviceManager::new();
-        let mut modem = Modem::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: "acme".into(),
-                interests: vec![],
-            },
-        );
-        let action = dm.on_app_launch(app);
-        assert_eq!(
-            action,
-            Some(ConnectivityAction {
-                service: "acme".into()
-            })
-        );
-        // Launching again (or a subsequent discovery match) doesn't ask
-        // twice.
-        assert_eq!(dm.on_app_launch(app), None);
-        let (_, a2) = dm.on_discovery(&event("acme", "x"));
-        assert_eq!(a2, None);
-        dm.on_mrs_ack("acme", true);
-        assert!(active(&dm, app));
-    }
-
-    #[test]
-    fn cell_changes_drive_connectivity_for_opted_in_apps_only() {
-        let mut dm = DeviceManager::new();
-        let mut modem = Modem::new();
-        let app = dm.register_app(
-            &mut modem,
-            ServiceInfo {
-                service: "acme".into(),
-                interests: vec![],
-            },
-        );
-        // Before any interest match: cell changes do nothing.
-        assert!(dm.on_cell_change(true).is_empty());
-        dm.on_discovery(&event("acme", "x"));
-        dm.on_mrs_ack("acme", true);
-        assert!(active(&dm, app));
-        // Walk to a non-MEC cell: connectivity drops to default.
-        assert!(dm.on_cell_change(false).is_empty());
-        assert!(!active(&dm, app));
-        // Walk back into MEC coverage: a fresh create fires.
-        let actions = dm.on_cell_change(true);
-        assert_eq!(
-            actions,
-            vec![ConnectivityAction {
-                service: "acme".into()
-            }]
-        );
-        dm.on_mrs_ack("acme", true);
-        assert!(active(&dm, app));
     }
 
     #[test]

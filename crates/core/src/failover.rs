@@ -27,8 +27,7 @@
 //! headline invariant.
 
 use crate::arclient::ArFrontend;
-use crate::corridor::Timeline;
-use crate::metro::MetroScenario;
+use crate::metro::{MetroScenario, Timeline, MRS_ADDR};
 use crate::mrs::Mrs;
 use acacia_lte::entities::{gwc_port, GwControl};
 use acacia_lte::wire::ControlMsg;
@@ -132,12 +131,6 @@ pub struct FailoverAudit {
     pub gwu_flush_released: u64,
     /// GW-C: dedicated installs NACKed for lack of a local path.
     pub dedicated_rejected_no_path: u64,
-    /// GW-C: dedicated-bearer activation counter.
-    pub dedicated_active: u64,
-    /// GW-C: dedicated bearers actually in the session table.
-    pub dedicated_live: u64,
-    /// GW-C: dedicated activations still mid-flight at collection.
-    pub dedicated_pending: u64,
 }
 
 impl FailoverAudit {
@@ -149,16 +142,6 @@ impl FailoverAudit {
         }
         let idx = ((p / 100.0) * (self.interruptions_s.len() - 1) as f64).round() as usize;
         self.interruptions_s[idx.min(self.interruptions_s.len() - 1)]
-    }
-
-    /// The recovery-counter conservation identity the soaks assert over
-    /// a run of `sessions` sessions: the GW-C's activation counter must
-    /// equal the bearers actually present (plus none mid-flight), and
-    /// every session must be in exactly one outcome bucket.
-    pub fn conserved(&self, sessions: usize) -> bool {
-        self.dedicated_active == self.dedicated_live
-            && self.dedicated_pending == 0
-            && self.outcomes.total() == sessions
     }
 }
 
@@ -209,11 +192,11 @@ pub(crate) fn arm(scenario: &mut MetroScenario, crash: Crash, timeline: &mut Tim
         // false after `on_restart` — re-arms the heartbeat chain.
         let poke_at = crash_at + crash.outage + Duration::from_millis(1);
         let server_addr = scenario.server_addrs[CRASH_REGION];
-        let poke = Packet::icmp(scenario.mrs_addr, server_addr, 0).with_created(poke_at);
+        let poke = Packet::icmp(MRS_ADDR, server_addr, 0).with_created(poke_at);
         scenario.net.sim.inject_packet(victim, 0, poke_at, poke);
         if crash.mode == FailoverMode::RegionOutage {
             let (gwu, gwu_addr) = scenario.net.local_gwu_in_region(CRASH_REGION as u32);
-            let poke = Packet::icmp(scenario.mrs_addr, gwu_addr, 0).with_created(poke_at);
+            let poke = Packet::icmp(MRS_ADDR, gwu_addr, 0).with_created(poke_at);
             // Port 1 is a data port: the switch has no rule for the
             // poke and drops it, but arriving at all is what drives
             // the lazy crash-window exit (and the restart counter).
@@ -247,7 +230,8 @@ pub(crate) fn audit(scenario: &MetroScenario, crash: Crash) -> FailoverAudit {
         }
     }
     interruptions.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let mrs = scenario.net.sim.node_ref::<Mrs>(scenario.mrs);
+    let mrs = scenario.mrs.expect("failover needs the MRS");
+    let mrs = scenario.net.sim.node_ref::<Mrs>(mrs);
     let gwc = scenario.net.sim.node_ref::<GwControl>(scenario.net.gwc);
     FailoverAudit {
         crash,
@@ -264,9 +248,6 @@ pub(crate) fn audit(scenario: &MetroScenario, crash: Crash) -> FailoverAudit {
         gwu_failure_notices: gwc.gwu_failure_notices,
         gwu_flush_released: gwc.gwu_flush_released,
         dedicated_rejected_no_path: gwc.dedicated_rejected_no_path,
-        dedicated_active: gwc.dedicated_active,
-        dedicated_live: gwc.dedicated_live(),
-        dedicated_pending: gwc.dedicated_pending(),
     }
 }
 
@@ -297,8 +278,8 @@ mod tests {
         assert_eq!(m.wedged(), 0, "every session completes: {:?}", r.outcomes);
         assert_eq!(m.protocol_wedged(), 0);
         assert!(
-            r.conserved(m.ue_count) && m.cross_shard_conserved(),
-            "conservation: {r:?}"
+            m.conserved() && m.cross_shard_conserved(),
+            "conservation: {m:?}"
         );
         assert!(r.failovers > 0, "the crashed region's sessions moved");
         assert_eq!(r.mrs_evictions, 1, "one server evicted");
@@ -327,8 +308,8 @@ mod tests {
         });
         assert_eq!(m.wedged(), 0, "outcomes: {:?}", r.outcomes);
         assert!(
-            r.conserved(m.ue_count) && m.cross_shard_conserved(),
-            "conservation: {r:?}"
+            m.conserved() && m.cross_shard_conserved(),
+            "conservation: {m:?}"
         );
         assert_eq!(r.outcomes.neighbor_mec, 0, "no neighbor exists");
         assert!(
@@ -344,8 +325,8 @@ mod tests {
         assert_eq!(m.wedged(), 0, "outcomes: {:?}", r.outcomes);
         assert_eq!(m.protocol_wedged(), 0);
         assert!(
-            r.conserved(m.ue_count) && m.cross_shard_conserved(),
-            "conservation: {r:?}"
+            m.conserved() && m.cross_shard_conserved(),
+            "conservation: {m:?}"
         );
         assert_eq!(r.node_restarts, 1, "the MEC server restarted");
         assert_eq!(r.mrs_evictions, 1);
@@ -391,8 +372,8 @@ mod tests {
         });
         assert_eq!(m.wedged(), 0, "outcomes: {:?}", r.outcomes);
         assert!(
-            r.conserved(m.ue_count) && m.cross_shard_conserved(),
-            "conservation: {r:?}"
+            m.conserved() && m.cross_shard_conserved(),
+            "conservation: {m:?}"
         );
         assert_eq!(
             r.outcomes,
@@ -410,8 +391,8 @@ mod tests {
         assert_eq!(m.wedged(), 0, "outcomes: {:?}", r.outcomes);
         assert_eq!(m.protocol_wedged(), 0);
         assert!(
-            r.conserved(m.ue_count) && m.cross_shard_conserved(),
-            "conservation: {r:?}"
+            m.conserved() && m.cross_shard_conserved(),
+            "conservation: {m:?}"
         );
         assert_eq!(r.node_restarts, 2, "MEC server + local GW-U restarted");
         assert_eq!(r.gwu_failure_notices, 1);

@@ -29,7 +29,6 @@
 
 pub mod arclient;
 pub mod arserver;
-pub mod corridor;
 pub mod device_manager;
 pub mod failover;
 pub mod locmgr;
@@ -39,25 +38,25 @@ pub mod msg;
 pub mod scenario;
 pub mod search;
 
-/// `chaos`, `scale` and `loaded` are presets of the one two-cell builder,
-/// [`corridor::CorridorConfig`]; their tests live under their names. Each
-/// smoke preset also pins what it records (see [`recorded`]).
+/// `chaos`, `scale` and `loaded` are one-region presets of the one builder,
+/// [`metro::MetroConfig`]; their tests live under their names. Each smoke
+/// preset also pins what it records (see [`recorded`]).
 #[cfg(test)]
 mod chaos {
     mod tests {
-        use crate::corridor::{CorridorConfig, CorridorScenario};
+        use crate::metro::{MetroConfig, MetroScenario};
 
         /// Faults at rate zero must not perturb the session at all: the
         /// fault layer armed at rate 0 reproduces the walk with the layer
         /// off, field for field.
         #[test]
         fn zero_rate_chaos_matches_plain_mobility() {
-            let faulted = CorridorScenario::build(CorridorConfig::chaos_smoke(0.0)).run();
-            let plain = CorridorConfig {
+            let faulted = MetroScenario::build(MetroConfig::chaos_smoke(0.0)).run();
+            let plain = MetroConfig {
                 faults: None,
-                ..CorridorConfig::chaos_smoke(0.0)
+                ..MetroConfig::chaos_smoke(0.0)
             };
-            let plain = CorridorScenario::build(plain).run();
+            let plain = MetroScenario::build(plain).run();
             assert_eq!(format!("{faulted:?}"), format!("{plain:?}"));
             assert_eq!(faulted.recovery.injected_drops, 0);
             assert!(faulted.clean());
@@ -67,7 +66,7 @@ mod chaos {
         /// still completes, nothing wedges.
         #[test]
         fn ten_percent_control_drops_leave_no_wedged_ues() {
-            let r = CorridorScenario::build(CorridorConfig::chaos_smoke(0.10)).run();
+            let r = MetroScenario::build(MetroConfig::chaos_smoke(0.10)).run();
             assert!(r.clean() && r.wedged() == 0, "wedged: {r:?}");
             assert_eq!(
                 super::super::recorded(&r),
@@ -81,8 +80,8 @@ mod chaos {
         /// Same seed, same plan ⇒ identical report, repeatably.
         #[test]
         fn chaos_runs_are_deterministic() {
-            let a = CorridorScenario::build(CorridorConfig::chaos_smoke(0.15)).run();
-            let b = CorridorScenario::build(CorridorConfig::chaos_smoke(0.15)).run();
+            let a = MetroScenario::build(MetroConfig::chaos_smoke(0.15)).run();
+            let b = MetroScenario::build(MetroConfig::chaos_smoke(0.15)).run();
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
     }
@@ -91,11 +90,11 @@ mod chaos {
 #[cfg(test)]
 mod scale {
     mod tests {
-        use crate::corridor::{CorridorConfig, CorridorScenario};
+        use crate::metro::{MetroConfig, MetroScenario};
 
         #[test]
         fn two_ues_complete_and_hand_over() {
-            let r = CorridorScenario::build(CorridorConfig::scale_smoke(2)).run();
+            let r = MetroScenario::build(MetroConfig::scale_smoke(2)).run();
             assert_eq!(r.wedged(), 0, "every session completes");
             assert_eq!(
                 super::super::recorded(&r),
@@ -105,8 +104,8 @@ mod scale {
 
         #[test]
         fn signalling_grows_with_ue_count() {
-            let one = CorridorScenario::build(CorridorConfig::scale_smoke(1)).run();
-            let four = CorridorScenario::build(CorridorConfig::scale_smoke(4)).run();
+            let one = MetroScenario::build(MetroConfig::scale_smoke(1)).run();
+            let four = MetroScenario::build(MetroConfig::scale_smoke(4)).run();
             assert_eq!(one.wedged() + four.wedged(), 0);
             assert!(four.x2_msgs > one.x2_msgs, "more UEs, more X2 signalling");
             assert!(four.total_handovers() > one.total_handovers());
@@ -114,20 +113,20 @@ mod scale {
 
         #[test]
         fn interval_floor_scales_with_ue_count() {
-            let small = CorridorConfig::scale(8);
-            let big = CorridorConfig::scale(128);
-            assert_eq!(small.frame_interval(), small.base_frame_interval);
+            let small = MetroConfig::scale(8);
+            let big = MetroConfig::scale(128);
+            assert_eq!(small.region_interval(0), small.base_frame_interval);
             assert_eq!(
-                big.frame_interval().nanos(),
-                CorridorConfig::PER_FRAME_BUDGET.nanos() * 128
+                big.region_interval(0).nanos(),
+                big.per_frame_budget.nanos() * 128
             );
             // The stagger follows the population and the interval, so it
             // cannot go stale when either is edited.
-            let edited = CorridorConfig {
-                ue_count: 128,
+            let edited = MetroConfig {
+                region_sizes: vec![128],
                 ..small
             };
-            assert_eq!(edited.stagger(), CorridorConfig::PER_FRAME_BUDGET);
+            assert_eq!(edited.region_stagger(0), edited.per_frame_budget);
         }
     }
 }
@@ -135,7 +134,7 @@ mod scale {
 #[cfg(test)]
 mod loaded {
     mod tests {
-        use crate::corridor::{CorridorConfig, CorridorScenario};
+        use crate::metro::{MetroConfig, MetroScenario};
 
         fn median(mut v: Vec<f64>) -> f64 {
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -144,13 +143,13 @@ mod loaded {
 
         #[test]
         fn congestion_inflates_cloud_path_but_sessions_and_handovers_survive() {
-            let unloaded = CorridorScenario::build(CorridorConfig::loaded_smoke(2, 0)).run();
-            let loaded = CorridorScenario::build(CorridorConfig::loaded_smoke(2, 110)).run();
+            let unloaded = MetroScenario::build(MetroConfig::loaded_smoke(2, 0)).run();
+            let loaded = MetroScenario::build(MetroConfig::loaded_smoke(2, 110)).run();
             assert_eq!(
                 super::super::recorded(&loaded),
                 "[(4, 2, 0), (4, 2, 0)] msgs (16, 20, 20) events 767779 sim 15100 ms probes (1210, 2)"
             );
-            let cloud = |r: &crate::corridor::CorridorReport| {
+            let cloud = |r: &crate::metro::MetroReport| {
                 let load = r.load.as_ref().expect("the loaded preset reports its load");
                 (median(load.cloud_rtts_ms.clone()), load.cloud_probes)
             };
@@ -174,7 +173,7 @@ mod loaded {
 
         #[test]
         fn per_class_counters_surface_on_the_core_leg() {
-            let r = CorridorScenario::build(CorridorConfig::loaded_smoke(1, 110)).run();
+            let r = MetroScenario::build(MetroConfig::loaded_smoke(1, 110)).run();
             let core = r.load.expect("the loaded preset reports its load");
             // Background + default-bearer traffic is stamped DSCP 1 (ToS 4).
             let (_, best_effort) = *core
@@ -197,7 +196,7 @@ mod loaded {
 /// retransmissions), (X2, S1AP, GTP-C) messages, engine events,
 /// simulated time and liveness probes (sent, lost).
 #[cfg(test)]
-fn recorded(r: &corridor::CorridorReport) -> String {
+fn recorded(r: &metro::MetroReport) -> String {
     let ues: Vec<_> = r
         .ues
         .iter()
@@ -280,7 +279,6 @@ mod city {
 
 pub use arclient::{ArFrontend, ArFrontendConfig, FrameStats};
 pub use arserver::{ArServer, ArServerConfig, FrameRecord};
-pub use corridor::{CorridorConfig, CorridorMode, CorridorReport, CorridorScenario};
 pub use device_manager::{AppId, ConnectivityAction, DeviceManager, ServiceInfo};
 pub use locmgr::{LocalizationManager, LocalizationMetadata};
 pub use mrs::{Mrs, ServerInstance};
@@ -292,7 +290,6 @@ pub use search::{candidates, SearchContext, SearchStrategy};
 pub mod prelude {
     pub use crate::arclient::{ArFrontend, ArFrontendConfig, FrameStats};
     pub use crate::arserver::{ArServer, ArServerConfig};
-    pub use crate::corridor::{CorridorConfig, CorridorMode, CorridorReport, CorridorScenario};
     pub use crate::device_manager::{DeviceManager, ServiceInfo};
     pub use crate::locmgr::{LocalizationManager, LocalizationMetadata};
     pub use crate::mrs::{Mrs, ServerInstance};

@@ -17,8 +17,8 @@
 
 use crate::arclient::{ArFrontend, ArFrontendConfig, FrameStats};
 use crate::arserver::{ArServer, ArServerConfig};
-use crate::corridor::add_mrs;
 use crate::locmgr::{LocalizationManager, LocalizationMetadata};
+use crate::metro::add_mrs;
 use crate::mrs::{Mrs, ServerInstance};
 use crate::msg::APP_PORT;
 use crate::search::SearchStrategy;

@@ -4,16 +4,19 @@
 //! (`simnet::fault`) at random: its `--seed` reaches the fault plans'
 //! probability draws. Seed 42 is in `figures_output.txt`; the other four
 //! seeds of CI's seed matrix are held here, each as a 64-bit FNV-1a digest
-//! of the rendered table. A change that moves the chaos output at any of
-//! them, at every shard and worker count alike, fails this test.
+//! of the rendered table. Each seed is rendered at `--jobs 1`, at
+//! `--jobs 4` and at `--shards 2`, and every rendering must match the one
+//! digest: a change that moves the chaos output at any of them, or makes
+//! it depend on the worker or shard count, fails this test.
 //!
-//! Ignored by default (the four sweeps take ≈ 0.8 s in release, ≈ 11 s in
-//! debug); CI runs it with `--release -- --ignored`.
+//! Ignored by default (the twelve sweeps take ≈ 2.5 s in release, ≈ 35 s
+//! in debug); CI runs it with `--release -- --ignored`.
 //!
 //! To re-record after an intended change, print `fnv1a(render())` for
 //! each seed and paste the values below, with the reason in the commit.
 
 use acacia_bench::{run, runner, set_seed};
+use acacia_simnet::set_default_shards;
 
 /// `(seed, FNV-1a 64 of chaos's render() at that seed)`.
 const PINS: [(u64, u64); 4] = [
@@ -23,27 +26,37 @@ const PINS: [(u64, u64); 4] = [
     (45, 0xf9ee_2ea3_e3c5_d4c5),
 ];
 
+/// `(--jobs, --shards)` settings every pin must hold at.
+const SETTINGS: [(usize, usize); 3] = [(1, 1), (4, 1), (1, 2)];
+
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// One test for all seeds: the seed is process-wide, so the runs must
-/// not interleave.
+/// One test for all seeds and settings: the seed, the worker count and
+/// the shard count are process-wide, so the runs must not interleave.
 #[test]
-#[ignore = "four chaos sweeps, ~11 s in debug; run with --release -- --ignored"]
+#[ignore = "twelve chaos sweeps, ~35 s in debug; run with --release -- --ignored"]
 fn chaos_output_matches_its_pins() {
-    runner::set_jobs(None);
     let mut drifted = Vec::new();
     for (seed, pin) in PINS {
         set_seed(seed);
-        let rendered = run("chaos").expect("known experiment id").render();
-        let digest = fnv1a(rendered.as_bytes());
-        if digest != pin {
-            drifted.push(format!("seed {seed}: {digest:#018x} (pinned {pin:#018x})"));
+        for (jobs, shards) in SETTINGS {
+            runner::set_jobs(Some(jobs));
+            set_default_shards(Some(shards));
+            let rendered = run("chaos").expect("known experiment id").render();
+            let digest = fnv1a(rendered.as_bytes());
+            if digest != pin {
+                drifted.push(format!(
+                    "seed {seed} --jobs {jobs} --shards {shards}: {digest:#018x} (pinned {pin:#018x})"
+                ));
+            }
         }
     }
+    set_default_shards(None);
+    runner::set_jobs(None);
     set_seed(42);
     let _ = runner::drain_timings();
     assert!(

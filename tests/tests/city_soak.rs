@@ -23,7 +23,7 @@
 //! Ignored by default (five multi-second runs); CI runs it with
 //! `--release -- --ignored`.
 
-use acacia::metro::{MetroConfig, MetroScenario};
+use acacia::metro::{ControlFaults, MetroConfig, MetroScenario};
 use acacia_simnet::set_default_shards;
 
 /// Seeds swept by the soak, disjoint from the fixed-seed figures (42).
@@ -39,8 +39,10 @@ fn sharded_city_survives_control_plane_drop_storm() {
     for seed in SOAK_SEEDS {
         let cfg = MetroConfig {
             seed,
-            ctrl_drop_rate: DROP_RATE,
-            fault_seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            faults: Some(ControlFaults {
+                seed: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                drop: DROP_RATE,
+            }),
             ..MetroConfig::city_smoke()
         };
         set_default_shards(Some(8));
