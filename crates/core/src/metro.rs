@@ -227,7 +227,7 @@ impl ControlFaults {
         let churn = self.drop / 2.0;
         let start = timeline.settled();
         let end = start + Duration::from_secs(86_400);
-        for (idx, (endpoint, _label)) in net.control_fault_points().iter().enumerate() {
+        for (idx, endpoint) in net.control_fault_points().into_iter().enumerate() {
             let stream = (idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut plan = FaultPlan::new(self.seed.wrapping_add(stream));
             plan.add_rule(FaultRule::drop(PacketClass::any(), self.drop).in_window(start, end));
@@ -236,7 +236,7 @@ impl ControlFaults {
                 FaultRule::reorder(PacketClass::any(), churn, Duration::from_millis(3))
                     .in_window(start, end),
             );
-            net.sim.attach_fault_plan(*endpoint, plan);
+            net.sim.attach_fault_plan(endpoint, plan);
         }
     }
 }
@@ -1195,7 +1195,7 @@ impl MetroScenario {
             recovery.reestablished += e.reest_in;
         }
         if self.cfg.faults.is_some() {
-            for (endpoint, _label) in net.control_fault_points() {
+            for endpoint in net.control_fault_points() {
                 if let Some(stats) = sim.link_stats(endpoint) {
                     recovery.injected_drops += stats.drops_injected;
                     recovery.injected_duplicates += stats.duplicates_injected;

@@ -1064,20 +1064,22 @@ impl LteNetwork {
         (self.sgw_u, SGW_PORT_PGW)
     }
 
-    /// Every control-plane fault-injection point — one entry per direction
-    /// of every S1AP and X2 link, in a stable cell-major order. The index
-    /// of an entry is a reproducible identity for deriving per-link fault
-    /// seeds; the label names the direction for reports.
-    pub fn control_fault_points(&self) -> Vec<((NodeId, PortId), String)> {
-        let mut points = Vec::new();
-        for i in 0..self.enbs.len() {
-            points.push((self.s1ap_uplink(i), format!("s1ap[{i}]->mme")));
-            points.push((self.s1ap_downlink(i), format!("mme->s1ap[{i}]")));
+    /// Every control-plane fault-injection point — the transmit endpoint
+    /// of each direction of every S1AP and X2 link, in a stable cell-major
+    /// order: each cell's S1AP uplink then downlink, then X2 `i → j` for
+    /// `i` then `j`. The index of an entry is a reproducible identity for
+    /// deriving per-link fault seeds.
+    pub fn control_fault_points(&self) -> Vec<(NodeId, PortId)> {
+        let n = self.enbs.len();
+        let mut points = Vec::with_capacity(n * (n + 1));
+        for i in 0..n {
+            points.push(self.s1ap_uplink(i));
+            points.push(self.s1ap_downlink(i));
         }
-        for i in 0..self.enbs.len() {
-            for j in 0..self.enbs.len() {
+        for i in 0..n {
+            for j in 0..n {
                 if i != j {
-                    points.push((self.x2_link(i, j), format!("x2[{i}->{j}]")));
+                    points.push(self.x2_link(i, j));
                 }
             }
         }

@@ -234,7 +234,7 @@ fn lost_handover_command_recovers_via_reestablishment() {
 #[test]
 fn duplicated_control_messages_are_suppressed() {
     let (net, _) = walk_under_faults(two_mec_cells(false), |net| {
-        for (endpoint, _) in net.control_fault_points() {
+        for endpoint in net.control_fault_points() {
             let plan = FaultPlan::new(1).with_rule(FaultRule::duplicate(PacketClass::any(), 1.0));
             net.sim.attach_fault_plan(endpoint, plan);
         }
@@ -299,8 +299,13 @@ fn x2_drops_under_core_congestion_never_wedge() {
     // X2 drops arm mid-congestion, after attach + bearer setup.
     let start = t0 + Duration::from_secs(1);
     let end = start + Duration::from_secs(86_400);
-    for (idx, (endpoint, label)) in net.control_fault_points().into_iter().enumerate() {
-        if !label.starts_with("x2[") {
+    let cells = net.enbs.len();
+    let x2: Vec<_> = (0..cells)
+        .flat_map(|i| (0..cells).filter(move |&j| j != i).map(move |j| (i, j)))
+        .map(|(i, j)| net.x2_link(i, j))
+        .collect();
+    for (idx, endpoint) in net.control_fault_points().into_iter().enumerate() {
+        if !x2.contains(&endpoint) {
             continue;
         }
         let seed = 42u64.wrapping_add((idx as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -368,7 +373,7 @@ fn arbitrary_fault_schedules_never_wedge() {
         let reorder_rate = Strategy::generate(&(0.0f64..0.4), &mut rng);
         let reorder_ms = Strategy::generate(&(1u64..10), &mut rng);
         let (net, _) = walk_under_faults(two_mec_cells(true), |net| {
-            for (idx, (endpoint, _)) in net.control_fault_points().into_iter().enumerate() {
+            for (idx, endpoint) in net.control_fault_points().into_iter().enumerate() {
                 let mut plan = FaultPlan::new(seed.wrapping_add(idx as u64 * 7919));
                 plan.add_rule(FaultRule::drop(PacketClass::any(), drop_rate));
                 plan.add_rule(FaultRule::duplicate(PacketClass::any(), dup_rate));

@@ -234,7 +234,7 @@ impl Lane<'_> {
             .links
             .get_mut(from.1 as PortId);
         let link = link.expect("a chain's link stays connected");
-        if let Some((at, ctr, pkt)) = link.release(dscp) {
+        if let Some((at, ctr, pkt)) = link.chain(dscp).release() {
             let payload = EvPayload {
                 kind: EvKind::Head { to, from, dscp },
                 pkt: Some(pkt),

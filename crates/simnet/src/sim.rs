@@ -429,16 +429,17 @@ impl Ports {
 // Every link and node lives for the whole run (a metro builds thousands of
 // each), so their inline state is pinned: rarely used parts such as a
 // link's fault plan and its injected-fault counters go behind a pointer,
-// totals a link can sum from its per-class counters are not kept, and
+// per-class counters live in a rated link's class entries (a rate-0 link,
+// most of a metro's, keeps only its packet, byte and loss totals), and
 // each random stream is a seed and a word position, not a buffered
 // generator (most links and nodes never draw). A link's destination is two
 // 32-bit numbers and its queue bound a plain `u64`, so a boxed link takes
-// a 144 B malloc chunk, not a 160 B one.
-const _: () = assert!(std::mem::size_of::<Link>() <= 136);
-// A saturated class keeps one event on the wheel and its other packets in
-// flight in the link: the chain adds 8 B to a class's entry and nothing to
-// an event.
-const _: () = assert!(std::mem::size_of::<(u8, crate::link::ClassQueue)>() <= 56);
+// a 128 B malloc chunk, not a 144 B one.
+const _: () = assert!(std::mem::size_of::<Link>() <= 120);
+// A class entry is its ledger, its chain (8 B: a saturated class keeps one
+// event on the wheel and its other packets in flight in the link, adding
+// nothing to an event), its counters and its busy time.
+const _: () = assert!(std::mem::size_of::<(u8, crate::link::ClassQueue)>() <= 96);
 const _: () = assert!(std::mem::size_of::<EvPayload>() <= 104);
 const _: () = assert!(std::mem::size_of::<NodeMeta>() <= 88);
 const _: () = assert!(std::mem::size_of::<ChaCha8Stream>() == 16);
@@ -732,7 +733,11 @@ impl Simulator {
             if let EvKind::Head { to, from, dscp } = payload.kind {
                 let arrive = EvKind::Arrive(to.0 as NodeId, to.1 as PortId);
                 let link = self.link_mut((from.0 as NodeId, from.1 as PortId));
-                for (at, ctr, pkt) in link.expect("a chain's link stays connected").flush(dscp) {
+                for (at, ctr, pkt) in link
+                    .expect("a chain's link stays connected")
+                    .chain(dscp)
+                    .flush()
+                {
                     let payload = EvPayload {
                         kind: arrive,
                         pkt: Some(pkt),

@@ -1,7 +1,8 @@
 //! Property-based tests for the strict-priority multi-queue link
 //! scheduler (`link.rs`): packet conservation across per-class counters,
-//! work conservation against a FIFO reference, and exact FIFO-equivalence
-//! when every packet shares one class.
+//! work conservation against a FIFO reference, exact FIFO-equivalence
+//! when every packet shares one class, and no per-class state on a link
+//! that cannot queue.
 
 use acacia_simnet::link::LinkConfig;
 use acacia_simnet::packet::Packet;
@@ -143,6 +144,25 @@ proptest! {
         prop_assert_eq!(prio_seen.len(), fifo_seen.len());
         prop_assert_eq!(prio_bytes, fifo_bytes);
         prop_assert_eq!(prio.drops(), 0);
+    }
+
+    /// A rate-0 link keeps no per-class state, whatever ToS crosses it:
+    /// `classes` stays empty, and its packet and byte totals are what the
+    /// sink took.
+    #[test]
+    fn rate_zero_link_keeps_no_class_counters(
+        schedule in schedules(),
+        delay_us in 0u64..20_000,
+        jitter_us in 0u64..2_000,
+    ) {
+        let cfg = LinkConfig::delay_only(Duration::from_micros(delay_us))
+            .with_jitter(Duration::from_micros(jitter_us));
+        let (stats, seen, bytes) = run_mix(&schedule, cfg);
+        prop_assert!(stats.classes.is_empty());
+        prop_assert_eq!(seen.len(), schedule.len());
+        prop_assert_eq!(stats.tx_packets, seen.len() as u64);
+        prop_assert_eq!(stats.tx_bytes, bytes);
+        prop_assert_eq!((stats.drops(), stats.busy), (0, Duration::ZERO));
     }
 
     /// Single-class degeneration: when every packet shares one class the

@@ -9,8 +9,8 @@
 //! the link held its in-flight packets per class, 80 B each, with only
 //! each class's head on the wheel, but in one deque that doubled to
 //! 16 384 entries: +1.3 to 1.45 MB. The packets behind the head now fill
-//! fixed 256-packet blocks that are freed as they drain: +0.87 to
-//! 1.07 MB, release or debug.
+//! fixed 256-packet blocks that are freed as they drain, but for the one
+//! kept as the next block's spare: +0.87 to 1.07 MB, release or debug.
 //!
 //! One test, alone in its binary: the high-water mark is the process's.
 #![cfg(target_os = "linux")]

@@ -6,13 +6,15 @@
 //! whose ring slots each kept the buffer of the one burst that passed
 //! through them, and a message log with one entry per message ever sent.
 //! A port number nobody connected now costs nothing (a row holds only its
-//! connected ports), a rate-0 link keeps no transmission queue, links
-//! and nodes keep their random streams as a seed and a position
-//! (16 B, not a 112 B generator), and a radio scheduler frees its queue
-//! when it drains. The budget is tight enough (it reads about 7.5 MB in a
-//! release build, 8.5 MB in a debug one; 8.5 MB in a release build when
-//! every UE's scheduler kept an 896 B `BTreeMap` leaf for life, 9.2 MB
-//! with 112 B generators) to catch smaller per-entity waste too. It read
+//! connected ports), a rate-0 link keeps no transmission queue and no
+//! per-class counters, links and nodes keep their random streams as a
+//! seed and a position (16 B, not a 112 B generator), and a radio
+//! scheduler frees its queue when it drains. The budget is tight enough
+//! (it reads about 7.2 MB in a release build, 8.0 MB in a debug one; 7.5
+//! and 8.5 MB when every rate-0 link kept a per-class counter vector;
+//! 8.5 MB in a release build when every UE's scheduler kept an 896 B
+//! `BTreeMap` leaf for life, 9.2 MB with 112 B generators) to catch
+//! smaller per-entity waste too. It read
 //! 11.9 MB (release) and 13.2 MB (debug) when a UE's
 //! row paid a pointer per port number below 202 and every rate-0 link
 //! kept a queue per DSCP class, and 17–18 MB
