@@ -19,6 +19,11 @@ fn imsi() -> Imsi {
     Imsi(310_410_000_000_001)
 }
 
+/// The eNBs of cells 1 and 2 (cell 0 is `addr::ENB`); cells 0 and 2 have
+/// a path to the local GW-U, cell 1 does not.
+const ENB_1: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 2);
+const ENB_2: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 3);
+
 fn ctrl_link() -> LinkConfig {
     LinkConfig::delay_only(Duration::from_micros(100))
 }
@@ -195,12 +200,12 @@ fn topo() -> GwTopology {
             ctrl_port: gwc_port::LOCAL_GWU,
             port_enb: 1,
             port_mec: 2,
-            enb_ports: Vec::new(),
-            enbs: Vec::new(),
+            enb_ports: vec![(addr::ENB, 1), (ENB_2, 4)],
+            enbs: vec![addr::ENB, ENB_2],
             servers: vec![addr::MEC_BASE],
         }],
         ue_ip_base: addr::UE_POOL,
-        sgw_enb_ports: Vec::new(),
+        sgw_enb_ports: vec![(addr::ENB, 1), (ENB_1, 4), (ENB_2, 5)],
     }
 }
 
@@ -316,3 +321,735 @@ fn gwc_rejects_rules_for_unknown_ues_and_non_mec_servers() {
         "only the session response"
     );
 }
+
+/// A test-only node on the far end of every control port of the entity
+/// under test: it decodes each packet it receives and keeps
+/// `(port, dst, msg)` in arrival order. Every control link has the same
+/// delay, so arrival order is the entity's send order.
+#[derive(Default)]
+struct Tap {
+    seen: Vec<(usize, Ipv4Addr, ControlMsg)>,
+}
+
+impl acacia_simnet::sim::Node for Tap {
+    fn on_packet(
+        &mut self,
+        _ctx: &mut acacia_simnet::sim::Ctx<'_>,
+        port: usize,
+        pkt: acacia_simnet::packet::Packet,
+    ) {
+        let msg = ControlMsg::from_packet(&pkt).expect("a control message");
+        self.seen.push((port, pkt.dst, msg));
+    }
+}
+
+/// Drives one entity with one stimulus at a time and writes the
+/// transcript: each stimulus as `> port msg`, then every message the
+/// entity sent in answer as `  port dst msg`, and finally the message
+/// log's per-kind counts.
+struct Transcript {
+    sim: Simulator,
+    node: NodeId,
+    tap: NodeId,
+    log: MsgLog,
+    at_us: u64,
+    text: String,
+}
+
+impl Transcript {
+    fn new(
+        entity: impl FnOnce(MsgLog) -> Box<dyn acacia_simnet::sim::Node>,
+        ports: &[usize],
+    ) -> Transcript {
+        let mut sim = Simulator::new(1);
+        let log = MsgLog::new();
+        let node = sim.add_node(entity(log.clone()));
+        let tap = sim.add_node(Box::new(Tap::default()));
+        for &p in ports {
+            sim.connect((node, p), (tap, p), ctrl_link());
+        }
+        Transcript {
+            sim,
+            node,
+            tap,
+            log,
+            at_us: 0,
+            text: String::new(),
+        }
+    }
+
+    /// Inject `msg` on `port`, run to idle, and return what was sent.
+    fn step(&mut self, port: usize, msg: ControlMsg) -> Vec<ControlMsg> {
+        use std::fmt::Write;
+        writeln!(self.text, "> {port} {msg:?}").unwrap();
+        let seen = self.sim.node_ref::<Tap>(self.tap).seen.len();
+        inject(&mut self.sim, self.node, port, self.at_us, msg);
+        self.at_us += 1_000;
+        self.sim.run_until_idle();
+        let out = &self.sim.node_ref::<Tap>(self.tap).seen[seen..];
+        for (p, dst, m) in out {
+            writeln!(self.text, "  {p} {dst} {m:?}").unwrap();
+        }
+        out.iter().map(|(_, _, m)| m.clone()).collect()
+    }
+
+    fn finish(mut self) -> String {
+        use std::fmt::Write;
+        for r in self.log.by_name() {
+            writeln!(self.text, "# {} {}", r.name, r.count).unwrap();
+        }
+        self.text
+    }
+}
+
+fn assert_transcript(actual: &str, expected: &str) {
+    for (i, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(a, e, "transcript line {} differs", i + 1);
+    }
+    assert_eq!(
+        actual.lines().count(),
+        expected.lines().count(),
+        "transcript length differs; actual:\n{actual}"
+    );
+}
+
+fn rule(service_id: u32, ue_addr: Ipv4Addr, server_addr: Ipv4Addr, server_port: u16) -> PolicyRule {
+    PolicyRule {
+        service_id,
+        ue_addr,
+        server_addr,
+        server_port,
+        qci: Qci(7),
+        install: true,
+    }
+}
+
+/// The GW-C's every reply, FlowMod and NACK, with its port, destination
+/// and place in the send order, through every handler and branch.
+#[test]
+fn gwc_transcript_is_pinned() {
+    use acacia_lte::ids::{Ebi, Teid};
+    use ControlMsg::*;
+    let mut t = Transcript::new(
+        |log| Box::new(GwControl::new(addr::GWC, topo(), log)),
+        &[
+            gwc_port::MME,
+            gwc_port::PCRF,
+            gwc_port::SGW_U,
+            gwc_port::PGW_U,
+            gwc_port::LOCAL_GWU,
+        ],
+    );
+    let (a, b) = (imsi(), Imsi(310_410_000_000_002));
+    let (mec_enb, plain_enb) = (ENB_2, ENB_1);
+    let ue_addr = |t: &Transcript, i| t.sim.node_ref::<GwControl>(t.node).ue_addr(i).unwrap();
+    let mme = gwc_port::MME;
+    let pcrf = gwc_port::PCRF;
+
+    // Attach: session, then the S1-U legs.
+    t.step(mme, CreateSessionRequest { imsi: a });
+    t.step(
+        mme,
+        ModifyBearerRequest {
+            imsi: a,
+            enb_teid: Teid(0x3001),
+            enb_addr: addr::ENB,
+        },
+    );
+    let ua = ue_addr(&t, a);
+    // Install, and the idempotent re-request while it is pending.
+    let r1 = rule(1, ua, addr::MEC_BASE, 0);
+    t.step(pcrf, GxReauthRequest { rule: r1.clone() });
+    t.step(pcrf, GxReauthRequest { rule: r1.clone() });
+    // NACKs: unknown UE, a server not on the MEC.
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(2, Ipv4Addr::new(10, 10, 0, 99), addr::MEC_BASE, 0),
+        },
+    );
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(3, ua, Ipv4Addr::new(52, 0, 0, 1), 0),
+        },
+    );
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: a,
+            ebi: Ebi(6),
+            enb_teid: Teid(0x3006),
+            enb_addr: addr::ENB,
+        },
+    );
+    // The idempotent re-request once the bearer is live.
+    t.step(pcrf, GxReauthRequest { rule: r1.clone() });
+    // A second bearer, with a port-scoped TFT.
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(4, ua, addr::MEC_BASE, 5000),
+        },
+    );
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: a,
+            ebi: Ebi(7),
+            enb_teid: Teid(0x3007),
+            enb_addr: addr::ENB,
+        },
+    );
+    // Handover to a MEC cell: EBI 6 follows, EBI 7 (no target TEID) is
+    // released.
+    t.step(
+        mme,
+        BearerRelocationRequest {
+            imsi: a,
+            enb_addr: mec_enb,
+            enb_teids: vec![(Ebi::DEFAULT, Teid(0x4001)), (Ebi(6), Teid(0x4006))],
+        },
+    );
+    // Handover to a cell with no MEC path: EBI 6 is released.
+    t.step(
+        mme,
+        BearerRelocationRequest {
+            imsi: a,
+            enb_addr: plain_enb,
+            enb_teids: vec![(Ebi::DEFAULT, Teid(0x5001)), (Ebi(6), Teid(0x5006))],
+        },
+    );
+    // The local GW-U has no path to the serving eNB: NACK.
+    t.step(pcrf, GxReauthRequest { rule: r1.clone() });
+
+    // A second UE: install, removal, and removal of nothing.
+    t.step(mme, CreateSessionRequest { imsi: b });
+    let teid_sgw_dl = t
+        .sim
+        .node_ref::<Tap>(t.tap)
+        .seen
+        .iter()
+        .rev()
+        .find_map(|(_, _, m)| match m {
+            FlowMod { actions, .. } => actions.iter().find_map(|x| match x {
+                acacia_lte::wire::FlowActionSpec::GtpEncap { teid, .. } => Some(*teid),
+                _ => None,
+            }),
+            _ => None,
+        })
+        .unwrap();
+    t.step(
+        mme,
+        ModifyBearerRequest {
+            imsi: b,
+            enb_teid: Teid(0x6001),
+            enb_addr: addr::ENB,
+        },
+    );
+    let ub = ue_addr(&t, b);
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(10, ub, addr::MEC_BASE, 0),
+        },
+    );
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: b,
+            ebi: Ebi(6),
+            enb_teid: Teid(0x6006),
+            enb_addr: addr::ENB,
+        },
+    );
+    let removal = |sid| PolicyRule {
+        install: false,
+        ..rule(sid, ub, addr::MEC_BASE, 0)
+    };
+    t.step(pcrf, GxReauthRequest { rule: removal(10) });
+    t.step(
+        mme,
+        DeleteBearerResponse {
+            imsi: b,
+            ebi: Ebi(6),
+        },
+    );
+    t.step(pcrf, GxReauthRequest { rule: removal(10) });
+    // The failure-path flush: one live bearer, one pending.
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(11, ub, addr::MEC_BASE, 0),
+        },
+    );
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: b,
+            ebi: Ebi(6),
+            enb_teid: Teid(0x6106),
+            enb_addr: addr::ENB,
+        },
+    );
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(12, ub, addr::MEC_BASE, 0),
+        },
+    );
+    t.step(mme, DeleteBearerCommand { imsi: b });
+    // The flushed pending bearer's late answer is a no-op.
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: b,
+            ebi: Ebi(7),
+            enb_teid: Teid(0x6107),
+            enb_addr: addr::ENB,
+        },
+    );
+    // The local GW-U dies with one bearer live and one pending.
+    t.step(
+        mme,
+        ModifyBearerRequest {
+            imsi: b,
+            enb_teid: Teid(0x6201),
+            enb_addr: addr::ENB,
+        },
+    );
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(13, ub, addr::MEC_BASE, 0),
+        },
+    );
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: b,
+            ebi: Ebi(6),
+            enb_teid: Teid(0x6206),
+            enb_addr: addr::ENB,
+        },
+    );
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(14, ub, addr::MEC_BASE, 0),
+        },
+    );
+    t.step(
+        gwc_port::LOCAL_GWU,
+        GwuFailureIndication {
+            gwu_addr: addr::LOCAL_GWU,
+        },
+    );
+    t.step(
+        mme,
+        CreateBearerResponse {
+            imsi: b,
+            ebi: Ebi(7),
+            enb_teid: Teid(0x6207),
+            enb_addr: addr::ENB,
+        },
+    );
+    // Both were flushed: the same service installs afresh at EBI 6.
+    t.step(
+        pcrf,
+        GxReauthRequest {
+            rule: rule(13, ub, addr::MEC_BASE, 0),
+        },
+    );
+    // Idle release, then downlink for the released session (and for a
+    // TEID no session owns).
+    t.step(mme, ReleaseAccessBearersRequest { imsi: b });
+    t.step(mme, DownlinkDataByTeid { teid: teid_sgw_dl });
+    t.step(mme, DownlinkDataByTeid { teid: Teid(0xdead) });
+
+    let gwc = t.sim.node_ref::<GwControl>(t.node);
+    let counters = format!(
+        "# active {} reanchored {} released {} notices {} flushed {} no_path {} live {} pending {}\n",
+        gwc.dedicated_active,
+        gwc.dedicated_reanchored,
+        gwc.dedicated_released,
+        gwc.gwu_failure_notices,
+        gwc.gwu_flush_released,
+        gwc.dedicated_rejected_no_path,
+        gwc.dedicated_live(),
+        gwc.dedicated_pending(),
+    );
+    let text = t.finish() + &counters;
+    println!("{text}");
+    assert_transcript(&text, GWC_TRANSCRIPT);
+}
+
+/// The MME's every send, with its port, destination and place in the
+/// send order: the attach chain, the service-request flush, dedicated
+/// bearers, a path switch and its replay, and the idle cycle.
+#[test]
+fn mme_transcript_is_pinned() {
+    use acacia_lte::ids::{Ebi, Teid};
+    use acacia_lte::wire::ErabSetup;
+    use ControlMsg::*;
+    let mut t = Transcript::new(
+        |log| Box::new(Mme::new(addr::MME, addr::ENB, addr::GWC, addr::HSS, log)),
+        &[mme_port::ENB, mme_port::GWC, mme_port::HSS],
+    );
+    let (a, b) = (imsi(), Imsi(310_410_000_000_002));
+    let (enb, gwc, hss) = (mme_port::ENB, mme_port::GWC, mme_port::HSS);
+    let erab = |ebi: u8| ErabSetup {
+        ebi: Ebi(ebi),
+        qci: Qci(if ebi == 5 { 9 } else { 7 }),
+        gw_teid: Teid(0x1000 + u32::from(ebi)),
+        gw_addr: addr::SGW_U,
+        tft: acacia_lte::tft::Tft::default(),
+    };
+
+    // Attach chain.
+    t.step(enb, InitialUeAttach { imsi: a });
+    t.step(hss, S6aAuthInfoAnswer { imsi: a, ok: true });
+    t.step(
+        gwc,
+        CreateSessionResponse {
+            imsi: a,
+            ue_addr: Ipv4Addr::new(10, 10, 0, 1),
+            erab: erab(5),
+        },
+    );
+    t.step(
+        enb,
+        InitialContextSetupResponse {
+            imsi: a,
+            enb_teids: vec![(Ebi::DEFAULT, Teid(0x3001))],
+        },
+    );
+    t.step(gwc, ModifyBearerResponse { imsi: a });
+    // A service request while Attached: flush, then restore.
+    t.step(enb, InitialUeServiceRequest { imsi: a });
+    t.step(
+        enb,
+        InitialContextSetupResponse {
+            imsi: a,
+            enb_teids: vec![(Ebi::DEFAULT, Teid(0x3101))],
+        },
+    );
+    t.step(gwc, ModifyBearerResponse { imsi: a });
+    // Dedicated bearer set-up.
+    t.step(
+        gwc,
+        CreateBearerRequest {
+            imsi: a,
+            erab: erab(6),
+        },
+    );
+    t.step(
+        enb,
+        ErabSetupResponse {
+            imsi: a,
+            ebi: Ebi(6),
+            enb_teid: Teid(0x3106),
+        },
+    );
+    // Path switch, its answer with released bearers, and a replay.
+    let ps = PathSwitchRequest {
+        imsi: a,
+        enb_addr: ENB_1,
+        erabs: vec![(Ebi::DEFAULT, Teid(0x4001)), (Ebi(6), Teid(0x4006))],
+        txid: 1,
+    };
+    t.step(enb, ps.clone());
+    t.step(
+        gwc,
+        BearerRelocationResponse {
+            imsi: a,
+            erabs: vec![],
+            released: vec![Ebi(6), Ebi(7)],
+        },
+    );
+    t.step(enb, ps);
+    // Network-initiated release.
+    t.step(
+        gwc,
+        DeleteBearerRequest {
+            imsi: a,
+            ebi: Ebi(6),
+        },
+    );
+    t.step(
+        enb,
+        ErabReleaseResponse {
+            imsi: a,
+            ebi: Ebi(6),
+        },
+    );
+    // Idle cycle and paging.
+    t.step(enb, UeContextReleaseRequest { imsi: a });
+    t.step(gwc, ReleaseAccessBearersResponse { imsi: a });
+    t.step(enb, UeContextReleaseComplete { imsi: a });
+    t.step(gwc, DownlinkDataNotification { imsi: a });
+    // A second UE whose eNB had nothing to restore: the default E-RAB is
+    // rebuilt from the session record; a failed authentication.
+    t.step(enb, InitialUeAttach { imsi: b });
+    t.step(hss, S6aAuthInfoAnswer { imsi: b, ok: true });
+    t.step(
+        gwc,
+        CreateSessionResponse {
+            imsi: b,
+            ue_addr: Ipv4Addr::new(10, 10, 0, 2),
+            erab: erab(5),
+        },
+    );
+    t.step(
+        enb,
+        InitialContextSetupResponse {
+            imsi: b,
+            enb_teids: vec![],
+        },
+    );
+    t.step(enb, InitialUeAttach { imsi: Imsi(3) });
+    t.step(
+        hss,
+        S6aAuthInfoAnswer {
+            imsi: Imsi(3),
+            ok: false,
+        },
+    );
+
+    let text = t.finish();
+    println!("{text}");
+    assert_transcript(&text, MME_TRANSCRIPT);
+}
+
+/// The HSS answers whoever asked; the PCRF relays Rx to Gx and the answer
+/// back to the AF that asked.
+#[test]
+fn hss_and_pcrf_transcripts_are_pinned() {
+    use ControlMsg::*;
+    let mut hss = Transcript::new(|log| Box::new(Hss::new(addr::HSS, vec![imsi()], log)), &[0]);
+    hss.step(0, S6aAuthInfoRequest { imsi: imsi() });
+    hss.step(0, S6aAuthInfoRequest { imsi: Imsi(999) });
+    let mut pcrf = Transcript::new(
+        |log| Box::new(Pcrf::new(addr::PCRF, addr::GWC, log)),
+        &[pcrf_port::GWC, pcrf_port::AF],
+    );
+    pcrf.step(
+        pcrf_port::AF,
+        RxAuthRequest {
+            rule: rule(42, Ipv4Addr::new(10, 10, 0, 1), addr::MEC_BASE, 0),
+        },
+    );
+    pcrf.step(
+        pcrf_port::GWC,
+        GxReauthAnswer {
+            service_id: 42,
+            ok: true,
+        },
+    );
+    pcrf.step(
+        pcrf_port::GWC,
+        GxReauthAnswer {
+            service_id: 77,
+            ok: true,
+        },
+    );
+    let text = hss.finish() + &pcrf.finish();
+    println!("{text}");
+    assert_transcript(&text, HSS_PCRF_TRANSCRIPT);
+}
+
+const GWC_TRANSCRIPT: &str = r#"> 0 CreateSessionRequest { imsi: Imsi(310410000000001) }
+  3 10.2.0.2 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4098)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  3 10.2.0.2 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [SetTos { tos: 4 }, GtpEncap { peer: 10.2.0.1, teid: Teid(4097) }, Output { port: 1 }] }
+  0 0.0.0.0 CreateSessionResponse { imsi: Imsi(310410000000001), ue_addr: 10.10.0.1, erab: ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4096), gw_addr: 10.2.0.1, tft: Tft { filters: [] } } }
+> 0 ModifyBearerRequest { imsi: Imsi(310410000000001), enb_teid: Teid(12289), enb_addr: 10.1.0.1 }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4096)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.2.0.2, teid: Teid(4098) }, Output { port: 2 }] }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4097)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.1.0.1, teid: Teid(12289) }, Output { port: 1 }] }
+  0 0.0.0.0 ModifyBearerResponse { imsi: Imsi(310410000000001) }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 1, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000001), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4099), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 1, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  1 0.0.0.0 GxReauthAnswer { service_id: 1, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 2, ue_addr: 10.10.0.99, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  1 0.0.0.0 GxReauthAnswer { service_id: 2, ok: false }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 3, ue_addr: 10.10.0.1, server_addr: 52.0.0.1, server_port: 0, qci: Qci(7), install: true } }
+  1 0.0.0.0 GxReauthAnswer { service_id: 3, ok: false }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000001), ebi: Ebi(6), enb_teid: Teid(12294), enb_addr: 10.1.0.1 }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4099)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [SetTos { tos: 12 }, GtpEncap { peer: 10.1.0.1, teid: Teid(12294) }, Output { port: 1 }] }
+  1 10.3.0.2 GxReauthAnswer { service_id: 1, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 1, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  1 0.0.0.0 GxReauthAnswer { service_id: 1, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 4, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 5000, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000001), erab: ErabSetup { ebi: Ebi(7), qci: Qci(7), gw_teid: Teid(4100), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: Some((5000, 5000)), protocol: None }] } } }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000001), ebi: Ebi(7), enb_teid: Teid(12295), enb_addr: 10.1.0.1 }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4100)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [SetTos { tos: 12 }, GtpEncap { peer: 10.1.0.1, teid: Teid(12295) }, Output { port: 1 }] }
+  1 10.3.0.2 GxReauthAnswer { service_id: 4, ok: true }
+> 0 BearerRelocationRequest { imsi: Imsi(310410000000001), enb_addr: 10.1.0.3, enb_teids: [(Ebi(5), Teid(16385)), (Ebi(6), Teid(16390))] }
+  2 10.2.0.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4097)), dst: None, src: None }, actions: [] }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4097)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.1.0.3, teid: Teid(16385) }, Output { port: 5 }] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [] }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [SetTos { tos: 12 }, GtpEncap { peer: 10.1.0.3, teid: Teid(16390) }, Output { port: 4 }] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4100)), dst: None, src: None }, actions: [] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [] }
+  0 0.0.0.0 BearerRelocationResponse { imsi: Imsi(310410000000001), erabs: [], released: [Ebi(7)] }
+> 0 BearerRelocationRequest { imsi: Imsi(310410000000001), enb_addr: 10.1.0.2, enb_teids: [(Ebi(5), Teid(20481)), (Ebi(6), Teid(20486))] }
+  2 10.2.0.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4097)), dst: None, src: None }, actions: [] }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4097)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.1.0.2, teid: Teid(20481) }, Output { port: 4 }] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4099)), dst: None, src: None }, actions: [] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.1), src: None }, actions: [] }
+  0 0.0.0.0 BearerRelocationResponse { imsi: Imsi(310410000000001), erabs: [], released: [Ebi(6)] }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 1, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  1 0.0.0.0 GxReauthAnswer { service_id: 1, ok: false }
+> 0 CreateSessionRequest { imsi: Imsi(310410000000002) }
+  3 10.2.0.2 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4103)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  3 10.2.0.2 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.2), src: None }, actions: [SetTos { tos: 4 }, GtpEncap { peer: 10.2.0.1, teid: Teid(4102) }, Output { port: 1 }] }
+  0 0.0.0.0 CreateSessionResponse { imsi: Imsi(310410000000002), ue_addr: 10.10.0.2, erab: ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4101), gw_addr: 10.2.0.1, tft: Tft { filters: [] } } }
+> 0 ModifyBearerRequest { imsi: Imsi(310410000000002), enb_teid: Teid(24577), enb_addr: 10.1.0.1 }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4101)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.2.0.2, teid: Teid(4103) }, Output { port: 2 }] }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4102)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.1.0.1, teid: Teid(24577) }, Output { port: 1 }] }
+  0 0.0.0.0 ModifyBearerResponse { imsi: Imsi(310410000000002) }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 10, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000002), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4104), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000002), ebi: Ebi(6), enb_teid: Teid(24582), enb_addr: 10.1.0.1 }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4104)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.2), src: None }, actions: [SetTos { tos: 12 }, GtpEncap { peer: 10.1.0.1, teid: Teid(24582) }, Output { port: 1 }] }
+  1 10.3.0.2 GxReauthAnswer { service_id: 10, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 10, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: false } }
+  0 10.3.0.2 DeleteBearerRequest { imsi: Imsi(310410000000002), ebi: Ebi(6) }
+> 0 DeleteBearerResponse { imsi: Imsi(310410000000002), ebi: Ebi(6) }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4104)), dst: None, src: None }, actions: [] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.2), src: None }, actions: [] }
+  1 10.3.0.2 GxReauthAnswer { service_id: 10, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 10, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: false } }
+  1 0.0.0.0 GxReauthAnswer { service_id: 10, ok: false }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 11, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000002), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4105), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000002), ebi: Ebi(6), enb_teid: Teid(24838), enb_addr: 10.1.0.1 }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4105)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.2), src: None }, actions: [SetTos { tos: 12 }, GtpEncap { peer: 10.1.0.1, teid: Teid(24838) }, Output { port: 1 }] }
+  1 10.3.0.2 GxReauthAnswer { service_id: 11, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 12, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000002), erab: ErabSetup { ebi: Ebi(7), qci: Qci(7), gw_teid: Teid(4106), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 0 DeleteBearerCommand { imsi: Imsi(310410000000002) }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4105)), dst: None, src: None }, actions: [] }
+  4 10.2.1.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.2), src: None }, actions: [] }
+  2 10.2.0.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4101)), dst: None, src: None }, actions: [] }
+  2 10.2.0.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4102)), dst: None, src: None }, actions: [] }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000002), ebi: Ebi(7), enb_teid: Teid(24839), enb_addr: 10.1.0.1 }
+> 0 ModifyBearerRequest { imsi: Imsi(310410000000002), enb_teid: Teid(25089), enb_addr: 10.1.0.1 }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4101)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.2.0.2, teid: Teid(4103) }, Output { port: 2 }] }
+  2 10.2.0.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4102)), dst: None, src: None }, actions: [GtpDecap, GtpEncap { peer: 10.1.0.1, teid: Teid(25089) }, Output { port: 1 }] }
+  0 0.0.0.0 ModifyBearerResponse { imsi: Imsi(310410000000002) }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 13, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000002), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4107), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000002), ebi: Ebi(6), enb_teid: Teid(25094), enb_addr: 10.1.0.1 }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4107)), dst: None, src: None }, actions: [GtpDecap, Output { port: 2 }] }
+  4 10.2.1.1 FlowMod { add: true, priority: 100, mtch: FlowMatchSpec { teid: None, dst: Some(10.10.0.2), src: None }, actions: [SetTos { tos: 12 }, GtpEncap { peer: 10.1.0.1, teid: Teid(25094) }, Output { port: 1 }] }
+  1 10.3.0.2 GxReauthAnswer { service_id: 13, ok: true }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 14, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000002), erab: ErabSetup { ebi: Ebi(7), qci: Qci(7), gw_teid: Teid(4108), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 4 GwuFailureIndication { gwu_addr: 10.2.1.1 }
+> 0 CreateBearerResponse { imsi: Imsi(310410000000002), ebi: Ebi(7), enb_teid: Teid(25095), enb_addr: 10.1.0.1 }
+> 1 GxReauthRequest { rule: PolicyRule { service_id: 13, ue_addr: 10.10.0.2, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 CreateBearerRequest { imsi: Imsi(310410000000002), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4109), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+> 0 ReleaseAccessBearersRequest { imsi: Imsi(310410000000002) }
+  2 10.2.0.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4101)), dst: None, src: None }, actions: [] }
+  2 10.2.0.1 FlowMod { add: false, priority: 100, mtch: FlowMatchSpec { teid: Some(Teid(4102)), dst: None, src: None }, actions: [] }
+  0 0.0.0.0 ReleaseAccessBearersResponse { imsi: Imsi(310410000000002) }
+> 0 DownlinkDataByTeid { teid: Teid(4102) }
+  0 10.3.0.2 DownlinkDataNotification { imsi: Imsi(310410000000002) }
+> 0 DownlinkDataByTeid { teid: Teid(57005) }
+# FlowMod(add) 23
+# CreateSessionResponse 2
+# ModifyBearerResponse 3
+# CreateBearerRequest 8
+# Gx-RAA 12
+# FlowMod(del) 15
+# BearerRelocationResponse 2
+# DeleteBearerRequest 1
+# ReleaseAccessBearersResponse 1
+# DownlinkDataNotification 1
+# active 1 reanchored 1 released 4 notices 1 flushed 1 no_path 1 live 0 pending 1
+"#;
+const MME_TRANSCRIPT: &str = r#"> 0 InitialUeAttach { imsi: Imsi(310410000000001) }
+  2 10.3.0.4 S6aAuthInfoRequest { imsi: Imsi(310410000000001) }
+> 2 S6aAuthInfoAnswer { imsi: Imsi(310410000000001), ok: true }
+  1 10.3.0.2 CreateSessionRequest { imsi: Imsi(310410000000001) }
+> 1 CreateSessionResponse { imsi: Imsi(310410000000001), ue_addr: 10.10.0.1, erab: ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4101), gw_addr: 10.2.0.1, tft: Tft { filters: [] } } }
+  0 10.1.0.1 InitialContextSetupRequest { imsi: Imsi(310410000000001), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4101), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+> 0 InitialContextSetupResponse { imsi: Imsi(310410000000001), enb_teids: [(Ebi(5), Teid(12289))] }
+  1 10.3.0.2 ModifyBearerRequest { imsi: Imsi(310410000000001), enb_teid: Teid(12289), enb_addr: 10.1.0.1 }
+> 1 ModifyBearerResponse { imsi: Imsi(310410000000001) }
+  0 10.1.0.1 DownlinkNasAccept { imsi: Imsi(310410000000001), ue_addr: Some(10.10.0.1) }
+> 0 InitialUeServiceRequest { imsi: Imsi(310410000000001) }
+  1 10.3.0.2 DeleteBearerCommand { imsi: Imsi(310410000000001) }
+  0 10.1.0.1 InitialContextSetupRequest { imsi: Imsi(310410000000001), erabs: [] }
+> 0 InitialContextSetupResponse { imsi: Imsi(310410000000001), enb_teids: [(Ebi(5), Teid(12545))] }
+  1 10.3.0.2 ModifyBearerRequest { imsi: Imsi(310410000000001), enb_teid: Teid(12545), enb_addr: 10.1.0.1 }
+> 1 ModifyBearerResponse { imsi: Imsi(310410000000001) }
+  0 10.1.0.1 DownlinkNasAccept { imsi: Imsi(310410000000001), ue_addr: Some(10.10.0.1) }
+> 1 CreateBearerRequest { imsi: Imsi(310410000000001), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4102), gw_addr: 10.2.0.1, tft: Tft { filters: [] } } }
+  0 10.1.0.1 ErabSetupRequest { imsi: Imsi(310410000000001), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4102), gw_addr: 10.2.0.1, tft: Tft { filters: [] } } }
+> 0 ErabSetupResponse { imsi: Imsi(310410000000001), ebi: Ebi(6), enb_teid: Teid(12550) }
+  1 10.3.0.2 CreateBearerResponse { imsi: Imsi(310410000000001), ebi: Ebi(6), enb_teid: Teid(12550), enb_addr: 10.1.0.1 }
+> 0 PathSwitchRequest { imsi: Imsi(310410000000001), enb_addr: 10.1.0.2, erabs: [(Ebi(5), Teid(16385)), (Ebi(6), Teid(16390))], txid: 1 }
+  1 10.3.0.2 BearerRelocationRequest { imsi: Imsi(310410000000001), enb_addr: 10.1.0.2, enb_teids: [(Ebi(5), Teid(16385)), (Ebi(6), Teid(16390))] }
+> 1 BearerRelocationResponse { imsi: Imsi(310410000000001), erabs: [], released: [Ebi(6), Ebi(7)] }
+  0 10.1.0.1 PathSwitchRequestAck { imsi: Imsi(310410000000001), erabs: [] }
+  0 10.1.0.1 ErabReleaseCommand { imsi: Imsi(310410000000001), ebi: Ebi(6) }
+  0 10.1.0.1 ErabReleaseCommand { imsi: Imsi(310410000000001), ebi: Ebi(7) }
+> 0 PathSwitchRequest { imsi: Imsi(310410000000001), enb_addr: 10.1.0.2, erabs: [(Ebi(5), Teid(16385)), (Ebi(6), Teid(16390))], txid: 1 }
+  0 10.1.0.1 PathSwitchRequestAck { imsi: Imsi(310410000000001), erabs: [] }
+> 1 DeleteBearerRequest { imsi: Imsi(310410000000001), ebi: Ebi(6) }
+  0 10.1.0.1 ErabReleaseCommand { imsi: Imsi(310410000000001), ebi: Ebi(6) }
+> 0 ErabReleaseResponse { imsi: Imsi(310410000000001), ebi: Ebi(6) }
+  1 10.3.0.2 DeleteBearerResponse { imsi: Imsi(310410000000001), ebi: Ebi(6) }
+> 0 UeContextReleaseRequest { imsi: Imsi(310410000000001) }
+  1 10.3.0.2 ReleaseAccessBearersRequest { imsi: Imsi(310410000000001) }
+> 1 ReleaseAccessBearersResponse { imsi: Imsi(310410000000001) }
+  0 10.1.0.1 UeContextReleaseCommand { imsi: Imsi(310410000000001) }
+> 0 UeContextReleaseComplete { imsi: Imsi(310410000000001) }
+> 1 DownlinkDataNotification { imsi: Imsi(310410000000001) }
+  0 10.1.0.1 Paging { imsi: Imsi(310410000000001) }
+> 0 InitialUeAttach { imsi: Imsi(310410000000002) }
+  2 10.3.0.4 S6aAuthInfoRequest { imsi: Imsi(310410000000002) }
+> 2 S6aAuthInfoAnswer { imsi: Imsi(310410000000002), ok: true }
+  1 10.3.0.2 CreateSessionRequest { imsi: Imsi(310410000000002) }
+> 1 CreateSessionResponse { imsi: Imsi(310410000000002), ue_addr: 10.10.0.2, erab: ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4101), gw_addr: 10.2.0.1, tft: Tft { filters: [] } } }
+  0 10.1.0.1 InitialContextSetupRequest { imsi: Imsi(310410000000002), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4101), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+> 0 InitialContextSetupResponse { imsi: Imsi(310410000000002), enb_teids: [] }
+  0 10.1.0.1 InitialContextSetupRequest { imsi: Imsi(310410000000002), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4101), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+> 0 InitialUeAttach { imsi: Imsi(3) }
+  2 10.3.0.4 S6aAuthInfoRequest { imsi: Imsi(3) }
+> 2 S6aAuthInfoAnswer { imsi: Imsi(3), ok: false }
+# S6a-AIR 3
+# CreateSessionRequest 2
+# InitialContextSetupRequest 4
+# ModifyBearerRequest 2
+# DownlinkNAS(Accept) 2
+# DeleteBearerCommand 1
+# E-RABSetupRequest 1
+# CreateBearerResponse 1
+# BearerRelocationRequest 1
+# PathSwitchRequestAcknowledge 2
+# E-RABReleaseCommand 3
+# DeleteBearerResponse 1
+# ReleaseAccessBearersRequest 1
+# UEContextReleaseCommand 1
+# Paging 1
+"#;
+const HSS_PCRF_TRANSCRIPT: &str = r#"> 0 S6aAuthInfoRequest { imsi: Imsi(310410000000001) }
+  0 0.0.0.0 S6aAuthInfoAnswer { imsi: Imsi(310410000000001), ok: true }
+> 0 S6aAuthInfoRequest { imsi: Imsi(999) }
+  0 0.0.0.0 S6aAuthInfoAnswer { imsi: Imsi(999), ok: false }
+# S6a-AIA 2
+> 1 RxAuthRequest { rule: PolicyRule { service_id: 42, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+  0 10.3.0.2 GxReauthRequest { rule: PolicyRule { service_id: 42, ue_addr: 10.10.0.1, server_addr: 10.4.0.1, server_port: 0, qci: Qci(7), install: true } }
+> 0 GxReauthAnswer { service_id: 42, ok: true }
+  1 0.0.0.0 RxAuthAnswer { service_id: 42, ok: true }
+> 0 GxReauthAnswer { service_id: 77, ok: true }
+# Gx-RAR 1
+# Rx-AAA 1
+"#;
