@@ -155,6 +155,7 @@ mod tests {
     /// recovery counters, well-formed JSON.
     #[test]
     fn crash_restart_sweep_is_shard_invariant() {
+        let _engine = crate::engine_lock();
         let cfg = MetroConfig {
             region_sizes: vec![2, 2],
             frame_count: 2,

@@ -277,23 +277,6 @@ fn json_cells(cells: &[MetroCell]) -> Vec<Fields> {
 pub(super) mod tests {
     use super::*;
 
-    /// Every report's `Debug` rendering with the shard-dependent fields
-    /// blanked: tests in this binary sweep the process-wide shard count,
-    /// so a concurrent test may run at any of them.
-    pub(in crate::experiments) fn shard_free(reports: &[MetroReport]) -> String {
-        let blanked: Vec<_> = reports
-            .iter()
-            .map(|r| MetroReport {
-                events_by_shard: Vec::new(),
-                placement: Vec::new(),
-                cross_shard_sent: 0,
-                cross_shard_received: 0,
-                ..r.clone()
-            })
-            .collect();
-        format!("{blanked:?}")
-    }
-
     /// Sweeps `cfg` at smoke size: the sweep's invariants must hold, the
     /// one-shard row must exchange nothing and the widest must exchange
     /// something, and the JSON must be structurally sound. Shared by the
@@ -322,6 +305,7 @@ pub(super) mod tests {
 
     #[test]
     fn smoke_sweep_is_shard_invariant_and_json_is_well_formed() {
+        let _engine = crate::engine_lock();
         let cfg = MetroConfig {
             region_sizes: vec![3, 2, 2, 1],
             frame_count: 2,

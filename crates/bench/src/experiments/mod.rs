@@ -22,6 +22,7 @@ mod city {
 
         #[test]
         fn smoke_sweep_is_shard_invariant_and_json_is_well_formed() {
+            let _engine = crate::engine_lock();
             let cfg = MetroConfig {
                 region_sizes: vec![2; 8],
                 frame_count: 2,
@@ -41,6 +42,7 @@ mod mobility {
 
         #[test]
         fn mobility_reports_complete_in_every_variant() {
+            let _engine = crate::engine_lock();
             // Smoke scale: the figure-scale walk is exercised by `figures`.
             let reports: Vec<_> = BearerMode::ALL
                 .map(|m| MetroScenario::build(MetroConfig::mobility_smoke(m)).run())
@@ -61,7 +63,6 @@ mod mobility {
 mod chaos {
     mod tests {
         use crate::experiments::corridor::chaos_grid;
-        use crate::experiments::metro::tests::shard_free;
         use crate::runner;
         use acacia::metro::MetroScenario;
 
@@ -70,6 +71,7 @@ mod chaos {
         /// compared across `--jobs` in CI).
         #[test]
         fn chaos_grid_is_byte_identical_across_worker_counts() {
+            let _engine = crate::engine_lock();
             let render = |jobs: usize| {
                 runner::set_jobs(Some(jobs));
                 let reports = runner::pmap("chaos-smoke", chaos_grid(42, true), |cfg| {
@@ -79,7 +81,7 @@ mod chaos {
                 // Every cell of the smoke sweep must end clean, rate 0
                 // included.
                 assert!(reports.iter().all(|r| r.clean()), "{reports:?}");
-                shard_free(&reports)
+                format!("{reports:?}")
             };
             assert_eq!(render(1), render(4));
         }
@@ -95,6 +97,7 @@ mod scale {
 
         #[test]
         fn json_is_well_formed_enough_to_eyeball() {
+            let _engine = crate::engine_lock();
             let run = MetroScenario::build(MetroConfig::scale_smoke(2)).run();
             assert_eq!(run.wedged(), 0);
             let json = report::render("scale", &scale_json_cells(&[(run, 1.5)]));
@@ -106,7 +109,6 @@ mod scale {
 #[cfg(test)]
 mod loaded {
     mod tests {
-        use crate::experiments::metro::tests::shard_free;
         use crate::runner;
         use acacia::metro::{MetroConfig, MetroScenario};
 
@@ -115,6 +117,7 @@ mod loaded {
         /// compared across `--jobs` in CI).
         #[test]
         fn loaded_grid_is_byte_identical_across_worker_counts() {
+            let _engine = crate::engine_lock();
             let render = |jobs: usize| {
                 runner::set_jobs(Some(jobs));
                 let grid = vec![
@@ -129,7 +132,7 @@ mod loaded {
                 // Every cell completes every session, congested ones
                 // included.
                 assert!(reports.iter().all(|r| r.wedged() == 0), "{reports:?}");
-                shard_free(&reports)
+                format!("{reports:?}")
             };
             assert_eq!(render(1), render(4));
         }

@@ -497,6 +497,7 @@ mod tests {
 
     #[test]
     fn fig3c_california_fastest() {
+        let _engine = crate::engine_lock();
         let ca = fig3c_data(Ec2Region::California, 50, 1).median();
         let va = fig3c_data(Ec2Region::Virginia, 50, 1).median();
         assert!(ca < va, "CA {ca} vs VA {va}");
@@ -505,6 +506,7 @@ mod tests {
 
     #[test]
     fn fig3d_signal_quality_matters() {
+        let _engine = crate::engine_lock();
         let good = fig3d_data(Ec2Region::California, true, 1);
         let fair = fig3d_data(Ec2Region::California, false, 1);
         assert!(good > 1.5 * fair, "good {good} fair {fair}");
@@ -513,6 +515,7 @@ mod tests {
 
     #[test]
     fn fig8_ordering() {
+        let _engine = crate::engine_lock();
         let openepc =
             Series::from_iter(fig8_data(SwitchCosts::openepc_userspace(), 12, 1)).percentile(75.0);
         let acacia =
@@ -527,6 +530,7 @@ mod tests {
 
     #[test]
     fn fig3g_background_explodes_latency() {
+        let _engine = crate::engine_lock();
         let idle = fig3g_point(18, 0, 1);
         let sat = fig3g_point(18, 100_000_000, 1);
         assert!(idle < 0.05, "idle {idle}");

@@ -23,6 +23,17 @@ pub mod table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use table::Table;
 
+/// Held by every test in this crate that builds a simulator. The
+/// engine's shard count is process-wide, `experiments::metro::sweep`
+/// changes it, and tests run on parallel threads: without the lock a test
+/// could build its scenario at a shard count another test set.
+#[cfg(test)]
+pub(crate) fn engine_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .expect("a test holding the engine lock panicked")
+}
+
 /// Process-wide master seed for experiments that honour the `figures
 /// --seed N` flag (the chaos and loaded sweeps). Defaults to
 /// 42, the seed baked into every fixed-seed experiment config.

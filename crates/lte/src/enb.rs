@@ -387,20 +387,13 @@ impl Enb {
         t
     }
 
-    fn send_s1ap(&mut self, ctx: &mut Ctx<'_>, msg: ControlMsg) {
-        self.log.record(ctx.now(), &msg);
-        ctx.send(port::ENB_S1AP, msg.into_packet(self.addr, self.mme_addr));
+    fn send_s1ap(&self, ctx: &mut Ctx<'_>, msg: ControlMsg) {
+        self.log
+            .send(ctx, port::ENB_S1AP, self.addr, self.mme_addr, msg);
     }
 
-    fn send_x2(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        x2_port: PortId,
-        peer_addr: Ipv4Addr,
-        msg: ControlMsg,
-    ) {
-        self.log.record(ctx.now(), &msg);
-        ctx.send(x2_port, msg.into_packet(self.addr, peer_addr));
+    fn send_x2(&self, ctx: &mut Ctx<'_>, x2_port: PortId, peer: Ipv4Addr, msg: ControlMsg) {
+        self.log.send(ctx, x2_port, self.addr, peer, msg);
     }
 
     fn send_rrc(&mut self, ctx: &mut Ctx<'_>, imsi: Imsi, msg: ControlMsg) {

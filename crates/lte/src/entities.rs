@@ -5,12 +5,36 @@
 //! The GW-C "decouples the 3GPP control plane and the OpenFlow control
 //! plane" (paper §5.4): it speaks GTPv2-C with the MME on one side and
 //! pushes flow rules to the user-plane switches on the other.
+//!
+//! Every entity here (and the eNB) puts a control message on the wire
+//! through one call, `MsgLog::send`, which records the message and sends
+//! it. The GW-C programs its switches in a small rule vocabulary:
+//! - `add` and `del` send one FlowMod for one match, built with
+//!   [`FlowMatchSpec::teid`] (tunnelled traffic) or [`FlowMatchSpec::dst`]
+//!   (plain traffic to a UE);
+//! - `sgw_downlink` and `local_downlink` are the two rule shapes written
+//!   at set-up and rewritten at handover: the SGW-U's default-bearer
+//!   downlink leg and a local GW-U's dedicated-bearer downlink leg;
+//! - `answer` is its Gx reply to the PCRF, and `to_mme` its GTP-C send.
+//!
+//! The MME routes its sends through `to_enb` (the UE's serving eNB) and
+//! `to_gwc`.
+//!
+//! Destinations are pinned, not derived. The control links are
+//! point-to-point and no node reads a control packet's destination, so
+//! the GW-C's have never been uniform. Its replies to the MME and the Gx
+//! answers it gives at once (a refusal, or the ack of a repeated request)
+//! carry `0.0.0.0`; its own requests to the MME and the Gx answers that
+//! close a bearer set-up or release carry its own address. They stay as
+//! written: the entity transcripts in `tests/entities.rs` pin them, and
+//! making them uniform is a change of its own, not part of a refactor.
 
 use crate::ids::{Allocator, Ebi, Imsi, Teid};
 use crate::log::MsgLog;
 use crate::qci::Qci;
 use crate::tft::{PacketFilter, Tft};
-use crate::wire::{ControlMsg, ErabSetup, FlowActionSpec, FlowMatchSpec, PolicyRule};
+use crate::wire::FlowActionSpec::{self, GtpDecap, GtpEncap, Output, SetTos};
+use crate::wire::{ControlMsg, ErabSetup, FlowMatchSpec, PolicyRule};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -116,11 +140,6 @@ impl Mme {
             .unwrap_or(MmeUeState::Unknown)
     }
 
-    fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst: Ipv4Addr, msg: ControlMsg) {
-        self.log.record(ctx.now(), &msg);
-        ctx.send(port, msg.into_packet(self.addr, dst));
-    }
-
     /// (port, address) of the eNB serving `imsi` (first eNB by default).
     fn enb_route(&self, imsi: Imsi) -> (PortId, Ipv4Addr) {
         let addr = self
@@ -133,6 +152,18 @@ impl Mme {
             .find(|&&(a, _)| a == addr)
             .map(|&(a, p)| (p, a))
             .unwrap_or((self.enbs[0].1, self.enbs[0].0))
+    }
+
+    /// Send `msg` to the eNB serving `imsi`.
+    fn to_enb(&self, ctx: &mut Ctx<'_>, imsi: Imsi, msg: ControlMsg) {
+        let (port, enb) = self.enb_route(imsi);
+        self.log.send(ctx, port, self.addr, enb, msg);
+    }
+
+    /// Send `msg` to the GW-C.
+    fn to_gwc(&self, ctx: &mut Ctx<'_>, msg: ControlMsg) {
+        self.log
+            .send(ctx, mme_port::GWC, self.addr, self.gwc_addr, msg);
     }
 
     fn ctx_mut(&mut self, imsi: Imsi) -> &mut MmeUeCtx {
@@ -166,8 +197,8 @@ impl Mme {
                 self.note_serving_enb(imsi, in_port);
                 self.ctx_mut(imsi).state = MmeUeState::AuthWait;
                 let m = S6aAuthInfoRequest { imsi };
-                let hss = self.hss_addr;
-                self.send(ctx, mme_port::HSS, hss, m);
+                self.log
+                    .send(ctx, mme_port::HSS, self.addr, self.hss_addr, m);
             }
             S6aAuthInfoAnswer { imsi, ok } => {
                 if !ok {
@@ -175,30 +206,19 @@ impl Mme {
                     return;
                 }
                 self.ctx_mut(imsi).state = MmeUeState::SessionWait;
-                let gwc = self.gwc_addr;
-                self.send(ctx, mme_port::GWC, gwc, CreateSessionRequest { imsi });
+                self.to_gwc(ctx, CreateSessionRequest { imsi });
             }
             CreateSessionResponse {
                 imsi,
                 ue_addr,
                 erab,
             } => {
-                {
-                    let c = self.ctx_mut(imsi);
-                    c.ue_addr = Some(ue_addr);
-                    c.default_erab = Some(erab.clone());
-                    c.state = MmeUeState::CtxSetupWait;
-                }
-                let (port, enb) = self.enb_route(imsi);
-                self.send(
-                    ctx,
-                    port,
-                    enb,
-                    InitialContextSetupRequest {
-                        imsi,
-                        erabs: vec![erab],
-                    },
-                );
+                let c = self.ctx_mut(imsi);
+                c.ue_addr = Some(ue_addr);
+                c.default_erab = Some(erab.clone());
+                c.state = MmeUeState::CtxSetupWait;
+                let erabs = vec![erab];
+                self.to_enb(ctx, imsi, InitialContextSetupRequest { imsi, erabs });
             }
             InitialUeServiceRequest { imsi } => {
                 self.note_serving_enb(imsi, in_port);
@@ -210,135 +230,91 @@ impl Mme {
                 // restore sends on the same GTP-C link, so the rebuilt
                 // rules can never be torn down by it.
                 if self.ctx_mut(imsi).state == MmeUeState::Attached {
-                    let gwc = self.gwc_addr;
-                    self.send(ctx, mme_port::GWC, gwc, DeleteBearerCommand { imsi });
+                    self.to_gwc(ctx, DeleteBearerCommand { imsi });
                 }
                 self.ctx_mut(imsi).state = MmeUeState::ServiceWait;
-                let (port, enb) = self.enb_route(imsi);
                 // Empty E-RAB list = restore stored bearers at the eNB.
-                self.send(
-                    ctx,
-                    port,
-                    enb,
-                    InitialContextSetupRequest {
-                        imsi,
-                        erabs: vec![],
-                    },
-                );
+                let erabs = vec![];
+                self.to_enb(ctx, imsi, InitialContextSetupRequest { imsi, erabs });
             }
             InitialContextSetupResponse { imsi, enb_teids } => {
                 let default_teid = enb_teids
                     .iter()
                     .find(|(ebi, _)| *ebi == Ebi::DEFAULT)
                     .map(|&(_, t)| t);
-                {
-                    let c = self.ctx_mut(imsi);
-                    c.enb_teid = default_teid.or(c.enb_teid);
-                    c.state = MmeUeState::ModifyWait;
-                }
-                let Some(teid) = self.ues[&imsi].enb_teid else {
+                let c = self.ctx_mut(imsi);
+                c.enb_teid = default_teid.or(c.enb_teid);
+                c.state = MmeUeState::ModifyWait;
+                let Some(enb_teid) = c.enb_teid else {
                     // The eNB had no stored bearer to restore (the UE
                     // re-entered through a cell that never held its
                     // context): rebuild the default E-RAB from the session
                     // record instead of wedging in ServiceWait.
-                    if let Some(erab) = self.ues[&imsi].default_erab.clone() {
-                        self.ctx_mut(imsi).state = MmeUeState::ServiceWait;
-                        let (port, enb) = self.enb_route(imsi);
-                        self.send(
-                            ctx,
-                            port,
-                            enb,
-                            InitialContextSetupRequest {
-                                imsi,
-                                erabs: vec![erab],
-                            },
-                        );
+                    if let Some(erab) = c.default_erab.clone() {
+                        c.state = MmeUeState::ServiceWait;
+                        let erabs = vec![erab];
+                        self.to_enb(ctx, imsi, InitialContextSetupRequest { imsi, erabs });
                     }
                     return;
                 };
-                let gwc = self.gwc_addr;
-                let (_, enb) = self.enb_route(imsi);
-                self.send(
-                    ctx,
-                    mme_port::GWC,
-                    gwc,
-                    ModifyBearerRequest {
-                        imsi,
-                        enb_teid: teid,
-                        enb_addr: enb,
-                    },
-                );
+                let (_, enb_addr) = self.enb_route(imsi);
+                let m = ModifyBearerRequest {
+                    imsi,
+                    enb_teid,
+                    enb_addr,
+                };
+                self.to_gwc(ctx, m);
             }
             ModifyBearerResponse { imsi } => {
-                let ue_addr = {
-                    let c = self.ctx_mut(imsi);
-                    let addr = if c.state == MmeUeState::ServiceWait
-                        || c.state == MmeUeState::ModifyWait && c.ue_addr.is_none()
-                    {
-                        None
-                    } else {
-                        c.ue_addr
-                    };
-                    c.state = MmeUeState::Attached;
-                    addr
+                let c = self.ctx_mut(imsi);
+                let ue_addr = if c.state == MmeUeState::ServiceWait
+                    || c.state == MmeUeState::ModifyWait && c.ue_addr.is_none()
+                {
+                    None
+                } else {
+                    c.ue_addr
                 };
-                let (port, enb) = self.enb_route(imsi);
-                self.send(ctx, port, enb, DownlinkNasAccept { imsi, ue_addr });
+                c.state = MmeUeState::Attached;
+                self.to_enb(ctx, imsi, DownlinkNasAccept { imsi, ue_addr });
             }
             // Dedicated bearer: GW-C initiated.
             CreateBearerRequest { imsi, erab } => {
-                let (port, enb) = self.enb_route(imsi);
-                self.send(ctx, port, enb, ErabSetupRequest { imsi, erab });
+                self.to_enb(ctx, imsi, ErabSetupRequest { imsi, erab });
             }
             ErabSetupResponse {
                 imsi,
                 ebi,
                 enb_teid,
             } => {
-                let gwc = self.gwc_addr;
-                let (_, enb) = self.enb_route(imsi);
-                self.send(
-                    ctx,
-                    mme_port::GWC,
-                    gwc,
-                    CreateBearerResponse {
-                        imsi,
-                        ebi,
-                        enb_teid,
-                        enb_addr: enb,
-                    },
-                );
+                let (_, enb_addr) = self.enb_route(imsi);
+                let m = CreateBearerResponse {
+                    imsi,
+                    ebi,
+                    enb_teid,
+                    enb_addr,
+                };
+                self.to_gwc(ctx, m);
             }
             DeleteBearerRequest { imsi, ebi } => {
-                let (port, enb) = self.enb_route(imsi);
-                self.send(ctx, port, enb, ErabReleaseCommand { imsi, ebi });
+                self.to_enb(ctx, imsi, ErabReleaseCommand { imsi, ebi });
             }
             ErabReleaseResponse { imsi, ebi } => {
-                let gwc = self.gwc_addr;
-                self.send(ctx, mme_port::GWC, gwc, DeleteBearerResponse { imsi, ebi });
+                self.to_gwc(ctx, DeleteBearerResponse { imsi, ebi });
             }
             // Idle release.
             UeContextReleaseRequest { imsi } => {
                 self.ctx_mut(imsi).state = MmeUeState::ReleaseWait;
-                let gwc = self.gwc_addr;
-                self.send(
-                    ctx,
-                    mme_port::GWC,
-                    gwc,
-                    ReleaseAccessBearersRequest { imsi },
-                );
+                self.to_gwc(ctx, ReleaseAccessBearersRequest { imsi });
             }
             ReleaseAccessBearersResponse { imsi } => {
-                let (port, enb) = self.enb_route(imsi);
-                self.send(ctx, port, enb, UeContextReleaseCommand { imsi });
+                self.to_enb(ctx, imsi, UeContextReleaseCommand { imsi });
             }
             UeContextReleaseComplete { imsi } => {
                 self.ctx_mut(imsi).state = MmeUeState::Idle;
             }
             // Downlink data pending for an idle UE: page it.
             DownlinkDataNotification { imsi } if self.ctx_mut(imsi).state == MmeUeState::Idle => {
-                let (port, enb) = self.enb_route(imsi);
-                self.send(ctx, port, enb, Paging { imsi });
+                self.to_enb(ctx, imsi, Paging { imsi });
             }
             // X2 handover: the target eNB owns the UE's S1 legs now.
             PathSwitchRequest {
@@ -347,21 +323,13 @@ impl Mme {
                 erabs,
                 txid,
             } => {
+                let c = self.ctx_mut(imsi);
                 // Duplicate / retransmitted request: never re-run the
                 // bearer relocation — either replay the cached Ack (its
                 // first copy was lost) or let the in-flight one answer.
-                if self.ctx_mut(imsi).last_ps == Some((enb_addr, txid)) {
-                    if let Some(cached) = self.ctx_mut(imsi).ps_ack.clone() {
-                        let (port, enb) = self.enb_route(imsi);
-                        self.send(
-                            ctx,
-                            port,
-                            enb,
-                            PathSwitchRequestAck {
-                                imsi,
-                                erabs: cached,
-                            },
-                        );
+                if c.last_ps == Some((enb_addr, txid)) {
+                    if let Some(erabs) = c.ps_ack.clone() {
+                        self.to_enb(ctx, imsi, PathSwitchRequestAck { imsi, erabs });
                     }
                     return;
                 }
@@ -369,24 +337,16 @@ impl Mme {
                     .iter()
                     .find(|(ebi, _)| *ebi == Ebi::DEFAULT)
                     .map(|&(_, t)| t);
-                {
-                    let c = self.ctx_mut(imsi);
-                    c.enb_addr = enb_addr;
-                    c.enb_teid = default_teid.or(c.enb_teid);
-                    c.last_ps = Some((enb_addr, txid));
-                    c.ps_ack = None;
-                }
-                let gwc = self.gwc_addr;
-                self.send(
-                    ctx,
-                    mme_port::GWC,
-                    gwc,
-                    BearerRelocationRequest {
-                        imsi,
-                        enb_addr,
-                        enb_teids: erabs,
-                    },
-                );
+                c.enb_addr = enb_addr;
+                c.enb_teid = default_teid.or(c.enb_teid);
+                c.last_ps = Some((enb_addr, txid));
+                c.ps_ack = None;
+                let m = BearerRelocationRequest {
+                    imsi,
+                    enb_addr,
+                    enb_teids: erabs,
+                };
+                self.to_gwc(ctx, m);
             }
             BearerRelocationResponse {
                 imsi,
@@ -394,13 +354,11 @@ impl Mme {
                 released,
             } => {
                 self.ctx_mut(imsi).ps_ack = Some(erabs.clone());
-                let (port, enb) = self.enb_route(imsi);
-                self.send(ctx, port, enb, PathSwitchRequestAck { imsi, erabs });
+                self.to_enb(ctx, imsi, PathSwitchRequestAck { imsi, erabs });
                 // Bearers the target cell cannot serve are released via the
                 // standard E-RAB release procedure.
                 for ebi in released {
-                    let (port, enb) = self.enb_route(imsi);
-                    self.send(ctx, port, enb, ErabReleaseCommand { imsi, ebi });
+                    self.to_enb(ctx, imsi, ErabReleaseCommand { imsi, ebi });
                 }
             }
             _ => {}
@@ -447,8 +405,7 @@ impl Node for Hss {
         let ok = self.subscribers.contains(&imsi);
         self.answered += 1;
         let msg = ControlMsg::S6aAuthInfoAnswer { imsi, ok };
-        self.log.record(ctx.now(), &msg);
-        ctx.send(port, msg.into_packet(self.addr, pkt.src));
+        self.log.send(ctx, port, self.addr, pkt.src, msg);
     }
 }
 
@@ -485,11 +442,6 @@ impl Pcrf {
             rules_pushed: 0,
         }
     }
-
-    fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst: Ipv4Addr, msg: ControlMsg) {
-        self.log.record(ctx.now(), &msg);
-        ctx.send(port, msg.into_packet(self.addr, dst));
-    }
 }
 
 impl Node for Pcrf {
@@ -498,22 +450,14 @@ impl Node for Pcrf {
             Some(ControlMsg::RxAuthRequest { rule }) => {
                 self.pending.insert(rule.service_id, pkt.src);
                 self.rules_pushed += 1;
-                let gwc = self.gwc_addr;
-                self.send(
-                    ctx,
-                    pcrf_port::GWC,
-                    gwc,
-                    ControlMsg::GxReauthRequest { rule },
-                );
+                let m = ControlMsg::GxReauthRequest { rule };
+                self.log
+                    .send(ctx, pcrf_port::GWC, self.addr, self.gwc_addr, m);
             }
             Some(ControlMsg::GxReauthAnswer { service_id, ok }) => {
                 if let Some(af) = self.pending.remove(&service_id) {
-                    self.send(
-                        ctx,
-                        pcrf_port::AF,
-                        af,
-                        ControlMsg::RxAuthAnswer { service_id, ok },
-                    );
+                    let m = ControlMsg::RxAuthAnswer { service_id, ok };
+                    self.log.send(ctx, pcrf_port::AF, self.addr, af, m);
                 }
             }
             _ => {}
@@ -532,11 +476,9 @@ pub mod gwc_port {
     pub const SGW_U: PortId = 2;
     /// OpenFlow to the core PGW-U.
     pub const PGW_U: PortId = 3;
-    /// OpenFlow to the first local (MEC) GW-U.
+    /// OpenFlow to the first local (MEC) GW-U; a city-scale topology
+    /// wires one local GW-U per region at `LOCAL_GWU + region_index`.
     pub const LOCAL_GWU: PortId = 4;
-    /// First local GW-U control port; a city-scale topology wires one
-    /// local GW-U per region at `LOCAL_GWU_BASE + region_index`.
-    pub const LOCAL_GWU_BASE: PortId = 4;
 }
 
 /// One local (MEC) combined S/PGW-U site the GW-C programs.
@@ -549,17 +491,16 @@ pub struct LocalGw {
     /// Tunnel address of this local GW-U.
     pub addr: Ipv4Addr,
     /// GW-C control port wired to this GW-U
-    /// (`gwc_port::LOCAL_GWU_BASE + site_index`).
+    /// (`gwc_port::LOCAL_GWU + site_index`).
     pub ctrl_port: PortId,
     /// GW-U output port toward the eNB (default when no override).
     pub port_enb: usize,
     /// GW-U output port toward its MEC server(s).
     pub port_mec: usize,
-    /// Per-eNB output port overrides (multi-cell MEC sites).
+    /// The eNBs with a direct path to this GW-U (MEC-equipped cells) and
+    /// the output port toward each; empty = every eNB, through
+    /// `port_enb`. Dedicated bearers can only re-anchor onto these.
     pub enb_ports: Vec<(Ipv4Addr, usize)>,
-    /// eNBs with a direct path to this GW-U (MEC-equipped cells);
-    /// empty = every eNB. Dedicated bearers can only re-anchor onto these.
-    pub enbs: Vec<Ipv4Addr>,
     /// MEC server addresses anchored behind this GW-U.
     pub servers: Vec<Ipv4Addr>,
 }
@@ -576,7 +517,7 @@ impl LocalGw {
 
     /// Does `enb` have a direct path to this GW-U?
     pub(crate) fn serves_enb(&self, enb: Ipv4Addr) -> bool {
-        self.enbs.is_empty() || self.enbs.contains(&enb)
+        self.enb_ports.is_empty() || self.enb_ports.iter().any(|&(a, _)| a == enb)
     }
 }
 
@@ -618,9 +559,15 @@ impl GwTopology {
     pub(crate) fn local_for_server(&self, server: Ipv4Addr) -> Option<&LocalGw> {
         self.locals.iter().find(|g| g.servers.contains(&server))
     }
+
+    /// The local GW-U site a dedicated bearer for `rule` anchors on.
+    fn anchor(&self, rule: &PolicyRule) -> &LocalGw {
+        self.local_for_server(rule.server_addr)
+            .expect("dedicated rule has an owning local GW-U")
+    }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Session {
     ue_addr: Ipv4Addr,
     teid_sgw_ul: Teid,
@@ -628,16 +575,26 @@ struct Session {
     teid_pgw_ul: Teid,
     enb_teid: Option<Teid>,
     enb_addr: Option<Ipv4Addr>,
-    /// Dedicated bearers: ebi → (local UL teid, rule).
-    dedicated: ByEbi<(Teid, PolicyRule)>,
-    /// Pending dedicated-bearer activations: ebi → (rule, local teid).
-    pending_dedicated: ByEbi<(PolicyRule, Teid)>,
+    /// Dedicated bearers, live and pending, by EBI.
+    bearers: ByEbi<Bearer>,
+}
+
+/// One dedicated bearer of a session.
+#[derive(Debug)]
+struct Bearer {
+    /// Uplink TEID on the local GW-U.
+    teid: Teid,
+    /// The policy rule it serves.
+    rule: PolicyRule,
+    /// Set up at the eNB (`false` while its CreateBearerResponse is
+    /// pending).
+    live: bool,
 }
 
 /// One session's bearers keyed by EBI, in a `Vec` sorted by EBI and sized
-/// to what it holds: a session holds one or two, most of the time none
-/// pending, and an emptied table gives its allocation back.
-#[derive(Debug, Clone)]
+/// to what it holds: a session holds one or two, and an emptied table
+/// gives its allocation back.
+#[derive(Debug)]
 struct ByEbi<V>(Vec<(u8, V)>);
 
 impl<V> Default for ByEbi<V> {
@@ -660,6 +617,11 @@ impl<V> ByEbi<V> {
         self.0.iter().map(|(_, v)| v)
     }
 
+    fn get_mut(&mut self, ebi: u8) -> Option<&mut V> {
+        let i = self.0.binary_search_by_key(&ebi, |&(e, _)| e).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
     /// Insert `v` under `ebi`, replacing any value already there.
     fn insert(&mut self, ebi: u8, v: V) {
         match self.0.binary_search_by_key(&ebi, |&(e, _)| e) {
@@ -671,8 +633,12 @@ impl<V> ByEbi<V> {
         }
     }
 
-    fn remove(&mut self, ebi: u8) -> Option<V> {
+    /// Remove the value under `ebi` if `pick` accepts it.
+    fn remove_if(&mut self, ebi: u8, pick: impl FnOnce(&V) -> bool) -> Option<V> {
         let i = self.0.binary_search_by_key(&ebi, |&(e, _)| e).ok()?;
+        if !pick(&self.0[i].1) {
+            return None;
+        }
         let (_, v) = self.0.remove(i);
         self.release_if_empty();
         Some(v)
@@ -683,16 +649,19 @@ impl<V> ByEbi<V> {
         self.release_if_empty();
     }
 
-    fn clear(&mut self) {
-        self.0 = Vec::new();
-    }
-
     fn release_if_empty(&mut self) {
         if self.0.is_empty() {
             self.0 = Vec::new();
         }
     }
 }
+
+/// The destination the GW-C writes on its replies to the MME and on the
+/// Gx answers it gives at once (see the module doc).
+const UNSPECIFIED: Ipv4Addr = Ipv4Addr::UNSPECIFIED;
+
+/// Priority of every rule the GW-C installs.
+const PRIORITY: u16 = 100;
 
 /// The combined SGW-C + PGW-C (+ PCEF) controller.
 pub struct GwControl {
@@ -749,47 +718,105 @@ impl GwControl {
         &mut self.topo
     }
 
+    /// The number of dedicated bearers, across all sessions, whose
+    /// set-up state is `live`.
+    fn dedicated(&self, live: bool) -> u64 {
+        let sessions = self.sessions.values();
+        let bearers = sessions.flat_map(|s| s.bearers.values());
+        bearers.filter(|b| b.live == live).count() as u64
+    }
+
     /// Dedicated bearers currently installed across all sessions, counted
     /// from the session table itself. Conservation invariant:
     /// `dedicated_active == dedicated_live()` whenever no activation is
     /// mid-flight (the chaos/failover soaks assert this).
     pub fn dedicated_live(&self) -> u64 {
-        self.sessions
-            .values()
-            .map(|s| s.dedicated.len() as u64)
-            .sum()
+        self.dedicated(true)
     }
 
     /// Dedicated-bearer activations currently mid-flight (pending
     /// CreateBearerResponse).
     pub fn dedicated_pending(&self) -> u64 {
-        self.sessions
-            .values()
-            .map(|s| s.pending_dedicated.len() as u64)
-            .sum()
+        self.dedicated(false)
     }
 
-    fn send(&mut self, ctx: &mut Ctx<'_>, port: PortId, dst: Ipv4Addr, msg: ControlMsg) {
-        self.log.record(ctx.now(), &msg);
-        ctx.send(port, msg.into_packet(self.addr, dst));
+    fn to_mme(&self, ctx: &mut Ctx<'_>, dst: Ipv4Addr, msg: ControlMsg) {
+        self.log.send(ctx, gwc_port::MME, self.addr, dst, msg);
     }
 
-    fn flowmod(
-        &mut self,
+    /// Answer the PCRF's Gx request for `service_id`.
+    fn answer(&self, ctx: &mut Ctx<'_>, dst: Ipv4Addr, service_id: u32, ok: bool) {
+        let msg = ControlMsg::GxReauthAnswer { service_id, ok };
+        self.log.send(ctx, gwc_port::PCRF, self.addr, dst, msg);
+    }
+
+    /// Install `actions` for `mtch` on the switch at `sw`, wired to `port`.
+    fn add(
+        &self,
         ctx: &mut Ctx<'_>,
         port: PortId,
-        sw_addr: Ipv4Addr,
-        add: bool,
+        sw: Ipv4Addr,
         mtch: FlowMatchSpec,
         actions: Vec<FlowActionSpec>,
     ) {
         let msg = ControlMsg::FlowMod {
-            add,
-            priority: 100,
+            add: true,
+            priority: PRIORITY,
             mtch,
             actions,
         };
-        self.send(ctx, port, sw_addr, msg);
+        self.log.send(ctx, port, self.addr, sw, msg);
+    }
+
+    /// Remove the rule for `mtch` from the switch at `sw`.
+    fn del(&self, ctx: &mut Ctx<'_>, port: PortId, sw: Ipv4Addr, mtch: FlowMatchSpec) {
+        let msg = ControlMsg::FlowMod {
+            add: false,
+            priority: PRIORITY,
+            mtch,
+            actions: Vec::new(),
+        };
+        self.log.send(ctx, port, self.addr, sw, msg);
+    }
+
+    /// The SGW-U downlink leg: arriving tunnelled with `teid` →
+    /// re-tunnel to `(enb, enb_teid)`.
+    fn sgw_downlink(&self, ctx: &mut Ctx<'_>, teid: Teid, enb: Ipv4Addr, enb_teid: Teid) {
+        let (sgw_u, port) = (self.topo.sgw_u, self.topo.sgw_port_for(enb));
+        let actions = vec![
+            GtpDecap,
+            GtpEncap {
+                peer: enb,
+                teid: enb_teid,
+            },
+            Output { port },
+        ];
+        let dl = FlowMatchSpec::teid(teid);
+        self.add(ctx, gwc_port::SGW_U, sgw_u, dl, actions);
+    }
+
+    /// The local GW-U downlink leg: MEC traffic to `ue` → stamped with
+    /// the bearer's class and tunnelled to `(enb, enb_teid)`.
+    fn local_downlink(
+        &self,
+        ctx: &mut Ctx<'_>,
+        gw: &LocalGw,
+        ue: Ipv4Addr,
+        qci: Qci,
+        enb: Ipv4Addr,
+        enb_teid: Teid,
+    ) {
+        let actions = vec![
+            SetTos { tos: qci.tos() },
+            GtpEncap {
+                peer: enb,
+                teid: enb_teid,
+            },
+            Output {
+                port: gw.port_for(enb),
+            },
+        ];
+        self.add(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::dst(ue), actions);
     }
 
     fn alloc_ue_ip(&mut self) -> Ipv4Addr {
@@ -801,74 +828,40 @@ impl GwControl {
 
     /// Program the SGW-U legs (UL toward PGW, DL toward eNB). Used both at
     /// attach (Modify Bearer) and at service-request re-establishment.
-    fn install_sgw_rules(&mut self, ctx: &mut Ctx<'_>, imsi: Imsi) {
-        let Some(s) = self.sessions.get(&imsi).cloned() else {
+    fn install_sgw_rules(&self, ctx: &mut Ctx<'_>, imsi: Imsi) {
+        let Some(s) = self.sessions.get(&imsi) else {
             return;
         };
         let (Some(enb_teid), Some(enb_addr)) = (s.enb_teid, s.enb_addr) else {
             return;
         };
-        let (sgw_u, pgw_u) = (self.topo.sgw_u, self.topo.pgw_u);
-        let (sgw_to_pgw, sgw_to_enb) = (self.topo.sgw_port_pgw, self.topo.sgw_port_for(enb_addr));
+        let t = &self.topo;
         // UL: arriving tunnelled with teid_sgw_ul → re-tunnel to the PGW-U.
-        self.flowmod(
-            ctx,
-            gwc_port::SGW_U,
-            sgw_u,
-            true,
-            FlowMatchSpec {
-                teid: Some(s.teid_sgw_ul),
-                dst: None,
-                src: None,
+        let actions = vec![
+            GtpDecap,
+            GtpEncap {
+                peer: t.pgw_u,
+                teid: s.teid_pgw_ul,
             },
-            vec![
-                FlowActionSpec::GtpDecap,
-                FlowActionSpec::GtpEncap {
-                    peer: pgw_u,
-                    teid: s.teid_pgw_ul,
-                },
-                FlowActionSpec::Output { port: sgw_to_pgw },
-            ],
-        );
-        // DL: arriving tunnelled with teid_sgw_dl → re-tunnel to the eNB.
-        self.flowmod(
-            ctx,
-            gwc_port::SGW_U,
-            sgw_u,
-            true,
-            FlowMatchSpec {
-                teid: Some(s.teid_sgw_dl),
-                dst: None,
-                src: None,
+            Output {
+                port: t.sgw_port_pgw,
             },
-            vec![
-                FlowActionSpec::GtpDecap,
-                FlowActionSpec::GtpEncap {
-                    peer: enb_addr,
-                    teid: enb_teid,
-                },
-                FlowActionSpec::Output { port: sgw_to_enb },
-            ],
-        );
+        ];
+        let ul = FlowMatchSpec::teid(s.teid_sgw_ul);
+        self.add(ctx, gwc_port::SGW_U, t.sgw_u, ul, actions);
+        self.sgw_downlink(ctx, s.teid_sgw_dl, enb_addr, enb_teid);
     }
 
-    fn remove_sgw_rules(&mut self, ctx: &mut Ctx<'_>, imsi: Imsi) {
-        let Some(s) = self.sessions.get(&imsi).cloned() else {
+    fn remove_sgw_rules(&self, ctx: &mut Ctx<'_>, imsi: Imsi) {
+        let Some(s) = self.sessions.get(&imsi) else {
             return;
         };
-        let sgw_u = self.topo.sgw_u;
         for teid in [s.teid_sgw_ul, s.teid_sgw_dl] {
-            self.flowmod(
+            self.del(
                 ctx,
                 gwc_port::SGW_U,
-                sgw_u,
-                false,
-                FlowMatchSpec {
-                    teid: Some(teid),
-                    dst: None,
-                    src: None,
-                },
-                vec![],
+                self.topo.sgw_u,
+                FlowMatchSpec::teid(teid),
             );
         }
     }
@@ -878,76 +871,56 @@ impl GwControl {
         match msg {
             CreateSessionRequest { imsi } => {
                 let ue_addr = self.alloc_ue_ip();
-                let session = Session {
+                let s = Session {
                     ue_addr,
                     teid_sgw_ul: self.alloc.teid(),
                     teid_sgw_dl: self.alloc.teid(),
                     teid_pgw_ul: self.alloc.teid(),
                     enb_teid: None,
                     enb_addr: None,
-                    dedicated: ByEbi::default(),
-                    pending_dedicated: ByEbi::default(),
+                    bearers: ByEbi::default(),
                 };
-                let (sgw_u, pgw_u) = (self.topo.sgw_u, self.topo.pgw_u);
-                let (pgw_to_inet, pgw_to_sgw) = (self.topo.pgw_port_inet, self.topo.pgw_port_sgw);
+                let t = &self.topo;
                 // PGW-U UL: decap to the Internet.
-                self.flowmod(
-                    ctx,
-                    gwc_port::PGW_U,
-                    pgw_u,
-                    true,
-                    FlowMatchSpec {
-                        teid: Some(session.teid_pgw_ul),
-                        dst: None,
-                        src: None,
+                let actions = vec![
+                    GtpDecap,
+                    Output {
+                        port: t.pgw_port_inet,
                     },
-                    vec![
-                        FlowActionSpec::GtpDecap,
-                        FlowActionSpec::Output { port: pgw_to_inet },
-                    ],
-                );
+                ];
+                let ul = FlowMatchSpec::teid(s.teid_pgw_ul);
+                self.add(ctx, gwc_port::PGW_U, t.pgw_u, ul, actions);
                 // PGW-U DL: plain packets to the UE → tunnel to the SGW-U.
-                self.flowmod(
-                    ctx,
-                    gwc_port::PGW_U,
-                    pgw_u,
-                    true,
-                    FlowMatchSpec {
-                        teid: None,
-                        dst: Some(ue_addr),
-                        src: None,
+                let actions = vec![
+                    // Downlink TFT: best-effort class; the encap
+                    // copies the inner ToS onto the tunnel header.
+                    SetTos {
+                        tos: Qci::DEFAULT_BEARER.tos(),
                     },
-                    vec![
-                        // Downlink TFT: best-effort class; the encap
-                        // copies the inner ToS onto the tunnel header.
-                        FlowActionSpec::SetTos {
-                            tos: Qci::DEFAULT_BEARER.tos(),
-                        },
-                        FlowActionSpec::GtpEncap {
-                            peer: sgw_u,
-                            teid: session.teid_sgw_dl,
-                        },
-                        FlowActionSpec::Output { port: pgw_to_sgw },
-                    ],
-                );
+                    GtpEncap {
+                        peer: t.sgw_u,
+                        teid: s.teid_sgw_dl,
+                    },
+                    Output {
+                        port: t.pgw_port_sgw,
+                    },
+                ];
+                let dl = FlowMatchSpec::dst(ue_addr);
+                self.add(ctx, gwc_port::PGW_U, t.pgw_u, dl, actions);
                 let erab = ErabSetup {
                     ebi: Ebi::DEFAULT,
                     qci: Qci::DEFAULT_BEARER,
-                    gw_teid: session.teid_sgw_ul,
-                    gw_addr: sgw_u,
+                    gw_teid: s.teid_sgw_ul,
+                    gw_addr: t.sgw_u,
                     tft: Tft::new(),
                 };
-                self.sessions.insert(imsi, session);
-                self.send(
-                    ctx,
-                    gwc_port::MME,
-                    pkt_peer(ctx),
-                    CreateSessionResponse {
-                        imsi,
-                        ue_addr,
-                        erab,
-                    },
-                );
+                self.sessions.insert(imsi, s);
+                let m = CreateSessionResponse {
+                    imsi,
+                    ue_addr,
+                    erab,
+                };
+                self.to_mme(ctx, UNSPECIFIED, m);
             }
             ModifyBearerRequest {
                 imsi,
@@ -959,184 +932,76 @@ impl GwControl {
                     s.enb_addr = Some(enb_addr);
                 }
                 self.install_sgw_rules(ctx, imsi);
-                self.send(
-                    ctx,
-                    gwc_port::MME,
-                    pkt_peer(ctx),
-                    ModifyBearerResponse { imsi },
-                );
+                self.to_mme(ctx, UNSPECIFIED, ModifyBearerResponse { imsi });
             }
             ReleaseAccessBearersRequest { imsi } => {
                 self.remove_sgw_rules(ctx, imsi);
-                self.send(
-                    ctx,
-                    gwc_port::MME,
-                    pkt_peer(ctx),
-                    ReleaseAccessBearersResponse { imsi },
-                );
+                self.to_mme(ctx, UNSPECIFIED, ReleaseAccessBearersResponse { imsi });
             }
             // SGW-U saw downlink data for a released session → page.
             DownlinkDataByTeid { teid } => {
-                let Some((&imsi, _)) = self.sessions.iter().find(|(_, s)| s.teid_sgw_dl == teid)
-                else {
-                    return;
-                };
-                self.send(
-                    ctx,
-                    gwc_port::MME,
-                    self.addr,
-                    DownlinkDataNotification { imsi },
-                );
+                let owner = self.sessions.iter().find(|(_, s)| s.teid_sgw_dl == teid);
+                if let Some((&imsi, _)) = owner {
+                    self.to_mme(ctx, self.addr, DownlinkDataNotification { imsi });
+                }
             }
             // PCEF side: a policy rule arrives from the PCRF.
             GxReauthRequest { rule } => {
-                let Some((&imsi, _)) = self
+                let sid = rule.service_id;
+                let Some((&imsi, s)) = self
                     .sessions
                     .iter()
                     .find(|(_, s)| s.ue_addr == rule.ue_addr)
                 else {
-                    let sid = rule.service_id;
-                    self.send(
-                        ctx,
-                        gwc_port::PCRF,
-                        pkt_peer(ctx),
-                        GxReauthAnswer {
-                            service_id: sid,
-                            ok: false,
-                        },
-                    );
-                    return;
+                    return self.answer(ctx, UNSPECIFIED, sid, false);
                 };
-                if rule.install {
-                    // Idempotent re-request (e.g. the device manager
-                    // re-confirming connectivity after a handover that
-                    // kept the bearer): answer success without stacking a
-                    // second bearer for the same service.
-                    let already = {
-                        let s = &self.sessions[&imsi];
-                        s.dedicated
-                            .values()
-                            .any(|(_, r)| r.service_id == rule.service_id)
-                            || s.pending_dedicated
-                                .values()
-                                .any(|(r, _)| r.service_id == rule.service_id)
+                if !rule.install {
+                    // Removal: release the live bearer serving this service.
+                    let serves = |b: &Bearer| b.live && b.rule.service_id == sid;
+                    let Some(&(ebi, _)) = s.bearers.iter().find(|(_, b)| serves(b)) else {
+                        return self.answer(ctx, UNSPECIFIED, sid, false);
                     };
-                    if already {
-                        let sid = rule.service_id;
-                        self.send(
-                            ctx,
-                            gwc_port::PCRF,
-                            pkt_peer(ctx),
-                            GxReauthAnswer {
-                                service_id: sid,
-                                ok: true,
-                            },
-                        );
-                        return;
-                    }
-                    let Some(gw_addr) =
-                        self.topo.local_for_server(rule.server_addr).map(|g| g.addr)
-                    else {
-                        let sid = rule.service_id;
-                        self.send(
-                            ctx,
-                            gwc_port::PCRF,
-                            pkt_peer(ctx),
-                            GxReauthAnswer {
-                                service_id: sid,
-                                ok: false,
-                            },
-                        );
-                        return;
-                    };
-                    // A local anchor only works if that GW-U has a direct
-                    // path to the UE's serving eNB. A failover target in
-                    // a *different* region does not — NACK so the client
-                    // rides the default bearer through the core instead
-                    // of blackholing uplink on a half-built local leg.
-                    let reachable = match self.sessions[&imsi].enb_addr {
-                        Some(enb) => self
-                            .topo
-                            .local_for_server(rule.server_addr)
-                            .is_some_and(|g| g.serves_enb(enb)),
-                        None => true,
-                    };
-                    if !reachable {
-                        self.dedicated_rejected_no_path += 1;
-                        let sid = rule.service_id;
-                        self.send(
-                            ctx,
-                            gwc_port::PCRF,
-                            pkt_peer(ctx),
-                            GxReauthAnswer {
-                                service_id: sid,
-                                ok: false,
-                            },
-                        );
-                        return;
-                    }
-                    // Network-initiated dedicated bearer with the *local*
-                    // GW-U as the F-TEID target (paper step 3).
-                    let ebi = Ebi(6
-                        + (self.sessions[&imsi].dedicated.len() as u8
-                            + self.sessions[&imsi].pending_dedicated.len() as u8));
-                    let teid_local_ul = self.alloc.teid();
-                    let tft = Tft::single(if rule.server_port == 0 {
-                        PacketFilter::to_host(rule.server_addr)
-                    } else {
-                        let mut f = PacketFilter::to_host(rule.server_addr);
-                        f.remote_port = Some((rule.server_port, rule.server_port));
-                        f
-                    });
-                    let erab = ErabSetup {
-                        ebi,
-                        qci: rule.qci,
-                        gw_teid: teid_local_ul,
-                        gw_addr,
-                        tft,
-                    };
-                    self.sessions
-                        .get_mut(&imsi)
-                        .expect("session exists")
-                        .pending_dedicated
-                        .insert(ebi.0, (rule, teid_local_ul));
-                    let mme = pkt_peer_or(ctx, self.addr);
-                    let _ = mme;
-                    self.send(
-                        ctx,
-                        gwc_port::MME,
-                        self.addr, // dst resolved by port topology
-                        CreateBearerRequest { imsi, erab },
-                    );
-                } else {
-                    // Removal: find the bearer serving this service.
-                    let Some(&(ebi, _)) = self.sessions[&imsi]
-                        .dedicated
-                        .iter()
-                        .find(|(_, (_, r))| r.service_id == rule.service_id)
-                    else {
-                        let sid = rule.service_id;
-                        self.send(
-                            ctx,
-                            gwc_port::PCRF,
-                            pkt_peer(ctx),
-                            GxReauthAnswer {
-                                service_id: sid,
-                                ok: false,
-                            },
-                        );
-                        return;
-                    };
-                    self.send(
-                        ctx,
-                        gwc_port::MME,
-                        self.addr,
-                        DeleteBearerRequest {
-                            imsi,
-                            ebi: Ebi(ebi),
-                        },
-                    );
+                    let ebi = Ebi(ebi);
+                    return self.to_mme(ctx, self.addr, DeleteBearerRequest { imsi, ebi });
                 }
+                // Idempotent re-request (e.g. the device manager
+                // re-confirming connectivity after a handover that kept
+                // the bearer): answer success without stacking a second
+                // bearer for the same service.
+                if s.bearers.values().any(|b| b.rule.service_id == sid) {
+                    return self.answer(ctx, UNSPECIFIED, sid, true);
+                }
+                let Some(gw) = self.topo.local_for_server(rule.server_addr) else {
+                    return self.answer(ctx, UNSPECIFIED, sid, false);
+                };
+                // A local anchor only works if that GW-U has a direct
+                // path to the UE's serving eNB. A failover target in a
+                // *different* region does not — NACK so the client rides
+                // the default bearer through the core instead of
+                // blackholing uplink on a half-built local leg.
+                if s.enb_addr.is_some_and(|enb| !gw.serves_enb(enb)) {
+                    self.dedicated_rejected_no_path += 1;
+                    return self.answer(ctx, UNSPECIFIED, sid, false);
+                }
+                // Network-initiated dedicated bearer with the *local*
+                // GW-U as the F-TEID target (paper step 3).
+                let ebi = Ebi(6 + s.bearers.len() as u8);
+                let teid = self.alloc.teid();
+                let mut filter = PacketFilter::to_host(rule.server_addr);
+                if rule.server_port != 0 {
+                    filter.remote_port = Some((rule.server_port, rule.server_port));
+                }
+                let erab = ErabSetup {
+                    ebi,
+                    qci: rule.qci,
+                    gw_teid: teid,
+                    gw_addr: gw.addr,
+                    tft: Tft::single(filter),
+                };
+                let s = self.sessions.get_mut(&imsi).expect("session exists");
+                let live = false;
+                s.bearers.insert(ebi.0, Bearer { teid, rule, live });
+                self.to_mme(ctx, self.addr, CreateBearerRequest { imsi, erab });
             }
             CreateBearerResponse {
                 imsi,
@@ -1144,121 +1009,36 @@ impl GwControl {
                 enb_teid,
                 enb_addr,
             } => {
-                let Some(session) = self.sessions.get_mut(&imsi) else {
+                let Some(s) = self.sessions.get_mut(&imsi) else {
                     return;
                 };
-                let Some((rule, teid_local_ul)) = session.pending_dedicated.remove(ebi.0) else {
+                let Some(b) = s.bearers.get_mut(ebi.0).filter(|b| !b.live) else {
                     return;
                 };
-                let ue_addr = session.ue_addr;
-                session
-                    .dedicated
-                    .insert(ebi.0, (teid_local_ul, rule.clone()));
+                b.live = true;
+                let (ue, teid, rule) = (s.ue_addr, b.teid, b.rule.clone());
                 self.dedicated_active += 1;
-                let gw = self
-                    .topo
-                    .local_for_server(rule.server_addr)
-                    .expect("dedicated rule has an owning local GW-U")
-                    .clone();
+                let gw = self.topo.anchor(&rule);
                 // Local GW-U UL: tunnel from the eNB → decap to MEC.
-                self.flowmod(
-                    ctx,
-                    gw.ctrl_port,
-                    gw.addr,
-                    true,
-                    FlowMatchSpec {
-                        teid: Some(teid_local_ul),
-                        dst: None,
-                        src: None,
-                    },
-                    vec![
-                        FlowActionSpec::GtpDecap,
-                        FlowActionSpec::Output { port: gw.port_mec },
-                    ],
-                );
-                // Local GW-U DL: MEC server → tunnel to the eNB.
-                self.flowmod(
-                    ctx,
-                    gw.ctrl_port,
-                    gw.addr,
-                    true,
-                    FlowMatchSpec {
-                        teid: None,
-                        dst: Some(ue_addr),
-                        src: None,
-                    },
-                    vec![
-                        // Downlink TFT: dedicated-bearer QCI class.
-                        FlowActionSpec::SetTos {
-                            tos: rule.qci.tos(),
-                        },
-                        FlowActionSpec::GtpEncap {
-                            peer: enb_addr,
-                            teid: enb_teid,
-                        },
-                        FlowActionSpec::Output {
-                            port: gw.port_for(enb_addr),
-                        },
-                    ],
-                );
-                let sid = rule.service_id;
-                self.send(
-                    ctx,
-                    gwc_port::PCRF,
-                    self.addr,
-                    GxReauthAnswer {
-                        service_id: sid,
-                        ok: true,
-                    },
-                );
+                let actions = vec![GtpDecap, Output { port: gw.port_mec }];
+                let ul = FlowMatchSpec::teid(teid);
+                self.add(ctx, gw.ctrl_port, gw.addr, ul, actions);
+                // Local GW-U DL: MEC server → tunnel to the eNB, in the
+                // dedicated bearer's QCI class.
+                self.local_downlink(ctx, gw, ue, rule.qci, enb_addr, enb_teid);
+                self.answer(ctx, self.addr, rule.service_id, true);
             }
             DeleteBearerResponse { imsi, ebi } => {
-                let Some(session) = self.sessions.get_mut(&imsi) else {
+                let Some(s) = self.sessions.get_mut(&imsi) else {
                     return;
                 };
-                let Some((teid_local_ul, rule)) = session.dedicated.remove(ebi.0) else {
+                let Some(b) = s.bearers.remove_if(ebi.0, |b| b.live) else {
                     return;
                 };
-                let ue_addr = session.ue_addr;
-                let gw = self
-                    .topo
-                    .local_for_server(rule.server_addr)
-                    .expect("dedicated rule has an owning local GW-U")
-                    .clone();
-                self.flowmod(
-                    ctx,
-                    gw.ctrl_port,
-                    gw.addr,
-                    false,
-                    FlowMatchSpec {
-                        teid: Some(teid_local_ul),
-                        dst: None,
-                        src: None,
-                    },
-                    vec![],
-                );
-                self.flowmod(
-                    ctx,
-                    gw.ctrl_port,
-                    gw.addr,
-                    false,
-                    FlowMatchSpec {
-                        teid: None,
-                        dst: Some(ue_addr),
-                        src: None,
-                    },
-                    vec![],
-                );
-                let sid = rule.service_id;
-                self.send(
-                    ctx,
-                    gwc_port::PCRF,
-                    self.addr,
-                    GxReauthAnswer {
-                        service_id: sid,
-                        ok: true,
-                    },
-                );
+                let (ue, gw) = (s.ue_addr, self.topo.anchor(&b.rule));
+                self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::teid(b.teid));
+                self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::dst(ue));
+                self.answer(ctx, self.addr, b.rule.service_id, true);
             }
             // Failure-path flush (MME-initiated): the radio side already
             // dropped every bearer of this UE, so tear the dedicated
@@ -1271,61 +1051,27 @@ impl GwControl {
                 let Some(s) = self.sessions.get_mut(&imsi) else {
                     return;
                 };
-                let ue_addr = s.ue_addr;
-                let dedicated: Vec<(u8, Teid, PolicyRule)> = s
-                    .dedicated
-                    .iter()
-                    .map(|(ebi, (t, r))| (*ebi, *t, r.clone()))
-                    .collect();
-                s.dedicated.clear();
-                s.pending_dedicated.clear();
+                let (ue, bearers) = (s.ue_addr, std::mem::take(&mut s.bearers));
                 // Per-TEID removals in EBI order, each to its owning GW-U,
                 // then one catch-all dst=UE removal per GW-U touched (in
                 // first-appearance order — identical message sequence to
                 // the single-site topology when there is one GW-U).
-                let mut touched: Vec<LocalGw> = Vec::new();
-                for (_, teid_local_ul, rule) in &dedicated {
-                    let gw = self
-                        .topo
-                        .local_for_server(rule.server_addr)
-                        .expect("dedicated rule has an owning local GW-U")
-                        .clone();
-                    self.flowmod(
-                        ctx,
-                        gw.ctrl_port,
-                        gw.addr,
-                        false,
-                        FlowMatchSpec {
-                            teid: Some(*teid_local_ul),
-                            dst: None,
-                            src: None,
-                        },
-                        vec![],
-                    );
+                let mut touched: Vec<&LocalGw> = Vec::new();
+                let mut released = 0;
+                for b in bearers.values().filter(|b| b.live) {
+                    let gw = self.topo.anchor(&b.rule);
+                    self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::teid(b.teid));
                     if !touched.iter().any(|g| g.addr == gw.addr) {
                         touched.push(gw);
                     }
+                    released += 1;
                 }
                 for gw in touched {
-                    self.flowmod(
-                        ctx,
-                        gw.ctrl_port,
-                        gw.addr,
-                        false,
-                        FlowMatchSpec {
-                            teid: None,
-                            dst: Some(ue_addr),
-                            src: None,
-                        },
-                        vec![],
-                    );
-                }
-                if !dedicated.is_empty() {
-                    self.dedicated_released += dedicated.len() as u64;
-                    self.dedicated_active =
-                        self.dedicated_active.saturating_sub(dedicated.len() as u64);
+                    self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::dst(ue));
                 }
                 self.remove_sgw_rules(ctx, imsi);
+                self.dedicated_released += released;
+                self.dedicated_active = self.dedicated_active.saturating_sub(released);
             }
             // Dead local GW-U: flush every dedicated bearer anchored on
             // the failed switch — controller state and PCEF accounting
@@ -1334,31 +1080,26 @@ impl GwControl {
             // GW-U, and the default bearer via the core SGW-U is left
             // untouched. UE traffic re-classifies onto the default
             // bearer as soon as the client re-anchors away from the
-            // dead MEC (the dedicated TFT stops matching).
+            // dead MEC (the dedicated TFT stops matching). A pending
+            // activation on the dead switch can never complete; it goes
+            // too, so the late CreateBearerResponse (if any) is a
+            // recognised no-op.
             GwuFailureIndication { gwu_addr } => {
                 self.gwu_failure_notices += 1;
                 let mut flushed = 0u64;
                 let topo = &self.topo;
-                let owned_by_dead = |server: Ipv4Addr| {
-                    topo.local_for_server(server)
-                        .is_some_and(|g| g.addr == gwu_addr)
-                };
                 for s in self.sessions.values_mut() {
-                    let before = s.dedicated.len();
-                    s.dedicated
-                        .retain(|(_, (_, r))| !owned_by_dead(r.server_addr));
-                    flushed += (before - s.dedicated.len()) as u64;
-                    // A pending activation on the dead switch can never
-                    // complete; drop it so the late CreateBearerResponse
-                    // (if any) is a recognised no-op.
-                    s.pending_dedicated
-                        .retain(|(_, (r, _))| !owned_by_dead(r.server_addr));
+                    s.bearers.retain(|(_, b)| {
+                        let dead = topo
+                            .local_for_server(b.rule.server_addr)
+                            .is_some_and(|g| g.addr == gwu_addr);
+                        flushed += u64::from(dead && b.live);
+                        !dead
+                    });
                 }
-                if flushed > 0 {
-                    self.gwu_flush_released += flushed;
-                    self.dedicated_released += flushed;
-                    self.dedicated_active = self.dedicated_active.saturating_sub(flushed);
-                }
+                self.gwu_flush_released += flushed;
+                self.dedicated_released += flushed;
+                self.dedicated_active = self.dedicated_active.saturating_sub(flushed);
             }
             // X2 handover completed: re-anchor every S1 leg on the target
             // eNB. The default bearer's SGW-U downlink rule is rewritten;
@@ -1377,168 +1118,56 @@ impl GwControl {
                 if let Some(&(_, t)) = enb_teids.iter().find(|(ebi, _)| *ebi == Ebi::DEFAULT) {
                     s.enb_teid = Some(t);
                 }
-                let ue_addr = s.ue_addr;
-                let teid_sgw_dl = s.teid_sgw_dl;
-                let default_teid = s.enb_teid;
-                // `ByEbi` iterates in EBI order, so the FlowMod sequence
-                // is deterministic by construction.
-                let dedicated: Vec<(u8, Teid, PolicyRule)> = s
-                    .dedicated
-                    .iter()
-                    .map(|(ebi, (t, r))| (*ebi, *t, r.clone()))
-                    .collect();
-                let sgw_u = self.topo.sgw_u;
-                let sgw_to_enb = self.topo.sgw_port_for(enb_addr);
+                let s = &self.sessions[&imsi];
                 // Rewrite the SGW-U downlink leg toward the target eNB
                 // (the SGW's paging buffer absorbs the del→add window).
-                if let Some(teid) = default_teid {
-                    self.flowmod(
-                        ctx,
-                        gwc_port::SGW_U,
-                        sgw_u,
-                        false,
-                        FlowMatchSpec {
-                            teid: Some(teid_sgw_dl),
-                            dst: None,
-                            src: None,
-                        },
-                        vec![],
-                    );
-                    self.flowmod(
-                        ctx,
-                        gwc_port::SGW_U,
-                        sgw_u,
-                        true,
-                        FlowMatchSpec {
-                            teid: Some(teid_sgw_dl),
-                            dst: None,
-                            src: None,
-                        },
-                        vec![
-                            FlowActionSpec::GtpDecap,
-                            FlowActionSpec::GtpEncap {
-                                peer: enb_addr,
-                                teid,
-                            },
-                            FlowActionSpec::Output { port: sgw_to_enb },
-                        ],
-                    );
+                if let Some(teid) = s.enb_teid {
+                    let dl = FlowMatchSpec::teid(s.teid_sgw_dl);
+                    self.del(ctx, gwc_port::SGW_U, self.topo.sgw_u, dl);
+                    self.sgw_downlink(ctx, s.teid_sgw_dl, enb_addr, teid);
                 }
+                // `ByEbi` iterates in EBI order, so the FlowMod sequence
+                // is deterministic by construction.
                 let mut released = Vec::new();
-                for (ebi, teid_local_ul, rule) in dedicated {
-                    let target_teid = enb_teids.iter().find(|(e, _)| e.0 == ebi).map(|&(_, t)| t);
-                    // The bearer anchors on the GW-U owning its MEC server;
-                    // whether the target eNB keeps the local path is a
-                    // per-site question in a multi-region topology.
-                    let gw = self
-                        .topo
-                        .local_for_server(rule.server_addr)
-                        .expect("dedicated rule has an owning local GW-U")
-                        .clone();
-                    let target_mec = gw.serves_enb(enb_addr);
-                    if let (true, Some(new_teid)) = (target_mec, target_teid) {
+                for (ebi, b) in s.bearers.iter().filter(|(_, b)| b.live) {
+                    let target_teid = enb_teids.iter().find(|(e, _)| e.0 == *ebi);
+                    // The bearer anchors on the GW-U owning its MEC
+                    // server; whether the target eNB keeps the local path
+                    // is a per-site question in a multi-region topology.
+                    let gw = self.topo.anchor(&b.rule);
+                    let ue = FlowMatchSpec::dst(s.ue_addr);
+                    match target_teid.filter(|_| gw.serves_enb(enb_addr)) {
                         // Relocate: point the local GW-U downlink rule at
                         // the target eNB's port and TEID.
-                        self.flowmod(
-                            ctx,
-                            gw.ctrl_port,
-                            gw.addr,
-                            false,
-                            FlowMatchSpec {
-                                teid: None,
-                                dst: Some(ue_addr),
-                                src: None,
-                            },
-                            vec![],
-                        );
-                        self.flowmod(
-                            ctx,
-                            gw.ctrl_port,
-                            gw.addr,
-                            true,
-                            FlowMatchSpec {
-                                teid: None,
-                                dst: Some(ue_addr),
-                                src: None,
-                            },
-                            vec![
-                                // Re-stamp the dedicated class after
-                                // re-anchoring on the target eNB.
-                                FlowActionSpec::SetTos {
-                                    tos: rule.qci.tos(),
-                                },
-                                FlowActionSpec::GtpEncap {
-                                    peer: enb_addr,
-                                    teid: new_teid,
-                                },
-                                FlowActionSpec::Output {
-                                    port: gw.port_for(enb_addr),
-                                },
-                            ],
-                        );
-                        self.dedicated_reanchored += 1;
-                    } else {
+                        Some(&(_, teid)) => {
+                            self.del(ctx, gw.ctrl_port, gw.addr, ue);
+                            self.local_downlink(ctx, gw, s.ue_addr, b.rule.qci, enb_addr, teid);
+                            self.dedicated_reanchored += 1;
+                        }
                         // Fall back: tear the local rules down and release
                         // the bearer; traffic rides the default bearer.
-                        self.flowmod(
-                            ctx,
-                            gw.ctrl_port,
-                            gw.addr,
-                            false,
-                            FlowMatchSpec {
-                                teid: Some(teid_local_ul),
-                                dst: None,
-                                src: None,
-                            },
-                            vec![],
-                        );
-                        self.flowmod(
-                            ctx,
-                            gw.ctrl_port,
-                            gw.addr,
-                            false,
-                            FlowMatchSpec {
-                                teid: None,
-                                dst: Some(ue_addr),
-                                src: None,
-                            },
-                            vec![],
-                        );
-                        self.sessions
-                            .get_mut(&imsi)
-                            .expect("session exists")
-                            .dedicated
-                            .remove(ebi);
-                        released.push(Ebi(ebi));
-                        self.dedicated_released += 1;
-                        self.dedicated_active = self.dedicated_active.saturating_sub(1);
+                        None => {
+                            self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::teid(b.teid));
+                            self.del(ctx, gw.ctrl_port, gw.addr, ue);
+                            released.push(Ebi(*ebi));
+                        }
                     }
                 }
-                self.send(
-                    ctx,
-                    gwc_port::MME,
-                    pkt_peer(ctx),
-                    BearerRelocationResponse {
-                        imsi,
-                        erabs: vec![],
-                        released,
-                    },
-                );
+                let n = released.len() as u64;
+                self.dedicated_released += n;
+                self.dedicated_active = self.dedicated_active.saturating_sub(n);
+                let s = self.sessions.get_mut(&imsi).expect("session exists");
+                s.bearers.retain(|(ebi, _)| !released.contains(&Ebi(*ebi)));
+                let m = BearerRelocationResponse {
+                    imsi,
+                    erabs: vec![],
+                    released,
+                };
+                self.to_mme(ctx, UNSPECIFIED, m);
             }
             _ => {}
         }
     }
-}
-
-/// The GW-C learns peers from topology wiring; packet source addressing is
-/// only used for logging, so a placeholder destination is acceptable on
-/// point-to-point control links. These helpers document that intent.
-fn pkt_peer(_ctx: &Ctx<'_>) -> Ipv4Addr {
-    Ipv4Addr::UNSPECIFIED
-}
-
-fn pkt_peer_or(_ctx: &Ctx<'_>, fallback: Ipv4Addr) -> Ipv4Addr {
-    fallback
 }
 
 impl Node for GwControl {
@@ -1566,11 +1195,13 @@ mod tests {
             t.iter().copied().collect::<Vec<_>>(),
             [(5, 'b'), (7, 'd'), (9, 'c')]
         );
-        assert_eq!(t.remove(7), Some('d'));
-        assert_eq!(t.remove(7), None);
-        t.retain(|&(_, v)| v != 'c');
+        assert_eq!(t.remove_if(7, |&v| v == 'a'), None);
+        assert_eq!(t.remove_if(7, |_| true), Some('d'));
+        assert_eq!(t.remove_if(7, |_| true), None);
+        *t.get_mut(9).unwrap() = 'e';
+        t.retain(|&(_, v)| v != 'e');
         assert_eq!(t.values().collect::<Vec<_>>(), [&'b']);
-        assert_eq!(t.remove(5), Some('b'));
+        assert_eq!(t.remove_if(5, |_| true), Some('b'));
         assert_eq!((t.len(), t.0.capacity()), (0, 0));
     }
 }

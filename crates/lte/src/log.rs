@@ -7,7 +7,9 @@
 //! its size is fixed, not a function of the length of the run.
 
 use crate::wire::{ControlMsg, Protocol, KINDS, KIND_COUNT};
+use acacia_simnet::sim::{Ctx, PortId};
 use acacia_simnet::time::Instant;
+use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -103,6 +105,20 @@ impl MsgLog {
             r.order
                 .store(self.kinds_seen.fetch_add(1, Relaxed), Relaxed);
         }
+    }
+
+    /// Record `msg` and send it out of `port` from `src` to `dst`: the one
+    /// way an entity puts a control message on the wire.
+    pub(crate) fn send(
+        &self,
+        ctx: &mut Ctx<'_>,
+        port: PortId,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        msg: ControlMsg,
+    ) {
+        self.record(ctx.now(), &msg);
+        ctx.send(port, msg.into_packet(src, dst));
     }
 
     /// Number of messages of a protocol family.

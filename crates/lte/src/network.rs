@@ -247,6 +247,17 @@ const SITE_DETOUR_PORT: PortId = 63;
 /// shared base is safe.
 const INET_SITE_BASE: PortId = 64;
 
+/// User-plane port of a gateway's `k`-th cell, on the SGW-U and on a
+/// local GW-U alike: the first cell on port 1, further cells from port 4
+/// (0 is OpenFlow control, 2 the next hop inward, 3 a side link).
+fn cell_port(k: usize) -> PortId {
+    if k == 0 {
+        1
+    } else {
+        3 + k
+    }
+}
+
 impl LteNetwork {
     /// Build the topology.
     pub fn new(cfg: LteConfig) -> LteNetwork {
@@ -314,21 +325,17 @@ impl LteNetwork {
             }
         };
 
-        // Per-site eNB port maps on the local GW-Us: within each site the
-        // first MEC cell lands on port 1, further MEC cells from port 4
-        // (2 = MEC router, 3 = core detour, 0 = OpenFlow control).
+        // Per-site eNB port maps on the local GW-Us (2 = MEC router, 3 =
+        // core detour).
         let nsites = site_regions.len();
         let mut site_enb_ports: Vec<Vec<(Ipv4Addr, usize)>> = vec![Vec::new(); nsites];
-        let mut site_enbs: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); nsites];
         let mut mec_links: Vec<(usize, usize, PortId)> = Vec::new(); // (cell, site, port)
         for (i, c) in cells.iter().enumerate() {
             if c.mec {
                 let s = site_of_region(c.region);
-                let k = site_enbs[s].len();
-                let lp = if k == 0 { 1 } else { 3 + k };
+                let lp = cell_port(site_enb_ports[s].len());
                 mec_links.push((i, s, lp));
                 site_enb_ports[s].push((addr::enb(i), lp));
-                site_enbs[s].push(addr::enb(i));
             }
         }
 
@@ -439,13 +446,11 @@ impl LteNetwork {
             core_region,
         );
 
-        // Per-cell user-plane port map on the SGW-U: cell 0 on port 1,
-        // extra cells from 4 (2 = PGW, 3 = background source).
-        let mut sgw_enb_ports = Vec::new();
-        for (i, _) in cells.iter().enumerate() {
-            let sgw_port = if i == 0 { 1 } else { 3 + i };
-            sgw_enb_ports.push((addr::enb(i), sgw_port));
-        }
+        // Per-cell user-plane port map on the SGW-U (2 = PGW, 3 =
+        // background source).
+        let sgw_enb_ports = (0..cells.len())
+            .map(|i| (addr::enb(i), cell_port(i)))
+            .collect();
 
         let topo = GwTopology {
             sgw_u: addr::SGW_U,
@@ -457,11 +462,10 @@ impl LteNetwork {
             locals: (0..nsites)
                 .map(|s| LocalGw {
                     addr: addr::local_gwu(s),
-                    ctrl_port: gwc_port::LOCAL_GWU_BASE + s,
+                    ctrl_port: gwc_port::LOCAL_GWU + s,
                     port_enb: site_enb_ports[s].first().map_or(1, |&(_, p)| p),
                     port_mec: 2,
                     enb_ports: site_enb_ports[s].clone(),
-                    enbs: site_enbs[s].clone(),
                     servers: Vec::new(),
                 })
                 .collect(),
@@ -538,7 +542,7 @@ impl LteNetwork {
         );
         for (s, site) in local_sites.iter().enumerate() {
             sim.connect(
-                (gwc, gwc_port::LOCAL_GWU_BASE + s),
+                (gwc, gwc_port::LOCAL_GWU + s),
                 (site.gwu, FlowSwitch::CONTROL_PORT),
                 ctrl.clone(),
             );
@@ -553,10 +557,9 @@ impl LteNetwork {
             .with_queue(cfg.core_queue_bytes);
         let mec = LinkConfig::rate_limited(1_000_000_000, MEC_DELAY).with_queue(4 * 1024 * 1024);
         for (i, &enb_i) in enbs.iter().enumerate() {
-            let sgw_port = if i == 0 { 1 } else { 3 + i };
             sim.connect(
                 (enb_i, port::ENB_S1_CORE),
-                (sgw_u, sgw_port),
+                (sgw_u, cell_port(i)),
                 backhaul.clone(),
             );
         }
@@ -685,29 +688,15 @@ impl LteNetwork {
             // the Internet exchange.
             let lg = self.local_gwu;
             let sw = self.sim.node_mut::<FlowSwitch>(lg);
-            sw.install(
-                2,
-                FlowMatchSpec {
-                    teid: None,
-                    dst: Some(server_addr),
-                    src: None,
-                },
-                vec![FlowActionSpec::Output { port: 2 }],
-            );
+            let to_server = FlowMatchSpec::dst(server_addr);
+            sw.install(2, to_server, vec![FlowActionSpec::Output { port: 2 }]);
             if !self.detour_installed {
                 self.detour_installed = true;
                 let sw = self.sim.node_mut::<FlowSwitch>(lg);
-                sw.install(
-                    1,
-                    FlowMatchSpec {
-                        teid: None,
-                        dst: None,
-                        src: None,
-                    },
-                    vec![FlowActionSpec::Output {
-                        port: LOCAL_DETOUR_PORT,
-                    }],
-                );
+                let detour = vec![FlowActionSpec::Output {
+                    port: LOCAL_DETOUR_PORT,
+                }];
+                sw.install(1, FlowMatchSpec::default(), detour);
             }
             self.rebuild_inet_routes();
         }
@@ -968,25 +957,12 @@ impl LteNetwork {
         if !self.bg_installed {
             self.bg_installed = true;
             let sgw = self.sgw_u;
-            self.sim.node_mut::<FlowSwitch>(sgw).install(
-                1,
-                FlowMatchSpec {
-                    teid: None,
-                    dst: None,
-                    src: Some(addr::BG_SOURCE),
-                },
-                vec![FlowActionSpec::Output { port: 2 }],
-            );
             let pgw = self.pgw_u;
-            self.sim.node_mut::<FlowSwitch>(pgw).install(
-                1,
-                FlowMatchSpec {
-                    teid: None,
-                    dst: None,
-                    src: Some(addr::BG_SOURCE),
-                },
-                vec![FlowActionSpec::Output { port: 2 }],
-            );
+            for sw in [sgw, pgw] {
+                let from_bg = FlowMatchSpec::src(addr::BG_SOURCE);
+                let up = vec![FlowActionSpec::Output { port: 2 }];
+                self.sim.node_mut::<FlowSwitch>(sw).install(1, from_bg, up);
+            }
         }
         self.sim.schedule_timer(src, start, UdpSource::KICKOFF);
         sink

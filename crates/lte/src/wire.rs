@@ -111,8 +111,9 @@ pub struct PolicyRule {
     pub install: bool,
 }
 
-/// Flow-match specification for OpenFlow rules on the GW-Us.
-#[derive(Debug, Clone, PartialEq)]
+/// Flow-match specification for OpenFlow rules on the GW-Us. The default
+/// matches every packet.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FlowMatchSpec {
     /// Match on the GTP tunnel id of encapsulated traffic.
     pub teid: Option<Teid>,
@@ -120,6 +121,35 @@ pub struct FlowMatchSpec {
     pub dst: Option<Ipv4Addr>,
     /// Match on the inner/outer source address.
     pub src: Option<Ipv4Addr>,
+}
+
+impl FlowMatchSpec {
+    /// Match tunnelled traffic carrying `teid`.
+    pub fn teid(teid: Teid) -> FlowMatchSpec {
+        let teid = Some(teid);
+        FlowMatchSpec {
+            teid,
+            ..FlowMatchSpec::default()
+        }
+    }
+
+    /// Match traffic to `dst`.
+    pub fn dst(dst: Ipv4Addr) -> FlowMatchSpec {
+        let dst = Some(dst);
+        FlowMatchSpec {
+            dst,
+            ..FlowMatchSpec::default()
+        }
+    }
+
+    /// Match traffic from `src`.
+    pub fn src(src: Ipv4Addr) -> FlowMatchSpec {
+        let src = Some(src);
+        FlowMatchSpec {
+            src,
+            ..FlowMatchSpec::default()
+        }
+    }
 }
 
 /// Actions attached to an OpenFlow rule. Encap/decap transform the packet

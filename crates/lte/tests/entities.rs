@@ -201,7 +201,6 @@ fn topo() -> GwTopology {
             port_enb: 1,
             port_mec: 2,
             enb_ports: vec![(addr::ENB, 1), (ENB_2, 4)],
-            enbs: vec![addr::ENB, ENB_2],
             servers: vec![addr::MEC_BASE],
         }],
         ue_ip_base: addr::UE_POOL,
