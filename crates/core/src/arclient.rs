@@ -15,6 +15,7 @@ use acacia_vision::compress::Codec;
 use acacia_vision::compute::Device;
 use acacia_vision::image::{camera_preview_fps, ImageSpec, Resolution};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Frame codec (§7.4: JPEG at quality 90).
 const CODEC: Codec = Codec::Jpeg(90);
@@ -101,7 +102,7 @@ pub struct FrameStats {
     /// Candidates the server examined.
     pub candidates: usize,
     /// Matched tag, if any.
-    pub matched: Option<String>,
+    pub matched: Option<Arc<str>>,
 }
 
 impl FrameStats {
@@ -448,7 +449,7 @@ impl ArFrontend {
         &mut self,
         ctx: &mut Ctx<'_>,
         seq: u64,
-        matched: Option<String>,
+        matched: Option<Arc<str>>,
         compute_s: f64,
         match_s: f64,
         cands: usize,

@@ -55,25 +55,6 @@ impl ArServerConfig {
     }
 }
 
-/// One processed frame, for post-run analysis.
-#[derive(Debug, Clone)]
-pub struct FrameRecord {
-    /// Client that sent it.
-    pub client: Ipv4Addr,
-    /// Frame sequence number.
-    pub seq: u64,
-    /// Candidate objects examined after pruning.
-    pub candidates: usize,
-    /// Virtual decode + SURF time, seconds.
-    pub compute_s: f64,
-    /// Virtual matching time, seconds.
-    pub match_s: f64,
-    /// Matched object tag (None = no-match).
-    pub matched: Option<String>,
-    /// Ground-truth object (the scene id photographed).
-    pub truth: u64,
-}
-
 struct Assembly {
     received: HashSet<u32>,
     total: u32,
@@ -100,8 +81,10 @@ pub struct ArServer {
     assembling: HashMap<(Ipv4Addr, u64), Assembly>,
     busy_until: Instant,
     outbox: VecDeque<Packet>,
-    /// Per-frame processing records.
-    pub records: Vec<FrameRecord>,
+    /// Frames served.
+    pub served: u64,
+    /// Served frames whose match is the photographed object's tag.
+    pub correct: u64,
     /// rxPower reports ingested.
     pub reports_seen: u64,
     /// Is the periodic heartbeat chain armed? A crash-restart erases the
@@ -134,7 +117,8 @@ impl ArServer {
             assembling: HashMap::new(),
             busy_until: Instant::ZERO,
             outbox: VecDeque::new(),
-            records: Vec::new(),
+            served: 0,
+            correct: 0,
             reports_seen: 0,
             hb_live: false,
             heartbeats_sent: 0,
@@ -162,17 +146,12 @@ impl ArServer {
         ctx.schedule_in(HEARTBEAT_PERIOD, TOKEN_HEARTBEAT);
     }
 
-    /// Fraction of processed frames whose match equals the ground truth.
+    /// Fraction of served frames whose match equals the ground truth.
     pub fn accuracy(&self) -> f64 {
-        if self.records.is_empty() {
+        if self.served == 0 {
             return 0.0;
         }
-        let correct = self
-            .records
-            .iter()
-            .filter(|r| r.matched.as_deref() == self.db.get(r.truth).map(|o| o.tag.as_str()))
-            .count();
-        correct as f64 / self.records.len() as f64
+        self.correct as f64 / self.served as f64
     }
 
     fn process_frame(
@@ -211,17 +190,10 @@ impl ArServer {
             .best
             .as_ref()
             .and_then(|(id, _)| self.db.get(*id))
-            .map(|o| o.tag.clone());
-
-        self.records.push(FrameRecord {
-            client: client.0,
-            seq,
-            candidates: n_cands,
-            compute_s,
-            match_s,
-            matched: matched.clone(),
-            truth: meta.spec.scene_id,
-        });
+            .map(|o| Arc::clone(&o.tag));
+        let truth = self.db.get(meta.spec.scene_id).map(|o| &o.tag);
+        self.served += 1;
+        self.correct += u64::from(matched.as_ref() == truth);
 
         // Serial service: the result leaves once the CPU has finished this
         // frame (and everything queued before it).
@@ -331,10 +303,11 @@ impl Node for ArServer {
 
     fn on_restart(&mut self) {
         // Crash-restart: every in-flight assembly, queued result and the
-        // serial-CPU backlog died with the process. `records` stays — it
-        // is the experiment's measurement ledger, not protocol state —
-        // and clients recover their in-flight frames through the
-        // application protocol (replay), not through server memory.
+        // serial-CPU backlog died with the process. `served` and `correct`
+        // stay — they are the experiment's measurement ledger, not
+        // protocol state — and clients recover their in-flight frames
+        // through the application protocol (replay), not through server
+        // memory.
         self.assembling.clear();
         self.outbox.clear();
         self.busy_until = Instant::ZERO;

@@ -278,7 +278,7 @@ mod city {
 }
 
 pub use arclient::{ArFrontend, ArFrontendConfig, FrameStats};
-pub use arserver::{ArServer, ArServerConfig, FrameRecord};
+pub use arserver::{ArServer, ArServerConfig};
 pub use device_manager::{AppId, ConnectivityAction, DeviceManager, ServiceInfo};
 pub use locmgr::{LocalizationManager, LocalizationMetadata};
 pub use mrs::{Mrs, ServerInstance};

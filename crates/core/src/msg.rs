@@ -13,6 +13,7 @@ use acacia_simnet::time::Instant;
 use acacia_vision::compress::Codec;
 use acacia_vision::image::{ImageSpec, Resolution};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// UDP port of the AR server (frames, chunks, results, rxPower reports).
 pub const AR_PORT: u16 = 9000;
@@ -60,8 +61,8 @@ pub enum AppMsg {
     FrameResult {
         /// Frame sequence number.
         seq: u64,
-        /// Matched object tag, if any.
-        matched: Option<String>,
+        /// Matched object tag, if any (the database's own, shared).
+        matched: Option<Arc<str>>,
         /// Server-side SURF + decode time, seconds (virtual).
         compute_s: f64,
         /// Server-side matching time, seconds (virtual).

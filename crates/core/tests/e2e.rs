@@ -142,3 +142,35 @@ fn acacia_examines_fewer_candidates() {
     let m = mean_cands(&mec);
     assert!(a < m / 2.0, "candidates acacia {a} vs mec {m}");
 }
+
+/// The server's running accuracy is exactly the one recounted from what
+/// its client received: each delivered `FrameStats.matched` against the
+/// tag of the object that frame photographed (frame `seq` photographs the
+/// `seq`-th object, cyclically, of the subsection the user stands in).
+/// At an execution cap of 4 descriptors some frames match the wrong
+/// object, so the recount has both kinds of frame to tell apart.
+#[test]
+fn server_accuracy_equals_the_clients_recount() {
+    use acacia_geo::floor::FloorPlan;
+    use acacia_vision::db::ObjectDb;
+    for deployment in [Deployment::Cloud, Deployment::Acacia] {
+        let cfg = ScenarioConfig {
+            frame_count: 8,
+            exec_cap: 4,
+            ..ScenarioConfig::smoke(deployment)
+        };
+        let floor = FloorPlan::retail_store();
+        let db = ObjectDb::retail_cached(cfg.db_per_subsection, cfg.seed);
+        let at = floor.checkpoints[cfg.checkpoint % floor.checkpoints.len()].pos;
+        let scene = db.in_subsections(&[floor.subsection_at(at).unwrap()]);
+        let report = Scenario::build(cfg).run();
+        assert_eq!(report.frames.len(), 8);
+        let correct = report
+            .frames
+            .iter()
+            .filter(|f| f.matched.as_deref() == Some(&*scene[f.seq as usize % scene.len()].tag))
+            .count();
+        assert!(0 < correct && correct < 8, "{deployment:?}: {correct}/8");
+        assert_eq!(report.accuracy, correct as f64 / 8.0, "{deployment:?}");
+    }
+}

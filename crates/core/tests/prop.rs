@@ -54,7 +54,7 @@ fn arb_msg() -> impl Strategy<Value = AppMsg> {
         )
             .prop_map(|(seq, matched, c, m, n)| AppMsg::FrameResult {
                 seq,
-                matched,
+                matched: matched.map(Into::into),
                 compute_s: c,
                 match_s: m,
                 candidates: n,

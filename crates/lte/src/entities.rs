@@ -604,8 +604,10 @@ impl<V> Default for ByEbi<V> {
 }
 
 impl<V> ByEbi<V> {
-    fn len(&self) -> usize {
-        self.0.len()
+    /// The lowest EBI from `first` on that holds no value.
+    fn vacant_from(&self, first: u8) -> u8 {
+        let held = |e: &u8| self.0.binary_search_by_key(e, |&(k, _)| k).is_ok();
+        (first..).find(|e| !held(e)).expect("a free EBI")
     }
 
     /// The entries in EBI order.
@@ -984,8 +986,9 @@ impl GwControl {
                     return self.answer(ctx, UNSPECIFIED, sid, false);
                 }
                 // Network-initiated dedicated bearer with the *local*
-                // GW-U as the F-TEID target (paper step 3).
-                let ebi = Ebi(6 + s.bearers.len() as u8);
+                // GW-U as the F-TEID target (paper step 3), under the
+                // lowest EBI the session does not hold.
+                let ebi = Ebi(s.bearers.vacant_from(6));
                 let teid = self.alloc.teid();
                 let mut filter = PacketFilter::to_host(rule.server_addr);
                 if rule.server_port != 0 {
@@ -1038,6 +1041,8 @@ impl GwControl {
                 let (ue, gw) = (s.ue_addr, self.topo.anchor(&b.rule));
                 self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::teid(b.teid));
                 self.del(ctx, gw.ctrl_port, gw.addr, FlowMatchSpec::dst(ue));
+                self.dedicated_released += 1;
+                self.dedicated_active = self.dedicated_active.saturating_sub(1);
                 self.answer(ctx, self.addr, b.rule.service_id, true);
             }
             // Failure-path flush (MME-initiated): the radio side already
@@ -1183,8 +1188,8 @@ mod tests {
     use super::ByEbi;
 
     /// Inserted out of order, a table iterates in EBI order; an insert
-    /// under a taken EBI replaces the value, as a map's would; emptied,
-    /// it holds no allocation.
+    /// under a taken EBI replaces the value, as a map's would; the first
+    /// vacant EBI skips the held ones; emptied, it holds no allocation.
     #[test]
     fn by_ebi_is_an_ordered_map_that_frees_when_empty() {
         let mut t = ByEbi::default();
@@ -1195,6 +1200,10 @@ mod tests {
             t.iter().copied().collect::<Vec<_>>(),
             [(5, 'b'), (7, 'd'), (9, 'c')]
         );
+        assert_eq!(
+            (t.vacant_from(5), t.vacant_from(7), t.vacant_from(9)),
+            (6, 8, 10)
+        );
         assert_eq!(t.remove_if(7, |&v| v == 'a'), None);
         assert_eq!(t.remove_if(7, |_| true), Some('d'));
         assert_eq!(t.remove_if(7, |_| true), None);
@@ -1202,6 +1211,6 @@ mod tests {
         t.retain(|&(_, v)| v != 'e');
         assert_eq!(t.values().collect::<Vec<_>>(), [&'b']);
         assert_eq!(t.remove_if(5, |_| true), Some('b'));
-        assert_eq!((t.len(), t.0.capacity()), (0, 0));
+        assert_eq!((t.0.len(), t.0.capacity()), (0, 0));
     }
 }

@@ -33,6 +33,7 @@ use crate::ids::{Ebi, Imsi, Teid};
 use crate::qci::Qci;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// A value with a JSON payload encoding.
 pub trait Json: Sized {
@@ -493,6 +494,18 @@ impl Json for String {
                 _ => out.push(b),
             }
         }
+    }
+}
+
+/// A shared string: the same text as a `String`, so sharing one changes
+/// no length on the wire.
+impl Json for Arc<str> {
+    fn write(&self, w: &mut Writer) {
+        w.str(self);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Option<Self> {
+        String::read(r).map(Arc::from)
     }
 }
 

@@ -683,6 +683,77 @@ fn gwc_transcript_is_pinned() {
     assert_transcript(&text, GWC_TRANSCRIPT);
 }
 
+/// With bearers at EBIs 6 and 7, a Gx removal releases 6 and the next
+/// install takes 6 again: it does not replace the live bearer at 7, and the
+/// release is counted, so `dedicated_active` still equals the live count.
+#[test]
+fn gwc_reinstall_takes_the_freed_ebi() {
+    use acacia_lte::ids::{Ebi, Teid};
+    use ControlMsg::*;
+    let mut t = Transcript::new(
+        |log| Box::new(GwControl::new(addr::GWC, topo(), log)),
+        &[gwc_port::MME, gwc_port::PCRF, gwc_port::LOCAL_GWU],
+    );
+    let (mme, pcrf) = (gwc_port::MME, gwc_port::PCRF);
+    let a = imsi();
+    t.step(mme, CreateSessionRequest { imsi: a });
+    let enb_teid = Teid(0x3001);
+    t.step(
+        mme,
+        ModifyBearerRequest {
+            imsi: a,
+            enb_teid,
+            enb_addr: addr::ENB,
+        },
+    );
+    let ua = t.sim.node_ref::<GwControl>(t.node).ue_addr(a).unwrap();
+    let install = |t: &mut Transcript, sid| {
+        let rule = rule(sid, ua, addr::MEC_BASE, 5000 + sid as u16);
+        let sent = t.step(pcrf, GxReauthRequest { rule });
+        let ebi = sent
+            .iter()
+            .find_map(|m| match m {
+                CreateBearerRequest { erab, .. } => Some(erab.ebi),
+                _ => None,
+            })
+            .expect("a bearer request");
+        let enb_teid = Teid(0x3000 + u32::from(ebi.0));
+        let enb_addr = addr::ENB;
+        t.step(
+            mme,
+            CreateBearerResponse {
+                imsi: a,
+                ebi,
+                enb_teid,
+                enb_addr,
+            },
+        );
+        ebi
+    };
+    assert_eq!((install(&mut t, 1), install(&mut t, 2)), (Ebi(6), Ebi(7)));
+    let removal = PolicyRule {
+        install: false,
+        ..rule(1, ua, addr::MEC_BASE, 5001)
+    };
+    let sent = t.step(pcrf, GxReauthRequest { rule: removal });
+    assert!(
+        matches!(sent[..], [DeleteBearerRequest { ebi: Ebi(6), .. }]),
+        "{sent:?}"
+    );
+    t.step(
+        mme,
+        DeleteBearerResponse {
+            imsi: a,
+            ebi: Ebi(6),
+        },
+    );
+    assert_eq!(install(&mut t, 3), Ebi(6));
+    let gwc = t.sim.node_ref::<GwControl>(t.node);
+    let counts = (gwc.dedicated_active, gwc.dedicated_released);
+    assert_eq!((gwc.dedicated_live(), gwc.dedicated_pending()), (2, 0));
+    assert_eq!(counts, (2, 1));
+}
+
 /// The MME's every send, with its port, destination and place in the
 /// send order: the attach chain, the service-request flush, dedicated
 /// bearers, a path switch and its replay, and the idle cycle.
@@ -970,7 +1041,7 @@ const GWC_TRANSCRIPT: &str = r#"> 0 CreateSessionRequest { imsi: Imsi(3104100000
 # DeleteBearerRequest 1
 # ReleaseAccessBearersResponse 1
 # DownlinkDataNotification 1
-# active 1 reanchored 1 released 4 notices 1 flushed 1 no_path 1 live 0 pending 1
+# active 0 reanchored 1 released 5 notices 1 flushed 1 no_path 1 live 0 pending 1
 "#;
 const MME_TRANSCRIPT: &str = r#"> 0 InitialUeAttach { imsi: Imsi(310410000000001) }
   2 10.3.0.4 S6aAuthInfoRequest { imsi: Imsi(310410000000001) }

@@ -696,6 +696,17 @@ proptest! {
         prop_assert_eq!(second.dst_port, first.dst_port);
     }
 
+    /// A shared string is written exactly as the `String` it stands for,
+    /// escapes included, counted at the same length, and read back equal.
+    #[test]
+    fn shared_strings_encode_as_strings(text in "[a-z#0-9\"\\\\\n\t\u{1}\u{7f}é☃-]{0,24}") {
+        let shared: std::sync::Arc<str> = text.as_str().into();
+        let bytes = json::encode(b"", &text);
+        prop_assert_eq!(&json::encode(b"", &shared), &bytes);
+        prop_assert_eq!(json::encoded_len(&shared), bytes.len());
+        prop_assert_eq!(json::decode::<std::sync::Arc<str>>(&bytes), Some(shared));
+    }
+
     /// The length counter agrees with the writer, and a typed packet or
     /// RRC frame is exactly as long on the wire as the JSON one it
     /// replaces: the same payload length, the same padded size.

@@ -37,8 +37,9 @@ pub struct DbObject {
     pub id: u64,
     /// Human-readable name ("object-42").
     pub name: String,
-    /// Annotated tag returned to the AR client on a match.
-    pub tag: String,
+    /// Annotated tag returned to the AR client on a match, shared with
+    /// every result that carries it.
+    pub tag: Arc<str>,
     /// Geo-tag: subsection index in the floor plan.
     pub subsection: usize,
     /// Section index in the floor plan.
@@ -137,7 +138,7 @@ impl ObjectDb {
                 objects.push(DbObject {
                     id,
                     name: format!("object-{}", objects.len()),
-                    tag: format!("{}#{}", ss.name, k),
+                    tag: format!("{}#{}", ss.name, k).into(),
                     subsection: ssi,
                     section: ss.section,
                     pos,

@@ -107,7 +107,7 @@ fn moving_user_repoints_the_search_space() {
     let cfg = ArFrontendConfig {
         resolution: Resolution::E2E,
         frame_count: 8,
-        scene_ids,
+        scene_ids: scene_ids.clone(),
         rx_report_schedule: schedule,
         report_period: Duration::from_secs(1),
         min_frame_interval: Some(Duration::from_millis(1_500)),
@@ -123,29 +123,28 @@ fn moving_user_repoints_the_search_space() {
     net.run_for(Duration::from_secs(40));
 
     let srv = net.sim.node_ref::<ArServer>(server);
-    assert_eq!(srv.records.len(), 8, "all frames processed");
+    let frames = &net.sim.node_ref::<ArFrontend>(client).frames;
+    assert_eq!(srv.served, 8, "all frames processed");
+    assert_eq!(frames.len(), 8, "all results delivered");
     // Early frames match the west object, late frames the east one — and
     // both matched *through the pruned space*, so the pruning followed.
-    let west_tag = db.get(west_obj).unwrap().tag.clone();
-    let east_tag = db.get(east_obj).unwrap().tag.clone();
-    assert_eq!(srv.records[0].matched.as_deref(), Some(west_tag.as_str()));
-    assert_eq!(
-        srv.records.last().unwrap().matched.as_deref(),
-        Some(east_tag.as_str())
-    );
-    for r in &srv.records {
+    let tag = |id| db.get(id).map(|o| &*o.tag);
+    assert_eq!(frames[0].matched.as_deref(), tag(west_obj));
+    assert_eq!(frames.last().unwrap().matched.as_deref(), tag(east_obj));
+    for f in frames {
         assert!(
-            r.candidates < db.len(),
+            f.candidates < db.len(),
             "frame {} was not pruned ({} candidates)",
-            r.seq,
-            r.candidates
+            f.seq,
+            f.candidates
         );
     }
-    // Matching held up across movement.
-    let correct = srv
-        .records
+    // Matching held up across movement. Frame `seq` photographed
+    // `scene_ids[seq]`.
+    let correct = frames
         .iter()
-        .filter(|r| r.matched.as_deref() == db.get(r.truth).map(|o| o.tag.as_str()))
+        .filter(|f| f.matched.as_deref() == tag(scene_ids[f.seq as usize]))
         .count();
     assert!(correct >= 6, "{correct}/8 correct while walking");
+    assert_eq!(srv.accuracy(), correct as f64 / 8.0);
 }
