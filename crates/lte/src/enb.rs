@@ -1098,8 +1098,10 @@ impl Node for Enb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::{CellConfig, LteConfig, LteNetwork};
+    use crate::network::{addr, CellConfig, LteConfig, LteNetwork};
     use acacia_geo::point::Point;
+    use acacia_simnet::sim::{NodeId, Simulator};
+    use acacia_simnet::time::Instant;
 
     /// Keys registered out of order, or twice, index like a scan that
     /// returns the first matching row.
@@ -1256,4 +1258,607 @@ mod tests {
         }
         assert_eq!(stale, 4, "each handover retired two TEIDs at its source");
     }
+
+    /// A test-only node on the far end of every port of the eNB under
+    /// test. It decodes what it receives (a radio frame, a GTP-U packet or
+    /// a control message) and keeps `(send instant, port, dst, text)`.
+    /// Every link has the same delay, so arrival order is send order.
+    #[derive(Default)]
+    struct Tap {
+        seen: Vec<(Instant, PortId, Ipv4Addr, String)>,
+    }
+
+    const TAP_DELAY: Duration = Duration::from_micros(100);
+
+    impl Node for Tap {
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, at: PortId, pkt: Packet) {
+            let text = if at >= port::ENB_RADIO_BASE {
+                match radio::parse_frame(&pkt).expect("a radio frame") {
+                    RadioPayload::Rrc(msg) => format!("{msg:?}"),
+                    RadioPayload::Data { ebi, inner } => format!("Data {ebi:?} #{}", inner.id),
+                }
+            } else if let Some((teid, inner)) = gtpu::decapsulate(&pkt) {
+                format!("GtpU {teid:?} #{}", inner.id)
+            } else {
+                let msg = ControlMsg::from_packet(&pkt).expect("a control message");
+                format!("{msg:?}")
+            };
+            self.seen.push((ctx.now() - TAP_DELAY, at, pkt.dst, text));
+        }
+    }
+
+    /// Drives one eNB with timed stimuli and writes its transcript: each
+    /// stimulus as `> ms port what`, every packet the eNB sent (answers
+    /// and guard expiries alike) as `  µs port dst what` at its send
+    /// instant, and at the end its counters and the message log's
+    /// per-kind counts.
+    struct Transcript {
+        sim: Simulator,
+        enb: NodeId,
+        tap: NodeId,
+        log: MsgLog,
+        text: String,
+        shown: usize,
+    }
+
+    /// X2 peer `j`'s port at the eNB under test.
+    fn x2_port(j: usize) -> PortId {
+        port::ENB_X2_BASE + j
+    }
+
+    fn ue_radio(row: usize) -> Ipv4Addr {
+        Ipv4Addr::from(u32::from(addr::UE_RADIO_BASE) + row as u32)
+    }
+
+    fn erab(ebi: u8, gw_addr: Ipv4Addr, gw_teid: u32) -> ErabSetup {
+        let tft = match ebi {
+            5 => Tft::new(),
+            _ => Tft::single(crate::tft::PacketFilter::to_host(addr::MEC_BASE)),
+        };
+        ErabSetup {
+            ebi: Ebi(ebi),
+            qci: if ebi == 5 {
+                Qci::DEFAULT_BEARER
+            } else {
+                Qci(7)
+            },
+            gw_teid: Teid(gw_teid),
+            gw_addr,
+            tft,
+        }
+    }
+
+    fn user_packet(id: u64) -> Packet {
+        Packet::udp((addr::UE_POOL, 1000), (addr::MEC_BASE, 2000), 100).with_id(id)
+    }
+
+    impl Transcript {
+        fn new(ues: usize) -> Transcript {
+            let mut sim = Simulator::new(1);
+            let log = MsgLog::new();
+            let mut enb = Enb::new(addr::ENB, addr::MME, log.clone());
+            enb.add_s1_gateway(addr::SGW_U, port::ENB_S1_CORE);
+            enb.add_s1_gateway(addr::LOCAL_GWU, port::ENB_S1_MEC);
+            let mut ports = vec![port::ENB_S1_CORE, port::ENB_S1_MEC, port::ENB_S1AP];
+            for j in 1..=2 {
+                enb.add_x2_neighbor(addr::enb_radio(j), addr::enb(j), x2_port(j));
+                ports.push(x2_port(j));
+            }
+            for row in 0..ues {
+                ports.push(enb.add_ue(Imsi(310_410_000_000_001 + row as u64), ue_radio(row)));
+            }
+            let enb = sim.add_node(Box::new(enb));
+            let tap = sim.add_node(Box::new(Tap::default()));
+            let link = acacia_simnet::link::LinkConfig::delay_only(TAP_DELAY);
+            for p in ports {
+                sim.connect((enb, p), (tap, p), link.clone());
+            }
+            Transcript {
+                sim,
+                enb,
+                tap,
+                log,
+                text: String::new(),
+                shown: 0,
+            }
+        }
+
+        fn enb(&self) -> &Enb {
+            self.sim.node_ref::<Enb>(self.enb)
+        }
+
+        /// The downlink TEID of `row`'s bearer `ebi`, once the last
+        /// stimulus has been handled.
+        fn teid(&mut self, row: usize, ebi: u8) -> Teid {
+            self.run_to(self.sim.now() + Duration::from_micros(1));
+            let imsi = self.enb().ues[row].imsi;
+            self.enb()
+                .bearers
+                .iter()
+                .find(|b| b.imsi == imsi && b.ebi == Ebi(ebi))
+                .expect("a bearer")
+                .enb_teid
+        }
+
+        /// Run to `until`, writing what the eNB sent on the way.
+        fn run_to(&mut self, until: Instant) {
+            use std::fmt::Write;
+            self.sim.run_until(until);
+            let seen = &self.sim.node_ref::<Tap>(self.tap).seen;
+            for (sent, p, dst, what) in &seen[self.shown..] {
+                let us = sent.nanos() / 1_000;
+                writeln!(self.text, "  {us} {p} {dst} {what}").unwrap();
+            }
+            self.shown = seen.len();
+        }
+
+        fn inject(&mut self, at_ms: u64, p: PortId, what: String, pkt: Packet) {
+            use std::fmt::Write;
+            let at = Instant::from_millis(at_ms);
+            self.run_to(at);
+            writeln!(self.text, "> {at_ms} {p} {what}").unwrap();
+            self.sim.inject_packet(self.enb, p, at, pkt);
+        }
+
+        fn s1ap(&mut self, at_ms: u64, msg: ControlMsg) {
+            let pkt = msg.into_packet(addr::MME, addr::ENB);
+            self.inject(at_ms, port::ENB_S1AP, format!("{msg:?}"), pkt);
+        }
+
+        fn x2(&mut self, at_ms: u64, j: usize, msg: ControlMsg) {
+            let pkt = msg.into_packet(addr::enb(j), addr::ENB);
+            self.inject(at_ms, x2_port(j), format!("{msg:?}"), pkt);
+        }
+
+        fn rrc(&mut self, at_ms: u64, row: usize, msg: ControlMsg) {
+            let pkt = radio::rrc_frame(&msg, ue_radio(row), addr::ENB_RADIO);
+            self.inject(at_ms, port::ENB_RADIO_BASE + row, format!("{msg:?}"), pkt);
+        }
+
+        /// An uplink user packet from `row` on bearer `ebi`.
+        fn ul(&mut self, at_ms: u64, row: usize, ebi: u8, id: u64) {
+            let pkt = radio::data_frame(Ebi(ebi), &user_packet(id), ue_radio(row), addr::ENB_RADIO);
+            let what = format!("Data {:?} #{id}", Ebi(ebi));
+            self.inject(at_ms, port::ENB_RADIO_BASE + row, what, pkt);
+        }
+
+        /// A downlink user packet tunnelled to `teid`, arriving on `p`.
+        fn dl(&mut self, at_ms: u64, p: PortId, teid: Teid, id: u64) {
+            let pkt = gtpu::encapsulate(&user_packet(id), teid, addr::SGW_U, addr::ENB);
+            self.inject(at_ms, p, format!("GtpU {teid:?} #{id}"), pkt);
+        }
+
+        fn finish(mut self) -> String {
+            use std::fmt::Write;
+            self.run_to(Instant::MAX);
+            let e = self.enb();
+            let counters = [
+                ("ul_forwarded", e.ul_forwarded),
+                ("dl_forwarded", e.dl_forwarded),
+                ("no_bearer", e.no_bearer),
+                ("ho_out_done", e.ho_out_done),
+                ("ho_in_done", e.ho_in_done),
+                ("x2_forwarded", e.x2_forwarded),
+                ("ho_retx", e.ho_retx),
+                ("ho_cancelled", e.ho_cancelled),
+                ("ho_in_cancelled", e.ho_in_cancelled),
+                ("ho_out_expired", e.ho_out_expired),
+                ("ps_retx", e.ps_retx),
+                ("ps_fallback", e.ps_fallback),
+                ("reest_in", e.reest_in),
+                ("outstanding", e.outstanding_handovers() as u64),
+            ];
+            let mut line = String::from("#");
+            for (name, n) in counters {
+                write!(line, " {name} {n}").unwrap();
+            }
+            writeln!(self.text, "{line}").unwrap();
+            for r in self.log.by_name() {
+                writeln!(self.text, "# {} {}", r.name, r.count).unwrap();
+            }
+            self.text
+        }
+    }
+
+    /// Every message the eNB sends, with its port, destination and send
+    /// instant, through every S1AP, X2 and RRC handler and every handover
+    /// guard: retransmission, exhaustion (preparation cancel, forwarding
+    /// expiry, path-switch fallback) and the guards retired by an answer,
+    /// a release or a superseding admission.
+    #[test]
+    fn enb_transcript_is_pinned() {
+        use ControlMsg::*;
+        let mut t = Transcript::new(7);
+        let imsi = |row: u64| Imsi(310_410_000_000_001 + row);
+        let (a, b, c, d, e, f, g) = (0, 1, 2, 3, 4, 5, 6);
+        let core = port::ENB_S1_CORE;
+        let mec = port::ENB_S1_MEC;
+
+        // Attach, E-RAB set-up and release, paging, context release and
+        // the service request that restores the stored bearers.
+        t.rrc(1, a, RrcAttachRequest { imsi: imsi(0) });
+        let erabs = vec![erab(5, addr::SGW_U, 0x1001)];
+        t.s1ap(
+            2,
+            InitialContextSetupRequest {
+                imsi: imsi(0),
+                erabs,
+            },
+        );
+        let ue_addr = Some(Ipv4Addr::new(10, 10, 0, 1));
+        t.s1ap(
+            3,
+            DownlinkNasAccept {
+                imsi: imsi(0),
+                ue_addr,
+            },
+        );
+        let erab6 = erab(6, addr::LOCAL_GWU, 0x1002);
+        t.s1ap(
+            4,
+            ErabSetupRequest {
+                imsi: imsi(0),
+                erab: erab6,
+            },
+        );
+        t.ul(5, a, 5, 1);
+        t.ul(6, a, 6, 2);
+        t.ul(7, a, 9, 3); // no such bearer
+        let unrouted = erab(7, Ipv4Addr::new(10, 2, 9, 9), 0x1003);
+        t.s1ap(
+            8,
+            ErabSetupRequest {
+                imsi: imsi(0),
+                erab: unrouted,
+            },
+        );
+        t.ul(9, a, 7, 4); // no S1 port toward its gateway
+        let teid_a5 = t.teid(a, 5);
+        t.dl(10, core, teid_a5, 5);
+        t.dl(11, core, Teid(0x7777), 6); // no such tunnel
+        t.s1ap(
+            12,
+            ErabReleaseCommand {
+                imsi: imsi(0),
+                ebi: Ebi(7),
+            },
+        );
+        t.s1ap(13, Paging { imsi: imsi(0) });
+        t.s1ap(14, UeContextReleaseCommand { imsi: imsi(0) });
+        t.rrc(15, a, RrcServiceRequest { imsi: imsi(0) });
+        t.s1ap(
+            16,
+            InitialContextSetupRequest {
+                imsi: imsi(0),
+                erabs: vec![],
+            },
+        );
+        t.sim
+            .schedule_timer(t.enb, Instant::from_millis(17), token::IDLE_BASE);
+
+        // Source side, UE a: one Handover Request retransmission, a stale
+        // and the live Ack, forwarding of both bearers, and the release
+        // that retires the overall guard.
+        let report = |row: u64, cell: usize| RrcMeasurementReport {
+            imsi: imsi(row),
+            serving_rsrp_cdbm: -9_000,
+            target_radio: addr::enb_radio(cell),
+            target_rsrp_cdbm: -8_000,
+        };
+        t.rrc(20, a, report(0, 1));
+        t.rrc(21, a, report(0, 2)); // one handover at a time
+        let ack = |row: u64, txid: u32, erabs: Vec<(Ebi, Teid)>| X2HandoverRequestAck {
+            imsi: imsi(row),
+            erabs,
+            txid,
+        };
+        let fwd = vec![(Ebi(5), Teid(0x4005)), (Ebi(6), Teid(0x4006))];
+        t.x2(90, 1, ack(0, 99, fwd.clone()));
+        t.x2(91, 1, ack(0, 1, fwd));
+        let teid_a6 = t.teid(a, 6);
+        t.dl(92, core, teid_a5, 7);
+        t.dl(93, mec, teid_a6, 8);
+        t.x2(100, 1, X2UeContextRelease { imsi: imsi(0) });
+        t.dl(101, core, teid_a5, 9);
+
+        // Source side, UE b: three unanswered requests and the cancel;
+        // then a second handover whose forwarding phase expires.
+        let erabs = vec![erab(5, addr::SGW_U, 0x1011)];
+        t.s1ap(
+            200,
+            InitialContextSetupRequest {
+                imsi: imsi(1),
+                erabs,
+            },
+        );
+        t.rrc(201, b, report(1, 2));
+        t.rrc(400, b, report(1, 2));
+        t.x2(410, 2, ack(1, 3, vec![(Ebi(5), Teid(0x5005))]));
+        let teid_b5 = t.teid(b, 5);
+
+        // Source side, UE d: an unknown neighbour, then a release that
+        // arrives while the request is still unanswered, then a report
+        // with nothing left to hand over.
+        let erabs = vec![erab(5, addr::SGW_U, 0x1041)];
+        t.s1ap(
+            500,
+            InitialContextSetupRequest {
+                imsi: imsi(3),
+                erabs,
+            },
+        );
+        t.rrc(501, d, report(3, 9));
+        t.rrc(502, d, report(3, 1));
+        t.x2(510, 1, X2UeContextRelease { imsi: imsi(3) });
+        t.rrc(511, d, report(3, 1));
+
+        // Target side, UE c: admission, a duplicate re-acked, a foreign
+        // and the live cancel, a confirm with nothing admitted; then a
+        // fresh admission, forwarded data, the arrival, a duplicate
+        // confirm, a cancel that loses to it, one Path Switch
+        // retransmission and the Ack (twice).
+        let bearers = vec![
+            erab(5, addr::SGW_U, 0x1021),
+            erab(6, addr::LOCAL_GWU, 0x1022),
+        ];
+        let request = |row: u64, txid: u32| X2HandoverRequest {
+            imsi: imsi(row),
+            ue_addr: Some(Ipv4Addr::new(10, 10, 0, 3 + row as u8)),
+            bearers: bearers.clone(),
+            txid,
+        };
+        t.x2(600, 2, request(2, 7));
+        t.x2(601, 2, request(2, 7));
+        t.x2(
+            602,
+            2,
+            X2SnStatusTransfer {
+                imsi: imsi(2),
+                dl_count: 1,
+                ul_count: 2,
+            },
+        );
+        t.x2(
+            603,
+            2,
+            X2HandoverCancel {
+                imsi: imsi(2),
+                txid: 8,
+            },
+        );
+        t.x2(
+            604,
+            2,
+            X2HandoverCancel {
+                imsi: imsi(2),
+                txid: 7,
+            },
+        );
+        t.rrc(605, c, RrcHandoverConfirm { imsi: imsi(2) });
+        t.x2(610, 2, request(2, 9));
+        let teid_c5 = t.teid(c, 5);
+        let fwd = gtpu::encapsulate(&user_packet(10), teid_c5, addr::enb(2), addr::ENB);
+        t.inject(611, x2_port(2), format!("GtpU {teid_c5:?} #10"), fwd);
+        t.rrc(612, c, RrcHandoverConfirm { imsi: imsi(2) });
+        t.rrc(613, c, RrcHandoverConfirm { imsi: imsi(2) });
+        t.x2(
+            614,
+            2,
+            X2HandoverCancel {
+                imsi: imsi(2),
+                txid: 9,
+            },
+        );
+        let switched = vec![erab(5, addr::SGW_U, 0x1031)];
+        t.s1ap(
+            800,
+            PathSwitchRequestAck {
+                imsi: imsi(2),
+                erabs: switched.clone(),
+            },
+        );
+        t.ul(801, c, 5, 11);
+        t.s1ap(
+            802,
+            PathSwitchRequestAck {
+                imsi: imsi(2),
+                erabs: switched,
+            },
+        );
+
+        // Target side, UE e: every Path Switch Request lost, then the
+        // fallback; a re-establishment with nothing to resume.
+        t.x2(900, 1, request(4, 11));
+        t.rrc(901, e, RrcHandoverConfirm { imsi: imsi(4) });
+        t.rrc(1300, e, RrcReestablishmentRequest { imsi: imsi(4) });
+
+        // Target side, UE f: re-establishment as the arrival, then a
+        // duplicate re-establishment with the context live.
+        t.x2(1400, 2, request(5, 12));
+        t.rrc(1401, f, RrcReestablishmentRequest { imsi: imsi(5) });
+        t.s1ap(
+            1410,
+            PathSwitchRequestAck {
+                imsi: imsi(5),
+                erabs: vec![],
+            },
+        );
+        t.rrc(1411, f, RrcReestablishmentRequest { imsi: imsi(5) });
+
+        // Target side, UE g: a request with a new txid supersedes an
+        // admission whose Path Switch is running; its guard never acts.
+        t.x2(1600, 1, request(6, 13));
+        t.rrc(1601, g, RrcHandoverConfirm { imsi: imsi(6) });
+        t.x2(1602, 1, request(6, 14));
+        t.rrc(1800, g, RrcHandoverConfirm { imsi: imsi(6) });
+        t.s1ap(
+            1810,
+            PathSwitchRequestAck {
+                imsi: imsi(6),
+                erabs: vec![],
+            },
+        );
+
+        // UE b's forwarding guard expired at 1910: its context is gone.
+        t.dl(1920, core, teid_b5, 12);
+
+        let text = t.finish();
+        println!("{text}");
+        let expected = ENB_TRANSCRIPT;
+        for (i, (got, want)) in text.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(got, want, "transcript line {} differs", i + 1);
+        }
+        assert_eq!(
+            text.lines().count(),
+            expected.lines().count(),
+            "transcript length"
+        );
+    }
+
+    const ENB_TRANSCRIPT: &str = r#"> 1 40 RrcAttachRequest { imsi: Imsi(310410000000001) }
+  1000 3 10.3.0.1 InitialUeAttach { imsi: Imsi(310410000000001) }
+> 2 3 InitialContextSetupRequest { imsi: Imsi(310410000000001), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4097), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+  2000 3 10.3.0.1 InitialContextSetupResponse { imsi: Imsi(310410000000001), enb_teids: [(Ebi(5), Teid(12288))] }
+> 3 3 DownlinkNasAccept { imsi: Imsi(310410000000001), ue_addr: Some(10.10.0.1) }
+  3000 40 192.168.0.100 RrcReconfiguration { ebi: Ebi(5), qci: Qci(9), tft: Tft { filters: [] }, ue_addr: Some(10.10.0.1) }
+> 4 3 ErabSetupRequest { imsi: Imsi(310410000000001), erab: ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4098), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+  4000 40 192.168.0.100 RrcReconfiguration { ebi: Ebi(6), qci: Qci(7), tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] }, ue_addr: None }
+  4000 3 10.3.0.1 ErabSetupResponse { imsi: Imsi(310410000000001), ebi: Ebi(6), enb_teid: Teid(12289) }
+> 5 40 Data Ebi(5) #1
+  5000 1 10.2.0.1 GtpU Teid(4097) #1
+> 6 40 Data Ebi(6) #2
+  6000 2 10.2.1.1 GtpU Teid(4098) #2
+> 7 40 Data Ebi(9) #3
+> 8 3 ErabSetupRequest { imsi: Imsi(310410000000001), erab: ErabSetup { ebi: Ebi(7), qci: Qci(7), gw_teid: Teid(4099), gw_addr: 10.2.9.9, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } } }
+  8000 40 192.168.0.100 RrcReconfiguration { ebi: Ebi(7), qci: Qci(7), tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] }, ue_addr: None }
+  8000 3 10.3.0.1 ErabSetupResponse { imsi: Imsi(310410000000001), ebi: Ebi(7), enb_teid: Teid(12290) }
+> 9 40 Data Ebi(7) #4
+> 10 1 GtpU Teid(12288) #5
+  10030 40 192.168.0.100 Data Ebi(5) #5
+> 11 1 GtpU Teid(30583) #6
+> 12 3 ErabReleaseCommand { imsi: Imsi(310410000000001), ebi: Ebi(7) }
+  12000 40 192.168.0.100 RrcBearerRelease { ebi: Ebi(7) }
+  12000 3 10.3.0.1 ErabReleaseResponse { imsi: Imsi(310410000000001), ebi: Ebi(7) }
+> 13 3 Paging { imsi: Imsi(310410000000001) }
+  13000 40 192.168.0.100 RrcPaging { imsi: Imsi(310410000000001) }
+> 14 3 UeContextReleaseCommand { imsi: Imsi(310410000000001) }
+  14000 40 192.168.0.100 RrcRelease { imsi: Imsi(310410000000001) }
+  14000 3 10.3.0.1 UeContextReleaseComplete { imsi: Imsi(310410000000001) }
+> 15 40 RrcServiceRequest { imsi: Imsi(310410000000001) }
+  15000 3 10.3.0.1 InitialUeServiceRequest { imsi: Imsi(310410000000001) }
+> 16 3 InitialContextSetupRequest { imsi: Imsi(310410000000001), erabs: [] }
+  16000 3 10.3.0.1 InitialContextSetupResponse { imsi: Imsi(310410000000001), enb_teids: [(Ebi(5), Teid(12288)), (Ebi(6), Teid(12289))] }
+  17000 3 10.3.0.1 UeContextReleaseRequest { imsi: Imsi(310410000000001) }
+> 20 40 RrcMeasurementReport { imsi: Imsi(310410000000001), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.2, target_rsrp_cdbm: -8000 }
+  20000 5 10.1.0.2 X2HandoverRequest { imsi: Imsi(310410000000001), ue_addr: Some(10.10.0.1), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4097), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4098), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 1 }
+> 21 40 RrcMeasurementReport { imsi: Imsi(310410000000001), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.3, target_rsrp_cdbm: -8000 }
+  80000 5 10.1.0.2 X2HandoverRequest { imsi: Imsi(310410000000001), ue_addr: Some(10.10.0.1), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4097), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4098), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 1 }
+> 90 5 X2HandoverRequestAck { imsi: Imsi(310410000000001), erabs: [(Ebi(5), Teid(16389)), (Ebi(6), Teid(16390))], txid: 99 }
+> 91 5 X2HandoverRequestAck { imsi: Imsi(310410000000001), erabs: [(Ebi(5), Teid(16389)), (Ebi(6), Teid(16390))], txid: 1 }
+  91000 5 10.1.0.2 X2SnStatusTransfer { imsi: Imsi(310410000000001), dl_count: 1, ul_count: 2 }
+  91000 40 192.168.0.100 RrcHandoverCommand { imsi: Imsi(310410000000001), target_radio: 192.168.0.2 }
+> 92 1 GtpU Teid(12288) #7
+  92000 5 10.1.0.2 GtpU Teid(16389) #7
+> 93 2 GtpU Teid(12289) #8
+  93000 5 10.1.0.2 GtpU Teid(16390) #8
+> 100 5 X2UeContextRelease { imsi: Imsi(310410000000001) }
+> 101 1 GtpU Teid(12288) #9
+> 200 3 InitialContextSetupRequest { imsi: Imsi(310410000000002), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4113), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+  200000 3 10.3.0.1 InitialContextSetupResponse { imsi: Imsi(310410000000002), enb_teids: [(Ebi(5), Teid(12291))] }
+> 201 41 RrcMeasurementReport { imsi: Imsi(310410000000002), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.3, target_rsrp_cdbm: -8000 }
+  201000 6 10.1.0.3 X2HandoverRequest { imsi: Imsi(310410000000002), ue_addr: None, bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4113), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }], txid: 2 }
+  261000 6 10.1.0.3 X2HandoverRequest { imsi: Imsi(310410000000002), ue_addr: None, bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4113), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }], txid: 2 }
+  321000 6 10.1.0.3 X2HandoverRequest { imsi: Imsi(310410000000002), ue_addr: None, bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4113), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }], txid: 2 }
+  381000 6 10.1.0.3 X2HandoverCancel { imsi: Imsi(310410000000002), txid: 2 }
+> 400 41 RrcMeasurementReport { imsi: Imsi(310410000000002), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.3, target_rsrp_cdbm: -8000 }
+  400000 6 10.1.0.3 X2HandoverRequest { imsi: Imsi(310410000000002), ue_addr: None, bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4113), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }], txid: 3 }
+> 410 6 X2HandoverRequestAck { imsi: Imsi(310410000000002), erabs: [(Ebi(5), Teid(20485))], txid: 3 }
+  410000 6 10.1.0.3 X2SnStatusTransfer { imsi: Imsi(310410000000002), dl_count: 1, ul_count: 2 }
+  410000 41 192.168.0.101 RrcHandoverCommand { imsi: Imsi(310410000000002), target_radio: 192.168.0.3 }
+> 500 3 InitialContextSetupRequest { imsi: Imsi(310410000000004), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4161), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+  500000 3 10.3.0.1 InitialContextSetupResponse { imsi: Imsi(310410000000004), enb_teids: [(Ebi(5), Teid(12292))] }
+> 501 43 RrcMeasurementReport { imsi: Imsi(310410000000004), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.10, target_rsrp_cdbm: -8000 }
+> 502 43 RrcMeasurementReport { imsi: Imsi(310410000000004), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.2, target_rsrp_cdbm: -8000 }
+  502000 5 10.1.0.2 X2HandoverRequest { imsi: Imsi(310410000000004), ue_addr: None, bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4161), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }], txid: 4 }
+> 510 5 X2UeContextRelease { imsi: Imsi(310410000000004) }
+> 511 43 RrcMeasurementReport { imsi: Imsi(310410000000004), serving_rsrp_cdbm: -9000, target_radio: 192.168.0.2, target_rsrp_cdbm: -8000 }
+> 600 6 X2HandoverRequest { imsi: Imsi(310410000000003), ue_addr: Some(10.10.0.5), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 7 }
+  600000 6 10.1.0.3 X2HandoverRequestAck { imsi: Imsi(310410000000003), erabs: [(Ebi(5), Teid(12293)), (Ebi(6), Teid(12294))], txid: 7 }
+> 601 6 X2HandoverRequest { imsi: Imsi(310410000000003), ue_addr: Some(10.10.0.5), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 7 }
+  601000 6 10.1.0.3 X2HandoverRequestAck { imsi: Imsi(310410000000003), erabs: [(Ebi(5), Teid(12293)), (Ebi(6), Teid(12294))], txid: 7 }
+> 602 6 X2SnStatusTransfer { imsi: Imsi(310410000000003), dl_count: 1, ul_count: 2 }
+> 603 6 X2HandoverCancel { imsi: Imsi(310410000000003), txid: 8 }
+> 604 6 X2HandoverCancel { imsi: Imsi(310410000000003), txid: 7 }
+> 605 42 RrcHandoverConfirm { imsi: Imsi(310410000000003) }
+> 610 6 X2HandoverRequest { imsi: Imsi(310410000000003), ue_addr: Some(10.10.0.5), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 9 }
+  610000 6 10.1.0.3 X2HandoverRequestAck { imsi: Imsi(310410000000003), erabs: [(Ebi(5), Teid(12295)), (Ebi(6), Teid(12296))], txid: 9 }
+> 611 6 GtpU Teid(12295) #10
+  611030 42 192.168.0.102 Data Ebi(5) #10
+> 612 42 RrcHandoverConfirm { imsi: Imsi(310410000000003) }
+  612000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000003), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12295)), (Ebi(6), Teid(12296))], txid: 5 }
+> 613 42 RrcHandoverConfirm { imsi: Imsi(310410000000003) }
+> 614 6 X2HandoverCancel { imsi: Imsi(310410000000003), txid: 9 }
+  732000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000003), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12295)), (Ebi(6), Teid(12296))], txid: 5 }
+> 800 3 PathSwitchRequestAck { imsi: Imsi(310410000000003), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4145), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+  800000 6 10.1.0.3 X2UeContextRelease { imsi: Imsi(310410000000003) }
+> 801 42 Data Ebi(5) #11
+  801000 1 10.2.0.1 GtpU Teid(4145) #11
+> 802 3 PathSwitchRequestAck { imsi: Imsi(310410000000003), erabs: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4145), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }] }
+> 900 5 X2HandoverRequest { imsi: Imsi(310410000000005), ue_addr: Some(10.10.0.7), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 11 }
+  900000 5 10.1.0.2 X2HandoverRequestAck { imsi: Imsi(310410000000005), erabs: [(Ebi(5), Teid(12297)), (Ebi(6), Teid(12298))], txid: 11 }
+> 901 44 RrcHandoverConfirm { imsi: Imsi(310410000000005) }
+  901000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000005), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12297)), (Ebi(6), Teid(12298))], txid: 6 }
+  1021000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000005), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12297)), (Ebi(6), Teid(12298))], txid: 6 }
+  1141000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000005), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12297)), (Ebi(6), Teid(12298))], txid: 6 }
+  1261000 5 10.1.0.2 X2UeContextRelease { imsi: Imsi(310410000000005) }
+  1261000 44 192.168.0.104 RrcBearerRelease { ebi: Ebi(6) }
+  1261000 44 192.168.0.104 RrcRelease { imsi: Imsi(310410000000005) }
+> 1300 44 RrcReestablishmentRequest { imsi: Imsi(310410000000005) }
+  1300000 44 192.168.0.104 RrcRelease { imsi: Imsi(310410000000005) }
+> 1400 6 X2HandoverRequest { imsi: Imsi(310410000000006), ue_addr: Some(10.10.0.8), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 12 }
+  1400000 6 10.1.0.3 X2HandoverRequestAck { imsi: Imsi(310410000000006), erabs: [(Ebi(5), Teid(12299)), (Ebi(6), Teid(12300))], txid: 12 }
+> 1401 45 RrcReestablishmentRequest { imsi: Imsi(310410000000006) }
+  1401000 45 192.168.0.105 RrcReestablishmentConfirm { imsi: Imsi(310410000000006) }
+  1401000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000006), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12299)), (Ebi(6), Teid(12300))], txid: 7 }
+> 1410 3 PathSwitchRequestAck { imsi: Imsi(310410000000006), erabs: [] }
+  1410000 6 10.1.0.3 X2UeContextRelease { imsi: Imsi(310410000000006) }
+> 1411 45 RrcReestablishmentRequest { imsi: Imsi(310410000000006) }
+  1411000 45 192.168.0.105 RrcReestablishmentConfirm { imsi: Imsi(310410000000006) }
+> 1600 5 X2HandoverRequest { imsi: Imsi(310410000000007), ue_addr: Some(10.10.0.9), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 13 }
+  1600000 5 10.1.0.2 X2HandoverRequestAck { imsi: Imsi(310410000000007), erabs: [(Ebi(5), Teid(12301)), (Ebi(6), Teid(12302))], txid: 13 }
+> 1601 46 RrcHandoverConfirm { imsi: Imsi(310410000000007) }
+  1601000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000007), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12301)), (Ebi(6), Teid(12302))], txid: 8 }
+> 1602 5 X2HandoverRequest { imsi: Imsi(310410000000007), ue_addr: Some(10.10.0.9), bearers: [ErabSetup { ebi: Ebi(5), qci: Qci(9), gw_teid: Teid(4129), gw_addr: 10.2.0.1, tft: Tft { filters: [] } }, ErabSetup { ebi: Ebi(6), qci: Qci(7), gw_teid: Teid(4130), gw_addr: 10.2.1.1, tft: Tft { filters: [PacketFilter { precedence: 0, direction: Bidirectional, remote_addr: Some((10.4.0.1, 32)), remote_port: None, protocol: None }] } }], txid: 14 }
+  1602000 5 10.1.0.2 X2HandoverRequestAck { imsi: Imsi(310410000000007), erabs: [(Ebi(5), Teid(12303)), (Ebi(6), Teid(12304))], txid: 14 }
+> 1800 46 RrcHandoverConfirm { imsi: Imsi(310410000000007) }
+  1800000 3 10.3.0.1 PathSwitchRequest { imsi: Imsi(310410000000007), enb_addr: 10.1.0.1, erabs: [(Ebi(5), Teid(12303)), (Ebi(6), Teid(12304))], txid: 9 }
+> 1810 3 PathSwitchRequestAck { imsi: Imsi(310410000000007), erabs: [] }
+  1810000 5 10.1.0.2 X2UeContextRelease { imsi: Imsi(310410000000007) }
+> 1920 1 GtpU Teid(12291) #12
+# ul_forwarded 3 dl_forwarded 2 no_bearer 5 ho_out_done 2 ho_in_done 3 x2_forwarded 2 ho_retx 3 ho_cancelled 1 ho_in_cancelled 1 ho_out_expired 1 ps_retx 3 ps_fallback 1 reest_in 3 outstanding 0
+# RRC(AttachRequest) 1
+# InitialUE(Attach) 1
+# InitialContextSetupResponse 4
+# RRCConnectionReconfiguration 3
+# E-RABSetupResponse 2
+# RRC(BearerRelease) 2
+# E-RABReleaseResponse 1
+# RRC(Paging) 1
+# RRCConnectionRelease 3
+# UEContextReleaseComplete 1
+# RRC(ServiceRequest) 1
+# InitialUE(ServiceRequest) 1
+# UEContextReleaseRequest 1
+# RRC(MeasurementReport) 7
+# X2HandoverRequest 7
+# X2SnStatusTransfer 2
+# RRC(HandoverCommand) 2
+# X2HandoverCancel 1
+# X2HandoverRequestAcknowledge 7
+# RRC(HandoverConfirm) 6
+# PathSwitchRequest 8
+# X2UEContextRelease 4
+# RRC(ReestablishmentRequest) 3
+# RRC(ReestablishmentConfirm) 2
+"#;
 }
