@@ -45,11 +45,9 @@ pub struct ArFrontendConfig {
     pub frame_count: u64,
     /// Scene ids (database object ids) the user photographs, cycled.
     pub scene_ids: Vec<u64>,
-    /// LTE-direct readings to report, re-sent every `report_period`.
-    pub rx_reports: Vec<(String, f64)>,
-    /// A *schedule* of readings for a moving user: entry `i` is sent at
-    /// the `i`-th report tick (the last entry repeats). Takes precedence
-    /// over `rx_reports` when non-empty.
+    /// LTE-direct readings to report every `report_period`: entry `i` is
+    /// sent at the `i`-th report tick and the last entry repeats, so a
+    /// fixed user's readings are a one-entry schedule. Empty = no reports.
     pub rx_report_schedule: Vec<Vec<(String, f64)>>,
     /// Report period (the LTE-direct discovery period).
     pub report_period: Duration,
@@ -75,7 +73,6 @@ impl ArFrontendConfig {
             resolution: Resolution::E2E,
             frame_count: 10,
             scene_ids: vec![1],
-            rx_reports: Vec::new(),
             rx_report_schedule: Vec::new(),
             report_period: Duration::from_secs(5),
             min_frame_interval: None,
@@ -144,11 +141,10 @@ mod token {
     pub const ENCODED: u64 = 3;
     /// Send the periodic rxPower reports.
     pub const REPORT: u64 = 4;
-    /// Loss-recovery check for the in-flight frame. Carries the arming
-    /// epoch in the bits above [`BITS`]: only the most recently armed
-    /// timer is live, so re-arming (e.g. a new frame upload) implicitly
-    /// cancels every older pending check instead of letting them stack up
-    /// and race each other's stall watermark.
+    /// Loss-recovery check for the in-flight frame (or the MRS request).
+    /// Re-arming (e.g. a new frame upload) cancels the pending check, so
+    /// one that fires is the most recently armed and checks never stack
+    /// up to race each other's stall watermark.
     pub const RETRANSMIT: u64 = 5;
     /// Re-issue the MRS connectivity request mid-stream (after a
     /// serving-cell change); idempotent at the MRS/PCEF.
@@ -156,10 +152,6 @@ mod token {
     /// Periodic device-manager lease recheck (self-rescheduling while
     /// streaming; see `ArFrontendConfig::lease_recheck`).
     pub const RECHECK: u64 = 7;
-    /// Low bits reserved for the token kind; high bits carry an epoch.
-    pub const BITS: u32 = 8;
-    /// Mask selecting the token kind.
-    pub const MASK: u64 = (1 << BITS) - 1;
 }
 
 /// The AR front-end node.
@@ -181,11 +173,7 @@ pub struct ArFrontend {
     /// Progress watermark used by the retransmission timer: (seq,
     /// acked_chunks) at the last check.
     retx_watermark: (u64, u32),
-    /// Epoch of the live retransmission timer; stale timers (armed before
-    /// the last `arm_retx`) are ignored when they fire.
-    retx_epoch: u64,
-    /// Engine handle of the live retransmission timer, so re-arming
-    /// cancels the superseded one in the scheduler.
+    /// The live retransmission timer, cancelled when re-armed.
     retx_timer: Option<TimerHandle>,
     /// Consecutive stalled checks while awaiting the server's result (the
     /// server may legitimately be computing for a while).
@@ -223,7 +211,7 @@ pub struct ArFrontend {
 // One per session, kept for the whole run: codec, device, window and chunk
 // size are constants, and the phone's compute profile is looked up per
 // frame rather than kept.
-const _: () = assert!(std::mem::size_of::<ArFrontend>() <= 424);
+const _: () = assert!(std::mem::size_of::<ArFrontend>() <= 392);
 
 impl ArFrontend {
     /// The timer token that must be armed to start the client:
@@ -258,7 +246,6 @@ impl ArFrontend {
             acked_chunks: 0,
             uploading: false,
             retx_watermark: (u64::MAX, 0),
-            retx_epoch: 0,
             retx_timer: None,
             result_stall_checks: 0,
             retransmissions: 0,
@@ -357,17 +344,29 @@ impl ArFrontend {
         Duration::from_millis(500)
     }
 
-    /// (Re)arm the loss-recovery timer, cancelling any pending one in the
-    /// scheduler (the epoch check remains as a second line of defence).
+    /// (Re)arm the loss-recovery timer, cancelling any pending one.
     fn arm_retx(&mut self, ctx: &mut Ctx<'_>) {
-        self.retx_epoch += 1;
         if let Some(h) = self.retx_timer.take() {
             ctx.cancel_timer(h);
         }
-        self.retx_timer = Some(ctx.schedule_in_cancellable(
-            self.retx_timeout(),
-            token::RETRANSMIT | (self.retx_epoch << token::BITS),
-        ));
+        self.retx_timer = Some(ctx.schedule_in_cancellable(self.retx_timeout(), token::RETRANSMIT));
+    }
+
+    /// Ask the MRS (if configured) to resolve the service: the kickoff
+    /// handshake, its retransmission, a re-anchor and a lease recheck
+    /// all send this same idempotent request. Returns whether one was
+    /// sent.
+    fn request_mrs(&self, ctx: &mut Ctx<'_>) -> bool {
+        let Some((mrs_addr, service)) = &self.cfg.mrs else {
+            return false;
+        };
+        let msg = AppMsg::MrsRequest {
+            service: service.clone(),
+            ue_addr: self.cfg.ue_ip,
+            create: true,
+        };
+        self.send_app(ctx, (*mrs_addr, MRS_PORT), &msg, 0);
+        true
     }
 
     /// Restart the in-flight frame's upload from chunk 0 (lost
@@ -480,25 +479,21 @@ impl ArFrontend {
     }
 
     fn send_reports(&mut self, ctx: &mut Ctx<'_>) {
-        let readings = if self.cfg.rx_report_schedule.is_empty() {
-            self.cfg.rx_reports.clone()
-        } else {
-            let idx = self.report_ticks.min(self.cfg.rx_report_schedule.len() - 1);
-            self.cfg.rx_report_schedule[idx].clone()
-        };
-        self.report_ticks += 1;
+        let schedule = &self.cfg.rx_report_schedule;
+        let readings = &schedule[self.report_ticks.min(schedule.len() - 1)];
         for (landmark, rx) in readings {
             let msg = AppMsg::RxReport {
-                landmark,
-                rx_power_dbm: rx,
+                landmark: landmark.clone(),
+                rx_power_dbm: *rx,
             };
             self.send_app(ctx, (self.current_server, AR_PORT), &msg, 0);
         }
+        self.report_ticks += 1;
     }
 
     /// Are periodic reports configured at all?
     fn has_reports(&self) -> bool {
-        !self.cfg.rx_reports.is_empty() || !self.cfg.rx_report_schedule.is_empty()
+        !self.cfg.rx_report_schedule.is_empty()
     }
 }
 
@@ -578,47 +573,24 @@ impl Node for ArFrontend {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tok: u64) {
-        if tok & token::MASK == token::RETRANSMIT {
-            // Only the most recently armed check is live; a stale timer
-            // (superseded by a later arm_retx) dies here without firing
-            // or rescheduling.
-            if tok >> token::BITS != self.retx_epoch {
-                return;
-            }
-            self.retx_timer = None; // this fire consumed the live timer
-            if self.phase == Phase::AwaitingMrs {
-                // MRS request or ack lost: ask again (the MRS side is
-                // idempotent per service).
-                if let Some((mrs_addr, service)) = self.cfg.mrs.clone() {
+        match tok {
+            token::RETRANSMIT => {
+                self.retx_timer = None; // this fire consumed the live timer
+                if self.phase != Phase::AwaitingMrs {
+                    self.check_retransmit(ctx);
+                } else if self.request_mrs(ctx) {
+                    // MRS request or ack lost: ask again (the MRS side is
+                    // idempotent per service).
                     self.retransmissions += 1;
-                    let msg = AppMsg::MrsRequest {
-                        service,
-                        ue_addr: self.cfg.ue_ip,
-                        create: true,
-                    };
-                    self.send_app(ctx, (mrs_addr, MRS_PORT), &msg, 0);
                     self.arm_retx(ctx);
                 }
-            } else {
-                self.check_retransmit(ctx);
             }
-            return;
-        }
-        match tok {
-            token::KICKOFF => match &self.cfg.mrs {
-                Some((mrs_addr, service)) => {
+            token::KICKOFF => {
+                if self.request_mrs(ctx) {
                     self.phase = Phase::AwaitingMrs;
                     self.mrs_requested_at = Some(ctx.now());
-                    let msg = AppMsg::MrsRequest {
-                        service: service.clone(),
-                        ue_addr: self.cfg.ue_ip,
-                        create: true,
-                    };
-                    let dst = (*mrs_addr, MRS_PORT);
-                    self.send_app(ctx, dst, &msg, 0);
                     self.arm_retx(ctx);
-                }
-                None => {
+                } else {
                     self.phase = Phase::Streaming;
                     if self.has_reports() {
                         self.send_reports(ctx);
@@ -626,7 +598,7 @@ impl Node for ArFrontend {
                     }
                     self.capture(ctx);
                 }
-            },
+            }
             token::CAPTURE if self.phase == Phase::Streaming => {
                 self.capture(ctx);
             }
@@ -638,29 +610,16 @@ impl Node for ArFrontend {
                 ctx.schedule_in(self.cfg.report_period, token::REPORT);
             }
             token::REANCHOR if self.phase == Phase::Streaming => {
-                if let Some((mrs_addr, service)) = self.cfg.mrs.clone() {
-                    self.reanchor_requests += 1;
-                    let msg = AppMsg::MrsRequest {
-                        service,
-                        ue_addr: self.cfg.ue_ip,
-                        create: true,
-                    };
-                    self.send_app(ctx, (mrs_addr, MRS_PORT), &msg, 0);
-                }
+                let sent = self.request_mrs(ctx);
+                self.reanchor_requests += u64::from(sent);
             }
             token::RECHECK if self.phase == Phase::Streaming => {
                 // Periodic lease recheck: idempotent re-request. If the
                 // serving MEC is still live the MRS answers with the same
                 // address (no-op); if its lease lapsed, the answer names
                 // the failover target and `adopt_server` runs.
-                if let Some((mrs_addr, service)) = self.cfg.mrs.clone() {
+                if self.request_mrs(ctx) {
                     self.lease_rechecks += 1;
-                    let msg = AppMsg::MrsRequest {
-                        service,
-                        ue_addr: self.cfg.ue_ip,
-                        create: true,
-                    };
-                    self.send_app(ctx, (mrs_addr, MRS_PORT), &msg, 0);
                 }
                 if self.cfg.lease_recheck {
                     ctx.schedule_in(LEASE_RECHECK_PERIOD, token::RECHECK);

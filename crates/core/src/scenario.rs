@@ -290,8 +290,8 @@ impl Scenario {
             },
             frame_count: cfg.frame_count,
             scene_ids,
-            rx_reports: if cfg.deployment == Deployment::Acacia {
-                rx_reports
+            rx_report_schedule: if cfg.deployment == Deployment::Acacia && !rx_reports.is_empty() {
+                vec![rx_reports]
             } else {
                 Vec::new()
             },

@@ -47,7 +47,7 @@ fn arb_msg() -> impl Strategy<Value = AppMsg> {
             any::<u64>(),
             // Quotes, backslashes, control bytes and non-ASCII exercise
             // every escape form.
-            prop::option::of("[a-z#0-9\"\\\n\t\u{1}\u{7f}é-]{1,24}"),
+            prop::option::of("[a-z#0-9\"\\\\\n\t\u{1}\u{7f}é-]{1,24}"),
             0.0f64..10.0,
             0.0f64..10.0,
             0usize..200

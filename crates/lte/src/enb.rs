@@ -16,7 +16,7 @@ use crate::{gtpu, tft::Tft};
 use acacia_simnet::packet::Packet;
 use acacia_simnet::sim::{Ctx, Node, PortId, TimerHandle};
 use acacia_simnet::time::Duration;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Per-bearer forwarding state at the eNB.
@@ -96,8 +96,42 @@ struct X2Peer {
     port: PortId,
 }
 
+/// A request retransmitted under a guard timer until it is answered or
+/// [`HO_MAX_ATTEMPTS`] transmissions go unanswered.
+#[derive(Debug)]
+struct Retry {
+    /// Transmissions so far.
+    attempts: u32,
+    /// The guard armed for the latest transmission.
+    timer: TimerHandle,
+    /// The request as sent, kept verbatim for retransmission.
+    request: Box<ControlMsg>,
+}
+
+impl Retry {
+    /// The first transmission of `request`, guarded for `after`.
+    fn arm(ctx: &mut Ctx<'_>, guard: u64, after: Duration, request: &ControlMsg) -> Retry {
+        Retry {
+            attempts: 1,
+            timer: ctx.schedule_in_cancellable(after, guard),
+            request: Box::new(request.clone()),
+        }
+    }
+
+    /// The guard fired: re-arm it and return the request to send again,
+    /// or `None` once every transmission went unanswered.
+    fn again(&mut self, ctx: &mut Ctx<'_>, guard: u64, after: Duration) -> Option<ControlMsg> {
+        if self.attempts >= HO_MAX_ATTEMPTS {
+            return None;
+        }
+        self.attempts += 1;
+        self.timer = ctx.schedule_in_cancellable(after, guard);
+        Some((*self.request).clone())
+    }
+}
+
 /// Source-side handover progress for one UE.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum HoPhase {
     /// Handover Request sent; waiting for the target's Ack.
     Preparing {
@@ -109,12 +143,8 @@ enum HoPhase {
         peer_addr: Ipv4Addr,
         /// Procedure transaction id carried by the Handover Request.
         txid: u32,
-        /// Handover Request transmissions so far.
-        attempts: u32,
-        /// Guard-timer sequence currently armed for this attempt.
-        guard: u64,
-        /// The request as sent, kept verbatim for retransmission.
-        request: Box<ControlMsg>,
+        /// The Handover Request under its preparation guard.
+        retry: Retry,
     },
     /// UE commanded to the target; downlink data is forwarded over X2
     /// until the target signals UE Context Release.
@@ -124,16 +154,26 @@ enum HoPhase {
         /// Target eNB control address (GTP-U outer destination).
         peer: Ipv4Addr,
         /// Per-bearer forwarding TEIDs allocated by the target.
-        teids: BTreeMap<Ebi, Teid>,
-        /// Overall guard-timer sequence: fires if the target never signals
-        /// UE Context Release.
-        guard: u64,
+        teids: Vec<(Ebi, Teid)>,
+        /// Overall guard: fires if the target never signals UE Context
+        /// Release.
+        timer: TimerHandle,
     },
+}
+
+impl HoPhase {
+    /// The guard armed for this phase.
+    fn timer(&self) -> TimerHandle {
+        match self {
+            HoPhase::Preparing { retry, .. } => retry.timer,
+            HoPhase::Forwarding { timer, .. } => *timer,
+        }
+    }
 }
 
 /// Target-side state of one incoming handover, kept until the Path Switch
 /// completes (or falls back).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct HoInCtx {
     /// X2 port toward the source eNB.
     x2_port: PortId,
@@ -144,19 +184,8 @@ struct HoInCtx {
     ho_txid: u32,
     /// E-RABs admitted for this handover (echoed on duplicate requests).
     admitted: Vec<(Ebi, Teid)>,
-    /// Path Switch procedure state, present once the UE has arrived.
-    ps: Option<PsState>,
-}
-
-/// An in-flight Path Switch Request with its retransmission budget.
-#[derive(Debug, Clone)]
-struct PsState {
-    /// Path Switch Request transmissions so far.
-    attempts: u32,
-    /// Guard-timer sequence currently armed for this attempt.
-    guard: u64,
-    /// The request as sent, kept verbatim for retransmission.
-    request: Box<ControlMsg>,
+    /// The Path Switch Request under its guard, once the UE has arrived.
+    ps: Option<Retry>,
 }
 
 /// Timer tokens understood by the eNB.
@@ -168,11 +197,21 @@ pub mod token {
     pub const IDLE_BASE: u64 = 1000;
     /// Automatic inactivity check for UE `token - IDLE_CHECK_BASE`.
     pub const IDLE_CHECK_BASE: u64 = 2000;
-    /// Handover guard timers: `HO_GUARD_BASE + seq` identifies one arming
-    /// of a preparation / forwarding / path-switch guard. A fire whose
-    /// sequence no longer matches any live procedure is a no-op, so
-    /// completed procedures never need to cancel their timers.
+    /// Handover guards: `HO_GUARD_BASE + 2 × IMSI` supervises the UE's
+    /// source-side procedure (preparation, then forwarding) and `+ 1` its
+    /// target-side Path Switch. Re-arming a guard or ending its procedure
+    /// cancels the timer, so a guard that fires is live.
     pub const HO_GUARD_BASE: u64 = 1 << 32;
+}
+
+/// The guard token of `imsi`'s source-side handover.
+fn source_guard(imsi: Imsi) -> u64 {
+    token::HO_GUARD_BASE + 2 * imsi.0
+}
+
+/// The guard token of `imsi`'s target-side Path Switch.
+fn target_guard(imsi: Imsi) -> u64 {
+    source_guard(imsi) + 1
 }
 
 /// Guard before retransmitting an unanswered X2 Handover Request (the
@@ -194,9 +233,9 @@ pub struct Enb {
     pub addr: Ipv4Addr,
     /// MME address.
     pub mme_addr: Ipv4Addr,
-    /// Known S1-U gateway addresses → output port (core SGW-U vs local
-    /// MEC GW-U).
-    pub s1_ports: HashMap<Ipv4Addr, PortId>,
+    /// Known S1-U gateway addresses and their output ports (core SGW-U
+    /// and local MEC GW-U).
+    s1_ports: Vec<(Ipv4Addr, PortId)>,
     /// Registered UEs, append-only: the UE in row `i` has radio port
     /// `ENB_RADIO_BASE + i`.
     ues: Vec<UeEntry>,
@@ -220,12 +259,6 @@ pub struct Enb {
     ho_in: BTreeMap<Imsi, HoInCtx>,
     /// Next procedure transaction id.
     next_txid: u32,
-    /// Next guard-timer sequence number.
-    next_guard: u64,
-    /// Engine timer handle for each live guard seq: procedures that end
-    /// before their guard fires cancel it in the scheduler instead of
-    /// relying on the fire being a stale no-op.
-    guard_timers: BTreeMap<u64, TimerHandle>,
     /// Uplink user packets forwarded onto S1.
     pub ul_forwarded: u64,
     /// Downlink user frames scheduled to UEs.
@@ -258,7 +291,7 @@ pub struct Enb {
 }
 
 // One per cell; its guard timers are constants, not a per-eNB copy.
-const _: () = assert!(std::mem::size_of::<Enb>() <= 464);
+const _: () = assert!(std::mem::size_of::<Enb>() <= 408);
 
 impl Enb {
     /// New eNB.
@@ -266,7 +299,7 @@ impl Enb {
         Enb {
             addr,
             mme_addr,
-            s1_ports: HashMap::new(),
+            s1_ports: Vec::new(),
             ues: Vec::new(),
             ue_rows: RowIndex::default(),
             radio_rows: RowIndex::default(),
@@ -279,8 +312,6 @@ impl Enb {
             ho: BTreeMap::new(),
             ho_in: BTreeMap::new(),
             next_txid: 1,
-            next_guard: 0,
-            guard_timers: BTreeMap::new(),
             ul_forwarded: 0,
             dl_forwarded: 0,
             no_bearer: 0,
@@ -331,7 +362,8 @@ impl Enb {
 
     /// Register an S1-U gateway reachable via `out_port`.
     pub(crate) fn add_s1_gateway(&mut self, gw_addr: Ipv4Addr, out_port: PortId) {
-        self.s1_ports.insert(gw_addr, out_port);
+        self.s1_ports.retain(|&(addr, _)| addr != gw_addr);
+        self.s1_ports.push((gw_addr, out_port));
     }
 
     /// Handover procedures still open at this eNB (source + target side).
@@ -345,24 +377,6 @@ impl Enb {
         let t = self.next_txid;
         self.next_txid += 1;
         t
-    }
-
-    /// Arm a handover guard timer; returns the sequence number the fire
-    /// must match to be considered live.
-    fn arm_guard(&mut self, ctx: &mut Ctx<'_>, after: Duration) -> u64 {
-        let seq = self.next_guard;
-        self.next_guard += 1;
-        let handle = ctx.schedule_in_cancellable(after, token::HO_GUARD_BASE + seq);
-        self.guard_timers.insert(seq, handle);
-        seq
-    }
-
-    /// Cancel a still-armed guard timer (the procedure it supervised
-    /// resolved first). A seq whose timer already fired is a no-op.
-    fn cancel_guard(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        if let Some(handle) = self.guard_timers.remove(&seq) {
-            ctx.cancel_timer(handle);
-        }
     }
 
     fn ue_by_radio_port(&self, p: PortId) -> Option<&UeEntry> {
@@ -447,7 +461,9 @@ impl Enb {
                     self.no_bearer += 1;
                     return;
                 };
-                let Some(&out_port) = self.s1_ports.get(&bearer.gw_addr) else {
+                let Some(&(_, out_port)) =
+                    self.s1_ports.iter().find(|&&(a, _)| a == bearer.gw_addr)
+                else {
                     self.no_bearer += 1;
                     return;
                 };
@@ -498,7 +514,7 @@ impl Enb {
             bearers,
             txid,
         };
-        let guard = self.arm_guard(ctx, X2_PREP_GUARD);
+        let retry = Retry::arm(ctx, source_guard(imsi), X2_PREP_GUARD, &request);
         self.ho.insert(
             imsi,
             HoPhase::Preparing {
@@ -506,9 +522,7 @@ impl Enb {
                 target_radio,
                 peer_addr: peer.enb_addr,
                 txid,
-                attempts: 1,
-                guard,
-                request: Box::new(request.clone()),
+                retry,
             },
         );
         self.send_x2(ctx, peer.port, peer.enb_addr, request);
@@ -518,11 +532,8 @@ impl Enb {
     /// re-establishment). Start the Path Switch procedure — or keep the
     /// one already running if this is a duplicate arrival.
     fn ue_arrived(&mut self, ctx: &mut Ctx<'_>, imsi: Imsi) {
-        let Some(hin) = self.ho_in.get(&imsi) else {
-            return;
-        };
-        if hin.ps.is_some() {
-            return; // duplicate confirm: the procedure is already running
+        if self.ho_in.get(&imsi).is_none_or(|h| h.ps.is_some()) {
+            return; // not admitted, or a duplicate arrival: already running
         }
         let erabs: Vec<(Ebi, Teid)> = self
             .bearers
@@ -537,14 +548,8 @@ impl Enb {
             erabs,
             txid,
         };
-        let guard = self.arm_guard(ctx, PATH_SWITCH_GUARD);
-        if let Some(hin) = self.ho_in.get_mut(&imsi) {
-            hin.ps = Some(PsState {
-                attempts: 1,
-                guard,
-                request: Box::new(request.clone()),
-            });
-        }
+        let retry = Retry::arm(ctx, target_guard(imsi), PATH_SWITCH_GUARD, &request);
+        self.ho_in.get_mut(&imsi).expect("admitted above").ps = Some(retry);
         self.send_s1ap(ctx, request);
     }
 
@@ -573,10 +578,7 @@ impl Enb {
     /// dropped (the core still anchors them at the old cell), and the UE
     /// is pushed to idle so a service request re-anchors its default
     /// bearer here through the MME.
-    fn path_switch_fallback(&mut self, ctx: &mut Ctx<'_>, imsi: Imsi) {
-        let Some(hin) = self.ho_in.remove(&imsi) else {
-            return;
-        };
+    fn path_switch_fallback(&mut self, ctx: &mut Ctx<'_>, imsi: Imsi, hin: HoInCtx) {
         self.ps_fallback += 1;
         self.send_x2(
             ctx,
@@ -635,8 +637,12 @@ impl Enb {
                         return;
                     }
                     // A different transaction supersedes the stale
-                    // admission (the source cancelled and retried); fall
-                    // through to a fresh one.
+                    // admission (the source cancelled and retried), and
+                    // any Path Switch it started; fall through to a
+                    // fresh one.
+                    if let Some(ps) = &hin.ps {
+                        ctx.cancel_timer(ps.timer);
+                    }
                 }
                 if let (Some(addr), Some(row)) = (ue_addr, self.ue_row(imsi)) {
                     self.ues[row].ue_addr = Some(addr);
@@ -670,17 +676,18 @@ impl Enb {
                     port,
                     target_radio,
                     txid: want,
-                    guard: prep_guard,
+                    retry,
                     ..
-                }) = self.ho.get(&imsi).cloned()
+                }) = self.ho.get(&imsi)
                 else {
                     return;
                 };
-                if txid != want {
+                if txid != *want {
                     return; // stale ack of a superseded attempt
                 }
-                // Preparation succeeded: retire its guard in the scheduler.
-                self.cancel_guard(ctx, prep_guard);
+                let (port, target_radio) = (*port, *target_radio);
+                // Preparation succeeded: retire its guard.
+                ctx.cancel_timer(retry.timer);
                 self.send_x2(
                     ctx,
                     port,
@@ -691,14 +698,14 @@ impl Enb {
                         ul_count: self.ul_forwarded as u32,
                     },
                 );
-                let guard = self.arm_guard(ctx, HO_OVERALL_GUARD);
+                let timer = ctx.schedule_in_cancellable(HO_OVERALL_GUARD, source_guard(imsi));
                 self.ho.insert(
                     imsi,
                     HoPhase::Forwarding {
                         port,
                         peer: pkt.src,
-                        teids: erabs.into_iter().collect(),
-                        guard,
+                        teids: erabs,
+                        timer,
                     },
                 );
                 self.send_rrc(
@@ -711,14 +718,11 @@ impl Enb {
             // Honoured only while the UE has not arrived — a cancel racing
             // a successful arrival loses.
             ControlMsg::X2HandoverCancel { imsi, txid } => {
-                let Some(hin) = self.ho_in.get(&imsi) else {
-                    return;
-                };
-                if hin.ho_txid != txid || hin.ps.is_some() {
+                let live = |h: &HoInCtx| h.ho_txid == txid && h.ps.is_none();
+                if !self.ho_in.get(&imsi).is_some_and(live) {
                     return;
                 }
-                let admitted = hin.admitted.clone();
-                self.ho_in.remove(&imsi);
+                let admitted = self.ho_in.remove(&imsi).expect("checked above").admitted;
                 self.bearers.retain(|b| {
                     !(b.imsi == imsi && admitted.iter().any(|&(_, t)| t == b.enb_teid))
                 });
@@ -730,10 +734,8 @@ impl Enb {
             // Source side: the path switch completed; drop the UE context
             // and stop forwarding.
             ControlMsg::X2UeContextRelease { imsi } => {
-                match self.ho.remove(&imsi) {
-                    Some(HoPhase::Preparing { guard, .. })
-                    | Some(HoPhase::Forwarding { guard, .. }) => self.cancel_guard(ctx, guard),
-                    None => {}
+                if let Some(phase) = self.ho.remove(&imsi) {
+                    ctx.cancel_timer(phase.timer());
                 }
                 self.bearers.retain(|b| b.imsi != imsi);
                 self.ho_out_done += 1;
@@ -762,7 +764,7 @@ impl Enb {
             port, peer, teids, ..
         }) = self.ho.get(&imsi)
         {
-            if let Some(&fwd_teid) = teids.get(&ebi) {
+            if let Some(&(_, fwd_teid)) = teids.iter().find(|&&(e, _)| e == ebi) {
                 let (port, peer) = (*port, *peer);
                 let outer = gtpu::encapsulate(&inner, fwd_teid, self.addr, peer);
                 self.x2_forwarded += 1;
@@ -823,86 +825,53 @@ impl Enb {
         enb_teid
     }
 
-    /// A handover guard fired. Resolve the sequence number against every
-    /// live procedure; anything that does not match completed (or was
-    /// superseded) in the meantime and the fire is a no-op.
-    fn on_ho_guard(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        // This seq's timer just fired; its handle is spent.
-        self.guard_timers.remove(&seq);
-        // Source side: unanswered Handover Request.
-        let prep = self.ho.iter().find_map(|(&imsi, p)| match p {
-            HoPhase::Preparing { guard, .. } if *guard == seq => Some(imsi),
-            _ => None,
-        });
-        if let Some(imsi) = prep {
-            let Some(HoPhase::Preparing {
-                port,
-                peer_addr,
-                txid,
-                attempts,
-                request,
-                ..
-            }) = self.ho.get(&imsi).cloned()
-            else {
-                return;
-            };
-            if attempts < HO_MAX_ATTEMPTS {
-                let new_guard = self.arm_guard(ctx, X2_PREP_GUARD);
-                if let Some(HoPhase::Preparing {
-                    attempts, guard, ..
-                }) = self.ho.get_mut(&imsi)
-                {
-                    *attempts += 1;
-                    *guard = new_guard;
-                }
-                self.ho_retx += 1;
-                self.send_x2(ctx, port, peer_addr, (*request).clone());
+    /// A handover guard fired: its procedure is live, so act on it. An
+    /// unanswered request is sent again until its attempts run out; then
+    /// the source cancels the preparation, and the target falls back to
+    /// the core path. A forwarding phase that never closed (lost UE
+    /// Context Release) releases the old context locally.
+    fn on_ho_guard(&mut self, ctx: &mut Ctx<'_>, guard: u64) {
+        let imsi = Imsi((guard - token::HO_GUARD_BASE) / 2);
+        if guard == target_guard(imsi) {
+            let ps = self.ho_in.get_mut(&imsi).and_then(|h| h.ps.as_mut());
+            let ps = ps.unwrap_or_else(|| panic!("{imsi}: Path Switch guard with no Path Switch"));
+            if let Some(request) = ps.again(ctx, guard, PATH_SWITCH_GUARD) {
+                self.ps_retx += 1;
+                self.send_s1ap(ctx, request);
             } else {
-                // TX2RELOCprep analogue expired: cancel. The UE never left
-                // this cell; measurement may retrigger the handover later.
-                self.ho.remove(&imsi);
-                self.ho_cancelled += 1;
-                self.send_x2(
-                    ctx,
-                    port,
-                    peer_addr,
-                    ControlMsg::X2HandoverCancel { imsi, txid },
-                );
+                let hin = self.ho_in.remove(&imsi).expect("held above");
+                self.path_switch_fallback(ctx, imsi, hin);
             }
             return;
         }
-        // Source side: the forwarding phase never closed (lost UE Context
-        // Release). Release the old context locally.
-        let fwd = self.ho.iter().find_map(|(&imsi, p)| match p {
-            HoPhase::Forwarding { guard, .. } if *guard == seq => Some(imsi),
-            _ => None,
-        });
-        if let Some(imsi) = fwd {
-            self.ho.remove(&imsi);
-            self.bearers.retain(|b| b.imsi != imsi);
-            self.ho_out_expired += 1;
-            return;
-        }
-        // Target side: unanswered Path Switch Request.
-        let psq = self.ho_in.iter().find_map(|(&imsi, h)| match &h.ps {
-            Some(ps) if ps.guard == seq => Some(imsi),
-            _ => None,
-        });
-        if let Some(imsi) = psq {
-            let (attempts, request) = {
-                let ps = self.ho_in[&imsi].ps.as_ref().expect("matched above");
-                (ps.attempts, ps.request.clone())
-            };
-            if attempts < HO_MAX_ATTEMPTS {
-                let new_guard = self.arm_guard(ctx, PATH_SWITCH_GUARD);
-                if let Some(ps) = self.ho_in.get_mut(&imsi).and_then(|h| h.ps.as_mut()) {
-                    ps.attempts += 1;
-                    ps.guard = new_guard;
+        let phase = self.ho.get_mut(&imsi);
+        let phase = phase.unwrap_or_else(|| panic!("{imsi}: handover guard with no handover"));
+        match phase {
+            HoPhase::Preparing {
+                port,
+                peer_addr,
+                txid,
+                retry,
+                ..
+            } => {
+                let (port, peer_addr, txid) = (*port, *peer_addr, *txid);
+                if let Some(request) = retry.again(ctx, guard, X2_PREP_GUARD) {
+                    self.ho_retx += 1;
+                    self.send_x2(ctx, port, peer_addr, request);
+                } else {
+                    // TX2RELOCprep analogue expired: cancel. The UE never
+                    // left this cell; measurement may retrigger the
+                    // handover later.
+                    self.ho.remove(&imsi);
+                    self.ho_cancelled += 1;
+                    let cancel = ControlMsg::X2HandoverCancel { imsi, txid };
+                    self.send_x2(ctx, port, peer_addr, cancel);
                 }
-                self.ps_retx += 1;
-                self.send_s1ap(ctx, (*request).clone());
-            } else {
-                self.path_switch_fallback(ctx, imsi);
+            }
+            HoPhase::Forwarding { .. } => {
+                self.ho.remove(&imsi);
+                self.bearers.retain(|b| b.imsi != imsi);
+                self.ho_out_expired += 1;
             }
         }
     }
@@ -1018,7 +987,7 @@ impl Enb {
                 // (or after a fallback already released it) is ignored.
                 if let Some(hin) = self.ho_in.remove(&imsi) {
                     if let Some(ps) = &hin.ps {
-                        self.cancel_guard(ctx, ps.guard);
+                        ctx.cancel_timer(ps.timer);
                     }
                     self.ho_in_done += 1;
                     self.send_x2(
@@ -1049,7 +1018,7 @@ impl Node for Enb {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tok: u64) {
         if tok >= token::HO_GUARD_BASE {
-            self.on_ho_guard(ctx, tok - token::HO_GUARD_BASE);
+            self.on_ho_guard(ctx, tok);
             return;
         }
         if tok == token::DL_RELEASE {

@@ -94,13 +94,14 @@ pub mod token {
     pub const UL_RELEASE: u64 = 3;
     /// Periodic radio measurement sample (mobility).
     pub const MEASURE: u64 = 4;
-    /// Handover supervision (T304 analogue): `T304_BASE + epoch` checks
-    /// for downlink progress after a measurement report; a stale epoch is
-    /// a no-op.
-    pub const T304_BASE: u64 = 1 << 32;
-    /// Service-request retry: `SR_RETRY_BASE + epoch` re-sends an
-    /// unanswered RRC Service Request while data is still buffered.
-    pub const SR_RETRY_BASE: u64 = 1 << 33;
+    /// Handover supervision (T304 analogue): checks for downlink progress
+    /// after a measurement report. A new report cancels the old timer, so
+    /// one that fires is live.
+    pub const T304: u64 = 5;
+    /// Service-request retry: re-sends an unanswered RRC Service Request
+    /// while data is still buffered. Re-arming or reconnecting cancels
+    /// the timer, so one that fires is live.
+    pub const SR_RETRY: u64 = 6;
 }
 
 /// Armed when a measurement report is sent; resolved by downlink progress
@@ -108,8 +109,8 @@ pub mod token {
 /// (re-establish on the target).
 #[derive(Debug, Clone, Copy)]
 struct HoPending {
-    /// Epoch the guard token must carry to be live.
-    epoch: u64,
+    /// The T304 guard armed for this report.
+    timer: TimerHandle,
     /// Cell index the report proposed.
     target: usize,
     /// `dl_delivered` when the report was sent (progress baseline).
@@ -211,19 +212,13 @@ pub struct Ue {
     pub sr_retries: u64,
     /// Handover supervision state (one per measurement report).
     ho_pending: Option<HoPending>,
-    /// Epochs distinguish the live T304 / retry timer from stale ones.
-    next_epoch: u64,
-    sr_epoch: u64,
-    /// Engine handle of the live T304 guard: superseding reports cancel
-    /// the old timer in the scheduler instead of letting it fire stale.
-    t304_timer: Option<TimerHandle>,
-    /// Engine handle of the live service-request retry timer.
+    /// The live service-request retry timer.
     sr_timer: Option<TimerHandle>,
 }
 
 // One per subscriber, kept for the whole run: the recovery timers and the
 // A3 parameters are constants, not per-UE copies.
-const _: () = assert!(std::mem::size_of::<Ue>() <= 472);
+const _: () = assert!(std::mem::size_of::<Ue>() <= 440);
 
 impl Ue {
     /// New detached UE, camped on a single cell reachable via
@@ -257,9 +252,6 @@ impl Ue {
             reestablishments: 0,
             sr_retries: 0,
             ho_pending: None,
-            next_epoch: 0,
-            sr_epoch: 0,
-            t304_timer: None,
             sr_timer: None,
         }
     }
@@ -407,18 +399,15 @@ impl Ue {
                 self.send_rrc(ctx, report);
                 // Supervise the handover this report should trigger: if no
                 // downlink arrives within T304 the serving leg is dead.
-                self.next_epoch += 1;
-                let epoch = self.next_epoch;
+                if let Some(old) = self.ho_pending.take() {
+                    ctx.cancel_timer(old.timer);
+                }
                 self.ho_pending = Some(HoPending {
-                    epoch,
+                    timer: ctx.schedule_in_cancellable(T304, token::T304),
                     target,
                     dl_at_report: self.dl_delivered,
                     reported_at: now,
                 });
-                if let Some(h) = self.t304_timer.take() {
-                    ctx.cancel_timer(h);
-                }
-                self.t304_timer = Some(ctx.schedule_in_cancellable(T304, token::T304_BASE + epoch));
             }
         }
     }
@@ -428,13 +417,10 @@ impl Ue {
     /// completed, or was cancelled while the source kept serving); if not,
     /// the serving leg is dead — jump to the reported target and
     /// re-establish the RRC connection there.
-    fn on_t304(&mut self, ctx: &mut Ctx<'_>, epoch: u64) {
-        match self.ho_pending {
-            Some(hp) if hp.epoch == epoch => {}
-            _ => return, // stale guard of an already-superseded report
-        }
-        self.t304_timer = None; // this fire consumed the live guard
-        let hp = self.ho_pending.take().expect("checked above");
+    fn on_t304(&mut self, ctx: &mut Ctx<'_>) {
+        let imsi = self.imsi;
+        let hp = self.ho_pending.take();
+        let hp = hp.unwrap_or_else(|| panic!("{imsi}: T304 with no measurement report"));
         if self.dl_delivered > hp.dl_at_report {
             return;
         }
@@ -444,29 +430,21 @@ impl Ue {
         if let Some(m) = self.mobility.as_mut() {
             m.a3.reset();
         }
-        self.send_rrc(
-            ctx,
-            ControlMsg::RrcReestablishmentRequest { imsi: self.imsi },
-        );
+        self.send_rrc(ctx, ControlMsg::RrcReestablishmentRequest { imsi });
     }
 
     /// Arm (or re-arm) the service-request retry timer, cancelling any
     /// previously armed one in the scheduler.
     fn arm_sr_retry(&mut self, ctx: &mut Ctx<'_>) {
-        self.sr_epoch += 1;
         if let Some(h) = self.sr_timer.take() {
             ctx.cancel_timer(h);
         }
-        self.sr_timer =
-            Some(ctx.schedule_in_cancellable(SR_RETRY, token::SR_RETRY_BASE + self.sr_epoch));
+        self.sr_timer = Some(ctx.schedule_in_cancellable(SR_RETRY, token::SR_RETRY));
     }
 
     /// Service-request retry fired: if still idle with data waiting, the
     /// request (or its answer) was lost somewhere — send it again.
-    fn on_sr_retry(&mut self, ctx: &mut Ctx<'_>, epoch: u64) {
-        if epoch != self.sr_epoch {
-            return;
-        }
+    fn on_sr_retry(&mut self, ctx: &mut Ctx<'_>) {
         self.sr_timer = None; // this fire consumed the live timer
         if self.state == UeState::Idle && !self.idle_buffer.is_empty() {
             self.sr_retries += 1;
@@ -582,14 +560,6 @@ impl Node for Ue {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, tok: u64) {
-        if tok >= token::SR_RETRY_BASE {
-            self.on_sr_retry(ctx, tok - token::SR_RETRY_BASE);
-            return;
-        }
-        if tok >= token::T304_BASE {
-            self.on_t304(ctx, tok - token::T304_BASE);
-            return;
-        }
         match tok {
             token::ATTACH if self.state == UeState::Detached => {
                 self.state = UeState::Attaching;
@@ -614,6 +584,8 @@ impl Node for Ue {
                 }
             }
             token::MEASURE => self.measure(ctx),
+            token::T304 => self.on_t304(ctx),
+            token::SR_RETRY => self.on_sr_retry(ctx),
             _ => {}
         }
     }
